@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-serve bench-recovery bench-compare profile fuzz figures examples api api-check scrape-smoke clean
+.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-serve bench-recovery bench-compare benchmark bench-guard profile fuzz figures examples api api-check scrape-smoke clean
 
 all: build vet test
 
@@ -58,6 +58,19 @@ bench-serve:
 bench-recovery:
 	$(GO) run ./cmd/pythia-serve -bench-recovery -json BENCH_recovery.json
 	@echo wrote BENCH_recovery.json
+
+# The repository benchmark (BENCHMARK.json): five time-boxed workloads,
+# end-to-end metrics, correctness gates. Pass flags through ARGS, e.g.
+#   make benchmark ARGS="--workload serve_mem --seed 2 --trace 1"
+# Its own tests are a nested module: cd benchmark && go vet ./... && go test ./...
+benchmark:
+	bash benchmark/run.sh $(ARGS)
+
+# Collector complexity guard (DESIGN.md §12.1): a job's JobDone/ReducerUp
+# must not cost more with 4096 unrelated live jobs than with 16.
+bench-guard:
+	$(GO) test -run 'TestJobDoneCostIndependentOfLiveJobs|TestResolvedIntentPathAllocs' -count=1 -v ./internal/core
+	$(GO) test -bench='ApplyBatch(JobDone|ReducerUp)' -benchtime=200x -run='^$$' ./internal/core
 
 # Diff the current tree's scale benchmark against a saved artifact:
 #   make bench-scale && git stash / checkout, make bench-compare OLD=path.json

@@ -1,26 +1,18 @@
 package core
 
-import (
-	"sync"
-
-	"pythia/internal/topology"
-)
+import "sync"
 
 // delta is one deferred placement-plane mutation produced by ApplyBatch's
-// shard phase: the bookGlobal/unbookGlobal call the shard-local resolver
-// would have made inline in single-op mode. (op, sub) is the mutation's
-// position in the batch's global order — op is the operation's index in the
-// batch, sub the emission ordinal within that operation — which the commit
-// phase replays with a min-key merge.
+// shard phase: the bookGlobal/unbookGlobal call the shard-local code would
+// have made inline in single-op mode. (op, sub) is the mutation's position
+// in the batch's global order — op is the operation's index in the batch,
+// sub the emission ordinal within that operation — which the commit phase
+// replays with a min-key merge.
 type delta struct {
 	op, sub int
 	unbook  bool
 	fk      flowKey
-	// book fields
-	bits     float64
-	src, dst topology.NodeID
-	// unbook field: the reservation being released
-	prev booking
+	b       booking // the reservation being made or released
 }
 
 func deltaLess(a, b *delta) bool {
@@ -28,6 +20,23 @@ func deltaLess(a, b *delta) bool {
 		return a.op < b.op
 	}
 	return a.sub < b.sub
+}
+
+// deltaLog is the plane one shard's phase of ApplyBatch writes to: it
+// records, stamped (op, sub), what the placement plane is owed.
+type deltaLog struct {
+	ds      []delta
+	op, sub int
+}
+
+func (l *deltaLog) bookGlobal(fk flowKey, b booking) {
+	l.ds = append(l.ds, delta{op: l.op, sub: l.sub, fk: fk, b: b})
+	l.sub++
+}
+
+func (l *deltaLog) unbookGlobal(fk flowKey, b booking) {
+	l.ds = append(l.ds, delta{op: l.op, sub: l.sub, unbook: true, fk: fk, b: b})
+	l.sub++
 }
 
 // ApplyBatch ingests a batch of collector operations in two phases:
@@ -63,6 +72,15 @@ func (p *Pythia) ApplyBatch(ops []Op, workers int) []OpResult {
 	if len(ops) == 0 {
 		return nil
 	}
+	results, deltas := p.shardPhase(ops, workers)
+	mergeDeltas(deltas, p)
+	p.allocate()
+	return results
+}
+
+// shardPhase is ApplyBatch's phase 1: it returns the positional results and
+// each shard's delta stream, ascending in (op, sub).
+func (p *Pythia) shardPhase(ops []Op, workers int) ([]OpResult, [][]delta) {
 	results := make([]OpResult, len(ops))
 
 	// Route operations to their home shards.
@@ -88,11 +106,12 @@ func (p *Pythia) ApplyBatch(ops []Op, workers int) []OpResult {
 	deltas := make([][]delta, len(p.shards))
 	run := func(si int) {
 		sh := p.shards[si]
-		var ds []delta
+		log := deltaLog{ds: sh.deltaBuf[:0]}
 		for _, i := range byShard[si] {
-			results[i] = p.applyShardOp(sh, ops[i], seqBase+uint64(i), i, &ds)
+			log.op, log.sub = i, 0
+			results[i] = p.applyShardOp(sh, &ops[i], seqBase+uint64(i), &log)
 		}
-		deltas[si] = ds
+		sh.deltaBuf, deltas[si] = log.ds, log.ds
 	}
 	if workers <= 1 || len(p.shards) == 1 {
 		for si := range p.shards {
@@ -117,9 +136,12 @@ func (p *Pythia) ApplyBatch(ops []Op, workers int) []OpResult {
 		}
 		wg.Wait()
 	}
+	return results, deltas
+}
 
-	// Commit: min-key merge the per-shard delta streams back into batch
-	// order and apply them to the placement plane.
+// mergeDeltas is ApplyBatch's commit: it min-key merges the per-shard delta
+// streams back into batch order and applies them to the placement plane.
+func mergeDeltas(deltas [][]delta, pl plane) {
 	heads := make([]int, len(deltas))
 	for {
 		best := -1
@@ -132,67 +154,28 @@ func (p *Pythia) ApplyBatch(ops []Op, workers int) []OpResult {
 			}
 		}
 		if best < 0 {
-			break
+			return
 		}
 		d := &deltas[best][heads[best]]
 		heads[best]++
 		if d.unbook {
-			p.unbookGlobal(d.fk, d.prev)
+			pl.unbookGlobal(d.fk, d.b)
 		} else {
-			p.bookGlobal(d.fk, d.bits, d.src, d.dst)
+			pl.bookGlobal(d.fk, d.b)
 		}
 	}
-
-	p.allocate()
-	return results
 }
 
-// applyShardOp runs one operation's shard-local half, appending its
-// placement-plane deltas to ds stamped (opIdx, 0..n).
-func (p *Pythia) applyShardOp(sh *shard, op Op, seq uint64, opIdx int, ds *[]delta) OpResult {
-	sub := 0
-	gBook := func(fk flowKey, bits float64, src, dst topology.NodeID) {
-		*ds = append(*ds, delta{op: opIdx, sub: sub, fk: fk, bits: bits, src: src, dst: dst})
-		sub++
-	}
-	gUnbook := func(fk flowKey, b booking) {
-		*ds = append(*ds, delta{op: opIdx, sub: sub, unbook: true, fk: fk, prev: b})
-		sub++
-	}
+// applyShardOp runs one operation's shard-local half; its placement-plane
+// deltas go to log.
+func (p *Pythia) applyShardOp(sh *shard, op *Op, seq uint64, log *deltaLog) OpResult {
 	switch op.Kind {
 	case OpIntent:
-		in := op.Intent
-		k := [3]int{in.Job, in.Map, in.Attempt}
-		if sh.seen[k] {
-			sh.dedupHits++
-			return OpDuplicate
-		}
-		sh.seen[k] = true
-		p.touch(sh, in.Job)
-		sh.intentsReceived++
-		pi := &pendingIntent{intent: in, unresolved: make(map[int]float64), at: p.eng.Now(), seq: seq}
-		for r, bytes := range in.PredictedWireBytes {
-			if bytes <= 0 {
-				continue
-			}
-			pi.unresolved[r] = bytes
-		}
-		p.resolveIntentWith(sh, pi, nil, gBook, gUnbook)
-		if len(pi.unresolved) > 0 {
-			sh.intentsDeferred++
-			sh.pending = append(sh.pending, pi)
-			return OpDeferred
-		}
-		return OpAccepted
+		return p.ingestIntent(sh, op.Intent, seq, nil, log)
 	case OpReducerUp:
-		up := op.Reducer
-		p.touch(sh, up.Job)
-		sh.reducerLoc[[2]int{up.Job, up.Reduce}] = up.Host
-		p.drainPendingWith(sh, nil, gBook, gUnbook)
-		return OpAccepted
+		p.reducerUpLocal(sh, op.Reducer, nil, log)
 	case OpJobDone:
-		p.jobDoneLocal(sh, op.Job, gUnbook)
-		return OpAccepted
+		p.jobDoneLocal(sh, op.Job, log)
 	}
 	return OpAccepted
 }

@@ -210,8 +210,8 @@ func (p *Pythia) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(p.shards))
 	for i, sh := range p.shards {
 		out[i] = ShardStat{
-			PendingIntents:   len(sh.pending),
-			BookedFlows:      len(sh.booked),
+			PendingIntents:   sh.pending,
+			BookedFlows:      sh.booked,
 			IntentsReceived:  sh.intentsReceived,
 			IntentsDeferred:  sh.intentsDeferred,
 			DedupHits:        sh.dedupHits,

@@ -14,9 +14,11 @@
 // online service (package serve) the collector's per-job state — deferred
 // intents, bookings, the idempotence set, reducer placements, barrier
 // backlog, activity stamps — is partitioned across Config.Shards shards
-// keyed by job ID. The placement plane (pair aggregates, the per-link
-// placement index, path cache and rule cookies) stays global: placement is
-// a bin-packing pass over shared links and is inherently serial.
+// keyed by job ID, each shard a table of per-job structs (jobState), so an
+// operation costs what its own job holds, not what the shard holds. The
+// placement plane (pair aggregates, the per-link placement index, path
+// cache and rule cookies) stays global: placement is a bin-packing pass
+// over shared links and is inherently serial.
 //
 // Sharding is invisible to results. Every operation touches only its own
 // job's shard, and the two places where state from several shards meets —
@@ -170,31 +172,76 @@ type pendingIntent struct {
 	intent     instrument.Intent
 	unresolved map[int]float64 // reducer ID -> predicted bytes
 	at         sim.Time        // arrival, for TTL expiry
-	// seq is the intent's global arrival ordinal. Per-shard pending lists
-	// are seq-ascending, so the TTL sweep's cross-shard expiry merge can
-	// reproduce the single-shard (arrival-order) event sequence.
+	// seq is the intent's global arrival ordinal. Per-job pending lists are
+	// seq-ascending, so the TTL sweep's expiry merge and Snapshot's flatten
+	// can reproduce the single-shard (arrival-order) sequence.
 	seq uint64
 }
 
 // booking records one (job, map, reducer) demand reservation and the
-// endpoints it was charged to.
+// endpoints it was charged to. bits is always positive, so the zero booking
+// marks an empty slot in a jobState row.
 type booking struct {
 	bits     float64
 	src, dst topology.NodeID
 	at       sim.Time // reservation instant, for TTL expiry
 }
 
-// shard holds one partition of the collector's per-job state. Every key in
-// every map belongs to a job with shardOf(job) == this shard, so two shards
-// never hold state for the same job and shard-local phases of different
-// shards may run concurrently.
+// jobState is everything the collector holds for one live job. A shard is a
+// table of these, so every operation pays for its own job's state and
+// retiring a job drops the struct.
+type jobState struct {
+	reducerLoc map[int]topology.NodeID // reducer ID -> host
+	// backlog is the outstanding booked demand per reducer (the barrier
+	// criticality signal), indexed by reducer ID; 0 means none.
+	backlog []float64
+	// booked holds the job's reservations, one row per map ID indexed by
+	// reducer ID. Rows and backlog reach only as far as an intent's own
+	// PredictedWireBytes does, so the input pays for their size.
+	booked   map[int][]booking
+	nBooked  int              // occupied slots across all rows
+	seen     map[[2]int]bool  // idempotence set of (map, attempt)
+	pending  []*pendingIntent // seq-ascending
+	lastSeen sim.Time         // last control message, for the dead-job purge
+}
+
+// row returns the job's booking row for map m, grown (with the backlog
+// table) to cover reducers [0, n).
+func (js *jobState) row(m, n int) []booking {
+	row := js.booked[m]
+	if len(row) < n {
+		row = append(row, make([]booking, n-len(row))...)
+		js.booked[m] = row
+	}
+	js.reach(n)
+	return row
+}
+
+// reach grows the backlog table to cover reducers [0, n).
+func (js *jobState) reach(n int) {
+	if len(js.backlog) < n {
+		js.backlog = append(js.backlog, make([]float64, n-len(js.backlog))...)
+	}
+}
+
+// drainBacklog takes one released booking off its reducer's barrier backlog.
+func (js *jobState) drainBacklog(r int, bits float64) {
+	if js.backlog[r] -= bits; js.backlog[r] <= 1 { // float dust
+		js.backlog[r] = 0
+	}
+}
+
+// shard holds one partition of the collector's per-job state: the jobs with
+// shardOf(job) == this shard. Two shards never hold state for the same job,
+// so shard-local phases of different shards may run concurrently.
 type shard struct {
-	reducerLoc  map[[2]int]topology.NodeID // (job, reduce) -> host
-	pending     []*pendingIntent           // seq-ascending
-	booked      map[flowKey]booking        // predicted demand per (job,map,reduce)
-	redBacklog  map[[2]int]float64         // outstanding demand per (job, reducer)
-	seen        map[[3]int]bool            // idempotence set per (job, map, attempt)
-	jobLastSeen map[int]sim.Time           // TTL mode only
+	jobs map[int]*jobState
+	// Live reservations and deferred intents summed over jobs, maintained on
+	// every change so the service gauges never scan.
+	booked, pending int
+	// deltaBuf is the backing array of the shard's ApplyBatch delta log,
+	// kept between batches: a batch's deltas are consumed before it returns.
+	deltaBuf []delta
 
 	// Shard-local metrics, summed by the Pythia accessors. Kept here so
 	// ApplyBatch's concurrent shard phase mutates only its own shard.
@@ -206,17 +253,43 @@ type shard struct {
 	expiredIntents   int
 }
 
-func newShard(ttl bool) *shard {
-	s := &shard{
-		reducerLoc: make(map[[2]int]topology.NodeID),
-		booked:     make(map[flowKey]booking),
-		redBacklog: make(map[[2]int]float64),
-		seen:       make(map[[3]int]bool),
+// job returns the job's state, creating it on the job's first message.
+func (sh *shard) job(id int) *jobState {
+	js := sh.jobs[id]
+	if js == nil {
+		js = &jobState{
+			reducerLoc: make(map[int]topology.NodeID),
+			booked:     make(map[int][]booking),
+			seen:       make(map[[2]int]bool),
+		}
+		sh.jobs[id] = js
 	}
-	if ttl {
-		s.jobLastSeen = make(map[int]sim.Time)
+	return js
+}
+
+// trimPending installs keep, an in-place compaction of the job's pending
+// list, and returns how many deferred intents that dropped.
+func (sh *shard) trimPending(js *jobState, keep []*pendingIntent) int {
+	n := len(js.pending) - len(keep)
+	sh.pending -= n
+	clear(js.pending[len(keep):])
+	js.pending = keep
+	return n
+}
+
+// release empties the job's (map, reduce) slot, if it is booked, keeping the
+// backlog and the gauges in step, and returns the reservation it held.
+func (sh *shard) release(js *jobState, m, r int) (booking, bool) {
+	row := js.booked[m]
+	if r < 0 || r >= len(row) || row[r].bits == 0 {
+		return booking{}, false
 	}
-	return s
+	b := row[r]
+	row[r] = booking{}
+	js.nBooked--
+	sh.booked--
+	js.drainBacklog(r, b.bits)
+	return b, true
 }
 
 // Pythia is the controller. It implements Collector (and therefore
@@ -298,7 +371,7 @@ func New(eng *sim.Engine, net *netsim.Network, ofc *openflow.Controller, cfg Con
 		nextCookie: 1,
 	}
 	for i := range p.shards {
-		p.shards[i] = newShard(cfg.BookingTTL > 0)
+		p.shards[i] = &shard{jobs: make(map[int]*jobState)}
 	}
 	p.paths = topology.NewPathCache(p.g, p.cfg.K)
 	if p.cfg.BookingTTL > 0 {
@@ -416,150 +489,143 @@ func (p *Pythia) kPaths(src, dst topology.NodeID) []topology.Path {
 // same map (speculative backup) still flows through — the per-(job, map,
 // reducer) booking replace keeps it from double-counting.
 func (p *Pythia) ShuffleIntent(in instrument.Intent) {
-	sh := p.shardOf(in.Job)
-	k := [3]int{in.Job, in.Map, in.Attempt}
-	if sh.seen[k] {
-		sh.dedupHits++
-		p.recordIntent(in, flight.DispDup)
+	if p.ingestIntent(p.shardOf(in.Job), in, p.nextSeq, p.fl, p) == OpDuplicate {
 		return
 	}
-	sh.seen[k] = true
-	p.touch(sh, in.Job)
-	sh.intentsReceived++
-	if in.Late {
-		p.recordIntent(in, flight.DispLate)
-	} else {
-		p.recordIntent(in, flight.DispOK)
-	}
-	pi := p.newPending(in)
-	p.resolveIntent(sh, pi)
-	if len(pi.unresolved) > 0 {
-		sh.intentsDeferred++
-		sh.pending = append(sh.pending, pi)
-	}
+	p.nextSeq++
 	p.allocate()
 }
 
-// newPending builds the deferred-intent record and stamps its arrival
-// ordinal.
-func (p *Pythia) newPending(in instrument.Intent) *pendingIntent {
-	pi := &pendingIntent{intent: in, unresolved: make(map[int]float64), at: p.eng.Now(), seq: p.nextSeq}
-	p.nextSeq++
+// plane receives the placement-plane half of booking operations, in a
+// deterministic order: the Pythia itself in single-op mode, a deltaLog in
+// ApplyBatch's shard phase (where the global aggregates must not be touched
+// concurrently and the deltas replay later in merged order).
+type plane interface {
+	bookGlobal(fk flowKey, b booking)
+	unbookGlobal(fk flowKey, b booking)
+}
+
+// ingestIntent is the shard-local half of one intent: the idempotence check,
+// then every per-reducer demand either booked (reducer placed) or deferred,
+// in reducer-ID order — PredictedWireBytes is indexed by reducer, so the walk
+// is already the order the flight log and the delta stream need. seq is the
+// intent's arrival ordinal. fl is the flight sink to use: nil in batch mode,
+// where the shard phase runs concurrently and collector-plane events for
+// batched operations are not recorded.
+func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, fl flight.Sink, pl plane) OpResult {
+	k := [2]int{in.Map, in.Attempt}
+	js := sh.jobs[in.Job]
+	if js != nil && js.seen[k] {
+		sh.dedupHits++
+		recordIntent(fl, in, flight.DispDup)
+		return OpDuplicate
+	}
+	if js == nil {
+		js = sh.job(in.Job)
+	}
+	js.seen[k] = true
+	js.lastSeen = p.eng.Now()
+	sh.intentsReceived++
+	if in.Late {
+		recordIntent(fl, in, flight.DispLate)
+	} else {
+		recordIntent(fl, in, flight.DispOK)
+	}
+	var row []booking
+	var pi *pendingIntent
 	for r, bytes := range in.PredictedWireBytes {
 		if bytes <= 0 {
 			continue
 		}
-		pi.unresolved[r] = bytes
+		dst, placed := js.reducerLoc[r]
+		if !placed {
+			if pi == nil {
+				pi = &pendingIntent{intent: in, unresolved: make(map[int]float64), at: p.eng.Now(), seq: seq}
+			}
+			pi.unresolved[r] = bytes
+			continue
+		}
+		if row == nil {
+			row = js.row(in.Map, len(in.PredictedWireBytes))
+		}
+		p.book(sh, js, row, &in, r, bytes, dst, fl, pl)
 	}
-	return pi
+	if pi == nil {
+		return OpAccepted
+	}
+	sh.intentsDeferred++
+	js.pending = append(js.pending, pi)
+	sh.pending++
+	return OpDeferred
 }
 
 // ReducerUp records a reducer's server placement and drains any deferred
-// demand now resolvable (instrument.Sink). Only the job's own shard is
-// scanned: a foreign job's deferred intent can never resolve on this event,
-// because resolution needs the foreign job's own ReducerUp first.
+// demand now resolvable (instrument.Sink).
 func (p *Pythia) ReducerUp(up instrument.ReducerUp) {
-	sh := p.shardOf(up.Job)
-	p.touch(sh, up.Job)
-	sh.reducerLoc[[2]int{up.Job, up.Reduce}] = up.Host
 	if p.fl != nil {
 		ev := flight.Ev(flight.ReducerUpSeen, flight.PlaneCollector)
 		ev.Job, ev.Reduce, ev.Dst = up.Job, up.Reduce, up.Host
 		p.fl.Record(ev)
 	}
-	p.drainPending(sh)
+	p.reducerUpLocal(p.shardOf(up.Job), up, p.fl, p)
 	p.allocate()
 }
 
-// drainPending re-resolves a shard's deferred intents, compacting out the
-// fully resolved ones.
-func (p *Pythia) drainPending(sh *shard) {
-	p.drainPendingWith(sh, p.fl, p.bookGlobal, p.unbookGlobal)
-}
-
-// drainPendingWith is drainPending with pluggable placement-plane sinks
-// (see resolveIntentWith).
-func (p *Pythia) drainPendingWith(sh *shard, fl flight.Sink, gBook bookFn, gUnbook unbookFn) {
-	remaining := sh.pending[:0]
-	for _, pi := range sh.pending {
-		p.resolveIntentWith(sh, pi, fl, gBook, gUnbook)
+// reducerUpLocal is the shard-local half of ReducerUp. Only the job's own
+// deferred intents are visited, and of each only the demand for this
+// reducer: an unresolved demand is by construction one whose reducer has no
+// recorded host, so nothing else can resolve on this event.
+func (p *Pythia) reducerUpLocal(sh *shard, up instrument.ReducerUp, fl flight.Sink, pl plane) {
+	js := sh.job(up.Job)
+	js.lastSeen = p.eng.Now()
+	js.reducerLoc[up.Reduce] = up.Host
+	keep := js.pending[:0]
+	for _, pi := range js.pending {
+		if bytes, ok := pi.unresolved[up.Reduce]; ok {
+			delete(pi.unresolved, up.Reduce)
+			row := js.row(pi.intent.Map, len(pi.intent.PredictedWireBytes))
+			p.book(sh, js, row, &pi.intent, up.Reduce, bytes, up.Host, fl, pl)
+		}
 		if len(pi.unresolved) > 0 {
-			remaining = append(remaining, pi)
+			keep = append(keep, pi)
 		}
 	}
-	for i := len(remaining); i < len(sh.pending); i++ {
-		sh.pending[i] = nil
-	}
-	sh.pending = remaining
+	sh.trimPending(js, keep)
 }
 
-// bookFn/unbookFn receive the placement-plane half of booking operations:
-// bookGlobal/unbookGlobal directly in single-op mode, delta recorders in
-// ApplyBatch's shard phase (where the global aggregates must not be touched
-// concurrently and the deltas replay later in merged order).
-type bookFn func(fk flowKey, bits float64, src, dst topology.NodeID)
-type unbookFn func(fk flowKey, b booking)
-
-// resolveIntent moves resolvable per-reducer demand into pair aggregates.
-func (p *Pythia) resolveIntent(sh *shard, pi *pendingIntent) {
-	p.resolveIntentWith(sh, pi, p.fl, p.bookGlobal, p.unbookGlobal)
-}
-
-// resolveIntentWith is the resolver core: it mutates only the shard (booked,
-// backlog) and hands the placement-plane half of every booking to gBook /
-// gUnbook in a deterministic order. fl is the flight sink to use — nil in
-// batch mode, where the shard phase runs concurrently and collector-plane
-// events for batched operations are not recorded.
-func (p *Pythia) resolveIntentWith(sh *shard, pi *pendingIntent, fl flight.Sink, gBook bookFn, gUnbook unbookFn) {
-	in := pi.intent
-	// Resolve in reducer-ID order: map iteration order is random, and the
-	// flight recorder logs one booking per reducer — event order must be
-	// deterministic. (The bookings themselves are order-independent.)
-	reducers := make([]int, 0, len(pi.unresolved))
-	for r := range pi.unresolved {
-		reducers = append(reducers, r)
+// book reserves one resolved (map, reducer) demand: the shard-local half
+// (slot in row, backlog, gauges) here, the placement-plane half handed to pl.
+func (p *Pythia) book(sh *shard, js *jobState, row []booking, in *instrument.Intent, r int, bytes float64, dst topology.NodeID, fl flight.Sink, pl plane) {
+	if !p.steerable(in.SrcHost, dst) {
+		return // local or intra-rack fetch; nothing to steer
 	}
-	sort.Ints(reducers)
-	var done []int
-	for _, r := range reducers {
-		bytes := pi.unresolved[r]
-		dst, ok := sh.reducerLoc[[2]int{in.Job, r}]
-		if !ok {
-			continue
-		}
-		done = append(done, r)
-		if !p.steerable(in.SrcHost, dst) {
-			continue // local or intra-rack fetch; nothing to steer
-		}
-		bits := bytes * 8
-		fk := flowKey{in.Job, in.Map, r}
-		disp := flight.DispNew
-		if prev, dup := sh.booked[fk]; dup {
-			// Duplicate intent for the same (job, map, reducer) — e.g. a
-			// speculative map attempt spilled a second copy on another
-			// server. Only one attempt's output is fetched, so keep a
-			// single booking (replace, don't add).
-			sh.duplicateIntents++
-			p.unbookLocal(sh, fk, prev)
-			gUnbook(fk, prev)
-			disp = flight.DispReplaced
-		}
-		sh.booked[fk] = booking{bits: bits, src: in.SrcHost, dst: dst, at: p.eng.Now()}
-		if fl != nil {
-			ev := flight.Ev(flight.BookingMade, flight.PlaneCollector)
-			ev.Job, ev.Map, ev.Attempt, ev.Reduce = in.Job, in.Map, in.Attempt, r
-			ev.Src, ev.Dst = in.SrcHost, dst
-			ev.Bytes = bytes
-			ev.Disposition = disp
-			fl.Record(ev)
-		}
-		sh.redBacklog[[2]int{in.Job, r}] += bits
-		gBook(fk, bits, in.SrcHost, dst)
+	fk := flowKey{in.Job, in.Map, r}
+	b := booking{bits: bytes * 8, src: in.SrcHost, dst: dst, at: p.eng.Now()}
+	disp := flight.DispNew
+	if prev := row[r]; prev.bits != 0 {
+		// Duplicate intent for the same (job, map, reducer) — e.g. a
+		// speculative map attempt spilled a second copy on another
+		// server. Only one attempt's output is fetched, so keep a
+		// single booking (replace, don't add).
+		sh.duplicateIntents++
+		js.drainBacklog(r, prev.bits)
+		pl.unbookGlobal(fk, prev)
+		disp = flight.DispReplaced
+	} else {
+		js.nBooked++
+		sh.booked++
 	}
-	sort.Ints(done)
-	for _, r := range done {
-		delete(pi.unresolved, r)
+	row[r] = b
+	if fl != nil {
+		ev := flight.Ev(flight.BookingMade, flight.PlaneCollector)
+		ev.Job, ev.Map, ev.Attempt, ev.Reduce = in.Job, in.Map, in.Attempt, r
+		ev.Src, ev.Dst = in.SrcHost, dst
+		ev.Bytes = bytes
+		ev.Disposition = disp
+		fl.Record(ev)
 	}
+	js.backlog[r] += b.bits
+	pl.bookGlobal(fk, b)
 }
 
 // steerable reports whether a resolved (src, dst) transfer touches fabric
@@ -578,16 +644,16 @@ func (p *Pythia) steerable(src, dst topology.NodeID) bool {
 // bookGlobal applies the placement-plane half of one booking: charge the
 // pair aggregate (creating it on first demand) and, under the A2 ablation,
 // force a fresh placement decision.
-func (p *Pythia) bookGlobal(fk flowKey, bits float64, src, dst topology.NodeID) {
-	key := p.aggKey(src, dst)
+func (p *Pythia) bookGlobal(fk flowKey, b booking) {
+	key := p.aggKey(b.src, b.dst)
 	agg := p.aggregates[key]
 	if agg == nil {
-		agg = &aggregate{key: key, repSrc: src, repDst: dst,
+		agg = &aggregate{key: key, repSrc: b.src, repDst: b.dst,
 			perReducer: make(map[[2]int]float64)}
 		p.aggregates[key] = agg
 	}
-	agg.demandBits += bits
-	agg.perReducer[[2]int{fk.job, fk.reduce}] += bits
+	agg.demandBits += b.bits
+	agg.perReducer[[2]int{fk.job, fk.reduce}] += b.bits
 	if !p.cfg.Aggregate {
 		// Ablation: every new demand forces a fresh placement
 		// decision for the pair.
@@ -599,18 +665,7 @@ func (p *Pythia) bookGlobal(fk flowKey, bits float64, src, dst topology.NodeID) 
 // PendingUnknownDestinations reports intents still awaiting reducer
 // placement.
 func (p *Pythia) PendingUnknownDestinations() int {
-	n := 0
-	for _, sh := range p.shards {
-		n += len(sh.pending)
-	}
-	return n
-}
-
-// touch records job activity for the dead-job purge (TTL mode only).
-func (p *Pythia) touch(sh *shard, job int) {
-	if sh.jobLastSeen != nil {
-		sh.jobLastSeen[job] = p.eng.Now()
-	}
+	return p.sumShards(func(s *shard) int { return s.pending })
 }
 
 // sweepExpired is the booking-TTL garbage collector (daemon ticker, period
@@ -626,18 +681,33 @@ func (p *Pythia) sweepExpired() {
 	now := p.eng.Now()
 	ttl := p.cfg.BookingTTL
 
-	// Expired bookings: per-shard sorted lists, merged globally.
 	keyLists := make([][]flowKey, len(p.shards))
+	var expired []*pendingIntent
 	for i, sh := range p.shards {
 		var keys []flowKey
-		for fk, b := range sh.booked {
-			if now.Sub(b.at) >= ttl {
-				keys = append(keys, fk)
+		for job, js := range sh.jobs {
+			for m, row := range js.booked {
+				for r := range row {
+					if row[r].bits != 0 && now.Sub(row[r].at) >= ttl {
+						keys = append(keys, flowKey{job, m, r})
+					}
+				}
 			}
+			keep := js.pending[:0]
+			for _, pi := range js.pending {
+				if now.Sub(pi.at) >= ttl {
+					expired = append(expired, pi)
+				} else {
+					keep = append(keep, pi)
+				}
+			}
+			sh.expiredIntents += sh.trimPending(js, keep)
 		}
 		sort.Slice(keys, func(a, b int) bool { return flowKeyLess(keys[a], keys[b]) })
 		keyLists[i] = keys
 	}
+
+	// Expired bookings: per-shard sorted lists, merged globally.
 	heads := make([]int, len(keyLists))
 	for {
 		best := -1
@@ -655,9 +725,7 @@ func (p *Pythia) sweepExpired() {
 		fk := keyLists[best][heads[best]]
 		heads[best]++
 		sh := p.shards[best]
-		b := sh.booked[fk]
-		delete(sh.booked, fk)
-		p.unbookLocal(sh, fk, b)
+		b, _ := sh.release(sh.jobs[fk.job], fk.mapID, fk.reduce)
 		p.unbookGlobal(fk, b)
 		sh.expiredBookings++
 		if p.fl != nil {
@@ -669,24 +737,7 @@ func (p *Pythia) sweepExpired() {
 		}
 	}
 
-	// Expired deferred intents: per-shard pending lists are seq-ascending,
-	// so merging the expired ones by seq reproduces arrival order.
-	var expired []*pendingIntent
-	for _, sh := range p.shards {
-		remaining := sh.pending[:0]
-		for _, pi := range sh.pending {
-			if now.Sub(pi.at) >= ttl {
-				sh.expiredIntents++
-				expired = append(expired, pi)
-				continue
-			}
-			remaining = append(remaining, pi)
-		}
-		for i := len(remaining); i < len(sh.pending); i++ {
-			sh.pending[i] = nil
-		}
-		sh.pending = remaining
-	}
+	// Expired deferred intents, in arrival order.
 	sort.Slice(expired, func(i, j int) bool { return expired[i].seq < expired[j].seq })
 	for _, pi := range expired {
 		if p.fl != nil {
@@ -701,47 +752,12 @@ func (p *Pythia) sweepExpired() {
 	// Dead-job purge: a job with no bookings, no pending intents, and no
 	// control message for a full TTL is gone — drop its reducer map and
 	// idempotence entries so collector memory stays bounded.
-	var dead []int
 	for _, sh := range p.shards {
-		live := make(map[int]bool)
-		for fk := range sh.booked {
-			live[fk.job] = true
-		}
-		for _, pi := range sh.pending {
-			live[pi.intent.Job] = true
-		}
-		for job, last := range sh.jobLastSeen {
-			if !live[job] && now.Sub(last) >= ttl {
-				dead = append(dead, job)
+		for job, js := range sh.jobs {
+			if js.nBooked == 0 && len(js.pending) == 0 && now.Sub(js.lastSeen) >= ttl {
+				delete(sh.jobs, job)
 			}
 		}
-	}
-	sort.Ints(dead)
-	for _, job := range dead {
-		p.purgeJob(p.shardOf(job), job)
-	}
-}
-
-// purgeJob drops a job's residual non-booking state (reducer placements,
-// backlog, idempotence entries, activity stamp).
-func (p *Pythia) purgeJob(sh *shard, job int) {
-	for jr := range sh.reducerLoc {
-		if jr[0] == job {
-			delete(sh.reducerLoc, jr)
-		}
-	}
-	for jr := range sh.redBacklog {
-		if jr[0] == job {
-			delete(sh.redBacklog, jr)
-		}
-	}
-	for k := range sh.seen {
-		if k[0] == job {
-			delete(sh.seen, k)
-		}
-	}
-	if sh.jobLastSeen != nil {
-		delete(sh.jobLastSeen, job)
 	}
 }
 
@@ -749,39 +765,46 @@ func (p *Pythia) purgeJob(sh *shard, job int) {
 // intents — the quantity that must be zero after the job is done (leak
 // detection).
 func (p *Pythia) OutstandingBookings(job int) int {
-	sh := p.shardOf(job)
-	n := 0
-	for fk := range sh.booked {
-		if fk.job == job {
-			n++
-		}
+	js := p.shardOf(job).jobs[job]
+	if js == nil {
+		return 0
 	}
-	for _, pi := range sh.pending {
-		if pi.intent.Job == job {
-			n++
-		}
-	}
-	return n
+	return js.nBooked + len(js.pending)
 }
 
 // OutstandingTotal reports live reservations plus deferred intents across
 // every job — the service-level leak gauge (zero once every submitted job
 // has been retired with JobDone).
 func (p *Pythia) OutstandingTotal() int {
-	n := 0
-	for _, sh := range p.shards {
-		n += len(sh.booked) + len(sh.pending)
-	}
-	return n
+	return p.sumShards(func(s *shard) int { return s.booked + s.pending })
 }
 
-// OutstandingDemandBits sums booked-but-undelivered predicted demand.
+// sortedAggregates lists the pair aggregates in ascending pair-key order.
+func (p *Pythia) sortedAggregates() []*aggregate {
+	aggs := make([]*aggregate, 0, len(p.aggregates))
+	for _, a := range p.aggregates {
+		aggs = append(aggs, a)
+	}
+	sort.Slice(aggs, func(i, j int) bool { return aggKeyLess(aggs[i], aggs[j]) })
+	return aggs
+}
+
+// OutstandingDemandBits sums booked-but-undelivered predicted demand, in
+// ascending pair-key order so the float sum is bit-reproducible.
 func (p *Pythia) OutstandingDemandBits() float64 {
 	total := 0.0
-	for _, a := range p.aggregates {
+	for _, a := range p.sortedAggregates() {
 		total += a.demandBits
 	}
 	return total
+}
+
+// backlog reports the outstanding booked demand feeding one reducer.
+func (p *Pythia) backlog(job, reduce int) float64 {
+	if js := p.shardOf(job).jobs[job]; js != nil && reduce < len(js.backlog) {
+		return js.backlog[reduce]
+	}
+	return 0
 }
 
 // allocate runs the first-fit bin-packing pass: unplaced aggregates in
@@ -801,7 +824,7 @@ func (p *Pythia) allocate() {
 	crit := func(a *aggregate) float64 {
 		max := 0.0
 		for jr := range a.perReducer {
-			if b := p.shardOf(jr[0]).redBacklog[jr]; b > max {
+			if b := p.backlog(jr[0], jr[1]); b > max {
 				max = b
 			}
 		}
@@ -1063,8 +1086,8 @@ func (p *Pythia) onControllerUp() {
 
 // recordIntent emits the intent-received flight event; a no-op when the
 // recorder is disabled.
-func (p *Pythia) recordIntent(in instrument.Intent, disp string) {
-	if p.fl == nil {
+func recordIntent(fl flight.Sink, in instrument.Intent, disp string) {
+	if fl == nil {
 		return
 	}
 	ev := flight.Ev(flight.IntentReceived, flight.PlaneCollector)
@@ -1072,7 +1095,7 @@ func (p *Pythia) recordIntent(in instrument.Intent, disp string) {
 	ev.Count = len(in.PredictedWireBytes)
 	ev.DelaySec = float64(in.EmittedAt.Sub(in.MapFinishedAt))
 	ev.Disposition = disp
-	p.fl.Record(ev)
+	fl.Record(ev)
 }
 
 // onFlowComplete drains delivered demand and releases rules for pairs whose
@@ -1082,23 +1105,12 @@ func (p *Pythia) onFlowComplete(f *netsim.Flow) {
 		return
 	}
 	sh := p.shardOf(f.Job)
-	key := flowKey{f.Job, f.Map, f.Reduce}
-	b, ok := sh.booked[key]
-	if !ok {
+	js := sh.jobs[f.Job]
+	if js == nil {
 		return
 	}
-	delete(sh.booked, key)
-	p.unbookLocal(sh, key, b)
-	p.unbookGlobal(key, b)
-}
-
-// unbookLocal reverses the shard-local half of one booking: draining the
-// reducer's barrier backlog. (The caller removes the booked entry itself —
-// duplicate replacement overwrites it instead.)
-func (p *Pythia) unbookLocal(sh *shard, key flowKey, b booking) {
-	jr := [2]int{key.job, key.reduce}
-	if sh.redBacklog[jr] -= b.bits; sh.redBacklog[jr] <= 1 {
-		delete(sh.redBacklog, jr)
+	if b, ok := sh.release(js, f.Map, f.Reduce); ok {
+		p.unbookGlobal(flowKey{f.Job, f.Map, f.Reduce}, b)
 	}
 }
 
@@ -1129,47 +1141,33 @@ func (p *Pythia) unbookGlobal(key flowKey, b booking) {
 // demand whose flows never ran — e.g. reducers that never started — would
 // otherwise pin aggregates, rules, and backlog entries forever.
 func (p *Pythia) JobDone(job int) {
-	sh := p.shardOf(job)
-	p.jobDoneLocal(sh, job, func(fk flowKey, b booking) {
-		p.unbookGlobal(fk, b)
-	})
+	p.jobDoneLocal(p.shardOf(job), job, p)
 }
 
 // jobDoneLocal performs the shard-local half of JobDone — dropping the
-// job's deferred intents, unbooking its reservations in sorted (map,
-// reduce) order, and purging residual state — handing each released
-// booking's placement-plane half to emit (applied immediately in direct
-// mode, deferred to the batch commit in ApplyBatch).
-func (p *Pythia) jobDoneLocal(sh *shard, job int, emit func(flowKey, booking)) {
-	remaining := sh.pending[:0]
-	for _, pi := range sh.pending {
-		if pi.intent.Job != job {
-			remaining = append(remaining, pi)
+// job's state and handing the placement-plane half of each reservation it
+// still held to pl in ascending (map, reduce) order (applied immediately in
+// direct mode, deferred to the batch commit in ApplyBatch).
+func (p *Pythia) jobDoneLocal(sh *shard, job int, pl plane) {
+	js := sh.jobs[job]
+	if js == nil {
+		return
+	}
+	maps := make([]int, 0, len(js.booked))
+	for m := range js.booked {
+		maps = append(maps, m)
+	}
+	sort.Ints(maps)
+	for _, m := range maps {
+		for r, b := range js.booked[m] {
+			if b.bits != 0 {
+				pl.unbookGlobal(flowKey{job, m, r}, b)
+			}
 		}
 	}
-	for i := len(remaining); i < len(sh.pending); i++ {
-		sh.pending[i] = nil
-	}
-	sh.pending = remaining
-	var keys []flowKey
-	for fk := range sh.booked {
-		if fk.job == job {
-			keys = append(keys, fk)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].mapID != keys[j].mapID {
-			return keys[i].mapID < keys[j].mapID
-		}
-		return keys[i].reduce < keys[j].reduce
-	})
-	for _, fk := range keys {
-		b := sh.booked[fk]
-		delete(sh.booked, fk)
-		p.unbookLocal(sh, fk, b)
-		emit(fk, b)
-	}
-	p.purgeJob(sh, job)
+	sh.booked -= js.nBooked
+	sh.pending -= len(js.pending)
+	delete(sh.jobs, job)
 }
 
 // onTopologyChange recomputes routing, re-places every live aggregate, and

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"pythia/internal/hadoop"
 	"pythia/internal/instrument"
+	"pythia/internal/netsim"
+	"pythia/internal/openflow"
+	"pythia/internal/sim"
+	"pythia/internal/stats"
 	"pythia/internal/topology"
 )
 
@@ -112,5 +117,39 @@ func TestJobDoneWiredThroughMiddleware(t *testing.T) {
 	if s.py.totalPending() != 0 || s.py.totalBooked() != 0 || s.py.totalBacklog() != 0 {
 		t.Fatalf("per-job state retained: pending=%d booked=%d backlog=%d",
 			s.py.totalPending(), s.py.totalBooked(), s.py.totalBacklog())
+	}
+}
+
+// OutstandingDemandBits used to add the aggregates' demands in Go map order,
+// so two reads of the same state could differ in the last bits. It must be a
+// function of the state alone.
+func TestOutstandingDemandBitsReproducible(t *testing.T) {
+	eng := sim.NewEngine()
+	g, hosts, _ := topology.TwoRack(15, 2, topology.Gbps)
+	net := netsim.New(eng, g)
+	py := New(eng, net, openflow.NewController(eng, net, 0), Config{Aggregate: true})
+	rng := stats.NewRNG(3)
+	const maps, reducers = 25, 25
+	var ops []Op
+	for r := 0; r < reducers; r++ {
+		ops = append(ops, Op{Kind: OpReducerUp, Reducer: instrument.ReducerUp{Job: 1, Reduce: r, Host: hosts[r]}})
+	}
+	for m := 0; m < maps; m++ {
+		bytes := make([]float64, reducers)
+		for r := range bytes {
+			bytes[r] = 1e6 * (1 + rng.Float64())
+		}
+		ops = append(ops, Op{Kind: OpIntent, Intent: instrument.Intent{Job: 1, Map: m,
+			SrcHost: hosts[(m+5)%len(hosts)], PredictedWireBytes: bytes}})
+	}
+	py.ApplyBatch(ops, 1)
+	if n := len(py.aggregates); n < 500 {
+		t.Fatalf("only %d aggregates; the test needs 500", n)
+	}
+	want := math.Float64bits(py.OutstandingDemandBits())
+	for i := 1; i < 20; i++ {
+		if got := math.Float64bits(py.OutstandingDemandBits()); got != want {
+			t.Fatalf("call %d returned bits %#x, first call %#x", i, got, want)
+		}
 	}
 }

@@ -298,3 +298,35 @@ func TestShardStats(t *testing.T) {
 		}
 	}
 }
+
+// TestNoStateLeaksOnceEveryJobRetires: after every job of a 200-job trace
+// (duplicates, replaced bookings, deferred intents) has been retired, no
+// shard holds a job and both gauges read zero — the invariant the flat maps
+// could only check by scanning.
+func TestNoStateLeaksOnceEveryJobRetires(t *testing.T) {
+	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
+	ops := batchTrace(hosts, 200, 4, 4, 7)
+	for _, shards := range []int{1, 2, 8} {
+		eng := sim.NewEngine()
+		g, _, _ := topology.TwoRack(5, 2, topology.Gbps)
+		net := netsim.New(eng, g)
+		py := New(eng, net, openflow.NewController(eng, net, 0), Config{Aggregate: true, Shards: shards})
+		peak := 0
+		for at := 0; at < len(ops); at += 23 {
+			py.ApplyBatch(ops[at:min(at+23, len(ops))], 4)
+			peak = max(peak, py.totalJobs())
+		}
+		if peak != 200 {
+			t.Fatalf("shards=%d: job table peaked at %d jobs, want 200", shards, peak)
+		}
+		for i, sh := range py.shards {
+			if len(sh.jobs) != 0 || sh.booked != 0 || sh.pending != 0 {
+				t.Errorf("shards=%d: shard %d retains %d jobs, booked=%d pending=%d",
+					shards, i, len(sh.jobs), sh.booked, sh.pending)
+			}
+		}
+		if n := len(py.aggregates); n != 0 {
+			t.Errorf("shards=%d: %d aggregates outlive their jobs", shards, n)
+		}
+	}
+}

@@ -113,48 +113,9 @@ func (p *Pythia) Snapshot() *Snapshot {
 		Reconciliations:    p.Reconciliations,
 	}
 	for i, sh := range p.shards {
-		ss := ShardSnap{
-			ReducerLoc: make(map[[2]int]topology.NodeID, len(sh.reducerLoc)),
-			Booked:     make(map[FlowKey]BookingSnap, len(sh.booked)),
-			RedBacklog: make(map[[2]int]float64, len(sh.redBacklog)),
-			Seen:       make(map[[3]int]bool, len(sh.seen)),
-
-			IntentsReceived:  sh.intentsReceived,
-			IntentsDeferred:  sh.intentsDeferred,
-			DedupHits:        sh.dedupHits,
-			DuplicateIntents: sh.duplicateIntents,
-			ExpiredBookings:  sh.expiredBookings,
-			ExpiredIntents:   sh.expiredIntents,
-		}
-		for k, v := range sh.reducerLoc {
-			ss.ReducerLoc[k] = v
-		}
-		for fk, b := range sh.booked {
-			ss.Booked[FlowKey{fk.job, fk.mapID, fk.reduce}] = BookingSnap{b.bits, b.src, b.dst, b.at}
-		}
-		for k, v := range sh.redBacklog {
-			ss.RedBacklog[k] = v
-		}
-		for k, v := range sh.seen {
-			ss.Seen[k] = v
-		}
-		if sh.jobLastSeen != nil {
-			ss.JobLastSeen = make(map[int]sim.Time, len(sh.jobLastSeen))
-			for k, v := range sh.jobLastSeen {
-				ss.JobLastSeen[k] = v
-			}
-		}
-		for _, pi := range sh.pending {
-			ps := PendingSnap{Intent: pi.intent, Unresolved: make(map[int]float64, len(pi.unresolved)),
-				At: pi.at, Seq: pi.seq}
-			for r, b := range pi.unresolved {
-				ps.Unresolved[r] = b
-			}
-			ss.Pending = append(ss.Pending, ps)
-		}
-		s.Shards[i] = ss
+		s.Shards[i] = p.snapShard(sh)
 	}
-	for _, a := range p.aggregates {
+	for _, a := range p.sortedAggregates() {
 		as := AggSnap{
 			KeySrc: a.key.src, KeyDst: a.key.dst,
 			RepSrc: a.repSrc, RepDst: a.repDst,
@@ -170,13 +131,68 @@ func (p *Pythia) Snapshot() *Snapshot {
 		}
 		s.Aggregates = append(s.Aggregates, as)
 	}
-	sort.Slice(s.Aggregates, func(i, j int) bool {
-		if s.Aggregates[i].KeySrc != s.Aggregates[j].KeySrc {
-			return s.Aggregates[i].KeySrc < s.Aggregates[j].KeySrc
-		}
-		return s.Aggregates[i].KeyDst < s.Aggregates[j].KeyDst
-	})
 	return s
+}
+
+// snapShard flattens one shard's job table into the (job, …)-keyed shape
+// snapshots have always had: the job-local keys regain their job ID, and the
+// per-job pending lists merge by arrival seq into the shard-wide
+// seq-ascending list.
+func (p *Pythia) snapShard(sh *shard) ShardSnap {
+	nLoc, nSeen := 0, 0 // size hints: growing the flat maps would dominate the copy
+	for _, js := range sh.jobs {
+		nLoc += len(js.reducerLoc)
+		nSeen += len(js.seen)
+	}
+	ss := ShardSnap{
+		ReducerLoc: make(map[[2]int]topology.NodeID, nLoc),
+		Booked:     make(map[FlowKey]BookingSnap, sh.booked),
+		RedBacklog: make(map[[2]int]float64, nLoc),
+		Seen:       make(map[[3]int]bool, nSeen),
+
+		IntentsReceived:  sh.intentsReceived,
+		IntentsDeferred:  sh.intentsDeferred,
+		DedupHits:        sh.dedupHits,
+		DuplicateIntents: sh.duplicateIntents,
+		ExpiredBookings:  sh.expiredBookings,
+		ExpiredIntents:   sh.expiredIntents,
+	}
+	if p.cfg.BookingTTL > 0 {
+		ss.JobLastSeen = make(map[int]sim.Time, len(sh.jobs))
+	}
+	for job, js := range sh.jobs {
+		for r, host := range js.reducerLoc {
+			ss.ReducerLoc[[2]int{job, r}] = host
+		}
+		for m, row := range js.booked {
+			for r, b := range row {
+				if b.bits != 0 {
+					ss.Booked[FlowKey{job, m, r}] = BookingSnap{b.bits, b.src, b.dst, b.at}
+				}
+			}
+		}
+		for r, bits := range js.backlog {
+			if bits != 0 {
+				ss.RedBacklog[[2]int{job, r}] = bits
+			}
+		}
+		for k := range js.seen {
+			ss.Seen[[3]int{job, k[0], k[1]}] = true
+		}
+		if ss.JobLastSeen != nil {
+			ss.JobLastSeen[job] = js.lastSeen
+		}
+		for _, pi := range js.pending {
+			ps := PendingSnap{Intent: pi.intent, Unresolved: make(map[int]float64, len(pi.unresolved)),
+				At: pi.at, Seq: pi.seq}
+			for r, b := range pi.unresolved {
+				ps.Unresolved[r] = b
+			}
+			ss.Pending = append(ss.Pending, ps)
+		}
+	}
+	sort.Slice(ss.Pending, func(i, j int) bool { return ss.Pending[i].Seq < ss.Pending[j].Seq })
+	return ss
 }
 
 // Restore rebuilds collector state from a snapshot (Collector). It must run
@@ -191,8 +207,8 @@ func (p *Pythia) Restore(s *Snapshot) error {
 		return fmt.Errorf("core: snapshot has %d shards, collector %d (shard count must match across restart)",
 			len(s.Shards), len(p.shards))
 	}
-	for i := range p.shards {
-		if n := len(p.shards[i].seen) + len(p.shards[i].booked) + len(p.shards[i].pending); n != 0 {
+	for i, sh := range p.shards {
+		if len(sh.jobs) != 0 {
 			return fmt.Errorf("core: Restore on a non-fresh collector (shard %d has state)", i)
 		}
 	}
@@ -214,36 +230,38 @@ func (p *Pythia) Restore(s *Snapshot) error {
 		sh.duplicateIntents = ss.DuplicateIntents
 		sh.expiredBookings = ss.ExpiredBookings
 		sh.expiredIntents = ss.ExpiredIntents
-		for k, v := range ss.ReducerLoc {
-			sh.reducerLoc[k] = v
+		for k, host := range ss.ReducerLoc {
+			sh.job(k[0]).reducerLoc[k[1]] = host
 		}
 		for fk, b := range ss.Booked {
-			sh.booked[flowKey{fk.Job, fk.Map, fk.Reduce}] = booking{bits: b.Bits, src: b.Src, dst: b.Dst, at: b.At}
+			js := sh.job(fk.Job)
+			js.row(fk.Map, fk.Reduce+1)[fk.Reduce] = booking{bits: b.Bits, src: b.Src, dst: b.Dst, at: b.At}
+			js.nBooked++
 		}
-		for k, v := range ss.RedBacklog {
-			sh.redBacklog[k] = v
+		sh.booked = len(ss.Booked)
+		for k, bits := range ss.RedBacklog {
+			js := sh.job(k[0])
+			js.reach(k[1] + 1)
+			js.backlog[k[1]] = bits
 		}
-		for k, v := range ss.Seen {
-			sh.seen[k] = v
+		for k := range ss.Seen {
+			sh.job(k[0]).seen[[2]int{k[1], k[2]}] = true
 		}
-		if ss.JobLastSeen != nil {
-			if sh.jobLastSeen == nil {
-				sh.jobLastSeen = make(map[int]sim.Time, len(ss.JobLastSeen))
-			}
-			for k, v := range ss.JobLastSeen {
-				sh.jobLastSeen[k] = v
-			}
+		for job, at := range ss.JobLastSeen {
+			sh.job(job).lastSeen = at
 		}
-		// Pending lists are seq-ascending in snapshots (they were taken from
-		// seq-ascending lists); keep them so.
+		// Snapshot pending lists are seq-ascending across the shard, so each
+		// job's sublist comes out seq-ascending too.
 		for _, ps := range ss.Pending {
 			pi := &pendingIntent{intent: ps.Intent, unresolved: make(map[int]float64, len(ps.Unresolved)),
 				at: ps.At, seq: ps.Seq}
 			for r, b := range ps.Unresolved {
 				pi.unresolved[r] = b
 			}
-			sh.pending = append(sh.pending, pi)
+			js := sh.job(ps.Intent.Job)
+			js.pending = append(js.pending, pi)
 		}
+		sh.pending = len(ss.Pending)
 	}
 
 	for _, as := range s.Aggregates {
@@ -297,18 +315,6 @@ func (p *Pythia) NovelOps(ops []Op) int {
 	var seenScratch map[[3]int]bool
 	var redScratch map[[2]int]topology.NodeID
 	var jobScratch map[int]bool // job known (true) / retired (false) by earlier ops in this batch
-	jobKnown := func(sh *shard, job int) bool {
-		if v, ok := jobScratch[job]; ok {
-			return v
-		}
-		if sh.jobLastSeen == nil {
-			// No TTL bookkeeping: fall back to "always novel" for JobDone by
-			// reporting the job known.
-			return true
-		}
-		_, ok := sh.jobLastSeen[job]
-		return ok
-	}
 	markJob := func(job int, known bool) {
 		if jobScratch == nil {
 			jobScratch = make(map[int]bool)
@@ -317,24 +323,25 @@ func (p *Pythia) NovelOps(ops []Op) int {
 	}
 	for i := range ops {
 		op := &ops[i]
-		sh := p.shardOf(op.job())
+		job := op.job()
+		js := p.shardOf(job).jobs[job]
 		switch op.Kind {
 		case OpIntent:
-			k := [3]int{op.Intent.Job, op.Intent.Map, op.Intent.Attempt}
-			if sh.seen[k] || seenScratch[k] {
+			k := [3]int{job, op.Intent.Map, op.Intent.Attempt}
+			if seenScratch[k] || (js != nil && js.seen[[2]int{k[1], k[2]}]) {
 				continue
 			}
 			if seenScratch == nil {
 				seenScratch = make(map[[3]int]bool)
 			}
 			seenScratch[k] = true
-			markJob(op.Intent.Job, true)
+			markJob(job, true)
 			novel++
 		case OpReducerUp:
-			k := [2]int{op.Reducer.Job, op.Reducer.Reduce}
+			k := [2]int{job, op.Reducer.Reduce}
 			cur, ok := redScratch[k]
-			if !ok {
-				cur, ok = sh.reducerLoc[k]
+			if !ok && js != nil {
+				cur, ok = js.reducerLoc[op.Reducer.Reduce]
 			}
 			if ok && cur == op.Reducer.Host {
 				continue
@@ -343,13 +350,19 @@ func (p *Pythia) NovelOps(ops []Op) int {
 				redScratch = make(map[[2]int]topology.NodeID)
 			}
 			redScratch[k] = op.Reducer.Host
-			markJob(op.Reducer.Job, true)
+			markJob(job, true)
 			novel++
 		case OpJobDone:
-			if !jobKnown(sh, op.Job) {
+			// Without the TTL sweep a lost JobDone is never cleaned up after,
+			// so every JobDone meters (the documented conservative fallback).
+			known, ok := jobScratch[job]
+			if !ok {
+				known = js != nil || p.cfg.BookingTTL <= 0
+			}
+			if !known {
 				continue
 			}
-			markJob(op.Job, false)
+			markJob(job, false)
 			novel++
 		}
 	}

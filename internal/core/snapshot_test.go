@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"os"
 	"reflect"
 	"testing"
 
@@ -211,4 +212,97 @@ func TestNovelOps(t *testing.T) {
 	if n := noTTL.py.NovelOps([]Op{{Kind: OpJobDone, Job: 5}}); n != 1 {
 		t.Errorf("NovelOps(JobDone, no TTL) = %d, want 1", n)
 	}
+}
+
+// TestSnapshotCanonicalAcrossRestore: the job table flattens into one
+// canonical snapshot. With deferred intents from interleaved jobs live, each
+// shard's Pending comes out merged by arrival seq (not grouped by job), and
+// snapshot -> gob -> Restore -> Snapshot reproduces the snapshot exactly, at
+// any shard count.
+func TestSnapshotCanonicalAcrossRestore(t *testing.T) {
+	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
+	ops := batchTrace(hosts, 9, 6, 4, 42)
+	for _, shards := range []int{1, 2, 8} {
+		s := newSnapStack(t, shards, 40, 4)
+		s.apply(ops[:len(ops)/2]) // mid-stream: half of every job's reducers are still unplaced
+		snap := s.py.Snapshot()
+		interleaved := false
+		for i, sh := range snap.Shards {
+			left := make(map[int]bool) // jobs the list has moved on from
+			for k := 1; k < len(sh.Pending); k++ {
+				if sh.Pending[k-1].Seq >= sh.Pending[k].Seq {
+					t.Fatalf("shards=%d: shard %d Pending not seq-ascending at %d", shards, i, k)
+				}
+				if prev, job := sh.Pending[k-1].Intent.Job, sh.Pending[k].Intent.Job; prev != job {
+					left[prev] = true
+					interleaved = interleaved || left[job]
+				}
+			}
+		}
+		if !interleaved && shards < 8 {
+			t.Fatalf("shards=%d: no shard holds deferred intents of interleaved jobs; the test is too weak", shards)
+		}
+		restored := newSnapStack(t, shards, 40, 4)
+		if err := restored.py.Restore(gobRoundTrip(t, snap)); err != nil {
+			t.Fatalf("shards=%d: restore: %v", shards, err)
+		}
+		if again := restored.py.Snapshot(); !reflect.DeepEqual(snap, again) {
+			t.Errorf("shards=%d: snapshot of the restored collector differs:\n got %+v\nwant %+v", shards, again, snap)
+		}
+		if got, want := restored.py.ShardStats(), s.py.ShardStats(); !reflect.DeepEqual(got, want) {
+			t.Errorf("shards=%d: gauges after restore %+v, want %+v", shards, got, want)
+		}
+	}
+}
+
+// TestRestoreParentCommitSnapshot: testdata/snapshot_pr13.gob was gob-encoded
+// by the flat-map collector of the commit before the per-job table, cut after
+// chunk 4 of TestSnapshotRestoreContinuesIdentically's trace; the digests and
+// counters below are what that commit went on to produce. The on-disk shape
+// did not change, so this collector must restore it and finish identically —
+// and reach the same digest when it runs the whole trace itself.
+func TestRestoreParentCommitSnapshot(t *testing.T) {
+	const (
+		chunk, cutChunk = 17, 4
+		cutVirtual      = 75.0
+		cutDigest       = 0x9018fe09b3923948
+		cutPlacements   = 52
+		finalDigest     = 0xea92303af579f392
+		finalPlacements = 76
+	)
+	wantStats := CollectorStats{IntentsReceived: 66, IntentsDeferred: 66, DedupHits: 13,
+		DuplicateIntents: 28, ExpiredBookings: 66, ExpiredIntents: 36, AggregatesPlaced: 76, Shards: 2}
+
+	raw, err := os.ReadFile("testdata/snapshot_pr13.gob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := new(Snapshot)
+	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(snap); err != nil {
+		t.Fatalf("decoding fixture: %v", err)
+	}
+	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
+	ops := batchTrace(hosts, 9, 6, 4, 42)
+	replay := func(s *snapStack, from int) {
+		for at := from; at < len(ops); at += chunk {
+			s.apply(ops[at:min(at+chunk, len(ops))])
+		}
+		if s.dig.h != finalDigest || s.dig.n != finalPlacements {
+			t.Errorf("placement digest %#x/%d, parent commit produced %#x/%d", s.dig.h, s.dig.n, uint64(finalDigest), finalPlacements)
+		}
+		if st := s.py.Stats(); st != wantStats {
+			t.Errorf("stats diverged from the parent commit:\n got %+v\nwant %+v", st, wantStats)
+		}
+	}
+
+	restored := newSnapStack(t, 2, 40, 1)
+	if err := restored.py.Restore(snap); err != nil {
+		t.Fatalf("restoring the parent commit's snapshot: %v", err)
+	}
+	restored.virtual = cutVirtual
+	*restored.dig = placementDigest{h: cutDigest, n: cutPlacements}
+	restored.eng.RunUntil(sim.Time(cutVirtual))
+	replay(restored, (cutChunk+1)*chunk)
+
+	replay(newSnapStack(t, 2, 40, 1), 0)
 }
