@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-serve bench-recovery bench-compare benchmark bench-guard profile fuzz figures examples api api-check scrape-smoke clean
+.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-compare benchmark bench-guard profile fuzz figures examples api api-check scrape-smoke clean
 
 all: build vet test
 
@@ -30,8 +30,8 @@ bench:
 bench-paper:
 	$(GO) test -bench=. -benchmem -paperscale .
 
-# Machine-readable scale-benchmark artifact (ns/op + allocs/op for every
-# allocator mode at every fat-tree size). CI uploads this as BENCH_scale.json.
+# Machine-readable scale-benchmark artifact (ns/op + allocs/op, one row per
+# fat-tree size k4/k6/k8/k16/k24). CI uploads this as BENCH_scale.json.
 bench-scale:
 	$(GO) test -bench=ScaleFatTree -benchmem -benchtime=1x -run='^$$' . \
 		| $(GO) run ./cmd/bench2json -o BENCH_scale.json
@@ -44,23 +44,10 @@ bench-steady:
 	$(GO) run ./cmd/pythia-bench -experiment steady -json BENCH_steady.json
 	@echo wrote BENCH_steady.json
 
-# Online-serving throughput benchmark: intents/sec and placement-latency
-# percentiles per shard count, with the sequential replay checked
-# bit-identical against the in-process oracle. CI uploads BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/pythia-serve -bench -json BENCH_serve.json
-	@echo wrote BENCH_serve.json
-
-# Crash-recovery benchmark: journal a trace, kill the batch loop, and
-# measure snapshot-load + journal-replay time at several snapshot cadences,
-# with the recovered digest checked bit-identical against the oracle. CI
-# uploads BENCH_recovery.json.
-bench-recovery:
-	$(GO) run ./cmd/pythia-serve -bench-recovery -json BENCH_recovery.json
-	@echo wrote BENCH_recovery.json
-
 # The repository benchmark (BENCHMARK.json): five time-boxed workloads,
-# end-to-end metrics, correctness gates. Pass flags through ARGS, e.g.
+# end-to-end metrics, correctness gates. serve_mem/serve_wal/serve_fabric
+# and recover_tail are the serving-stack throughput and crash-recovery
+# benchmarks. Pass flags through ARGS, e.g.
 #   make benchmark ARGS="--workload serve_mem --seed 2 --trace 1"
 # Its own tests are a nested module: cd benchmark && go vet ./... && go test ./...
 benchmark:

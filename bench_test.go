@@ -253,41 +253,19 @@ func BenchmarkOptimalityGap(b *testing.B) {
 }
 
 // BenchmarkScaleFatTree measures simulator throughput on k-ary fat-trees
-// far beyond the paper's 16-server testbed across the three allocator
-// implementations: incremental (coalesced, component-scoped, dense scratch —
-// the default), indexed (PR 1: eager full pass per mutation, occupancy from
-// the per-link index) and scan (the original full-scan reference). The
-// determinism tests prove all three produce bit-identical schedules; this
-// benchmark shows what coalescing + incremental allocation buy in wall-clock
-// time on top of the indexes.
+// far beyond the paper's 16-server testbed, one row per fabric size.
 func BenchmarkScaleFatTree(b *testing.B) {
-	modes := []struct {
-		name  string
-		alloc AllocMode
-	}{
-		{"incremental", AllocIncremental},
-		{"indexed", AllocIndexed},
-		{"scan", AllocScan},
-	}
 	type row struct {
 		name string
 		cfg  bench.ScaleFatTreeConfig
 	}
 	var rows []row
 	for _, k := range []int{4, 6, 8} {
-		for _, m := range modes {
-			rows = append(rows, row{
-				name: fmt.Sprintf("k%d/hosts%d/%s", k, bench.FatTreeHosts(k), m.name),
-				cfg:  bench.ScaleFatTreeConfig{K: k, Alloc: m.alloc},
-			})
-		}
+		rows = append(rows, row{
+			name: fmt.Sprintf("k%d/hosts%d", k, bench.FatTreeHosts(k)),
+			cfg:  bench.ScaleFatTreeConfig{K: k},
+		})
 	}
-	// Event-kernel comparison on the hottest default row: the calendar queue
-	// (the k=8 row above) vs the reference binary heap on the same workload.
-	rows = append(rows, row{
-		name: fmt.Sprintf("k8/hosts%d/incremental-heap", bench.FatTreeHosts(8)),
-		cfg:  bench.ScaleFatTreeConfig{K: 8, Sched: SchedHeap},
-	})
 	// Order-of-magnitude fabrics: k=16 (1024 hosts, 1280 switches) and k=24
 	// (3456 hosts, 4320 switches) with a calibrated job — the default sizing
 	// grows cubically with k and would put half a million flows through one
@@ -296,10 +274,8 @@ func BenchmarkScaleFatTree(b *testing.B) {
 	// computation, telemetry, allocation) is what scales.
 	for _, k := range []int{16, 24} {
 		rows = append(rows, row{
-			name: fmt.Sprintf("k%d/hosts%d/incremental", k, bench.FatTreeHosts(k)),
-			cfg: bench.ScaleFatTreeConfig{
-				K: k, SortBytes: 4 * GB, Reduces: 64, AllocWorkers: 4,
-			},
+			name: fmt.Sprintf("k%d/hosts%d", k, bench.FatTreeHosts(k)),
+			cfg:  bench.ScaleFatTreeConfig{K: k, SortBytes: 4 * GB, Reduces: 64},
 		})
 	}
 	for _, r := range rows {

@@ -85,7 +85,7 @@ func main() {
 // parseBench extracts benchmark result lines from go test output. A result
 // line looks like:
 //
-//	BenchmarkScaleFatTree/k8/hosts128/incremental-8  3  41031201 ns/op  5102 B/op  37 allocs/op
+//	BenchmarkScaleFatTree/k8/hosts128-8  3  41031201 ns/op  5102 B/op  37 allocs/op
 func parseBench(r *os.File) ([]Result, error) {
 	var results []Result
 	sc := bufio.NewScanner(r)

@@ -1,6 +1,6 @@
 // Command pythia-serve runs the sharded Pythia collector as an online
-// HTTP/JSON service, or benchmarks that service against the in-process
-// single-shard oracle.
+// HTTP/JSON service. (Its throughput and crash-recovery benchmarks are the
+// serve_* and recover_tail workloads of benchmark/; see benchmark/README.md.)
 //
 // Usage:
 //
@@ -10,12 +10,6 @@
 //	             [-wal-dir DIR] [-recover] [-fsync-every N]
 //	             [-snapshot-every N] [-segment-bytes N]
 //	             [-metrics] [-pprof] [-log-level LEVEL] [-flight-events N]
-//	pythia-serve -bench [-json BENCH_serve.json]          # throughput benchmark
-//	             [-jobs N] [-conns N] [-chunk N] [-seed N]
-//	             [-shard-counts 1,2,4,8]
-//	pythia-serve -bench-recovery [-json BENCH_recovery.json]  # crash recovery
-//	             [-jobs N] [-chunk N] [-seed N] [-fsync-every N]
-//	             [-snapshot-everys -1,8,32]
 //	pythia-serve -scrape-smoke [-prom-out METRICS_serve.prom] # metrics smoke
 //	             [-jobs N] [-seed N]
 //
@@ -27,30 +21,22 @@
 // JSON request logs on stderr; -flight-events keeps a bounded in-memory
 // flight recorder of the batch lifecycle. With -wal-dir every batch is
 // journaled before it is acknowledged and -recover restarts from the
-// journal (last snapshot plus tail replay). In bench mode it drives the
-// open-loop workload through in-process servers at each shard count,
-// verifies the placement stream is bit-identical to the oracle, and reports
-// intents/sec plus placement-latency percentiles; -bench-recovery crashes a
-// journaled server and measures recovery at several snapshot cadences.
-// -scrape-smoke boots an instrumented in-process server, drives real
+// journal (last snapshot plus tail replay). -scrape-smoke boots an instrumented in-process server, drives real
 // ingest, lints the /metrics exposition, asserts the key series, and writes
 // the scrape to -prom-out — the CI gate for the operations plane.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
-	"pythia/internal/bench"
 	"pythia/internal/serve"
 )
 
@@ -76,38 +62,13 @@ func main() {
 	logLevel := flag.String("log-level", "", "structured JSON request logs on stderr at this level (debug|info|warn|error; empty = off)")
 	flightEvents := flag.Int("flight-events", 0, "keep the newest N serve-plane flight events in memory (0 = off)")
 
-	// Bench modes.
-	doBench := flag.Bool("bench", false, "run the serve throughput benchmark instead of serving")
-	doBenchRecovery := flag.Bool("bench-recovery", false, "run the crash-recovery benchmark instead of serving")
-	jsonOut := flag.String("json", "", "bench: write the JSON artifact to this path")
-	jobs := flag.Int("jobs", 0, "bench: open-loop jobs in the trace (0 = default)")
-	conns := flag.Int("conns", 0, "bench: concurrent connections (0 = default)")
-	chunk := flag.Int("chunk", 0, "bench: operations per ingest request (0 = default)")
-	seed := flag.Uint64("seed", 0, "bench: trace seed (0 = default)")
-	shardCounts := flag.String("shard-counts", "", "bench: comma-separated shard counts (empty = 1,2,4,8)")
-	snapEverys := flag.String("snapshot-everys", "", "bench-recovery: comma-separated snapshot cadences (empty = -1,8,32)")
+	// Scrape-smoke mode.
 	doScrapeSmoke := flag.Bool("scrape-smoke", false, "run the metrics scrape smoke test instead of serving")
 	promOut := flag.String("prom-out", "", "scrape-smoke: write the /metrics exposition to this path")
+	jobs := flag.Int("jobs", 0, "scrape-smoke: open-loop jobs in the trace (0 = default)")
+	seed := flag.Uint64("seed", 0, "scrape-smoke: trace seed (0 = default)")
 	flag.Parse()
 
-	modes := 0
-	for _, m := range []bool{*doBench, *doBenchRecovery, *doScrapeSmoke} {
-		if m {
-			modes++
-		}
-	}
-	if modes > 1 {
-		fmt.Fprintln(os.Stderr, "pythia-serve: -bench, -bench-recovery, and -scrape-smoke are mutually exclusive")
-		os.Exit(2)
-	}
-	if *doBench {
-		runBench(*jobs, *conns, *chunk, *seed, *shardCounts, *jsonOut)
-		return
-	}
-	if *doBenchRecovery {
-		runBenchRecovery(*jobs, *chunk, *seed, *fsyncEvery, *snapEverys, *jsonOut)
-		return
-	}
 	if *doScrapeSmoke {
 		runScrapeSmoke(*jobs, *seed, *promOut)
 		return
@@ -189,104 +150,4 @@ func runServe(cfg serve.Config, addr string) {
 		fmt.Fprintf(os.Stderr, "pythia-serve: shutdown: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// runBench runs the throughput benchmark, prints the table, optionally
-// writes the JSON artifact, and exits nonzero if any shard count diverges
-// from the oracle or leaks bookings.
-func runBench(jobs, conns, chunk int, seed uint64, shardCounts, jsonOut string) {
-	cfg := bench.ServeConfig{Jobs: jobs, Conns: conns, ChunkOps: chunk, Seed: seed}
-	cfg.ShardCounts = parseIntList(shardCounts, "-shard-counts", 1)
-	res, err := bench.RunServeBench(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pythia-serve: bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(res)
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonOut, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pythia-serve: write %s: %v\n", jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", jsonOut)
-	}
-	bad := false
-	for _, row := range res.Rows {
-		if !row.DigestMatchesOracle {
-			fmt.Fprintf(os.Stderr, "FAIL: shards=%d digest %s != oracle %s\n",
-				row.Shards, row.Digest, res.OracleDigest)
-			bad = true
-		}
-		if row.LeakedBookings != 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: shards=%d leaked %d bookings\n",
-				row.Shards, row.LeakedBookings)
-			bad = true
-		}
-	}
-	if bad {
-		os.Exit(1)
-	}
-}
-
-// runBenchRecovery runs the crash-recovery benchmark, prints the table,
-// optionally writes the JSON artifact, and exits nonzero if any snapshot
-// cadence recovers a digest diverging from the oracle or leaks bookings.
-func runBenchRecovery(jobs, chunk int, seed uint64, fsyncEvery int, snapEverys, jsonOut string) {
-	cfg := bench.RecoveryConfig{Jobs: jobs, ChunkOps: chunk, Seed: seed, FsyncEvery: fsyncEvery}
-	cfg.SnapshotEverys = parseIntList(snapEverys, "-snapshot-everys", -1)
-	res, err := bench.RunRecoveryBench(cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pythia-serve: bench-recovery: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Print(res)
-	if jsonOut != "" {
-		b, err := json.MarshalIndent(res, "", "  ")
-		if err == nil {
-			err = os.WriteFile(jsonOut, append(b, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pythia-serve: write %s: %v\n", jsonOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", jsonOut)
-	}
-	bad := false
-	for _, row := range res.Rows {
-		if !row.DigestMatchesOracle {
-			fmt.Fprintf(os.Stderr, "FAIL: snapshot_every=%d recovered digest %s != oracle %s\n",
-				row.SnapshotEvery, row.Digest, res.OracleDigest)
-			bad = true
-		}
-		if row.LeakedBookings != 0 {
-			fmt.Fprintf(os.Stderr, "FAIL: snapshot_every=%d leaked %d bookings\n",
-				row.SnapshotEvery, row.LeakedBookings)
-			bad = true
-		}
-	}
-	if bad {
-		os.Exit(1)
-	}
-}
-
-// parseIntList parses a comma-separated int flag, exiting on malformed or
-// below-minimum entries. Empty input returns nil (the bench's default).
-func parseIntList(s, flagName string, min int) []int {
-	if s == "" {
-		return nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < min {
-			fmt.Fprintf(os.Stderr, "pythia-serve: bad %s entry %q\n", flagName, f)
-			os.Exit(2)
-		}
-		out = append(out, n)
-	}
-	return out
 }

@@ -1,12 +1,9 @@
 package pythia
 
-import (
-	"pythia/internal/core"
-	"pythia/internal/sim"
-)
+import "pythia/internal/core"
 
-// Engine options: scheduler choice and simulator internals — see the
-// package doc's "Configuring a cluster" index.
+// Engine options: scheduler choice and run control — see the package doc's
+// "Configuring a cluster" index.
 
 // WithScheduler selects the flow allocator (default ECMP).
 func WithScheduler(k SchedulerKind) Option { return func(c *config) { c.scheduler = k } }
@@ -50,28 +47,3 @@ func WithExplicitControlPlane() Option { return func(c *config) { c.explicitCP =
 // virtual time; with it, TryRunJobs stops at the deadline and reports the
 // incomplete jobs as an ErrUnfinished error.
 func WithDeadline(sec float64) Option { return func(c *config) { c.deadline = sec } }
-
-// SchedulerMode selects the discrete-event kernel's pending-event structure.
-// Both modes deliver events in the identical order (golden-tested); they
-// differ only in cost per scheduling operation.
-type SchedulerMode = sim.SchedulerMode
-
-const (
-	// SchedCalendar (the default) is a bucketed calendar queue: O(1)
-	// amortized schedule/fire with lazy resizing.
-	SchedCalendar = sim.SchedCalendar
-	// SchedHeap is the original binary-heap queue, kept as the reference.
-	SchedHeap = sim.SchedHeap
-)
-
-// WithSchedulerMode selects the event-kernel scheduler (default
-// SchedCalendar). Results are bit-identical either way; benchmarks use the
-// knob to compare kernel generations without reaching into internal packages.
-func WithSchedulerMode(m SchedulerMode) Option { return func(c *config) { c.sched = m } }
-
-// WithAllocWorkers shards each network allocation pass across its connected
-// components onto a bounded worker pool of the given width (default 1 =
-// serial). Components touch disjoint links and flows and merge in a
-// deterministic order, so any width produces bit-identical schedules; widths
-// above the per-pass component count simply leave workers idle.
-func WithAllocWorkers(n int) Option { return func(c *config) { c.allocWorkers = n } }

@@ -1,6 +1,7 @@
 package pythia
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -13,6 +14,14 @@ var allSchedulers = []SchedulerKind{SchedulerECMP, SchedulerHedera, SchedulerPyt
 // recovers it later, and returns the job result.
 func runTrunkFault(t *testing.T, k SchedulerKind) JobResult {
 	t.Helper()
+	_, res := runTrunkFaultCluster(t, k)
+	return res
+}
+
+// runTrunkFaultCluster is runTrunkFault for callers that inspect the cluster
+// afterwards (the pinned flow histories).
+func runTrunkFaultCluster(t *testing.T, k SchedulerKind) (*Cluster, JobResult) {
+	t.Helper()
 	cl := New(WithScheduler(k), WithOversubscription(10), WithSeed(11))
 	trunks := cl.Trunks()
 	if len(trunks) != 2 {
@@ -24,7 +33,7 @@ func runTrunkFault(t *testing.T, k SchedulerKind) JobResult {
 	if err != nil {
 		t.Fatalf("%v: job did not survive trunk failure: %v", k, err)
 	}
-	return res
+	return cl, res
 }
 
 // TestTrunkFailureDeterministicAllSchedulers: a mid-shuffle trunk failure
@@ -262,41 +271,14 @@ func TestCompareOptions(t *testing.T) {
 	}
 }
 
-// TestAllocModesAgreeViaFacade: the facade-selected allocators produce the
-// identical schedule (the golden equivalence that previously required
-// importing internal/netsim to assert).
+// TestAllocModesAgreeViaFacade pins the schedule of the trial on which the
+// facade's allocator and kernel options used to be compared with each other
+// (see pins_test.go for where the constants come from).
 func TestAllocModesAgreeViaFacade(t *testing.T) {
-	spec := SortJob(2*GB, 8, 7)
-	var base float64
-	for i, m := range []AllocMode{AllocIncremental, AllocIndexed, AllocScan} {
-		cl := New(WithScheduler(SchedulerPythia), WithOversubscription(10), WithSeed(7), WithAllocMode(m))
-		d := cl.RunJob(spec).DurationSec
-		if i == 0 {
-			base = d
-			continue
-		}
-		if d != base {
-			t.Fatalf("alloc mode %v diverges: %.9f vs %.9f", m, d, base)
-		}
+	cl := New(WithScheduler(SchedulerPythia), WithOversubscription(10), WithSeed(7))
+	d := cl.RunJob(SortJob(2*GB, 8, 7)).DurationSec
+	if got, want := math.Float64bits(d), uint64(0x4030dd8e05a7536a); got != want {
+		t.Fatalf("job time %.9f (bits %#x), pinned bits %#x", d, got, want)
 	}
-}
-
-// TestKernelKnobsAgreeViaFacade: the event-kernel scheduler modes and the
-// sharded allocation widths selected through the facade all reproduce the
-// identical schedule.
-func TestKernelKnobsAgreeViaFacade(t *testing.T) {
-	spec := SortJob(2*GB, 8, 7)
-	run := func(opts ...Option) float64 {
-		base := []Option{WithScheduler(SchedulerPythia), WithOversubscription(10), WithSeed(7)}
-		return New(append(base, opts...)...).RunJob(spec).DurationSec
-	}
-	base := run()
-	if d := run(WithSchedulerMode(SchedHeap)); d != base {
-		t.Fatalf("heap kernel diverges: %.9f vs %.9f", d, base)
-	}
-	for _, w := range []int{2, 8} {
-		if d := run(WithAllocWorkers(w)); d != base {
-			t.Fatalf("workers=%d diverges: %.9f vs %.9f", w, d, base)
-		}
-	}
+	wantFlowHistory(t, cl, 64, 0x19a04917e14078eb)
 }

@@ -1,7 +1,10 @@
 package bench
 
 import (
-	"reflect"
+	"encoding/binary"
+	"hash"
+	"hash/fnv"
+	"math"
 	"testing"
 
 	"pythia/internal/core"
@@ -14,151 +17,135 @@ import (
 	"pythia/internal/workload"
 )
 
-func flowHistoriesEqual(t *testing.T, indexed, scan []FlowRecord, label string) {
+// The simulator has one allocator and one event kernel, so "every mode
+// agrees" is no longer something a test can run. What replaced the
+// cross-mode comparisons is (a) the step-by-step full-scan oracle in
+// internal/netsim/reference_test.go and the heap differential in
+// internal/sim, and (b) the digests below: FNV-1a fingerprints of the flow
+// history of each trial the mode matrix used to compare, captured from the
+// default configuration (incremental allocator, calendar kernel) of commit
+// 7238f54 — the last one that shipped the matrix — by dropping this file into
+// a checkout of that commit and reading the "got" values from
+//
+//	go test ./internal/bench -run 'TestAllocatorsMatchOnSortTrial|TestIndexedMatchesScanUnderLinkFailure|TestScaleFatTreeDeterminism|TestTraceReplayAllocatorsMatch'
+//
+// A digest that moves means simulated results changed, not just their cost.
+
+func mix(h hash.Hash64, vs ...uint64) {
+	var b [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+}
+
+// recordsDigest fingerprints what RunTrial exposes of a flow history:
+// identity and the exact start/finish instants, in completion order.
+func recordsDigest(recs []FlowRecord) uint64 {
+	h := fnv.New64a()
+	for _, r := range recs {
+		mix(h, uint64(r.ID), uint64(r.Job), uint64(r.Map), uint64(r.Reduce),
+			math.Float64bits(r.StartSec), math.Float64bits(r.EndSec))
+	}
+	return h.Sum64()
+}
+
+// historyDigest fingerprints a network's completed flows including the path
+// each one finished on, for trials where the test owns the Network.
+func historyDigest(net *netsim.Network) uint64 {
+	h := fnv.New64a()
+	net.ForEachCompleted(func(f *netsim.Flow) {
+		mix(h, uint64(f.ID), uint64(len(f.Path.Links)))
+		for _, l := range f.Path.Links {
+			mix(h, uint64(l))
+		}
+		mix(h, math.Float64bits(float64(f.Started())), math.Float64bits(float64(f.Finished())))
+	})
+	return h.Sum64()
+}
+
+func wantDigest(t *testing.T, label string, flows, wantFlows int, got, want uint64) {
 	t.Helper()
-	if len(indexed) == 0 {
-		t.Fatalf("%s: empty flow history", label)
-	}
-	if len(indexed) != len(scan) {
-		t.Fatalf("%s: history lengths differ: indexed %d vs scan %d",
-			label, len(indexed), len(scan))
-	}
-	for i := range indexed {
-		// Exact comparison on purpose: the indexed hot paths must be
-		// bit-identical to the reference scans, not merely close.
-		if indexed[i] != scan[i] {
-			t.Fatalf("%s: flow %d diverged:\nindexed %+v\nscan    %+v",
-				label, i, indexed[i], scan[i])
-		}
+	if flows != wantFlows || got != want {
+		t.Fatalf("%s: got %d flows, digest %#x; pinned %d flows, digest %#x",
+			label, flows, got, wantFlows, want)
 	}
 }
 
-// The Fig. 4 shape — a sort under oversubscription scheduled by Pythia —
-// must produce bit-identical flow completion times across all three
-// allocator implementations: incremental coalesced (the default), the PR 1
-// eager indexed path, and the full-scan reference.
+// The Fig. 4 shape — a sort under oversubscription scheduled by Pythia.
 func TestAllocatorsMatchOnSortTrial(t *testing.T) {
-	run := func(alloc netsim.AllocMode) []FlowRecord {
-		return RunTrial(TrialConfig{
-			Spec:               workload.Sort(2*workload.GB, 8, 42),
-			Scheduler:          Pythia,
-			Oversub:            Oversub{Label: "1:5", Ratio: 5},
-			Seed:               42,
-			Alloc:              alloc,
-			CollectFlowHistory: true,
-		}).FlowHistory
-	}
-	inc := run(netsim.AllocIncremental)
-	flowHistoriesEqual(t, inc, run(netsim.AllocIndexed), "sort 1:5 incremental vs indexed")
-	flowHistoriesEqual(t, inc, run(netsim.AllocScan), "sort 1:5 incremental vs scan")
+	recs := RunTrial(TrialConfig{
+		Spec:               workload.Sort(2*workload.GB, 8, 42),
+		Scheduler:          Pythia,
+		Oversub:            Oversub{Label: "1:5", Ratio: 5},
+		Seed:               42,
+		CollectFlowHistory: true,
+	}).FlowHistory
+	wantDigest(t, "sort 1:5", len(recs), 64, recordsDigest(recs), 0x18ecbdde9390bc1b)
 }
 
-// Same guarantee under the §IV fault-tolerance scenario: a trunk failure
-// mid-job exercises reroutes, re-placements and the index maintenance on
-// every one of those transitions.
+// The §IV fault-tolerance scenario: a trunk failure mid-job exercises
+// reroutes, re-placements and the per-link index maintenance on every one of
+// those transitions.
 func TestIndexedMatchesScanUnderLinkFailure(t *testing.T) {
-	run := func(alloc netsim.AllocMode) []FlowRecord {
-		eng := sim.NewEngine()
-		g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
-		net := netsim.New(eng, g)
-		net.SetAllocMode(alloc)
-		ofc := openflow.NewController(eng, net, 0)
-		py := core.New(eng, net, ofc, core.Config{}.EnableAggregation())
-		if alloc == netsim.AllocScan {
-			py.SetScanBaseline(true)
-		}
-		cluster := hadoop.NewCluster(eng, net, hosts, ofc, hadoop.Config{})
-		instrument.Attach(eng, cluster, py, instrument.Config{})
-		job, err := cluster.Submit(workload.Sort(8*workload.GB, 8, 5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.At(20, func() {
-			ofc.FailLink(trunks[0])
-			if rev, ok := g.Reverse(trunks[0]); ok {
-				g.SetLinkUp(rev, false)
-			}
-		})
-		eng.Run()
-		if !job.Done {
-			t.Fatal("job did not survive the trunk failure")
-		}
-		var out []FlowRecord
-		for _, f := range net.History() {
-			out = append(out, FlowRecord{ID: f.ID, Job: f.Job, Map: f.Map,
-				Reduce: f.Reduce, StartSec: float64(f.Started()), EndSec: float64(f.Finished())})
-		}
-		return out
+	eng := sim.NewEngine()
+	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
+	net := netsim.New(eng, g)
+	ofc := openflow.NewController(eng, net, 0)
+	py := core.New(eng, net, ofc, core.Config{}.EnableAggregation())
+	cluster := hadoop.NewCluster(eng, net, hosts, ofc, hadoop.Config{})
+	instrument.Attach(eng, cluster, py, instrument.Config{})
+	job, err := cluster.Submit(workload.Sort(8*workload.GB, 8, 5))
+	if err != nil {
+		t.Fatal(err)
 	}
-	inc := run(netsim.AllocIncremental)
-	flowHistoriesEqual(t, inc, run(netsim.AllocIndexed), "trunk failure incremental vs indexed")
-	flowHistoriesEqual(t, inc, run(netsim.AllocScan), "trunk failure incremental vs scan")
+	eng.At(20, func() {
+		ofc.FailLink(trunks[0])
+		if rev, ok := g.Reverse(trunks[0]); ok {
+			g.SetLinkUp(rev, false)
+		}
+	})
+	eng.Run()
+	if !job.Done {
+		t.Fatal("job did not survive the trunk failure")
+	}
+	wantDigest(t, "trunk failure", net.CompletedFlows(), 256, historyDigest(net), 0x949ec5aa42909d56)
 }
 
-// The scale harness itself must be deterministic across the toggle — this is
-// the correctness side of BenchmarkScaleFatTree's speedup claim.
+// The scale harness on the two fabrics small enough for tier-1.
 func TestScaleFatTreeDeterminism(t *testing.T) {
-	inc := RunScaleFatTree(ScaleFatTreeConfig{K: 4})
-	indexed := RunScaleFatTree(ScaleFatTreeConfig{K: 4, Alloc: netsim.AllocIndexed})
-	scan := RunScaleFatTree(ScaleFatTreeConfig{K: 4, DisableIndexes: true})
-	if inc.Hosts != 16 {
-		t.Fatalf("k=4 fat-tree hosts = %d, want 16", inc.Hosts)
-	}
-	if inc.JobSec != indexed.JobSec || inc.JobSec != scan.JobSec {
-		t.Fatalf("job time diverged: incremental %v, indexed %v, scan %v",
-			inc.JobSec, indexed.JobSec, scan.JobSec)
-	}
-	flowHistoriesEqual(t, inc.FlowHistory, indexed.FlowHistory, "fat-tree k=4 incremental vs indexed")
-	flowHistoriesEqual(t, inc.FlowHistory, scan.FlowHistory, "fat-tree k=4 incremental vs scan")
-}
-
-// The calendar-queue event kernel must deliver the exact event order of the
-// reference binary heap: a full oversubscribed sort trial is the
-// integration-level witness (the unit-level one is the randomized storm in
-// internal/sim).
-func TestSchedulerModesMatchOnSortTrial(t *testing.T) {
-	run := func(mode sim.SchedulerMode) []FlowRecord {
-		return RunTrial(TrialConfig{
-			Spec:               workload.Sort(2*workload.GB, 8, 42),
-			Scheduler:          Pythia,
-			Oversub:            Oversub{Label: "1:5", Ratio: 5},
-			Seed:               42,
-			Sched:              mode,
-			CollectFlowHistory: true,
-		}).FlowHistory
-	}
-	cal := run(sim.SchedCalendar)
-	flowHistoriesEqual(t, cal, run(sim.SchedHeap), "sort 1:5 calendar vs heap")
-}
-
-// Sharding the allocation pass across connected components must be
-// bit-identical to the serial pass at any worker-pool width — here proven on
-// a full fat-tree trial where every pass sees many simultaneous components.
-func TestAllocWorkersMatchOnFatTreeTrial(t *testing.T) {
-	serial := RunScaleFatTree(ScaleFatTreeConfig{K: 4})
-	for _, w := range []int{2, 8} {
-		sharded := RunScaleFatTree(ScaleFatTreeConfig{K: 4, AllocWorkers: w})
-		if serial.JobSec != sharded.JobSec {
-			t.Fatalf("workers=%d: job time diverged: serial %v, sharded %v",
-				w, serial.JobSec, sharded.JobSec)
+	for _, c := range []struct {
+		k, hosts, flows int
+		jobSecBits      uint64
+		digest          uint64
+	}{
+		{k: 4, hosts: 16, flows: 128, jobSecBits: 0x402455b7b376184f, digest: 0xd2a0f90ef50baae8},
+		{k: 6, hosts: 54, flows: 1458, jobSecBits: 0x402c64cbfd147c38, digest: 0xb80ef7d033073ad4},
+	} {
+		res := RunScaleFatTree(ScaleFatTreeConfig{K: c.k})
+		if res.Hosts != c.hosts {
+			t.Fatalf("k=%d fat-tree hosts = %d, want %d", c.k, res.Hosts, c.hosts)
 		}
-		flowHistoriesEqual(t, serial.FlowHistory, sharded.FlowHistory,
-			"fat-tree k=4 serial vs sharded")
+		if got := math.Float64bits(res.JobSec); got != c.jobSecBits {
+			t.Fatalf("k=%d job time %v (bits %#x), pinned bits %#x", c.k, res.JobSec, got, c.jobSecBits)
+		}
+		wantDigest(t, "fat-tree sort", len(res.FlowHistory), c.flows, recordsDigest(res.FlowHistory), c.digest)
 	}
 }
 
 // The trace replay exercises multi-job churn (Poisson arrivals, queueing,
-// overlapping shuffles); its summary statistics must be identical under the
-// coalesced and scan-baseline allocators.
+// overlapping shuffles); every summary statistic and every job duration is
+// pinned.
 func TestTraceReplayAllocatorsMatch(t *testing.T) {
-	lvl := Oversub{Label: "1:10", Ratio: 10}
-	tcfg := workload.TraceConfig{Seed: 9}
-	inc := runTraceReplayAlloc(Pythia, lvl, tcfg, netsim.AllocIncremental)
-	scan := runTraceReplayAlloc(Pythia, lvl, tcfg, netsim.AllocScan)
-	if !reflect.DeepEqual(inc, scan) {
-		t.Fatalf("trace replay diverged:\nincremental %+v\nscan        %+v", inc, scan)
+	res := RunTraceReplay(Pythia, Oversub{Label: "1:10", Ratio: 10}, workload.TraceConfig{Seed: 9})
+	if res.Jobs == 0 || res.MakespanSec <= 0 {
+		t.Fatalf("degenerate trace result: %+v", res)
 	}
-	if inc.Jobs == 0 || inc.MakespanSec <= 0 {
-		t.Fatalf("degenerate trace result: %+v", inc)
+	h := fnv.New64a()
+	mix(h, uint64(res.Jobs), uint64(res.Starved), math.Float64bits(res.MakespanSec),
+		math.Float64bits(res.MeanJobSec), math.Float64bits(res.P95JobSec), math.Float64bits(res.ShuffleFraction))
+	for _, d := range res.Durations {
+		mix(h, math.Float64bits(d))
 	}
+	wantDigest(t, "trace replay 1:10", len(res.Durations), 30, h.Sum64(), 0xbda2ea2bd8da03d3)
 }

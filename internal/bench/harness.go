@@ -135,24 +135,6 @@ type TrialConfig struct {
 	// run's prediction quality (lead time, late fraction, byte error) into
 	// TrialResult.Quality. Pure observer: results are unchanged.
 	CollectFlight bool
-	// DisableIndexes reverts netsim telemetry and Pythia path scoring to
-	// the pre-index full-scan reference implementations (scan baseline).
-	// Results must be bit-identical either way; this knob exists so tests
-	// can prove it and benchmarks can measure the difference. It takes
-	// precedence over Alloc.
-	DisableIndexes bool
-	// Alloc selects the netsim allocator implementation: incremental
-	// coalesced (default), the PR 1 eager indexed path, or the full-scan
-	// reference. All three must produce bit-identical results.
-	Alloc netsim.AllocMode
-	// Sched selects the event-kernel scheduler (calendar queue by default;
-	// SchedHeap is the original binary heap kept as the golden reference).
-	// Both deliver events in the identical order, so results never change.
-	Sched sim.SchedulerMode
-	// AllocWorkers shards each allocation pass across connected components
-	// onto a bounded worker pool when > 1. Any width is bit-identical to
-	// serial (components write disjoint state and merge deterministically).
-	AllocWorkers int
 }
 
 func (c TrialConfig) defaults() TrialConfig {
@@ -281,7 +263,7 @@ func (nullSink) ReducerUp(instrument.ReducerUp)  {}
 // oversubscription level.
 func RunTrial(cfg TrialConfig) TrialResult {
 	cfg = cfg.defaults()
-	eng := sim.NewEngineMode(cfg.Sched)
+	eng := sim.NewEngine()
 	var (
 		g      *topology.Graph
 		hosts  []topology.NodeID
@@ -309,14 +291,6 @@ func RunTrial(cfg TrialConfig) TrialResult {
 		g, hosts, trunks = topology.TwoRack(cfg.HostsPerRack, cfg.Trunks, cfg.LinkBps)
 	}
 	net := netsim.New(eng, g)
-	alloc := cfg.Alloc
-	if cfg.DisableIndexes {
-		alloc = netsim.AllocScan
-	}
-	net.SetAllocMode(alloc)
-	if cfg.AllocWorkers > 1 {
-		net.SetAllocWorkers(cfg.AllocWorkers)
-	}
 
 	applyOversub(net, trunks, cfg)
 
@@ -353,9 +327,6 @@ func RunTrial(cfg TrialConfig) TrialResult {
 			ofc.SetManagementNetwork(mn, topology.NodeID(-1))
 		}
 		py = core.New(eng, net, ofc, cfg.PythiaCfg)
-		if alloc == netsim.AllocScan {
-			py.SetScanBaseline(true)
-		}
 		if fr != nil {
 			ofc.SetFlightRecorder(fr)
 			py.SetFlightRecorder(fr)

@@ -2,8 +2,6 @@ package bench
 
 import (
 	"pythia/internal/flight"
-	"pythia/internal/netsim"
-	"pythia/internal/sim"
 	"pythia/internal/workload"
 )
 
@@ -25,19 +23,7 @@ type ScaleFatTreeConfig struct {
 	// Reduces overrides the reducer count; 0 defaults to the host count
 	// (one reducer per server, the canonical full-fabric shuffle).
 	Reduces int
-	// DisableIndexes runs the scan-baseline reference implementations
-	// instead of the per-link indexes. It takes precedence over Alloc.
-	DisableIndexes bool
-	// Alloc selects the netsim allocator (incremental coalesced by
-	// default; AllocIndexed measures the PR 1 eager path).
-	Alloc netsim.AllocMode
-	// Sched selects the event-kernel scheduler (calendar queue by default;
-	// SchedHeap measures the original binary heap on the same workload).
-	Sched sim.SchedulerMode
-	// AllocWorkers shards allocation passes across connected components
-	// when > 1 (bit-identical at any width).
-	AllocWorkers int
-	Seed         uint64
+	Seed    uint64
 }
 
 // ScaleFatTreeResult reports the run.
@@ -59,8 +45,7 @@ type ScaleFatTreeResult struct {
 func FatTreeHosts(k int) int { return k * (k / 2) * (k / 2) }
 
 // RunScaleFatTree executes one scale trial and returns its outcome,
-// including the full flow history so callers can assert determinism
-// across the indexed and scan-baseline implementations.
+// including the full flow history so callers can assert determinism.
 func RunScaleFatTree(cfg ScaleFatTreeConfig) ScaleFatTreeResult {
 	hosts := FatTreeHosts(cfg.K)
 	bytes := cfg.SortBytes
@@ -80,10 +65,6 @@ func RunScaleFatTree(cfg ScaleFatTreeConfig) ScaleFatTreeResult {
 		Scheduler:          Pythia,
 		FatTreeK:           cfg.K,
 		Seed:               seed,
-		DisableIndexes:     cfg.DisableIndexes,
-		Alloc:              cfg.Alloc,
-		Sched:              cfg.Sched,
-		AllocWorkers:       cfg.AllocWorkers,
 		CollectFlowHistory: true,
 		CollectFlight:      true,
 	})

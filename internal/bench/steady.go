@@ -44,9 +44,7 @@ type SteadyConfig struct {
 	// CollectFlight attaches the flight recorder and correlates per-window
 	// prediction lateness with windowed p99 (Pythia only; pure observer).
 	CollectFlight bool
-	// Alloc selects the netsim allocator (incremental coalesced default).
-	Alloc netsim.AllocMode
-	Seed  uint64
+	Seed          uint64
 }
 
 func (c SteadyConfig) defaults() SteadyConfig {
@@ -163,7 +161,6 @@ func RunSteady(cfg SteadyConfig) (SteadyResult, error) {
 	eng := sim.NewEngine()
 	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	net.SetAllocMode(cfg.Alloc)
 	applyOversub(net, trunks, TrialConfig{Oversub: cfg.Oversub}.defaults())
 
 	var resolver hadoop.PathResolver
@@ -182,9 +179,6 @@ func RunSteady(cfg SteadyConfig) (SteadyResult, error) {
 	case Pythia:
 		ofc := openflow.NewController(eng, net, 0)
 		py = core.New(eng, net, ofc, core.Config{}.EnableAggregation())
-		if cfg.Alloc == netsim.AllocScan {
-			py.SetScanBaseline(true)
-		}
 		if fr != nil {
 			ofc.SetFlightRecorder(fr)
 			py.SetFlightRecorder(fr)

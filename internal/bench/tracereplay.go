@@ -39,10 +39,6 @@ type TraceResult struct {
 
 // TraceReplayOptions are the optional knobs of TryRunTraceReplay.
 type TraceReplayOptions struct {
-	// Alloc selects the netsim allocator mode (incremental by default), so
-	// the golden tests can replay the same trace under the coalesced and
-	// scan-baseline allocators.
-	Alloc netsim.AllocMode
 	// DeadlineSec bounds the replay in simulated seconds; 0 runs until the
 	// event queue drains. With a deadline, jobs still running when it hits
 	// are reported as starved instead of looping in virtual time.
@@ -63,16 +59,6 @@ func RunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConfig)
 	return res
 }
 
-// runTraceReplayAlloc is the golden tests' panicking wrapper with an
-// explicit allocator mode.
-func runTraceReplayAlloc(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConfig, alloc netsim.AllocMode) TraceResult {
-	res, err := TryRunTraceReplay(scheduler, lvl, tcfg, TraceReplayOptions{Alloc: alloc})
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	return res
-}
-
 // TryRunTraceReplay replays the trace and reports failures as errors the
 // way pythia.TryRunJobs does: submission errors and starved jobs yield a
 // non-nil error alongside the statistics of whatever did complete, so
@@ -82,7 +68,6 @@ func TryRunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConf
 	eng := sim.NewEngine()
 	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	net.SetAllocMode(opts.Alloc)
 	applyOversub(net, trunks, TrialConfig{Oversub: lvl}.defaults())
 
 	var resolver hadoop.PathResolver
@@ -93,9 +78,6 @@ func TryRunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConf
 	case Pythia:
 		ofc := openflow.NewController(eng, net, 0)
 		py := core.New(eng, net, ofc, core.Config{}.EnableAggregation())
-		if opts.Alloc == netsim.AllocScan {
-			py.SetScanBaseline(true)
-		}
 		sink = py
 		resolver = ofc
 	case Hedera:

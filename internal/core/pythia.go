@@ -319,11 +319,8 @@ type Pythia struct {
 	// is ordered by ascending pair key (keys are unique — one aggregate
 	// per pair), so demand sums read in deterministic order without
 	// sorting per query.
-	placedOn map[topology.LinkID][]*aggregate
-	// scanBaseline reverts pathScore to the pre-index full-scan pass
-	// (golden-equivalence tests and benchmark baselines only).
-	scanBaseline bool
-	nextCookie   uint64
+	placedOn   map[topology.LinkID][]*aggregate
+	nextCookie uint64
 
 	// fl, when non-nil, receives collector-plane flight events. Recording is
 	// pure observation: it never changes an allocation decision, so enabled
@@ -414,11 +411,6 @@ func (p *Pythia) SetFlightRecorder(s flight.Sink) { p.fl = s }
 func (p *Pythia) SetPlacementHook(fn func(src, dst topology.NodeID, path topology.Path)) {
 	p.onPlace = fn
 }
-
-// SetScanBaseline reverts pathScore's booked-demand pass to the pre-index
-// full-aggregate scan. The placement index is maintained either way; the
-// knob exists for golden-equivalence tests and benchmark baselines.
-func (p *Pythia) SetScanBaseline(on bool) { p.scanBaseline = on }
 
 // indexAgg adds a placed aggregate to the per-link placement index.
 func (p *Pythia) indexAgg(a *aggregate) {
@@ -947,39 +939,16 @@ func (p *Pythia) pathScore(path topology.Path, self *aggregate) float64 {
 }
 
 // bookedDemandOn sums the predicted demand of the other placed aggregates
-// crossing link l. The summation order is fixed (ascending pair key) in
-// both the indexed and scan-baseline modes so the float sum — and hence
-// every placement decision — is bit-identical between them.
+// crossing link l. placedOn[l] is maintained in ascending pair-key order, so
+// the float sum — and hence every placement decision — does not depend on map
+// iteration order.
 func (p *Pythia) bookedDemandOn(l topology.LinkID, self *aggregate) float64 {
-	if !p.scanBaseline {
-		// placedOn[l] is maintained in ascending pair-key order, so the
-		// straight walk sums in exactly the order the scan branch sorts
-		// into — no per-query sort or scratch allocation.
-		sum := 0.0
-		for _, other := range p.placedOn[l] {
-			if other == self || other.demandBits <= 0 {
-				continue
-			}
-			sum += other.demandBits
-		}
-		return sum
-	}
-	var others []*aggregate
-	for _, other := range p.aggregates {
-		if other == self || !other.placed || other.demandBits <= 0 {
+	sum := 0.0
+	for _, other := range p.placedOn[l] {
+		if other == self || other.demandBits <= 0 {
 			continue
 		}
-		for _, ol := range other.path.Links {
-			if ol == l {
-				others = append(others, other)
-				break
-			}
-		}
-	}
-	sort.Slice(others, func(i, j int) bool { return aggKeyLess(others[i], others[j]) })
-	sum := 0.0
-	for _, o := range others {
-		sum += o.demandBits
+		sum += other.demandBits
 	}
 	return sum
 }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"pythia/internal/flight"
 	"pythia/internal/sim"
@@ -56,39 +55,6 @@ func (k FlowKind) String() string {
 	return fmt.Sprintf("FlowKind(%d)", int(k))
 }
 
-// AllocMode selects the max-min allocator implementation. All three modes
-// produce bit-identical flow rates and completion times (proven by golden
-// tests); they differ only in cost.
-type AllocMode int
-
-const (
-	// AllocIncremental (the default) coalesces all mutations at one
-	// simulated instant into a single allocation pass via the engine's
-	// end-of-instant hook, scopes each pass to the link/flow connected
-	// component reachable from the mutated links, and reuses dense
-	// scratch slices so the steady-state pass is allocation-free.
-	AllocIncremental AllocMode = iota
-	// AllocIndexed is the PR 1 implementation: an eager full progressive
-	// filling pass after every mutation, with link occupancy read from
-	// the per-link index but map-based scratch state.
-	AllocIndexed
-	// AllocScan is the original reference implementation: eager full
-	// passes that rebuild occupancy by scanning every active flow.
-	AllocScan
-)
-
-func (m AllocMode) String() string {
-	switch m {
-	case AllocIncremental:
-		return "incremental"
-	case AllocIndexed:
-		return "indexed"
-	case AllocScan:
-		return "scan"
-	}
-	return fmt.Sprintf("AllocMode(%d)", int(m))
-}
-
 // FiveTuple is the classical flow identity. Pythia cannot know DstPort at
 // prediction time (assigned at socket bind), which is why its rules match on
 // host pairs; the ECMP baseline hashes the full tuple.
@@ -119,13 +85,9 @@ type Flow struct {
 	done        bool
 	onComplete  func(*Flow)
 
-	// Allocator scratch, meaningful only inside one allocation pass:
-	// mark dedups component collection (compared against Network.epoch),
-	// unfixed tracks progressive-filling state, and compIdx is the flow's
-	// position in the pass's dense component arrays (CSR path-link rows).
-	mark    uint64
+	// unfixed is allocator scratch: the flow has no rate yet in the running
+	// progressive-filling pass.
 	unfixed bool
-	compIdx int
 }
 
 // Rate returns the current max-min allocated rate in bps (valid between
@@ -175,12 +137,6 @@ type Network struct {
 	linkFlows [][]*Flow
 	terminal  []int
 
-	// mode selects the allocator; scanBaseline mirrors mode==AllocScan
-	// for the telemetry read paths (kept as a separate bool so the hot
-	// paths branch on one flag, and for SetScanBaseline compatibility).
-	mode         AllocMode
-	scanBaseline bool
-
 	// background CBR load per link, bps (dense by LinkID).
 	background []float64
 
@@ -219,60 +175,12 @@ type Network struct {
 	// only allocation left on the steady-state pass.
 	completeFn func()
 
-	// AllocPasses counts allocation passes (any mode). With coalescing, a
-	// whole wave of same-instant mutations increments it once; the eager
-	// modes increment it once per mutation. Tests assert on it.
-	AllocPasses uint64
-
-	// Coalescing state (AllocIncremental only): dirty means an allocation
-	// pass is owed for the current instant; dirtySeeds accumulates the
-	// links touched by the pending mutations, dirtyAll forces a full
-	// pass. flush() settles the debt — at the engine's end-of-instant
-	// hook at the latest, or earlier if a rate-observing read arrives.
-	dirty      bool
-	dirtyAll   bool
-	dirtySeeds []topology.LinkID
-
-	// Reusable allocator scratch (dense by LinkID unless noted). epoch
-	// versions linkSeen and Flow.mark so nothing needs clearing between
-	// passes.
-	epoch     uint64
-	linkSeen  []uint64
+	// Allocator scratch, dense by LinkID and reused across passes so the
+	// steady-state pass allocates nothing (BenchmarkAllocPass guards it).
 	residual  []float64
 	counts    []int
-	compLinks []topology.LinkID
-	compFlows []*Flow
 	workLinks []topology.LinkID
 	doneBuf   []*Flow
-	termEager []int // scan-mode terminal counts (dense by LinkID)
-
-	// comps are the connected components discovered by the current pass:
-	// contiguous [linkLo,linkHi)×[flowLo,flowHi) ranges of
-	// compLinks/compFlows. csrStart/csrLinks form a CSR copy of each
-	// component flow's path links (row f.compIdx), so the progressive-fill
-	// inner loop walks one contiguous arena instead of chasing per-flow
-	// slice headers.
-	comps    []allocComp
-	csrStart []int32
-	csrLinks []topology.LinkID
-
-	// Intra-trial sharding: components fill in parallel on a persistent
-	// bounded worker pool. Component link/flow index sets are disjoint, so
-	// the shared residual/counts/rate writes are race-free and the result
-	// is bit-identical at any width. Components are processed in min-LinkID
-	// order either way.
-	allocWorkers int
-	allocJobs    chan allocComp
-	allocWG      sync.WaitGroup
-	poolSize     int
-}
-
-// allocComp is one connected component of the link/flow sharing graph, as
-// contiguous ranges into the pass's compLinks/compFlows arrays.
-type allocComp struct {
-	linkLo, linkHi int
-	flowLo, flowHi int
-	minLink        topology.LinkID
 }
 
 // EnableIncast turns on the many-to-one goodput-collapse model: beyond
@@ -287,7 +195,7 @@ func (n *Network) EnableIncast(threshold int, factor, floorFrac float64) {
 	n.incastThreshold = threshold
 	n.incastFactor = factor
 	n.incastFloor = floorFrac
-	n.mutatedAll()
+	n.recompute()
 }
 
 // DefaultLocalBps is the default loopback/local-fetch rate (8 Gbps —
@@ -302,7 +210,7 @@ func (n *Network) SetLocalBps(bps float64) {
 	}
 	n.advance()
 	n.localBps = bps
-	n.mutatedAll()
+	n.recompute()
 }
 
 // New creates a network simulator bound to an engine and a topology.
@@ -316,10 +224,8 @@ func New(eng *sim.Engine, g *topology.Graph) *Network {
 		background: make([]float64, nl),
 		linkBits:   make([]float64, nl),
 		hostTxBits: make([]float64, g.NumNodes()),
-		linkSeen:   make([]uint64, nl),
 		residual:   make([]float64, nl),
 		counts:     make([]int, nl),
-		termEager:  make([]int, nl),
 		localBps:   DefaultLocalBps,
 	}
 	n.completeFn = n.completeDue
@@ -350,12 +256,6 @@ func (n *Network) ensureLink(id topology.LinkID) {
 	ci := make([]int, need)
 	copy(ci, n.counts)
 	n.counts = ci
-	te := make([]int, need)
-	copy(te, n.termEager)
-	n.termEager = te
-	ls := make([]uint64, need)
-	copy(ls, n.linkSeen)
-	n.linkSeen = ls
 	n.background = grow(n.background)
 	n.linkBits = grow(n.linkBits)
 	n.residual = grow(n.residual)
@@ -395,7 +295,7 @@ func (n *Network) SetBackground(link topology.LinkID, bps float64) {
 	n.advance()
 	n.ensureLink(link)
 	n.background[link] = bps
-	n.mutated(link)
+	n.recompute()
 }
 
 // BackgroundOn returns the configured CBR load on a link.
@@ -441,12 +341,7 @@ func (n *Network) StartFlow(tuple FiveTuple, kind FlowKind, path topology.Path, 
 	n.active = append(n.active, f) // IDs are monotonic: order stays ascending
 	n.ensureHost(tuple.SrcHost)
 	n.indexFlow(f)
-	if len(path.Links) == 0 {
-		// Zero-hop flows never contend on the fabric: the rate is fixed
-		// here so the component-scoped allocator need not visit them.
-		f.rate = n.localBps
-	}
-	n.mutatedLinks(path.Links)
+	n.recompute()
 	n.recordFlow(flight.FlowAdmitted, f)
 	return f
 }
@@ -512,39 +407,6 @@ func (n *Network) unindexFlow(f *Flow) {
 	}
 }
 
-// SetAllocMode switches the allocator implementation. Any pending coalesced
-// pass is flushed first, so the switch is safe at any instant; the per-link
-// index is maintained in every mode.
-func (n *Network) SetAllocMode(m AllocMode) {
-	if m == n.mode {
-		return
-	}
-	n.flush()
-	n.mode = m
-	n.scanBaseline = m == AllocScan
-}
-
-// AllocModeSelected returns the active allocator mode.
-func (n *Network) AllocModeSelected() AllocMode { return n.mode }
-
-// SetScanBaseline toggles the original reference implementation: eager
-// full-scan allocation passes and telemetry that scans every active flow
-// instead of consulting the occupancy index. SetScanBaseline(true) is
-// equivalent to SetAllocMode(AllocScan); SetScanBaseline(false) restores the
-// default incremental mode. The index is maintained either way, so the mode
-// can be flipped at any time. Used by golden-equivalence tests and benchmark
-// baselines; production callers never need it.
-//
-// Deprecated: call SetAllocMode directly (or pythia.WithAllocMode from the
-// facade). Kept as a thin wrapper for older harness code.
-func (n *Network) SetScanBaseline(on bool) {
-	if on {
-		n.SetAllocMode(AllocScan)
-	} else {
-		n.SetAllocMode(AllocIncremental)
-	}
-}
-
 // ActiveFlows returns the number of in-flight flows.
 func (n *Network) ActiveFlows() int { return len(n.active) }
 
@@ -593,81 +455,10 @@ func (n *Network) advance() {
 	n.lastAdvance = now
 }
 
-// mutated records that the allocation on (the component of) one link is
-// stale. In the eager modes it recomputes immediately.
-func (n *Network) mutated(link topology.LinkID) {
-	if n.mode != AllocIncremental {
-		n.recompute()
-		return
-	}
-	n.dirtySeeds = append(n.dirtySeeds, link)
-	n.markDirty()
-}
-
-// mutatedLinks is mutated for a whole path worth of links (possibly empty —
-// a zero-hop flow still owes a completion reschedule).
-func (n *Network) mutatedLinks(links []topology.LinkID) {
-	if n.mode != AllocIncremental {
-		n.recompute()
-		return
-	}
-	n.dirtySeeds = append(n.dirtySeeds, links...)
-	n.markDirty()
-}
-
-// mutatedAll marks every allocation stale (topology events, incast/local
-// parameter changes).
-func (n *Network) mutatedAll() {
-	if n.mode != AllocIncremental {
-		n.recompute()
-		return
-	}
-	n.dirtyAll = true
-	n.markDirty()
-}
-
-func (n *Network) markDirty() {
-	if n.dirty {
-		return
-	}
-	n.dirty = true
-	n.eng.OnInstantEnd(n.flush)
-}
-
-// flush settles a pending coalesced allocation: one component-scoped pass
-// covering every mutation recorded at the current instant, then the
-// next-completion reschedule. It is a no-op when nothing is dirty, so it is
-// safe to call from every rate-observing read.
-func (n *Network) flush() {
-	if !n.dirty {
-		return
-	}
-	n.dirty = false
-	all := n.dirtyAll
-	n.dirtyAll = false
-	seeds := n.dirtySeeds
-	n.dirtySeeds = n.dirtySeeds[:0]
-	n.allocateIncremental(seeds, all)
-	n.scheduleNextCompletion()
-}
-
-// recompute performs a full max-min fair allocation pass in the current mode
-// and reschedules the next-completion event. The eager modes call it on
-// every mutation; the incremental mode only via explicit full passes.
-func (n *Network) recompute() {
-	if n.mode == AllocIncremental {
-		n.allocateIncremental(nil, true)
-	} else {
-		n.recomputeEager()
-	}
-	n.scheduleNextCompletion()
-}
-
 // linkResidual returns the capacity left for TCP flows on a link: zero when
 // the link is down, else capacity (degraded by the incast model when the
 // link is a convergence point) minus background, floored at zero. The float
-// operation sequence matches the original implementation exactly so all
-// allocator modes produce bit-identical shares.
+// operation sequence is pinned by the flow-history digests; do not reorder it.
 func (n *Network) linkResidual(l topology.LinkID, terminalCount int) float64 {
 	if !n.g.LinkUp(l) {
 		// A failed link carries nothing: flows routed across it starve
@@ -691,283 +482,20 @@ func (n *Network) linkResidual(l topology.LinkID, terminalCount int) float64 {
 	return r
 }
 
-// allocateIncremental runs progressive filling over the connected components
-// of links and flows reachable from the seed links (or over everything when
-// all is set). Max-min allocation decomposes over connected components of
-// the link/flow sharing graph, and each component is closed under "shares a
-// link with", so flows outside it keep their rates and the restricted pass
-// computes exactly the floats a global pass would. Scratch state is reused
-// across passes (epoch-stamped, no clearing), so the steady-state pass
-// allocates nothing.
-//
-// Discovery is serial and enumerates each component as a contiguous range of
-// compLinks/compFlows, copying every component flow's path links into one
-// dense CSR arena (csrStart/csrLinks). The fill phase then runs per
-// component — serially in min-LinkID order, or sharded across the bounded
-// worker pool when SetAllocWorkers raised the width. Component index sets
-// are disjoint, so the shared residual/counts/rate writes never race and the
-// result is bit-identical at any pool width.
-func (n *Network) allocateIncremental(seeds []topology.LinkID, all bool) {
-	n.AllocPasses++
-	n.epoch++
-	ep := n.epoch
-	n.compLinks = n.compLinks[:0]
-	n.compFlows = n.compFlows[:0]
-	n.comps = n.comps[:0]
-	n.csrStart = n.csrStart[:0]
-	n.csrLinks = n.csrLinks[:0]
-
-	// discover grows one component by BFS across the bipartite link/flow
-	// sharing graph from an unseen link. compLinks doubles as the frontier
-	// queue; the component occupies the tail ranges appended here.
-	discover := func(seed topology.LinkID) {
-		c := allocComp{
-			linkLo:  len(n.compLinks),
-			flowLo:  len(n.compFlows),
-			minLink: seed,
-		}
-		n.linkSeen[seed] = ep
-		n.compLinks = append(n.compLinks, seed)
-		for i := c.linkLo; i < len(n.compLinks); i++ {
-			for _, f := range n.linkFlows[n.compLinks[i]] {
-				if f.mark == ep {
-					continue
-				}
-				f.mark = ep
-				f.compIdx = len(n.compFlows)
-				n.compFlows = append(n.compFlows, f)
-				n.csrStart = append(n.csrStart, int32(len(n.csrLinks)))
-				for _, l := range f.Path.Links {
-					n.csrLinks = append(n.csrLinks, l)
-					if n.linkSeen[l] != ep {
-						n.linkSeen[l] = ep
-						n.compLinks = append(n.compLinks, l)
-						if l < c.minLink {
-							c.minLink = l
-						}
-					}
-				}
-			}
-		}
-		c.linkHi = len(n.compLinks)
-		c.flowHi = len(n.compFlows)
-		n.comps = append(n.comps, c)
-	}
-
-	if all {
-		for _, f := range n.active {
-			if len(f.Path.Links) == 0 {
-				// Local (same-host) transfer: fixed loopback rate, no
-				// fabric contention. Only reachable via a full pass.
-				f.rate = n.localBps
-				f.unfixed = false
-				continue
-			}
-			if f.mark != ep {
-				discover(f.Path.Links[0])
-			}
-		}
-	} else {
-		for _, l := range seeds {
-			n.ensureLink(l)
-			if n.linkSeen[l] != ep {
-				discover(l)
-			}
-		}
-	}
-	n.csrStart = append(n.csrStart, int32(len(n.csrLinks))) // row sentinel
-
-	// Deterministic component order (min LinkID). The per-component fills
-	// are independent, so this fixes the processing order without
-	// affecting any float; components are few, insertion sort stays
-	// allocation-free.
-	for i := 1; i < len(n.comps); i++ {
-		c := n.comps[i]
-		j := i
-		for ; j > 0 && n.comps[j-1].minLink > c.minLink; j-- {
-			n.comps[j] = n.comps[j-1]
-		}
-		n.comps[j] = c
-	}
-
-	workers := n.allocWorkers
-	if workers > len(n.comps) {
-		workers = len(n.comps)
-	}
-	if workers <= 1 {
-		for _, c := range n.comps {
-			n.fillComponent(c)
-		}
-		return
-	}
-	n.ensurePool(workers)
-	n.allocWG.Add(len(n.comps))
-	for _, c := range n.comps {
-		n.allocJobs <- c
-	}
-	n.allocWG.Wait()
-}
-
-// fillComponent runs progressive filling over one component. Its writes
-// (component link residual/counts, component flow rate/unfixed) are disjoint
-// from every other component's, so fills may run concurrently.
-func (n *Network) fillComponent(c allocComp) {
-	// Component is closed: every flow on a component link is in compFlows,
-	// so occupancy counts come straight off the index. The component's
-	// compLinks range becomes the bottleneck worklist in place (compacted
-	// as links saturate; discovery is over, the range is scratch now).
-	wl := n.compLinks[c.linkLo:c.linkHi]
-	w := wl[:0]
-	for _, l := range wl {
-		cnt := len(n.linkFlows[l])
-		n.counts[l] = cnt
-		n.residual[l] = n.linkResidual(l, n.terminal[l])
-		if cnt > 0 {
-			w = append(w, l)
-		}
-	}
-	wl = w
-	unfixedCount := 0
-	for fi := c.flowLo; fi < c.flowHi; fi++ {
-		f := n.compFlows[fi]
-		f.rate = 0
-		f.unfixed = true
-		unfixedCount++
-	}
-
-	for unfixedCount > 0 {
-		// Find the bottleneck link: minimal fair share among the links
-		// still carrying unfixed flows, smallest LinkID on exact ties.
-		// The worklist is compacted in the same sweep so saturated links
-		// drop out of later rounds.
-		bestShare := math.Inf(1)
-		var bottleneck topology.LinkID = -1
-		w := wl[:0]
-		for _, l := range wl {
-			cnt := n.counts[l]
-			if cnt <= 0 {
-				continue
-			}
-			w = append(w, l)
-			share := n.residual[l] / float64(cnt)
-			if share < bestShare || (share == bestShare && (bottleneck == -1 || l < bottleneck)) {
-				bestShare = share
-				bottleneck = l
-			}
-		}
-		wl = w
-		if bottleneck == -1 || math.IsInf(bestShare, 1) {
-			break
-		}
-		// Fix every unfixed flow crossing the bottleneck at bestShare.
-		// Every fixed flow subtracts the identical share, so the order
-		// the candidates are visited in cannot change the residuals. The
-		// flow's links come from the contiguous CSR row built during
-		// discovery rather than the per-flow slice header.
-		for _, f := range n.linkFlows[bottleneck] {
-			if !f.unfixed {
-				continue
-			}
-			f.unfixed = false
-			unfixedCount--
-			f.rate = bestShare
-			for _, l := range n.csrLinks[n.csrStart[f.compIdx]:n.csrStart[f.compIdx+1]] {
-				n.residual[l] -= bestShare
-				if n.residual[l] < 0 {
-					n.residual[l] = 0
-				}
-				n.counts[l]--
-			}
-		}
-	}
-}
-
-// SetAllocWorkers bounds the worker pool that fills allocation components in
-// parallel within a single pass (intra-trial parallelism for one giant
-// fabric). Width 1 (the default) fills serially; any width produces
-// bit-identical results, proven by the sharding golden tests. The pool is
-// persistent and lazily grown; passes with fewer components than workers use
-// fewer.
-func (n *Network) SetAllocWorkers(w int) {
-	if w < 1 {
-		w = 1
-	}
-	n.flush()
-	n.allocWorkers = w
-}
-
-// AllocWorkersSelected reports the configured intra-pass worker width.
-func (n *Network) AllocWorkersSelected() int {
-	if n.allocWorkers < 1 {
-		return 1
-	}
-	return n.allocWorkers
-}
-
-// ensurePool lazily grows the persistent fill-worker pool to the given size.
-// Workers park on the job channel between passes; buffered sends keep the
-// steady-state dispatch allocation-free.
-func (n *Network) ensurePool(workers int) {
-	if n.poolSize >= workers {
-		return
-	}
-	if n.allocJobs == nil {
-		n.allocJobs = make(chan allocComp, 1024)
-	}
-	for i := n.poolSize; i < workers; i++ {
-		go func() {
-			for c := range n.allocJobs {
-				n.fillComponent(c)
-				n.allocWG.Done()
-			}
-		}()
-	}
-	n.poolSize = workers
-}
-
-// recomputeEager is the PR 1 allocator: a full progressive-filling pass
-// after every mutation, occupancy from the index (AllocIndexed) or from a
-// scan of every active flow (AllocScan). Earlier revisions rebuilt
-// residual/counts/per-terminal maps on every pass — the per-pass map churn
-// this now avoids by reusing the network-owned dense scratch
-// (BenchmarkEagerAllocPass guards the allocs/op). The float operation
-// sequence is unchanged: every share is residual/count with the identical
-// values, and fix order cannot change the residuals, so the mode remains
-// bit-identical to the original map-based reference.
-func (n *Network) recomputeEager() {
-	n.AllocPasses++
-	n.epoch++
-	ep := n.epoch
-	// Candidate links (those carrying at least one flow) gather into the
-	// reusable worklist; counts/residual/termEager are dense, epoch-gated
-	// by first touch.
+// recompute performs a full max-min fair allocation pass and reschedules the
+// next-completion event. Every mutation of the flow set, a path, a link's
+// background or the topology calls it once: progressive filling over the
+// links that carry flows, with occupancy and the incast convergence count
+// read from the per-link index and all scratch reused, so a pass costs
+// O(rounds × busy links + Σ path lengths) and allocates nothing.
+func (n *Network) recompute() {
 	n.workLinks = n.workLinks[:0]
-	if n.scanBaseline {
-		for _, f := range n.active {
-			for _, l := range f.Path.Links {
-				if n.linkSeen[l] != ep {
-					n.linkSeen[l] = ep
-					n.counts[l] = 0
-					n.termEager[l] = 0
-					n.workLinks = append(n.workLinks, l)
-				}
-				n.counts[l]++
-			}
-			if k := len(f.Path.Links); k > 0 {
-				n.termEager[f.Path.Links[k-1]]++
-			}
-		}
-		for _, l := range n.workLinks {
-			n.residual[l] = n.linkResidual(l, n.termEager[l])
-		}
-	} else {
-		for l, fs := range n.linkFlows {
-			if len(fs) > 0 {
-				lid := topology.LinkID(l)
-				n.counts[lid] = len(fs)
-				n.residual[lid] = n.linkResidual(lid, n.terminal[lid])
-				n.workLinks = append(n.workLinks, lid)
-			}
+	for l, fs := range n.linkFlows {
+		if len(fs) > 0 {
+			lid := topology.LinkID(l)
+			n.counts[lid] = len(fs)
+			n.residual[lid] = n.linkResidual(lid, n.terminal[lid])
+			n.workLinks = append(n.workLinks, lid)
 		}
 	}
 
@@ -976,6 +504,8 @@ func (n *Network) recomputeEager() {
 		f.rate = 0
 		f.unfixed = false
 		if len(f.Path.Links) == 0 {
+			// Local (same-host) transfer: fixed loopback rate, no fabric
+			// contention.
 			f.rate = n.localBps
 			continue
 		}
@@ -1009,7 +539,10 @@ func (n *Network) recomputeEager() {
 		// Fix every unfixed flow crossing the bottleneck at bestShare.
 		// Every fixed flow subtracts the identical share, so the order the
 		// candidates are visited in cannot change the resulting residuals.
-		fix := func(f *Flow) {
+		for _, f := range n.linkFlows[bottleneck] {
+			if !f.unfixed {
+				continue
+			}
 			f.rate = bestShare
 			f.unfixed = false
 			unfixedCount--
@@ -1021,26 +554,8 @@ func (n *Network) recomputeEager() {
 				n.counts[l]--
 			}
 		}
-		if n.scanBaseline {
-			for _, f := range n.active {
-				if !f.unfixed {
-					continue
-				}
-				for _, l := range f.Path.Links {
-					if l == bottleneck {
-						fix(f)
-						break
-					}
-				}
-			}
-		} else {
-			for _, f := range n.linkFlows[bottleneck] {
-				if f.unfixed {
-					fix(f)
-				}
-			}
-		}
 	}
+	n.scheduleNextCompletion()
 }
 
 func (n *Network) scheduleNextCompletion() {
@@ -1088,14 +603,7 @@ func (n *Network) completeDue() {
 	}
 	n.active = keep
 	n.history = append(n.history, completed...)
-	if n.mode == AllocIncremental {
-		for _, f := range completed {
-			n.dirtySeeds = append(n.dirtySeeds, f.Path.Links...)
-		}
-		n.markDirty()
-	} else {
-		n.recompute()
-	}
+	n.recompute()
 	for _, f := range completed {
 		n.recordFlow(flight.FlowCompleted, f)
 		if f.onComplete != nil {
@@ -1108,38 +616,13 @@ func (n *Network) completeDue() {
 	n.doneBuf = completed[:0]
 }
 
-// flowsOnSorted returns the active flows crossing a link in ascending
-// flow-ID order — the occupancy index's slice directly, or (scan baseline) a
-// fresh slice built by scanning every active flow as the pre-index
-// implementation did. The sorted order makes every telemetry sum independent
-// of container iteration order, so all paths produce bit-identical floats.
-func (n *Network) flowsOnSorted(link topology.LinkID) []*Flow {
-	if n.scanBaseline {
-		var fs []*Flow
-		for _, f := range n.active { // ascending ID already
-			for _, l := range f.Path.Links {
-				if l == link {
-					fs = append(fs, f)
-					break
-				}
-			}
-		}
-		return fs
-	}
-	if int(link) >= len(n.linkFlows) {
-		return nil
-	}
-	return n.linkFlows[link]
-}
-
 // LinkStats returns a link's instantaneous utilization fraction, spare
 // capacity in bps, and summed shuffle-flow rate in one pass over the flows
 // crossing it — the controller's poll reads all three per link per period.
 func (n *Network) LinkStats(link topology.LinkID) (utilization, availableBps, shuffleBps float64) {
-	n.flush()
 	capBps := n.g.Link(link).CapacityBps
 	used := n.BackgroundOn(link)
-	for _, f := range n.flowsOnSorted(link) {
+	for _, f := range n.FlowsOn(link) {
 		used += f.rate
 		if f.Kind == Shuffle {
 			shuffleBps += f.rate
@@ -1205,13 +688,12 @@ func (n *Network) LinkBits(link topology.LinkID) float64 {
 // do so. Without this call, the change takes effect at the next flow event.
 func (n *Network) NotifyTopology() {
 	n.advance()
-	n.mutatedAll()
+	n.recompute()
 }
 
 // ActiveList returns a copy of the in-flight flows ordered by ID. Use
 // ForEachActive to iterate without the copy.
 func (n *Network) ActiveList() []*Flow {
-	n.flush()
 	return append([]*Flow(nil), n.active...)
 }
 
@@ -1219,7 +701,6 @@ func (n *Network) ActiveList() []*Flow {
 // without copying. fn may reroute flows (membership is untouched) but must
 // not start or complete them.
 func (n *Network) ForEachActive(fn func(*Flow)) {
-	n.flush()
 	for _, f := range n.active {
 		fn(f)
 	}
@@ -1231,29 +712,16 @@ func (n *Network) ForEachActive(fn func(*Flow)) {
 // mutate it or hold it across flow starts/completions/reroutes (copy it, or
 // use ForEachOn, if they need to).
 func (n *Network) FlowsOn(link topology.LinkID) []*Flow {
-	n.flush()
-	return n.flowsOnSorted(link)
+	if int(link) >= len(n.linkFlows) {
+		return nil
+	}
+	return n.linkFlows[link]
 }
 
 // ForEachOn calls fn for every active flow crossing a link in ascending ID
 // order without allocating. fn must not start, reroute or complete flows.
 func (n *Network) ForEachOn(link topology.LinkID, fn func(*Flow)) {
-	n.flush()
-	if n.scanBaseline {
-		for _, f := range n.active {
-			for _, l := range f.Path.Links {
-				if l == link {
-					fn(f)
-					break
-				}
-			}
-		}
-		return
-	}
-	if int(link) >= len(n.linkFlows) {
-		return
-	}
-	for _, f := range n.linkFlows[link] {
+	for _, f := range n.FlowsOn(link) {
 		fn(f)
 	}
 }
@@ -1273,16 +741,7 @@ func (n *Network) Reroute(f *Flow, path topology.Path) {
 	}
 	n.advance()
 	n.unindexFlow(f)
-	old := f.Path
 	f.Path = path
 	n.indexFlow(f)
-	if len(path.Links) == 0 {
-		f.rate = n.localBps
-	}
-	if n.mode == AllocIncremental {
-		n.dirtySeeds = append(n.dirtySeeds, old.Links...)
-		n.mutatedLinks(path.Links)
-	} else {
-		n.recompute()
-	}
+	n.recompute()
 }

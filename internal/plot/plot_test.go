@@ -1,6 +1,7 @@
 package plot
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -105,7 +106,7 @@ func TestPropertyBarChartWellFormed(t *testing.T) {
 		return strings.HasPrefix(svg, "<svg") && strings.HasSuffix(svg, "</svg>") &&
 			!strings.Contains(svg, "NaN")
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(12))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -58,14 +58,20 @@ func (b *calBucket) delete(lo int) {
 // hash into year-cyclic time buckets, each kept sorted by (time, seq), so
 // steady-state enqueue/dequeue cost O(1) amortized instead of the binary
 // heap's O(log n). The bucket count and width recalibrate lazily as the
-// queue grows and shrinks. Ordering is the same strict (time, seq) total
-// order the heap uses — the engine's golden tests prove the two
-// implementations deliver bit-identical event sequences.
+// queue grows and shrinks. Ordering is strict (time, seq); the tests hold it
+// to the binary-heap oracle in heap_test.go.
+//
+// One function, dayOf, decides which day a time belongs to, for filing an
+// event (bucketIdx) and for the min-scan's "is this bucket head due in the day
+// the sweep has reached" alike. Filing by ⌊t·invWidth⌋ while admitting by
+// t < (day+1)·width disagrees whenever t is an exact multiple of a width whose
+// reciprocal rounds down (996 × (1/498) = 1.999…): the event is filed under
+// day 1, is not < 996, gets skipped for the whole year and fires after
+// everything else — the clock runs backwards.
 type calendarQueue struct {
 	buckets  []calBucket
 	mask     int     // len(buckets)-1; bucket count is a power of two
-	width    float64 // bucket time width ("day" length)
-	invWidth float64
+	invWidth float64 // 1 / bucket time width ("day" length)
 	count    int
 	// lastT is a monotonic lower bound on the earliest queued time (the
 	// last popped time); the min-scan starts from its bucket.
@@ -85,21 +91,24 @@ func newCalendarQueue() *calendarQueue {
 	return &calendarQueue{
 		buckets:  make([]calBucket, calMinBuckets),
 		mask:     calMinBuckets - 1,
-		width:    1.0 / 1024, // recalibrated on first resize
-		invWidth: 1024,
+		invWidth: 1024, // recalibrated on first resize
 	}
 }
 
-// bucketIdx maps a time to its bucket. Times are finite and non-negative
-// (the engine rejects scheduling in the past); the product is clamped so a
-// huge horizon with a tiny width cannot overflow the int64 conversion.
-func (c *calendarQueue) bucketIdx(t float64) int {
+// dayOf is the day number of a time: ⌊t·invWidth⌋, monotone in t. Times are
+// finite and non-negative (the engine rejects scheduling in the past); the
+// product is clamped so a huge horizon with a tiny width cannot overflow the
+// int64 conversion.
+func (c *calendarQueue) dayOf(t float64) int64 {
 	d := t * c.invWidth
 	if d >= math.MaxInt64/2 {
-		return int(math.MaxInt64/2) & c.mask
+		return math.MaxInt64 / 2
 	}
-	return int(int64(d)) & c.mask
+	return int64(d)
 }
+
+// bucketIdx maps a time to its bucket: its day, modulo the year length.
+func (c *calendarQueue) bucketIdx(t float64) int { return int(c.dayOf(t)) & c.mask }
 
 func (c *calendarQueue) size() int { return c.count }
 
@@ -179,22 +188,21 @@ func (c *calendarQueue) removeAt(ev *Event) {
 }
 
 // scanMin locates the earliest queued event. It sweeps one full "year" of
-// buckets from the last popped time's bucket — the common case finds the
-// event within a few buckets — and falls back to a direct min over all
-// bucket heads when the queue is sparser than a year. The minimum is always
-// a bucket head, because buckets are sorted.
+// days from the last popped time's day — the common case finds the event
+// within a few buckets — and falls back to a direct min over all bucket
+// heads when the queue is sparser than a year. The minimum is always a bucket
+// head, because buckets are sorted. No queued event is earlier than lastT and
+// dayOf is monotone, so the first head whose day the sweep has reached is the
+// earliest event: every earlier day's bucket was visited and held nothing due.
 func (c *calendarQueue) scanMin() *Event {
-	nb := len(c.buckets)
-	start := c.bucketIdx(c.lastT)
-	yearEnd := (math.Floor(c.lastT*c.invWidth) + 1) * c.width
-	for i := 0; i < nb; i++ {
-		b := &c.buckets[(start+i)&c.mask]
+	day := c.dayOf(c.lastT)
+	for end := day + int64(len(c.buckets)); day < end; day++ {
+		b := &c.buckets[int(day)&c.mask]
 		if b.head < len(b.evs) {
-			if h := b.evs[b.head]; float64(h.at) < yearEnd {
+			if h := b.evs[b.head]; c.dayOf(float64(h.at)) <= day {
 				return h
 			}
 		}
-		yearEnd += c.width
 	}
 	// Sparse queue: no event within one bucket cycle of lastT. Direct
 	// search across bucket heads, then fast-forward lastT so subsequent
@@ -239,7 +247,6 @@ func (c *calendarQueue) resize(nb int) {
 		if w < calMinWidth {
 			w = calMinWidth
 		}
-		c.width = w
 		c.invWidth = 1 / w
 	}
 	c.buckets = make([]calBucket, nb)

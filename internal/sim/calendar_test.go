@@ -16,8 +16,7 @@ type firing struct {
 // driveScript runs a randomized scheduling workload — bursts of same-instant
 // events, cancellations, nested scheduling, tickers, daemon events — against
 // one engine and records the exact delivery sequence.
-func driveScript(mode SchedulerMode, seed uint64) []firing {
-	eng := NewEngineMode(mode)
+func driveScript(eng *Engine, seed uint64) []firing {
 	rng := stats.NewRNG(seed)
 	var log []firing
 	id := 0
@@ -83,8 +82,8 @@ func driveScript(mode SchedulerMode, seed uint64) []firing {
 // scheduling and daemon events.
 func TestCalendarMatchesHeapGolden(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 12345} {
-		hp := driveScript(SchedHeap, seed)
-		cal := driveScript(SchedCalendar, seed)
+		hp := driveScript(newHeapEngine(), seed)
+		cal := driveScript(NewEngine(), seed)
 		if len(hp) == 0 {
 			t.Fatalf("seed %d: empty firing log", seed)
 		}
@@ -179,12 +178,13 @@ func TestFreeListRecycles(t *testing.T) {
 }
 
 // BenchmarkEngineSchedule guards the allocation-free steady state of the
-// schedule/fire hot path for both scheduler modes: after warm-up, the
-// After→fire→After chain must run at 0 allocs/op off the free list.
+// schedule/fire hot path: after warm-up, the After→fire→After chain must run
+// at 0 allocs/op off the free list. The heap row is the oracle's cost on the
+// same chain, for reference.
 func BenchmarkEngineSchedule(b *testing.B) {
-	for _, mode := range []SchedulerMode{SchedCalendar, SchedHeap} {
-		b.Run(mode.String(), func(b *testing.B) {
-			eng := NewEngineMode(mode)
+	for _, k := range kernels {
+		b.Run(k.name, func(b *testing.B) {
+			eng := k.new()
 			// Standing population so the queue is non-trivial.
 			for i := 0; i < 256; i++ {
 				eng.AtDaemon(Time(float64(i)), func() {})

@@ -5,11 +5,11 @@ import "testing"
 // TestCancelAfterFireIsNoop exercises the documented handle rule: Cancel on
 // a handle whose event already fired (and whose struct is sitting in the
 // free list) is a safe no-op that neither panics nor perturbs later events,
-// in both scheduler modes.
+// under the calendar queue and under the heap oracle.
 func TestCancelAfterFireIsNoop(t *testing.T) {
-	for _, mode := range []SchedulerMode{SchedCalendar, SchedHeap} {
-		t.Run(mode.String(), func(t *testing.T) {
-			e := NewEngineMode(mode)
+	for _, k := range kernels {
+		t.Run(k.name, func(t *testing.T) {
+			e := k.new()
 			fired := 0
 			ev := e.At(1, func() { fired++ })
 			e.At(2, func() { fired++ })
@@ -48,32 +48,5 @@ func TestTickerSetPeriodOutsideCallback(t *testing.T) {
 		if at[i] != want[i] {
 			t.Fatalf("firings: %v, want %v", at, want)
 		}
-	}
-}
-
-// TestRunUntilHookAtDeadline pins the deadline × end-of-instant interplay:
-// a hook registered by an event exactly at the deadline still runs, events
-// it schedules at the deadline instant still run, and events it schedules
-// past the deadline stay queued.
-func TestRunUntilHookAtDeadline(t *testing.T) {
-	e := NewEngine()
-	var order []string
-	e.At(5, func() {
-		e.OnInstantEnd(func() {
-			order = append(order, "hook@5")
-			e.At(5, func() { order = append(order, "ev@5-from-hook") })
-			e.At(6, func() { order = append(order, "ev@6") })
-		})
-	})
-	e.RunUntil(5)
-	if len(order) != 2 || order[0] != "hook@5" || order[1] != "ev@5-from-hook" {
-		t.Fatalf("order at deadline = %v, want [hook@5 ev@5-from-hook]", order)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending() = %d, want the post-deadline event queued", e.Pending())
-	}
-	e.Run()
-	if len(order) != 3 || order[2] != "ev@6" {
-		t.Fatalf("order after drain = %v", order)
 	}
 }

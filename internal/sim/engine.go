@@ -7,12 +7,10 @@
 // controller) are driven by a single Engine so that their interleavings are
 // reproducible.
 //
-// Two scheduler implementations are available behind SchedulerMode: a
-// bucketed calendar queue (the default — O(1) amortized enqueue/dequeue)
-// and the original binary heap (kept as the reference baseline). Both
-// deliver events in the identical (time, seq) total order, proven by the
-// golden tests in calendar_test.go, so the toggle changes wall-clock cost
-// only. Fired and cancelled events are recycled through a free list, making
+// The pending-event structure is a bucketed calendar queue (calendar.go):
+// O(1) amortized enqueue/dequeue in strict (time, seq) order. The tests keep
+// a binary heap beside it as the ordering oracle (heap_test.go). Fired and
+// cancelled events are recycled through a free list, making
 // steady-state scheduling allocation-free (BenchmarkEngineSchedule guards
 // this); an *Event handle is therefore only valid until its event fires or
 // is cancelled, and must not be retained or Cancelled after a later event
@@ -20,7 +18,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -56,28 +53,6 @@ func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
 // String formats a duration as seconds with millisecond precision.
 func (d Duration) String() string { return fmt.Sprintf("%.3fs", float64(d)) }
 
-// SchedulerMode selects the event-queue implementation.
-type SchedulerMode int
-
-const (
-	// SchedCalendar is the default: a bucketed calendar queue with lazy
-	// width/size recalibration and O(1) amortized hold operations.
-	SchedCalendar SchedulerMode = iota
-	// SchedHeap is the original container/heap binary queue, kept as the
-	// reference baseline the calendar queue is proven bit-identical to.
-	SchedHeap
-)
-
-func (m SchedulerMode) String() string {
-	switch m {
-	case SchedCalendar:
-		return "calendar"
-	case SchedHeap:
-		return "heap"
-	}
-	return fmt.Sprintf("SchedulerMode(%d)", int(m))
-}
-
 // Event is a scheduled callback. The callback runs exactly once, at its
 // scheduled time, unless cancelled first.
 //
@@ -90,7 +65,7 @@ type Event struct {
 	at     Time
 	seq    uint64 // tie-break: FIFO among same-time events
 	fn     func()
-	index  int // heap position / calendar liveness; -1 once removed
+	index  int // queue bookkeeping; -1 once removed
 	cancel bool
 	daemon bool
 }
@@ -109,9 +84,11 @@ func (e *Event) before(o *Event) bool {
 	return e.seq < o.seq
 }
 
-// scheduler is the pluggable priority-queue contract shared by the heap and
-// calendar implementations. The engine relies only on (time, seq) ordering,
-// so any correct implementation delivers the identical event sequence.
+// scheduler is what the engine needs of its pending-event structure. The
+// engine relies only on (time, seq) ordering, so any correct implementation
+// delivers the identical event sequence; production code has one
+// (calendarQueue), and the interface is how the tests put the heap oracle
+// under the same engine.
 type scheduler interface {
 	push(*Event)
 	// popMin removes and returns the earliest event, or nil when empty.
@@ -123,70 +100,17 @@ type scheduler interface {
 	size() int
 }
 
-// heapQueue adapts the original container/heap implementation to the
-// scheduler interface.
-type heapQueue struct{ q eventQueue }
-
-type eventQueue []*Event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	return q[i].before(q[j])
-}
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-func (q *eventQueue) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*q)
-	*q = append(*q, e)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*q = old[:n-1]
-	return e
-}
-
-func (h *heapQueue) push(e *Event) { heap.Push(&h.q, e) }
-func (h *heapQueue) popMin() *Event {
-	if len(h.q) == 0 {
-		return nil
-	}
-	return heap.Pop(&h.q).(*Event)
-}
-func (h *heapQueue) peekMin() *Event {
-	if len(h.q) == 0 {
-		return nil
-	}
-	return h.q[0]
-}
-func (h *heapQueue) remove(e *Event) {
-	heap.Remove(&h.q, e.index)
-}
-func (h *heapQueue) size() int { return len(h.q) }
-
 // Engine is a discrete-event simulator. The zero value is not usable; call
 // NewEngine.
 type Engine struct {
 	now       Time
 	sched     scheduler
-	mode      SchedulerMode
 	seq       uint64
-	running   bool
 	stopped   bool
 	nonDaemon int
 	// free recycles fired/cancelled Event structs so steady-state
 	// scheduling allocates nothing.
 	free []*Event
-	// instantEnd holds end-of-instant hooks registered by OnInstantEnd,
-	// fired FIFO when the current timestamp drains.
-	instantEnd []func()
 	// Processed counts events that have fired.
 	Processed uint64
 	// Recycled counts Event structs served from the free list (telemetry
@@ -194,28 +118,8 @@ type Engine struct {
 	Recycled uint64
 }
 
-// NewEngine returns an engine with the clock at zero, an empty queue and the
-// default calendar-queue scheduler.
-func NewEngine() *Engine { return NewEngineMode(SchedCalendar) }
-
-// NewEngineMode returns an engine using the given scheduler implementation.
-// Both modes deliver events in the identical order; SchedHeap exists as the
-// reference baseline for golden tests and benchmarks.
-func NewEngineMode(m SchedulerMode) *Engine {
-	e := &Engine{mode: m}
-	switch m {
-	case SchedHeap:
-		e.sched = &heapQueue{}
-	case SchedCalendar:
-		e.sched = newCalendarQueue()
-	default:
-		panic(fmt.Sprintf("sim: unknown scheduler mode %d", int(m)))
-	}
-	return e
-}
-
-// Mode reports the scheduler implementation in use.
-func (e *Engine) Mode() SchedulerMode { return e.mode }
+// NewEngine returns an engine with the clock at zero and an empty queue.
+func NewEngine() *Engine { return &Engine{sched: newCalendarQueue()} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -312,51 +216,13 @@ func (e *Engine) Cancel(ev *Event) {
 	e.release(ev)
 }
 
-// OnInstantEnd registers fn to run when the current simulated instant
-// drains: after the last already-queued event at Now() fires and before the
-// clock advances past it (or the run loop returns). Hooks run FIFO, exactly
-// once. A hook may schedule new events — including at the current instant,
-// which are then processed before the clock moves — and may register further
-// hooks, which still fire within the same instant. netsim uses this to
-// coalesce rate recomputation: any number of flow arrivals, departures and
-// reroutes at one timestamp pay for exactly one allocation pass.
-func (e *Engine) OnInstantEnd(fn func()) {
-	e.instantEnd = append(e.instantEnd, fn)
-}
-
-// runInstantEnd fires every pending end-of-instant hook (including hooks
-// registered by hooks) and reports whether any ran.
-func (e *Engine) runInstantEnd() bool {
-	if len(e.instantEnd) == 0 {
+// Step fires the earliest pending event and returns true, or returns false
+// if the queue is empty.
+func (e *Engine) Step() bool {
+	ev := e.sched.popMin()
+	if ev == nil {
 		return false
 	}
-	for i := 0; i < len(e.instantEnd); i++ {
-		fn := e.instantEnd[i]
-		e.instantEnd[i] = nil
-		fn()
-	}
-	e.instantEnd = e.instantEnd[:0]
-	return true
-}
-
-// Step fires the earliest pending event and returns true, or returns false
-// if the queue is empty. End-of-instant hooks fire before the clock would
-// move to a later timestamp (and before reporting an empty queue).
-func (e *Engine) Step() bool {
-	for {
-		head := e.sched.peekMin()
-		if head == nil {
-			if e.runInstantEnd() {
-				continue // hooks may have scheduled new events
-			}
-			return false
-		}
-		if head.at > e.now && e.runInstantEnd() {
-			continue // hooks may have scheduled same-instant events
-		}
-		break
-	}
-	ev := e.sched.popMin()
 	ev.index = -1
 	e.now = ev.at
 	e.Processed++
@@ -373,40 +239,21 @@ func (e *Engine) Step() bool {
 }
 
 // Run processes events until no non-daemon events remain or Stop is called.
-// Daemon events earlier than the last non-daemon event still fire. When the
-// foreground drains mid-instant, end-of-instant hooks get a chance to
-// schedule follow-up work (e.g. the network's coalesced allocation pass
-// scheduling the next flow completion) before Run decides to return.
+// Daemon events earlier than the last non-daemon event still fire.
 func (e *Engine) Run() {
-	e.running = true
 	e.stopped = false
-	for !e.stopped {
-		if e.nonDaemon == 0 {
-			if e.runInstantEnd() {
-				continue
-			}
-			break
-		}
-		if !e.Step() {
-			break
-		}
+	for !e.stopped && e.nonDaemon > 0 && e.Step() {
 	}
-	e.running = false
 }
 
 // RunUntil processes events with time ≤ deadline. Events scheduled after the
 // deadline remain queued; the clock is advanced to the deadline if the
-// simulation ran dry earlier. End-of-instant hooks fire before the clock
-// leaves the last processed instant.
+// simulation ran dry earlier.
 func (e *Engine) RunUntil(deadline Time) {
-	e.running = true
 	e.stopped = false
 	for !e.stopped {
 		head := e.sched.peekMin()
 		if head == nil || head.at > deadline {
-			if e.runInstantEnd() {
-				continue
-			}
 			break
 		}
 		e.Step()
@@ -414,7 +261,6 @@ func (e *Engine) RunUntil(deadline Time) {
 	if e.now < deadline {
 		e.now = deadline
 	}
-	e.running = false
 }
 
 // Stop halts Run/RunUntil after the current event completes.

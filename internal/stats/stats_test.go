@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -245,7 +246,7 @@ func TestPropertySkewWeights(t *testing.T) {
 		}
 		return math.Abs(sum-1) < 1e-9
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(14))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -416,7 +417,7 @@ func TestPropertySummarizeBounds(t *testing.T) {
 			s.Min <= s.Mean && s.Mean <= s.Max &&
 			s.P50 <= s.P95 && s.P95 <= s.P99 && s.P99 <= s.Max
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(15))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -24,10 +24,9 @@
 //   - Topology — the fabric under test: WithTopology (two-rack, leaf-spine,
 //     fat-tree), WithHostsPerRack, WithTrunks, WithLinkRateGbps,
 //     WithOversubscription.
-//   - Engine — scheduler choice and simulator internals: WithScheduler,
-//     WithSeed, WithKShortestPaths, WithRackAggregation, WithCriticality,
-//     WithCollectorShards, WithExplicitControlPlane, WithDeadline,
-//     WithSchedulerMode, WithAllocMode, WithAllocWorkers.
+//   - Engine — scheduler choice and run control: WithScheduler, WithSeed,
+//     WithKShortestPaths, WithRackAggregation, WithCriticality,
+//     WithCollectorShards, WithExplicitControlPlane, WithDeadline.
 //   - Faults — failure and degradation injection: WithControlPlaneFaults,
 //     WithMgmtFaults, WithMonitorFaults, WithPredictionError,
 //     WithBookingTTL.
@@ -124,12 +123,9 @@ type config struct {
 	incastFactor    float64
 	incastFloor     float64
 
-	topo         *TopologySpec
-	allocMode    *AllocMode
-	sched        sim.SchedulerMode
-	allocWorkers int
-	cpFaults     *ControlPlaneFaults
-	deadline     float64
+	topo     *TopologySpec
+	cpFaults *ControlPlaneFaults
+	deadline float64
 
 	mgmtFaults    *MgmtFaults
 	monFaults     *MonitorFaults
@@ -189,7 +185,7 @@ func New(opts ...Option) *Cluster {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	eng := sim.NewEngineMode(cfg.sched)
+	eng := sim.NewEngine()
 	var (
 		g      *topology.Graph
 		hosts  []topology.NodeID
@@ -202,12 +198,6 @@ func New(opts ...Option) *Cluster {
 		g, hosts, trunks = topology.TwoRack(cfg.hostsPerRack, cfg.trunks, cfg.linkBps)
 	}
 	net := netsim.New(eng, g)
-	if cfg.allocMode != nil {
-		net.SetAllocMode(*cfg.allocMode)
-	}
-	if cfg.allocWorkers > 1 {
-		net.SetAllocWorkers(cfg.allocWorkers)
-	}
 	applyBackground(net, trunks, cfg)
 	if cfg.incastThreshold > 0 {
 		net.EnableIncast(cfg.incastThreshold, cfg.incastFactor, cfg.incastFloor)

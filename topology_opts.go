@@ -3,7 +3,6 @@ package pythia
 import (
 	"fmt"
 
-	"pythia/internal/netsim"
 	"pythia/internal/topology"
 )
 
@@ -39,26 +38,6 @@ type SwitchInfo struct {
 	// Rack is the rack a ToR switch serves; -1 for spine/core switches.
 	Rack int
 }
-
-// AllocMode selects the network's max-min allocation engine. All modes
-// produce bit-identical schedules (golden-tested); they differ only in
-// asymptotic cost, which matters for large-fabric benchmarks.
-type AllocMode = netsim.AllocMode
-
-const (
-	// AllocIncremental (the default) coalesces each simulated instant's
-	// mutations into one component-scoped allocation pass.
-	AllocIncremental = netsim.AllocIncremental
-	// AllocIndexed runs an eager indexed full pass after every mutation.
-	AllocIndexed = netsim.AllocIndexed
-	// AllocScan is the original reference implementation (full rescans).
-	AllocScan = netsim.AllocScan
-)
-
-// WithAllocMode selects the allocation engine (default AllocIncremental).
-// Benchmarks use it to compare allocator generations without reaching into
-// internal packages.
-func WithAllocMode(m AllocMode) Option { return func(c *config) { c.allocMode = &m } }
 
 // TopologySpec names a fabric shape for WithTopology. Build one with
 // TwoRackTopology, LeafSpineTopology or FatTreeTopology.
