@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-compare benchmark bench-guard profile fuzz figures examples api api-check scrape-smoke clean
+.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-compare benchmark bench-guard profile fuzz figures examples api api-check scrape-smoke loc clean
 
 all: build vet test
 
@@ -110,6 +110,13 @@ api:
 # Fail if the facade's exported surface drifted from api.txt.
 api-check:
 	$(GO) run ./cmd/apireport -check api.txt
+
+# The three numbers a simplicity PR reports (ROADMAP item 3): non-test Go
+# lines, facade options, facade API-surface lines.
+loc:
+	@printf 'non-test Go lines: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
+	@printf 'func With* options: %s\n' "$$(grep -rh '^func With' --include='*.go' . | wc -l)"
+	@printf 'api.txt lines: %s\n' "$$(wc -l < api.txt)"
 
 clean:
 	rm -rf out

@@ -3,6 +3,7 @@ package pythia
 import (
 	"bytes"
 	"encoding/json"
+	"hash/fnv"
 	"strings"
 	"testing"
 
@@ -93,6 +94,25 @@ func TestFlightFacadeSurface(t *testing.T) {
 	}
 	if !pids[0] || !pids[1] {
 		t.Fatalf("merged trace missing a process: fabric=%v control=%v", pids[0], pids[1])
+	}
+}
+
+// TestPrometheusSnapshotPin: the Pythia chaos run's PrometheusSnapshot()
+// hashes (FNV-1a 64) to the value it had at 0a14f30, before flight's two
+// registries became one — counters, gauges, bucket counts and every float
+// sum render bit-for-bit. Captured by adding this test to a checkout of
+// 0a14f30 and running
+//
+//	go test -run TestPrometheusSnapshotPin -count=1 .
+//
+// whose failure message prints the digest.
+func TestPrometheusSnapshotPin(t *testing.T) {
+	const want = uint64(0xac9d60a0881f955f)
+	cl, _ := runChaosCluster(t, SchedulerPythia, WithFlightRecorder())
+	h := fnv.New64a()
+	h.Write([]byte(cl.PrometheusSnapshot()))
+	if got := h.Sum64(); got != want {
+		t.Fatalf("chaos PrometheusSnapshot digest %#016x, pinned %#016x", got, want)
 	}
 }
 

@@ -1,7 +1,11 @@
 package flight
 
 import (
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -64,7 +68,10 @@ paths{route="/v1/ingest",note="a\\b\"c\nd"} 1
 // TestConformanceGolden is the full conformance golden: counters, gauges,
 // and a labeled histogram render grouped, escaped, with cumulative buckets
 // ending in +Inf and _count equal to the terminal bucket — and the output
-// passes the package's own exposition lint.
+// passes the package's own exposition lint. The FNV-1a 64 digest of the text
+// is pinned to what the pre-unification Registry rendered at 0a14f30
+// (captured there by adding the three digest lines below and running
+// `go test -run TestConformanceGolden -count=1 ./internal/flight`).
 func TestConformanceGolden(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram(`req_seconds{route="/v1/ingest"}`, "request latency", []float64{0.001, 0.01, 0.1})
@@ -101,6 +108,11 @@ req_seconds_total_ops 4
 	}
 	if err := LintExposition(got); err != nil {
 		t.Fatalf("golden output fails lint: %v", err)
+	}
+	digest := fnv.New64a()
+	digest.Write([]byte(got))
+	if sum := digest.Sum64(); sum != 0x9d1b874199d0be0e {
+		t.Fatalf("golden digest %#016x, pinned 0x9d1b874199d0be0e", sum)
 	}
 }
 
@@ -160,10 +172,10 @@ ok{a="b"} 2
 	}
 }
 
-// TestLiveRegistryParallel hammers every live metric type from many
-// goroutines (run under -race) and checks the merged totals are exact.
+// TestLiveRegistryParallel hammers every metric type from many goroutines
+// (run under -race) and checks the totals are exact.
 func TestLiveRegistryParallel(t *testing.T) {
-	r := NewLiveRegistry()
+	r := NewRegistry()
 	c := r.Counter("ops_total", "ops")
 	g := r.Gauge("depth", "depth")
 	h := r.Histogram("lat_seconds", "latency", []float64{0.5, 1.5, 2.5})
@@ -176,12 +188,12 @@ func TestLiveRegistryParallel(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Set(float64(i))
 				h.Observe(float64(i % 4)) // buckets 0..3: one value beyond the last edge
 				// Concurrent registration of an existing name must be safe
 				// and return the same handle.
 				if r.Counter("ops_total", "ops") != c {
-					panic("duplicate live counter")
+					panic("duplicate counter")
 				}
 			}
 		}(w)
@@ -191,36 +203,88 @@ func TestLiveRegistryParallel(t *testing.T) {
 	if got := c.Value(); got != total {
 		t.Fatalf("counter %v, want %d", got, total)
 	}
-	if got := g.Value(); got != total {
-		t.Fatalf("gauge %v, want %d", got, total)
+	if got := g.Value(); got != perWorker-1 {
+		t.Fatalf("gauge %v, want %d", got, perWorker-1)
 	}
 	if got := h.Count(); got != total {
 		t.Fatalf("histogram count %d, want %d", got, total)
 	}
-	snap := r.Snapshot()
-	sh := snap.Histogram("lat_seconds", "latency", []float64{0.5, 1.5, 2.5})
-	if sh.Count() != total {
-		t.Fatalf("snapshot histogram count %d, want %d", sh.Count(), total)
-	}
-	_, counts := sh.Buckets()
+	_, counts := h.Buckets()
 	wantPer := uint64(total / 4)
 	for i, n := range counts {
 		if n != wantPer {
 			t.Fatalf("bucket %d: %d observations, want %d", i, n, wantPer)
 		}
 	}
-	if sum := sh.Sum(); sum != float64(total/4*(0+1+2+3)) {
-		t.Fatalf("snapshot sum %v", sum)
+	if sum := h.Sum(); sum != float64(total/4*(0+1+2+3)) {
+		t.Fatalf("sum %v", sum)
 	}
-	if err := LintExposition(snap.PrometheusText()); err != nil {
-		t.Fatalf("live snapshot fails lint: %v", err)
+	if err := LintExposition(r.PrometheusText()); err != nil {
+		t.Fatalf("exposition fails lint: %v", err)
 	}
+}
+
+// TestRegistryRenderWhileObserving renders the exposition while 8 goroutines
+// observe every metric type and register new series (run under -race):
+// every scrape lints clean — in particular each histogram's _count equals
+// its +Inf bucket — and no counter renders lower than in an earlier scrape.
+func TestRegistryRenderWhileObserving(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("ops_total", "ops")
+	g := r.Gauge("depth", "depth")
+	h := r.Histogram(`lat_seconds{route="a"}`, "latency", []float64{0.5, 1.5, 2.5})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.Inc()
+				g.Set(float64(i))
+				h.Observe(float64(i % 4))
+				r.Histogram(SeriesName("lat_seconds", "route", strconv.Itoa(i%16)), "latency", []float64{1}).Observe(float64(w))
+			}
+		}(w)
+	}
+	var lastOps float64
+	for scrape := 0; scrape < 200; scrape++ {
+		text := r.PrometheusText()
+		if err := LintExposition(text); err != nil {
+			t.Fatalf("scrape %d fails lint: %v\n%s", scrape, err, text)
+		}
+		exp, err := ParseExposition(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range exp.Family("lat_seconds").Samples {
+			if s.Name != "lat_seconds_count" {
+				continue
+			}
+			inf := exp.Sample("lat_seconds_bucket", "route", s.Labels["route"], "le", "+Inf")
+			if inf == nil || inf.Value != s.Value {
+				t.Fatalf("scrape %d: route %q _count %v != +Inf bucket %+v", scrape, s.Labels["route"], s.Value, inf)
+			}
+		}
+		ops := exp.Sample("ops_total").Value
+		if ops < lastOps {
+			t.Fatalf("scrape %d: ops_total went backwards: %v after %v", scrape, ops, lastOps)
+		}
+		lastOps = ops
+	}
+	close(stop)
+	wg.Wait()
 }
 
 // TestLiveObservationsAllocationFree: the hot-path observation methods must
 // not allocate — the serving plane calls them per request.
 func TestLiveObservationsAllocationFree(t *testing.T) {
-	r := NewLiveRegistry()
+	r := NewRegistry()
 	c := r.Counter("c", "c")
 	g := r.Gauge("g", "g")
 	h := r.Histogram("h", "h", []float64{1, 2, 4, 8})
@@ -228,41 +292,66 @@ func TestLiveObservationsAllocationFree(t *testing.T) {
 		c.Inc()
 		c.Add(2)
 		g.Set(3)
-		g.Add(-1)
 		h.Observe(3.5)
 	}); n != 0 {
-		t.Fatalf("live observations allocate %v/op, want 0", n)
+		t.Fatalf("observations allocate %v/op, want 0", n)
 	}
 }
 
-// TestMergeCombinesRegistries: Merge sums counters/histograms and overwrites
-// gauges, letting a cumulative snapshot absorb scrape-time polled series.
-func TestMergeCombinesRegistries(t *testing.T) {
-	dst := NewRegistry()
-	dst.Counter("c", "c").Add(2)
-	dst.Gauge("g", "g").Set(1)
-	dst.Histogram("h", "h", []float64{1}).Observe(0.5)
-	src := NewRegistry()
-	src.Counter("c", "c").Add(3)
-	src.Gauge("g", "g").Set(9)
-	src.Histogram("h", "h", []float64{1}).Observe(5)
-	src.Counter("new", "new").Inc()
-	Merge(dst, src)
-	if v := dst.Counter("c", "c").Value(); v != 5 {
-		t.Fatalf("merged counter %v, want 5", v)
+// TestHistogramQuantile pins the bucket-interpolation rule /v1/stats'
+// latency fields are read through.
+func TestHistogramQuantile(t *testing.T) {
+	edges := []float64{1, 2, 4, 8}
+	fill := func(vs ...float64) *Histogram {
+		h := NewRegistry().Histogram("h", "h", edges)
+		for _, v := range vs {
+			h.Observe(v)
+		}
+		return h
 	}
-	if v := dst.Gauge("g", "g").Value(); v != 9 {
-		t.Fatalf("merged gauge %v, want 9 (overwrite)", v)
+	cases := []struct {
+		name string
+		h    *Histogram
+		q    float64
+		want float64
+	}{
+		{"no samples", fill(), 0.5, 0},
+		{"one sample, median is mid-bucket", fill(3), 0.5, 3},
+		{"one sample, q=1 is the bucket's upper edge", fill(3), 1, 4},
+		{"sample on an edge lands in that edge's bucket", fill(2), 1, 2},
+		{"first bucket interpolates from 0", fill(0.5, 0.5), 0.5, 0.5},
+		{"all in +Inf reports the last finite edge", fill(9, 100, 1e6), 0.99, 8},
+		{"rank crosses into the second bucket", fill(0.5, 1.5, 1.5, 1.5), 0.5, 1 + 1.0/3},
 	}
-	h := dst.Histogram("h", "h", []float64{1})
-	if h.Count() != 2 || h.Sum() != 5.5 {
-		t.Fatalf("merged histogram count=%d sum=%v", h.Count(), h.Sum())
+	for _, tc := range cases {
+		if got := tc.h.Quantile(tc.q); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("%s: Quantile(%v) = %v, want %v", tc.name, tc.q, got, tc.want)
+		}
 	}
-	if dst.Counter("new", "new").Value() != 1 {
-		t.Fatal("merge did not copy new series")
+
+	// Against the exact sample quantile on seeded log-uniform draws over
+	// [1e-4, 10): never further off than the width of the bucket the exact
+	// value falls in.
+	latency := []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
+		0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
+	h := NewRegistry().Histogram("lat", "lat", latency)
+	rng := rand.New(rand.NewSource(18))
+	samples := make([]float64, 10000)
+	for i := range samples {
+		samples[i] = math.Pow(10, -4+5*rng.Float64())
+		h.Observe(samples[i])
 	}
-	if err := LintExposition(dst.PrometheusText()); err != nil {
-		t.Fatalf("merged registry fails lint: %v", err)
+	sort.Float64s(samples)
+	for _, q := range []float64{0.01, 0.25, 0.5, 0.9, 0.99, 0.999} {
+		exact := samples[int(q*float64(len(samples)-1))]
+		i := sort.SearchFloat64s(latency, exact)
+		lo := 0.0
+		if i > 0 {
+			lo = latency[i-1]
+		}
+		if got := h.Quantile(q); math.Abs(got-exact) > latency[i]-lo {
+			t.Errorf("Quantile(%v) = %v, exact %v, bucket (%v, %v]", q, got, exact, lo, latency[i])
+		}
 	}
 }
 

@@ -68,25 +68,44 @@ func (p CrashPoint) String() string {
 	return fmt.Sprintf("CrashPoint(%d)", int(p))
 }
 
-// crashAt consults the injection hook; on a hit it simulates a process kill:
-// the journal handle is abandoned without a final sync (the OS page cache
-// keeps un-fsynced writes alive across an in-process "restart", exactly as a
-// kill -9 on the same machine would), crashedC wakes every waiting handler,
+// crashAt consults the injection hook; on a hit it simulates a process kill
 // and the caller abandons the batch without answering anyone.
 func (s *Server) crashAt(p CrashPoint) bool {
 	if s.cfg.CrashHook == nil || !s.cfg.CrashHook(p) {
 		return false
 	}
-	s.crashOnce.Do(func() {
-		if s.wal != nil {
-			s.wal.Abort()
-		}
-		close(s.crashedC)
-	})
+	s.die(nil)
 	return true
 }
 
-// crashed reports whether a crash point fired.
+// die is the fail-stop path, shared by injected crashes (journalErr nil) and
+// a journal that refused an append: the journal handle is abandoned without
+// a final sync (the OS page cache keeps un-fsynced writes alive across an
+// in-process "restart", exactly as a kill -9 on the same machine would) and
+// crashedC wakes every waiting handler to answer 503.
+func (s *Server) die(journalErr error) {
+	s.crashOnce.Do(func() {
+		s.journalErr = journalErr
+		if s.wal != nil {
+			s.wal.Abort()
+		}
+		if journalErr != nil && s.log != nil {
+			s.log.Error("journal append failed; refusing to ack unjournaled batches", "error", journalErr)
+		}
+		close(s.crashedC)
+	})
+}
+
+// crashReason names why the loop died, for probes and refusals. Only
+// meaningful once crashed() reports true.
+func (s *Server) crashReason() string {
+	if s.journalErr != nil {
+		return fmt.Sprintf("journal failed: %v", s.journalErr)
+	}
+	return "crashed"
+}
+
+// crashed reports whether the batch loop died (crash point or journal failure).
 func (s *Server) crashed() bool {
 	select {
 	case <-s.crashedC:
@@ -128,7 +147,8 @@ func decodeSnapshot(p []byte) (*walSnapshot, error) {
 // compacts segments the snapshot supersedes. Caller holds colMu. Snapshot
 // failure is availability-safe — the journal remains authoritative and the
 // next restart just replays more — so errors skip compaction rather than
-// stopping the server.
+// stopping the server; they are counted and logged, because a server that
+// can no longer snapshot grows its journal without bound.
 func (s *Server) snapshotLocked() {
 	payload, err := encodeSnapshot(&walSnapshot{
 		Core:       s.col.Snapshot(),
@@ -136,13 +156,16 @@ func (s *Server) snapshotLocked() {
 		Digest:     s.digest,
 		Placements: s.placements,
 	})
+	if err == nil {
+		err = s.wal.WriteSnapshot(s.appliedSeq, payload)
+	}
 	if err != nil {
+		s.snapshotFailed(err)
 		return
 	}
-	if err := s.wal.WriteSnapshot(s.appliedSeq, payload); err != nil {
-		return
+	if _, err := s.wal.Compact(s.appliedSeq + 1); err != nil {
+		s.snapshotFailed(err)
 	}
-	_, _ = s.wal.Compact(s.appliedSeq + 1)
 	s.snapSeq = s.appliedSeq
 	s.snapshots++
 	if s.fr != nil {
@@ -153,6 +176,13 @@ func (s *Server) snapshotLocked() {
 	}
 	if s.log != nil {
 		s.log.Debug("snapshot written", "seq", s.appliedSeq, "bytes", len(payload))
+	}
+}
+
+func (s *Server) snapshotFailed(err error) {
+	s.met.walSnapErrors.Inc()
+	if s.log != nil {
+		s.log.Warn("snapshot failed", "seq", s.appliedSeq, "error", err)
 	}
 }
 

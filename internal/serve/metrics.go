@@ -2,19 +2,19 @@ package serve
 
 import (
 	"strconv"
+	"strings"
 	"sync"
 
 	"pythia/internal/flight"
 	"pythia/internal/wal"
 )
 
-// This file is the serving plane's metric set: a flight.LiveRegistry behind
-// typed observation methods. A nil *serveMetrics means instrumentation is
-// disabled — every method nil-checks its receiver, so the disabled hot path
-// costs one pointer compare and zero allocations (guarded by
-// BenchmarkMetricsDisabled). The /metrics endpoint merges this registry's
-// cumulative snapshot with scrape-time polled series (queue depth, collector
-// and WAL gauges) before one exposition render.
+// This file is the serving plane's one book of numbers: a flight.Registry
+// that every server constructs, behind typed observation methods. The request
+// path and batch loop observe through pre-registered handles; /v1/stats reads
+// its totals and latency quantiles from the same handles; a /metrics scrape
+// stores the polled collector and journal values (one view, see observe.go)
+// into the same registry and renders it.
 
 // Histogram bucket edges, chosen for the serving plane's ranges.
 var (
@@ -46,37 +46,53 @@ type routeCode struct {
 	code  int
 }
 
-// serveMetrics owns the live registry and the pre-registered handles the
-// request path and batch loop observe through.
+// serveMetrics owns the registry and the pre-registered handles the request
+// path and batch loop observe through.
 type serveMetrics struct {
-	reg *flight.LiveRegistry
+	reg *flight.Registry
 
-	bodyBytes     *flight.LiveHistogram
-	batchOps      *flight.LiveHistogram
-	commitSeconds *flight.LiveHistogram
-	batchesTotal  *flight.LiveCounter
-	opsTotal      *flight.LiveCounter
+	ingestRequests *flight.Counter   // /v1/stats requests_total
+	queueFull      *flight.Counter   // /v1/stats rejected_total
+	enqueueCommit  *flight.Histogram // /v1/stats latency_p50/p99_micros
+	commitRate     *flight.Gauge     // Retry-After estimate
+	bodyBytes      *flight.Histogram
+	batchOps       *flight.Histogram
+	commitSeconds  *flight.Histogram
+	batchesTotal   *flight.Counter
+	opsTotal       *flight.Counter
 
-	walAppends     *flight.LiveCounter
-	walAppendBytes *flight.LiveCounter
-	walFsync       *flight.LiveHistogram
-	walRotations   *flight.LiveCounter
-	walSnapshots   *flight.LiveCounter
-	walSnapBytes   *flight.LiveCounter
-	walCompacted   *flight.LiveCounter
+	walAppends     *flight.Counter
+	walAppendBytes *flight.Counter
+	walFsync       *flight.Histogram
+	walRotations   *flight.Counter
+	walSnapshots   *flight.Counter
+	walSnapBytes   *flight.Counter
+	walSnapErrors  *flight.Counter
+	walCompacted   *flight.Counter
 
 	// Label-fanned families, materialized on first use under mu. The hot
 	// path is one mutex and a struct-keyed map lookup — no allocation.
 	mu        sync.Mutex
-	requests  map[routeCode]*flight.LiveCounter
-	latencies map[string]*flight.LiveHistogram
-	rejects   map[string]*flight.LiveCounter
+	requests  map[routeCode]*flight.Counter
+	latencies map[string]*flight.Histogram
+	rejects   map[string]*flight.Counter
+
+	// scrapeMu serializes /metrics scrapes: each stores a polled view into
+	// the registry and renders it, and a slower scrape must not overwrite a
+	// newer one's collector counters with older values.
+	scrapeMu sync.Mutex
 }
 
 func newServeMetrics() *serveMetrics {
-	reg := flight.NewLiveRegistry()
-	return &serveMetrics{
+	reg := flight.NewRegistry()
+	m := &serveMetrics{
 		reg: reg,
+		ingestRequests: reg.Counter("pythia_serve_ingest_requests_total",
+			"Ingest requests admitted past the drain, crash and readiness checks."),
+		enqueueCommit: reg.Histogram("pythia_serve_enqueue_commit_seconds",
+			"Wall seconds from a request entering the ingest queue to its batch committing.", latencyEdges),
+		commitRate: reg.Gauge("pythia_serve_commit_requests_per_second",
+			"EWMA of the request commit rate; the 429 Retry-After hint divides queue depth by it."),
 		bodyBytes: reg.Histogram("pythia_serve_request_body_bytes",
 			"Ingest request body sizes in bytes.", bodyEdges),
 		batchOps: reg.Histogram("pythia_serve_batch_ops",
@@ -99,20 +115,21 @@ func newServeMetrics() *serveMetrics {
 			"Durable snapshots written."),
 		walSnapBytes: reg.Counter("pythia_wal_snapshot_bytes_total",
 			"Snapshot payload bytes written."),
+		walSnapErrors: reg.Counter("pythia_wal_snapshot_errors_total",
+			"Snapshot cuts that failed to encode, write or compact; the journal keeps growing."),
 		walCompacted: reg.Counter("pythia_wal_compacted_segments_total",
 			"Journal segments removed by compaction."),
-		requests:  map[routeCode]*flight.LiveCounter{},
-		latencies: map[string]*flight.LiveHistogram{},
-		rejects:   map[string]*flight.LiveCounter{},
+		requests:  map[routeCode]*flight.Counter{},
+		latencies: map[string]*flight.Histogram{},
+		rejects:   map[string]*flight.Counter{},
 	}
+	m.queueFull = m.reject(rejectQueueFull)
+	return m
 }
 
 // request records one completed HTTP request: the per-route/per-code counter
 // and the per-route latency histogram.
 func (m *serveMetrics) request(route string, code int, seconds float64) {
-	if m == nil {
-		return
-	}
 	m.mu.Lock()
 	c, ok := m.requests[routeCode{route, code}]
 	if !ok {
@@ -133,13 +150,11 @@ func (m *serveMetrics) request(route string, code int, seconds float64) {
 	h.Observe(seconds)
 }
 
-// rejected counts one refused request by reason (429 queue_full, 413
+// reject returns the refused-request counter for reason (429 queue_full, 413
 // body_too_large, 400 bad_request, 503 draining/crashed/recovering).
-func (m *serveMetrics) rejected(reason string) {
-	if m == nil {
-		return
-	}
+func (m *serveMetrics) reject(reason string) *flight.Counter {
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	c, ok := m.rejects[reason]
 	if !ok {
 		c = m.reg.Counter(
@@ -147,23 +162,11 @@ func (m *serveMetrics) rejected(reason string) {
 			"Requests refused, by reason.")
 		m.rejects[reason] = c
 	}
-	m.mu.Unlock()
-	c.Inc()
-}
-
-// body records an ingest request's body size.
-func (m *serveMetrics) body(bytes int64) {
-	if m == nil || bytes < 0 {
-		return
-	}
-	m.bodyBytes.Observe(float64(bytes))
+	return c
 }
 
 // batch records one committed batch: size, commit wall time, op throughput.
 func (m *serveMetrics) batch(ops int, commitSeconds float64) {
-	if m == nil {
-		return
-	}
 	m.batchesTotal.Inc()
 	m.opsTotal.Add(float64(ops))
 	m.batchOps.Observe(float64(ops))
@@ -171,12 +174,7 @@ func (m *serveMetrics) batch(ops int, commitSeconds float64) {
 }
 
 // walObserver bridges the journal's lifecycle hooks into the registry.
-// Returns nil when metrics are disabled, preserving the journal's nil-check
-// fast path.
 func (m *serveMetrics) walObserver() *wal.Observer {
-	if m == nil {
-		return nil
-	}
 	return &wal.Observer{
 		Append: func(bytes int) {
 			m.walAppends.Inc()
@@ -196,7 +194,7 @@ func normalizeRoute(path string) string {
 	case "/v1/ingest", "/v1/stats", "/v1/healthz", "/v1/readyz", "/metrics":
 		return path
 	}
-	if len(path) >= len("/debug/pprof") && path[:len("/debug/pprof")] == "/debug/pprof" {
+	if strings.HasPrefix(path, "/debug/pprof") {
 		return "/debug/pprof"
 	}
 	return "other"

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -16,32 +17,51 @@ import (
 
 func scrape(t *testing.T, client *http.Client, url string) *flight.Exposition {
 	t.Helper()
-	resp, err := client.Get(url + "/metrics")
-	if err != nil {
-		t.Fatalf("GET /metrics: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
-		t.Fatalf("Content-Type %q, want text/plain exposition", ct)
-	}
-	raw, err := io.ReadAll(resp.Body)
+	exp, err := tryScrape(client, url)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if err := flight.LintExposition(string(raw)); err != nil {
-		t.Fatalf("exposition fails lint: %v\n%s", err, raw)
-	}
-	exp, err := flight.ParseExposition(string(raw))
-	if err != nil {
-		t.Fatalf("exposition fails parse: %v", err)
 	}
 	return exp
 }
 
-// TestMetricsEndToEnd ingests real traffic on a fully instrumented server and
+// getText GETs url and returns the status and the trimmed plain-text body
+// (the probes' reason strings).
+func getText(t *testing.T, client *http.Client, url string) (int, string) {
+	t.Helper()
+	resp, err := client.Get(url)
+	if err != nil {
+		t.Fatalf("GET %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	body, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, strings.TrimSpace(string(body))
+}
+
+// tryScrape fetches, lints and parses /metrics; goroutines other than the
+// test's own use it directly and report with t.Error.
+func tryScrape(client *http.Client, url string) (*flight.Exposition, error) {
+	resp, err := client.Get(url + "/metrics")
+	if err != nil {
+		return nil, fmt.Errorf("GET /metrics: %v", err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("GET /metrics: HTTP %d", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		return nil, fmt.Errorf("Content-Type %q, want text/plain exposition", ct)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if err := flight.LintExposition(string(raw)); err != nil {
+		return nil, fmt.Errorf("exposition fails lint: %v\n%s", err, raw)
+	}
+	return flight.ParseExposition(string(raw))
+}
+
+// TestMetricsEndToEnd ingests real traffic on a server with every plane on and
 // checks the scrape: the exposition parses and lints clean, and the key
 // series across the serve, WAL, and collector planes carry the expected
 // values.
@@ -130,7 +150,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.Header.Get("X-Request-ID") == "" {
-		t.Error("no X-Request-ID on instrumented server")
+		t.Error("no X-Request-ID on the response")
 	}
 
 	// The flight recorder saw the batch lifecycle.
@@ -177,13 +197,7 @@ func TestReadyzTransitions(t *testing.T) {
 
 	probe := func(path string) (int, string) {
 		t.Helper()
-		resp, err := client.Get(ts2.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		body, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, strings.TrimSpace(string(body))
+		return getText(t, client, ts2.URL+path)
 	}
 
 	if code, body := probe("/v1/readyz"); code != http.StatusServiceUnavailable || body != "recovering" {
@@ -276,9 +290,10 @@ func TestRecoveryMetricsAfterRestart(t *testing.T) {
 	}
 }
 
-// TestStatsSnapshotConsistencyHammer pounds ingest while concurrently taking
-// stats snapshots (run under -race): totals must be monotone across
-// snapshots, and the final snapshot must account for every request.
+// TestStatsSnapshotConsistencyHammer pounds ingest while concurrently reading
+// the book the way /v1/stats does — one view plus the registry totals — (run
+// under -race): totals must be monotone across reads, and the final read
+// must account for every request.
 func TestStatsSnapshotConsistencyHammer(t *testing.T) {
 	srv, err := New(Config{Shards: 2, QueueCap: 512})
 	if err != nil {
@@ -306,22 +321,28 @@ func TestStatsSnapshotConsistencyHammer(t *testing.T) {
 		wg.Wait()
 	}()
 
-	var lastReq, lastRej int64
+	var lastReq, lastCommitted float64
+	var lastVirtual float64
 	for {
-		sn := srv.statsSnapshot()
-		if sn.requests < lastReq || sn.rejected < lastRej {
-			t.Fatalf("snapshot went backwards: requests %d→%d rejected %d→%d",
-				lastReq, sn.requests, lastRej, sn.rejected)
+		v := srv.view()
+		req, committed := srv.met.ingestRequests.Value(), float64(srv.met.enqueueCommit.Count())
+		if req < lastReq || committed < lastCommitted || v.virtual < lastVirtual {
+			t.Fatalf("book went backwards: requests %v→%v committed %v→%v virtual %v→%v",
+				lastReq, req, lastCommitted, committed, lastVirtual, v.virtual)
 		}
-		lastReq, lastRej = sn.requests, sn.rejected
+		lastReq, lastCommitted, lastVirtual = req, committed, v.virtual
 		select {
 		case <-done:
-			deadline := time.Now().Add(5 * time.Second)
-			for srv.statsSnapshot().requests != writers*perWriter {
-				if time.Now().After(deadline) {
-					t.Fatalf("final requests %d, want %d", srv.statsSnapshot().requests, writers*perWriter)
-				}
-				time.Sleep(time.Millisecond)
+			// Every client has its answer, so every request was counted on
+			// the way in and sampled on the way out.
+			if req := srv.met.ingestRequests.Value(); req != writers*perWriter {
+				t.Fatalf("final requests %v, want %d", req, writers*perWriter)
+			}
+			if n := srv.met.enqueueCommit.Count(); n != writers*perWriter {
+				t.Fatalf("final enqueue→commit samples %d, want %d", n, writers*perWriter)
+			}
+			if st := getStats(t, ts.Client(), ts.URL); st.RequestsTotal != writers*perWriter || st.LatencyP99Micros <= 0 {
+				t.Fatalf("/v1/stats requests_total=%d p99=%v", st.RequestsTotal, st.LatencyP99Micros)
 			}
 			return
 		default:
@@ -447,36 +468,207 @@ func TestPprofOptIn(t *testing.T) {
 	}
 }
 
-// BenchmarkMetricsDisabled is the 0 allocs/op guard for the disabled-path
-// observation calls the hot path makes per request and per batch: nil
-// serveMetrics receivers and the nil WAL observer must cost a pointer
-// compare, nothing more. CI fails the build if this allocates.
-func BenchmarkMetricsDisabled(b *testing.B) {
-	var m *serveMetrics
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		m.request("/v1/ingest", 200, 0.001)
-		m.rejected(rejectQueueFull)
-		m.body(512)
-		m.batch(8, 0.0004)
-		if m.walObserver() != nil {
-			b.Fatal("nil metrics must yield a nil WAL observer")
+// TestStatsAndMetricsAgree: /v1/stats and /metrics are two views of one
+// book. After a mixed run on a journaled server — a 429, a 400, duplicates,
+// placements — every quantity both endpoints publish is equal between one
+// fetch of each at quiescence.
+func TestStatsAndMetricsAgree(t *testing.T) {
+	srv, err := New(Config{Shards: 2, ClockHz: 50, QueueCap: 1, WALDir: t.TempDir(), SnapshotEvery: 2, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+
+	// Not started yet: the first request fills the one-slot queue, the
+	// second is refused with 429.
+	first := make(chan int, 1)
+	go func() {
+		resp, _ := postJSON(t, client, ts.URL, `{"reducers":[{"job":0,"reduce":0,"host":0},{"job":0,"reduce":1,"host":3}]}`)
+		first <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for getStats(t, client, ts.URL).QueueDepth != 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first request never reached the queue")
 		}
+		time.Sleep(time.Millisecond)
+	}
+	if resp, _ := postJSON(t, client, ts.URL, `{"done_jobs":[8]}`); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("saturated ingest: HTTP %d, want 429", resp.StatusCode)
+	}
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	if code := <-first; code != http.StatusOK {
+		t.Fatalf("queued request: HTTP %d", code)
+	}
+	for m := 0; m < 3; m++ {
+		body := fmt.Sprintf(`{"intents":[
+			{"job":0,"map":%d,"src_host":1,"predicted_wire_bytes":[1e7,2e7]},
+			{"job":0,"map":%d,"src_host":1,"predicted_wire_bytes":[1e7,2e7]}]}`, m, m)
+		if resp, b := postJSON(t, client, ts.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("intents: HTTP %d: %s", resp.StatusCode, b)
+		}
+	}
+	if resp, _ := postJSON(t, client, ts.URL, `not json`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad request: HTTP %d", resp.StatusCode)
+	}
+
+	st := getStats(t, client, ts.URL)
+	exp := scrape(t, client, ts.URL)
+	if st.RequestsTotal != 6 || st.RejectedTotal != 1 || st.Placements == 0 || st.DedupHits != 3 || st.Snapshots == 0 {
+		t.Fatalf("the run did not exercise what it should: %+v", st)
+	}
+	cs := st.CollectorStats
+	pairs := []struct {
+		series string
+		kv     []string
+		stats  float64
+	}{
+		{"pythia_serve_ingest_requests_total", nil, float64(st.RequestsTotal)},
+		{"pythia_serve_rejected_total", []string{"reason", "queue_full"}, float64(st.RejectedTotal)},
+		{"pythia_serve_placements_total", nil, float64(st.Placements)},
+		{"pythia_serve_virtual_seconds", nil, st.VirtualSec},
+		{"pythia_serve_queue_depth", nil, float64(st.QueueDepth)},
+		{"pythia_collector_intents_received_total", nil, float64(cs.IntentsReceived)},
+		{"pythia_collector_intents_deferred_total", nil, float64(cs.IntentsDeferred)},
+		{"pythia_collector_dedup_hits_total", nil, float64(cs.DedupHits)},
+		{"pythia_collector_duplicate_intents_total", nil, float64(cs.DuplicateIntents)},
+		{"pythia_collector_expired_bookings_total", nil, float64(cs.ExpiredBookings)},
+		{"pythia_collector_expired_intents_total", nil, float64(cs.ExpiredIntents)},
+		{"pythia_collector_aggregates_placed_total", nil, float64(cs.AggregatesPlaced)},
+		{"pythia_collector_reaffirmations_total", nil, float64(cs.Reaffirmations)},
+		{"pythia_collector_reallocations_total", nil, float64(cs.Reallocations)},
+		{"pythia_collector_rule_install_errors_total", nil, float64(cs.RuleInstallErrors)},
+		{"pythia_collector_flows_rescued_total", nil, float64(cs.FlowsRescued)},
+		{"pythia_collector_aggregates_degraded_total", nil, float64(cs.AggregatesDegraded)},
+		{"pythia_collector_reconciliations_total", nil, float64(cs.Reconciliations)},
+		{"pythia_collector_pending_intents", nil, float64(cs.PendingIntents)},
+		{"pythia_collector_outstanding_bookings", nil, float64(cs.OutstandingBookings)},
+		{"pythia_collector_outstanding_demand_bits", nil, cs.OutstandingDemandBits},
+		{"pythia_wal_records", nil, float64(st.WALRecords)},
+		{"pythia_wal_segments", nil, float64(st.WALSegments)},
+		{"pythia_wal_size_bytes", nil, float64(st.WALBytes)},
+		{"pythia_wal_snapshots_total", nil, float64(st.Snapshots)},
+		{"pythia_recovery_recovered", nil, b2f(st.Recovered)},
+		{"pythia_recovery_replayed_records", nil, float64(st.RecoveredRecords)},
+		{"pythia_recovery_seconds", nil, st.RecoverySec},
+	}
+	for _, p := range pairs {
+		s := exp.Sample(p.series, p.kv...)
+		if s == nil {
+			t.Errorf("%s%v missing from /metrics", p.series, p.kv)
+		} else if s.Value != p.stats {
+			t.Errorf("%s%v = %v on /metrics, %v on /v1/stats", p.series, p.kv, s.Value, p.stats)
+		}
+	}
+	// The latency fields are the enqueue→commit histogram's quantiles: they
+	// sit inside the bucket range the exposition shows samples in.
+	if n := exp.Sample("pythia_serve_enqueue_commit_seconds_count"); n == nil || n.Value != 4 {
+		t.Errorf("enqueue→commit histogram count %+v, want 4 (requests answered 200)", n)
+	}
+	if st.LatencyP50Micros <= 0 || st.LatencyP99Micros < st.LatencyP50Micros {
+		t.Errorf("latency quantiles p50=%v p99=%v", st.LatencyP50Micros, st.LatencyP99Micros)
+	}
+	if exp.Family("pythia_serve_latency_p50_seconds") != nil || exp.Family("pythia_serve_latency_p99_seconds") != nil {
+		t.Error("quantile gauges still published next to the histogram")
 	}
 }
 
-// TestMetricsDisabledZeroAlloc mirrors BenchmarkMetricsDisabled as a plain
-// test so `go test` (not just the CI bench gate) catches a regression.
-func TestMetricsDisabledZeroAlloc(t *testing.T) {
-	var m *serveMetrics
-	var fr *flight.LiveRecorder
-	if n := testing.AllocsPerRun(200, func() {
-		m.request("/v1/ingest", 200, 0.001)
-		m.rejected(rejectQueueFull)
-		m.body(512)
-		m.batch(8, 0.0004)
-		fr.Record(flight.Ev(flight.BatchIngested, flight.PlaneServe))
-	}); n != 0 {
-		t.Fatalf("disabled-path observations allocate %v/op, want 0", n)
+// TestMetricsUnsetStillKeepsTheBook: Config.Metrics only mounts the
+// endpoint. Without it GET /metrics is a 404, and /v1/stats still reports
+// the totals the registry keeps.
+func TestMetricsUnsetStillKeepsTheBook(t *testing.T) {
+	srv, err := New(Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /metrics with Metrics unset: HTTP %d, want 404", resp.StatusCode)
+	}
+	if resp.Header.Get("X-Request-ID") == "" {
+		t.Error("no X-Request-ID: the middleware is on every server")
+	}
+	postJSON(t, ts.Client(), ts.URL, `{"done_jobs":[1]}`)
+	postJSON(t, ts.Client(), ts.URL, `not json`)
+	if st := getStats(t, ts.Client(), ts.URL); st.RequestsTotal != 2 || st.RejectedTotal != 0 || st.LatencyP50Micros <= 0 {
+		t.Fatalf("requests_total=%d rejected_total=%d p50=%v, want 2/0/>0", st.RequestsTotal, st.RejectedTotal, st.LatencyP50Micros)
+	}
+}
+
+// TestScrapesNeverRewindCollectorCounters: concurrent scrapes each store a
+// polled view into the registry; a slow one must not overwrite a newer one's
+// collector counters (run under -race).
+func TestScrapesNeverRewindCollectorCounters(t *testing.T) {
+	srv, err := New(Config{Shards: 2, QueueCap: 512, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	postJSON(t, ts.Client(), ts.URL, `{"reducers":[{"job":0,"reduce":0,"host":0}]}`)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var last float64
+			for {
+				// A scrape that starts after another finished must not
+				// report less: each goroutine's own scrapes are ordered.
+				exp, err := tryScrape(ts.Client(), ts.URL)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := exp.Sample("pythia_collector_intents_received_total").Value
+				if got < last {
+					t.Errorf("intents_received went backwards: %v after %v", got, last)
+					return
+				}
+				last = got
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	for m := 0; m < 200; m++ {
+		postJSON(t, ts.Client(), ts.URL, fmt.Sprintf(
+			`{"intents":[{"job":0,"map":%d,"src_host":1,"predicted_wire_bytes":[1e6]}]}`, m))
+	}
+	close(done)
+	wg.Wait()
+	if got := scrape(t, ts.Client(), ts.URL).Sample("pythia_collector_intents_received_total").Value; got != 200 {
+		t.Fatalf("final intents_received %v, want 200", got)
+	}
+}
+
+// TestStatusWriterUnwrap: http.ResponseController reaches the real writer
+// through the middleware's wrapper.
+func TestStatusWriterUnwrap(t *testing.T) {
+	rec := httptest.NewRecorder()
+	sw := &statusWriter{ResponseWriter: rec, code: http.StatusOK}
+	if err := http.NewResponseController(sw).Flush(); err != nil {
+		t.Fatalf("Flush through statusWriter: %v", err)
+	}
+	if !rec.Flushed {
+		t.Fatal("flush did not reach the wrapped writer")
 	}
 }

@@ -2,8 +2,12 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -368,5 +372,107 @@ func TestJournalRequiresRecoverFlag(t *testing.T) {
 	ts.Close()
 	if _, err := New(Config{Shards: 2, ClockHz: 50, WALDir: dir}); err == nil {
 		t.Fatal("New over a journal with history succeeded without Recover")
+	}
+}
+
+// TestJournalAppendFailureFailsStop: a journal that refuses an append takes
+// the crash path instead of panicking — nothing is acked, the loop dies,
+// probes say why, later requests are refused and counted, and a restart over
+// the same directory holds none of the unacked operations. wal.Log.Append
+// errors on a closed log, so aborting the handle is the whole fault.
+func TestJournalAppendFailureFailsStop(t *testing.T) {
+	dir := t.TempDir()
+	srv, err := New(Config{Shards: 2, ClockHz: 50, WALDir: dir, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	if resp, _ := postJSON(t, client, ts.URL, `{"reducers":[{"job":0,"reduce":0,"host":1}]}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthy ingest: HTTP %d", resp.StatusCode)
+	}
+
+	srv.colMu.Lock()
+	srv.wal.Abort()
+	srv.colMu.Unlock()
+	intent := `{"intents":[{"job":0,"map":0,"src_host":2,"predicted_wire_bytes":[4e6]}]}`
+	if resp, body := postJSON(t, client, ts.URL, intent); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("unjournaled batch answered HTTP %d: %s", resp.StatusCode, body)
+	}
+	<-srv.loopDone
+
+	if code, body := getText(t, client, ts.URL+"/v1/readyz"); code != http.StatusServiceUnavailable || !strings.HasPrefix(body, "journal failed: ") {
+		t.Fatalf("readyz after append failure: HTTP %d %q, want 503 journal failed: <err>", code, body)
+	}
+	if code, _ := getText(t, client, ts.URL+"/v1/healthz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("healthz after append failure: HTTP %d, want 503", code)
+	}
+	if resp, _ := postJSON(t, client, ts.URL, `{"done_jobs":[0]}`); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("ingest after append failure: HTTP %d, want 503", resp.StatusCode)
+	}
+	if s := scrape(t, client, ts.URL).Sample("pythia_serve_rejected_total", "reason", "crashed"); s == nil || s.Value != 1 {
+		t.Fatalf("rejected_total{reason=crashed} = %+v, want 1", s)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown after append failure: %v", err)
+	}
+
+	succ, err := New(Config{Shards: 2, ClockHz: 50, WALDir: dir, Recover: true})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	succ.Start()
+	defer succ.Shutdown(context.Background())
+	if err := succ.AwaitReady(context.Background()); err != nil {
+		t.Fatalf("AwaitReady: %v", err)
+	}
+	ts2 := httptest.NewServer(succ.Handler())
+	defer ts2.Close()
+	if st := getStats(t, ts2.Client(), ts2.URL); st.RecoveredRecords != 1 || st.IntentsReceived != 0 || st.OutstandingBookings != 0 {
+		t.Fatalf("restart holds unacked work: replayed=%d intents=%d bookings=%d, want 1/0/0",
+			st.RecoveredRecords, st.IntentsReceived, st.OutstandingBookings)
+	}
+}
+
+// TestSnapshotFailureIsCounted: a server that can no longer snapshot keeps
+// serving (the journal stays authoritative) but says so — the error counter
+// rises and the records-since-snapshot gauge keeps growing. Removing the
+// journal directory under the running server is the fault: appends to the
+// open segment still succeed, creating the snapshot file does not.
+func TestSnapshotFailureIsCounted(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "wal")
+	srv, err := New(Config{Shards: 2, ClockHz: 50, WALDir: dir, SnapshotEvery: 2, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := ts.Client()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+
+	var lastLag float64
+	for batch := 1; batch <= 4; batch++ {
+		if resp, body := postJSON(t, client, ts.URL, fmt.Sprintf(`{"done_jobs":[%d]}`, batch)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: HTTP %d: %s", batch, resp.StatusCode, body)
+		}
+		exp := scrape(t, client, ts.URL)
+		lag := exp.Sample("pythia_wal_records_since_snapshot")
+		if lag == nil || lag.Value != float64(batch) || lag.Value <= lastLag {
+			t.Fatalf("after batch %d: records_since_snapshot = %+v, want %d", batch, lag, batch)
+		}
+		lastLag = lag.Value
+		wantErrs := float64(batch - 1) // every batch from the second on tries and fails
+		if s := exp.Sample("pythia_wal_snapshot_errors_total"); s == nil || s.Value != wantErrs {
+			t.Fatalf("after batch %d: snapshot_errors_total = %+v, want %v", batch, s, wantErrs)
+		}
+	}
+	if st := getStats(t, client, ts.URL); st.Snapshots != 0 {
+		t.Fatalf("%d snapshots reported from a removed directory", st.Snapshots)
 	}
 }

@@ -155,51 +155,6 @@ func TestRetryAfterHeaderInRange(t *testing.T) {
 	}
 }
 
-// TestLatencyRingWraparound: past latRingSize samples the ring overwrites
-// oldest-first and percentiles read only live slots.
-func TestLatencyRingWraparound(t *testing.T) {
-	srv, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fill 1.5 rings: slots hold values from the most recent latRingSize
-	// records (1.0 for the overwritten half, 2.0 for the rest).
-	for i := 0; i < latRingSize+latRingSize/2; i++ {
-		v := 1.0
-		if i >= latRingSize {
-			v = 2.0
-		}
-		srv.latSec[srv.latN%latRingSize] = v
-		srv.latN++
-	}
-	p50, p99 := srv.latencyPercentiles()
-	if p50 != 1.0 {
-		t.Errorf("p50 = %v, want 1.0 (half the ring overwritten)", p50)
-	}
-	if p99 != 2.0 {
-		t.Errorf("p99 = %v, want 2.0", p99)
-	}
-	if srv.latN != latRingSize+latRingSize/2 {
-		t.Errorf("latN = %d, want %d", srv.latN, latRingSize+latRingSize/2)
-	}
-}
-
-// TestLatencyPercentileEdges: zero and one samples.
-func TestLatencyPercentileEdges(t *testing.T) {
-	srv, err := New(Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p50, p99 := srv.latencyPercentiles(); p50 != 0 || p99 != 0 {
-		t.Errorf("no samples: (%v, %v), want (0, 0)", p50, p99)
-	}
-	srv.latSec[0] = 0.25
-	srv.latN = 1
-	if p50, p99 := srv.latencyPercentiles(); p50 != 0.25 || p99 != 0.25 {
-		t.Errorf("one sample: (%v, %v), want (0.25, 0.25)", p50, p99)
-	}
-}
-
 // TestCancelledRequestCommitsOnce: a client that gives up after enqueue
 // does not un-enqueue its ops — they commit exactly once, and resubmitting
 // them deduplicates.

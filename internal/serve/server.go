@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -83,17 +82,16 @@ type Config struct {
 	// tests). Production servers leave it nil.
 	CrashHook func(CrashPoint) bool
 
-	// Metrics enables the live metrics registry and the GET /metrics
-	// Prometheus exposition endpoint. Disabled, the request and batch hot
-	// paths carry zero instrumentation cost (no allocations — guarded by
-	// BenchmarkMetricsDisabled).
+	// Metrics mounts the GET /metrics Prometheus exposition endpoint. The
+	// registry behind it is always kept (it is also what /v1/stats reads);
+	// this only decides whether it is served.
 	Metrics bool
 	// Pprof mounts net/http/pprof under /debug/pprof/ (opt-in: profiling
 	// endpoints leak internals and should not face untrusted clients).
 	Pprof bool
-	// Logger, when non-nil, enables structured request and batch logging
-	// through it. Level filtering is the logger's: request logs emit at
-	// Info, per-batch logs at Debug.
+	// Logger, when non-nil, receives structured request and batch log lines.
+	// Level filtering is the logger's: request logs emit at Info, per-batch
+	// logs at Debug, failed snapshots at Warn, a failed journal at Error.
 	Logger *slog.Logger
 	// FlightEvents, when positive, enables a bounded in-memory flight
 	// recorder holding the newest FlightEvents serve-plane events
@@ -151,9 +149,6 @@ type ingestJob struct {
 	done    chan struct{}
 }
 
-// latRingSize bounds the server-side latency sample ring (power of two).
-const latRingSize = 1 << 14
-
 // Server is the Pythia serving process: an HTTP front end, a bounded ingest
 // queue, and a single batch loop that owns the collector and its simulated
 // SDN substrate.
@@ -204,31 +199,25 @@ type Server struct {
 	started  atomic.Bool
 	startAt  time.Time
 
-	// crashedC closes when an injected crash point fires; every waiting
-	// handler wakes and answers 503 so clients retry against the restarted
-	// process.
-	crashedC  chan struct{}
-	crashOnce sync.Once
+	// crashedC closes when the batch loop dies — an injected crash point, or
+	// a journal append that failed (journalErr, written before the close and
+	// read-only after). Every waiting handler wakes and answers 503 so
+	// clients retry against the restarted process.
+	crashedC   chan struct{}
+	crashOnce  sync.Once
+	journalErr error
 
-	// statsMu guards the serving counters and the latency ring as one
-	// snapshot domain: /v1/stats reads them in a single critical section,
-	// so its queue depth, totals, and percentiles are mutually consistent.
-	statsMu       sync.Mutex
-	requestsTotal int64
-	rejectedTotal int64
-	latSec        [latRingSize]float64 // enqueue→commit, seconds
-	latN          int                  // total recorded (ring index = latN % size)
-	lastCommit    time.Time            // last batch commit (under statsMu)
-	reqPerSec     float64              // EWMA of request commit rate (under statsMu)
+	lastCommit time.Time // last batch commit (batch loop only)
 
-	// Observability plane (nil when disabled; every use nil-checks).
+	// Observability plane: met is always kept; fr and log are nil unless
+	// configured (both are nil-safe or nil-checked at every use).
 	met    *serveMetrics
 	fr     *flight.LiveRecorder
 	log    *slog.Logger
-	reqSeq atomic.Uint64 // request-ID sequence for the logging middleware
+	reqSeq atomic.Uint64 // request-ID sequence for the middleware
 
 	mux     *http.ServeMux
-	handler http.Handler // mux, possibly wrapped in the observability middleware
+	handler http.Handler // mux behind the observability middleware
 	httpMu  sync.Mutex
 	// httpSrv is set by ListenAndServe and read by Shutdown (under httpMu
 	// — the two race otherwise).
@@ -267,15 +256,13 @@ func New(cfg Config) (*Server, error) {
 		readyC:   make(chan struct{}),
 		failedC:  make(chan struct{}),
 		log:      cfg.Logger,
+		met:      newServeMetrics(),
 	}
 	for i, h := range hosts {
 		s.hostIdx[h] = i
 	}
 	s.digest = 14695981039346656037 // FNV-1a offset basis
 	py.SetPlacementHook(s.observePlacement)
-	if cfg.Metrics {
-		s.met = newServeMetrics()
-	}
 	if cfg.FlightEvents > 0 {
 		s.fr = flight.NewLiveRecorder(cfg.FlightEvents, nil)
 		py.SetFlightRecorder(s.fr)
@@ -323,10 +310,7 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	s.handler = http.Handler(s.mux)
-	if s.met != nil || s.log != nil {
-		s.handler = s.instrument(s.mux)
-	}
+	s.handler = s.instrument(s.mux)
 	return s, nil
 }
 
@@ -419,8 +403,8 @@ func (s *Server) recoveryFailed() bool {
 	}
 }
 
-// Handler returns the server's HTTP handler (for tests and embedding). With
-// metrics or logging enabled it includes the observability middleware.
+// Handler returns the server's HTTP handler (for tests and embedding): the
+// mux behind the observability middleware.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // NumHosts reports the fabric's host count — the exclusive upper bound for
@@ -541,8 +525,8 @@ func (s *Server) coalesce(j *ingestJob) []*ingestJob {
 // clock (firing any due TTL sweeps), journals the batch, applies it, and
 // distributes results and latency samples back to the waiting requests —
 // strictly in that order, so nothing is acked that a restart cannot
-// reconstruct. Returns false when an injected crash point fired (the loop
-// dies without answering).
+// reconstruct. Returns false when the loop must die without answering: an
+// injected crash point fired, or the journal append failed.
 func (s *Server) runBatch(batch []*ingestJob) bool {
 	nops := 0
 	for _, j := range batch {
@@ -572,17 +556,13 @@ func (s *Server) runBatch(batch []*ingestJob) bool {
 		s.colMu.Unlock()
 		return false
 	}
-	instrumented := s.met != nil || s.fr != nil
 	if s.fr != nil {
 		ev := flight.Ev(flight.BatchIngested, flight.PlaneServe)
 		ev.T = sim.Time(target)
 		ev.Count = nops
 		s.fr.Record(ev)
 	}
-	var commitT0 time.Time
-	if instrumented {
-		commitT0 = time.Now()
-	}
+	commitT0 := time.Now()
 	if s.wal != nil {
 		payload, err := encodeBatch(&WireBatch{VirtualSec: target, Ops: opsToWire(ops, s.hostIdx)})
 		if err == nil {
@@ -590,8 +570,9 @@ func (s *Server) runBatch(batch []*ingestJob) bool {
 		}
 		if err != nil {
 			// Fail-stop: a durable server that cannot journal must not ack.
+			s.die(err)
 			s.colMu.Unlock()
-			panic(fmt.Sprintf("serve: journal append failed, refusing to ack unjournaled batches: %v", err))
+			return false
 		}
 		if s.fr != nil {
 			ev := flight.Ev(flight.BatchJournaled, flight.PlaneServe)
@@ -609,16 +590,14 @@ func (s *Server) runBatch(batch []*ingestJob) bool {
 		s.eng.RunUntil(deadline)
 	}
 	results := s.col.ApplyBatch(ops, s.cfg.Workers)
-	if instrumented {
-		commitSec := time.Since(commitT0).Seconds()
-		s.met.batch(nops, commitSec)
-		if s.fr != nil {
-			ev := flight.Ev(flight.BatchCommitted, flight.PlaneServe)
-			ev.T = sim.Time(target)
-			ev.Count = nops
-			ev.DelaySec = commitSec
-			s.fr.Record(ev)
-		}
+	commitSec := time.Since(commitT0).Seconds()
+	s.met.batch(nops, commitSec)
+	if s.fr != nil {
+		ev := flight.Ev(flight.BatchCommitted, flight.PlaneServe)
+		ev.T = sim.Time(target)
+		ev.Count = nops
+		ev.DelaySec = commitSec
+		s.fr.Record(ev)
 	}
 	if s.wal != nil {
 		s.appliedSeq = s.wal.NextSeq() - 1
@@ -636,27 +615,23 @@ func (s *Server) runBatch(batch []*ingestJob) bool {
 	}
 
 	now := time.Now()
-	s.statsMu.Lock()
 	at := 0
 	for _, j := range batch {
 		j.results = results[at : at+len(j.ops)]
 		at += len(j.ops)
-		s.latSec[s.latN%latRingSize] = now.Sub(j.enq).Seconds()
-		s.latN++
+		s.met.enqueueCommit.Observe(now.Sub(j.enq).Seconds())
 	}
 	// Feed the Retry-After estimate: EWMA of committed requests per second.
 	if !s.lastCommit.IsZero() {
 		if dt := now.Sub(s.lastCommit).Seconds(); dt > 0 {
 			inst := float64(len(batch)) / dt
-			if s.reqPerSec == 0 {
-				s.reqPerSec = inst
-			} else {
-				s.reqPerSec = 0.8*s.reqPerSec + 0.2*inst
+			if rate := s.met.commitRate.Value(); rate != 0 {
+				inst = 0.8*rate + 0.2*inst
 			}
+			s.met.commitRate.Set(inst)
 		}
 	}
 	s.lastCommit = now
-	s.statsMu.Unlock()
 	for _, j := range batch {
 		close(j.done)
 	}
@@ -681,116 +656,43 @@ func retryAfterSecs(depth int, ratePerSec float64) int {
 	return secs
 }
 
-// retryAfter snapshots the live inputs for retryAfterSecs.
-func (s *Server) retryAfter() int {
-	s.statsMu.Lock()
-	rate := s.reqPerSec
-	s.statsMu.Unlock()
-	return retryAfterSecs(len(s.queue), rate)
-}
-
-// statsSnap is one mutually consistent view of the serving counters: every
-// field is read in a single statsMu critical section, so a scrape cannot see
-// a request total from after a latency ring it read from before.
-type statsSnap struct {
-	p50, p99   float64 // seconds
-	requests   int64
-	rejected   int64
-	queueDepth int
-}
-
-// statsSnapshot captures the serving counters and latency percentiles under
-// one statsMu hold.
-func (s *Server) statsSnapshot() statsSnap {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	p50, p99 := s.percentilesLocked()
-	return statsSnap{
-		p50:        p50,
-		p99:        p99,
-		requests:   s.requestsTotal,
-		rejected:   s.rejectedTotal,
-		queueDepth: len(s.queue),
-	}
-}
-
-// percentilesLocked computes (p50, p99) from the latency ring. Caller holds
-// statsMu.
-func (s *Server) percentilesLocked() (p50, p99 float64) {
-	n := s.latN
-	if n > latRingSize {
-		n = latRingSize
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	samples := make([]float64, n)
-	copy(samples, s.latSec[:n])
-	sort.Float64s(samples)
-	pick := func(q float64) float64 {
-		i := int(q * float64(n-1))
-		return samples[i]
-	}
-	return pick(0.50), pick(0.99)
-}
-
-// latencyPercentiles snapshots the ring and reports (p50, p99) in seconds.
-func (s *Server) latencyPercentiles() (p50, p99 float64) {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.percentilesLocked()
-}
-
-// countRequest and countRejected bump the serving totals under statsMu.
-func (s *Server) countRequest() {
-	s.statsMu.Lock()
-	s.requestsTotal++
-	s.statsMu.Unlock()
-}
-
-func (s *Server) countRejected() {
-	s.statsMu.Lock()
-	s.rejectedTotal++
-	s.statsMu.Unlock()
-}
-
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		s.met.rejected(rejectDraining)
+		s.met.reject(rejectDraining).Inc()
 		writeError(w, http.StatusServiceUnavailable, "server is draining")
 		return
 	}
 	if s.crashed() {
-		s.met.rejected(rejectCrashed)
-		writeError(w, http.StatusServiceUnavailable, "server crashed; retry against the restarted process")
+		s.met.reject(rejectCrashed).Inc()
+		writeError(w, http.StatusServiceUnavailable, "%s; retry against the restarted process", s.crashReason())
 		return
 	}
 	if !s.ready() {
 		if s.recoveryFailed() {
-			s.met.rejected(rejectCrashed)
+			s.met.reject(rejectCrashed).Inc()
 			writeError(w, http.StatusServiceUnavailable, "recovery failed: %v", s.recoverErr)
 			return
 		}
 		// Replaying the journal: retryable, like any transient outage.
-		s.met.rejected(rejectRecovering)
+		s.met.reject(rejectRecovering).Inc()
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "server is recovering; retry")
 		return
 	}
-	s.countRequest()
+	s.met.ingestRequests.Inc()
 	if cl := r.ContentLength; cl >= 0 {
-		s.met.body(cl)
+		s.met.bodyBytes.Observe(float64(cl))
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	req, err := decodeIngest(r.Body, len(s.hosts), s.cfg.MaxOpsPerRequest)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			s.met.rejected(rejectTooLarge)
+			s.met.reject(rejectTooLarge).Inc()
 			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		s.met.rejected(rejectBadRequest)
+		s.met.reject(rejectBadRequest).Inc()
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
@@ -800,9 +702,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	default:
 		// Bounded-queue backpressure: reject rather than buffer without
 		// limit, and tell the client when the backlog should have drained.
-		s.countRejected()
-		s.met.rejected(rejectQueueFull)
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfter()))
+		s.met.queueFull.Inc()
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSecs(len(s.queue), s.met.commitRate.Value())))
 		writeError(w, http.StatusTooManyRequests, "ingest queue full (%d requests)", s.cfg.QueueCap)
 		return
 	}
@@ -834,43 +735,30 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
+// handleStats is the JSON view of the book: the polled view plus the
+// registry's own totals and latency quantiles.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.colMu.Lock()
-	st := s.col.Stats()
-	digest := s.digest
-	placements := s.placements
-	virtual := float64(s.eng.Now())
-	var walRecords, walSegments int
-	var walBytes int64
-	snapshots, snapSeq := s.snapshots, s.snapSeq
-	if s.wal != nil {
-		walRecords = s.wal.Records()
-		walSegments = s.wal.Segments()
-		walBytes = s.wal.Size()
-	}
-	recovered, recoveredRecords, recoverySec := s.recovered, s.recoveredRecords, s.recoverySec
-	s.colMu.Unlock()
-	sn := s.statsSnapshot()
+	v := s.view()
 	writeJSON(w, http.StatusOK, StatsResponse{
-		CollectorStats:   st,
-		PlacementDigest:  fmt.Sprintf("%016x", digest),
-		Placements:       placements,
-		QueueDepth:       sn.queueDepth,
+		CollectorStats:   v.st,
+		PlacementDigest:  fmt.Sprintf("%016x", v.digest),
+		Placements:       v.placements,
+		QueueDepth:       len(s.queue),
 		NumHosts:         len(s.hosts),
-		VirtualSec:       virtual,
-		RequestsTotal:    sn.requests,
-		RejectedTotal:    sn.rejected,
-		LatencyP50Micros: sn.p50 * 1e6,
-		LatencyP99Micros: sn.p99 * 1e6,
+		VirtualSec:       v.virtual,
+		RequestsTotal:    int64(s.met.ingestRequests.Value()),
+		RejectedTotal:    int64(s.met.queueFull.Value()),
+		LatencyP50Micros: s.met.enqueueCommit.Quantile(0.50) * 1e6,
+		LatencyP99Micros: s.met.enqueueCommit.Quantile(0.99) * 1e6,
 
-		WALRecords:       walRecords,
-		WALSegments:      walSegments,
-		WALBytes:         walBytes,
-		Snapshots:        snapshots,
-		SnapshotSeq:      snapSeq,
-		Recovered:        recovered,
-		RecoveredRecords: recoveredRecords,
-		RecoverySec:      recoverySec,
+		WALRecords:       v.walRecords,
+		WALSegments:      v.walSegments,
+		WALBytes:         v.walBytes,
+		Snapshots:        v.snapshots,
+		SnapshotSeq:      v.snapSeq,
+		Recovered:        v.recovered,
+		RecoveredRecords: v.recoveredRecords,
+		RecoverySec:      v.recoverySec,
 	})
 }
 
@@ -880,7 +768,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.crashed() {
-		writeError(w, http.StatusServiceUnavailable, "crashed")
+		writeError(w, http.StatusServiceUnavailable, "%s", s.crashReason())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -891,13 +779,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // process up and not wedged), it answers 503 whenever the server should not
 // receive traffic, with the reason as the plain-text body: "recovering"
 // during journal replay, "draining" during shutdown, "crashed" after an
-// injected crash, and the recovery error if replay failed.
+// injected crash, "journal failed: <err>" after a failed journal append, and
+// the recovery error if replay failed.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	switch {
 	case s.crashed():
 		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "crashed")
+		fmt.Fprintln(w, s.crashReason())
 	case s.draining.Load():
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, "draining")
