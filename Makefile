@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-compare benchmark bench-guard profile fuzz figures examples api api-check scrape-smoke loc clean
+.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-compare benchmark bench-guard profile fuzz figures examples api api-check loc clean
 
 all: build vet test
 
@@ -97,12 +97,6 @@ examples:
 	$(GO) run ./examples/multijob
 	$(GO) run ./examples/observability
 
-# Operations-plane smoke: boot an instrumented server, drive real ingest,
-# lint the /metrics exposition, and write the scrape. CI uploads
-# METRICS_serve.prom.
-scrape-smoke:
-	$(GO) run ./cmd/pythia-serve -scrape-smoke -prom-out METRICS_serve.prom
-
 # Regenerate the committed facade API-surface report (review the diff!).
 api:
 	$(GO) run ./cmd/apireport > api.txt
@@ -111,12 +105,13 @@ api:
 api-check:
 	$(GO) run ./cmd/apireport -check api.txt
 
-# The three numbers a simplicity PR reports (ROADMAP item 3): non-test Go
-# lines, facade options, facade API-surface lines.
+# The four numbers a simplicity PR reports (ROADMAP item 3): non-test Go
+# lines, facade options, facade API-surface lines, pythia-serve flags.
 loc:
 	@printf 'non-test Go lines: %s\n' "$$(find . -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
 	@printf 'func With* options: %s\n' "$$(grep -rh '^func With' --include='*.go' . | wc -l)"
 	@printf 'api.txt lines: %s\n' "$$(wc -l < api.txt)"
+	@printf 'pythia-serve flags: %s\n' "$$(grep -c ':= flag\.' cmd/pythia-serve/main.go)"
 
 clean:
 	rm -rf out

@@ -113,7 +113,7 @@ func TestChaosAllPlanesAllSchedulers(t *testing.T) {
 // layout leaks a booking past job completion.
 func TestChaosShardCountInvariant(t *testing.T) {
 	run := func(shards int) chaosOutcome {
-		cl, results := runChaosCluster(t, SchedulerPythia, WithCollectorShards(shards))
+		cl, results := runChaosCluster(t, SchedulerPythia, withCollectorShards(shards))
 		return chaosOutcome{results: results, faults: cl.Faults()}
 	}
 	ref := run(1)

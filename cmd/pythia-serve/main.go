@@ -10,10 +10,8 @@
 //	             [-wal-dir DIR] [-recover] [-fsync-every N]
 //	             [-snapshot-every N] [-segment-bytes N]
 //	             [-metrics] [-pprof] [-log-level LEVEL] [-flight-events N]
-//	pythia-serve -scrape-smoke [-prom-out METRICS_serve.prom] # metrics smoke
-//	             [-jobs N] [-seed N]
 //
-// In serve mode the process answers POST /v1/ingest, GET /v1/stats,
+// The process answers POST /v1/ingest, GET /v1/stats,
 // GET /v1/healthz (liveness), and GET /v1/readyz (readiness — 503 with the
 // reason while recovering or draining), and drains gracefully on
 // SIGINT/SIGTERM. -metrics (default on) serves the Prometheus exposition at
@@ -21,9 +19,7 @@
 // JSON request logs on stderr; -flight-events keeps a bounded in-memory
 // flight recorder of the batch lifecycle. With -wal-dir every batch is
 // journaled before it is acknowledged and -recover restarts from the
-// journal (last snapshot plus tail replay). -scrape-smoke boots an instrumented in-process server, drives real
-// ingest, lints the /metrics exposition, asserts the key series, and writes
-// the scrape to -prom-out — the CI gate for the operations plane.
+// journal (last snapshot plus tail replay).
 package main
 
 import (
@@ -41,8 +37,7 @@ import (
 )
 
 func main() {
-	// Serve mode.
-	addr := flag.String("addr", ":8080", "listen address for serve mode")
+	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 4, "collector shard count")
 	workers := flag.Int("workers", 0, "batch workers (0 = shard count)")
 	queue := flag.Int("queue", 256, "bounded ingest queue capacity (requests)")
@@ -61,18 +56,8 @@ func main() {
 	doPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logLevel := flag.String("log-level", "", "structured JSON request logs on stderr at this level (debug|info|warn|error; empty = off)")
 	flightEvents := flag.Int("flight-events", 0, "keep the newest N serve-plane flight events in memory (0 = off)")
-
-	// Scrape-smoke mode.
-	doScrapeSmoke := flag.Bool("scrape-smoke", false, "run the metrics scrape smoke test instead of serving")
-	promOut := flag.String("prom-out", "", "scrape-smoke: write the /metrics exposition to this path")
-	jobs := flag.Int("jobs", 0, "scrape-smoke: open-loop jobs in the trace (0 = default)")
-	seed := flag.Uint64("seed", 0, "scrape-smoke: trace seed (0 = default)")
 	flag.Parse()
 
-	if *doScrapeSmoke {
-		runScrapeSmoke(*jobs, *seed, *promOut)
-		return
-	}
 	runServe(serve.Config{
 		Shards:           *shards,
 		Workers:          *workers,

@@ -11,7 +11,10 @@ func WithScheduler(k SchedulerKind) Option { return func(c *config) { c.schedule
 // WithSeed fixes all randomness (ECMP hash salt, workload jitter).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithKShortestPaths sets Pythia's per-pair path diversity (default 4).
+// WithKShortestPaths sets the run's per-pair path diversity (default 4) for
+// every scheduler: Pythia's and Hedera's candidate sets, and the k shortest
+// paths ECMP narrows to its equal-cost hash set. Compare(...,
+// WithKShortestPaths(1)) therefore single-paths both sides.
 func WithKShortestPaths(k int) Option { return func(c *config) { c.pythiaCfg.K = k } }
 
 // WithRackAggregation switches Pythia to rack-pair (prefix) rules: one
@@ -27,13 +30,6 @@ func WithRackAggregation() Option {
 func WithCriticality() Option {
 	return func(c *config) { c.pythiaCfg.UseCriticality = true }
 }
-
-// WithCollectorShards partitions the Pythia collector's per-job state
-// (intents, bookings, dedup tables) across n shards, the layout the online
-// service (NewServer) uses for concurrent ingest. Placement decisions merge
-// in a deterministic order, so results are bit-identical at any shard count
-// (default 1).
-func WithCollectorShards(n int) Option { return func(c *config) { c.pythiaCfg.Shards = n } }
 
 // WithExplicitControlPlane routes prediction notifications and OpenFlow
 // FLOW_MOD messages over a modeled out-of-band management network

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"pythia/internal/hadoop"
+	"pythia/internal/testbed"
 	"pythia/internal/workload"
 )
 
@@ -36,7 +37,7 @@ func (b LowerBound) Sec() float64 {
 // ComputeLowerBound evaluates the bound for a spec on the default testbed
 // shape at the given oversubscription level.
 func ComputeLowerBound(spec *hadoop.JobSpec, lvl Oversub) LowerBound {
-	cfg := TrialConfig{Oversub: lvl}.defaults()
+	cfg := testbed.Config{}.Defaults()
 	hcfg := hadoop.Config{}.Defaults()
 
 	// Compute bound: perfect packing of map work over every slot, then

@@ -4,14 +4,13 @@ import (
 	"fmt"
 	"strings"
 
-	"pythia/internal/ecmp"
 	"pythia/internal/hadoop"
 	"pythia/internal/netsim"
 	"pythia/internal/plot"
 	"pythia/internal/sim"
 	"pythia/internal/stats"
+	"pythia/internal/testbed"
 	"pythia/internal/topology"
-	"pythia/internal/trace"
 	"pythia/internal/workload"
 )
 
@@ -161,18 +160,24 @@ func RunFig5(scale Scale) Fig5Result {
 // (three maps, two reducers, reducer-0 fetching 5x reducer-1) on a
 // non-blocking 1 Gbps network, rendered by the trace tool.
 func RunFig1a() (ascii, svg string) {
-	eng := sim.NewEngine()
-	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
-	net := netsim.New(eng, g)
-	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), hadoop.Config{
-		MapSlots: 1, ReduceSlots: 1,
+	tb := mustBuild(testbed.Config{
+		Seed: 1, Record: true,
+		Hadoop: hadoop.Config{MapSlots: 1, ReduceSlots: 1},
 	})
-	rec := trace.Attach(eng, cl)
-	if _, err := cl.Submit(workload.ToySort()); err != nil {
+	if _, err := tb.Cluster.Submit(workload.ToySort()); err != nil {
 		panic(err)
 	}
-	eng.Run()
-	return rec.Render(100), rec.RenderSVG()
+	tb.Eng.Run()
+	return tb.Sequence.Render(100), tb.Sequence.RenderSVG()
+}
+
+// mustBuild is testbed.Build for the runners whose configuration is fixed.
+func mustBuild(cfg testbed.Config) *testbed.Testbed {
+	tb, err := testbed.Build(cfg)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
+	return tb
 }
 
 // Fig1bResult quantifies the §II motivational example: a 159 MB shuffle
@@ -195,35 +200,34 @@ type Fig1bResult struct {
 // RunFig1b builds the Fig. 1b scenario and measures both allocations.
 func RunFig1b() Fig1bResult {
 	const flowBytes = 159e6
-	build := func() (*sim.Engine, *netsim.Network, []topology.NodeID, []topology.LinkID) {
-		eng := sim.NewEngine()
-		g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
-		net := netsim.New(eng, g)
-		// Path-1 at 95%, Path-2 at 25% (both directions).
+	// The default (ECMP) testbed with Path-1 at 95%, Path-2 at 25% (both
+	// directions).
+	build := func() *testbed.Testbed {
+		tb := mustBuild(testbed.Config{Seed: 1})
 		for i, load := range []float64{0.95, 0.25} {
-			net.SetBackground(trunks[i], load*topology.Gbps)
-			if r, ok := g.Reverse(trunks[i]); ok {
-				net.SetBackground(r, load*topology.Gbps)
+			tb.Net.SetBackground(tb.Trunks[i], load*topology.Gbps)
+			if r, ok := tb.Graph.Reverse(tb.Trunks[i]); ok {
+				tb.Net.SetBackground(r, load*topology.Gbps)
 			}
 		}
-		return eng, net, hosts, trunks
+		return tb
 	}
 
 	timeOn := func(trunkIdx int) float64 {
-		eng, net, hosts, trunks := build()
-		g := net.Graph()
+		tb := build()
+		hosts := tb.Hosts
 		var path topology.Path
-		for _, p := range g.KShortestPaths(hosts[0], hosts[5], 2) {
+		for _, p := range tb.Graph.KShortestPaths(hosts[0], hosts[5], 2) {
 			for _, l := range p.Links {
-				if l == trunks[trunkIdx] {
+				if l == tb.Trunks[trunkIdx] {
 					path = p
 				}
 			}
 		}
 		var done sim.Time
-		net.StartFlow(netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: hadoop.ShufflePort, DstPort: 20000, Protocol: 6},
+		tb.Net.StartFlow(netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: hadoop.ShufflePort, DstPort: 20000, Protocol: 6},
 			netsim.Shuffle, path, flowBytes*8, 0, 0, 0, func(f *netsim.Flow) { done = f.Finished() })
-		eng.Run()
+		tb.Eng.Run()
 		return float64(done)
 	}
 
@@ -234,9 +238,8 @@ func RunFig1b() Fig1bResult {
 
 	// Does a concrete ECMP hash hit the hot path? Scan ephemeral ports
 	// until one does (the paper's point is that nothing prevents it).
-	_, net, hosts, trunks := build()
-	g := net.Graph()
-	alloc := ecmp.New(g, 2, 1)
+	tb := build()
+	g, net, hosts, trunks, alloc := tb.Graph, tb.Net, tb.Hosts, tb.Trunks, tb.ECMP
 	for port := uint16(20000); port < 20032; port++ {
 		p, _ := alloc.Resolve(netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: hadoop.ShufflePort, DstPort: port, Protocol: 6})
 		for _, l := range p.Links {

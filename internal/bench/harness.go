@@ -8,47 +8,27 @@ import (
 	"fmt"
 
 	"pythia/internal/core"
-	"pythia/internal/ecmp"
 	"pythia/internal/flight"
 	"pythia/internal/hadoop"
-	"pythia/internal/hedera"
 	"pythia/internal/instrument"
-	"pythia/internal/mgmtnet"
 	"pythia/internal/netflow"
 	"pythia/internal/netsim"
-	"pythia/internal/openflow"
 	"pythia/internal/sim"
+	"pythia/internal/testbed"
 	"pythia/internal/topology"
 )
 
 // Scheduler selects the flow-allocation scheme for a trial.
-type Scheduler int
+type Scheduler = testbed.Scheduler
 
 const (
-	// ECMP is the paper's baseline: five-tuple hash modulo path count.
-	ECMP Scheduler = iota
-	// Pythia is the predictive scheme under evaluation.
-	Pythia
-	// Hedera is the reactive load-aware intermediate point (§II/§VI).
-	Hedera
+	ECMP   = testbed.ECMP
+	Pythia = testbed.Pythia
+	Hedera = testbed.Hedera
 )
 
-func (s Scheduler) String() string {
-	switch s {
-	case ECMP:
-		return "ECMP"
-	case Pythia:
-		return "Pythia"
-	case Hedera:
-		return "Hedera"
-	}
-	return fmt.Sprintf("Scheduler(%d)", int(s))
-}
-
 // Oversub describes one oversubscription level, realized the way the paper
-// did it: CBR background streams on the inter-rack trunks sized so the
-// bandwidth left for Hadoop totals SpareTotal, split unevenly across the two
-// trunks so that path choice matters (Fig. 1b shows 95% vs 25% occupancy).
+// did it: CBR background streams on the trunks (see testbed.Config.Oversub).
 type Oversub struct {
 	// Label as printed in the figures ("none", "1:2", ...).
 	Label string
@@ -66,27 +46,6 @@ func StandardLevels() []Oversub {
 		{Label: "1:10", Ratio: 10},
 		{Label: "1:20", Ratio: 20},
 	}
-}
-
-// spareFractions divides the spare trunk bandwidth asymmetrically across n
-// trunks in proportion 1:2:…:n (for the paper's two trunks this is the
-// Fig. 1b-style 30/70 imbalance that bounds the fully-network-bound
-// ECMP-vs-optimal gap near the paper's 43–46% maxima).
-func spareFractions(n int) []float64 {
-	w := make([]float64, n)
-	sum := 0.0
-	for i := range w {
-		w[i] = float64(i + 1)
-		sum += w[i]
-	}
-	for i := range w {
-		w[i] /= sum
-	}
-	// Calibrated two-trunk split.
-	if n == 2 {
-		w[0], w[1] = 0.30, 0.70
-	}
-	return w
 }
 
 // TrialConfig fully describes one simulated job run.
@@ -108,9 +67,10 @@ type TrialConfig struct {
 	FatTreeK     int
 	LinkBps      float64
 
-	Hadoop     hadoop.Config
+	Hadoop hadoop.Config
+	// PythiaCfg configures the collector; its K is the trial's path
+	// diversity for whichever scheduler runs (default 4).
 	PythiaCfg  core.Config
-	HederaCfg  hedera.Config
 	Instrument instrument.Config
 	// DisableAggregation turns off Pythia's host-pair flow aggregation
 	// (ablation A2).
@@ -137,24 +97,29 @@ type TrialConfig struct {
 	CollectFlight bool
 }
 
-func (c TrialConfig) defaults() TrialConfig {
-	if c.HostsPerRack == 0 {
-		if c.FatTreeK > 0 {
-			c.HostsPerRack = c.FatTreeK / 2
-		} else {
-			c.HostsPerRack = 5
-		}
-	}
-	if c.Trunks == 0 {
-		c.Trunks = 2
-	}
-	if c.LinkBps == 0 {
-		c.LinkBps = topology.Gbps
-	}
-	if !c.PythiaCfg.Aggregate && !c.DisableAggregation {
+// toTestbed translates the trial into the shared deployment description.
+func (c TrialConfig) toTestbed() testbed.Config {
+	if !c.DisableAggregation {
 		c.PythiaCfg = c.PythiaCfg.EnableAggregation()
 	}
-	return c
+	return testbed.Config{
+		Scheduler:            c.Scheduler,
+		Seed:                 c.Seed,
+		K:                    c.PythiaCfg.K,
+		HostsPerRack:         c.HostsPerRack,
+		Trunks:               c.Trunks,
+		Leaves:               c.Leaves,
+		Spines:               c.Spines,
+		FatTreeK:             c.FatTreeK,
+		LinkBps:              c.LinkBps,
+		Oversub:              c.Oversub.Ratio,
+		Hadoop:               c.Hadoop,
+		Pythia:               c.PythiaCfg,
+		Instrument:           c.Instrument,
+		InstallLatency:       c.InstallLatency,
+		ExplicitControlPlane: c.ExplicitControlPlane,
+		Flight:               c.CollectFlight,
+	}
 }
 
 // TrialResult captures one run's outcome.
@@ -224,8 +189,8 @@ type HostPrediction struct {
 	Measured     []netflow.Point
 }
 
-// teeSink records intents while forwarding them to Pythia (or swallowing
-// them in baseline runs).
+// teeSink records intents while forwarding them to the testbed's sink
+// (Pythia, or the null sink of baseline runs).
 type teeSink struct {
 	next    instrument.Sink
 	intents []instrument.Intent
@@ -234,16 +199,12 @@ type teeSink struct {
 
 func (t *teeSink) ShuffleIntent(i instrument.Intent) {
 	t.intents = append(t.intents, i)
-	if t.next != nil {
-		t.next.ShuffleIntent(i)
-	}
+	t.next.ShuffleIntent(i)
 }
 
 func (t *teeSink) ReducerUp(u instrument.ReducerUp) {
 	t.ups = append(t.ups, u)
-	if t.next != nil {
-		t.next.ReducerUp(u)
-	}
+	t.next.ReducerUp(u)
 }
 
 func (t *teeSink) JobDone(job int) {
@@ -252,124 +213,40 @@ func (t *teeSink) JobDone(job int) {
 	}
 }
 
-// nullSink drops messages (ECMP/Hedera runs still pay instrumentation cost
-// in reality, but they do not consume the intents).
-type nullSink struct{}
-
-func (nullSink) ShuffleIntent(instrument.Intent) {}
-func (nullSink) ReducerUp(instrument.ReducerUp)  {}
-
 // RunTrial executes one job under the configured scheduler and
 // oversubscription level.
 func RunTrial(cfg TrialConfig) TrialResult {
-	cfg = cfg.defaults()
-	eng := sim.NewEngine()
-	var (
-		g      *topology.Graph
-		hosts  []topology.NodeID
-		trunks []topology.LinkID
-	)
-	if cfg.FatTreeK > 0 {
-		// Scale fabric: oversubscription comes from the tree's own arity,
-		// not injected background, so trunks stay empty.
-		g, hosts = topology.FatTree(cfg.FatTreeK, cfg.HostsPerRack, cfg.LinkBps)
-	} else if cfg.Spines > 0 {
-		leaves := cfg.Leaves
-		if leaves == 0 {
-			leaves = 4
-		}
-		g, hosts = topology.LeafSpine(leaves, cfg.Spines, cfg.HostsPerRack, cfg.LinkBps)
-		// The contended links are the leaf→spine uplinks; collect them
-		// (both directions are handled by applyOversub via Reverse).
-		for _, l := range g.Links() {
-			from, to := g.Node(l.From), g.Node(l.To)
-			if from.Kind == topology.Switch && to.Kind == topology.Switch && from.Rack >= 0 && to.Rack < 0 {
-				trunks = append(trunks, l.ID)
-			}
-		}
-	} else {
-		g, hosts, trunks = topology.TwoRack(cfg.HostsPerRack, cfg.Trunks, cfg.LinkBps)
+	tee := &teeSink{}
+	tcfg := cfg.toTestbed()
+	tcfg.WrapSink = func(next instrument.Sink) instrument.Sink {
+		tee.next = next
+		return tee
 	}
-	net := netsim.New(eng, g)
-
-	applyOversub(net, trunks, cfg)
-
-	var resolver hadoop.PathResolver
-	var ofc *openflow.Controller
-	var hed *hedera.Scheduler
-	var py *core.Pythia
-	var sink instrument.Sink = nullSink{}
-	var mn *mgmtnet.Network
-	var fr *flight.Recorder
-	if cfg.CollectFlight {
-		// Guarded wiring: a typed-nil *Recorder in the producers' Sink
-		// fields would defeat their nil checks.
-		fr = flight.NewRecorder(eng)
-		net.SetFlightRecorder(fr)
-		cfg.Instrument.Flight = fr
-	}
-	if cfg.ExplicitControlPlane {
-		mn = mgmtnet.New(eng, mgmtnet.Config{})
-		cfg.Instrument.Mgmt = mn
-		if fr != nil {
-			mn.SetFlightRecorder(fr)
-		}
-	}
-	switch cfg.Scheduler {
-	case ECMP:
-		resolver = ecmp.New(g, 2, cfg.Seed)
-	case Pythia:
-		ofc = openflow.NewController(eng, net, 0)
-		if cfg.InstallLatency > 0 {
-			ofc.InstallLatency = cfg.InstallLatency
-		}
-		if mn != nil {
-			ofc.SetManagementNetwork(mn, topology.NodeID(-1))
-		}
-		py = core.New(eng, net, ofc, cfg.PythiaCfg)
-		if fr != nil {
-			ofc.SetFlightRecorder(fr)
-			py.SetFlightRecorder(fr)
-		}
-		resolver = ofc
-		sink = py
-	case Hedera:
-		hcfg := cfg.HederaCfg
-		if cfg.InstallLatency > 0 {
-			hcfg.InstallLatency = cfg.InstallLatency
-		}
-		hed = hedera.New(eng, net, cfg.Seed, hcfg)
-		resolver = hed
-	default:
-		panic(fmt.Sprintf("bench: unknown scheduler %d", cfg.Scheduler))
-	}
-
-	cluster := hadoop.NewCluster(eng, net, hosts, resolver, cfg.Hadoop)
-	tee := &teeSink{next: sink}
-	mw := instrument.Attach(eng, cluster, tee, cfg.Instrument)
+	tb := mustBuild(tcfg)
 
 	var nfc *netflow.Collector
 	if cfg.CollectPrediction {
-		nfc = netflow.NewCollector(eng, net, hosts, 0)
+		nfc = netflow.NewCollector(tb.Eng, tb.Net, tb.Hosts, 0)
 	}
 
-	job, err := cluster.Submit(cfg.Spec)
+	job, err := tb.Cluster.Submit(cfg.Spec)
 	if err != nil {
 		panic(fmt.Sprintf("bench: submit: %v", err))
 	}
-	eng.Run()
+	tb.Eng.Run()
 	if !job.Done {
 		panic("bench: job did not complete")
 	}
 
+	mw := tb.Middleware
 	res := TrialResult{
 		JobSec:     float64(job.Duration()),
 		MapSec:     float64(job.MapPhaseEnd.Sub(job.Submitted)),
 		ShuffleSec: float64(job.ShuffleEnd.Sub(job.Submitted)),
 		Overhead:   mw.Overhead(),
 	}
-	if ofc != nil {
-		res.RulesInstalled = ofc.RulesInstalled
+	if tb.Controller != nil {
+		res.RulesInstalled = tb.Controller.RulesInstalled
 	}
 	res.Faults = FaultCounters{
 		MonitorCrashes:  mw.MonitorCrashes,
@@ -377,30 +254,30 @@ func RunTrial(cfg TrialConfig) TrialResult {
 		LateIntents:     mw.LateIntents,
 		InFlightDropped: mw.InFlightDropped,
 	}
-	if py != nil {
+	if py := tb.Pythia; py != nil {
 		res.Faults.DedupHits = py.DedupHits()
 		res.Faults.DuplicateIntents = py.DuplicateIntents()
 		res.Faults.ExpiredBookings = py.ExpiredBookings()
 		res.Faults.ExpiredIntents = py.ExpiredIntents()
 	}
-	if mn != nil {
+	if mn := tb.Mgmt; mn != nil {
 		res.Faults.MgmtDropped = mn.Dropped
 		res.Faults.MgmtDuplicated = mn.Duplicated
 		res.Faults.MgmtDeferred = mn.Deferred
 	}
-	if hed != nil {
-		res.HederaMoves = hed.Moves
+	if tb.Hedera != nil {
+		res.HederaMoves = tb.Hedera.Moves
 	}
 	if cfg.CollectPrediction {
-		res.Prediction = buildPredictionCapture(g, cluster, job, tee, nfc)
+		res.Prediction = buildPredictionCapture(tb.Graph, tb.Cluster, job, tee, nfc)
 	}
-	if fr != nil {
-		q := flight.ComputeQuality(fr.Events())
+	if tb.Flight != nil {
+		q := flight.ComputeQuality(tb.Flight.Events())
 		res.Quality = &q
 	}
 	if cfg.CollectFlowHistory {
-		res.FlowHistory = make([]FlowRecord, 0, net.CompletedFlows())
-		net.ForEachCompleted(func(f *netsim.Flow) {
+		res.FlowHistory = make([]FlowRecord, 0, tb.Net.CompletedFlows())
+		tb.Net.ForEachCompleted(func(f *netsim.Flow) {
 			res.FlowHistory = append(res.FlowHistory, FlowRecord{
 				ID:       f.ID,
 				Job:      f.Job,
@@ -412,46 +289,6 @@ func RunTrial(cfg TrialConfig) TrialResult {
 		})
 	}
 	return res
-}
-
-// applyOversub loads the trunks with CBR background per the oversub level.
-// Trunks are grouped by their upstream switch (one group on the two-rack
-// testbed; one group per leaf on a leaf-spine), and each group's spare
-// bandwidth — hostAggregate/N — is split asymmetrically across its members.
-func applyOversub(net *netsim.Network, trunks []topology.LinkID, cfg TrialConfig) {
-	if cfg.Oversub.Ratio <= 0 {
-		return
-	}
-	g := net.Graph()
-	groups := make(map[topology.NodeID][]topology.LinkID)
-	var order []topology.NodeID
-	for _, tr := range trunks {
-		from := g.Link(tr).From
-		if _, seen := groups[from]; !seen {
-			order = append(order, from)
-		}
-		groups[from] = append(groups[from], tr)
-	}
-	hostAggregate := float64(cfg.HostsPerRack) * cfg.LinkBps
-	for _, from := range order {
-		members := groups[from]
-		spareTotal := hostAggregate / float64(cfg.Oversub.Ratio)
-		if max := float64(len(members)) * cfg.LinkBps; spareTotal > max {
-			spareTotal = max
-		}
-		fracs := spareFractions(len(members))
-		for i, tr := range members {
-			spare := spareTotal * fracs[i]
-			if spare > cfg.LinkBps {
-				spare = cfg.LinkBps
-			}
-			load := cfg.LinkBps - spare
-			net.SetBackground(tr, load)
-			if r, ok := g.Reverse(tr); ok {
-				net.SetBackground(r, load)
-			}
-		}
-	}
 }
 
 // buildPredictionCapture assembles the Fig. 5 curves: predicted cumulative

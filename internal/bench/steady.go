@@ -5,17 +5,11 @@ import (
 	"sort"
 	"strings"
 
-	"pythia/internal/core"
-	"pythia/internal/ecmp"
 	"pythia/internal/flight"
 	"pythia/internal/hadoop"
-	"pythia/internal/hedera"
-	"pythia/internal/instrument"
-	"pythia/internal/netsim"
-	"pythia/internal/openflow"
 	"pythia/internal/sim"
 	"pythia/internal/stats"
-	"pythia/internal/topology"
+	"pythia/internal/testbed"
 	"pythia/internal/workload"
 )
 
@@ -158,40 +152,13 @@ type steadyArrival struct {
 // the counters, not an error.
 func RunSteady(cfg SteadyConfig) (SteadyResult, error) {
 	cfg = cfg.defaults()
-	eng := sim.NewEngine()
-	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
-	net := netsim.New(eng, g)
-	applyOversub(net, trunks, TrialConfig{Oversub: cfg.Oversub}.defaults())
-
-	var resolver hadoop.PathResolver
-	var sink instrument.Sink = nullSink{}
-	var py *core.Pythia
-	var fr *flight.Recorder
-	icfg := instrument.Config{}
-	if cfg.CollectFlight {
-		fr = flight.NewRecorder(eng)
-		net.SetFlightRecorder(fr)
-		icfg.Flight = fr
+	tb, err := testbed.Build(TrialConfig{
+		Scheduler: cfg.Scheduler, Oversub: cfg.Oversub, Seed: cfg.Seed, CollectFlight: cfg.CollectFlight,
+	}.toTestbed())
+	if err != nil {
+		return SteadyResult{}, fmt.Errorf("bench: %w", err)
 	}
-	switch cfg.Scheduler {
-	case ECMP:
-		resolver = ecmp.New(g, 2, cfg.Seed)
-	case Pythia:
-		ofc := openflow.NewController(eng, net, 0)
-		py = core.New(eng, net, ofc, core.Config{}.EnableAggregation())
-		if fr != nil {
-			ofc.SetFlightRecorder(fr)
-			py.SetFlightRecorder(fr)
-		}
-		sink = py
-		resolver = ofc
-	case Hedera:
-		resolver = hedera.New(eng, net, cfg.Seed, hedera.Config{})
-	default:
-		return SteadyResult{}, fmt.Errorf("bench: unknown scheduler %d", cfg.Scheduler)
-	}
-	cluster := hadoop.NewCluster(eng, net, hosts, resolver, hadoop.Config{})
-	instrument.Attach(eng, cluster, sink, icfg)
+	eng, cluster, py, fr := tb.Eng, tb.Cluster, tb.Pythia, tb.Flight
 
 	stream := workload.OpenLoop(cfg.Workload)
 	arrivals := stream.Until(cfg.HorizonSec)

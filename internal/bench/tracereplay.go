@@ -4,16 +4,10 @@ import (
 	"fmt"
 	"strings"
 
-	"pythia/internal/core"
-	"pythia/internal/ecmp"
 	"pythia/internal/hadoop"
-	"pythia/internal/hedera"
-	"pythia/internal/instrument"
-	"pythia/internal/netsim"
-	"pythia/internal/openflow"
 	"pythia/internal/sim"
 	"pythia/internal/stats"
-	"pythia/internal/topology"
+	"pythia/internal/testbed"
 	"pythia/internal/workload"
 )
 
@@ -65,28 +59,11 @@ func RunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConfig)
 // deadline-bounded and saturated runs stay measurable instead of
 // panicking.
 func TryRunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConfig, opts TraceReplayOptions) (TraceResult, error) {
-	eng := sim.NewEngine()
-	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
-	net := netsim.New(eng, g)
-	applyOversub(net, trunks, TrialConfig{Oversub: lvl}.defaults())
-
-	var resolver hadoop.PathResolver
-	var sink instrument.Sink = nullSink{}
-	switch scheduler {
-	case ECMP:
-		resolver = ecmp.New(g, 2, 1)
-	case Pythia:
-		ofc := openflow.NewController(eng, net, 0)
-		py := core.New(eng, net, ofc, core.Config{}.EnableAggregation())
-		sink = py
-		resolver = ofc
-	case Hedera:
-		resolver = hedera.New(eng, net, 1, hedera.Config{})
-	default:
-		return TraceResult{}, fmt.Errorf("unknown scheduler %d", scheduler)
+	tb, err := testbed.Build(TrialConfig{Scheduler: scheduler, Oversub: lvl, Seed: 1}.toTestbed())
+	if err != nil {
+		return TraceResult{}, err
 	}
-	cluster := hadoop.NewCluster(eng, net, hosts, resolver, hadoop.Config{})
-	instrument.Attach(eng, cluster, sink, instrument.Config{})
+	eng, cluster := tb.Eng, tb.Cluster
 
 	trace := workload.SyntheticFacebookTrace(tcfg)
 	jobs := make([]*hadoop.Job, 0, len(trace))

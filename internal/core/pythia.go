@@ -87,9 +87,6 @@ type Config struct {
 	// get first pick of paths — the §VI flow-priority criterion that
 	// distinguishes Pythia from size-only schemes like FlowComb/Hedera.
 	UseCriticality bool
-	// HorizonSec converts outstanding booked bytes into an equivalent
-	// rate when estimating residual path capacity during packing.
-	HorizonSec float64
 	// BookingTTL garbage-collects bookings and deferred intents whose
 	// flows never materialize — a dropped intent's sibling, a lost
 	// ReducerUp, a job whose JobDone died on the management network —
@@ -112,9 +109,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.RulePriority == 0 {
 		c.RulePriority = 100
-	}
-	if c.HorizonSec == 0 {
-		c.HorizonSec = 10
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1

@@ -74,7 +74,7 @@ func uniformSpec(maps, reduces int, mapSec, bytesPer float64) *hadoop.JobSpec {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.Defaults()
-	if c.K != 4 || c.RulePriority != 100 || c.HorizonSec != 10 {
+	if c.K != 4 || c.RulePriority != 100 {
 		t.Fatalf("defaults: %+v", c)
 	}
 	if !(Config{}).EnableAggregation().Aggregate {

@@ -9,9 +9,9 @@ import (
 )
 
 // This file is a small, dependency-free Prometheus text exposition parser
-// and linter. It backs the Registry conformance tests and the CI
-// metrics-scrape smoke: scrape /metrics, ParseExposition, LintExposition,
-// then assert the catalog's key series exist.
+// and linter. It backs the Registry conformance tests and the serve-plane
+// end-to-end test: scrape /metrics, ParseExposition, LintExposition, then
+// assert the catalog's key series exist.
 
 // Sample is one parsed exposition sample line.
 type Sample struct {

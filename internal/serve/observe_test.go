@@ -77,18 +77,24 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	defer srv.Shutdown(context.Background())
+	defer func() {
+		if err := srv.Shutdown(context.Background()); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	client := ts.Client()
 
-	postJSON(t, client, ts.URL, `{
-		"reducers": [{"job":0,"reduce":0,"host":0},{"job":0,"reduce":1,"host":3}],
-		"intents": [
-			{"job":0,"map":0,"src_host":1,"predicted_wire_bytes":[1e7,2e7]},
-			{"job":0,"map":0,"src_host":1,"predicted_wire_bytes":[1e7,2e7]}
-		]
-	}`)
+	// Real ingest through the retrying client; the second intent is an exact
+	// duplicate, so dedup must tick.
+	in := WireIntent{Job: 0, Map: 0, SrcHost: 1, PredictedWireBytes: []float64{1e7, 2e7}}
+	if _, err := NewClient(ts.URL, ClientConfig{HTTP: client, Seed: 1}).Ingest(context.Background(), &IngestRequest{
+		Reducers: []WireReducerUp{{Job: 0, Reduce: 0, Host: 0}, {Job: 0, Reduce: 1, Host: 3}},
+		Intents:  []WireIntent{in, in},
+	}); err != nil {
+		t.Fatalf("client ingest: %v", err)
+	}
 	if resp, _ := postJSON(t, client, ts.URL, `not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad request: HTTP %d", resp.StatusCode)
 	}
@@ -122,7 +128,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	// Cumulative families that only assert nonzero (timing-dependent).
 	for _, name := range []string{
 		"pythia_wal_appends_total", "pythia_wal_appended_bytes_total",
-		"pythia_wal_rotations_total", "pythia_serve_placements_total",
+		"pythia_wal_rotations_total", "pythia_wal_fsync_seconds_count",
+		"pythia_serve_placements_total",
 	} {
 		if s := exp.Sample(name); s == nil || s.Value <= 0 {
 			t.Errorf("series %s missing or zero", name)
@@ -136,10 +143,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if s := exp.Sample("pythia_serve_commit_seconds_count"); s == nil || s.Value != 1 {
 		t.Errorf("commit latency histogram: got %+v, want count 1", s)
 	}
-	// Per-shard gauges exist for every shard.
+	// Per-shard series exist for every shard.
 	for _, shard := range []string{"0", "1"} {
-		if s := exp.Sample("pythia_collector_shard_booked_flows", "shard", shard); s == nil {
-			t.Errorf("per-shard gauge missing for shard %s", shard)
+		for _, name := range []string{"pythia_collector_shard_booked_flows", "pythia_collector_shard_dedup_hits_total"} {
+			if s := exp.Sample(name, "shard", shard); s == nil {
+				t.Errorf("per-shard series %s missing for shard %s", name, shard)
+			}
 		}
 	}
 

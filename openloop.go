@@ -80,18 +80,7 @@ func (c *Cluster) TryRunUntil(horizonSec float64) ([]JobResult, error) {
 			unfinished = append(unfinished, s.spec.Name)
 			continue
 		}
-		out[i] = JobResult{
-			Name:           s.spec.Name,
-			DurationSec:    float64(j.Duration()),
-			MapPhaseSec:    float64(j.MapPhaseEnd.Sub(j.Submitted)),
-			ShuffleSec:     float64(j.ShuffleEnd.Sub(j.Submitted)),
-			ShuffleBytes:   s.spec.TotalShuffleBytes(),
-			RulesInstalled: c.jobRules[j.ID],
-		}
+		out[i] = c.jobResult(s.spec, j)
 	}
-	if len(unfinished) > 0 {
-		return out, fmt.Errorf("%d of %d %w (starved network or deadline hit): %v",
-			len(unfinished), len(c.timed), ErrUnfinished, unfinished)
-	}
-	return out, nil
+	return out, unfinishedError(unfinished, len(c.timed))
 }

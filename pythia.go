@@ -26,7 +26,7 @@
 //     WithOversubscription.
 //   - Engine — scheduler choice and run control: WithScheduler, WithSeed,
 //     WithKShortestPaths, WithRackAggregation, WithCriticality,
-//     WithCollectorShards, WithExplicitControlPlane, WithDeadline.
+//     WithExplicitControlPlane, WithDeadline.
 //   - Faults — failure and degradation injection: WithControlPlaneFaults,
 //     WithMgmtFaults, WithMonitorFaults, WithPredictionError,
 //     WithBookingTTL.
@@ -65,6 +65,7 @@ import (
 	"pythia/internal/netsim"
 	"pythia/internal/openflow"
 	"pythia/internal/sim"
+	"pythia/internal/testbed"
 	"pythia/internal/topology"
 	"pythia/internal/trace"
 	"pythia/internal/workload"
@@ -175,103 +176,63 @@ type Cluster struct {
 
 // New builds a cluster on the paper's two-rack testbed topology.
 func New(opts ...Option) *Cluster {
-	cfg := config{
-		scheduler:    SchedulerECMP,
-		hostsPerRack: 5,
-		trunks:       2,
-		linkBps:      topology.Gbps,
-		seed:         1,
-	}
+	cfg := config{seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
-	eng := sim.NewEngine()
-	var (
-		g      *topology.Graph
-		hosts  []topology.NodeID
-		trunks []topology.LinkID
-	)
-	if cfg.topo != nil {
-		g, hosts, trunks = cfg.topo.build(cfg.linkBps)
-		cfg.hostsPerRack = cfg.topo.hostsPerRack
-	} else {
-		g, hosts, trunks = topology.TwoRack(cfg.hostsPerRack, cfg.trunks, cfg.linkBps)
+	tcfg := testbed.Config{
+		// SchedulerKind and testbed.Scheduler enumerate ECMP, Pythia,
+		// Hedera in the same order.
+		Scheduler:    testbed.Scheduler(cfg.scheduler),
+		Seed:         cfg.seed,
+		K:            cfg.pythiaCfg.K,
+		HostsPerRack: cfg.hostsPerRack,
+		Trunks:       cfg.trunks,
+		LinkBps:      cfg.linkBps,
+		Oversub:      cfg.oversub,
+		Hadoop:       cfg.hadoopCfg,
+		Pythia:       cfg.pythiaCfg.EnableAggregation(),
+		Instrument: instrument.Config{
+			PredictionErrorFactor: cfg.predErrFactor,
+			PredictionErrorSeed:   cfg.predErrSeed,
+		},
+		ExplicitControlPlane: cfg.explicitCP,
+		Flight:               cfg.flight,
+		Record:               cfg.record,
+		HDFS:                 cfg.hdfs,
 	}
-	net := netsim.New(eng, g)
-	applyBackground(net, trunks, cfg)
+	if t := cfg.topo; t != nil {
+		tcfg.HostsPerRack, tcfg.Trunks = t.hostsPerRack, t.trunks
+		tcfg.Leaves, tcfg.Spines, tcfg.FatTreeK = t.leaves, t.spines, t.fatTreeK
+	}
+	tcfg.Pythia.BookingTTL = sim.Duration(cfg.bookingTTLSec)
+	if cfg.cpFaults != nil {
+		f := cfg.cpFaults.toInternal()
+		tcfg.ControlFaults = &f
+	}
+	if cfg.mgmtFaults != nil {
+		f := cfg.mgmtFaults.toInternal()
+		tcfg.MgmtFaults = &f
+	}
+	if cfg.monFaults != nil {
+		f := cfg.monFaults.toInternal()
+		tcfg.Instrument.MonitorFaults = &f
+	}
+	tb, err := testbed.Build(tcfg)
+	if err != nil {
+		panic(fmt.Sprintf("pythia: %v", err))
+	}
 	if cfg.incastThreshold > 0 {
-		net.EnableIncast(cfg.incastThreshold, cfg.incastFactor, cfg.incastFloor)
+		tb.Net.EnableIncast(cfg.incastThreshold, cfg.incastFactor, cfg.incastFloor)
 	}
-
 	c := &Cluster{
-		eng: eng, net: net, g: g, hosts: hosts, trunks: trunks,
+		eng: tb.Eng, net: tb.Net, g: tb.Graph, hosts: tb.Hosts, trunks: tb.Trunks,
+		cluster: tb.Cluster, mw: tb.Middleware, mn: tb.Mgmt, ofc: tb.Controller,
+		py: tb.Pythia, al: tb.ECMP, hed: tb.Hedera,
+		recorder: tb.Sequence, fr: tb.Flight, fs: tb.HDFS,
 		kind: cfg.scheduler, deadline: cfg.deadline,
 		jobRules: make(map[int]uint64),
 	}
-	var resolver hadoop.PathResolver
-	var sink instrument.Sink = dropSink{}
-	var mn *mgmtnet.Network
-	icfg := instrument.Config{}
-	if cfg.flight {
-		// Wire every plane only when enabled: a typed-nil *Recorder in the
-		// Sink interface fields would defeat the producers' nil checks.
-		c.fr = flight.NewRecorder(eng)
-		net.SetFlightRecorder(c.fr)
-		icfg.Flight = c.fr
-	}
-	if cfg.explicitCP || cfg.mgmtFaults != nil {
-		// Management faults need a management network to fault.
-		mn = mgmtnet.New(eng, mgmtnet.Config{})
-		icfg.Mgmt = mn
-		c.mn = mn
-		if c.fr != nil {
-			mn.SetFlightRecorder(c.fr)
-		}
-	}
-	if cfg.mgmtFaults != nil {
-		mn.SetFaults(cfg.mgmtFaults.toInternal())
-	}
-	if cfg.monFaults != nil {
-		mf := cfg.monFaults.toInternal()
-		icfg.MonitorFaults = &mf
-	}
-	icfg.PredictionErrorFactor = cfg.predErrFactor
-	icfg.PredictionErrorSeed = cfg.predErrSeed
-	cfg.pythiaCfg.BookingTTL = sim.Duration(cfg.bookingTTLSec)
-	// Richer fabrics have more equal-cost diversity than the two trunks of
-	// the default testbed; let ECMP spread across it.
-	ecmpK := 2
-	if cfg.topo != nil {
-		ecmpK = 4
-	}
-	switch cfg.scheduler {
-	case SchedulerECMP:
-		c.al = ecmp.New(g, ecmpK, cfg.seed)
-		// Fault plane: re-hash in-flight shuffle flows off dead paths.
-		c.al.AttachNetwork(net, netsim.Shuffle)
-		resolver = c.al
-	case SchedulerPythia:
-		c.ofc = openflow.NewController(eng, net, 0)
-		if mn != nil {
-			c.ofc.SetManagementNetwork(mn, topology.NodeID(-1))
-		}
-		if cfg.cpFaults != nil {
-			c.ofc.SetFaults(cfg.cpFaults.toInternal())
-		}
-		c.py = core.New(eng, net, c.ofc, cfg.pythiaCfg.EnableAggregation())
-		if c.fr != nil {
-			c.ofc.SetFlightRecorder(c.fr)
-			c.py.SetFlightRecorder(c.fr)
-		}
-		resolver = c.ofc
-		sink = c.py
-	case SchedulerHedera:
-		c.hed = hedera.New(eng, net, cfg.seed, hedera.Config{})
-		resolver = c.hed
-	default:
-		panic(fmt.Sprintf("pythia: unknown scheduler %v", cfg.scheduler))
-	}
-	c.cluster = hadoop.NewCluster(eng, net, hosts, resolver, cfg.hadoopCfg)
 	c.cluster.OnJobDone(func(j *hadoop.Job) {
 		c.doneJobs = append(c.doneJobs, j.ID)
 		if c.ofc == nil {
@@ -280,19 +241,6 @@ func New(opts ...Option) *Cluster {
 		c.jobRules[j.ID] = c.ofc.RulesInstalled - c.rulesSeen
 		c.rulesSeen = c.ofc.RulesInstalled
 	})
-	c.mw = instrument.Attach(eng, c.cluster, sink, icfg)
-	if cfg.record {
-		c.recorder = trace.Attach(eng, c.cluster)
-	}
-	if cfg.hdfs {
-		// HDFS traffic always rides the default pipeline (distinct hash
-		// salt so it does not mirror the shuffle's ECMP draws); its own
-		// allocator rescues stranded storage flows on topology events.
-		hal := ecmp.New(g, ecmpK, cfg.seed^0xD47A)
-		hal.AttachNetwork(net, netsim.Storage)
-		c.fs = hdfs.New(eng, net, hosts, hal, hdfs.Config{}, cfg.seed)
-		c.cluster.SetOutputSink(c.fs)
-	}
 	return c
 }
 
@@ -304,47 +252,6 @@ func (c *Cluster) HDFSBytesWritten() float64 {
 	}
 	return c.fs.BytesWritten
 }
-
-func applyBackground(net *netsim.Network, trunks []topology.LinkID, cfg config) {
-	if cfg.oversub <= 0 {
-		return
-	}
-	g := net.Graph()
-	spareTotal := float64(cfg.hostsPerRack) * cfg.linkBps / float64(cfg.oversub)
-	if max := float64(len(trunks)) * cfg.linkBps; spareTotal > max {
-		spareTotal = max
-	}
-	// 30/70 split for two trunks, 1:2:…:n proportions otherwise — the
-	// same imbalance the experiment harness uses.
-	fracs := make([]float64, len(trunks))
-	if len(trunks) == 2 {
-		fracs[0], fracs[1] = 0.30, 0.70
-	} else {
-		sum := 0.0
-		for i := range fracs {
-			fracs[i] = float64(i + 1)
-			sum += fracs[i]
-		}
-		for i := range fracs {
-			fracs[i] /= sum
-		}
-	}
-	for i, tr := range trunks {
-		spare := spareTotal * fracs[i]
-		if spare > cfg.linkBps {
-			spare = cfg.linkBps
-		}
-		net.SetBackground(tr, cfg.linkBps-spare)
-		if r, ok := g.Reverse(tr); ok {
-			net.SetBackground(r, cfg.linkBps-spare)
-		}
-	}
-}
-
-type dropSink struct{}
-
-func (dropSink) ShuffleIntent(instrument.Intent) {}
-func (dropSink) ReducerUp(instrument.ReducerUp)  {}
 
 // JobResult summarizes one completed job.
 type JobResult struct {
@@ -422,20 +329,31 @@ func (c *Cluster) TryRunJobs(specs ...*JobSpec) ([]JobResult, error) {
 			starved = append(starved, specs[i].Name)
 			continue
 		}
-		out[i] = JobResult{
-			Name:           specs[i].Name,
-			DurationSec:    float64(job.Duration()),
-			MapPhaseSec:    float64(job.MapPhaseEnd.Sub(job.Submitted)),
-			ShuffleSec:     float64(job.ShuffleEnd.Sub(job.Submitted)),
-			ShuffleBytes:   specs[i].TotalShuffleBytes(),
-			RulesInstalled: c.jobRules[job.ID],
-		}
+		out[i] = c.jobResult(specs[i], job)
 	}
-	if len(starved) > 0 {
-		return out, fmt.Errorf("%d of %d %w (starved network or deadline hit): %v",
-			len(starved), len(jobs), ErrUnfinished, starved)
+	return out, unfinishedError(starved, len(jobs))
+}
+
+// jobResult summarizes a completed job.
+func (c *Cluster) jobResult(spec *JobSpec, job *hadoop.Job) JobResult {
+	return JobResult{
+		Name:           spec.Name,
+		DurationSec:    float64(job.Duration()),
+		MapPhaseSec:    float64(job.MapPhaseEnd.Sub(job.Submitted)),
+		ShuffleSec:     float64(job.ShuffleEnd.Sub(job.Submitted)),
+		ShuffleBytes:   spec.TotalShuffleBytes(),
+		RulesInstalled: c.jobRules[job.ID],
 	}
-	return out, nil
+}
+
+// unfinishedError reports the named jobs, of total submitted, as an
+// ErrUnfinished; nil when every job completed.
+func unfinishedError(names []string, total int) error {
+	if len(names) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%d of %d %w (starved network or deadline hit): %v",
+		len(names), total, ErrUnfinished, names)
 }
 
 // SequenceDiagram renders the recorded job as an ASCII Gantt chart, width

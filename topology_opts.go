@@ -20,7 +20,10 @@ func WithLinkRateGbps(g float64) Option { return func(c *config) { c.linkBps = g
 
 // WithOversubscription loads the trunks with CBR background traffic so the
 // bandwidth left to Hadoop is rackBandwidth/n, split asymmetrically across
-// trunks as in the paper's evaluation. n <= 0 disables background traffic.
+// trunks as in the paper's evaluation: the inter-rack trunks of a two-rack
+// fabric, or each leaf's spine uplinks on a leaf-spine. A fat-tree has no
+// trunks to load (its oversubscription is its own arity). n <= 0 disables
+// background traffic.
 func WithOversubscription(n int) Option { return func(c *config) { c.oversub = n } }
 
 // LinkID identifies a directed fabric link on the facade. Duplex cables are
@@ -44,7 +47,9 @@ type SwitchInfo struct {
 type TopologySpec struct {
 	name         string
 	hostsPerRack int
-	build        func(linkBps float64) (*topology.Graph, []topology.NodeID, []topology.LinkID)
+	// Exactly one of trunks (two-rack), spines (leaf-spine, with leaves
+	// racks) and fatTreeK is set.
+	trunks, leaves, spines, fatTreeK int
 }
 
 // Name returns a human-readable description of the shape.
@@ -52,15 +57,12 @@ func (t TopologySpec) Name() string { return t.name }
 
 // TwoRackTopology is the paper's evaluation fabric: two ToR switches, each
 // serving hostsPerRack servers, joined by trunks parallel cables. This is
-// the default (hostsPerRack=5, trunks=2) and the only shape
-// WithOversubscription's background-traffic model applies to.
+// the default (hostsPerRack=5, trunks=2).
 func TwoRackTopology(hostsPerRack, trunks int) TopologySpec {
 	return TopologySpec{
 		name:         fmt.Sprintf("two-rack(%d hosts/rack, %d trunks)", hostsPerRack, trunks),
 		hostsPerRack: hostsPerRack,
-		build: func(linkBps float64) (*topology.Graph, []topology.NodeID, []topology.LinkID) {
-			return topology.TwoRack(hostsPerRack, trunks, linkBps)
-		},
+		trunks:       trunks,
 	}
 }
 
@@ -72,10 +74,8 @@ func LeafSpineTopology(leaves, spines, hostsPerRack int) TopologySpec {
 	return TopologySpec{
 		name:         fmt.Sprintf("leaf-spine(%d leaves, %d spines, %d hosts/rack)", leaves, spines, hostsPerRack),
 		hostsPerRack: hostsPerRack,
-		build: func(linkBps float64) (*topology.Graph, []topology.NodeID, []topology.LinkID) {
-			g, hosts := topology.LeafSpine(leaves, spines, hostsPerRack, linkBps)
-			return g, hosts, nil
-		},
+		leaves:       leaves,
+		spines:       spines,
 	}
 }
 
@@ -85,15 +85,11 @@ func FatTreeTopology(k, hostsPerEdge int) TopologySpec {
 	return TopologySpec{
 		name:         fmt.Sprintf("fat-tree(k=%d, %d hosts/edge)", k, hostsPerEdge),
 		hostsPerRack: hostsPerEdge,
-		build: func(linkBps float64) (*topology.Graph, []topology.NodeID, []topology.LinkID) {
-			g, hosts := topology.FatTree(k, hostsPerEdge, linkBps)
-			return g, hosts, nil
-		},
+		fatTreeK:     k,
 	}
 }
 
 // WithTopology replaces the default two-rack fabric. It overrides
-// WithHostsPerRack and WithTrunks; WithLinkRateGbps still applies.
-// WithOversubscription's trunk background model only applies to two-rack
-// shapes (other fabrics have no designated trunk pair to load).
+// WithHostsPerRack and WithTrunks; WithLinkRateGbps and WithOversubscription
+// still apply.
 func WithTopology(t TopologySpec) Option { return func(c *config) { c.topo = &t } }

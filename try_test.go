@@ -77,12 +77,19 @@ func TestTryCompareMatchesCompare(t *testing.T) {
 	}
 }
 
-// TestCollectorShardsInvariantFacade: WithCollectorShards never changes
+// withCollectorShards partitions the Pythia collector's per-job state across
+// n shards, the layout the online service (NewServer) uses for concurrent
+// ingest. Placement decisions merge in a deterministic order, so a simulated
+// run is bit-identical at any shard count — which is why this is a test
+// helper and not a facade option.
+func withCollectorShards(n int) Option { return func(c *config) { c.pythiaCfg.Shards = n } }
+
+// TestCollectorShardsInvariantFacade: the collector shard count never changes
 // results — the facade-level spelling of the sharding determinism contract.
 func TestCollectorShardsInvariantFacade(t *testing.T) {
 	run := func(shards int) JobResult {
 		cl := New(WithScheduler(SchedulerPythia), WithOversubscription(10),
-			WithSeed(7), WithCriticality(), WithCollectorShards(shards))
+			WithSeed(7), WithCriticality(), withCollectorShards(shards))
 		return cl.RunJob(SortJob(2*GB, 8, 7))
 	}
 	ref := run(1)
