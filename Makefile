@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short cover bench bench-paper bench-scale bench-steady bench-compare benchmark bench-guard profile fuzz figures examples api api-check loc clean
+.PHONY: all build vet test test-short cover bench bench-paper bench-steady benchmark bench-guard profile fuzz figures examples api api-check loc clean
 
 all: build vet test
 
@@ -30,13 +30,6 @@ bench:
 bench-paper:
 	$(GO) test -bench=. -benchmem -paperscale .
 
-# Machine-readable scale-benchmark artifact (ns/op + allocs/op, one row per
-# fat-tree size k4/k6/k8/k16/k24). CI uploads this as BENCH_scale.json.
-bench-scale:
-	$(GO) test -bench=ScaleFatTree -benchmem -benchtime=1x -run='^$$' . \
-		| $(GO) run ./cmd/bench2json -o BENCH_scale.json
-	@echo wrote BENCH_scale.json
-
 # Machine-readable open-loop steady-state frontier (E14): arrival-rate ×
 # scheduler sweep with windowed tails and SLO attainment. CI uploads this
 # as BENCH_steady.json.
@@ -58,14 +51,6 @@ benchmark:
 bench-guard:
 	$(GO) test -run 'TestJobDoneCostIndependentOfLiveJobs|TestResolvedIntentPathAllocs' -count=1 -v ./internal/core
 	$(GO) test -bench='ApplyBatch(JobDone|ReducerUp)' -benchtime=200x -run='^$$' ./internal/core
-
-# Diff the current tree's scale benchmark against a saved artifact:
-#   make bench-scale && git stash / checkout, make bench-compare OLD=path.json
-OLD ?= BENCH_scale_old.json
-bench-compare:
-	$(GO) test -bench=ScaleFatTree -benchmem -benchtime=1x -run='^$$' . \
-		| $(GO) run ./cmd/bench2json -o BENCH_scale.json
-	$(GO) run ./cmd/bench2json -compare $(OLD) BENCH_scale.json
 
 # Capture CPU + allocation profiles of the full experiment sweep (serial, so
 # the call tree attributes to one trial at a time). Inspect with

@@ -80,10 +80,11 @@ type ControlPlaneFaults struct {
 	DropEvery int
 }
 
-// WithControlPlaneFaults turns on the fault-aware install path (timeout,
-// bounded exponential-backoff retries, deterministic loss) for the Pythia
-// scheduler's controller. Required for FailController to have effect —
-// without a timeout, installs issued during an outage would wait forever.
+// WithControlPlaneFaults adds the retry layer (ack timeout, bounded
+// exponential-backoff retransmission, deterministic loss) to the Pythia
+// scheduler's rule installs; when and how a FLOW_MOD travels is unchanged.
+// Required for FailController to have effect — without a timeout, installs
+// issued during an outage would wait forever.
 func WithControlPlaneFaults(f ControlPlaneFaults) Option {
 	return func(c *config) { c.cpFaults = &f }
 }

@@ -100,7 +100,10 @@ func TestIndexedMatchesScanUnderLinkFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.At(20, func() {
-		ofc.FailLink(trunks[0])
+		// One direction through the network's notification, the other a raw
+		// graph edit: single-direction, poll-granularity discovery.
+		g.SetLinkUp(trunks[0], false)
+		net.NotifyTopology()
 		if rev, ok := g.Reverse(trunks[0]); ok {
 			g.SetLinkUp(rev, false)
 		}

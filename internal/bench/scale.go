@@ -31,12 +31,11 @@ type ScaleFatTreeResult struct {
 	Hosts       int
 	JobSec      float64
 	FlowHistory []FlowRecord
-	// Faults are the prediction-plane robustness counters, carried into the
-	// BENCH_scale artifact so the trajectory stays comparable; the scale run
-	// is healthy, so they must all read zero.
+	// Faults are the prediction-plane robustness counters; the scale run is
+	// healthy, so BenchmarkScaleFatTree asserts they all read zero.
 	Faults FaultCounters
 	// Quality carries the flight recorder's prediction scores (lead time,
-	// late fraction, byte error) into the BENCH_scale artifact.
+	// late fraction, byte error) into BenchmarkScaleFatTree's metric columns.
 	Quality *flight.Quality
 }
 

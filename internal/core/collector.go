@@ -6,57 +6,6 @@ import (
 	"pythia/internal/instrument"
 )
 
-// Collector is the serving-facing surface of the Pythia collector: the
-// per-message ingest methods the simulator's instrumentation plane drives
-// directly (instrument.Sink, instrument.JobDoneSink), plus the batch entry
-// point and introspection the online service (package serve) is built on.
-// Pythia is the one production implementation; the interface exists so the
-// serving layer depends on a contract rather than on collector internals.
-type Collector interface {
-	instrument.Sink
-	instrument.JobDoneSink
-
-	// ApplyBatch ingests a batch of operations: a concurrent shard-local
-	// phase (bounded by workers) followed by one serialized placement
-	// pass. Results are positional with ops. See Pythia.ApplyBatch for
-	// the determinism contract.
-	ApplyBatch(ops []Op, workers int) []OpResult
-
-	// Stats snapshots every collector counter and gauge.
-	Stats() CollectorStats
-
-	// ShardStats snapshots each shard's live gauges and counters, indexed
-	// by shard ordinal — the serving plane's per-shard metrics surface.
-	ShardStats() []ShardStat
-
-	// OutstandingBookings reports one job's live reservations plus
-	// deferred intents; OutstandingTotal sums that over all jobs (the
-	// service-level leak gauge).
-	OutstandingBookings(job int) int
-	OutstandingTotal() int
-	// OutstandingDemandBits sums booked-but-undelivered predicted demand.
-	OutstandingDemandBits() float64
-	// PendingUnknownDestinations reports intents still awaiting reducer
-	// placement.
-	PendingUnknownDestinations() int
-	// Shards reports the configured shard count.
-	Shards() int
-
-	// Snapshot captures complete collector state; Restore rebuilds it into
-	// a freshly constructed collector with the same shard count,
-	// re-programming installed rules under their original cookies. The
-	// pair is the durability surface the serving plane's write-ahead
-	// journal compacts against.
-	Snapshot() *Snapshot
-	Restore(*Snapshot) error
-
-	// NovelOps counts the ops of a batch that are new work rather than
-	// at-least-once redelivery — the logical-clock advance for the batch.
-	// Evaluated against current state, read-only, deterministic under
-	// journal replay.
-	NovelOps(ops []Op) int
-}
-
 // OpKind discriminates batch operations.
 type OpKind int
 
@@ -205,7 +154,7 @@ type ShardStat struct {
 }
 
 // ShardStats snapshots each shard's gauges and counters, indexed by shard
-// ordinal (Collector).
+// ordinal — the serving plane's per-shard metrics surface.
 func (p *Pythia) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(p.shards))
 	for i, sh := range p.shards {
@@ -223,7 +172,7 @@ func (p *Pythia) ShardStats() []ShardStat {
 	return out
 }
 
-// Stats snapshots every collector counter and gauge (Collector).
+// Stats snapshots every collector counter and gauge.
 func (p *Pythia) Stats() CollectorStats {
 	return CollectorStats{
 		IntentsReceived:    p.IntentsReceived(),

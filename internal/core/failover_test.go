@@ -12,11 +12,18 @@ import (
 // failure semantics: a downed link carries nothing, so in-flight flows must
 // be actively rescued.
 
+// setLinkUp flips one direction of a cable in the graph and tells the network,
+// bypassing the fault plane: control-plane listeners hear about it at the next
+// poll, as with LLDP-driven discovery.
+func setLinkUp(net *netsim.Network, l topology.LinkID, up bool) {
+	net.Graph().SetLinkUp(l, up)
+	net.NotifyTopology()
+}
+
 func failTrunk(s *stack, idx int) {
-	s.ofc.FailLink(s.trunks[idx])
+	setLinkUp(s.net, s.trunks[idx], false)
 	if r, ok := s.net.Graph().Reverse(s.trunks[idx]); ok {
-		s.net.Graph().SetLinkUp(r, false)
-		s.net.NotifyTopology()
+		setLinkUp(s.net, r, false)
 	}
 }
 

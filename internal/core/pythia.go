@@ -381,8 +381,6 @@ func New(eng *sim.Engine, net *netsim.Network, ofc *openflow.Controller, cfg Con
 	return p
 }
 
-var _ Collector = (*Pythia)(nil)
-
 // shardOf routes a job ID to its home shard.
 func (p *Pythia) shardOf(job int) *shard {
 	if len(p.shards) == 1 {

@@ -234,7 +234,7 @@ func TestTopologyChangeReallocates(t *testing.T) {
 	j, _ := s.clus.Submit(spec)
 	// Fail trunk0 mid-job (after predictions have been placed).
 	s.eng.At(8, func() {
-		s.ofc.FailLink(s.trunks[0])
+		setLinkUp(s.net, s.trunks[0], false)
 		if r, ok := s.net.Graph().Reverse(s.trunks[0]); ok {
 			s.net.Graph().SetLinkUp(r, false)
 		}

@@ -42,7 +42,7 @@ func TestReaffirmationNotCountedAsPlacement(t *testing.T) {
 		// Fail an uninvolved host's access link: the graph version bumps, so
 		// the next poll re-places every aggregate, but the (hosts[0] →
 		// hosts[5]) candidate paths are untouched.
-		s.ofc.FailLink(accessLinkOf(t, s.net.Graph(), s.hosts[9]))
+		setLinkUp(s.net, accessLinkOf(t, s.net.Graph(), s.hosts[9]), false)
 	})
 	// Keep the engine alive past the poll that notices the change.
 	s.eng.At(4, func() {})

@@ -95,9 +95,10 @@ type Snapshot struct {
 	Reconciliations    int
 }
 
-// Snapshot captures the collector's full state (Collector). The caller must
-// hold the same exclusion ApplyBatch requires (no concurrent collector or
-// engine use).
+// Snapshot captures the collector's full state — with Restore, the
+// durability surface the serving plane's write-ahead journal compacts
+// against. The caller must hold the same exclusion ApplyBatch requires (no
+// concurrent collector or engine use).
 func (p *Pythia) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Shards:     make([]ShardSnap, len(p.shards)),
@@ -195,7 +196,7 @@ func (p *Pythia) snapShard(sh *shard) ShardSnap {
 	return ss
 }
 
-// Restore rebuilds collector state from a snapshot (Collector). It must run
+// Restore rebuilds collector state from a snapshot. It must run
 // on a freshly constructed Pythia (same Config.Shards, same fabric) before
 // any ingest; rules held by snapshotted aggregates are re-programmed into
 // the fresh controller under their original cookies — the restart-time

@@ -189,69 +189,3 @@ func BenchmarkResolve(b *testing.B) {
 		a.Resolve(tup(hosts[0], hosts[5], uint16(i), 50060))
 	}
 }
-
-func TestRoundRobinDeals(t *testing.T) {
-	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
-	rr := NewRoundRobin(g, 2)
-	ft := tup(hosts[0], hosts[5], 1, 1)
-	p1, ok1 := rr.Resolve(ft)
-	p2, ok2 := rr.Resolve(ft)
-	p3, ok3 := rr.Resolve(ft)
-	if !ok1 || !ok2 || !ok3 {
-		t.Fatal("resolution failed")
-	}
-	if p1.Equal(p2) {
-		t.Fatal("consecutive resolutions not rotated")
-	}
-	if !p1.Equal(p3) {
-		t.Fatal("rotation did not wrap over 2 paths")
-	}
-}
-
-func TestRoundRobinPerPairState(t *testing.T) {
-	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
-	rr := NewRoundRobin(g, 2)
-	a1, _ := rr.Resolve(tup(hosts[0], hosts[5], 1, 1))
-	// A different pair starts its own rotation from index 0.
-	b1, _ := rr.Resolve(tup(hosts[1], hosts[6], 1, 1))
-	a2, _ := rr.Resolve(tup(hosts[0], hosts[5], 1, 1))
-	if a1.Equal(a2) {
-		t.Fatal("pair A did not advance")
-	}
-	// Pair B's first pick uses the same index as pair A's first pick
-	// (both index 0 of their own sets).
-	_ = b1
-}
-
-func TestRoundRobinLocalAndDisconnected(t *testing.T) {
-	g, hosts, _ := topology.TwoRack(2, 1, topology.Gbps)
-	rr := NewRoundRobin(g, 2)
-	if p, ok := rr.Resolve(tup(hosts[0], hosts[0], 1, 1)); !ok || p.Hops() != 0 {
-		t.Fatal("local resolve broken")
-	}
-	if _, err := rr.ResolveShuffle(tup(hosts[0], hosts[1], 1, 1)); err != nil {
-		t.Fatal(err)
-	}
-	iso := topology.NewGraph()
-	a := iso.AddNode(topology.Host, "a", 0)
-	b := iso.AddNode(topology.Host, "b", 1)
-	rr2 := NewRoundRobin(iso, 2)
-	if _, err := rr2.ResolveShuffle(tup(a, b, 1, 1)); err == nil {
-		t.Fatal("disconnected pair resolved")
-	}
-}
-
-func TestRoundRobinPerfectBalance(t *testing.T) {
-	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
-	rr := NewRoundRobin(g, 2)
-	counts := map[topology.LinkID]int{}
-	for i := 0; i < 100; i++ {
-		p, _ := rr.Resolve(tup(hosts[0], hosts[5], uint16(i), 1))
-		counts[p.Links[1]]++
-	}
-	for l, c := range counts {
-		if c != 50 {
-			t.Fatalf("trunk %d got %d of 100, want exact 50/50", l, c)
-		}
-	}
-}

@@ -46,13 +46,14 @@ type Quality struct {
 
 type qualitySamples struct {
 	q        Quality
-	leads    []float64 // seconds, event order
-	byteErrs []float64 // signed fractions, event order
-	late     int
+	leads    []float64  // seconds, event order
+	byteErrs []float64  // signed fractions, event order
+	races    []FlowRace // covered flows, admission order
 }
 
-// collectSamples gathers the raw lead-time and byte-error samples plus the
-// volume counters shared by ComputeQuality and BuildMetrics. Two passes:
+// collectSamples gathers the raw lead-time and byte-error samples, the
+// per-flow race outcomes and the volume counters shared by ComputeQuality,
+// FlowRaces and BuildMetrics. Two passes:
 // the first learns which flows were ever booked (covered by a prediction),
 // the second classifies admissions against the install timeline.
 func collectSamples(events []Event) qualitySamples {
@@ -89,10 +90,10 @@ func collectSamples(events []Event) qualitySamples {
 				break
 			}
 			s.q.CoveredFlows++
-			if t, ok := lastInstall[pair{ev.Src, ev.Dst}]; ok {
+			t, won := lastInstall[pair{ev.Src, ev.Dst}]
+			s.races = append(s.races, FlowRace{T: ev.T, Late: !won})
+			if won {
 				s.leads = append(s.leads, float64(ev.T.Sub(t)))
-			} else {
-				s.late++
 			}
 		case FlowCompleted:
 			k := fkey{ev.Job, ev.Map, ev.Reduce}
@@ -134,39 +135,11 @@ type FlowRace struct {
 	Late bool
 }
 
-// FlowRaces extracts the per-flow race outcomes in admission order, using
-// the same covered-flow classification as ComputeQuality. The steady-state
+// FlowRaces extracts the per-flow race outcomes in admission order — the
+// covered-flow classification ComputeQuality counts. The steady-state
 // harness bins these by measurement window to correlate prediction
 // lateness with tail-latency windows.
-func FlowRaces(events []Event) []FlowRace {
-	type pair struct{ src, dst topology.NodeID }
-	type fkey struct{ job, mapID, reduce int }
-	covered := map[fkey]bool{}
-	for i := range events {
-		ev := &events[i]
-		if ev.Kind == BookingMade {
-			covered[fkey{ev.Job, ev.Map, ev.Reduce}] = true
-		}
-	}
-	var out []FlowRace
-	lastInstall := map[pair]sim.Time{}
-	for i := range events {
-		ev := &events[i]
-		switch ev.Kind {
-		case InstallDone:
-			if ev.Disposition == DispOK {
-				lastInstall[pair{ev.Src, ev.Dst}] = ev.T
-			}
-		case FlowAdmitted:
-			if !covered[fkey{ev.Job, ev.Map, ev.Reduce}] {
-				continue
-			}
-			_, won := lastInstall[pair{ev.Src, ev.Dst}]
-			out = append(out, FlowRace{T: ev.T, Late: !won})
-		}
-	}
-	return out
-}
+func FlowRaces(events []Event) []FlowRace { return collectSamples(events).races }
 
 func qualityFromSamples(s qualitySamples) Quality {
 	q := s.q
@@ -179,7 +152,7 @@ func qualityFromSamples(s qualitySamples) Quality {
 		q.LeadMaxSec = leads[n-1]
 	}
 	if q.CoveredFlows > 0 {
-		q.LateFraction = float64(s.late) / float64(q.CoveredFlows)
+		q.LateFraction = float64(q.CoveredFlows-len(s.leads)) / float64(q.CoveredFlows)
 	}
 	q.ByteSamples = len(s.byteErrs)
 	if n := len(s.byteErrs); n > 0 {

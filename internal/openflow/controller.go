@@ -33,8 +33,11 @@ type Controller struct {
 	// InstallLatency is the control-plane programming cost per rule.
 	InstallLatency sim.Duration
 
-	// install queue: the controller programs rules strictly in order.
+	// Built-in pipeline (see channel): when its server is next free, and the
+	// burst whose slots are being handed out.
 	queueBusyUntil sim.Time
+	burstStart     sim.Time
+	burstLen       int
 
 	linkLoad  map[topology.LinkID]LoadSample
 	pollEvery sim.Duration
@@ -217,31 +220,11 @@ func (c *Controller) LinkLoad(l topology.LinkID) LoadSample { return c.linkLoad[
 // changes (detected at poll granularity).
 func (c *Controller) OnTopologyChange(fn func()) { c.topoLs = append(c.topoLs, fn) }
 
-// FailLink takes a link down (fault injection). Traffic on the link starves
-// immediately; control-plane listeners hear about it at the next poll, as
-// with LLDP-driven discovery.
-//
-// Deprecated: use Network.FailLink, which downs the whole duplex pair and
-// notifies every fault-plane subscriber immediately. This single-direction,
-// poll-granularity variant remains for tests that exercise discovery lag.
-func (c *Controller) FailLink(l topology.LinkID) {
-	c.g.SetLinkUp(l, false)
-	c.net.NotifyTopology()
-}
-
-// RestoreLink brings a link back up.
-//
-// Deprecated: use Network.RecoverLink (see FailLink).
-func (c *Controller) RestoreLink(l topology.LinkID) {
-	c.g.SetLinkUp(l, true)
-	c.net.NotifyTopology()
-}
-
 // InstallPath programs one rule per switch along the path so that traffic
 // matching m follows exactly that path. Rules appear in the switch tables
-// asynchronously — the controller serializes installs at InstallLatency per
-// rule — and done (may be nil) fires with the first error or nil once all
-// rules are in. Host hops need no rules (servers have a single uplink).
+// asynchronously — one FLOW_MOD each over the controller's channel — and done
+// (may be nil) fires once every rule has landed or been given up on, with the
+// first error or nil. Host hops need no rules (servers have a single uplink).
 func (c *Controller) InstallPath(m Match, path topology.Path, priority int, cookie uint64, done func(error)) {
 	c.install(m, path, priority, cookie, false, done)
 }
@@ -256,7 +239,7 @@ func (c *Controller) InstallSteering(m Match, path topology.Path, priority int, 
 }
 
 // installStep is one rule installation on one switch along a path; a nil
-// switch marks a pure-ack round trip (no rule-bearing hops).
+// switch marks the echo round trip of a path with no rule-bearing hops.
 type installStep struct {
 	sw  *Switch
 	out topology.LinkID
@@ -302,76 +285,155 @@ func (c *Controller) install(m Match, path topology.Path, priority int, cookie u
 			}
 		}
 	}
-	if c.faults.InstallTimeout > 0 {
-		c.installFaulty(m, steps, priority, cookie, done)
-		return
-	}
 	if len(steps) == 0 {
-		if done != nil {
-			// Even a no-op command round-trips the control network. With a
-			// management network configured the ack must queue behind the
-			// controller's other control traffic like any FLOW_MOD, not
-			// bypass it through the built-in pipeline delay.
-			if c.mgmt != nil {
-				c.nextXID++
-				wire := ofp10.EchoRequest(c.nextXID, nil)
-				c.ControlBytes += float64(len(wire))
-				c.mgmt.Send(c.ctrlNode, float64(len(wire)), func() {
-					c.eng.After(c.InstallLatency, func() { done(nil) })
-				})
-			} else {
-				c.eng.After(c.InstallLatency, func() { done(nil) })
-			}
+		if done == nil {
+			return
 		}
-		return
+		// Even a no-op command round-trips the control network: one echo,
+		// queued behind the controller's other control traffic like any
+		// FLOW_MOD, so an outage is observable for it too.
+		steps = []installStep{{sw: nil, out: -1}}
 	}
+	remaining := len(steps)
 	var firstErr error
-	apply := func(st installStep, last bool) {
-		err := st.sw.Install(FlowRule{Match: m, Out: st.out, Priority: priority, Cookie: cookie})
+	resolve := func(err error) {
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if err == nil {
-			c.RulesInstalled++
-		}
-		if last && done != nil {
+		remaining--
+		if remaining == 0 && done != nil {
 			done(firstErr)
 		}
 	}
+	c.anchorPipeline()
+	for _, st := range steps {
+		c.transmit(m, st, priority, cookie, 0, resolve)
+	}
+}
 
-	if c.mgmt != nil {
-		// Explicit control plane: each rule is a real OpenFlow FLOW_MOD
-		// serialized out the controller's management port (FIFO), then
-		// programmed at the switch after the hardware latency.
-		for i, st := range steps {
-			st := st
-			last := i == len(steps)-1
-			wire := c.encodeFlowMod(m, st.out, priority, cookie)
+// transmit sends one control message of an install — the FLOW_MOD for st, or
+// an echo when st.sw is nil — and resolves it with the switch's answer when
+// it arrives. Under a fault model (InstallTimeout > 0) an unacknowledged
+// message is retransmitted with bounded exponential backoff and resolves with
+// ErrControlPlaneUnreachable once the budget is spent; a late arrival after a
+// timeout is discarded (stale XID), so a retransmitted rule is never
+// double-installed. Without one, a lost message never resolves.
+func (c *Controller) transmit(m Match, st installStep, priority int, cookie uint64, attempt int, resolve func(error)) {
+	c.txSeq++
+	var wire []byte
+	if st.sw != nil {
+		wire = c.encodeFlowMod(m, st.out, priority, cookie)
+	} else {
+		c.nextXID++
+		wire = ofp10.EchoRequest(c.nextXID, nil)
+	}
+
+	lost := c.ctrlDown || (c.faults.Drop != nil && c.faults.Drop(c.txSeq))
+	if c.ctrlDown {
+		// The controller cannot put the message on the wire at all: no
+		// bytes are accounted, the transmission is simply lost.
+		c.DroppedFlowMods++
+		c.recordFlowModLost(cookie, attempt, flight.DispOutage)
+	} else {
+		if st.sw != nil {
 			c.FlowModsSent++
-			c.ControlBytes += float64(len(wire))
-			c.mgmt.Send(c.ctrlNode, float64(len(wire)), func() {
-				c.eng.After(c.InstallLatency, func() { apply(st, last) })
-			})
 		}
+		c.ControlBytes += float64(len(wire))
+		if lost {
+			c.DroppedFlowMods++
+			c.recordFlowModLost(cookie, attempt, flight.DispDrop)
+		}
+	}
+
+	// Whichever comes first settles the transmission: its message arriving,
+	// or its ack timer giving up on it.
+	const (
+		inFlight = iota
+		acked
+		abandoned
+	)
+	state := inFlight
+	onWire := c.eng.Now()
+	if !lost {
+		onWire = c.channel(float64(len(wire)), func() {
+			if state == abandoned {
+				return
+			}
+			state = acked
+			if st.sw == nil {
+				resolve(nil)
+				return
+			}
+			err := st.sw.Install(FlowRule{Match: m, Out: st.out, Priority: priority, Cookie: cookie})
+			if err == nil {
+				c.RulesInstalled++
+			}
+			resolve(err)
+		})
+	}
+	if c.faults.InstallTimeout <= 0 {
 		return
 	}
+	c.eng.At(onWire.Add(c.faults.InstallTimeout), func() {
+		if state == acked {
+			return
+		}
+		state = abandoned
+		if attempt >= c.faults.MaxRetries {
+			c.InstallFailures++
+			resolve(ErrControlPlaneUnreachable)
+			return
+		}
+		c.Retransmissions++
+		if c.fl != nil {
+			ev := flight.Ev(flight.FlowModRetry, flight.PlaneControl)
+			ev.Cookie = cookie
+			ev.Count = attempt + 1
+			c.fl.Record(ev)
+		}
+		backoff := sim.Duration(float64(c.faults.RetryBackoff) * float64(uint64(1)<<uint(attempt)))
+		c.eng.After(backoff, func() {
+			c.anchorPipeline()
+			c.transmit(m, st, priority, cookie, attempt+1, resolve)
+		})
+	})
+}
 
-	// Built-in pipeline: serialize behind any in-flight installation work
-	// at InstallLatency per rule (the paper's 3–5 ms/flow budget).
-	start := c.queueBusyUntil
-	if start < c.eng.Now() {
-		start = c.eng.Now()
+// channel puts one encoded message on the controller's control channel,
+// runs arrive once the switch has acted on it, and returns when the message
+// went on the wire (where its ack timer starts). It is the only place a
+// timing model lives, and there are two. The management network: FIFO
+// serialization out the controller's port plus propagation (mgmt.Send),
+// then the switch's programming latency — switches program in parallel. The
+// built-in pipeline: one strictly ordered server, one InstallLatency slot per
+// message (the paper's 3–5 ms/flow budget), the ack timer starting with the
+// slot so queue depth alone never causes a retransmission. Neither models a
+// per-switch install rate (DESIGN.md §5).
+func (c *Controller) channel(bytes float64, arrive func()) (onWire sim.Time) {
+	if c.mgmt != nil {
+		c.mgmt.Send(c.ctrlNode, bytes, func() {
+			c.eng.After(c.InstallLatency+c.faults.ExtraDelay, arrive)
+		})
+		return c.eng.Now()
 	}
-	for i, st := range steps {
-		st := st
-		last := i == len(steps)-1
-		wire := c.encodeFlowMod(m, st.out, priority, cookie)
-		c.FlowModsSent++
-		c.ControlBytes += float64(len(wire))
-		at := start.Add(sim.Duration(float64(c.InstallLatency) * float64(i+1)))
-		c.eng.At(at, func() { apply(st, last) })
+	onWire = c.queueBusyUntil
+	c.burstLen++
+	c.queueBusyUntil = c.burstStart.Add(sim.Duration(float64(c.InstallLatency) * float64(c.burstLen)))
+	c.eng.At(c.queueBusyUntil.Add(c.faults.ExtraDelay), arrive)
+	return onWire
+}
+
+// anchorPipeline starts a burst on the built-in pipeline — the messages of
+// one install, or one retransmission — at the moment its server is next free.
+// Slot i of a burst ends at anchor + InstallLatency·(i+1), multiplied out
+// rather than accumulated so event times do not depend on how a burst's
+// additions round.
+func (c *Controller) anchorPipeline() {
+	c.burstStart, c.burstLen = c.queueBusyUntil, 0
+	if now := c.eng.Now(); c.burstStart < now {
+		c.burstStart = now
 	}
-	c.queueBusyUntil = start.Add(sim.Duration(float64(c.InstallLatency) * float64(len(steps))))
+	c.queueBusyUntil = c.burstStart
 }
 
 // encodeFlowMod produces the authentic OpenFlow 1.0 wire message for a rule

@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"pythia/internal/flight"
-	"pythia/internal/ofp10"
 	"pythia/internal/sim"
 )
 
@@ -14,13 +13,13 @@ import (
 // affected aggregate to the default ECMP pipeline.
 var ErrControlPlaneUnreachable = errors.New("openflow: control plane unreachable (install retry budget exhausted)")
 
-// FaultConfig models management-channel unreliability. The zero value means
-// the legacy perfectly-reliable pipeline; setting InstallTimeout > 0 turns
-// the fault-aware install path on.
+// FaultConfig models management-channel unreliability. The zero value is a
+// perfectly reliable channel with no ack timers; InstallTimeout > 0 adds the
+// retry layer to the one transmission path (Controller.transmit).
 type FaultConfig struct {
-	// InstallTimeout is how long the controller waits for a FLOW_MOD to be
-	// acknowledged before retransmitting. Zero disables the fault machinery
-	// entirely.
+	// InstallTimeout is how long the controller waits, from the moment a
+	// FLOW_MOD goes on the wire, for it to be acknowledged before
+	// retransmitting. Zero arms no timer: a lost message is never noticed.
 	InstallTimeout sim.Duration
 	// MaxRetries bounds retransmissions per rule; past the budget the
 	// install fails with ErrControlPlaneUnreachable.
@@ -69,113 +68,6 @@ func (c *Controller) ControllerUp() bool { return !c.ctrlDown }
 
 // OnControllerUp registers a callback fired by RecoverController.
 func (c *Controller) OnControllerUp(fn func()) { c.ctrlUpLs = append(c.ctrlUpLs, fn) }
-
-// installFaulty is the fault-aware install path: each rule is an independent
-// transmission with timeout, bounded exponential-backoff retransmission, and
-// loss injection. A path with no rule-bearing hops still costs one pure-ack
-// round trip so that control-plane outage is observable for it too.
-func (c *Controller) installFaulty(m Match, steps []installStep, priority int, cookie uint64, done func(error)) {
-	if len(steps) == 0 {
-		steps = []installStep{{sw: nil, out: -1}}
-	}
-	remaining := len(steps)
-	var firstErr error
-	finish := func(err error) {
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		remaining--
-		if remaining == 0 && done != nil {
-			done(firstErr)
-		}
-	}
-	for _, st := range steps {
-		c.sendWithRetry(m, st, priority, cookie, 0, finish)
-	}
-}
-
-// sendWithRetry performs one transmission attempt for one rule and arms its
-// timeout. Late deliveries after a timeout are discarded (stale XID), so a
-// retransmitted rule is never double-installed.
-func (c *Controller) sendWithRetry(m Match, st installStep, priority int, cookie uint64, attempt int, finish func(error)) {
-	c.txSeq++
-	seq := c.txSeq
-	var wire []byte
-	if st.sw != nil {
-		wire = c.encodeFlowMod(m, st.out, priority, cookie)
-	} else {
-		c.nextXID++
-		wire = ofp10.EchoRequest(c.nextXID, nil)
-	}
-
-	delivered := false
-	abandoned := false
-	deliver := func() {
-		if abandoned {
-			return
-		}
-		delivered = true
-		if st.sw == nil {
-			finish(nil)
-			return
-		}
-		err := st.sw.Install(FlowRule{Match: m, Out: st.out, Priority: priority, Cookie: cookie})
-		if err == nil {
-			c.RulesInstalled++
-		}
-		finish(err)
-	}
-
-	lost := c.ctrlDown || (c.faults.Drop != nil && c.faults.Drop(seq))
-	if c.ctrlDown {
-		// The controller cannot put the message on the wire at all: no
-		// bytes are accounted, the transmission is simply lost.
-		c.DroppedFlowMods++
-		c.recordFlowModLost(cookie, attempt, flight.DispOutage)
-	} else {
-		if st.sw != nil {
-			c.FlowModsSent++
-		}
-		c.ControlBytes += float64(len(wire))
-		if lost {
-			c.DroppedFlowMods++
-			c.recordFlowModLost(cookie, attempt, flight.DispDrop)
-		}
-	}
-	if !lost {
-		after := c.InstallLatency + c.faults.ExtraDelay
-		if c.mgmt != nil {
-			c.mgmt.Send(c.ctrlNode, float64(len(wire)), func() {
-				c.eng.After(after, deliver)
-			})
-		} else {
-			c.eng.After(after, deliver)
-		}
-	}
-
-	c.eng.After(c.faults.InstallTimeout, func() {
-		if delivered {
-			return
-		}
-		abandoned = true
-		if attempt < c.faults.MaxRetries {
-			c.Retransmissions++
-			if c.fl != nil {
-				ev := flight.Ev(flight.FlowModRetry, flight.PlaneControl)
-				ev.Cookie = cookie
-				ev.Count = attempt + 1
-				c.fl.Record(ev)
-			}
-			backoff := sim.Duration(float64(c.faults.RetryBackoff) * float64(uint64(1)<<uint(attempt)))
-			c.eng.After(backoff, func() {
-				c.sendWithRetry(m, st, priority, cookie, attempt+1, finish)
-			})
-			return
-		}
-		c.InstallFailures++
-		finish(ErrControlPlaneUnreachable)
-	})
-}
 
 // recordFlowModLost emits the flowmod-dropped flight event; a no-op when
 // the recorder is disabled.

@@ -19,6 +19,14 @@ func tb() (*sim.Engine, *netsim.Network, *Controller, []topology.NodeID, []topol
 	return eng, net, c, hosts, trunks
 }
 
+// setLinkUp flips one direction of a cable in the graph and tells the network,
+// bypassing the fault plane: control-plane listeners hear about it at the next
+// poll, as with LLDP-driven discovery.
+func setLinkUp(net *netsim.Network, l topology.LinkID, up bool) {
+	net.Graph().SetLinkUp(l, up)
+	net.NotifyTopology()
+}
+
 func tup(src, dst topology.NodeID, sp, dp uint16) netsim.FiveTuple {
 	return netsim.FiveTuple{SrcHost: src, DstHost: dst, SrcPort: sp, DstPort: dp, Protocol: 6}
 }
@@ -315,27 +323,27 @@ func TestPollerDoesNotKeepEngineAlive(t *testing.T) {
 }
 
 func TestTopologyChangeNotification(t *testing.T) {
-	eng, _, c, _, trunks := tb()
+	eng, net, c, _, trunks := tb()
 	notified := 0
 	c.OnTopologyChange(func() { notified++ })
-	eng.At(0.5, func() { c.FailLink(trunks[0]) })
+	eng.At(0.5, func() { setLinkUp(net, trunks[0], false) })
 	eng.At(3.5, func() {})
 	eng.RunUntil(3.5)
 	if notified != 1 {
 		t.Fatalf("topology notifications = %d, want 1", notified)
 	}
 	if c.g.LinkUp(trunks[0]) {
-		t.Fatal("link still up after FailLink")
+		t.Fatal("link still up after being failed")
 	}
-	c.RestoreLink(trunks[0])
+	setLinkUp(net, trunks[0], true)
 	if !c.g.LinkUp(trunks[0]) {
-		t.Fatal("link down after RestoreLink")
+		t.Fatal("link down after being restored")
 	}
 }
 
 func TestResolveAfterLinkFailure(t *testing.T) {
-	eng, _, c, hosts, trunks := tb()
-	c.FailLink(trunks[0])
+	eng, net, c, hosts, trunks := tb()
+	setLinkUp(net, trunks[0], false)
 	// Also fail the reverse direction to fully remove the trunk.
 	rev := c.g.FindLinks(c.g.Link(trunks[0]).To, c.g.Link(trunks[0]).From)
 	_ = rev

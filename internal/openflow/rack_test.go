@@ -97,7 +97,7 @@ func TestInstallSteeringSkipsLastHop(t *testing.T) {
 }
 
 func TestRuleWithStaleOutIgnored(t *testing.T) {
-	eng, _, c, hosts, trunks := tb()
+	eng, net, c, hosts, trunks := tb()
 	g := c.g
 	var path topology.Path
 	for _, p := range g.KShortestPaths(hosts[0], hosts[5], 2) {
@@ -111,7 +111,7 @@ func TestRuleWithStaleOutIgnored(t *testing.T) {
 	eng.Run()
 	// Fail the trunk the rule points at: Resolve must fall back to the
 	// default pipeline over the surviving trunk rather than error.
-	c.FailLink(trunks[0])
+	setLinkUp(net, trunks[0], false)
 	p, err := c.Resolve(tup(hosts[0], hosts[5], 3, 3))
 	if err != nil {
 		t.Fatalf("resolve after stale rule: %v", err)

@@ -161,7 +161,7 @@ type Server struct {
 	// and the stats handler.
 	colMu sync.Mutex
 	eng   *sim.Engine
-	col   core.Collector
+	col   *core.Pythia
 
 	digest     uint64 // FNV-1a over the placement stream (under colMu)
 	placements int

@@ -1,7 +1,7 @@
 // Package stats provides the deterministic random-number machinery and the
 // small statistical helpers the simulators and the experiment harness rely
 // on: a splitmix64 PRNG (so every experiment is exactly reproducible from a
-// seed), a bounded Zipf sampler for modeling MapReduce key skew, and
+// seed), Zipf weights for modeling MapReduce key skew, and
 // summary-statistics utilities.
 package stats
 

@@ -144,73 +144,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestZipfBounds(t *testing.T) {
-	z := NewZipf(NewRNG(19), 1.0, 100)
-	for i := 0; i < 10000; i++ {
-		v := z.Sample()
-		if v < 0 || v >= 100 {
-			t.Fatalf("Zipf sample %d out of range", v)
-		}
-	}
-}
-
-func TestZipfSkewOrdering(t *testing.T) {
-	z := NewZipf(NewRNG(23), 1.2, 50)
-	counts := make([]int, 50)
-	for i := 0; i < 200000; i++ {
-		counts[z.Sample()]++
-	}
-	// Rank 0 must dominate rank 10 which must dominate rank 40.
-	if !(counts[0] > counts[10] && counts[10] > counts[40]) {
-		t.Fatalf("Zipf counts not decreasing: c0=%d c10=%d c40=%d",
-			counts[0], counts[10], counts[40])
-	}
-}
-
-func TestZipfZeroExponentUniform(t *testing.T) {
-	z := NewZipf(NewRNG(29), 0, 10)
-	counts := make([]int, 10)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Sample()]++
-	}
-	for i, c := range counts {
-		if math.Abs(float64(c)-n/10) > n/10*0.15 {
-			t.Fatalf("s=0 bucket %d count %d deviates from uniform", i, c)
-		}
-	}
-}
-
-func TestZipfPMFSumsToOne(t *testing.T) {
-	z := NewZipf(NewRNG(1), 1.5, 200)
-	sum := 0.0
-	for i := 0; i < z.N(); i++ {
-		sum += z.PMF(i)
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("PMF sums to %v", sum)
-	}
-	if z.PMF(-1) != 0 || z.PMF(200) != 0 {
-		t.Fatal("PMF out of range not zero")
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	for _, tc := range []struct {
-		s float64
-		n int
-	}{{-1, 10}, {1, 0}, {1, -5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewZipf(s=%v,n=%d) did not panic", tc.s, tc.n)
-				}
-			}()
-			NewZipf(NewRNG(1), tc.s, tc.n)
-		}()
-	}
-}
-
 func TestSkewWeights(t *testing.T) {
 	w := SkewWeights(5, 1)
 	sum := 0.0
@@ -419,14 +352,6 @@ func TestPropertySummarizeBounds(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(15))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkZipfSample(b *testing.B) {
-	z := NewZipf(NewRNG(1), 1.1, 100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		z.Sample()
 	}
 }
 

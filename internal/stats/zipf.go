@@ -1,38 +1,9 @@
 package stats
 
-// Zipf samples integers in [0, N) with probability proportional to
-// 1/(rank+1)^s. MapReduce key spaces are commonly Zipf-distributed, which is
-// the root cause of the reducer skew the Pythia paper targets (Fig. 1a shows
-// reducer-0 receiving 5x the bytes of reducer-1).
-//
-// The implementation precomputes the CDF and samples by binary search, which
-// is exact (no rejection) and fast for the N values used here (≤ 1e6).
-type Zipf struct {
-	cdf []float64
-	rng *RNG
-}
-
-// NewZipf returns a sampler over [0, n) with exponent s ≥ 0. s = 0
-// degenerates to the uniform distribution. It panics if n <= 0 or s < 0.
-func NewZipf(rng *RNG, s float64, n int) *Zipf {
-	if n <= 0 {
-		panic("stats: Zipf with non-positive n")
-	}
-	if s < 0 {
-		panic("stats: Zipf with negative exponent")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += zipfWeight(i, s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, rng: rng}
-}
-
+// zipfWeight is the unnormalized Zipf weight 1/(rank+1)^s. MapReduce key
+// spaces are commonly Zipf-distributed, which is the root cause of the
+// reducer skew the Pythia paper targets (Fig. 1a shows reducer-0 receiving
+// 5x the bytes of reducer-1).
 func zipfWeight(rank int, s float64) float64 {
 	x := float64(rank + 1)
 	// x^-s without math.Pow in the common integer cases keeps this hot
@@ -56,35 +27,6 @@ func pow(x, y float64) float64 {
 // tests.
 func exp(x float64) float64 { return mathExp(x) }
 func ln(x float64) float64  { return mathLog(x) }
-
-// N returns the size of the sampled domain.
-func (z *Zipf) N() int { return len(z.cdf) }
-
-// Sample draws one value in [0, N).
-func (z *Zipf) Sample() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// PMF returns the probability of rank i.
-func (z *Zipf) PMF(i int) float64 {
-	if i < 0 || i >= len(z.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
 
 // SkewWeights distributes a total across n buckets with the given Zipf
 // exponent: weights[i] is the fraction of total assigned to bucket i. The
