@@ -1,5 +1,6 @@
 // Command pythia-topo inspects the simulated testbed topologies: node and
-// link inventory, k-shortest paths between hosts, and Graphviz DOT export.
+// link inventory, the first k equal-cost paths between two hosts, and
+// Graphviz DOT export.
 //
 // Usage:
 //
@@ -26,8 +27,8 @@ func main() {
 	spines := flag.Int("spines", 2, "spine switches (leafspine)")
 	arity := flag.Int("arity", 4, "fat-tree arity k (fattree)")
 	gbps := flag.Float64("gbps", 1, "link rate in Gbps")
-	pathsArg := flag.String("paths", "", "print k-shortest paths between two host indices, e.g. 0,7")
-	k := flag.Int("k", 4, "number of shortest paths to print")
+	pathsArg := flag.String("paths", "", "print the first k equal-cost paths between two host indices, e.g. 0,7")
+	k := flag.Int("k", 4, "number of equal-cost paths to print")
 	dotPath := flag.String("dot", "", "write a Graphviz DOT file to this path")
 	flag.Parse()
 
@@ -61,7 +62,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "host indices out of range [0,%d)\n", len(hosts))
 			os.Exit(2)
 		}
-		paths := g.KShortestPaths(hosts[si], hosts[di], *k)
+		paths := g.EqualCostPaths(hosts[si], hosts[di], *k)
 		fmt.Printf("%d shortest paths %s -> %s:\n", len(paths),
 			g.Node(hosts[si]).Name, g.Node(hosts[di]).Name)
 		for i, p := range paths {

@@ -12,8 +12,8 @@ func WithScheduler(k SchedulerKind) Option { return func(c *config) { c.schedule
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
 // WithKShortestPaths sets the run's per-pair path diversity (default 4) for
-// every scheduler: Pythia's and Hedera's candidate sets, and the k shortest
-// paths ECMP narrows to its equal-cost hash set. Compare(...,
+// every scheduler: the first K equal-cost paths of a pair are Pythia's and
+// Hedera's candidate set and ECMP's hash set. Compare(...,
 // WithKShortestPaths(1)) therefore single-paths both sides.
 func WithKShortestPaths(k int) Option { return func(c *config) { c.pythiaCfg.K = k } }
 

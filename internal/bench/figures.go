@@ -217,7 +217,7 @@ func RunFig1b() Fig1bResult {
 		tb := build()
 		hosts := tb.Hosts
 		var path topology.Path
-		for _, p := range tb.Graph.KShortestPaths(hosts[0], hosts[5], 2) {
+		for _, p := range tb.Graph.EqualCostPaths(hosts[0], hosts[5], 2) {
 			for _, l := range p.Links {
 				if l == tb.Trunks[trunkIdx] {
 					path = p
@@ -249,7 +249,7 @@ func RunFig1b() Fig1bResult {
 		}
 	}
 	// Availability-based choice: pick the path with max available bw.
-	paths := g.KShortestPaths(hosts[0], hosts[5], 2)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	bestAvail, bestIdx := -1.0, -1
 	for i, p := range paths {
 		avail := 1e18

@@ -150,7 +150,7 @@ func TestDisconnectedPairStaysStarvedUntilRepair(t *testing.T) {
 	s := newStack(Config{Aggregate: true}, hadoop.Config{})
 	g := s.net.Graph()
 	var done bool
-	p := g.KShortestPaths(s.hosts[0], s.hosts[5], 2)[0]
+	p := g.EqualCostPaths(s.hosts[0], s.hosts[5], 2)[0]
 	f := s.net.StartFlow(netsim.FiveTuple{SrcHost: s.hosts[0], DstHost: s.hosts[5], SrcPort: 1, DstPort: 1, Protocol: 6},
 		netsim.Shuffle, p, 1e9, 0, 0, 0, func(*netsim.Flow) { done = true })
 	s.eng.At(0.5, func() {

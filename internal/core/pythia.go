@@ -69,8 +69,9 @@ func (s Scope) String() string {
 
 // Config tunes the Pythia controller.
 type Config struct {
-	// K is the number of shortest paths precomputed per host pair
-	// (the paper's k-shortest-paths module; hop-count metric).
+	// K bounds the candidate set per host pair to the first K equal-cost
+	// (minimum hop count) paths in link-ID order — the paper's
+	// k-shortest-paths module read on the shortest-path DAG.
 	K int
 	// RulePriority is the OpenFlow priority for Pythia rules (must beat
 	// the default pipeline, which is priority-less here).
@@ -295,10 +296,8 @@ type Pythia struct {
 	g   *topology.Graph
 	cfg Config
 
-	// paths is the incrementally-repaired k-shortest-path cache: a fault
-	// storm invalidates only the pairs whose paths a change can affect,
-	// instead of the full flush earlier revisions paid on every topology
-	// version bump.
+	// paths memoizes each pair's candidate set (the first K equal-cost
+	// paths) until the next topology version bump.
 	paths *topology.PathCache
 
 	// shards partitions per-job state; shardOf routes a job to its home.
@@ -460,8 +459,8 @@ func (p *Pythia) aggKey(src, dst topology.NodeID) pairKey {
 	return pairKey{src, dst}
 }
 
-// kPaths returns the k-shortest paths for a pair through the incremental
-// cache (topology changes invalidate only affected pairs).
+// kPaths returns a pair's candidate set: the first K equal-cost paths,
+// memoized until the next topology change.
 func (p *Pythia) kPaths(src, dst topology.NodeID) []topology.Path {
 	return p.paths.Paths(src, dst)
 }

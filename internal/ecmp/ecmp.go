@@ -13,67 +13,38 @@ import (
 	"hash/fnv"
 
 	"pythia/internal/netsim"
+	"pythia/internal/stats"
 	"pythia/internal/topology"
 )
 
-// Allocator assigns paths by five-tuple hash over the k-shortest paths of
-// each host pair. Path sets come from an incrementally-repaired
-// topology.PathCache (a fault invalidates only the pairs it can affect; the
-// paper recomputes the routing graph only on topology events, keeping
-// routing computation off the data path); the equal-cost subsets derived
-// from them are memoized against the cache revision.
+// Allocator assigns paths by five-tuple hash over the first k equal-cost
+// paths of each host pair, read from a topology.PathCache (dropped on any
+// topology event; the paper recomputes the routing graph only then, keeping
+// routing computation off the data path).
 type Allocator struct {
 	g    *topology.Graph
 	pc   *topology.PathCache
 	seed uint64
-	eq   map[[2]topology.NodeID][]topology.Path
-	rev  uint64
 
 	// FlowsRescued counts in-flight flows re-hashed off failed paths by
 	// RescueStranded (fault-plane subscription via AttachNetwork).
 	FlowsRescued int
 }
 
-// New returns an ECMP allocator over the k shortest paths per pair. The
-// seed perturbs the hash so experiments can sample different (deterministic)
-// hash placements, emulating different TCP source ports across job runs.
+// New returns an ECMP allocator over the first k equal-cost paths per pair.
+// The seed perturbs the hash so experiments can sample different
+// (deterministic) hash placements, emulating different TCP source ports
+// across job runs.
 func New(g *topology.Graph, k int, seed uint64) *Allocator {
 	if k <= 0 {
 		panic("ecmp: k must be positive")
 	}
-	a := &Allocator{
-		g:    g,
-		pc:   topology.NewPathCache(g, k),
-		seed: seed,
-		eq:   make(map[[2]topology.NodeID][]topology.Path),
-	}
-	a.rev = a.pc.Rev()
-	return a
+	return &Allocator{g: g, pc: topology.NewPathCache(g, k), seed: seed}
 }
 
 // Paths returns the cached equal-cost path set for a host pair.
 func (a *Allocator) Paths(src, dst topology.NodeID) []topology.Path {
-	key := [2]topology.NodeID{src, dst}
-	all := a.pc.Paths(src, dst)
-	// Deriving the eq-cost subset is cheap, but the memo must still drop
-	// pairs whose underlying paths were invalidated; the cache revision
-	// moves whenever any entry does.
-	if a.pc.Rev() != a.rev {
-		a.eq = make(map[[2]topology.NodeID][]topology.Path)
-		a.rev = a.pc.Rev()
-	}
-	if ps, ok := a.eq[key]; ok {
-		return ps
-	}
-	// ECMP only spreads over equal-cost (same hop count) paths.
-	var eq []topology.Path
-	for _, p := range all {
-		if p.Hops() == all[0].Hops() {
-			eq = append(eq, p)
-		}
-	}
-	a.eq[key] = eq
-	return eq
+	return a.pc.Paths(src, dst)
 }
 
 // Hash computes the flow hash used for the modulus path selection.
@@ -90,13 +61,7 @@ func (a *Allocator) Hash(t netsim.FiveTuple) uint64 {
 	// FNV-1a's low bits are parity-linear in the input bytes, which biases
 	// a small modulus (e.g. 2 trunk paths). Finalize with an avalanche mix
 	// so every output bit depends on every input byte.
-	return mix(h.Sum64())
-}
-
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return stats.Mix64(h.Sum64())
 }
 
 // Resolve picks the path for a flow: hash(five-tuple) mod |paths|. It

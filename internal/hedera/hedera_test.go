@@ -40,7 +40,7 @@ func TestMovesElephantOffCongestedTrunk(t *testing.T) {
 	// Force an elephant onto the congested trunk (as a bad ECMP hash
 	// would).
 	var badPath topology.Path
-	for _, p := range g.KShortestPaths(hosts[0], hosts[5], 2) {
+	for _, p := range g.EqualCostPaths(hosts[0], hosts[5], 2) {
 		for _, l := range p.Links {
 			if l == trunks[0] {
 				badPath = p
@@ -69,7 +69,7 @@ func TestLeavesMiceAlone(t *testing.T) {
 	eng, net, s, hosts, trunks := rig(Config{})
 	net.SetBackground(trunks[0], 0.5*topology.Gbps)
 	g := net.Graph()
-	paths := g.KShortestPaths(hosts[0], hosts[5], 2)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	// A mouse: 1 Mbit — gone long before the first sweep.
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, paths[0], 1e6, 0, 0, 0, nil)
 	eng.Run()
@@ -81,7 +81,7 @@ func TestLeavesMiceAlone(t *testing.T) {
 func TestHysteresisPreventsFlapping(t *testing.T) {
 	eng, net, s, hosts, _ := rig(Config{PollInterval: 1, MoveMarginBps: 2 * topology.Gbps})
 	g := net.Graph()
-	paths := g.KShortestPaths(hosts[0], hosts[5], 2)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	// Margin impossible to satisfy: no move should ever fire.
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, paths[0], 5e9, 0, 0, 0, nil)
 	eng.Run()
@@ -104,7 +104,7 @@ func TestSchedulerActsAsECMPResolver(t *testing.T) {
 func TestSweepsCount(t *testing.T) {
 	eng, net, s, hosts, _ := rig(Config{PollInterval: 1})
 	g := net.Graph()
-	paths := g.KShortestPaths(hosts[0], hosts[5], 2)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, paths[0], 5e9, 0, 0, 0, nil)
 	eng.Run()
 	if s.Sweeps == 0 {
@@ -161,7 +161,7 @@ func TestMoveSkipsDoneFlows(t *testing.T) {
 	net.SetBackground(trunks[0], 0.6*topology.Gbps)
 	g := net.Graph()
 	var badPath topology.Path
-	for _, p := range g.KShortestPaths(hosts[0], hosts[5], 2) {
+	for _, p := range g.EqualCostPaths(hosts[0], hosts[5], 2) {
 		for _, l := range p.Links {
 			if l == trunks[0] {
 				badPath = p
@@ -180,7 +180,7 @@ func TestSpareAccountsOwnUsage(t *testing.T) {
 	// busy.
 	eng, net, s, hosts, _ := rig(Config{PollInterval: 1})
 	g := net.Graph()
-	paths := g.KShortestPaths(hosts[0], hosts[5], 2)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	var done sim.Time
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, paths[0], 8e9, 0, 0, 0,
 		func(f *netsim.Flow) { done = f.Finished() })

@@ -24,7 +24,7 @@ func tup(src, dst topology.NodeID, sp, dp uint16) netsim.FiveTuple {
 func TestCollectorSamplesCumulativeCurve(t *testing.T) {
 	eng, net, hosts, coll := rig()
 	g := net.Graph()
-	p := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil) // 100 MB, ~0.8s
 	eng.At(2, func() {})                                                               // keep sim alive past flow end
 	eng.Run()
@@ -47,7 +47,7 @@ func TestCollectorSamplesCumulativeCurve(t *testing.T) {
 func TestBytesAtStepInterpolation(t *testing.T) {
 	eng, net, hosts, coll := rig()
 	g := net.Graph()
-	p := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil)
 	eng.At(2, func() {})
 	eng.Run()
@@ -66,7 +66,7 @@ func TestBytesAtStepInterpolation(t *testing.T) {
 func TestTimeToReach(t *testing.T) {
 	eng, net, hosts, coll := rig()
 	g := net.Graph()
-	p := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil)
 	eng.At(2, func() {})
 	eng.Run()
@@ -126,7 +126,7 @@ func TestPredictionCurve(t *testing.T) {
 func TestLeadStatsPredictionEarlyAndOverestimating(t *testing.T) {
 	eng, net, hosts, coll := rig()
 	g := net.Graph()
-	p := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 
 	// Prediction: full volume known at t=0.5, overestimated by 5%.
 	var pc PredictionCurve
@@ -166,7 +166,7 @@ func TestLeadStatsDegenerate(t *testing.T) {
 func TestLinkProbeSamples(t *testing.T) {
 	eng, net, hosts, _ := rig()
 	g := net.Graph()
-	p := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	trunk := p.Links[1]
 	probe := NewLinkProbe(eng, net, []topology.LinkID{trunk}, 0)
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil)

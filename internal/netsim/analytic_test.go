@@ -86,7 +86,7 @@ func TestPropertySingleFlowDuration(t *testing.T) {
 		eng := sim.NewEngine()
 		g, hosts, trunks := topology.TwoRack(2, 1, topology.Gbps)
 		n := New(eng, g)
-		p := g.KShortestPaths(hosts[0], hosts[2], 1)[0]
+		p := g.EqualCostPaths(hosts[0], hosts[2], 1)[0]
 		var crosses topology.LinkID = -1
 		for _, l := range p.Links {
 			if l == trunks[0] {

@@ -13,7 +13,7 @@ func ExampleNetwork_StartFlow() {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	path := g.KShortestPaths(hosts[0], hosts[5], 1)[0]
+	path := g.EqualCostPaths(hosts[0], hosts[5], 1)[0]
 	tuple := netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 50060, DstPort: 20000, Protocol: 6}
 	net.StartFlow(tuple, netsim.Shuffle, path, 1e9, 0, 0, 0, func(f *netsim.Flow) {
 		fmt.Printf("1 Gbit delivered in %s\n", f.Duration())
@@ -30,7 +30,7 @@ func ExampleNetwork_SetBackground() {
 	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
 	net.SetBackground(trunks[0], 0.75*topology.Gbps)
-	paths := g.KShortestPaths(hosts[0], hosts[5], 2)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	var overTrunk0 topology.Path
 	for _, p := range paths {
 		for _, l := range p.Links {

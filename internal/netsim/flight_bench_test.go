@@ -17,7 +17,7 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	n := New(eng, g)
-	p := g.KShortestPaths(hosts[0], hosts[5], 4)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 4)[0]
 	f := &Flow{
 		Tuple: FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 1, DstPort: 2, Protocol: 6},
 		Kind:  Shuffle, Path: p, SizeBits: 1e9,
@@ -48,7 +48,7 @@ func BenchmarkRecorderEnabled(b *testing.B) {
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	n := New(eng, g)
 	n.SetFlightRecorder(flight.NewRecorder(eng))
-	p := g.KShortestPaths(hosts[0], hosts[5], 4)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 4)[0]
 	f := &Flow{
 		Tuple: FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 1, DstPort: 2, Protocol: 6},
 		Kind:  Shuffle, Path: p, SizeBits: 1e9,

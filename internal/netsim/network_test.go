@@ -19,7 +19,7 @@ func testbed() (*sim.Engine, *Network, []topology.NodeID, []topology.LinkID) {
 
 func pathOf(t *testing.T, n *Network, src, dst topology.NodeID, idx int) topology.Path {
 	t.Helper()
-	paths := n.Graph().KShortestPaths(src, dst, 4)
+	paths := n.Graph().EqualCostPaths(src, dst, 4)
 	if len(paths) <= idx {
 		t.Fatalf("only %d paths from %d to %d", len(paths), src, dst)
 	}
@@ -385,7 +385,7 @@ func TestPropertyConservationAndCapacity(t *testing.T) {
 			if i < len(pathSel) {
 				sel = int(pathSel[i]) % 2
 			}
-			paths := g.KShortestPaths(src, dst, 2)
+			paths := g.EqualCostPaths(src, dst, 2)
 			p := paths[sel%len(paths)]
 			fl := n.StartFlow(tup(src, dst, uint16(i), uint16(i+1)), Shuffle, p, size, 0, i, 0, nil)
 			wants = append(wants, want{fl, size})
@@ -439,10 +439,10 @@ func TestPropertyEqualShares(t *testing.T) {
 func BenchmarkRecompute100Flows(b *testing.B) {
 	eng, n, hosts, _ := testbed()
 	g := n.Graph()
-	paths := g.KShortestPaths(hosts[0], hosts[5], 2)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	for i := 0; i < 100; i++ {
 		n.StartFlow(tup(hosts[i%5], hosts[5+i%5], uint16(i), 1), Shuffle,
-			g.KShortestPaths(hosts[i%5], hosts[5+i%5], 2)[i%2], 1e15, 0, i, 0, nil)
+			g.EqualCostPaths(hosts[i%5], hosts[5+i%5], 2)[i%2], 1e15, 0, i, 0, nil)
 	}
 	_ = paths
 	eng.RunUntil(0.001)

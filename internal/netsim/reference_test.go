@@ -260,7 +260,7 @@ func multiComponentScript(eng *sim.Engine, n *Network, hosts []topology.NodeID) 
 	started := 0
 	start := func(at sim.Time, src, dst topology.NodeID, pathIdx int, bits float64) {
 		eng.At(at, func() {
-			ps := g.KShortestPaths(src, dst, 4)
+			ps := g.EqualCostPaths(src, dst, 4)
 			started++
 			n.StartFlow(tup(src, dst, uint16(started), 9), Shuffle, ps[pathIdx%len(ps)], bits, 0, int(src), int(dst), nil)
 		})
@@ -479,7 +479,7 @@ func applyOp(eng *sim.Engine, n *Network, hosts []topology.NodeID, o refOp) {
 		src, dst := hosts[o.a%len(hosts)], hosts[o.b%len(hosts)]
 		path := topology.Path{Src: src, Dst: dst} // src == dst: a zero-hop local fetch
 		if src != dst {
-			ps := g.KShortestPaths(src, dst, 4)
+			ps := g.EqualCostPaths(src, dst, 4)
 			if len(ps) == 0 {
 				return // partitioned by earlier link failures
 			}
@@ -498,7 +498,7 @@ func applyOp(eng *sim.Engine, n *Network, hosts []topology.NodeID, o refOp) {
 		if f.Tuple.SrcHost == f.Tuple.DstHost {
 			return
 		}
-		if ps := g.KShortestPaths(f.Tuple.SrcHost, f.Tuple.DstHost, 4); len(ps) > 0 {
+		if ps := g.EqualCostPaths(f.Tuple.SrcHost, f.Tuple.DstHost, 4); len(ps) > 0 {
 			n.Reroute(f, ps[o.b%len(ps)])
 		}
 	case opComplete:
@@ -561,7 +561,7 @@ func BenchmarkAllocPass(b *testing.B) {
 	g := n.Graph()
 	for i := 0; i < 40; i++ {
 		src, dst := hosts[i%5], hosts[5+i%5]
-		ps := g.KShortestPaths(src, dst, 2)
+		ps := g.EqualCostPaths(src, dst, 2)
 		n.StartFlow(tup(src, dst, uint16(i), 1), Shuffle, ps[i%len(ps)], 1e15, 0, i, 0, nil)
 	}
 	eng.RunUntil(0.001)

@@ -8,6 +8,7 @@ import (
 	"pythia/internal/netsim"
 	"pythia/internal/ofp10"
 	"pythia/internal/sim"
+	"pythia/internal/stats"
 	"pythia/internal/topology"
 )
 
@@ -44,9 +45,8 @@ type Controller struct {
 	topoLs    []func()
 	lastVer   uint64
 
-	// dist caches per-destination hop distances for the default ECMP
-	// pipeline, rebuilt on topology version change.
-	dist distCache
+	// hops is Resolve's reusable next-hop buffer.
+	hops []topology.LinkID
 
 	// RulesInstalled counts successful installs, for overhead reporting.
 	RulesInstalled uint64
@@ -484,7 +484,6 @@ func (c *Controller) Resolve(t netsim.FiveTuple) (topology.Path, error) {
 	if t.SrcHost == t.DstHost {
 		return topology.Path{Src: t.SrcHost, Dst: t.DstHost}, nil
 	}
-	dist := c.distanceTo(t.DstHost)
 	var links []topology.LinkID
 	at := t.SrcHost
 	maxHops := 4 * c.g.NumNodes()
@@ -501,21 +500,11 @@ func (c *Controller) Resolve(t netsim.FiveTuple) (topology.Path, error) {
 		if next == -1 {
 			// Default pipeline: ECMP local hash over shortest-path
 			// next hops.
-			var candidates []topology.LinkID
-			for _, lid := range c.g.Out(at) {
-				to := c.g.Link(lid).To
-				d := dist[to]
-				if d < 0 {
-					continue
-				}
-				if cur := dist[at]; cur >= 0 && d == cur-1 {
-					candidates = append(candidates, lid)
-				}
-			}
-			if len(candidates) == 0 {
+			c.hops = c.g.NextHops(at, t.DstHost, c.hops)
+			if len(c.hops) == 0 {
 				return topology.Path{}, fmt.Errorf("openflow: no route from node %d to %d", at, t.DstHost)
 			}
-			next = candidates[localHash(t, at)%uint64(len(candidates))]
+			next = c.hops[localHash(t, at)%uint64(len(c.hops))]
 		}
 		links = append(links, next)
 		at = c.g.Link(next).To
@@ -525,99 +514,6 @@ func (c *Controller) Resolve(t netsim.FiveTuple) (topology.Path, error) {
 		return topology.Path{}, fmt.Errorf("openflow: resolved invalid path: %w", err)
 	}
 	return p, nil
-}
-
-// distCache holds per-destination hop distances in dense index-addressed
-// form, keyed by graph version. Earlier revisions rebuilt a reverse
-// adjacency map and a distance map on every Resolve call — the single
-// largest allocation source in whole-trial profiles (83% of allocated
-// bytes at k=8). Now the reverse adjacency is a CSR built once per topology
-// version and each destination's distance vector is computed once and
-// reused until the next version bump.
-type distCache struct {
-	ver     uint64
-	built   bool
-	revHead []int32 // CSR: predecessors of node n are revList[revHead[n]:revHead[n+1]]
-	revList []topology.NodeID
-	byDst   map[topology.NodeID][]int32
-	queue   []topology.NodeID
-	degree  []int32 // rebuild scratch
-}
-
-// distanceTo returns hop distances of every node to dst over up links:
-// dist[n] is the hop count, -1 when unreachable.
-func (c *Controller) distanceTo(dst topology.NodeID) []int32 {
-	dc := &c.dist
-	if !dc.built || dc.ver != c.g.Version() {
-		dc.rebuild(c.g)
-	}
-	if d, ok := dc.byDst[dst]; ok {
-		return d
-	}
-	n := c.g.NumNodes()
-	dist := make([]int32, n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[dst] = 0
-	dc.queue = append(dc.queue[:0], dst)
-	for qi := 0; qi < len(dc.queue); qi++ {
-		u := dc.queue[qi]
-		nd := dist[u] + 1
-		for _, m := range dc.revList[dc.revHead[u]:dc.revHead[u+1]] {
-			if dist[m] < 0 {
-				dist[m] = nd
-				dc.queue = append(dc.queue, m)
-			}
-		}
-	}
-	dc.byDst[dst] = dist
-	return dist
-}
-
-// rebuild recomputes the reverse CSR over up links and drops all cached
-// distance vectors.
-func (dc *distCache) rebuild(g *topology.Graph) {
-	n := g.NumNodes()
-	nl := g.NumLinks()
-	if cap(dc.degree) < n+1 {
-		dc.degree = make([]int32, n+1)
-		dc.revHead = make([]int32, n+1)
-	}
-	dc.degree = dc.degree[:n+1]
-	dc.revHead = dc.revHead[:n+1]
-	for i := range dc.degree {
-		dc.degree[i] = 0
-	}
-	for l := 0; l < nl; l++ {
-		lid := topology.LinkID(l)
-		if g.LinkUp(lid) {
-			dc.degree[g.Link(lid).To]++
-		}
-	}
-	var sum int32
-	for i := 0; i <= n; i++ {
-		dc.revHead[i] = sum
-		if i < n {
-			sum += dc.degree[i]
-		}
-	}
-	if cap(dc.revList) < int(sum) {
-		dc.revList = make([]topology.NodeID, sum)
-	}
-	dc.revList = dc.revList[:sum]
-	copy(dc.degree, dc.revHead[:n+1]) // reuse as running fill cursor
-	for l := 0; l < nl; l++ {
-		lid := topology.LinkID(l)
-		if g.LinkUp(lid) {
-			lk := g.Link(lid)
-			dc.revList[dc.degree[lk.To]] = lk.From
-			dc.degree[lk.To]++
-		}
-	}
-	dc.byDst = make(map[topology.NodeID][]int32)
-	dc.ver = g.Version()
-	dc.built = true
 }
 
 // ResolveShuffle adapts Resolve to the hadoop.PathResolver interface: under
@@ -630,7 +526,5 @@ func (c *Controller) ResolveShuffle(t netsim.FiveTuple) (topology.Path, error) {
 func localHash(t netsim.FiveTuple, at topology.NodeID) uint64 {
 	z := uint64(t.SrcHost)<<48 ^ uint64(t.DstHost)<<32 ^
 		uint64(t.SrcPort)<<16 ^ uint64(t.DstPort) ^ uint64(t.Protocol)<<56 ^ uint64(at)<<24
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return stats.Mix64(z)
 }

@@ -34,7 +34,7 @@ func TestDoneFiresAfterEveryRuleLands(t *testing.T) {
 		mn := mgmtnet.New(eng, mgmtnet.Config{})
 		mn.SetFaults(mgmtnet.FaultConfig{JitterMax: 50 * sim.Millisecond, Seed: 3})
 		c.SetManagementNetwork(mn, topology.NodeID(-1))
-		return eng, c, c.g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+		return eng, c, c.g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	}
 
 	t.Run("all rules present", func(t *testing.T) {
@@ -160,7 +160,7 @@ func TestInstallPipelineTiming(t *testing.T) {
 			if tc.ctrlDown {
 				c.FailController()
 			}
-			p := c.g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+			p := c.g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 			doneAt := make([]sim.Time, tc.hostOnly+tc.installs)
 			ack := func(k int) func(error) {
 				doneAt[k] = -1

@@ -192,7 +192,7 @@ func TestResolveSpreadsAcrossTrunks(t *testing.T) {
 func TestInstallPathOverridesECMP(t *testing.T) {
 	eng, _, c, hosts, trunks := tb()
 	g := c.g
-	paths := g.KShortestPaths(hosts[0], hosts[5], 2)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	// Choose the path over trunk 1 explicitly.
 	var want topology.Path
 	for _, p := range paths {
@@ -240,8 +240,8 @@ func TestInstallPathOverridesECMP(t *testing.T) {
 func TestInstallLatencySerialized(t *testing.T) {
 	eng, _, c, hosts, _ := tb()
 	g := c.g
-	p1 := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
-	p2 := g.KShortestPaths(hosts[1], hosts[6], 2)[0]
+	p1 := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
+	p2 := g.EqualCostPaths(hosts[1], hosts[6], 2)[0]
 	var t1, t2 sim.Time
 	c.InstallPath(HostPair(hosts[0], hosts[5]), p1, 100, 1, func(error) { t1 = eng.Now() })
 	c.InstallPath(HostPair(hosts[1], hosts[6]), p2, 100, 2, func(error) { t2 = eng.Now() })
@@ -263,7 +263,7 @@ func TestInstallPathTableFull(t *testing.T) {
 	g, hosts, _ := topology.TwoRack(2, 2, topology.Gbps)
 	net := netsim.New(eng, g)
 	c := NewController(eng, net, 1) // one rule per switch
-	p := g.KShortestPaths(hosts[0], hosts[2], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[2], 2)[0]
 	var err1, err2 error
 	ok1 := false
 	c.InstallPath(HostPair(hosts[0], hosts[2]), p, 100, 1, func(err error) { err1 = err; ok1 = true })
@@ -280,7 +280,7 @@ func TestInstallPathTableFull(t *testing.T) {
 func TestRemovePathRestoresECMP(t *testing.T) {
 	eng, _, c, hosts, _ := tb()
 	g := c.g
-	p := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	c.InstallPath(HostPair(hosts[0], hosts[5]), p, 100, 77, nil)
 	eng.Run()
 	if n := c.RemovePath(77); n != 2 {
@@ -294,7 +294,7 @@ func TestRemovePathRestoresECMP(t *testing.T) {
 func TestLinkLoadPolling(t *testing.T) {
 	eng, net, c, hosts, _ := tb()
 	g := c.g
-	p := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 10e9, 0, 0, 0, nil)
 	// At t=0 the poller ran before the flow existed.
 	if s := c.LinkLoad(p.Links[0]); s.Utilization != 0 {
@@ -406,6 +406,52 @@ func TestPropertyResolveValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(10))}); err != nil {
 		t.Fatal(err)
+	}
+
+	// The table-miss walk and the path enumerator are two readings of one
+	// shortest-path DAG: on empty tables every resolved path is a member of
+	// the pair's equal-cost set, and a seeded stream of tuples reaches all
+	// of it.
+	for _, tc := range []struct {
+		name           string
+		fatTreeK, dst  int // dst indexes a host in another pod than host 0
+		tuples, wantEq int
+	}{
+		{"fat-tree k=8 inter-pod", 8, 16, 800, 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			g, hosts := topology.FatTree(tc.fatTreeK, tc.fatTreeK/2, topology.Gbps)
+			c := NewController(eng, netsim.New(eng, g), 0)
+			src, dst := hosts[0], hosts[tc.dst]
+			hit := make([]int, tc.wantEq)
+			set := g.EqualCostPaths(src, dst, tc.wantEq+1)
+			if len(set) != tc.wantEq {
+				t.Fatalf("equal-cost set has %d paths, want %d", len(set), tc.wantEq)
+			}
+			rng := rand.New(rand.NewSource(12))
+			for i := 0; i < tc.tuples; i++ {
+				p, err := c.Resolve(tup(src, dst, uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				member := -1
+				for j, q := range set {
+					if p.Equal(q) {
+						member = j
+					}
+				}
+				if member < 0 {
+					t.Fatalf("resolved %v, not one of the %d equal-cost paths", p.Links, len(set))
+				}
+				hit[member]++
+			}
+			for j, n := range hit {
+				if n == 0 {
+					t.Fatalf("%d tuples never took equal-cost path %d: %v", tc.tuples, j, hit)
+				}
+			}
+		})
 	}
 }
 

@@ -39,7 +39,7 @@ func TestInstallSteeringSkipsLastHop(t *testing.T) {
 	g := c.g
 	// Find the path over trunk1.
 	var path topology.Path
-	for _, p := range g.KShortestPaths(hosts[0], hosts[5], 2) {
+	for _, p := range g.EqualCostPaths(hosts[0], hosts[5], 2) {
 		for _, l := range p.Links {
 			if l == trunks[1] {
 				path = p
@@ -100,7 +100,7 @@ func TestRuleWithStaleOutIgnored(t *testing.T) {
 	eng, net, c, hosts, trunks := tb()
 	g := c.g
 	var path topology.Path
-	for _, p := range g.KShortestPaths(hosts[0], hosts[5], 2) {
+	for _, p := range g.EqualCostPaths(hosts[0], hosts[5], 2) {
 		for _, l := range p.Links {
 			if l == trunks[0] {
 				path = p
@@ -155,7 +155,7 @@ func TestFlowModAccounting(t *testing.T) {
 	if base <= 0 {
 		t.Fatal("no session-setup control traffic")
 	}
-	p := c.g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := c.g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	c.InstallPath(HostPair(hosts[0], hosts[5]), p, 100, 1, nil)
 	eng.Run()
 	if c.FlowModsSent != 2 {
@@ -174,7 +174,7 @@ func TestInstallOverManagementNetwork(t *testing.T) {
 	c := NewController(eng, net, 0)
 	mn := mgmtnet.New(eng, mgmtnet.Config{})
 	c.SetManagementNetwork(mn, topology.NodeID(-1))
-	p := g.KShortestPaths(hosts[0], hosts[5], 2)[0]
+	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	var doneAt sim.Time
 	c.InstallPath(HostPair(hosts[0], hosts[5]), p, 100, 1, func(err error) {
 		if err != nil {
@@ -251,7 +251,7 @@ func TestPropertyInstalledPathAuthority(t *testing.T) {
 		c := NewController(eng, net, 0)
 		src := hosts[int(si)%5]
 		dst := hosts[5+int(di)%5]
-		paths := g.KShortestPaths(src, dst, 2)
+		paths := g.EqualCostPaths(src, dst, 2)
 		want := paths[0]
 		if pick && len(paths) > 1 {
 			want = paths[1]

@@ -22,10 +22,13 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // deterministic function of the parent state and the label, and advancing
 // the child does not advance the parent beyond this call.
 func (r *RNG) Split(label uint64) *RNG {
-	return &RNG{state: r.Uint64() ^ mix(label^0x9e3779b97f4a7c15)}
+	return &RNG{state: r.Uint64() ^ Mix64(label^0x9e3779b97f4a7c15)}
 }
 
-func mix(z uint64) uint64 {
+// Mix64 is the splitmix64 finalizer: an avalanche mix in which every output
+// bit depends on every input bit. The RNG, the ECMP flow hash and the
+// switches' table-miss hash all finish with it.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -34,7 +37,7 @@ func mix(z uint64) uint64 {
 // Uint64 returns the next 64 uniformly random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	return mix(r.state)
+	return Mix64(r.state)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

@@ -56,8 +56,8 @@ type Config struct {
 	// Seed salts the ECMP hash (and HDFS placement).
 	Seed uint64
 	// K is the run's path diversity (default 4), handed to every scheduler:
-	// Pythia's candidate set, Hedera's, and the k shortest paths ECMP
-	// narrows to its equal-cost hash set.
+	// the first K equal-cost paths of a pair are Pythia's and Hedera's
+	// candidate set and ECMP's hash set.
 	K int
 
 	// Fabric shape. Spines > 0 builds a leaf-spine with Leaves racks

@@ -32,12 +32,14 @@ func TestECMPHashesOverEveryEqualCostPath(t *testing.T) {
 		name     string
 		cfg      Config
 		dst      int // index of a host in another rack/pod than host 0
+		tuples   int
 		wantEqCo int
 	}{
-		{"two-rack default", Config{}, 5, 2},
-		{"two-rack 4 trunks", Config{Trunks: 4}, 5, 4},
-		{"leaf-spine 4 spines", Config{Leaves: 4, Spines: 4}, 5, 4},
-		{"fat-tree k=4 inter-pod", Config{FatTreeK: 4}, 4, 4},
+		{"two-rack default", Config{}, 5, 200, 2},
+		{"two-rack 4 trunks", Config{Trunks: 4}, 5, 200, 4},
+		{"leaf-spine 4 spines", Config{Leaves: 4, Spines: 4}, 5, 200, 4},
+		{"fat-tree k=4 inter-pod", Config{FatTreeK: 4}, 4, 200, 4},
+		{"fat-tree k=8 inter-pod, K=16", Config{FatTreeK: 8, K: 16}, 16, 800, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Seed = 1
@@ -48,7 +50,7 @@ func TestECMPHashesOverEveryEqualCostPath(t *testing.T) {
 			}
 			rng := stats.NewRNG(7)
 			hit := map[string]int{}
-			for i := 0; i < 200; i++ {
+			for i := 0; i < tc.tuples; i++ {
 				p, err := tb.ECMP.ResolveShuffle(netsim.FiveTuple{
 					SrcHost: src, DstHost: dst, Protocol: 6,
 					SrcPort: hadoop.ShufflePort, DstPort: uint16(1024 + rng.Intn(60000)),
@@ -59,7 +61,7 @@ func TestECMPHashesOverEveryEqualCostPath(t *testing.T) {
 				hit[fmt.Sprint(p.Links)]++
 			}
 			if len(hit) != tc.wantEqCo {
-				t.Fatalf("200 five-tuples hit %d of %d paths: %v", len(hit), tc.wantEqCo, hit)
+				t.Fatalf("%d five-tuples hit %d of %d paths: %v", tc.tuples, len(hit), tc.wantEqCo, hit)
 			}
 		})
 	}

@@ -9,7 +9,7 @@ import (
 // Build the paper's testbed and inspect the inter-rack path diversity.
 func ExampleTwoRack() {
 	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
-	paths := g.KShortestPaths(hosts[0], hosts[5], 4)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 4)
 	fmt.Printf("%d hosts, %d trunks, %d inter-rack paths of %d hops\n",
 		len(hosts), len(trunks), len(paths), paths[0].Hops())
 	// Output:
@@ -20,7 +20,7 @@ func ExampleTwoRack() {
 func ExampleGraph_SetLinkUp() {
 	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
 	g.SetLinkUp(trunks[0], false)
-	paths := g.KShortestPaths(hosts[0], hosts[5], 4)
+	paths := g.EqualCostPaths(hosts[0], hosts[5], 4)
 	fmt.Printf("paths after failing one trunk: %d\n", len(paths))
 	// Output:
 	// paths after failing one trunk: 1
@@ -29,7 +29,7 @@ func ExampleGraph_SetLinkUp() {
 // Leaf-spine fabrics offer one equal-cost path per spine.
 func ExampleLeafSpine() {
 	g, hosts := topology.LeafSpine(4, 3, 5, topology.Gbps)
-	paths := g.KShortestPaths(hosts[0], hosts[6], 3)
+	paths := g.EqualCostPaths(hosts[0], hosts[6], 3)
 	fmt.Printf("%d hosts, shortest inter-rack paths: %d x %d hops\n",
 		len(hosts), len(paths), paths[0].Hops())
 	// Output:

@@ -1,8 +1,8 @@
 // Package topology models the physical datacenter network as a graph of
-// hosts, switches and links, and provides the routing primitives Pythia's
-// network scheduling module depends on: Dijkstra shortest paths and the
-// Yen/successive-Dijkstra k-shortest-paths computation the paper describes
-// (hop-count metric, recomputed only on topology change events).
+// hosts, switches and links, and provides the one routing primitive every
+// allocator depends on: the hop-count shortest-path DAG toward a destination
+// (routes.go), read per node as NextHops and per pair as EqualCostPaths, and
+// recomputed only on topology change events as the paper describes.
 package topology
 
 import (
@@ -63,8 +63,10 @@ type Link struct {
 type Graph struct {
 	nodes []Node
 	links []Link
-	// out[n] lists link IDs leaving node n.
+	// out[n] lists link IDs leaving node n, in[n] those entering it; both
+	// ascending, since link IDs are handed out in AddLink order.
 	out [][]LinkID
+	in  [][]LinkID
 	// linkIndex maps (from,to) to the link ID; parallel links get distinct
 	// entries in parallel[].
 	parallel map[[2]NodeID][]LinkID
@@ -78,45 +80,11 @@ type Graph struct {
 	adminDown []bool // indexed by LinkID, explicit SetLinkUp state
 	nodeDown  []bool // indexed by NodeID, SetNodeUp state
 	version   uint64 // bumped on topology change, lets routers cache
-	// structVer is bumped only on structural growth (AddNode/AddLink);
-	// PathCache distinguishes it from link-state flips, which are journaled
-	// below and support targeted invalidation.
-	structVer uint64
-	// journal records effective link-state transitions (the refreshLink
-	// flips) in order, so a PathCache can invalidate only the pairs a
-	// change can affect. journalHead is the absolute index of journal[0];
-	// the ring is capped and consumers that fall behind do a full flush.
-	journal     []linkTransition
-	journalHead uint64
-	// sp is reusable shortest-path scratch (see paths.go). It makes the
-	// routing queries allocation-free but means a Graph must not be
-	// shared across goroutines; every simulation builds its own.
-	sp spScratch
+	// routes memoizes per-destination hop distances (see routes.go). It
+	// makes the routing queries cheap but means a Graph must not be shared
+	// across goroutines; every simulation builds its own.
+	routes routes
 }
-
-// linkTransition is one effective link-state flip: the link went down (or
-// came back up) from the router's perspective, whether by administrative
-// action or an endpoint node change.
-type linkTransition struct {
-	link LinkID
-	down bool
-}
-
-// graphJournalCap bounds the transition journal; when it overflows, the
-// oldest half is dropped and caches that have not caught up flush fully.
-const graphJournalCap = 4096
-
-func (g *Graph) journalAppend(t linkTransition) {
-	if len(g.journal) >= graphJournalCap {
-		drop := len(g.journal) / 2
-		g.journalHead += uint64(drop)
-		g.journal = append(g.journal[:0], g.journal[drop:]...)
-	}
-	g.journal = append(g.journal, t)
-}
-
-// journalEnd is the absolute index one past the newest transition.
-func (g *Graph) journalEnd() uint64 { return g.journalHead + uint64(len(g.journal)) }
 
 // NewGraph returns an empty topology.
 func NewGraph() *Graph {
@@ -131,9 +99,9 @@ func (g *Graph) AddNode(kind NodeKind, name string, rack int) NodeID {
 	id := NodeID(len(g.nodes))
 	g.nodes = append(g.nodes, Node{ID: id, Kind: kind, Name: name, Rack: rack})
 	g.out = append(g.out, nil)
+	g.in = append(g.in, nil)
 	g.nodeDown = append(g.nodeDown, false)
 	g.version++
-	g.structVer++
 	return id
 }
 
@@ -151,10 +119,10 @@ func (g *Graph) AddLink(from, to NodeID, capacityBps float64, name string) LinkI
 	g.down = append(g.down, g.nodeDown[from] || g.nodeDown[to])
 	g.adminDown = append(g.adminDown, false)
 	g.out[from] = append(g.out[from], id)
+	g.in[to] = append(g.in[to], id)
 	key := [2]NodeID{from, to}
 	g.parallel[key] = append(g.parallel[key], id)
 	g.version++
-	g.structVer++
 	return id
 }
 
@@ -269,7 +237,6 @@ func (g *Graph) refreshLink(id LinkID) bool {
 		return false
 	}
 	g.down[id] = eff
-	g.journalAppend(linkTransition{link: id, down: eff})
 	return true
 }
 
@@ -314,11 +281,6 @@ func (g *Graph) LinkAdminUp(id LinkID) bool {
 // Version is a counter bumped on every topology mutation; routing caches key
 // off it.
 func (g *Graph) Version() uint64 { return g.version }
-
-// StructVersion is bumped only on structural growth (AddNode/AddLink), not on
-// link-state flips. PathCache flushes fully on structural change and repairs
-// incrementally on state flips.
-func (g *Graph) StructVersion() uint64 { return g.structVer }
 
 // FindLinks returns the IDs of up links from a to b (parallel links give
 // multiple results), in ID order.

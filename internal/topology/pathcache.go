@@ -1,55 +1,16 @@
 package topology
 
-// PathCache memoizes KShortestPaths per (src, dst) at a fixed k and repairs
-// itself incrementally on topology change instead of flushing wholesale.
-//
-// Correctness rests on two invalidation rules, both consequences of Yen's
-// output being exactly the k pathLess-minimal loop-free paths over the
-// currently-up link set:
-//
-//   - Link goes DOWN: only entries whose cached paths traverse the link can
-//     change. An untouched entry's paths survive, and removing other paths
-//     from the universe cannot promote a new path into the minimal set. If
-//     the entry held fewer than k paths it was the complete loop-free set,
-//     and every removed path traverses the downed link — so it would have
-//     been caught by the traversal test.
-//
-//   - Link comes UP: only entries whose compute-time down-snapshot contains
-//     the link can change. For every other live entry the link was up at
-//     compute time (or the entry was invalidated when it came up earlier),
-//     so every path the revived link enables was already in the entry's
-//     compute universe and already lost to the cached minimal set.
-//
-// Inductively, every live entry always equals the fresh computation at the
-// current graph state (pathcache_test.go storms this against fresh Yen runs).
-// Structural growth (AddNode/AddLink) flushes the cache entirely; state flips
-// stream through the Graph's transition journal, and a cache that falls
-// behind a capped journal also flushes fully.
+// PathCache memoizes EqualCostPaths per (src, dst) at a fixed k. The whole
+// memo is dropped when the graph's Version() moves: a cold pair costs a few
+// microseconds (BenchmarkPathQueries), which is cheaper than tracking which
+// pairs a link or switch flip can affect, and a memo of a canonical
+// enumerator keyed on the version cannot return an answer that depends on
+// the order of past failures (DESIGN.md §11.3).
 type PathCache struct {
-	g *Graph
-	k int
-
-	entries map[pcKey]*pathEntry
-	// traversedBy[l] lists entries whose cached paths use link l (down-rule
-	// index); snapshotAt[l] lists entries computed while l was down (up-rule
-	// index). Both are cleared as their link's transitions are consumed.
-	traversedBy [][]*pathEntry
-	snapshotAt  [][]*pathEntry
-
-	structVer  uint64
-	journalPos uint64 // absolute index of the next unconsumed transition
-	rev        uint64 // bumped on any invalidation; derived caches key off it
-
-	// Telemetry for tests and benchmarks.
-	Hits, Misses, Invalidated, Flushes uint64
-}
-
-type pcKey struct{ src, dst NodeID }
-
-type pathEntry struct {
-	key   pcKey
-	paths []Path
-	dead  bool
+	g     *Graph
+	k     int
+	ver   uint64
+	paths map[[2]NodeID][]Path
 }
 
 // NewPathCache returns an empty cache over g at the given k.
@@ -57,87 +18,24 @@ func NewPathCache(g *Graph, k int) *PathCache {
 	if k <= 0 {
 		panic("topology: PathCache k must be positive")
 	}
-	c := &PathCache{g: g, k: k}
-	c.flush()
-	return c
+	return &PathCache{g: g, k: k}
 }
 
 // K reports the cache's path count per pair.
 func (c *PathCache) K() int { return c.k }
 
-// Rev is bumped whenever any entry is invalidated or the cache flushes.
-// Consumers that derive state from returned paths (e.g. ECMP's equal-cost
-// subsets) can memoize against it.
-func (c *PathCache) Rev() uint64 { return c.rev }
-
-// Paths returns the k-shortest paths for the pair, computing and caching on
-// miss. The returned slice is shared: callers must not mutate it.
+// Paths returns the first k equal-cost paths for the pair, computing and
+// caching on miss. The returned slice is shared: callers must not mutate it.
 func (c *PathCache) Paths(src, dst NodeID) []Path {
-	c.sync()
-	key := pcKey{src, dst}
-	if e, ok := c.entries[key]; ok {
-		c.Hits++
-		return e.paths
+	if v := c.g.Version(); c.paths == nil || v != c.ver {
+		c.paths = make(map[[2]NodeID][]Path)
+		c.ver = v
 	}
-	c.Misses++
-	e := &pathEntry{key: key, paths: c.g.KShortestPaths(src, dst, c.k)}
-	c.entries[key] = e
-	for _, p := range e.paths {
-		for _, l := range p.Links {
-			c.traversedBy[l] = append(c.traversedBy[l], e)
-		}
+	key := [2]NodeID{src, dst}
+	ps, ok := c.paths[key]
+	if !ok {
+		ps = c.g.EqualCostPaths(src, dst, c.k)
+		c.paths[key] = ps
 	}
-	for l, down := range c.g.down {
-		if down {
-			c.snapshotAt[l] = append(c.snapshotAt[l], e)
-		}
-	}
-	return e.paths
-}
-
-// sync consumes pending topology changes, invalidating the minimal set of
-// entries.
-func (c *PathCache) sync() {
-	g := c.g
-	if c.structVer != g.structVer || c.journalPos < g.journalHead {
-		// Structure changed, or the journal dropped transitions we have not
-		// consumed: targeted repair is no longer sound.
-		c.flush()
-		return
-	}
-	end := g.journalEnd()
-	for ; c.journalPos < end; c.journalPos++ {
-		t := g.journal[c.journalPos-g.journalHead]
-		// On a down flip no live entry was computed while the link was down
-		// (those died when it last came up); on an up flip no live entry
-		// traverses it (those died when it went down). So both index lists
-		// together hold exactly the affected entries, and both empty out.
-		c.killAll(c.traversedBy[t.link])
-		c.killAll(c.snapshotAt[t.link])
-		c.traversedBy[t.link] = c.traversedBy[t.link][:0]
-		c.snapshotAt[t.link] = c.snapshotAt[t.link][:0]
-	}
-}
-
-func (c *PathCache) killAll(es []*pathEntry) {
-	for _, e := range es {
-		if e.dead {
-			continue
-		}
-		e.dead = true
-		delete(c.entries, e.key)
-		c.Invalidated++
-		c.rev++
-	}
-}
-
-func (c *PathCache) flush() {
-	c.entries = make(map[pcKey]*pathEntry)
-	nl := c.g.NumLinks()
-	c.traversedBy = make([][]*pathEntry, nl)
-	c.snapshotAt = make([][]*pathEntry, nl)
-	c.structVer = c.g.structVer
-	c.journalPos = c.g.journalEnd()
-	c.rev++
-	c.Flushes++
+	return ps
 }

@@ -1,9 +1,8 @@
 package topology
 
 import (
+	"math/rand"
 	"testing"
-
-	"pythia/internal/stats"
 )
 
 func pathsEqual(a, b []Path) bool {
@@ -18,163 +17,87 @@ func pathsEqual(a, b []Path) bool {
 	return true
 }
 
-// TestPathCacheEquivalenceUnderFaultStorm drives a randomized storm of link
-// and switch up/down flips interleaved with path queries, and after every
-// batch cross-checks the cache against a fresh KShortestPaths run for every
-// queried pair. This is the soundness proof for the targeted invalidation
-// rules (traversal on link-down, compute-time down-snapshot on link-up).
-func TestPathCacheEquivalenceUnderFaultStorm(t *testing.T) {
-	for _, k := range []int{1, 2, 4} {
-		g, hosts := FatTree(4, 2, 1e9)
-		cache := NewPathCache(g, k)
-		rng := stats.NewRNG(uint64(1000 + k))
-		switches := g.Switches()
-
-		queried := make(map[[2]NodeID]bool)
-		query := func() {
-			s := hosts[rng.Intn(len(hosts))]
-			d := hosts[rng.Intn(len(hosts))]
-			if s == d {
-				return
-			}
-			queried[[2]NodeID{s, d}] = true
-			got := cache.Paths(s, d)
-			want := g.KShortestPaths(s, d, k)
-			if !pathsEqual(got, want) {
-				t.Fatalf("k=%d: cached paths %d->%d diverged after storm: got %d paths, want %d", k, s, d, len(got), len(want))
-			}
-		}
-
-		for round := 0; round < 60; round++ {
-			// A burst of queries to populate the cache.
-			for i := 0; i < 10; i++ {
-				query()
-			}
-			// Random fault/recovery actions.
-			for i := 0; i < 3; i++ {
-				switch rng.Intn(4) {
-				case 0:
-					l := LinkID(rng.Intn(g.NumLinks()))
-					g.SetLinkUp(l, false)
-				case 1:
-					l := LinkID(rng.Intn(g.NumLinks()))
-					g.SetLinkUp(l, true)
-				case 2:
-					s := switches[rng.Intn(len(switches))]
-					g.SetNodeUp(s, false)
-				case 3:
-					s := switches[rng.Intn(len(switches))]
-					g.SetNodeUp(s, true)
-				}
-			}
-			// Every previously-queried pair must agree with fresh Yen after
-			// the cache syncs.
-			for pair := range queried {
-				got := cache.Paths(pair[0], pair[1])
-				want := g.KShortestPaths(pair[0], pair[1], k)
-				if !pathsEqual(got, want) {
-					t.Fatalf("k=%d round %d: pair %d->%d stale after faults", k, round, pair[0], pair[1])
-				}
-			}
-		}
-		if cache.Hits == 0 {
-			t.Fatalf("k=%d: cache never hit", k)
-		}
-		if cache.Invalidated == 0 {
-			t.Fatalf("k=%d: storm never exercised targeted invalidation", k)
-		}
-	}
-}
-
-// TestPathCacheTargetedInvalidation shows the point of the cache: failing a
-// link in one pod must not evict entries whose paths avoid that link.
-func TestPathCacheTargetedInvalidation(t *testing.T) {
-	g, hosts := FatTree(4, 2, 1e9)
-	cache := NewPathCache(g, 4)
-	// Populate every ordered pair among a sample of hosts.
-	sample := hosts[:6]
-	for _, s := range sample {
-		for _, d := range sample {
-			if s != d {
-				cache.Paths(s, d)
-			}
-		}
-	}
-	misses := cache.Misses
-	// Fail the first host's access link: only pairs touching that host (or
-	// whose cached paths happen to traverse it) should recompute.
-	var access LinkID = -1
-	for l := 0; l < g.NumLinks(); l++ {
-		if g.Link(LinkID(l)).From == sample[0] {
-			access = LinkID(l)
-			break
-		}
-	}
-	if access < 0 {
-		t.Fatal("no access link found")
-	}
-	g.SetLinkUp(access, false)
-	for _, s := range sample {
-		for _, d := range sample {
-			if s != d {
-				cache.Paths(s, d)
-			}
-		}
-	}
-	recomputed := cache.Misses - misses
-	total := uint64(len(sample) * (len(sample) - 1))
-	if recomputed == 0 {
-		t.Fatal("failing an access link invalidated nothing")
-	}
-	if recomputed >= total {
-		t.Fatalf("access-link failure recomputed all %d pairs; want targeted invalidation", total)
-	}
-	if cache.Flushes != 1 {
-		t.Fatalf("Flushes = %d, want only the constructor flush", cache.Flushes)
-	}
-}
-
-// TestPathCacheStructuralFlush verifies growth forces a full flush.
-func TestPathCacheStructuralFlush(t *testing.T) {
-	g, hosts := TwoRackHostsOnly(t)
-	cache := NewPathCache(g, 2)
-	cache.Paths(hosts[0], hosts[1])
-	n := g.AddNode(Host, "late-host", 0)
-	g.AddDuplex(n, g.Switches()[0], 1e9, "late-link")
-	cache.Paths(hosts[0], hosts[1])
-	if cache.Flushes != 2 {
-		t.Fatalf("Flushes = %d, want constructor + structural", cache.Flushes)
-	}
-	got := cache.Paths(hosts[0], hosts[1])
-	want := g.KShortestPaths(hosts[0], hosts[1], 2)
-	if !pathsEqual(got, want) {
-		t.Fatal("post-flush paths diverge from fresh computation")
-	}
-}
-
-// TwoRackHostsOnly is a tiny helper topology for structural tests.
-func TwoRackHostsOnly(t *testing.T) (*Graph, []NodeID) {
+// checkCacheFresh is the one property PathCache has to hold: whatever
+// happened to the graph since the last query, the cached answer for every
+// pair equals a fresh EqualCostPaths — and asking again is a memo hit (the
+// same backing array), not a recomputation.
+func checkCacheFresh(t *testing.T, g *Graph, cache *PathCache, nodes []NodeID, when string) {
 	t.Helper()
-	g, hosts, _ := TwoRack(2, 2, 1e9)
-	return g, hosts
+	for _, s := range nodes {
+		for _, d := range nodes {
+			got := cache.Paths(s, d)
+			if want := g.EqualCostPaths(s, d, cache.K()); !pathsEqual(got, want) {
+				t.Fatalf("%s: cached paths %d->%d = %v, fresh %v", when, s, d, got, want)
+			}
+			if again := cache.Paths(s, d); len(got) > 0 && &again[0] != &got[0] {
+				t.Fatalf("%s: second query %d->%d recomputed instead of hitting the memo", when, s, d)
+			}
+		}
+	}
 }
 
-// TestPathCacheJournalOverflow forces the ring past its cap between syncs and
-// checks the cache falls back to a full flush with correct results.
-func TestPathCacheJournalOverflow(t *testing.T) {
-	g, hosts, trunks := TwoRack(2, 2, 1e9)
+// TestPathCacheEquivalenceUnderFaultStorm storms the cache with mutations
+// and checks checkCacheFresh after every one of them: (a) link and node
+// flips on a fat-tree, (b) 200 seeded random graphs (duplex and one-way
+// links, parallel cables) under SetLinkUp, SetNodeUp and mid-run AddDuplex
+// growth.
+//
+// The cache this replaced memoized Yen's k-shortest paths and repaired
+// itself per affected pair from a journal of link flips, on the argument that
+// Yen's output is the unique k-minimal path set under pathLess. It is not
+// (Yen truncated at K can differ from the canonical first K), and the same
+// storm against that cache failed at commit 2fe4367: on random graphs under
+// link flips it returned an answer different from a fresh Yen computation in
+// 407 of 343 600 checks (ISSUE 21's run; storm (b) exactly as written here,
+// seed 22, ported to that commit: 20 of 222 132) — always valid paths, but
+// dependent on the order of past failures. The builders' regular fabrics,
+// which storm (a) alone covered, hide it.
+func TestPathCacheEquivalenceUnderFaultStorm(t *testing.T) {
+	t.Run("fat-tree", func(t *testing.T) {
+		for _, k := range []int{1, 2, 4} {
+			g, hosts := FatTree(4, 2, 1e9)
+			cache := NewPathCache(g, k)
+			rng := rand.New(rand.NewSource(int64(1000 + k)))
+			for round := 0; round < 60; round++ {
+				for i := 0; i < 3; i++ {
+					flipRandomGraph(g, rng)
+				}
+				checkCacheFresh(t, g, cache, hosts, "fat-tree storm")
+			}
+		}
+	})
+	t.Run("random-graphs", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(22))
+		for gi := 0; gi < 200; gi++ {
+			g := randomGraph(rng)
+			cache := NewPathCache(g, 1+rng.Intn(4))
+			for round := 0; round < 12; round++ {
+				if round%4 == 3 {
+					growRandomGraph(g, rng)
+				} else {
+					flipRandomGraph(g, rng)
+				}
+				nodes := make([]NodeID, g.NumNodes())
+				for i := range nodes {
+					nodes[i] = NodeID(i)
+				}
+				checkCacheFresh(t, g, cache, nodes, "random-graph storm")
+			}
+		}
+	})
+}
+
+// TestPathCacheStructuralFlush: growth moves Version() like any other
+// mutation, so a host cabled in after the cache was warmed is routed to and
+// the old pairs are re-answered on the grown graph.
+func TestPathCacheStructuralFlush(t *testing.T) {
+	g, hosts, _ := TwoRack(2, 2, 1e9)
 	cache := NewPathCache(g, 2)
-	cache.Paths(hosts[0], hosts[2])
-	flushes := cache.Flushes
-	for i := 0; i < 2*graphJournalCap+10; i++ {
-		g.SetLinkUp(trunks[0], i%2 == 0)
-	}
-	got := cache.Paths(hosts[0], hosts[2])
-	want := g.KShortestPaths(hosts[0], hosts[2], 2)
-	if !pathsEqual(got, want) {
-		t.Fatal("paths diverge after journal overflow")
-	}
-	if cache.Flushes != flushes+1 {
-		t.Fatalf("Flushes = %d, want a forced flush after overflow", cache.Flushes)
+	checkCacheFresh(t, g, cache, hosts, "before growth")
+	late := g.AddNode(Host, "late-host", 0)
+	g.AddDuplex(late, g.Switches()[0], 1e9, "late-link")
+	checkCacheFresh(t, g, cache, append(hosts, late), "after growth")
+	if len(cache.Paths(hosts[0], late)) == 0 {
+		t.Fatal("no path to the host added after the cache was warmed")
 	}
 }

@@ -227,35 +227,6 @@ func TestKShortestZeroOrNegative(t *testing.T) {
 	}
 }
 
-func TestAllPairsKShortest(t *testing.T) {
-	g, hosts, _ := TwoRack(3, 2, Gbps)
-	all := g.AllPairsKShortest(2)
-	if len(all) != len(hosts) {
-		t.Fatalf("AllPairs sources = %d, want %d", len(all), len(hosts))
-	}
-	for _, s := range hosts {
-		for _, d := range hosts {
-			if s == d {
-				if _, ok := all[s][d]; ok {
-					t.Fatal("self pair present")
-				}
-				continue
-			}
-			ps := all[s][d]
-			if len(ps) == 0 {
-				t.Fatalf("no path %d->%d", s, d)
-			}
-			sameRack := g.Node(s).Rack == g.Node(d).Rack
-			if sameRack && len(ps) != 1 {
-				t.Fatalf("intra-rack pair has %d paths, want 1", len(ps))
-			}
-			if !sameRack && len(ps) != 2 {
-				t.Fatalf("inter-rack pair has %d paths, want 2", len(ps))
-			}
-		}
-	}
-}
-
 func TestFindLinks(t *testing.T) {
 	g, _, trunks := TwoRack(2, 2, Gbps)
 	tor0 := g.Link(trunks[0]).From
@@ -359,21 +330,5 @@ func TestPropertyKShortestValidity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(17))}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func BenchmarkKShortestTwoRack(b *testing.B) {
-	g, hosts, _ := TwoRack(5, 2, Gbps)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.KShortestPaths(hosts[0], hosts[9], 4)
-	}
-}
-
-func BenchmarkAllPairsFatTree4(b *testing.B) {
-	g, _ := FatTree(4, 2, Gbps)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.AllPairsKShortest(4)
 	}
 }
