@@ -421,11 +421,14 @@ func (p *Pythia) indexAgg(a *aggregate) {
 
 // aggKeyLess orders aggregates by ascending pair key — the fixed summation
 // order bookedDemandOn relies on for bit-identical placement decisions.
-func aggKeyLess(a, b *aggregate) bool {
-	if a.key.src != b.key.src {
-		return a.key.src < b.key.src
+func aggKeyLess(a, b *aggregate) bool { return a.key.less(b.key) }
+
+// less is the ascending pair-key order: by source, then destination.
+func (k pairKey) less(o pairKey) bool {
+	if k.src != o.src {
+		return k.src < o.src
 	}
-	return a.key.dst < b.key.dst
+	return k.dst < o.dst
 }
 
 // unindexAgg removes an aggregate from the per-link placement index.

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"pythia/internal/instrument"
@@ -95,10 +97,11 @@ type Snapshot struct {
 	Reconciliations    int
 }
 
-// Snapshot captures the collector's full state — with Restore, the
-// durability surface the serving plane's write-ahead journal compacts
-// against. The caller must hold the same exclusion ApplyBatch requires (no
-// concurrent collector or engine use).
+// Snapshot captures the collector's full state as plain data — the shape
+// Restore consumes and DecodeSnapshot produces. The serving plane's capture
+// is AppendSnapshot, which writes the same state without building the maps;
+// this is its differential oracle. The caller must hold the same exclusion
+// ApplyBatch requires (no concurrent collector or engine use).
 func (p *Pythia) Snapshot() *Snapshot {
 	s := &Snapshot{
 		Shards:     make([]ShardSnap, len(p.shards)),
@@ -196,6 +199,407 @@ func (p *Pythia) snapShard(sh *shard) ShardSnap {
 	return ss
 }
 
+// snapshotVersion is the first byte of the binary snapshot encoding. Version
+// 1 was the gob encoding of Snapshot, which carried no version byte of its
+// own (the serving plane tells the two apart by its magic prefix).
+const snapshotVersion = 2
+
+// Binary snapshot format (DESIGN.md §13.3). Integers that can be negative in
+// a Snapshot (IDs, counters) are zig-zag varints, counts and the two uint64
+// ordinals are uvarints, and every float64 or sim.Time is its IEEE-754 bit
+// pattern as 8 little-endian bytes — state restores bit-for-bit, which
+// re-summing bookings would not give. Every count is followed by exactly
+// that many elements, each at least one byte, so a decoder can bound a count
+// by the bytes that remain.
+//
+//	version byte | nShards | ttl byte | nextSeq | nextCookie | 7 plane counters
+//	per shard: 6 counters | booked (a map-size hint) | nJobs, then per job:
+//	  job | [lastSeen, if ttl] |
+//	  nReducerLoc × (reducer, host) |
+//	  nBacklog × bits, indexed by reducer |
+//	  nSeen × (map, attempt) |
+//	  nRows × (map, nSlots × slot), slots indexed by reducer:
+//	    0x00 (empty) | 0x01 bits src dst at |
+//	  nPending × (map attempt srcHost nBytes×bytes mapFinishedAt emittedAt late
+//	    nUnresolved × (reducer, bytes) at seq)
+//	nAggregates, ascending pair key, each: keySrc keyDst repSrc repDst
+//	  pathSrc pathDst nLinks × link | cookie | demandBits |
+//	  flags byte (1 placed, 2 degraded) | nPerReducer × (job, reducer, bits)
+
+func appendInt(dst []byte, v int) []byte       { return binary.AppendVarint(dst, int64(v)) }
+func appendCount(dst []byte, n int) []byte     { return binary.AppendUvarint(dst, uint64(n)) }
+func appendTime(dst []byte, t sim.Time) []byte { return appendF64(dst, float64(t)) }
+func appendF64(dst []byte, f float64) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
+}
+
+// AppendSnapshot appends the collector's full state to dst in the binary
+// snapshot format and returns the extended slice. It reads the job tables in
+// place — no intermediate maps, no reflection — so the serving plane can run
+// it inside the batch loop's critical section. DecodeSnapshot of the result
+// equals Snapshot(). The caller must hold the same exclusion ApplyBatch
+// requires.
+func (p *Pythia) AppendSnapshot(dst []byte) []byte {
+	ttl := p.cfg.BookingTTL > 0
+	dst = append(dst, snapshotVersion)
+	dst = appendCount(dst, len(p.shards))
+	dst = append(dst, b2u(ttl))
+	dst = binary.AppendUvarint(dst, p.nextSeq)
+	dst = binary.AppendUvarint(dst, p.nextCookie)
+	for _, c := range [...]int{p.AggregatesPlaced, p.Reaffirmations, p.Reallocations,
+		p.RuleInstallErrors, p.FlowsRescued, p.AggregatesDegraded, p.Reconciliations} {
+		dst = appendInt(dst, c)
+	}
+	for _, sh := range p.shards {
+		for _, c := range [...]int{sh.intentsReceived, sh.intentsDeferred, sh.dedupHits,
+			sh.duplicateIntents, sh.expiredBookings, sh.expiredIntents} {
+			dst = appendInt(dst, c)
+		}
+		dst = appendCount(dst, sh.booked)
+		dst = appendCount(dst, len(sh.jobs))
+		for job, js := range sh.jobs {
+			dst = appendInt(dst, job)
+			if ttl {
+				dst = appendTime(dst, js.lastSeen)
+			}
+			dst = js.appendTo(dst)
+		}
+	}
+	dst = appendCount(dst, len(p.aggregates))
+	for _, a := range p.sortedAggregates() {
+		for _, n := range [...]topology.NodeID{a.key.src, a.key.dst, a.repSrc, a.repDst, a.path.Src, a.path.Dst} {
+			dst = appendInt(dst, int(n))
+		}
+		dst = appendCount(dst, len(a.path.Links))
+		for _, l := range a.path.Links {
+			dst = appendInt(dst, int(l))
+		}
+		dst = binary.AppendUvarint(dst, a.cookie)
+		dst = appendF64(dst, a.demandBits)
+		dst = append(dst, b2u(a.placed)|b2u(a.degraded)<<1)
+		dst = appendCount(dst, len(a.perReducer))
+		for k, bits := range a.perReducer {
+			dst = appendInt(dst, k[0])
+			dst = appendInt(dst, k[1])
+			dst = appendF64(dst, bits)
+		}
+	}
+	return dst
+}
+
+func b2u(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// appendTo appends one job's tables (everything after the job ID and
+// lastSeen) in the binary snapshot format.
+func (js *jobState) appendTo(dst []byte) []byte {
+	dst = appendCount(dst, len(js.reducerLoc))
+	for r, host := range js.reducerLoc {
+		dst = appendInt(dst, r)
+		dst = appendInt(dst, int(host))
+	}
+	dst = appendCount(dst, len(js.backlog))
+	for _, bits := range js.backlog {
+		dst = appendF64(dst, bits)
+	}
+	dst = appendCount(dst, len(js.seen))
+	for k := range js.seen {
+		dst = appendInt(dst, k[0])
+		dst = appendInt(dst, k[1])
+	}
+	dst = appendCount(dst, len(js.booked))
+	for m, row := range js.booked {
+		for len(row) > 0 && row[len(row)-1].bits == 0 {
+			row = row[:len(row)-1] // released slots past the last live one carry nothing
+		}
+		dst = appendInt(dst, m)
+		dst = appendCount(dst, len(row))
+		for i := range row {
+			b := &row[i]
+			if b.bits == 0 {
+				dst = append(dst, 0)
+				continue
+			}
+			dst = append(dst, 1)
+			dst = appendF64(dst, b.bits)
+			dst = appendInt(dst, int(b.src))
+			dst = appendInt(dst, int(b.dst))
+			dst = appendTime(dst, b.at)
+		}
+	}
+	dst = appendCount(dst, len(js.pending))
+	for _, pi := range js.pending {
+		in := &pi.intent
+		dst = appendInt(dst, in.Map)
+		dst = appendInt(dst, in.Attempt)
+		dst = appendInt(dst, int(in.SrcHost))
+		dst = appendCount(dst, len(in.PredictedWireBytes))
+		for _, b := range in.PredictedWireBytes {
+			dst = appendF64(dst, b)
+		}
+		dst = appendTime(dst, in.MapFinishedAt)
+		dst = appendTime(dst, in.EmittedAt)
+		dst = append(dst, b2u(in.Late))
+		dst = appendCount(dst, len(pi.unresolved))
+		for r, b := range pi.unresolved {
+			dst = appendInt(dst, r)
+			dst = appendF64(dst, b)
+		}
+		dst = appendTime(dst, pi.at)
+		dst = binary.AppendUvarint(dst, pi.seq)
+	}
+	return dst
+}
+
+// snapReader consumes the binary snapshot format. The first malformed field
+// latches err and empties the input, after which every read returns zero —
+// decode loops run out instead of checking each field.
+type snapReader struct {
+	b   []byte
+	err error
+}
+
+func (r *snapReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("core: decoding snapshot: "+format, args...)
+	}
+	r.b = nil
+}
+
+func (r *snapReader) byte() byte {
+	if len(r.b) == 0 {
+		r.fail("truncated")
+		return 0
+	}
+	v := r.b[0]
+	r.b = r.b[1:]
+	return v
+}
+
+func (r *snapReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail("truncated or overlong varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *snapReader) int() int {
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail("truncated or overlong varint")
+		return 0
+	}
+	r.b = r.b[n:]
+	return int(v)
+}
+
+// count reads the count of elements that each take at least one byte, so a
+// count beyond the bytes remaining is corrupt — checked here, before anything
+// is sized from it.
+func (r *snapReader) count() int { return r.countOf(1) }
+
+// countOf is count for elements of at least size bytes each.
+func (r *snapReader) countOf(size int) int {
+	v := r.uvarint()
+	if v > uint64(len(r.b)/size) {
+		r.fail("count %d exceeds the %d bytes remaining", v, len(r.b))
+		return 0
+	}
+	return int(v)
+}
+
+// f64 reads one float. NaN is rejected: collector state never holds one, and
+// a NaN would make a decoded snapshot unequal to itself.
+func (r *snapReader) f64() float64 {
+	if len(r.b) < 8 {
+		r.fail("truncated")
+		return 0
+	}
+	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
+	r.b = r.b[8:]
+	if v != v {
+		r.fail("NaN")
+		return 0
+	}
+	return v
+}
+
+func (r *snapReader) time() sim.Time { return sim.Time(r.f64()) }
+
+func (r *snapReader) bool() bool {
+	v := r.byte()
+	if v > 1 {
+		r.fail("bool byte %d", v)
+	}
+	return v == 1
+}
+
+const (
+	// minShardBytes is the smallest encoded shard: six counters, the booked
+	// hint and the job count.
+	minShardBytes = 6 + 1 + 1
+	// minBookingBytes is the smallest encoded live booking slot: tag, bits,
+	// two one-byte IDs, at.
+	minBookingBytes = 1 + 8 + 1 + 1 + 8
+)
+
+// DecodeSnapshot parses AppendSnapshot's output into the Snapshot Restore
+// consumes, in Snapshot()'s canonical shape: Pending seq-ascending per shard,
+// Aggregates by ascending pair key, JobLastSeen nil when the TTL sweep was
+// off. Corrupt input — an unknown version, a count the remaining bytes cannot
+// hold, a job outside its shard, out-of-order aggregates or pending seqs,
+// trailing bytes — is an error, never a panic or an oversized allocation.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	r := &snapReader{b: data}
+	if v := r.byte(); r.err == nil && v != snapshotVersion {
+		return nil, fmt.Errorf("core: decoding snapshot: version %d, want %d", v, snapshotVersion)
+	}
+	nShards := r.countOf(minShardBytes)
+	ttl := r.bool()
+	s := &Snapshot{
+		Shards:     make([]ShardSnap, nShards),
+		NextSeq:    r.uvarint(),
+		NextCookie: r.uvarint(),
+
+		AggregatesPlaced:   r.int(),
+		Reaffirmations:     r.int(),
+		Reallocations:      r.int(),
+		RuleInstallErrors:  r.int(),
+		FlowsRescued:       r.int(),
+		AggregatesDegraded: r.int(),
+		Reconciliations:    r.int(),
+	}
+	for i := 0; i < nShards && r.err == nil; i++ {
+		ss := &s.Shards[i]
+		*ss = ShardSnap{
+			IntentsReceived:  r.int(),
+			IntentsDeferred:  r.int(),
+			DedupHits:        r.int(),
+			DuplicateIntents: r.int(),
+			ExpiredBookings:  r.int(),
+			ExpiredIntents:   r.int(),
+		}
+		booked := r.count()
+		ss.ReducerLoc = make(map[[2]int]topology.NodeID)
+		ss.Booked = make(map[FlowKey]BookingSnap, min(booked, len(r.b)/minBookingBytes))
+		ss.RedBacklog = make(map[[2]int]float64)
+		ss.Seen = make(map[[3]int]bool)
+		if ttl {
+			ss.JobLastSeen = make(map[int]sim.Time)
+		}
+		for n := r.count(); n > 0 && r.err == nil; n-- {
+			job := r.int()
+			if job%nShards != i {
+				r.fail("job %d in shard %d of %d", job, i, nShards)
+			}
+			if ttl {
+				ss.JobLastSeen[job] = r.time()
+			}
+			r.job(ss, job)
+		}
+		sort.Slice(ss.Pending, func(a, b int) bool { return ss.Pending[a].Seq < ss.Pending[b].Seq })
+		for k := 1; k < len(ss.Pending); k++ {
+			if ss.Pending[k-1].Seq == ss.Pending[k].Seq {
+				r.fail("shard %d holds two pending intents with seq %d", i, ss.Pending[k].Seq)
+			}
+		}
+	}
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		as := AggSnap{KeySrc: r.node(), KeyDst: r.node(), RepSrc: r.node(), RepDst: r.node()}
+		as.Path.Src, as.Path.Dst = r.node(), r.node()
+		if nl := r.count(); nl > 0 {
+			as.Path.Links = make([]topology.LinkID, nl)
+			for k := range as.Path.Links {
+				as.Path.Links[k] = topology.LinkID(r.int())
+			}
+		}
+		as.Cookie = r.uvarint()
+		as.DemandBits = r.f64()
+		flags := r.byte()
+		if flags > 3 {
+			r.fail("aggregate flags %#x", flags)
+		}
+		as.Placed, as.Degraded = flags&1 != 0, flags&2 != 0
+		as.PerReducer = make(map[[2]int]float64)
+		for m := r.count(); m > 0 && r.err == nil; m-- {
+			k := [2]int{r.int(), r.int()}
+			as.PerReducer[k] = r.f64()
+		}
+		if last := len(s.Aggregates) - 1; last >= 0 {
+			prev := s.Aggregates[last]
+			if !(pairKey{prev.KeySrc, prev.KeyDst}).less(pairKey{as.KeySrc, as.KeyDst}) {
+				r.fail("aggregates not in ascending pair-key order")
+			}
+		}
+		s.Aggregates = append(s.Aggregates, as)
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	return s, nil
+}
+
+func (r *snapReader) node() topology.NodeID { return topology.NodeID(r.int()) }
+
+// job decodes one job's tables into the shard's (job, …)-keyed maps.
+func (r *snapReader) job(ss *ShardSnap, job int) {
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		k := [2]int{job, r.int()}
+		ss.ReducerLoc[k] = r.node()
+	}
+	n := r.count()
+	for red := 0; red < n && r.err == nil; red++ {
+		if bits := r.f64(); bits != 0 {
+			ss.RedBacklog[[2]int{job, red}] = bits
+		}
+	}
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		ss.Seen[[3]int{job, r.int(), r.int()}] = true
+	}
+	for rows := r.count(); rows > 0 && r.err == nil; rows-- {
+		m := r.int()
+		n := r.count()
+		for red := 0; red < n && r.err == nil; red++ {
+			if !r.bool() {
+				continue
+			}
+			b := BookingSnap{Bits: r.f64(), Src: r.node(), Dst: r.node(), At: r.time()}
+			if b.Bits == 0 {
+				r.fail("live booking slot with zero bits")
+			}
+			ss.Booked[FlowKey{job, m, red}] = b
+		}
+	}
+	for n := r.count(); n > 0 && r.err == nil; n-- {
+		ps := PendingSnap{Intent: instrument.Intent{Job: job, Map: r.int(), Attempt: r.int(), SrcHost: r.node()}}
+		if nb := r.countOf(8); nb > 0 {
+			ps.Intent.PredictedWireBytes = make([]float64, nb)
+			for k := range ps.Intent.PredictedWireBytes {
+				ps.Intent.PredictedWireBytes[k] = r.f64()
+			}
+		}
+		ps.Intent.MapFinishedAt, ps.Intent.EmittedAt = r.time(), r.time()
+		ps.Intent.Late = r.bool()
+		ps.Unresolved = make(map[int]float64)
+		for m := r.count(); m > 0 && r.err == nil; m-- {
+			red := r.int()
+			ps.Unresolved[red] = r.f64()
+		}
+		ps.At, ps.Seq = r.time(), r.uvarint()
+		ss.Pending = append(ss.Pending, ps)
+	}
+}
+
 // Restore rebuilds collector state from a snapshot. It must run
 // on a freshly constructed Pythia (same Config.Shards, same fabric) before
 // any ingest; rules held by snapshotted aggregates are re-programmed into
@@ -211,6 +615,14 @@ func (p *Pythia) Restore(s *Snapshot) error {
 	for i, sh := range p.shards {
 		if len(sh.jobs) != 0 {
 			return fmt.Errorf("core: Restore on a non-fresh collector (shard %d has state)", i)
+		}
+	}
+	for _, as := range s.Aggregates {
+		for _, l := range as.Path.Links {
+			if l < 0 || int(l) >= p.g.NumLinks() {
+				return fmt.Errorf("core: snapshot places pair %d->%d on link %d, fabric has %d links (fabric must match across restart)",
+					as.KeySrc, as.KeyDst, l, p.g.NumLinks())
+			}
 		}
 	}
 	p.nextSeq = s.NextSeq

@@ -25,7 +25,7 @@ type snapStack struct {
 	clockHz float64
 }
 
-func newSnapStack(t *testing.T, shards int, ttl sim.Duration, clockHz float64) *snapStack {
+func newSnapStack(t testing.TB, shards int, ttl sim.Duration, clockHz float64) *snapStack {
 	t.Helper()
 	eng := sim.NewEngine()
 	g, _, _ := topology.TwoRack(5, 2, topology.Gbps)
@@ -47,9 +47,10 @@ func (s *snapStack) apply(ops []Op) {
 	s.py.ApplyBatch(ops, 2)
 }
 
-// gobRoundTrip pushes a snapshot through the codec the serving plane uses
-// for its snapshot files, so the restore test also proves the on-disk
-// representation is lossless (exact float bits, array-keyed maps and all).
+// gobRoundTrip pushes a snapshot through the codec the serving plane used
+// for its snapshot files through PR 21 and still reads, so the restore tests
+// also prove that representation is lossless (exact float bits, array-keyed
+// maps and all).
 func gobRoundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	t.Helper()
 	var buf bytes.Buffer
@@ -63,12 +64,38 @@ func gobRoundTrip(t *testing.T, s *Snapshot) *Snapshot {
 	return out
 }
 
+// binaryRoundTrip captures the collector the way the serving plane does —
+// AppendSnapshot straight from the job tables — and decodes it back.
+func binaryRoundTrip(t *testing.T, p *Pythia) *Snapshot {
+	t.Helper()
+	out, err := DecodeSnapshot(p.AppendSnapshot(nil))
+	if err != nil {
+		t.Fatalf("decoding a fresh binary snapshot: %v", err)
+	}
+	return out
+}
+
+// snapshotCodecs are the two on-disk representations a restart may find.
+var snapshotCodecs = []struct {
+	name    string
+	capture func(*testing.T, *Pythia) *Snapshot
+}{
+	{"gob", func(t *testing.T, p *Pythia) *Snapshot { return gobRoundTrip(t, p.Snapshot()) }},
+	{"binary", binaryRoundTrip},
+}
+
 // TestSnapshotRestoreContinuesIdentically is the core recovery proof: take a
-// snapshot mid-stream, rebuild a fresh stack from its gob round-trip, and
-// drive both the original and the restored collector through the identical
-// remainder — placement digests, stats, and leak gauges must stay
+// snapshot mid-stream, rebuild a fresh stack from its round trip through each
+// codec, and drive both the original and the restored collector through the
+// identical remainder — placement digests, stats, and leak gauges must stay
 // bit-identical, TTL sweeps included.
 func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
+	for _, codec := range snapshotCodecs {
+		t.Run(codec.name, func(t *testing.T) { testRestoreContinuesIdentically(t, codec.capture) })
+	}
+}
+
+func testRestoreContinuesIdentically(t *testing.T, capture func(*testing.T, *Pythia) *Snapshot) {
 	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	ops := batchTrace(hosts, 9, 6, 4, 42)
 	const chunk, cutChunk = 17, 4
@@ -85,7 +112,7 @@ func TestSnapshotRestoreContinuesIdentically(t *testing.T) {
 		}
 		oracle.apply(ops[at:end])
 		if i == cutChunk {
-			snap = gobRoundTrip(t, oracle.py.Snapshot())
+			snap = capture(t, oracle.py)
 			snapVirtual = oracle.virtual
 			snapDig = *oracle.dig
 		}
@@ -217,8 +244,8 @@ func TestNovelOps(t *testing.T) {
 // TestSnapshotCanonicalAcrossRestore: the job table flattens into one
 // canonical snapshot. With deferred intents from interleaved jobs live, each
 // shard's Pending comes out merged by arrival seq (not grouped by job), and
-// snapshot -> gob -> Restore -> Snapshot reproduces the snapshot exactly, at
-// any shard count.
+// snapshot -> either codec -> Restore -> Snapshot reproduces the snapshot
+// exactly, at any shard count.
 func TestSnapshotCanonicalAcrossRestore(t *testing.T) {
 	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	ops := batchTrace(hosts, 9, 6, 4, 42)
@@ -242,15 +269,17 @@ func TestSnapshotCanonicalAcrossRestore(t *testing.T) {
 		if !interleaved && shards < 8 {
 			t.Fatalf("shards=%d: no shard holds deferred intents of interleaved jobs; the test is too weak", shards)
 		}
-		restored := newSnapStack(t, shards, 40, 4)
-		if err := restored.py.Restore(gobRoundTrip(t, snap)); err != nil {
-			t.Fatalf("shards=%d: restore: %v", shards, err)
-		}
-		if again := restored.py.Snapshot(); !reflect.DeepEqual(snap, again) {
-			t.Errorf("shards=%d: snapshot of the restored collector differs:\n got %+v\nwant %+v", shards, again, snap)
-		}
-		if got, want := restored.py.ShardStats(), s.py.ShardStats(); !reflect.DeepEqual(got, want) {
-			t.Errorf("shards=%d: gauges after restore %+v, want %+v", shards, got, want)
+		for _, codec := range snapshotCodecs {
+			restored := newSnapStack(t, shards, 40, 4)
+			if err := restored.py.Restore(codec.capture(t, s.py)); err != nil {
+				t.Fatalf("shards=%d %s: restore: %v", shards, codec.name, err)
+			}
+			if again := restored.py.Snapshot(); !reflect.DeepEqual(snap, again) {
+				t.Errorf("shards=%d %s: snapshot of the restored collector differs:\n got %+v\nwant %+v", shards, codec.name, again, snap)
+			}
+			if got, want := restored.py.ShardStats(), s.py.ShardStats(); !reflect.DeepEqual(got, want) {
+				t.Errorf("shards=%d %s: gauges after restore %+v, want %+v", shards, codec.name, got, want)
+			}
 		}
 	}
 }

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"time"
 
 	"pythia/internal/core"
@@ -13,8 +15,8 @@ import (
 
 // This file is the serving plane's durability layer: the write-ahead
 // discipline in the batch loop (journal before commit, commit before ack),
-// snapshot compaction, crash-point injection for the chaos tests, and the
-// startup recovery path.
+// snapshots cut off the commit path and the compaction they allow,
+// crash-point injection for the chaos tests, and the startup recovery path.
 //
 // The recovery contract: with ClockHz set, a server killed at any crash
 // point and restarted with Recover reaches a placement digest bit-identical
@@ -115,11 +117,9 @@ func (s *Server) crashed() bool {
 	}
 }
 
-// walSnapshot is the snapshot-file payload: the collector's complete state
-// plus the serving-plane continuation values (logical clock, running
+// walSnapshot is the decoded snapshot-file payload: the collector's complete
+// state plus the serving-plane continuation values (logical clock, running
 // placement digest) that let a restart resume the digest stream mid-word.
-// gob preserves float64 bit patterns and the collector snapshot's
-// array-keyed maps.
 type walSnapshot struct {
 	Core       *core.Snapshot
 	VirtualSec float64
@@ -127,63 +127,171 @@ type walSnapshot struct {
 	Placements int
 }
 
-func encodeSnapshot(s *walSnapshot) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
+// Snapshot files (DESIGN.md §13.3) are snapshotMagic, then VirtualSec's
+// float64 bits, Digest and Placements as three little-endian uint64s, then the
+// collector's binary snapshot (core.AppendSnapshot). Through PR 21 they were
+// the gob encoding of walSnapshot; a gob stream never starts with a byte in
+// 0x80..0xF7, so the magic's first byte tells the two apart.
+var snapshotMagic = [4]byte{0x89, 'P', 'Y', 'S'}
 
+const snapshotHeaderLen = len(snapshotMagic) + 3*8
+
+// decodeSnapshot reads a snapshot file's payload: the current format by its
+// magic, anything else as the gob format older servers wrote — read-only, so
+// a journal directory carried across the upgrade still restores.
 func decodeSnapshot(p []byte) (*walSnapshot, error) {
-	s := new(walSnapshot)
-	if err := gob.NewDecoder(bytes.NewReader(p)).Decode(s); err != nil {
-		return nil, err
+	if !bytes.HasPrefix(p, snapshotMagic[:]) {
+		s := new(walSnapshot)
+		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(s); err != nil {
+			return nil, err
+		}
+		if s.Core == nil {
+			return nil, fmt.Errorf("gob snapshot carries no collector state")
+		}
+		return s, nil
 	}
-	return s, nil
+	if len(p) < snapshotHeaderLen {
+		return nil, fmt.Errorf("snapshot header truncated at %d bytes", len(p))
+	}
+	h := p[len(snapshotMagic):]
+	s := &walSnapshot{
+		VirtualSec: math.Float64frombits(binary.LittleEndian.Uint64(h)),
+		Digest:     binary.LittleEndian.Uint64(h[8:]),
+		Placements: int(binary.LittleEndian.Uint64(h[16:])),
+	}
+	var err error
+	s.Core, err = core.DecodeSnapshot(p[snapshotHeaderLen:])
+	return s, err
 }
 
-// snapshotLocked cuts a snapshot covering the journal through appliedSeq and
-// compacts segments the snapshot supersedes. Caller holds colMu. Snapshot
-// failure is availability-safe — the journal remains authoritative and the
-// next restart just replays more — so errors skip compaction rather than
-// stopping the server; they are counted and logged, because a server that
-// can no longer snapshot grows its journal without bound.
-func (s *Server) snapshotLocked() {
-	payload, err := encodeSnapshot(&walSnapshot{
-		Core:       s.col.Snapshot(),
-		VirtualSec: s.virtual,
-		Digest:     s.digest,
-		Placements: s.placements,
-	})
-	if err == nil {
-		err = s.wal.WriteSnapshot(s.appliedSeq, payload)
-	}
-	if err != nil {
-		s.snapshotFailed(err)
-		return
-	}
-	if _, err := s.wal.Compact(s.appliedSeq + 1); err != nil {
-		s.snapshotFailed(err)
-	}
-	s.snapSeq = s.appliedSeq
-	s.snapshots++
+// Snapshots run as capture -> write -> adopt (DESIGN.md §13.4), so the batch
+// loop stops only for the capture:
+//
+//   - captureSnapshot, on the batch loop under colMu, encodes the state
+//     through appliedSeq into one buffer (milliseconds) and starts
+//   - one goroutine that writes, fsyncs and renames the file — it touches only
+//     snap-* files, never the segment list — and posts a snapResult, which
+//   - adoptSnapshot, back on the batch loop under colMu, turns into
+//     compaction (Compact mutates the segment list, so it stays with the
+//     single appender) and the advance of snapSeq.
+//
+// At most one snapshot is in flight; a trigger that finds one is skipped and
+// re-evaluated by the next batch. Snapshots are not on the durability path —
+// the journal is authoritative — so a crash anywhere in the sequence leaves
+// either the old snapshot and a longer tail or the new snapshot and an
+// uncompacted tail, and both recover to the same state.
+
+// snapResult is the writer goroutine's report to the batch loop.
+type snapResult struct {
+	seq     uint64
+	payload []byte // handed back for the next capture to reuse
+	err     error
+}
+
+// captureSnapshot encodes the state through appliedSeq and hands it to a
+// writer goroutine. Caller holds colMu, is the goroutine that owns the
+// journal, and has checked that no snapshot is in flight.
+func (s *Server) captureSnapshot() {
+	t0 := time.Now()
+	seq := s.appliedSeq
+	buf := append(s.snapBuf[:0], snapshotMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.virtual))
+	buf = binary.LittleEndian.AppendUint64(buf, s.digest)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.placements))
+	buf = s.col.AppendSnapshot(buf)
+	s.snapBuf = nil
+	s.snapInFlight = true
+	s.met.walSnapPause.Observe(time.Since(t0).Seconds())
 	if s.fr != nil {
+		// Recorded by the batch that stopped for the capture, so the gap to
+		// the next batch's start reads as the pause the snapshot cost.
 		ev := flight.Ev(flight.SnapshotTaken, flight.PlaneServe)
 		ev.T = sim.Time(s.virtual)
-		ev.Bytes = float64(len(payload))
+		ev.Bytes = float64(len(buf))
 		s.fr.Record(ev)
 	}
+	s.snapWriters.Add(1)
+	go func() {
+		defer s.snapWriters.Done()
+		if s.snapGate != nil {
+			select { // test hook: hold the write until released or the server dies
+			case <-s.snapGate:
+			case <-s.crashedC:
+			}
+		}
+		res := snapResult{seq: seq, payload: buf}
+		if s.crashed() {
+			res.err = fmt.Errorf("server crashed before the write began")
+		} else {
+			t0 := time.Now()
+			res.err = s.wal.WriteSnapshot(seq, buf)
+			s.met.walSnapWrite.Observe(time.Since(t0).Seconds())
+		}
+		s.snapDone <- res // one slot, one snapshot in flight: never blocks
+	}()
+}
+
+// adoptSnapshot finishes a snapshot whose write has ended: on success the
+// segments it supersedes are compacted away and snapSeq advances — so snapSeq
+// only ever names a durable snapshot. Failure is availability-safe — the
+// journal remains authoritative and the next restart just replays more — so
+// errors skip compaction rather than stopping the server; they are counted
+// and logged, because a server that can no longer snapshot grows its journal
+// without bound, and the next trigger tries again. Caller holds colMu and owns
+// the journal.
+func (s *Server) adoptSnapshot(r snapResult) {
+	s.snapInFlight = false
+	s.snapBuf = r.payload
+	if r.err != nil {
+		s.snapshotFailed(r.seq, r.err)
+		return
+	}
+	if _, err := s.wal.Compact(r.seq + 1); err != nil {
+		s.snapshotFailed(r.seq, err)
+	}
+	s.snapSeq = r.seq
+	s.snapshots++
 	if s.log != nil {
-		s.log.Debug("snapshot written", "seq", s.appliedSeq, "bytes", len(payload))
+		s.log.Debug("snapshot written", "seq", r.seq, "bytes", len(r.payload))
 	}
 }
 
-func (s *Server) snapshotFailed(err error) {
+// adoptFinishedSnapshot adopts the in-flight snapshot if its write has ended.
+// Caller holds colMu and owns the journal.
+func (s *Server) adoptFinishedSnapshot() {
+	select {
+	case r := <-s.snapDone:
+		s.adoptSnapshot(r)
+	default:
+	}
+}
+
+func (s *Server) snapshotFailed(seq uint64, err error) {
 	s.met.walSnapErrors.Inc()
 	if s.log != nil {
-		s.log.Warn("snapshot failed", "seq", s.appliedSeq, "error", err)
+		s.log.Warn("snapshot failed", "seq", seq, "error", err)
 	}
+}
+
+// seal is the clean drain's last step, after the batch loop and with it any
+// snapshot writer have exited: adopt what the loop left behind, cut a final
+// snapshot so the next start restores instead of replaying, and close the
+// journal.
+func (s *Server) seal() error {
+	s.colMu.Lock()
+	s.adoptFinishedSnapshot()
+	final := s.appliedSeq > s.snapSeq
+	if final {
+		s.captureSnapshot()
+	}
+	s.colMu.Unlock()
+	if final {
+		r := <-s.snapDone
+		s.colMu.Lock()
+		s.adoptSnapshot(r)
+		s.colMu.Unlock()
+	}
+	return s.wal.Close()
 }
 
 // recover rebuilds collector and serving state from the journal directory:

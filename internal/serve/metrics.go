@@ -68,6 +68,8 @@ type serveMetrics struct {
 	walSnapshots   *flight.Counter
 	walSnapBytes   *flight.Counter
 	walSnapErrors  *flight.Counter
+	walSnapPause   *flight.Histogram // batch loop stopped to capture
+	walSnapWrite   *flight.Histogram // background write + fsync + rename
 	walCompacted   *flight.Counter
 
 	// Label-fanned families, materialized on first use under mu. The hot
@@ -116,7 +118,11 @@ func newServeMetrics() *serveMetrics {
 		walSnapBytes: reg.Counter("pythia_wal_snapshot_bytes_total",
 			"Snapshot payload bytes written."),
 		walSnapErrors: reg.Counter("pythia_wal_snapshot_errors_total",
-			"Snapshot cuts that failed to encode, write or compact; the journal keeps growing."),
+			"Snapshots whose write or compaction failed; the journal keeps growing until one succeeds."),
+		walSnapPause: reg.Histogram("pythia_wal_snapshot_pause_seconds",
+			"Wall seconds the batch loop held the collector lock to capture a snapshot.", latencyEdges),
+		walSnapWrite: reg.Histogram("pythia_wal_snapshot_write_seconds",
+			"Wall seconds a snapshot's background write, fsync and rename took.", latencyEdges),
 		walCompacted: reg.Counter("pythia_wal_compacted_segments_total",
 			"Journal segments removed by compaction."),
 		requests:  map[routeCode]*flight.Counter{},

@@ -37,6 +37,25 @@ func getText(t *testing.T, client *http.Client, url string) (int, string) {
 	return resp.StatusCode, strings.TrimSpace(string(body))
 }
 
+// awaitSnapshotIdle blocks until no snapshot is in flight: the writer has
+// finished and the (idle) batch loop has adopted its result.
+func awaitSnapshotIdle(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		srv.colMu.Lock()
+		busy := srv.snapInFlight
+		srv.colMu.Unlock()
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("snapshot still in flight after 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // tryScrape fetches, lints and parses /metrics; goroutines other than the
 // test's own use it directly and report with t.Error.
 func tryScrape(client *http.Client, url string) (*flight.Exposition, error) {
@@ -524,9 +543,13 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		t.Fatalf("bad request: HTTP %d", resp.StatusCode)
 	}
 
+	// Snapshots are written off the batch loop and adopted by it; wait for
+	// the last one to land so both endpoints describe a quiescent server.
+	awaitSnapshotIdle(t, srv)
 	st := getStats(t, client, ts.URL)
 	exp := scrape(t, client, ts.URL)
-	if st.RequestsTotal != 6 || st.RejectedTotal != 1 || st.Placements == 0 || st.DedupHits != 3 || st.Snapshots == 0 {
+	if st.RequestsTotal != 6 || st.RejectedTotal != 1 || st.Placements == 0 || st.DedupHits != 3 ||
+		st.Snapshots == 0 || st.SnapshotPauseSec <= 0 || st.SnapshotWriteSec <= 0 {
 		t.Fatalf("the run did not exercise what it should: %+v", st)
 	}
 	cs := st.CollectorStats
@@ -560,6 +583,11 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		{"pythia_wal_segments", nil, float64(st.WALSegments)},
 		{"pythia_wal_size_bytes", nil, float64(st.WALBytes)},
 		{"pythia_wal_snapshots_total", nil, float64(st.Snapshots)},
+		{"pythia_wal_snapshot_pause_seconds_count", nil, float64(st.Snapshots)},
+		{"pythia_wal_snapshot_pause_seconds_sum", nil, st.SnapshotPauseSec},
+		{"pythia_wal_snapshot_write_seconds_count", nil, float64(st.Snapshots)},
+		{"pythia_wal_snapshot_write_seconds_sum", nil, st.SnapshotWriteSec},
+		{"pythia_wal_records_since_snapshot", nil, float64(uint64(st.WALRecords) - st.SnapshotSeq)},
 		{"pythia_recovery_recovered", nil, b2f(st.Recovered)},
 		{"pythia_recovery_replayed_records", nil, float64(st.RecoveredRecords)},
 		{"pythia_recovery_seconds", nil, st.RecoverySec},

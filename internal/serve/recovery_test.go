@@ -437,10 +437,14 @@ func TestJournalAppendFailureFailsStop(t *testing.T) {
 }
 
 // TestSnapshotFailureIsCounted: a server that can no longer snapshot keeps
-// serving (the journal stays authoritative) but says so — the error counter
-// rises and the records-since-snapshot gauge keeps growing. Removing the
-// journal directory under the running server is the fault: appends to the
-// open segment still succeed, creating the snapshot file does not.
+// serving (the journal stays authoritative) but says so. The write fails on
+// its own goroutine and the error is counted when the batch loop adopts the
+// result, so the counter is polled; meanwhile every batch answers 200, the
+// records-since-snapshot gauge grows by one per batch, no snapshot is ever
+// reported, and a failed snapshot does not stop the next trigger from trying
+// again. Removing the journal directory under the running server is
+// the fault: appends to the open segment still succeed, creating the
+// snapshot file does not.
 func TestSnapshotFailureIsCounted(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "wal")
 	srv, err := New(Config{Shards: 2, ClockHz: 50, WALDir: dir, SnapshotEvery: 2, Metrics: true})
@@ -455,24 +459,33 @@ func TestSnapshotFailureIsCounted(t *testing.T) {
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
+	awaitErrors := func(atLeast float64) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if s := scrape(t, client, ts.URL).Sample("pythia_wal_snapshot_errors_total"); s != nil && s.Value >= atLeast {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("snapshot_errors_total never reached %v", atLeast)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
-	var lastLag float64
 	for batch := 1; batch <= 4; batch++ {
 		if resp, body := postJSON(t, client, ts.URL, fmt.Sprintf(`{"done_jobs":[%d]}`, batch)); resp.StatusCode != http.StatusOK {
 			t.Fatalf("batch %d: HTTP %d: %s", batch, resp.StatusCode, body)
 		}
-		exp := scrape(t, client, ts.URL)
-		lag := exp.Sample("pythia_wal_records_since_snapshot")
-		if lag == nil || lag.Value != float64(batch) || lag.Value <= lastLag {
+		if lag := scrape(t, client, ts.URL).Sample("pythia_wal_records_since_snapshot"); lag == nil || lag.Value != float64(batch) {
 			t.Fatalf("after batch %d: records_since_snapshot = %+v, want %d", batch, lag, batch)
 		}
-		lastLag = lag.Value
-		wantErrs := float64(batch - 1) // every batch from the second on tries and fails
-		if s := exp.Sample("pythia_wal_snapshot_errors_total"); s == nil || s.Value != wantErrs {
-			t.Fatalf("after batch %d: snapshot_errors_total = %+v, want %v", batch, s, wantErrs)
-		}
+		// Every batch from the second on finds nothing in flight and a stale
+		// snapSeq, so it tries — and fails — again; the idle loop adopts the
+		// failure, which is when it is counted.
+		awaitErrors(float64(batch - 1))
 	}
-	if st := getStats(t, client, ts.URL); st.Snapshots != 0 {
-		t.Fatalf("%d snapshots reported from a removed directory", st.Snapshots)
+	if st := getStats(t, client, ts.URL); st.Snapshots != 0 || st.SnapshotSeq != 0 {
+		t.Fatalf("snapshots=%d snapshot_seq=%d reported from a removed directory", st.Snapshots, st.SnapshotSeq)
 	}
 }

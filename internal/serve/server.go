@@ -69,10 +69,11 @@ type Config struct {
 	// durable default), N > 1 every Nth, negative never (page-cache-only
 	// durability — survives process kills, not power loss).
 	FsyncEvery int
-	// SnapshotEvery cuts a snapshot and compacts the journal every this
-	// many committed batches, bounding restart cost. 0 defaults to 1024;
-	// negative disables periodic snapshots (graceful shutdown still cuts a
-	// final one).
+	// SnapshotEvery cuts a snapshot every this many committed batches and
+	// compacts the journal once it is durable, bounding restart cost; the
+	// batch loop stops only to encode it, the file is written off the loop.
+	// 0 defaults to 1024; negative disables periodic snapshots (graceful
+	// shutdown still cuts a final one).
 	SnapshotEvery int
 	// SegmentBytes caps journal segment size (0 defaults to 8 MiB).
 	SegmentBytes int64
@@ -170,8 +171,21 @@ type Server struct {
 	// Durability state (under colMu; the batch loop is the only appender).
 	wal        *wal.Log
 	appliedSeq uint64 // last journal seq committed into the collector
-	snapSeq    uint64 // journal seq the latest snapshot covers through
+	snapSeq    uint64 // journal seq the latest adopted (durable) snapshot covers through
 	snapshots  int
+
+	// Snapshot hand-off (durable.go). snapInFlight and snapBuf are under
+	// colMu; snapDone carries the one in-flight snapshot's result from its
+	// writer goroutine back to the batch loop; snapWriters lets the loop's
+	// exit wait that goroutine out. snapGate, when non-nil, holds each write
+	// until it closes or the server crashes (tests stage crashes with it).
+	// sealJournal is seal behind a sync.OnceValue: racing Shutdowns seal once.
+	snapInFlight bool
+	snapBuf      []byte
+	snapDone     chan snapResult
+	snapWriters  sync.WaitGroup
+	snapGate     chan struct{}
+	sealJournal  func() error
 
 	// Recovery report (written by the recovery goroutine under colMu
 	// before readyC closes; read under colMu).
@@ -278,6 +292,8 @@ func New(cfg Config) (*Server, error) {
 			return nil, fmt.Errorf("serve: opening journal: %w", err)
 		}
 		s.wal = l
+		s.snapDone = make(chan snapResult, 1)
+		s.sealJournal = sync.OnceValue(s.seal)
 		_, _, hasSnap, snapErr := l.LatestSnapshot()
 		switch {
 		case cfg.Recover:
@@ -440,9 +456,10 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Shutdown drains gracefully: new requests are refused with 503, in-flight
 // handlers finish (the batch loop keeps committing until they do), then the
-// loop drains the residual queue and exits; with a journal enabled, a final
-// snapshot is cut so the next start restores instead of replaying. Safe to
-// call more than once.
+// loop drains the residual queue and exits, waiting out a snapshot write in
+// flight; with a journal enabled, a final snapshot is then cut so the next
+// start restores instead of replaying. Safe to call more than once, and
+// concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
 	var err error
@@ -461,16 +478,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		}
 	}
 	// After a crash or a failed recovery the journal handle is already
-	// abandoned; a clean drain seals it with a final snapshot (idempotent:
-	// a second Shutdown finds appliedSeq == snapSeq and Close a no-op).
+	// abandoned; a clean drain seals it with a final snapshot — once, however
+	// many Shutdowns race.
 	if s.wal != nil && !s.crashed() && !s.recoveryFailed() {
-		s.colMu.Lock()
-		if s.appliedSeq > s.snapSeq {
-			s.snapshotLocked()
-		}
-		s.colMu.Unlock()
-		if cerr := s.wal.Close(); err == nil {
-			err = cerr
+		if serr := s.sealJournal(); err == nil {
+			err = serr
 		}
 	}
 	return err
@@ -480,13 +492,23 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // operations, advances the collector clock, and applies one collector batch
 // (one placement pass) per iteration.
 func (s *Server) loop() {
+	// The loop's exit stands for the process's: a snapshot writer it started
+	// has finished by the time loopDone closes, so nothing touches the
+	// journal directory behind a successor's (or Shutdown's) back.
 	defer close(s.loopDone)
+	defer s.snapWriters.Wait()
 	for {
 		select {
 		case j := <-s.queue:
 			if !s.runBatch(s.coalesce(j)) {
 				return // injected crash: die without draining or answering
 			}
+		case r := <-s.snapDone:
+			// An idle loop adopts too, so a quiet server's journal is
+			// compacted without waiting for the next batch.
+			s.colMu.Lock()
+			s.adoptSnapshot(r)
+			s.colMu.Unlock()
 		case <-s.stop:
 			// Residual drain: requests enqueued before shutdown finished
 			// still get committed and answered.
@@ -601,8 +623,9 @@ func (s *Server) runBatch(batch []*ingestJob) bool {
 	}
 	if s.wal != nil {
 		s.appliedSeq = s.wal.NextSeq() - 1
-		if s.cfg.SnapshotEvery > 0 && s.appliedSeq-s.snapSeq >= uint64(s.cfg.SnapshotEvery) {
-			s.snapshotLocked()
+		s.adoptFinishedSnapshot()
+		if s.cfg.SnapshotEvery > 0 && !s.snapInFlight && s.appliedSeq-s.snapSeq >= uint64(s.cfg.SnapshotEvery) {
+			s.captureSnapshot()
 		}
 	}
 	s.colMu.Unlock()
@@ -756,6 +779,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		WALBytes:         v.walBytes,
 		Snapshots:        v.snapshots,
 		SnapshotSeq:      v.snapSeq,
+		SnapshotPauseSec: s.met.walSnapPause.Sum(),
+		SnapshotWriteSec: s.met.walSnapWrite.Sum(),
 		Recovered:        v.recovered,
 		RecoveredRecords: v.recoveredRecords,
 		RecoverySec:      v.recoverySec,

@@ -91,10 +91,15 @@ type StatsResponse struct {
 	WALRecords  int   `json:"wal_records,omitempty"`
 	WALSegments int   `json:"wal_segments,omitempty"`
 	WALBytes    int64 `json:"wal_bytes,omitempty"`
-	// Snapshots counts snapshots cut this process lifetime; SnapshotSeq is
-	// the journal sequence the latest one covers through.
-	Snapshots   int    `json:"snapshots,omitempty"`
-	SnapshotSeq uint64 `json:"snapshot_seq,omitempty"`
+	// Snapshots counts snapshots made durable and adopted (journal compacted
+	// against them) this process lifetime; SnapshotSeq is the journal
+	// sequence the latest one covers through. SnapshotPauseSec totals the
+	// wall time the batch loop stopped to capture snapshots, SnapshotWriteSec
+	// the background write+fsync time that no longer stops it.
+	Snapshots        int     `json:"snapshots,omitempty"`
+	SnapshotSeq      uint64  `json:"snapshot_seq,omitempty"`
+	SnapshotPauseSec float64 `json:"snapshot_pause_sec,omitempty"`
+	SnapshotWriteSec float64 `json:"snapshot_write_sec,omitempty"`
 	// Recovered reports that this process rebuilt state from the journal at
 	// startup: RecoveredRecords batches replayed in RecoverySec wall
 	// seconds (on top of the snapshot, if one existed).

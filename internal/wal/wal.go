@@ -42,10 +42,13 @@ import (
 )
 
 // Observer receives journal lifecycle callbacks for the serving plane's
-// metrics. Every field is optional (nil = not observed) and every hook is
-// invoked synchronously from the journal's single append owner, so
-// implementations must be fast and must not call back into the log. A nil
-// *Observer disables observation entirely at the cost of one pointer check.
+// metrics. Every field is optional (nil = not observed). Hooks run
+// synchronously on the goroutine that made the call they report: Append,
+// Fsync, Rotate and Compact on the appender, Snapshot on whichever goroutine
+// called WriteSnapshot — possibly while the appender is inside another hook,
+// so implementations must be safe for that concurrency (atomic counters are),
+// fast, and must not call back into the log. A nil *Observer disables
+// observation entirely at the cost of one pointer check.
 type Observer struct {
 	// Append fires after each successful Append with the payload size.
 	Append func(bytes int)
@@ -109,10 +112,18 @@ type segment struct {
 
 func (s segment) name() string { return fmt.Sprintf("%s%016x%s", segPrefix, s.firstSeq, segSuffix) }
 
-// Log is an open journal directory. Appending is single-owner — the
-// serving layer appends from one batch loop — but Close and Abort may race
-// each other (concurrent shutdowns, crash vs. drain) and are serialized by
-// closeMu.
+// Log is an open journal directory. Its methods fall into two groups:
+//
+//   - Append, Sync, Compact, Replay, Close and the size accessors touch the
+//     segment list and the append handle. They belong to one goroutine at a
+//     time, the appender — the serving layer's batch loop.
+//   - WriteSnapshot and LatestSnapshot touch only snap-* files (and the
+//     Observer's Snapshot hook). Any one goroutine may call them concurrently
+//     with the appender; they are not safe against each other.
+//
+// Close and Abort may race each other (concurrent shutdowns, crash vs. drain)
+// and are serialized by closeMu. A WriteSnapshot still running when the log
+// is closed completes normally: it holds no handle Close releases.
 type Log struct {
 	dir  string
 	opts Options
@@ -419,28 +430,18 @@ func (l *Log) Size() int64 {
 // WriteSnapshot durably records "state through record seq": tmp write,
 // fsync, rename, directory sync. Older snapshots are removed afterwards, so
 // at most the newest good snapshot plus the one being replaced exist at any
-// instant.
+// instant. A failed write leaves no .tmp behind. It reads and writes only
+// snap-* files, so it may run on its own goroutine while the appender appends
+// (see Log).
 func (l *Log) WriteSnapshot(seq uint64, payload []byte) error {
 	name := fmt.Sprintf("%s%016x%s", snapPrefix, seq, snapSuffix)
 	tmp := filepath.Join(l.dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	if _, err := appendFrame(f, payload); err != nil {
-		f.Close()
+	if err := writeSynced(tmp, payload); err != nil {
 		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
 	if err := os.Rename(tmp, filepath.Join(l.dir, name)); err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
 	l.syncDir()
@@ -459,6 +460,23 @@ func (l *Log) WriteSnapshot(seq uint64, payload []byte) error {
 		}
 	}
 	return nil
+}
+
+// writeSynced creates path holding one framed payload, fsynced and closed.
+func writeSynced(path string, payload []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := appendFrame(f, payload); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // LatestSnapshot loads the newest snapshot that passes its CRC, reporting

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 )
 
@@ -323,5 +324,114 @@ func TestEmptyJournal(t *testing.T) {
 	}
 	if got := collect(t, l, 1); len(got) != 0 {
 		t.Fatalf("fresh journal replayed %d records", len(got))
+	}
+}
+
+// TestWriteSnapshotFailureLeavesNoTmp: a snapshot write that fails after its
+// .tmp exists removes it. A directory squatting on the final name makes the
+// rename fail (file modes would not: the open fails first, and root ignores
+// them).
+func TestWriteSnapshotFailureLeavesNoTmp(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.WriteSnapshot(2, []byte("good")); err != nil {
+		t.Fatal(err)
+	}
+	squat := filepath.Join(dir, fmt.Sprintf("%s%016x%s", snapPrefix, 5, snapSuffix))
+	if err := os.MkdirAll(filepath.Join(squat, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.WriteSnapshot(5, []byte("doomed")); err == nil {
+		t.Fatal("rename over a non-empty directory succeeded")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if filepath.Ext(e.Name()) == ".tmp" {
+			t.Errorf("failed snapshot write left %s behind", e.Name())
+		}
+	}
+	if seq, p, ok, err := l.LatestSnapshot(); err != nil || !ok || seq != 2 || string(p) != "good" {
+		t.Fatalf("LatestSnapshot after the failed write = %d %q %v %v, want the older good one", seq, p, ok, err)
+	}
+}
+
+// TestWriteSnapshotConcurrentWithAppend exercises the contract Log documents:
+// one goroutine appends (rotating and compacting) while another writes and
+// reads snapshots, observer hooks firing on both. Run under -race; afterwards
+// a reopened journal holds exactly what was written.
+func TestWriteSnapshotConcurrentWithAppend(t *testing.T) {
+	const records, snaps = 400, 40
+	var appended, snapshotted atomic.Int64
+	obs := &Observer{
+		Append:   func(int) { appended.Add(1) },
+		Fsync:    func(float64) {},
+		Rotate:   func() {},
+		Compact:  func(int) {},
+		Snapshot: func(int) { snapshotted.Add(1) },
+	}
+	dir := t.TempDir()
+	l, err := Open(dir, Options{SegmentBytes: 256, SyncEvery: 8, Observer: obs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() { // the snapshot writer
+		defer close(done)
+		for i := 1; i <= snaps; i++ {
+			if err := l.WriteSnapshot(uint64(i), []byte(fmt.Sprintf("snap-%d", i))); err != nil {
+				t.Errorf("WriteSnapshot(%d): %v", i, err)
+				return
+			}
+			if seq, _, ok, err := l.LatestSnapshot(); err != nil || !ok || seq != uint64(i) {
+				t.Errorf("LatestSnapshot after writing %d = %d %v %v", i, seq, ok, err)
+				return
+			}
+		}
+	}()
+	for i := 1; i <= records; i++ { // the appender
+		if _, err := l.Append([]byte(fmt.Sprintf("rec-%04d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 0 {
+			if _, err := l.Compact(uint64(i - 20)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	<-done
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if appended.Load() != records || snapshotted.Load() != snaps {
+		t.Fatalf("hooks saw %d appends, %d snapshots; want %d, %d", appended.Load(), snapshotted.Load(), records, snaps)
+	}
+
+	l2, err := Open(dir, Options{SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if l2.NextSeq() != records+1 {
+		t.Fatalf("NextSeq after reopen = %d, want %d", l2.NextSeq(), records+1)
+	}
+	got := collect(t, l2, 1)
+	first := uint64(records+1) - uint64(len(got))
+	if first > records-20 {
+		t.Fatalf("journal starts at %d; compaction removed records it was told to keep", first)
+	}
+	for seq := first; seq <= records; seq++ {
+		if want := fmt.Sprintf("rec-%04d", seq); got[seq] != want {
+			t.Fatalf("record %d = %q, want %q", seq, got[seq], want)
+		}
+	}
+	if seq, p, ok, err := l2.LatestSnapshot(); err != nil || !ok || seq != snaps || string(p) != fmt.Sprintf("snap-%d", snaps) {
+		t.Fatalf("LatestSnapshot after reopen = %d %q %v %v", seq, p, ok, err)
 	}
 }
