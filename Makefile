@@ -46,11 +46,13 @@ bench-steady:
 benchmark:
 	bash benchmark/run.sh $(ARGS)
 
-# Collector complexity guard (DESIGN.md §12.1): a job's JobDone/ReducerUp
-# must not cost more with 4096 unrelated live jobs than with 16.
+# Collector complexity guards (DESIGN.md §12.1, §12.2): a job's
+# JobDone/ReducerUp must not cost more with 4096 unrelated live jobs than
+# with 16, nor a batch's commit more with 16 256 live pair aggregates than
+# with 256.
 bench-guard:
-	$(GO) test -run 'TestJobDoneCostIndependentOfLiveJobs|TestResolvedIntentPathAllocs' -count=1 -v ./internal/core
-	$(GO) test -bench='ApplyBatch(JobDone|ReducerUp)' -benchtime=200x -run='^$$' ./internal/core
+	$(GO) test -run 'TestJobDoneCostIndependentOfLiveJobs|TestCommitCostIndependentOfLiveAggregates|TestResolvedIntentPathAllocs' -count=1 -v ./internal/core
+	$(GO) test -bench='ApplyBatch(JobDone|ReducerUp|LiveAggregates)' -benchtime=200x -run='^$$' ./internal/core
 
 # Capture CPU + allocation profiles of the full experiment sweep (serial, so
 # the call tree attributes to one trial at a time). Inspect with

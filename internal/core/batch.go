@@ -1,6 +1,9 @@
 package core
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 // delta is one deferred placement-plane mutation produced by ApplyBatch's
 // shard phase: the bookGlobal/unbookGlobal call the shard-local code would
@@ -72,31 +75,44 @@ func (p *Pythia) ApplyBatch(ops []Op, workers int) []OpResult {
 	if len(ops) == 0 {
 		return nil
 	}
+	t0 := time.Now()
 	results, deltas := p.shardPhase(ops, workers)
+	t1 := time.Now()
 	mergeDeltas(deltas, p)
-	p.allocate()
+	t2 := time.Now()
+	candidates := p.allocate()
+	p.commit = CommitStats{
+		Shard:      t1.Sub(t0),
+		Merge:      t2.Sub(t1),
+		Place:      time.Since(t2),
+		Candidates: candidates,
+		Unplaced:   len(p.unplaced),
+	}
 	return results
 }
+
+// CommitStats describes one ApplyBatch: the wall time of its three legs and
+// what the placement pass saw. Wall times are observation only; no decision
+// reads them.
+type CommitStats struct {
+	Shard time.Duration // shard phase: shard-local ingest of every operation
+	Merge time.Duration // delta merge into the pair aggregates
+	Place time.Duration // placement pass
+	// Candidates is how many unplaced aggregates the placement pass scored;
+	// Unplaced how many it left without a path — degraded to the default
+	// pipeline or unroutable. Persistently non-zero means pairs Pythia
+	// cannot steer.
+	Candidates, Unplaced int
+}
+
+// LastCommit reports the latest non-empty ApplyBatch. Like every collector
+// method it must not run concurrently with ApplyBatch.
+func (p *Pythia) LastCommit() CommitStats { return p.commit }
 
 // shardPhase is ApplyBatch's phase 1: it returns the positional results and
 // each shard's delta stream, ascending in (op, sub).
 func (p *Pythia) shardPhase(ops []Op, workers int) ([]OpResult, [][]delta) {
 	results := make([]OpResult, len(ops))
-
-	// Route operations to their home shards.
-	byShard := make([][]int, len(p.shards))
-	if len(p.shards) == 1 {
-		idx := make([]int, len(ops))
-		for i := range ops {
-			idx[i] = i
-		}
-		byShard[0] = idx
-	} else {
-		for i := range ops {
-			s := ops[i].job() % len(p.shards)
-			byShard[s] = append(byShard[s], i)
-		}
-	}
 
 	// Intent arrival ordinals depend only on the batch position, so the
 	// pending lists stay seq-ascending identically at any shard count.
@@ -104,38 +120,60 @@ func (p *Pythia) shardPhase(ops []Op, workers int) ([]OpResult, [][]delta) {
 	p.nextSeq = seqBase + uint64(len(ops))
 
 	deltas := make([][]delta, len(p.shards))
-	run := func(si int) {
+	// run is one shard's phase over the operations idx lists, in batch
+	// order; a nil idx means every operation of the batch.
+	run := func(si int, idx []int) {
 		sh := p.shards[si]
 		log := deltaLog{ds: sh.deltaBuf[:0]}
-		for _, i := range byShard[si] {
+		apply := func(i int) {
 			log.op, log.sub = i, 0
 			results[i] = p.applyShardOp(sh, &ops[i], seqBase+uint64(i), &log)
 		}
+		if idx == nil {
+			for i := range ops {
+				apply(i)
+			}
+		} else {
+			for _, i := range idx {
+				apply(i)
+			}
+		}
 		sh.deltaBuf, deltas[si] = log.ds, log.ds
 	}
-	if workers <= 1 || len(p.shards) == 1 {
-		for si := range p.shards {
-			if len(byShard[si]) > 0 {
-				run(si)
-			}
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for si := range p.shards {
-			if len(byShard[si]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(si int) {
-				defer wg.Done()
-				run(si)
-				<-sem
-			}(si)
-		}
-		wg.Wait()
+	if len(p.shards) == 1 {
+		run(0, nil)
+		return results, deltas
 	}
+
+	// Route operations to their home shards.
+	byShard := make([][]int, len(p.shards))
+	for i := range ops {
+		s := ops[i].job() % len(p.shards)
+		byShard[s] = append(byShard[s], i)
+	}
+	if workers <= 1 {
+		for si, idx := range byShard {
+			if len(idx) > 0 {
+				run(si, idx)
+			}
+		}
+		return results, deltas
+	}
+	sem := make(chan struct{}, workers)
+	var wg sync.WaitGroup
+	for si, idx := range byShard {
+		if len(idx) == 0 {
+			continue
+		}
+		wg.Add(1)
+		sem <- struct{}{}
+		go func(si int, idx []int) {
+			defer wg.Done()
+			run(si, idx)
+			<-sem
+		}(si, idx)
+	}
+	wg.Wait()
 	return results, deltas
 }
 

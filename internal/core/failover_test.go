@@ -5,6 +5,7 @@ import (
 
 	"pythia/internal/hadoop"
 	"pythia/internal/netsim"
+	"pythia/internal/openflow"
 	"pythia/internal/topology"
 )
 
@@ -29,6 +30,7 @@ func failTrunk(s *stack, idx int) {
 
 func TestInFlightFlowsRescuedAfterTrunkFailure(t *testing.T) {
 	s := newStack(Config{Aggregate: true}, hadoop.Config{})
+	watchWorklist(t, s)
 	// Big flows so plenty are in flight when the trunk dies.
 	spec := uniformSpec(10, 4, 3, 120e6)
 	j, _ := s.clus.Submit(spec)
@@ -62,6 +64,7 @@ func TestInFlightFlowsRescuedAfterTrunkFailure(t *testing.T) {
 
 func TestRescueCounterIncrements(t *testing.T) {
 	s := newStack(Config{Aggregate: true}, hadoop.Config{})
+	watchWorklist(t, s)
 	spec := uniformSpec(10, 4, 2, 200e6)
 	j, _ := s.clus.Submit(spec)
 	// Fail whichever trunk carries flows at t=9 (after shuffle has begun).
@@ -87,6 +90,7 @@ func TestRescueCounterIncrements(t *testing.T) {
 
 func TestBothTrunksFailThenRecover(t *testing.T) {
 	s := newStack(Config{Aggregate: true}, hadoop.Config{})
+	watchWorklist(t, s)
 	spec := uniformSpec(8, 2, 2, 100e6)
 	j, _ := s.clus.Submit(spec)
 	g := s.net.Graph()
@@ -121,6 +125,7 @@ func TestBothTrunksFailThenRecover(t *testing.T) {
 
 func TestRescuedFlowPathsValid(t *testing.T) {
 	s := newStack(Config{Aggregate: true}, hadoop.Config{})
+	watchWorklist(t, s)
 	spec := uniformSpec(12, 4, 2, 150e6)
 	j, _ := s.clus.Submit(spec)
 	s.eng.At(8, func() { failTrunk(s, 1) })
@@ -148,6 +153,7 @@ func TestDisconnectedPairStaysStarvedUntilRepair(t *testing.T) {
 	// With every trunk down, inter-rack aggregates are unroutable: Pythia
 	// must not panic, and flows resume on repair.
 	s := newStack(Config{Aggregate: true}, hadoop.Config{})
+	watchWorklist(t, s)
 	g := s.net.Graph()
 	var done bool
 	p := g.EqualCostPaths(s.hosts[0], s.hosts[5], 2)[0]
@@ -176,4 +182,40 @@ func TestDisconnectedPairStaysStarvedUntilRepair(t *testing.T) {
 		t.Fatalf("flow never completed after repair (remaining %v)", f.Remaining())
 	}
 	_ = topology.Gbps
+}
+
+// TestControlPlaneOutageDegradesAndReconciles: with the controller dark,
+// installs exhaust their retry budget and the aggregates degrade — each one
+// re-entering the worklist from place's own callback chain — and the pass
+// that follows recovery takes them back off it.
+func TestControlPlaneOutageDegradesAndReconciles(t *testing.T) {
+	s := newStack(Config{Aggregate: true}, hadoop.Config{})
+	watchWorklist(t, s)
+	s.ofc.SetFaults(openflow.FaultConfig{InstallTimeout: 0.05, MaxRetries: 2, RetryBackoff: 0.1})
+	j, _ := s.clus.Submit(uniformSpec(12, 4, 3, 150e6))
+	var degradedQueued int
+	s.eng.At(2, s.ofc.FailController)
+	s.eng.At(12, func() {
+		checkWorklist(t, s.py)
+		for _, a := range s.py.unplaced {
+			if a.degraded && s.py.live(a) {
+				degradedQueued++
+			}
+		}
+		s.ofc.RecoverController()
+		checkWorklist(t, s.py)
+		for _, a := range s.py.aggregates {
+			if a.degraded || !a.placed {
+				t.Errorf("pair %d->%d not re-placed by reconciliation: %+v", a.key.src, a.key.dst, a)
+			}
+		}
+	})
+	s.eng.Run()
+	if !j.Done {
+		t.Fatal("job did not survive the controller outage")
+	}
+	if s.py.AggregatesDegraded == 0 || degradedQueued == 0 || s.py.Reconciliations != degradedQueued {
+		t.Fatalf("degraded %d, on the worklist at recovery %d, reconciled %d",
+			s.py.AggregatesDegraded, degradedQueued, s.py.Reconciliations)
+	}
 }

@@ -157,9 +157,67 @@ type aggregate struct {
 	// skips it until reconciliation (controller recovery or a topology
 	// change) clears the flag.
 	degraded bool
-	// perReducer tracks outstanding demand by (job, reducer), feeding the
-	// criticality criterion.
-	perReducer map[[2]int]float64
+	// queued marks membership of Pythia.unplaced, so an aggregate is
+	// enqueued at most once however often its placement is revoked.
+	queued bool
+	// perReducer is the ledger of outstanding demand by (job, reducer),
+	// feeding the criticality criterion. Invariant: strictly ascending by
+	// (job, reduce), so a key is found by binary search and appears once. An
+	// entry that a release leaves at or below 1 bit is float dust and is
+	// removed, so the ledger holds exactly the reducers still owed demand.
+	perReducer []reducerDemand
+}
+
+// reducerDemand is one ledger entry: the demand an aggregate still owes one
+// reducer.
+type reducerDemand struct {
+	job, reduce int
+	bits        float64
+}
+
+// before reports whether the entry sorts ahead of key (job, reduce) in the
+// ledger's order.
+func (e reducerDemand) before(job, reduce int) bool {
+	return e.job < job || (e.job == job && e.reduce < reduce)
+}
+
+// find returns the ledger position of (job, reduce) — where it sits, or
+// where it would be inserted — and whether it is present.
+func (a *aggregate) find(job, reduce int) (int, bool) {
+	lo, hi := 0, len(a.perReducer)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if a.perReducer[mid].before(job, reduce) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(a.perReducer) && a.perReducer[lo].job == job && a.perReducer[lo].reduce == reduce
+}
+
+// add charges bits of demand for (job, reduce) to the ledger.
+func (a *aggregate) add(job, reduce int, bits float64) {
+	i, ok := a.find(job, reduce)
+	if !ok {
+		a.perReducer = append(a.perReducer, reducerDemand{})
+		copy(a.perReducer[i+1:], a.perReducer[i:])
+		a.perReducer[i] = reducerDemand{job: job, reduce: reduce}
+	}
+	a.perReducer[i].bits += bits
+}
+
+// sub releases bits of demand for (job, reduce), dropping the entry once
+// only float dust is left. Releasing a key the ledger does not hold is a
+// no-op.
+func (a *aggregate) sub(job, reduce int, bits float64) {
+	i, ok := a.find(job, reduce)
+	if !ok {
+		return
+	}
+	if a.perReducer[i].bits -= bits; a.perReducer[i].bits <= 1 {
+		a.perReducer = append(a.perReducer[:i], a.perReducer[i+1:]...)
+	}
 }
 
 // pendingIntent holds per-reducer demands awaiting reducer placement.
@@ -305,6 +363,14 @@ type Pythia struct {
 	nextSeq uint64 // next pendingIntent arrival ordinal
 
 	aggregates map[pairKey]*aggregate
+	// unplaced is allocate's worklist: every live aggregate with !placed is
+	// on it exactly once (aggregate.queued), put there by whoever cleared or
+	// first left placed false — creation, the A2 ablation, degrade, a
+	// topology change, Restore. allocate drains it, so a placement pass costs
+	// what is unplaced, not what is live. Order carries no meaning: allocate
+	// sorts its candidates by a total order. An aggregate deleted while
+	// queued stays as a dead entry until the next pass drops it.
+	unplaced []*aggregate
 	// placedOn indexes the placed aggregates by every link of their
 	// installed path, so pathScore shares spare capacity in
 	// O(aggregates-on-link) instead of scanning every aggregate per
@@ -325,6 +391,9 @@ type Pythia struct {
 	// surface uses it to fingerprint placement streams for the 1-vs-N-shard
 	// equivalence check.
 	onPlace func(src, dst topology.NodeID, path topology.Path)
+
+	// commit describes the latest ApplyBatch (see LastCommit).
+	commit CommitStats
 
 	// Placement-plane metrics (mutated only in the serialized commit path).
 	// AggregatesPlaced counts placements that installed (or re-installed)
@@ -402,6 +471,19 @@ func (p *Pythia) SetFlightRecorder(s flight.Sink) { p.fl = s }
 func (p *Pythia) SetPlacementHook(fn func(src, dst topology.NodeID, path topology.Path)) {
 	p.onPlace = fn
 }
+
+// enqueue puts an aggregate whose placement is missing or was just revoked
+// on the worklist, once.
+func (p *Pythia) enqueue(a *aggregate) {
+	if !a.queued {
+		a.queued = true
+		p.unplaced = append(p.unplaced, a)
+	}
+}
+
+// live reports whether a is still its pair's aggregate (not drained and
+// deleted, possibly with a successor under the same key).
+func (p *Pythia) live(a *aggregate) bool { return p.aggregates[a.key] == a }
 
 // indexAgg adds a placed aggregate to the per-link placement index.
 func (p *Pythia) indexAgg(a *aggregate) {
@@ -634,17 +716,18 @@ func (p *Pythia) bookGlobal(fk flowKey, b booking) {
 	key := p.aggKey(b.src, b.dst)
 	agg := p.aggregates[key]
 	if agg == nil {
-		agg = &aggregate{key: key, repSrc: b.src, repDst: b.dst,
-			perReducer: make(map[[2]int]float64)}
+		agg = &aggregate{key: key, repSrc: b.src, repDst: b.dst}
 		p.aggregates[key] = agg
+		p.enqueue(agg)
 	}
 	agg.demandBits += b.bits
-	agg.perReducer[[2]int{fk.job, fk.reduce}] += b.bits
+	agg.add(fk.job, fk.reduce, b.bits)
 	if !p.cfg.Aggregate {
 		// Ablation: every new demand forces a fresh placement
 		// decision for the pair.
 		agg.placed = false
 		p.unindexAgg(agg)
+		p.enqueue(agg)
 	}
 }
 
@@ -793,48 +876,86 @@ func (p *Pythia) backlog(job, reduce int) float64 {
 	return 0
 }
 
-// allocate runs the first-fit bin-packing pass: unplaced aggregates in
-// descending demand order, each assigned to the k-shortest path with the
-// highest available bandwidth given background estimates and already-booked
-// shuffle demand.
-func (p *Pythia) allocate() {
-	var todo []*aggregate
-	for _, a := range p.aggregates {
-		if !a.placed && a.demandBits > 0 && !a.degraded {
-			todo = append(todo, a)
+// candidate is one aggregate awaiting a path in a placement pass, with its
+// criticality key computed once.
+type candidate struct {
+	a    *aggregate
+	crit float64
+}
+
+// criticality is an aggregate's barrier-criticality key: the largest
+// outstanding backlog among the reducers it still feeds.
+func (p *Pythia) criticality(a *aggregate) float64 {
+	max := 0.0
+	for i := range a.perReducer {
+		if b := p.backlog(a.perReducer[i].job, a.perReducer[i].reduce); b > max {
+			max = b
 		}
 	}
+	return max
+}
+
+// takeCandidates settles the worklist for a placement pass and returns the
+// aggregates the pass must place. Dead entries are dropped; candidates leave
+// the list (place makes them placed; an unroutable one re-enters in allocate,
+// a failed install re-enters through degrade); degraded and demandless
+// aggregates stay queued.
+func (p *Pythia) takeCandidates() []candidate {
+	todo := make([]candidate, 0, len(p.unplaced))
+	keep := p.unplaced[:0]
+	for _, a := range p.unplaced {
+		switch {
+		case !p.live(a):
+			a.queued = false
+		case a.demandBits > 0 && !a.degraded:
+			a.queued = false
+			todo = append(todo, candidate{a: a})
+		default:
+			keep = append(keep, a)
+		}
+	}
+	clear(p.unplaced[len(keep):])
+	p.unplaced = keep
+	return todo
+}
+
+// allocate runs the first-fit bin-packing pass over the worklist: unplaced
+// aggregates ordered by barrier criticality (when Config.UseCriticality is
+// set), then descending demand, then ascending pair key, each assigned to
+// the k-shortest path with the highest available bandwidth given background
+// estimates and already-booked shuffle demand. It returns how many
+// candidates the pass considered.
+//
+// The worklist is settled before anything is placed, because place's install
+// callback can degrade an aggregate — put it back on the list — mid-loop.
+// The candidate order is a total order (pair keys are unique), so the order
+// the worklist held them in cannot reach a decision.
+func (p *Pythia) allocate() (candidates int) {
+	todo := p.takeCandidates()
 	if len(todo) == 0 {
-		return
+		return 0
 	}
-	crit := func(a *aggregate) float64 {
-		max := 0.0
-		for jr := range a.perReducer {
-			if b := p.backlog(jr[0], jr[1]); b > max {
-				max = b
-			}
+	if p.cfg.UseCriticality {
+		for i := range todo {
+			todo[i].crit = p.criticality(todo[i].a)
 		}
-		return max
 	}
 	sort.Slice(todo, func(i, j int) bool {
-		if p.cfg.UseCriticality {
-			ci, cj := crit(todo[i]), crit(todo[j])
-			if ci != cj {
-				return ci > cj
-			}
+		if todo[i].crit != todo[j].crit {
+			return todo[i].crit > todo[j].crit
 		}
-		if todo[i].demandBits != todo[j].demandBits {
-			return todo[i].demandBits > todo[j].demandBits
+		ai, aj := todo[i].a, todo[j].a
+		if ai.demandBits != aj.demandBits {
+			return ai.demandBits > aj.demandBits
 		}
-		if todo[i].key.src != todo[j].key.src {
-			return todo[i].key.src < todo[j].key.src
-		}
-		return todo[i].key.dst < todo[j].key.dst
+		return ai.key.less(aj.key)
 	})
-	for _, a := range todo {
+	for _, c := range todo {
+		a := c.a
 		paths := p.kPaths(a.repSrc, a.repDst)
 		if len(paths) == 0 {
-			continue // unroutable; leave to the default pipeline
+			p.enqueue(a) // unroutable; leave to the default pipeline, retry next pass
+			continue
 		}
 		best := paths[0]
 		bestScore := p.pathScore(paths[0], a)
@@ -859,11 +980,12 @@ func (p *Pythia) allocate() {
 			ev.Bytes = a.demandBits / 8
 			ev.Count = len(paths)
 			ev.Path = pathString(best)
-			ev.Detail = placementDetail(scores, chosen, crit(a), p.cfg.UseCriticality)
+			ev.Detail = placementDetail(scores, chosen, c.crit, p.cfg.UseCriticality)
 			p.fl.Record(ev)
 		}
 		p.place(a, best)
 	}
+	return len(todo)
 }
 
 // pathString renders a path's link IDs for flight events.
@@ -1013,6 +1135,7 @@ func (p *Pythia) degrade(a *aggregate) {
 	a.placed = false
 	a.degraded = true
 	p.unindexAgg(a)
+	p.enqueue(a)
 	p.AggregatesDegraded++
 	if p.fl != nil {
 		ev := flight.Ev(flight.Degraded, flight.PlaneCollector)
@@ -1026,9 +1149,10 @@ func (p *Pythia) degrade(a *aggregate) {
 // connectivity returns: clear the flags and run an allocation pass so live
 // demand gets predictive placements again.
 func (p *Pythia) onControllerUp() {
+	// A degraded aggregate is unplaced, so the worklist holds them all.
 	n := 0
-	for _, a := range p.aggregates {
-		if a.degraded {
+	for _, a := range p.unplaced {
+		if a.degraded && p.live(a) {
 			a.degraded = false
 			n++
 		}
@@ -1038,7 +1162,7 @@ func (p *Pythia) onControllerUp() {
 	}
 	p.Reconciliations += n
 	if p.fl != nil {
-		// One aggregated event: the loop above iterates an unsorted map, so
+		// One aggregated event: the worklist's order carries no meaning, so
 		// per-aggregate events here would be order-nondeterministic.
 		ev := flight.Ev(flight.Reconciled, flight.PlaneCollector)
 		ev.Count = n
@@ -1084,11 +1208,8 @@ func (p *Pythia) unbookGlobal(key flowKey, b booking) {
 	if agg == nil {
 		return
 	}
-	jr := [2]int{key.job, key.reduce}
 	agg.demandBits -= b.bits
-	if agg.perReducer[jr] -= b.bits; agg.perReducer[jr] <= 1 {
-		delete(agg.perReducer, jr)
-	}
+	agg.sub(key.job, key.reduce, b.bits)
 	if agg.demandBits <= 1 { // float dust
 		agg.demandBits = 0
 		if agg.cookie != 0 {
@@ -1137,8 +1258,8 @@ func (p *Pythia) jobDoneLocal(sh *shard, job int, pl plane) {
 // reroutes in-flight shuffle flows stranded on failed links (§IV fault
 // tolerance: the routing graph is rebuilt from topology-update events).
 func (p *Pythia) onTopologyChange() {
-	// The path cache self-repairs from the graph's transition journal on
-	// the next query; no flush needed here.
+	// The path cache keys its memo by the graph's Version() and drops it on
+	// the first query after a change; no flush needed here.
 	for _, a := range p.aggregates {
 		if a.demandBits <= 0 {
 			continue
@@ -1150,6 +1271,7 @@ func (p *Pythia) onTopologyChange() {
 		a.placed = false
 		a.degraded = false
 		p.unindexAgg(a)
+		p.enqueue(a)
 	}
 	p.allocate()
 	// Rescue stranded in-flight flows: move them onto their pair's new

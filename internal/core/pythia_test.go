@@ -212,6 +212,7 @@ func TestAggregationReducesPlacements(t *testing.T) {
 	on.eng.Run()
 
 	off := newStack(Config{Aggregate: false}, hadoop.Config{})
+	watchWorklist(t, off) // every booking revokes its pair's placement
 	off.clus.Submit(specGen())
 	off.eng.Run()
 

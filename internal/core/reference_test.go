@@ -516,7 +516,10 @@ func runDiff(t *testing.T, c diffCase, n int, cov *ShardStat) error {
 			var deltas [][]delta
 			res, deltas = s.py.shardPhase(batch, c.workers)
 			mergeDeltas(deltas, rec)
-			s.py.allocate()
+			checkWorklist(t, s.py)
+			if want, got := len(refUnplaced(s.py)), s.py.allocate(); got != want {
+				return fmt.Errorf("ops[%d:%d]: placement pass took %d candidates, full scan finds %d", at, end, got, want)
+			}
 			refRes, refLog = ref.applyBatch(batch, now)
 			if !reflect.DeepEqual(res, refRes) {
 				return fmt.Errorf("ops[%d:%d]: results %v, reference %v", at, end, res, refRes)
@@ -525,6 +528,7 @@ func runDiff(t *testing.T, c diffCase, n int, cov *ShardStat) error {
 				return fmt.Errorf("ops[%d:%d]: delta stream\n got %+v\nwant %+v", at, end, rec.log, refLog)
 			}
 		}
+		checkWorklist(t, s.py)
 		if !reflect.DeepEqual(got.lines, ref.expired) {
 			return fmt.Errorf("by ops[:%d]: sweep expiry order\n got %v\nwant %v", end, got.lines, ref.expired)
 		}

@@ -130,8 +130,8 @@ func (p *Pythia) Snapshot() *Snapshot {
 			Degraded:   a.degraded,
 			PerReducer: make(map[[2]int]float64, len(a.perReducer)),
 		}
-		for k, v := range a.perReducer {
-			as.PerReducer[k] = v
+		for _, e := range a.perReducer {
+			as.PerReducer[[2]int{e.job, e.reduce}] = e.bits
 		}
 		s.Aggregates = append(s.Aggregates, as)
 	}
@@ -278,10 +278,10 @@ func (p *Pythia) AppendSnapshot(dst []byte) []byte {
 		dst = appendF64(dst, a.demandBits)
 		dst = append(dst, b2u(a.placed)|b2u(a.degraded)<<1)
 		dst = appendCount(dst, len(a.perReducer))
-		for k, bits := range a.perReducer {
-			dst = appendInt(dst, k[0])
-			dst = appendInt(dst, k[1])
-			dst = appendF64(dst, bits)
+		for _, e := range a.perReducer {
+			dst = appendInt(dst, e.job)
+			dst = appendInt(dst, e.reduce)
+			dst = appendF64(dst, e.bits)
 		}
 	}
 	return dst
@@ -687,14 +687,19 @@ func (p *Pythia) Restore(s *Snapshot) error {
 			demandBits: as.DemandBits,
 			placed:     as.Placed,
 			degraded:   as.Degraded,
-			perReducer: make(map[[2]int]float64, len(as.PerReducer)),
+			perReducer: make([]reducerDemand, 0, len(as.PerReducer)),
 		}
 		for k, v := range as.PerReducer {
-			a.perReducer[k] = v
+			a.perReducer = append(a.perReducer, reducerDemand{job: k[0], reduce: k[1], bits: v})
 		}
+		sort.Slice(a.perReducer, func(i, j int) bool {
+			return a.perReducer[i].before(a.perReducer[j].job, a.perReducer[j].reduce)
+		})
 		p.aggregates[a.key] = a
 		if a.placed {
 			p.indexAgg(a)
+		} else {
+			p.enqueue(a)
 		}
 		if a.cookie != 0 {
 			// Re-program the rules the crashed process had installed. The

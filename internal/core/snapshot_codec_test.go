@@ -28,6 +28,7 @@ func codecStack(t testing.TB, shards int, ttl sim.Duration, check func(*Pythia))
 			s.py.degrade(aggs[0])
 			degraded = true
 		}
+		checkWorklist(t, s.py)
 		check(s.py)
 	}
 }

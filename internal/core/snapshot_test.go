@@ -112,10 +112,17 @@ func testRestoreContinuesIdentically(t *testing.T, capture func(*testing.T, *Pyt
 		}
 		oracle.apply(ops[at:end])
 		if i == cutChunk {
+			// One aggregate goes into the snapshot degraded: unplaced, so
+			// Restore must put it back on the worklist.
+			oracle.py.degrade(oracle.py.sortedAggregates()[0])
 			snap = capture(t, oracle.py)
 			snapVirtual = oracle.virtual
 			snapDig = *oracle.dig
 		}
+		if i == cutChunk+1 {
+			oracle.py.onControllerUp()
+		}
+		checkWorklist(t, oracle.py)
 	}
 	if snap == nil {
 		t.Fatal("trace too short to reach the snapshot chunk")
@@ -130,6 +137,10 @@ func testRestoreContinuesIdentically(t *testing.T, capture func(*testing.T, *Pyt
 	}
 	restored.virtual = snapVirtual
 	*restored.dig = snapDig
+	checkWorklist(t, restored.py)
+	if len(restored.py.unplaced) != 1 || !restored.py.unplaced[0].degraded {
+		t.Fatalf("restored worklist %+v, want the one degraded aggregate", restored.py.unplaced)
+	}
 	// Catch-up: run the fresh engine to the snapshot instant. Every TTL
 	// sweep fired on the way is a no-op against restored state (anything it
 	// could expire was expired by the same sweep before the snapshot).
@@ -144,6 +155,13 @@ func testRestoreContinuesIdentically(t *testing.T, capture func(*testing.T, *Pyt
 			end = len(ops)
 		}
 		restored.apply(ops[at:end])
+		if at == (cutChunk+1)*chunk {
+			restored.py.onControllerUp()
+		}
+		checkWorklist(t, restored.py)
+	}
+	if oracle.py.Reconciliations != 1 {
+		t.Fatalf("oracle reconciled %d aggregates, want the degraded one", oracle.py.Reconciliations)
 	}
 
 	if restored.dig.h != oracle.dig.h || restored.dig.n != oracle.dig.n {

@@ -12,6 +12,7 @@ import (
 
 func TestBookingTTLExpiresOrphanedBooking(t *testing.T) {
 	s := newStack(Config{Aggregate: true, BookingTTL: 30 * sim.Second}, hadoop.Config{})
+	watchWorklist(t, s)
 	// Hand-inject a booking whose flow will never run (no job submitted):
 	// the shape left behind by a JobDone lost on the management network.
 	s.py.ReducerUp(up(0, 0, s.hosts[5]))
@@ -44,6 +45,7 @@ func TestBookingTTLExpiresOrphanedBooking(t *testing.T) {
 
 func TestBookingTTLExpiresDeferredIntent(t *testing.T) {
 	s := newStack(Config{Aggregate: true, BookingTTL: 30 * sim.Second}, hadoop.Config{})
+	watchWorklist(t, s)
 	// An intent whose ReducerUp never arrives (dropped on the management
 	// network) defers forever without the sweep.
 	in := intent(0, 0, s.hosts[0], []float64{100e6})
@@ -67,6 +69,7 @@ func TestBookingTTLExpiresDeferredIntent(t *testing.T) {
 func TestBookingTTLInertOnHealthyRun(t *testing.T) {
 	run := func(ttl sim.Duration) (sim.Duration, int) {
 		s := newStack(Config{Aggregate: true, BookingTTL: ttl}, hadoop.Config{})
+		watchWorklist(t, s)
 		spec := uniformSpec(12, 4, 2, 10e6)
 		j, _ := s.clus.Submit(spec)
 		s.eng.Run()
@@ -82,5 +85,32 @@ func TestBookingTTLInertOnHealthyRun(t *testing.T) {
 	}
 	if dOn != dOff {
 		t.Fatalf("TTL changed a healthy schedule: %v vs %v", dOn, dOff)
+	}
+}
+
+// TestBookingTTLExpiresQueuedAggregate: the sweep deletes an aggregate that
+// is sitting on the worklist (unroutable, so never placed). The dead entry
+// must not be counted, reconciled or placed, and the next pass drops it.
+func TestBookingTTLExpiresQueuedAggregate(t *testing.T) {
+	s := newStack(Config{Aggregate: true, BookingTTL: 30 * sim.Second}, hadoop.Config{})
+	watchWorklist(t, s)
+	allTrunks(s, false)
+	s.eng.RunUntil(2)
+	s.py.ReducerUp(up(0, 0, s.hosts[5]))
+	s.py.ShuffleIntent(intent(0, 0, s.hosts[0], []float64{100e6}))
+	if len(s.py.unplaced) != 1 {
+		t.Fatalf("worklist holds %d entries, want the stranded pair", len(s.py.unplaced))
+	}
+	s.eng.RunUntil(100)
+	if s.py.ExpiredBookings() != 1 || len(s.py.aggregates) != 0 {
+		t.Fatalf("expired=%d aggregates=%d", s.py.ExpiredBookings(), len(s.py.aggregates))
+	}
+	checkWorklist(t, s.py)
+	s.py.onControllerUp()
+	if s.py.Reconciliations != 0 {
+		t.Fatal("a dead worklist entry was reconciled")
+	}
+	if n := s.py.allocate(); n != 0 || len(s.py.unplaced) != 0 || s.py.AggregatesPlaced != 0 {
+		t.Fatalf("pass after the sweep: %d candidates, worklist %d, %d placements", n, len(s.py.unplaced), s.py.AggregatesPlaced)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 
+	"pythia/internal/core"
 	"pythia/internal/flight"
 	"pythia/internal/wal"
 )
@@ -26,6 +27,10 @@ var (
 	bodyEdges = []float64{256, 1024, 4096, 16384, 65536, 262144, 1048576, 4194304}
 	// batchEdges spans singleton batches through BatchMax-scale coalescing.
 	batchEdges = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
+	// phaseEdges spans one leg of a collector commit: microseconds for a
+	// placement pass with nothing to place through a stalled shard phase.
+	phaseEdges = []float64{0.000005, 0.00001, 0.000025, 0.00005, 0.0001, 0.00025,
+		0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1}
 	// fsyncEdges spans page-cache syncs through slow-disk stalls.
 	fsyncEdges = []float64{0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025,
 		0.005, 0.01, 0.025, 0.05, 0.1, 0.25}
@@ -60,6 +65,10 @@ type serveMetrics struct {
 	commitSeconds  *flight.Histogram
 	batchesTotal   *flight.Counter
 	opsTotal       *flight.Counter
+	// The collector's share of commitSeconds, leg by leg, and what the
+	// placement pass left without a path (core.CommitStats).
+	phaseShard, phaseMerge, phasePlace *flight.Histogram
+	unplaced                           *flight.Gauge
 
 	walAppends     *flight.Counter
 	walAppendBytes *flight.Counter
@@ -105,6 +114,8 @@ func newServeMetrics() *serveMetrics {
 			"Collector batches committed."),
 		opsTotal: reg.Counter("pythia_serve_ops_total",
 			"Collector operations committed."),
+		unplaced: reg.Gauge("pythia_collector_unplaced_aggregates",
+			"Pair aggregates the latest placement pass left without a path (degraded or unroutable); persistently non-zero means pairs Pythia cannot steer."),
 		walAppends: reg.Counter("pythia_wal_appends_total",
 			"Journal records appended."),
 		walAppendBytes: reg.Counter("pythia_wal_appended_bytes_total",
@@ -130,6 +141,11 @@ func newServeMetrics() *serveMetrics {
 		rejects:   map[string]*flight.Counter{},
 	}
 	m.queueFull = m.reject(rejectQueueFull)
+	phase := func(name string) *flight.Histogram {
+		return reg.Histogram(flight.SeriesName("pythia_collector_commit_phase_seconds", "phase", name),
+			"Wall seconds per collector batch, by commit leg: shard-local ingest, delta merge into the pair aggregates, placement pass.", phaseEdges)
+	}
+	m.phaseShard, m.phaseMerge, m.phasePlace = phase("shard"), phase("merge"), phase("place")
 	return m
 }
 
@@ -171,12 +187,17 @@ func (m *serveMetrics) reject(reason string) *flight.Counter {
 	return c
 }
 
-// batch records one committed batch: size, commit wall time, op throughput.
-func (m *serveMetrics) batch(ops int, commitSeconds float64) {
+// batch records one committed batch: size, commit wall time, op throughput,
+// and the collector's account of its own three legs.
+func (m *serveMetrics) batch(ops int, commitSeconds float64, cs core.CommitStats) {
 	m.batchesTotal.Inc()
 	m.opsTotal.Add(float64(ops))
 	m.batchOps.Observe(float64(ops))
 	m.commitSeconds.Observe(commitSeconds)
+	m.phaseShard.Observe(cs.Shard.Seconds())
+	m.phaseMerge.Observe(cs.Merge.Seconds())
+	m.phasePlace.Observe(cs.Place.Seconds())
+	m.unplaced.Set(float64(cs.Unplaced))
 }
 
 // walObserver bridges the journal's lifecycle hooks into the registry.

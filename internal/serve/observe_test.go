@@ -549,7 +549,8 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	st := getStats(t, client, ts.URL)
 	exp := scrape(t, client, ts.URL)
 	if st.RequestsTotal != 6 || st.RejectedTotal != 1 || st.Placements == 0 || st.DedupHits != 3 ||
-		st.Snapshots == 0 || st.SnapshotPauseSec <= 0 || st.SnapshotWriteSec <= 0 {
+		st.Snapshots == 0 || st.SnapshotPauseSec <= 0 || st.SnapshotWriteSec <= 0 ||
+		st.CommitShardSec <= 0 || st.CommitMergeSec <= 0 || st.CommitPlaceSec <= 0 {
 		t.Fatalf("the run did not exercise what it should: %+v", st)
 	}
 	cs := st.CollectorStats
@@ -579,6 +580,10 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 		{"pythia_collector_pending_intents", nil, float64(cs.PendingIntents)},
 		{"pythia_collector_outstanding_bookings", nil, float64(cs.OutstandingBookings)},
 		{"pythia_collector_outstanding_demand_bits", nil, cs.OutstandingDemandBits},
+		{"pythia_collector_commit_phase_seconds_sum", []string{"phase", "shard"}, st.CommitShardSec},
+		{"pythia_collector_commit_phase_seconds_sum", []string{"phase", "merge"}, st.CommitMergeSec},
+		{"pythia_collector_commit_phase_seconds_sum", []string{"phase", "place"}, st.CommitPlaceSec},
+		{"pythia_collector_unplaced_aggregates", nil, float64(st.UnplacedAggregates)},
 		{"pythia_wal_records", nil, float64(st.WALRecords)},
 		{"pythia_wal_segments", nil, float64(st.WALSegments)},
 		{"pythia_wal_size_bytes", nil, float64(st.WALBytes)},
@@ -607,6 +612,14 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 	}
 	if st.LatencyP50Micros <= 0 || st.LatencyP99Micros < st.LatencyP50Micros {
 		t.Errorf("latency quantiles p50=%v p99=%v", st.LatencyP50Micros, st.LatencyP99Micros)
+	}
+	// One observation per committed batch in every leg of the commit.
+	batches := exp.Sample("pythia_serve_batches_total")
+	for _, phase := range []string{"shard", "merge", "place"} {
+		n := exp.Sample("pythia_collector_commit_phase_seconds_count", "phase", phase)
+		if batches == nil || n == nil || n.Value != batches.Value || n.Value == 0 {
+			t.Errorf("commit phase %q observed %+v times, batches_total %+v", phase, n, batches)
+		}
 	}
 	if exp.Family("pythia_serve_latency_p50_seconds") != nil || exp.Family("pythia_serve_latency_p99_seconds") != nil {
 		t.Error("quantile gauges still published next to the histogram")

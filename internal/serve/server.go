@@ -613,7 +613,7 @@ func (s *Server) runBatch(batch []*ingestJob) bool {
 	}
 	results := s.col.ApplyBatch(ops, s.cfg.Workers)
 	commitSec := time.Since(commitT0).Seconds()
-	s.met.batch(nops, commitSec)
+	s.met.batch(nops, commitSec, s.col.LastCommit())
 	if s.fr != nil {
 		ev := flight.Ev(flight.BatchCommitted, flight.PlaneServe)
 		ev.T = sim.Time(target)
@@ -773,6 +773,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		RejectedTotal:    int64(s.met.queueFull.Value()),
 		LatencyP50Micros: s.met.enqueueCommit.Quantile(0.50) * 1e6,
 		LatencyP99Micros: s.met.enqueueCommit.Quantile(0.99) * 1e6,
+
+		CommitShardSec:     s.met.phaseShard.Sum(),
+		CommitMergeSec:     s.met.phaseMerge.Sum(),
+		CommitPlaceSec:     s.met.phasePlace.Sum(),
+		UnplacedAggregates: int(s.met.unplaced.Value()),
 
 		WALRecords:       v.walRecords,
 		WALSegments:      v.walSegments,
