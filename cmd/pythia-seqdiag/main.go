@@ -62,7 +62,6 @@ func main() {
 		pythia.WithScheduler(kind),
 		pythia.WithOversubscription(*oversub),
 		pythia.WithSeed(*seed),
-		pythia.WithSequenceRecording(),
 	}
 	if *chromePath != "" {
 		opts = append(opts, pythia.WithFlightRecorder())

@@ -30,9 +30,9 @@ func ExampleCompare() {
 	// tie: true
 }
 
-// Sequence recording reproduces the paper's Fig. 1a visualization.
+// The sequence diagram reproduces the paper's Fig. 1a visualization.
 func ExampleCluster_SequenceDiagram() {
-	cl := pythia.New(pythia.WithSequenceRecording(), pythia.WithSeed(1))
+	cl := pythia.New(pythia.WithSeed(1))
 	cl.RunJob(pythia.ToySortJob())
 	diagram := cl.SequenceDiagram(80)
 	// The skew annotation shows reducer-0's 5x share.

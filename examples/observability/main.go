@@ -21,7 +21,6 @@ func main() {
 	cl := pythia.New(
 		pythia.WithScheduler(pythia.SchedulerPythia),
 		pythia.WithOversubscription(10),
-		pythia.WithSequenceRecording(),
 		pythia.WithFlightRecorder(),
 	)
 	res := cl.RunJob(pythia.SortJob(8*pythia.GB, 8, 3))

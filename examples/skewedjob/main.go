@@ -15,7 +15,6 @@ func main() {
 	// Fig. 1a: non-blocking network, ECMP — observe the phases.
 	cl := pythia.New(
 		pythia.WithScheduler(pythia.SchedulerECMP),
-		pythia.WithSequenceRecording(),
 		pythia.WithSeed(1),
 	)
 	res := cl.RunJob(pythia.ToySortJob())

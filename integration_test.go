@@ -28,7 +28,7 @@ func TestConservationAcrossSchedulers(t *testing.T) {
 
 // TestKitchenSink: every optional subsystem at once — Pythia with rack
 // aggregation and criticality, HDFS write-back, speculative-capable
-// runtime, sequence recording — on an oversubscribed fabric.
+// runtime, sequence views — on an oversubscribed fabric.
 func TestKitchenSink(t *testing.T) {
 	spec := CustomJob(WorkloadConfig{
 		Name:         "kitchen-sink",
@@ -43,7 +43,6 @@ func TestKitchenSink(t *testing.T) {
 		WithRackAggregation(),
 		WithCriticality(),
 		WithHDFS(),
-		WithSequenceRecording(),
 		WithOversubscription(10),
 		WithSeed(9),
 	)

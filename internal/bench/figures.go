@@ -11,6 +11,7 @@ import (
 	"pythia/internal/stats"
 	"pythia/internal/testbed"
 	"pythia/internal/topology"
+	"pythia/internal/trace"
 	"pythia/internal/workload"
 )
 
@@ -161,14 +162,16 @@ func RunFig5(scale Scale) Fig5Result {
 // non-blocking 1 Gbps network, rendered by the trace tool.
 func RunFig1a() (ascii, svg string) {
 	tb := mustBuild(testbed.Config{
-		Seed: 1, Record: true,
+		Seed:   1,
 		Hadoop: hadoop.Config{MapSlots: 1, ReduceSlots: 1},
 	})
-	if _, err := tb.Cluster.Submit(workload.ToySort()); err != nil {
+	job, err := tb.Cluster.Submit(workload.ToySort())
+	if err != nil {
 		panic(err)
 	}
 	tb.Eng.Run()
-	return tb.Sequence.Render(100), tb.Sequence.RenderSVG()
+	seq := trace.Of(job, tb.Net.History())
+	return seq.Render(100), seq.RenderSVG()
 }
 
 // mustBuild is testbed.Build for the runners whose configuration is fixed.

@@ -295,36 +295,22 @@ func TestPredictionLeadIsPositive(t *testing.T) {
 	// Intents must reach Pythia before the corresponding flows start:
 	// measure min(flow start - intent arrival) per (job,map,reduce).
 	s := newStack(Config{Aggregate: true}, hadoop.Config{})
-	intentAt := map[[3]int]sim.Time{}
-	s.clus.OnMapFinished(func(j *hadoop.Job, m *hadoop.MapTask, parts []float64) {})
 	spec := uniformSpec(10, 4, 3, 10e6)
-
-	// Wrap the sink to observe arrival times.
-	// (Pythia is the sink; record via a listener on fetches instead.)
-	minLead := math.Inf(1)
-	s.clus.OnFetchStart(func(j *hadoop.Job, mapID, reduceID int, f *netsim.Flow) {
-		if f == nil || len(f.Path.Links) == 0 {
-			return
-		}
-		key := [3]int{j.ID, mapID, reduceID}
-		if at, ok := intentAt[key]; ok {
-			lead := float64(s.eng.Now().Sub(at))
-			if lead < minLead {
-				minLead = lead
-			}
-		}
-	})
-	// Record intent arrival via map-finish + the exact instrumentation
-	// latency (20ms FS notify + 5ms decode base + 0.2ms/partition + 1ms
-	// management hop), padded slightly.
-	s.clus.OnMapFinished(func(j *hadoop.Job, m *hadoop.MapTask, parts []float64) {
-		lat := sim.Duration(0.020 + 0.005 + 0.0002*float64(len(parts)) + 0.001 + 0.002)
-		for r := range parts {
-			intentAt[[3]int{j.ID, m.ID, r}] = s.eng.Now().Add(lat)
-		}
-	})
-	s.clus.Submit(spec)
+	j, _ := s.clus.Submit(spec)
 	s.eng.Run()
+	// Intent arrival is map finish plus the exact instrumentation latency
+	// (20ms FS notify + 5ms decode base + 0.2ms/partition + 1ms management
+	// hop), padded slightly.
+	lat := sim.Duration(0.020 + 0.005 + 0.0002*float64(spec.NumReduces) + 0.001 + 0.002)
+	minLead := math.Inf(1)
+	for _, f := range s.net.History() {
+		if f.Kind != netsim.Shuffle || len(f.Path.Links) == 0 {
+			continue
+		}
+		if lead := float64(f.Started().Sub(j.Maps[f.Map].Finished.Add(lat))); lead < minLead {
+			minLead = lead
+		}
+	}
 	if minLead == math.Inf(1) {
 		t.Fatal("no remote fetches observed")
 	}

@@ -172,13 +172,10 @@ type Cluster struct {
 	// (job, map), so losers can be killed when a winner finishes.
 	attempts map[[2]int][]*mapAttempt
 
-	// listeners (instrumentation middleware, trace recorder, tests)
-	onMapScheduled    []func(*Job, *MapTask)
+	// listeners (instrumentation middleware, the facade, tests)
 	onMapSpilled      []func(*Job, *MapTask, Spill)
 	onMapFinished     []func(*Job, *MapTask, []float64)
 	onReduceScheduled []func(*Job, *ReduceTask)
-	onFetchStart      []func(*Job, int, int, *netsim.Flow)
-	onFetchDone       []func(*Job, int, int, *netsim.Flow)
 	onJobDone         []func(*Job)
 }
 
@@ -220,11 +217,6 @@ func (c *Cluster) Hosts() []topology.NodeID {
 // HostOf maps a tracker index to its topology node.
 func (c *Cluster) HostOf(tracker int) topology.NodeID { return c.trackers[tracker].host }
 
-// OnMapScheduled registers a listener for map task placement.
-func (c *Cluster) OnMapScheduled(fn func(*Job, *MapTask)) {
-	c.onMapScheduled = append(c.onMapScheduled, fn)
-}
-
 // OnMapSpilled registers a listener for spill events, carrying the attempt
 // identity (the dedup key Pythia's collector relies on) and the tracker the
 // spill actually landed on. Spill listeners fire before OnMapFinished
@@ -244,17 +236,6 @@ func (c *Cluster) OnMapFinished(fn func(*Job, *MapTask, []float64)) {
 // destination back-fill trigger).
 func (c *Cluster) OnReduceScheduled(fn func(*Job, *ReduceTask)) {
 	c.onReduceScheduled = append(c.onReduceScheduled, fn)
-}
-
-// OnFetchStart registers a listener for shuffle fetch start (map, reduce
-// indices and the carrying flow; flow is nil for empty partitions).
-func (c *Cluster) OnFetchStart(fn func(j *Job, mapID, reduceID int, f *netsim.Flow)) {
-	c.onFetchStart = append(c.onFetchStart, fn)
-}
-
-// OnFetchDone registers a listener for shuffle fetch completion.
-func (c *Cluster) OnFetchDone(fn func(j *Job, mapID, reduceID int, f *netsim.Flow)) {
-	c.onFetchDone = append(c.onFetchDone, fn)
 }
 
 // OnJobDone registers a completion listener.
@@ -417,9 +398,6 @@ func (c *Cluster) startMap(j *Job, m *MapTask, tr *taskTracker, local bool) {
 	m.Scheduled = c.eng.Now()
 	m.Attempts = 1
 	tr.freeMap--
-	for _, fn := range c.onMapScheduled {
-		fn(j, m)
-	}
 	compute := func() {
 		d := sim.Duration(j.Spec.MapDurations[m.ID])
 		ev := c.eng.After(d, func() { c.finishMap(j, m, tr, 1) })
@@ -587,12 +565,6 @@ func (c *Cluster) startFetch(j *Job, r *ReduceTask, m int) {
 	if payload == 0 {
 		// Nothing to move; complete immediately without a flow.
 		r.fetchedDone++
-		for _, fn := range c.onFetchStart {
-			fn(j, m, r.ID, nil)
-		}
-		for _, fn := range c.onFetchDone {
-			fn(j, m, r.ID, nil)
-		}
 		c.maybeFinishShuffle(j, r)
 		return
 	}
@@ -624,19 +596,13 @@ func (c *Cluster) startFetch(j *Job, r *ReduceTask, m int) {
 			return
 		}
 		wire := payload * c.cfg.WireOverheadFactor
-		flow := c.net.StartFlow(tuple, netsim.Shuffle, path, wire*8, j.ID, m, r.ID, func(f *netsim.Flow) {
+		c.net.StartFlow(tuple, netsim.Shuffle, path, wire*8, j.ID, m, r.ID, func(*netsim.Flow) {
 			r.active--
 			r.fetchedDone++
 			r.FetchedBytes += payload
-			for _, fn := range c.onFetchDone {
-				fn(j, m, r.ID, f)
-			}
 			c.pumpFetches(j, r)
 			c.maybeFinishShuffle(j, r)
 		})
-		for _, fn := range c.onFetchStart {
-			fn(j, m, r.ID, flow)
-		}
 	})
 }
 

@@ -2,6 +2,7 @@ package hadoop
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"pythia/internal/ecmp"
@@ -187,28 +188,43 @@ func TestSlowstartDelaysReducers(t *testing.T) {
 	}
 }
 
+// maxOverlap is the largest number of half-open [start, end) intervals that
+// share one instant.
+func maxOverlap(spans [][2]sim.Time) int {
+	type edge struct {
+		t sim.Time
+		d int
+	}
+	var edges []edge
+	for _, s := range spans {
+		edges = append(edges, edge{s[0], 1}, edge{s[1], -1})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].t != edges[j].t {
+			return edges[i].t < edges[j].t
+		}
+		return edges[i].d < edges[j].d // an end frees its slot before a start at the same instant
+	})
+	n, peak := 0, 0
+	for _, e := range edges {
+		n += e.d
+		if n > peak {
+			peak = n
+		}
+	}
+	return peak
+}
+
 func TestParallelCopiesBound(t *testing.T) {
-	eng, _, cl := rig(Config{ParallelCopies: 2})
-	spec := uniformSpec(20, 1, 0.5, 20e6)
-	inFlight := 0
-	maxInFlight := 0
-	cl.OnFetchStart(func(j *Job, m, r int, f *netsim.Flow) {
-		if f == nil {
-			return
-		}
-		inFlight++
-		if inFlight > maxInFlight {
-			maxInFlight = inFlight
-		}
-	})
-	cl.OnFetchDone(func(j *Job, m, r int, f *netsim.Flow) {
-		if f == nil {
-			return
-		}
-		inFlight--
-	})
-	cl.Submit(spec)
+	eng, net, cl := rig(Config{ParallelCopies: 2})
+	cl.Submit(uniformSpec(20, 1, 0.5, 20e6))
 	eng.Run()
+	// One reducer: every flow is one of its fetches.
+	var spans [][2]sim.Time
+	for _, f := range net.History() {
+		spans = append(spans, [2]sim.Time{f.Started(), f.Finished()})
+	}
+	maxInFlight := maxOverlap(spans)
 	if maxInFlight > 2 {
 		t.Fatalf("max concurrent fetches = %d, want <= 2", maxInFlight)
 	}
@@ -220,21 +236,15 @@ func TestParallelCopiesBound(t *testing.T) {
 func TestFetchGapGivesPredictionLead(t *testing.T) {
 	// The time between a map finishing (prediction instant) and its
 	// output being fetched must be positive — it is Pythia's lead.
-	eng, _, cl := rig(Config{})
-	spec := uniformSpec(12, 3, 2, 5e6)
-	mapDone := map[int]sim.Time{}
+	eng, net, cl := rig(Config{})
+	j, _ := cl.Submit(uniformSpec(12, 3, 2, 5e6))
+	eng.Run()
 	minGap := math.Inf(1)
-	cl.OnMapFinished(func(j *Job, m *MapTask, parts []float64) {
-		mapDone[m.ID] = m.Finished
-	})
-	cl.OnFetchStart(func(j *Job, m, r int, f *netsim.Flow) {
-		gap := float64(eng.Now().Sub(mapDone[m]))
-		if gap < minGap {
+	for _, f := range net.History() {
+		if gap := float64(f.Started().Sub(j.Maps[f.Map].Finished)); gap < minGap {
 			minGap = gap
 		}
-	})
-	cl.Submit(spec)
-	eng.Run()
+	}
 	if minGap <= 0 {
 		t.Fatalf("fetch preceded map completion: gap=%v", minGap)
 	}
@@ -309,7 +319,6 @@ func TestListenersFireInOrder(t *testing.T) {
 	eng, _, cl := rig(Config{})
 	spec := uniformSpec(4, 2, 1, 1e6)
 	var events []string
-	cl.OnMapScheduled(func(j *Job, m *MapTask) { events = append(events, "ms") })
 	cl.OnMapFinished(func(j *Job, m *MapTask, p []float64) { events = append(events, "mf") })
 	cl.OnReduceScheduled(func(j *Job, r *ReduceTask) { events = append(events, "rs") })
 	cl.OnJobDone(func(j *Job) { events = append(events, "jd") })
@@ -319,7 +328,7 @@ func TestListenersFireInOrder(t *testing.T) {
 	for _, e := range events {
 		counts[e]++
 	}
-	if counts["ms"] != 4 || counts["mf"] != 4 || counts["rs"] != 2 || counts["jd"] != 1 {
+	if counts["mf"] != 4 || counts["rs"] != 2 || counts["jd"] != 1 {
 		t.Fatalf("event counts: %v", counts)
 	}
 	if events[len(events)-1] != "jd" {
@@ -434,19 +443,13 @@ func TestTaskStateString(t *testing.T) {
 func TestMapSlotsRespected(t *testing.T) {
 	// 10 trackers x 1 map slot = at most 10 concurrent maps.
 	eng, _, cl := rig(Config{MapSlots: 1})
-	spec := uniformSpec(30, 2, 3, 1e6)
-	running := 0
-	maxRunning := 0
-	cl.OnMapScheduled(func(j *Job, m *MapTask) {
-		running++
-		if running > maxRunning {
-			maxRunning = running
-		}
-	})
-	cl.OnMapFinished(func(j *Job, m *MapTask, p []float64) { running-- })
-	cl.Submit(spec)
+	j, _ := cl.Submit(uniformSpec(30, 2, 3, 1e6))
 	eng.Run()
-	if maxRunning > 10 {
+	var spans [][2]sim.Time
+	for _, m := range j.Maps {
+		spans = append(spans, [2]sim.Time{m.Scheduled, m.Finished})
+	}
+	if maxRunning := maxOverlap(spans); maxRunning > 10 {
 		t.Fatalf("concurrent maps = %d, want <= 10", maxRunning)
 	}
 }

@@ -55,16 +55,14 @@ func TestEventPollIntervalBoundsFetchLag(t *testing.T) {
 		for m := range spec.MapDurations {
 			spec.MapDurations[m] = float64(m)*1.7 + 1
 		}
-		mapDone := map[int]sim.Time{}
-		totalGap, n := 0.0, 0
-		cl.OnMapFinished(func(j *Job, m *MapTask, _ []float64) { mapDone[m.ID] = m.Finished })
-		cl.OnFetchStart(func(j *Job, mapID, reduceID int, f *netsim.Flow) {
-			totalGap += float64(eng.Now().Sub(mapDone[mapID]))
-			n++
-		})
-		cl.Submit(spec)
+		j, _ := cl.Submit(spec)
 		eng.Run()
-		return totalGap / float64(n)
+		totalGap := 0.0
+		flows := net.History()
+		for _, f := range flows {
+			totalGap += float64(f.Started().Sub(j.Maps[f.Map].Finished))
+		}
+		return totalGap / float64(len(flows))
 	}
 	short := gapFor(0.5)
 	long := gapFor(6)

@@ -21,7 +21,6 @@ import (
 	"pythia/internal/openflow"
 	"pythia/internal/sim"
 	"pythia/internal/topology"
-	"pythia/internal/trace"
 )
 
 // Scheduler selects the shuffle flow-allocation scheme.
@@ -89,10 +88,9 @@ type Config struct {
 	ExplicitControlPlane bool
 	MgmtFaults           *mgmtnet.FaultConfig
 
-	// Flight attaches the cross-plane flight recorder, Record the Fig. 1a
-	// sequence recorder, HDFS a replicated output filesystem.
+	// Flight attaches the cross-plane flight recorder, HDFS a replicated
+	// output filesystem.
 	Flight bool
-	Record bool
 	HDFS   bool
 
 	// WrapSink, when non-nil, wraps the intent sink the middleware reports
@@ -117,7 +115,6 @@ type Testbed struct {
 	ECMP       *ecmp.Allocator // plain-ECMP scheduler only
 	Hedera     *hedera.Scheduler
 	Flight     *flight.Recorder
-	Sequence   *trace.Recorder
 	HDFS       *hdfs.FileSystem
 }
 
@@ -243,9 +240,6 @@ func Build(cfg Config) (*Testbed, error) {
 
 	tb.Cluster = hadoop.NewCluster(eng, net, hosts, resolver, cfg.Hadoop)
 	tb.Middleware = instrument.Attach(eng, tb.Cluster, sink, icfg)
-	if cfg.Record {
-		tb.Sequence = trace.Attach(eng, tb.Cluster)
-	}
 	if cfg.HDFS {
 		// HDFS traffic always rides the default pipeline (distinct hash
 		// salt so it does not mirror the shuffle's ECMP draws); its own

@@ -34,16 +34,14 @@ func (k SpanKind) category() string {
 	return "unknown"
 }
 
-// ChromeTrace exports the recorded job as Chrome trace-event JSON: one
-// "thread" per tasktracker, a complete-event per task span, and one per
-// shuffle fetch (on a dedicated fetch lane per reducer). Returns nil when
-// no job completed.
-func (r *Recorder) ChromeTrace() ([]byte, error) {
-	if r.job == nil {
+// ChromeTrace exports the job as Chrome trace-event JSON: one "thread" per
+// tasktracker, a complete-event per task span, and one per shuffle fetch
+// (on a dedicated fetch lane per reducer). Returns nil for a nil Sequence.
+func (s *Sequence) ChromeTrace() ([]byte, error) {
+	if s == nil {
 		return nil, nil
 	}
-	events := r.fabricChromeEvents(r.job.Submitted)
-	return marshalChrome(events)
+	return marshalChrome(s.fabricChromeEvents(s.job.Submitted))
 }
 
 // marshalChrome renders trace events in the Chrome/Perfetto JSON envelope.
@@ -56,23 +54,25 @@ func marshalChrome(events []chromeEvent) ([]byte, error) {
 
 // fabricChromeEvents renders the job's task spans and fetch lanes (pid 0)
 // relative to t0.
-func (r *Recorder) fabricChromeEvents(t0 sim.Time) []chromeEvent {
+func (s *Sequence) fabricChromeEvents(t0 sim.Time) []chromeEvent {
 	var events []chromeEvent
-	for _, s := range r.Spans() {
+	for _, sp := range s.spans {
 		events = append(events, chromeEvent{
-			Name:  fmt.Sprintf("%s (%s)", s.Label, s.Kind.category()),
-			Cat:   s.Kind.category(),
+			Name:  fmt.Sprintf("%s (%s)", sp.Label, sp.Kind.category()),
+			Cat:   sp.Kind.category(),
 			Phase: "X",
-			TsUs:  float64(s.Start.Sub(t0)) * 1e6,
-			DurUs: float64(s.End.Sub(s.Start)) * 1e6,
+			TsUs:  float64(sp.Start.Sub(t0)) * 1e6,
+			DurUs: float64(sp.End.Sub(sp.Start)) * 1e6,
 			PID:   0,
-			TID:   s.Host,
-			Args:  map[string]any{"host": s.Host},
+			TID:   sp.Host,
+			Args:  map[string]any{"host": sp.Host},
 		})
 	}
 	// Fetch lanes: tid = 1000 + reducer ID keeps them clear of tracker
-	// rows.
-	fetches := r.Fetches()
+	// rows. Ties on (Start, Map) are common and land wherever sort.Slice
+	// puts them given the completion-ordered input, so the pinned Chrome
+	// bytes depend on both the input order and this exact comparator.
+	fetches := append([]FetchRecord(nil), s.fetches...)
 	sort.Slice(fetches, func(i, j int) bool {
 		if fetches[i].Start != fetches[j].Start {
 			return fetches[i].Start < fetches[j].Start
@@ -80,9 +80,6 @@ func (r *Recorder) fabricChromeEvents(t0 sim.Time) []chromeEvent {
 		return fetches[i].Map < fetches[j].Map
 	})
 	for _, f := range fetches {
-		if f.Bytes == 0 {
-			continue
-		}
 		events = append(events, chromeEvent{
 			Name:  fmt.Sprintf("fetch m%d→r%d", f.Map, f.Reduce),
 			Cat:   "fetch",
@@ -111,19 +108,18 @@ var planeLanes = map[flight.Plane]int{
 }
 
 // MergedChrome exports one Chrome/Perfetto trace holding both the fabric
-// view (the recorder's task spans and fetch lanes, pid 0) and the
-// control-plane view (flight-recorder events on per-plane lanes, pid 1):
-// rule-install RTTs and shuffle-flow lifetimes render as duration spans,
-// everything else as instants. Either source may be absent: a nil recorder
-// (or one that saw no job) yields control lanes only, and an empty event
-// log yields the plain fabric trace.
-func MergedChrome(r *Recorder, events []flight.Event) ([]byte, error) {
+// view (the job's task spans and fetch lanes, pid 0) and the control-plane
+// view (flight-recorder events on per-plane lanes, pid 1): rule-install
+// RTTs and shuffle-flow lifetimes render as duration spans, everything else
+// as instants. Either source may be absent: a nil Sequence yields control
+// lanes only, and an empty event log yields the plain fabric trace.
+func MergedChrome(s *Sequence, events []flight.Event) ([]byte, error) {
 	// A common clock: the job submit instant when known, else the first
 	// flight event, so timestamps are never negative.
 	var t0 sim.Time
 	haveT0 := false
-	if r != nil && r.job != nil {
-		t0 = r.job.Submitted
+	if s != nil {
+		t0 = s.job.Submitted
 		haveT0 = true
 	}
 	if len(events) > 0 && (!haveT0 || events[0].T < t0) {
@@ -131,11 +127,11 @@ func MergedChrome(r *Recorder, events []flight.Event) ([]byte, error) {
 	}
 
 	var out []chromeEvent
-	if r != nil && r.job != nil {
+	if s != nil {
 		out = append(out,
 			chromeEvent{Name: "process_name", Phase: "M", PID: 0,
 				Args: map[string]any{"name": "fabric"}})
-		out = append(out, r.fabricChromeEvents(t0)...)
+		out = append(out, s.fabricChromeEvents(t0)...)
 	}
 	if len(events) > 0 {
 		out = append(out,

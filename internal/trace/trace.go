@@ -1,9 +1,11 @@
-// Package trace records MapReduce job execution events and renders them as
-// sequence (Gantt) diagrams — the "custom visualization tool" the paper used
-// to produce Fig. 1a, where the map, shuffle and reduce phases of a toy sort
-// job are annotated and the 5x reducer skew is visible in the per-reducer
-// fetch volumes. Output is ASCII (deterministic and diffable) plus an SVG
-// writer for reports.
+// Package trace renders a MapReduce job's execution as sequence (Gantt)
+// diagrams — the "custom visualization tool" the paper used to produce
+// Fig. 1a, where the map, shuffle and reduce phases of a toy sort job are
+// annotated and the 5x reducer skew is visible in the per-reducer fetch
+// volumes. The timeline is read after the fact from the finished job's own
+// task records and the fabric's flow history, so any job can be rendered.
+// Output is ASCII (deterministic and diffable) plus an SVG writer for
+// reports.
 package trace
 
 import (
@@ -57,139 +59,79 @@ type FetchRecord struct {
 	Remote      bool
 }
 
-// Recorder captures one job's execution from cluster events.
-type Recorder struct {
-	eng *sim.Engine
-
-	jobID      int
-	haveJob    bool
-	mapStart   map[int]sim.Time
-	redStart   map[int]sim.Time
-	shufDone   map[int]sim.Time
-	spans      []Span
-	fetches    []FetchRecord
-	fetchStart map[[2]int]sim.Time
-	job        *hadoop.Job
+// Sequence is one finished job's timeline: its task spans, sorted by
+// (kind, label), and its shuffle fetches in completion order.
+type Sequence struct {
+	job     *hadoop.Job
+	spans   []Span
+	fetches []FetchRecord
 }
 
-// Attach wires a recorder to a cluster. It records the first job submitted
-// (the Fig. 1a tool visualizes a single job).
-func Attach(eng *sim.Engine, cluster *hadoop.Cluster) *Recorder {
-	r := &Recorder{
-		eng:        eng,
-		mapStart:   make(map[int]sim.Time),
-		redStart:   make(map[int]sim.Time),
-		shufDone:   make(map[int]sim.Time),
-		fetchStart: make(map[[2]int]sim.Time),
+// Of builds the timeline of a finished job from its task records and the
+// fabric's completed flows (netsim.Network.History, in completion order);
+// flows of other jobs and other kinds are skipped. It returns nil while the
+// job is unfinished, and every renderer of a nil Sequence returns empty
+// output.
+func Of(job *hadoop.Job, flows []*netsim.Flow) *Sequence {
+	if job == nil || !job.Done {
+		return nil
 	}
-	cluster.OnMapScheduled(func(j *hadoop.Job, m *hadoop.MapTask) {
-		if !r.claim(j) {
-			return
-		}
-		r.mapStart[m.ID] = eng.Now()
-	})
-	cluster.OnMapFinished(func(j *hadoop.Job, m *hadoop.MapTask, _ []float64) {
-		if !r.owns(j) {
-			return
-		}
-		r.spans = append(r.spans, Span{
+	s := &Sequence{job: job}
+	for _, m := range job.Maps {
+		s.spans = append(s.spans, Span{
 			Label: fmt.Sprintf("map-%d", m.ID), Host: m.Tracker,
-			Start: r.mapStart[m.ID], End: eng.Now(), Kind: MapSpan,
+			Start: m.Scheduled, End: m.Finished, Kind: MapSpan,
 		})
-	})
-	cluster.OnReduceScheduled(func(j *hadoop.Job, red *hadoop.ReduceTask) {
-		if !r.claim(j) {
-			return
-		}
-		r.redStart[red.ID] = eng.Now()
-	})
-	cluster.OnFetchStart(func(j *hadoop.Job, mapID, reduceID int, f *netsim.Flow) {
-		if !r.owns(j) {
-			return
-		}
-		r.fetchStart[[2]int{mapID, reduceID}] = eng.Now()
-	})
-	cluster.OnFetchDone(func(j *hadoop.Job, mapID, reduceID int, f *netsim.Flow) {
-		if !r.owns(j) {
-			return
-		}
-		rec := FetchRecord{
-			Map: mapID, Reduce: reduceID,
-			Start: r.fetchStart[[2]int{mapID, reduceID}], End: eng.Now(),
-		}
-		if f != nil {
-			rec.Bytes = f.SizeBits / 8
-			rec.Remote = len(f.Path.Links) > 0
-		}
-		r.fetches = append(r.fetches, rec)
-	})
-	cluster.OnJobDone(func(j *hadoop.Job) {
-		if !r.owns(j) {
-			return
-		}
-		r.job = j
-		for _, red := range j.Reduces {
-			r.spans = append(r.spans,
-				Span{Label: fmt.Sprintf("reduce-%d", red.ID), Host: red.Tracker,
-					Start: r.redStart[red.ID], End: red.ShuffleDone, Kind: ShuffleSpan},
-				Span{Label: fmt.Sprintf("reduce-%d", red.ID), Host: red.Tracker,
-					Start: red.ShuffleDone, End: red.Finished, Kind: ReduceSpan},
-			)
-		}
-	})
-	return r
-}
-
-func (r *Recorder) claim(j *hadoop.Job) bool {
-	if !r.haveJob {
-		r.haveJob = true
-		r.jobID = j.ID
 	}
-	return r.jobID == j.ID
-}
-
-func (r *Recorder) owns(j *hadoop.Job) bool { return r.haveJob && r.jobID == j.ID }
-
-// Job returns the recorded job (nil before completion).
-func (r *Recorder) Job() *hadoop.Job { return r.job }
-
-// Spans returns recorded spans sorted by (kind, label).
-func (r *Recorder) Spans() []Span {
-	out := append([]Span(nil), r.spans...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
+	for _, red := range job.Reduces {
+		s.spans = append(s.spans,
+			Span{Label: fmt.Sprintf("reduce-%d", red.ID), Host: red.Tracker,
+				Start: red.Scheduled, End: red.ShuffleDone, Kind: ShuffleSpan},
+			Span{Label: fmt.Sprintf("reduce-%d", red.ID), Host: red.Tracker,
+				Start: red.ShuffleDone, End: red.Finished, Kind: ReduceSpan},
+		)
+	}
+	sort.Slice(s.spans, func(i, j int) bool {
+		a, b := s.spans[i], s.spans[j]
+		if a.Kind != b.Kind {
+			return a.Kind < b.Kind
 		}
-		if out[i].Label != out[j].Label {
-			return out[i].Label < out[j].Label
+		if a.Label != b.Label {
+			return a.Label < b.Label
 		}
-		return out[i].Start < out[j].Start
+		return a.Start < b.Start
 	})
-	return out
+	for _, f := range flows {
+		if f.Kind != netsim.Shuffle || f.Job != job.ID {
+			continue
+		}
+		s.fetches = append(s.fetches, FetchRecord{
+			Map: f.Map, Reduce: f.Reduce, Bytes: f.SizeBits / 8,
+			Start: f.Started(), End: f.Finished(), Remote: len(f.Path.Links) > 0,
+		})
+	}
+	return s
 }
 
-// Fetches returns all fetch records in completion order.
-func (r *Recorder) Fetches() []FetchRecord { return append([]FetchRecord(nil), r.fetches...) }
-
-// ReducerVolumes sums fetched bytes per reducer — the skew annotation of
-// Fig. 1a.
-func (r *Recorder) ReducerVolumes() map[int]float64 {
-	v := make(map[int]float64)
-	for _, f := range r.fetches {
+// ReducerVolumes sums fetched bytes per reducer, indexed by reducer ID —
+// the skew annotation of Fig. 1a. A reducer whose partitions are all empty
+// reads 0.
+func (s *Sequence) ReducerVolumes() []float64 {
+	v := make([]float64, len(s.job.Reduces))
+	for _, f := range s.fetches {
 		v[f.Reduce] += f.Bytes
 	}
 	return v
 }
 
 // Render draws the ASCII sequence diagram, width columns wide. It returns
-// an empty string when no job has completed.
-func (r *Recorder) Render(width int) string {
-	if r.job == nil || width < 40 {
+// an empty string for a nil Sequence.
+func (s *Sequence) Render(width int) string {
+	if s == nil || width < 40 {
 		return ""
 	}
-	spans := r.Spans()
-	t0 := r.job.Submitted
-	t1 := r.job.Finished
+	t0 := s.job.Submitted
+	t1 := s.job.Finished
 	total := float64(t1.Sub(t0))
 	if total <= 0 {
 		return ""
@@ -197,14 +139,14 @@ func (r *Recorder) Render(width int) string {
 	labelW := 0
 	rows := map[string][]Span{}
 	var order []string
-	for _, s := range spans {
-		if len(s.Label) > labelW {
-			labelW = len(s.Label)
+	for _, sp := range s.spans {
+		if len(sp.Label) > labelW {
+			labelW = len(sp.Label)
 		}
-		if _, ok := rows[s.Label]; !ok {
-			order = append(order, s.Label)
+		if _, ok := rows[sp.Label]; !ok {
+			order = append(order, sp.Label)
 		}
-		rows[s.Label] = append(rows[s.Label], s)
+		rows[sp.Label] = append(rows[sp.Label], sp)
 	}
 	barW := width - labelW - 2
 	if barW < 10 {
@@ -212,17 +154,17 @@ func (r *Recorder) Render(width int) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %d maps, %d reduces, %.1fs total\n",
-		r.job.Spec.Name, r.job.Spec.NumMaps, r.job.Spec.NumReduces, total)
+		s.job.Spec.Name, s.job.Spec.NumMaps, s.job.Spec.NumReduces, total)
 	fmt.Fprintf(&b, "phases: M=map s=shuffle R=reduce; maps done %.1fs, shuffle done %.1fs\n",
-		float64(r.job.MapPhaseEnd.Sub(t0)), float64(r.job.ShuffleEnd.Sub(t0)))
+		float64(s.job.MapPhaseEnd.Sub(t0)), float64(s.job.ShuffleEnd.Sub(t0)))
 	for _, label := range order {
 		line := make([]byte, barW)
 		for i := range line {
 			line[i] = '.'
 		}
-		for _, s := range rows[label] {
-			from := int(float64(s.Start.Sub(t0)) / total * float64(barW))
-			to := int(float64(s.End.Sub(t0)) / total * float64(barW))
+		for _, sp := range rows[label] {
+			from := int(float64(sp.Start.Sub(t0)) / total * float64(barW))
+			to := int(float64(sp.End.Sub(t0)) / total * float64(barW))
 			if to >= barW {
 				to = barW - 1
 			}
@@ -230,27 +172,22 @@ func (r *Recorder) Render(width int) string {
 				from = to
 			}
 			for i := from; i <= to; i++ {
-				line[i] = s.Kind.glyph()
+				line[i] = sp.Kind.glyph()
 			}
 		}
 		fmt.Fprintf(&b, "%-*s |%s\n", labelW, label, line)
 	}
 	// Skew annotation, as in Fig. 1a's discussion.
-	vols := r.ReducerVolumes()
-	var rids []int
-	for rid := range vols {
-		rids = append(rids, rid)
-	}
-	sort.Ints(rids)
-	for _, rid := range rids {
-		fmt.Fprintf(&b, "reducer-%d fetched %.1f MB\n", rid, vols[rid]/1e6)
+	for rid, v := range s.ReducerVolumes() {
+		fmt.Fprintf(&b, "reducer-%d fetched %.1f MB\n", rid, v/1e6)
 	}
 	return b.String()
 }
 
-// RenderSVG draws the same diagram as a standalone SVG document.
-func (r *Recorder) RenderSVG() string {
-	if r.job == nil {
+// RenderSVG draws the same diagram as a standalone SVG document. It returns
+// an empty string for a nil Sequence.
+func (s *Sequence) RenderSVG() string {
+	if s == nil {
 		return ""
 	}
 	const (
@@ -260,16 +197,15 @@ func (r *Recorder) RenderSVG() string {
 		topPad   = 40
 		rightPad = 20
 	)
-	spans := r.Spans()
 	rows := map[string]int{}
 	var order []string
-	for _, s := range spans {
-		if _, ok := rows[s.Label]; !ok {
-			rows[s.Label] = len(order)
-			order = append(order, s.Label)
+	for _, sp := range s.spans {
+		if _, ok := rows[sp.Label]; !ok {
+			rows[sp.Label] = len(order)
+			order = append(order, sp.Label)
 		}
 	}
-	t0, t1 := r.job.Submitted, r.job.Finished
+	t0, t1 := s.job.Submitted, s.job.Finished
 	total := float64(t1.Sub(t0))
 	h := topPad + rowH*len(order) + 30
 	scale := float64(w-leftPad-rightPad) / total
@@ -278,18 +214,18 @@ func (r *Recorder) RenderSVG() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, `<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d">`, w, h)
 	fmt.Fprintf(&b, `<text x="10" y="20" font-family="monospace" font-size="14">%s: %.1fs (map | shuffle | reduce)</text>`,
-		r.job.Spec.Name, total)
-	for _, s := range spans {
-		y := topPad + rows[s.Label]*rowH
-		x := leftPad + float64(s.Start.Sub(t0))*scale
-		sw := float64(s.End.Sub(s.Start)) * scale
+		s.job.Spec.Name, total)
+	for _, sp := range s.spans {
+		y := topPad + rows[sp.Label]*rowH
+		x := leftPad + float64(sp.Start.Sub(t0))*scale
+		sw := float64(sp.End.Sub(sp.Start)) * scale
 		if sw < 1 {
 			sw = 1
 		}
 		fmt.Fprintf(&b, `<rect x="%.1f" y="%d" width="%.1f" height="%d" fill="%s"/>`,
-			x, y, sw, rowH-6, colors[s.Kind])
+			x, y, sw, rowH-6, colors[sp.Kind])
 	}
-	for label, idx := range rows {
+	for idx, label := range order {
 		fmt.Fprintf(&b, `<text x="6" y="%d" font-family="monospace" font-size="12">%s</text>`,
 			topPad+idx*rowH+12, label)
 	}

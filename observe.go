@@ -13,10 +13,6 @@ import (
 // importing internal packages — see the package doc's "Configuring a
 // cluster" index.
 
-// WithSequenceRecording attaches the Fig. 1a trace recorder to the first
-// submitted job; retrieve the diagram with SequenceDiagram after RunJob.
-func WithSequenceRecording() Option { return func(c *config) { c.record = true } }
-
 // WithFlightRecorder attaches the cross-plane flight recorder: every
 // prediction's lifecycle (spill → intent → booking → placement → rule
 // install → fabric flow) leaves timestamped events retrievable with
@@ -168,13 +164,15 @@ func (c *Cluster) PrometheusSnapshot() string {
 	return flight.BuildMetrics(c.fr.Events()).PrometheusText()
 }
 
-// MergedChromeTrace exports one Chrome/Perfetto trace combining the fabric
-// task spans (requires WithSequenceRecording) with control-plane lanes from
-// the flight recorder (requires WithFlightRecorder). Either half may be
-// absent; with neither option the result is nil.
+// MergedChromeTrace exports one Chrome/Perfetto trace combining the first
+// submitted job's task spans and fetch lanes (once it has finished) with
+// control-plane lanes from the flight recorder (requires
+// WithFlightRecorder). Either half may be absent; with neither the result
+// is nil.
 func (c *Cluster) MergedChromeTrace() ([]byte, error) {
-	if c.recorder == nil && c.fr == nil {
+	seq := c.sequence()
+	if seq == nil && c.fr == nil {
 		return nil, nil
 	}
-	return trace.MergedChrome(c.recorder, c.fr.Events())
+	return trace.MergedChrome(seq, c.fr.Events())
 }

@@ -51,7 +51,7 @@ func (c *Cluster) SubmitAt(tSec float64, spec *JobSpec) {
 	s := &timedSubmission{spec: spec}
 	c.timed = append(c.timed, s)
 	c.eng.At(sim.Time(tSec), func() {
-		j, err := c.cluster.Submit(spec)
+		j, err := c.submit(spec)
 		if err != nil {
 			s.err = fmt.Errorf("submit %q at t=%.1f: %w", spec.Name, tSec, err)
 			return

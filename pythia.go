@@ -30,8 +30,9 @@
 //   - Faults — failure and degradation injection: WithControlPlaneFaults,
 //     WithMgmtFaults, WithMonitorFaults, WithPredictionError,
 //     WithBookingTTL.
-//   - Observability — pure observers that never change results:
-//     WithSequenceRecording, WithFlightRecorder.
+//   - Observability — a pure observer that never changes results:
+//     WithFlightRecorder. The sequence views (SequenceDiagram,
+//     ChromeTrace) need no option.
 //   - Workload — Hadoop-side behavior: WithReduceSlowstart,
 //     WithParallelCopies, WithHDFS, WithIncast.
 //
@@ -115,7 +116,6 @@ type config struct {
 	seed         uint64
 	hadoopCfg    hadoop.Config
 	pythiaCfg    core.Config
-	record       bool
 	flight       bool
 	hdfs         bool
 	explicitCP   bool
@@ -154,7 +154,6 @@ type Cluster struct {
 	py       *core.Pythia
 	al       *ecmp.Allocator // plain-ECMP scheduler only
 	hed      *hedera.Scheduler
-	recorder *trace.Recorder
 	fr       *flight.Recorder
 	fs       *hdfs.FileSystem
 	kind     SchedulerKind
@@ -172,6 +171,9 @@ type Cluster struct {
 
 	// timed holds SubmitAt entries awaiting a TryRunUntil report.
 	timed []*timedSubmission
+
+	// first is the first job submitted, the one the sequence views render.
+	first *hadoop.Job
 }
 
 // New builds a cluster on the paper's two-rack testbed topology.
@@ -198,7 +200,6 @@ func New(opts ...Option) *Cluster {
 		},
 		ExplicitControlPlane: cfg.explicitCP,
 		Flight:               cfg.flight,
-		Record:               cfg.record,
 		HDFS:                 cfg.hdfs,
 	}
 	if t := cfg.topo; t != nil {
@@ -229,7 +230,7 @@ func New(opts ...Option) *Cluster {
 		eng: tb.Eng, net: tb.Net, g: tb.Graph, hosts: tb.Hosts, trunks: tb.Trunks,
 		cluster: tb.Cluster, mw: tb.Middleware, mn: tb.Mgmt, ofc: tb.Controller,
 		py: tb.Pythia, al: tb.ECMP, hed: tb.Hedera,
-		recorder: tb.Sequence, fr: tb.Flight, fs: tb.HDFS,
+		fr: tb.Flight, fs: tb.HDFS,
 		kind: cfg.scheduler, deadline: cfg.deadline,
 		jobRules: make(map[int]uint64),
 	}
@@ -311,7 +312,7 @@ func (c *Cluster) TryRunJob(spec *JobSpec) (JobResult, error) {
 func (c *Cluster) TryRunJobs(specs ...*JobSpec) ([]JobResult, error) {
 	jobs := make([]*hadoop.Job, len(specs))
 	for i, spec := range specs {
-		job, err := c.cluster.Submit(spec)
+		job, err := c.submit(spec)
 		if err != nil {
 			return nil, fmt.Errorf("submit %q: %w", spec.Name, err)
 		}
@@ -332,6 +333,15 @@ func (c *Cluster) TryRunJobs(specs ...*JobSpec) ([]JobResult, error) {
 		out[i] = c.jobResult(specs[i], job)
 	}
 	return out, unfinishedError(starved, len(jobs))
+}
+
+// submit hands spec to the jobtracker, remembering the first job.
+func (c *Cluster) submit(spec *JobSpec) (*hadoop.Job, error) {
+	j, err := c.cluster.Submit(spec)
+	if err == nil && c.first == nil {
+		c.first = j
+	}
+	return j, err
 }
 
 // jobResult summarizes a completed job.
@@ -356,32 +366,26 @@ func unfinishedError(names []string, total int) error {
 		len(names), total, ErrUnfinished, names)
 }
 
-// SequenceDiagram renders the recorded job as an ASCII Gantt chart, width
-// columns wide (requires WithSequenceRecording and a completed RunJob). The
-// SVG variant is SequenceDiagramSVG.
-func (c *Cluster) SequenceDiagram(width int) string {
-	if c.recorder == nil {
-		return ""
+// sequence is the first submitted job's timeline, read from the job and the
+// fabric's flow history; nil until that job has finished.
+func (c *Cluster) sequence() *trace.Sequence {
+	if c.first == nil {
+		return nil
 	}
-	return c.recorder.Render(width)
+	return trace.Of(c.first, c.net.History())
 }
 
-// SequenceDiagramSVG renders the recorded job as an SVG document.
-func (c *Cluster) SequenceDiagramSVG() string {
-	if c.recorder == nil {
-		return ""
-	}
-	return c.recorder.RenderSVG()
-}
+// SequenceDiagram renders the first submitted job as an ASCII Gantt chart,
+// width columns wide, once it has finished (empty before). The SVG variant
+// is SequenceDiagramSVG.
+func (c *Cluster) SequenceDiagram(width int) string { return c.sequence().Render(width) }
 
-// ChromeTrace exports the recorded job as Chrome trace-event JSON, loadable
-// in chrome://tracing or Perfetto (requires WithSequenceRecording).
-func (c *Cluster) ChromeTrace() ([]byte, error) {
-	if c.recorder == nil {
-		return nil, nil
-	}
-	return c.recorder.ChromeTrace()
-}
+// SequenceDiagramSVG renders the first submitted job as an SVG document.
+func (c *Cluster) SequenceDiagramSVG() string { return c.sequence().RenderSVG() }
+
+// ChromeTrace exports the first submitted job as Chrome trace-event JSON,
+// loadable in chrome://tracing or Perfetto; nil before it has finished.
+func (c *Cluster) ChromeTrace() ([]byte, error) { return c.sequence().ChromeTrace() }
 
 // OverheadReport summarizes the instrumentation middleware's cost (§V-C).
 type OverheadReport struct {

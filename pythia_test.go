@@ -52,7 +52,7 @@ func TestPythiaFasterUnderLoad(t *testing.T) {
 }
 
 func TestSequenceRecording(t *testing.T) {
-	cl := New(WithSequenceRecording(), WithSeed(1))
+	cl := New(WithSeed(1))
 	cl.RunJob(ToySortJob())
 	diag := cl.SequenceDiagram(100)
 	if !strings.Contains(diag, "toy-sort") {
@@ -60,14 +60,6 @@ func TestSequenceRecording(t *testing.T) {
 	}
 	if !strings.Contains(cl.SequenceDiagramSVG(), "<svg") {
 		t.Fatal("svg missing")
-	}
-}
-
-func TestSequenceDiagramEmptyWithoutRecording(t *testing.T) {
-	cl := New()
-	cl.RunJob(ToySortJob())
-	if cl.SequenceDiagram(100) != "" || cl.SequenceDiagramSVG() != "" {
-		t.Fatal("diagram without recording option")
 	}
 }
 
