@@ -11,10 +11,10 @@ func WithScheduler(k SchedulerKind) Option { return func(c *config) { c.schedule
 // WithSeed fixes all randomness (ECMP hash salt, workload jitter).
 func WithSeed(seed uint64) Option { return func(c *config) { c.seed = seed } }
 
-// WithKShortestPaths sets the run's per-pair path diversity (default 4) for
-// every scheduler: the first K equal-cost paths of a pair are Pythia's and
-// Hedera's candidate set and ECMP's hash set. Compare(...,
-// WithKShortestPaths(1)) therefore single-paths both sides.
+// WithKShortestPaths sets how many paths per pair Pythia and Hedera choose
+// among (default 4): the first K equal-cost paths of the pair. It does not
+// touch the fabric: ECMP, and every flow that misses Pythia's rules, hash
+// hop by hop over every equal-cost next hop.
 func WithKShortestPaths(k int) Option { return func(c *config) { c.pythiaCfg.K = k } }
 
 // WithRackAggregation switches Pythia to rack-pair (prefix) rules: one

@@ -45,7 +45,7 @@ func ecmpRun(spec *hadoop.JobSpec, bg func(*netsim.Network, []topology.LinkID), 
 	if bg != nil {
 		bg(net, trunks)
 	}
-	clus := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, seed), hcfg)
+	clus := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, seed), hcfg)
 	j, err := clus.Submit(spec)
 	if err != nil {
 		panic(err)

@@ -1,92 +1,99 @@
-// Package ecmp implements the paper's baseline flow-allocation scheme:
-// Equal-Cost Multi-Pathing. As in the paper's own implementation, a flow's
-// five-tuple is hashed and the flow is assigned a path by a modulus
-// computation over the number of available paths in the routing graph
-// (cf. RFC 2992). The hash is load-unaware: two elephant flows can land on
-// the same congested path while an alternative sits idle — the adversarial
-// case of Fig. 1b.
+// Package ecmp implements the fabric's default forwarding pipeline and the
+// paper's baseline flow-allocation scheme, Equal-Cost Multi-Pathing. As in
+// RFC 2992, every switch on the way hashes the flow's five-tuple and takes
+// the result modulo its number of equal-cost next hops — the out-links of
+// the shortest-path DAG toward the destination — so a flow spreads over
+// every equal-cost path of the fabric without any switch enumerating them.
+// The hash is load-unaware: two elephant flows can land on the same
+// congested path while an alternative sits idle — the adversarial case of
+// Fig. 1b.
+//
+// Walk is the one implementation of that hop-by-hop walk. The SDN
+// controller runs it with a flow-table lookup in front of every hop (a
+// table miss falls through to the hash); the baseline Allocator runs it on
+// empty tables.
 package ecmp
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
+	"slices"
 
 	"pythia/internal/netsim"
 	"pythia/internal/stats"
 	"pythia/internal/topology"
 )
 
-// Allocator assigns paths by five-tuple hash over the first k equal-cost
-// paths of each host pair, read from a topology.PathCache (dropped on any
-// topology event; the paper recomputes the routing graph only then, keeping
-// routing computation off the data path).
+// Hash is the flow hash a switch at node at computes for tuple t. The salt
+// stands for a different hash function per deployment (or different TCP
+// source ports across job runs); salt 0 is the fabric's own pipeline.
+func Hash(t netsim.FiveTuple, at topology.NodeID, salt uint64) uint64 {
+	z := uint64(t.SrcHost)<<48 ^ uint64(t.DstHost)<<32 ^
+		uint64(t.SrcPort)<<16 ^ uint64(t.DstPort) ^ uint64(t.Protocol)<<56 ^ uint64(at)<<24
+	return stats.Mix64(z ^ stats.Mix64(salt))
+}
+
+// Walk forwards t through g hop by hop. At each node, rule (nil for none)
+// may name the out-link; otherwise the node hashes t with salt over its
+// shortest-path next hops toward t.DstHost. hops is the caller's reusable
+// next-hop buffer. It fails when the fabric has no route or a rule
+// loop is detected. Same-host tuples resolve to the zero-hop local path.
+func Walk(g *topology.Graph, t netsim.FiveTuple, salt uint64,
+	rule func(at topology.NodeID) (topology.LinkID, bool), hops *[]topology.LinkID) (topology.Path, error) {
+	if t.SrcHost == t.DstHost {
+		return topology.Path{Src: t.SrcHost, Dst: t.DstHost}, nil
+	}
+	var links []topology.LinkID
+	at := t.SrcHost
+	maxHops := 4 * g.NumNodes()
+	for at != t.DstHost {
+		if len(links) >= maxHops {
+			return topology.Path{}, fmt.Errorf("ecmp: forwarding loop resolving %v after %d hops", t, len(links))
+		}
+		next, ok := topology.LinkID(-1), false
+		if rule != nil {
+			next, ok = rule(at)
+		}
+		if !ok {
+			*hops = g.NextHops(at, t.DstHost, *hops)
+			if len(*hops) == 0 {
+				return topology.Path{}, fmt.Errorf("ecmp: no route from node %d to %d", at, t.DstHost)
+			}
+			next = (*hops)[Hash(t, at, salt)%uint64(len(*hops))]
+		}
+		links = append(links, next)
+		at = g.Link(next).To
+	}
+	p := topology.Path{Links: links, Src: t.SrcHost, Dst: t.DstHost}
+	if err := p.Valid(g); err != nil {
+		return topology.Path{}, fmt.Errorf("ecmp: resolved invalid path: %w", err)
+	}
+	return p, nil
+}
+
+// Allocator is the baseline: the forwarding walk on empty tables, salted
+// with its seed. It reads the live graph, so topology events need no
+// invalidation.
 type Allocator struct {
 	g    *topology.Graph
-	pc   *topology.PathCache
 	seed uint64
+	hops []topology.LinkID
 
 	// FlowsRescued counts in-flight flows re-hashed off failed paths by
 	// RescueStranded (fault-plane subscription via AttachNetwork).
 	FlowsRescued int
 }
 
-// New returns an ECMP allocator over the first k equal-cost paths per pair.
-// The seed perturbs the hash so experiments can sample different
-// (deterministic) hash placements, emulating different TCP source ports
-// across job runs.
-func New(g *topology.Graph, k int, seed uint64) *Allocator {
-	if k <= 0 {
-		panic("ecmp: k must be positive")
-	}
-	return &Allocator{g: g, pc: topology.NewPathCache(g, k), seed: seed}
+// New returns an ECMP allocator. The seed salts the hash so experiments can
+// sample different (deterministic) hash placements, emulating different TCP
+// source ports across job runs; seed 0 reproduces the controller's table
+// miss exactly.
+func New(g *topology.Graph, seed uint64) *Allocator {
+	return &Allocator{g: g, seed: seed}
 }
 
-// Paths returns the cached equal-cost path set for a host pair.
-func (a *Allocator) Paths(src, dst topology.NodeID) []topology.Path {
-	return a.pc.Paths(src, dst)
-}
-
-// Hash computes the flow hash used for the modulus path selection.
-func (a *Allocator) Hash(t netsim.FiveTuple) uint64 {
-	h := fnv.New64a()
-	var buf [21]byte
-	binary.BigEndian.PutUint64(buf[0:8], a.seed)
-	binary.BigEndian.PutUint32(buf[8:12], uint32(t.SrcHost))
-	binary.BigEndian.PutUint32(buf[12:16], uint32(t.DstHost))
-	binary.BigEndian.PutUint16(buf[16:18], t.SrcPort)
-	binary.BigEndian.PutUint16(buf[18:20], t.DstPort)
-	buf[20] = t.Protocol
-	h.Write(buf[:])
-	// FNV-1a's low bits are parity-linear in the input bytes, which biases
-	// a small modulus (e.g. 2 trunk paths). Finalize with an avalanche mix
-	// so every output bit depends on every input byte.
-	return stats.Mix64(h.Sum64())
-}
-
-// Resolve picks the path for a flow: hash(five-tuple) mod |paths|. It
-// returns false when the pair is disconnected. Same-host pairs resolve to
-// the zero-hop local path.
-func (a *Allocator) Resolve(t netsim.FiveTuple) (topology.Path, bool) {
-	if t.SrcHost == t.DstHost {
-		return topology.Path{Src: t.SrcHost, Dst: t.DstHost}, true
-	}
-	ps := a.Paths(t.SrcHost, t.DstHost)
-	if len(ps) == 0 {
-		return topology.Path{}, false
-	}
-	return ps[a.Hash(t)%uint64(len(ps))], true
-}
-
-// ResolveShuffle adapts Resolve to the hadoop.PathResolver interface, making
-// plain ECMP usable directly as the cluster's flow allocator (the paper's
-// baseline configuration).
-func (a *Allocator) ResolveShuffle(t netsim.FiveTuple) (topology.Path, error) {
-	p, ok := a.Resolve(t)
-	if !ok {
-		return topology.Path{}, fmt.Errorf("ecmp: no path %d -> %d", t.SrcHost, t.DstHost)
-	}
-	return p, nil
+// Resolve picks the path for a flow by walking it through the fabric.
+func (a *Allocator) Resolve(t netsim.FiveTuple) (topology.Path, error) {
+	return Walk(a.g, t, a.seed, nil, &a.hops)
 }
 
 // AttachNetwork subscribes the allocator to the network's fault plane:
@@ -109,24 +116,14 @@ func (a *Allocator) AttachNetwork(net *netsim.Network, kinds ...netsim.FlowKind)
 func (a *Allocator) RescueStranded(net *netsim.Network, kinds ...netsim.FlowKind) int {
 	moved := 0
 	net.ForEachActive(func(f *netsim.Flow) {
-		if len(f.Path.Links) == 0 {
-			return // zero-hop local flow, nothing to rescue
-		}
-		match := false
-		for _, k := range kinds {
-			if f.Kind == k {
-				match = true
-				break
-			}
-		}
-		if !match {
-			return
+		if len(f.Path.Links) == 0 || !slices.Contains(kinds, f.Kind) {
+			return // zero-hop local flow, or another allocator's kind
 		}
 		if f.Path.Valid(a.g) == nil {
 			return // still routable
 		}
-		p, ok := a.Resolve(f.Tuple)
-		if !ok {
+		p, err := a.Resolve(f.Tuple)
+		if err != nil {
 			return // disconnected: starve until recovery
 		}
 		net.Reroute(f, p)

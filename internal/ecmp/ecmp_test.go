@@ -11,7 +11,7 @@ import (
 
 func setup() (*Allocator, []topology.NodeID, *topology.Graph) {
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
-	return New(g, 4, 1), hosts, g
+	return New(g, 1), hosts, g
 }
 
 func tup(src, dst topology.NodeID, sp, dp uint16) netsim.FiveTuple {
@@ -21,27 +21,27 @@ func tup(src, dst topology.NodeID, sp, dp uint16) netsim.FiveTuple {
 func TestResolveDeterministic(t *testing.T) {
 	a, hosts, _ := setup()
 	ft := tup(hosts[0], hosts[5], 100, 200)
-	p1, ok1 := a.Resolve(ft)
-	p2, ok2 := a.Resolve(ft)
-	if !ok1 || !ok2 || !p1.Equal(p2) {
+	p1, err1 := a.Resolve(ft)
+	p2, err2 := a.Resolve(ft)
+	if err1 != nil || err2 != nil || !p1.Equal(p2) {
 		t.Fatal("same tuple resolved to different paths")
 	}
 }
 
 func TestResolveLocal(t *testing.T) {
 	a, hosts, _ := setup()
-	p, ok := a.Resolve(tup(hosts[0], hosts[0], 1, 2))
-	if !ok || p.Hops() != 0 {
-		t.Fatalf("local resolve = %v hops, ok=%v", p.Hops(), ok)
+	p, err := a.Resolve(tup(hosts[0], hosts[0], 1, 2))
+	if err != nil || p.Hops() != 0 {
+		t.Fatalf("local resolve = %v hops, err=%v", p.Hops(), err)
 	}
 }
 
 func TestResolveValidPath(t *testing.T) {
 	a, hosts, g := setup()
 	for sp := uint16(0); sp < 50; sp++ {
-		p, ok := a.Resolve(tup(hosts[1], hosts[7], sp, 50060))
-		if !ok {
-			t.Fatal("no path")
+		p, err := a.Resolve(tup(hosts[1], hosts[7], sp, 50060))
+		if err != nil {
+			t.Fatal(err)
 		}
 		if err := p.Valid(g); err != nil {
 			t.Fatalf("invalid path: %v", err)
@@ -53,18 +53,24 @@ func TestResolveValidPath(t *testing.T) {
 }
 
 func TestEqualCostOnly(t *testing.T) {
-	// In a leaf-spine with 2 spines, ECMP must only use the 4-hop paths
-	// even when k allows longer detours.
+	// In a leaf-spine with 2 spines, every walk takes a minimum-hop path
+	// (one per spine) and never a longer detour, and both spines are used.
 	g, hosts := topology.LeafSpine(3, 2, 2, topology.Gbps)
-	a := New(g, 8, 1)
-	ps := a.Paths(hosts[0], hosts[4])
-	if len(ps) != 2 {
-		t.Fatalf("equal-cost set = %d, want 2 (one per spine)", len(ps))
-	}
-	for _, p := range ps {
-		if p.Hops() != ps[0].Hops() {
-			t.Fatal("unequal-cost path in ECMP set")
+	a := New(g, 1)
+	minHops := g.EqualCostPaths(hosts[0], hosts[4], 1)[0].Hops()
+	seen := map[topology.LinkID]bool{}
+	for sp := uint16(0); sp < 64; sp++ {
+		p, err := a.Resolve(tup(hosts[0], hosts[4], sp, 50060))
+		if err != nil {
+			t.Fatal(err)
 		}
+		if p.Hops() != minHops {
+			t.Fatalf("walk took %d hops, shortest is %d", p.Hops(), minHops)
+		}
+		seen[p.Links[1]] = true // leaf uplink picks the spine
+	}
+	if len(seen) != 2 {
+		t.Fatalf("64 flows crossed %d spines, want 2", len(seen))
 	}
 }
 
@@ -98,8 +104,8 @@ func TestHashBalance(t *testing.T) {
 
 func TestSeedChangesPlacement(t *testing.T) {
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
-	a1 := New(g, 2, 1)
-	a2 := New(g, 2, 99)
+	a1 := New(g, 1)
+	a2 := New(g, 99)
 	diff := 0
 	for i := 0; i < 100; i++ {
 		ft := tup(hosts[0], hosts[5], uint16(i), 50060)
@@ -115,22 +121,38 @@ func TestSeedChangesPlacement(t *testing.T) {
 }
 
 func TestCacheInvalidationOnTopologyChange(t *testing.T) {
+	// The walk reads the live graph: after a trunk fails no flow is hashed
+	// onto it, and after it recovers flows spread over both trunks again.
 	a, hosts, g := setup()
-	ps := a.Paths(hosts[0], hosts[5])
-	if len(ps) != 2 {
-		t.Fatalf("paths = %d, want 2", len(ps))
-	}
-	// Take one trunk down; cache must refresh.
-	trunk := ps[0].Links[1]
-	g.SetLinkUp(trunk, false)
-	ps2 := a.Paths(hosts[0], hosts[5])
-	if len(ps2) != 1 {
-		t.Fatalf("paths after link down = %d, want 1", len(ps2))
-	}
-	for _, p := range ps2 {
-		if err := p.Valid(g); err != nil {
-			t.Fatalf("stale path after topology change: %v", err)
+	trunks := func() map[topology.LinkID]int {
+		used := map[topology.LinkID]int{}
+		for sp := uint16(0); sp < 64; sp++ {
+			p, err := a.Resolve(tup(hosts[0], hosts[5], sp, 50060))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Valid(g); err != nil {
+				t.Fatalf("dead link on a resolved path: %v", err)
+			}
+			used[p.Links[1]]++
 		}
+		return used
+	}
+	before := trunks()
+	if len(before) != 2 {
+		t.Fatalf("trunks used = %d, want 2", len(before))
+	}
+	var dead topology.LinkID
+	for l := range before {
+		dead = l
+	}
+	g.SetLinkUp(dead, false)
+	if after := trunks(); len(after) != 1 || after[dead] != 0 {
+		t.Fatalf("trunks used after link down = %v, want only the survivor", after)
+	}
+	g.SetLinkUp(dead, true)
+	if back := trunks(); len(back) != 2 {
+		t.Fatalf("trunks used after recovery = %d, want 2", len(back))
 	}
 }
 
@@ -138,33 +160,23 @@ func TestResolveDisconnected(t *testing.T) {
 	g := topology.NewGraph()
 	a := g.AddNode(topology.Host, "a", 0)
 	b := g.AddNode(topology.Host, "b", 1)
-	al := New(g, 2, 0)
-	if _, ok := al.Resolve(tup(a, b, 1, 2)); ok {
+	al := New(g, 0)
+	if _, err := al.Resolve(tup(a, b, 1, 2)); err == nil {
 		t.Fatal("resolved a path in a disconnected graph")
 	}
-}
-
-func TestNewPanicsOnBadK(t *testing.T) {
-	g, _, _ := topology.TwoRack(2, 1, topology.Gbps)
-	defer func() {
-		if recover() == nil {
-			t.Error("k=0 did not panic")
-		}
-	}()
-	New(g, 0, 0)
 }
 
 // Property: Resolve is a pure function of (tuple, seed) and always yields a
 // valid path between the right endpoints.
 func TestPropertyResolve(t *testing.T) {
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
-	a := New(g, 4, 7)
+	a := New(g, 7)
 	f := func(si, di uint8, sp, dp uint16, proto uint8) bool {
 		src := hosts[int(si)%len(hosts)]
 		dst := hosts[int(di)%len(hosts)]
 		ft := netsim.FiveTuple{SrcHost: src, DstHost: dst, SrcPort: sp, DstPort: dp, Protocol: proto}
-		p1, ok := a.Resolve(ft)
-		if !ok {
+		p1, err := a.Resolve(ft)
+		if err != nil {
 			return false
 		}
 		p2, _ := a.Resolve(ft)
@@ -183,7 +195,7 @@ func TestPropertyResolve(t *testing.T) {
 
 func BenchmarkResolve(b *testing.B) {
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
-	a := New(g, 4, 1)
+	a := New(g, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		a.Resolve(tup(hosts[0], hosts[5], uint16(i), 50060))

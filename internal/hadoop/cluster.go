@@ -9,10 +9,10 @@ import (
 )
 
 // PathResolver chooses a network path for a shuffle flow. The ECMP baseline,
-// the OpenFlow fabric (consulted by Pythia-installed rules) and the
-// Hedera-like baseline all implement this.
+// the OpenFlow fabric (Pythia-installed rules, ECMP on a miss) and the
+// Hedera-like baseline all implement it with the same forwarding walk.
 type PathResolver interface {
-	ResolveShuffle(t netsim.FiveTuple) (topology.Path, error)
+	Resolve(t netsim.FiveTuple) (topology.Path, error)
 }
 
 // OutputSink persists reducer output; hdfs.FileSystem implements it. done
@@ -174,7 +174,6 @@ type Cluster struct {
 
 	// listeners (instrumentation middleware, the facade, tests)
 	onMapSpilled      []func(*Job, *MapTask, Spill)
-	onMapFinished     []func(*Job, *MapTask, []float64)
 	onReduceScheduled []func(*Job, *ReduceTask)
 	onJobDone         []func(*Job)
 }
@@ -219,17 +218,10 @@ func (c *Cluster) HostOf(tracker int) topology.NodeID { return c.trackers[tracke
 
 // OnMapSpilled registers a listener for spill events, carrying the attempt
 // identity (the dedup key Pythia's collector relies on) and the tracker the
-// spill actually landed on. Spill listeners fire before OnMapFinished
-// listeners for the same event.
+// spill actually landed on. It fires once per spill, so the losing attempt
+// of a speculated map that escapes the kill fires it a second time.
 func (c *Cluster) OnMapSpilled(fn func(*Job, *MapTask, Spill)) {
 	c.onMapSpilled = append(c.onMapSpilled, fn)
-}
-
-// OnMapFinished registers a listener for map completion; partitions is the
-// per-reducer payload byte vector of the spilled output (what the index
-// file records).
-func (c *Cluster) OnMapFinished(fn func(*Job, *MapTask, []float64)) {
-	c.onMapFinished = append(c.onMapFinished, fn)
 }
 
 // OnReduceScheduled registers a listener for reducer placement (Pythia's
@@ -471,9 +463,6 @@ func (c *Cluster) finishMap(j *Job, m *MapTask, tr *taskTracker, attempt int) {
 		for _, fn := range c.onMapSpilled {
 			fn(j, m, Spill{Attempt: attempt, Tracker: tr.index, Partitions: partitions})
 		}
-		for _, fn := range c.onMapFinished {
-			fn(j, m, partitions)
-		}
 		c.schedule()
 		return
 	}
@@ -513,9 +502,6 @@ func (c *Cluster) finishMap(j *Job, m *MapTask, tr *taskTracker, attempt int) {
 	partitions := append([]float64(nil), j.Spec.MapOutputs[m.ID]...)
 	for _, fn := range c.onMapSpilled {
 		fn(j, m, Spill{Attempt: attempt, Tracker: tr.index, Partitions: partitions})
-	}
-	for _, fn := range c.onMapFinished {
-		fn(j, m, partitions)
 	}
 	// Out-of-band heartbeat: freed slot is reusable immediately.
 	c.schedule()
@@ -584,7 +570,7 @@ func (c *Cluster) startFetch(j *Job, r *ReduceTask, m int) {
 			DstPort:  port,
 			Protocol: 6,
 		}
-		path, err := c.resolver.ResolveShuffle(tuple)
+		path, err := c.resolver.Resolve(tuple)
 		if err != nil {
 			// Unroutable right now (e.g. partition). Back off and retry,
 			// as Hadoop's copier threads do on fetch failures.

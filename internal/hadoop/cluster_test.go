@@ -16,7 +16,7 @@ func rig(cfg Config) (*sim.Engine, *netsim.Network, *Cluster) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	res := ecmp.New(g, 2, 1)
+	res := ecmp.New(g, 1)
 	cl := NewCluster(eng, net, hosts, res, cfg)
 	return eng, net, cl
 }
@@ -171,7 +171,7 @@ func TestSlowstartDelaysReducers(t *testing.T) {
 	cl.OnReduceScheduled(func(j *Job, r *ReduceTask) {
 		reduceSched = append(reduceSched, r.Scheduled)
 	})
-	cl.OnMapFinished(func(j *Job, m *MapTask, parts []float64) {
+	cl.OnMapSpilled(func(j *Job, m *MapTask, _ Spill) {
 		if j.mapsCompleted == 5 {
 			fifthMapDone = m.Finished
 		}
@@ -296,7 +296,7 @@ func TestLocalFetchesUseZeroHopPath(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(1, 1, topology.Gbps)
 	net := netsim.New(eng, g)
-	res := ecmp.New(g, 2, 1)
+	res := ecmp.New(g, 1)
 	// Single host: every fetch is local.
 	cl := NewCluster(eng, net, hosts[:1], res, Config{})
 	spec := uniformSpec(4, 2, 1, 1e6)
@@ -319,7 +319,7 @@ func TestListenersFireInOrder(t *testing.T) {
 	eng, _, cl := rig(Config{})
 	spec := uniformSpec(4, 2, 1, 1e6)
 	var events []string
-	cl.OnMapFinished(func(j *Job, m *MapTask, p []float64) { events = append(events, "mf") })
+	cl.OnMapSpilled(func(j *Job, m *MapTask, _ Spill) { events = append(events, "ms") })
 	cl.OnReduceScheduled(func(j *Job, r *ReduceTask) { events = append(events, "rs") })
 	cl.OnJobDone(func(j *Job) { events = append(events, "jd") })
 	cl.Submit(spec)
@@ -328,7 +328,7 @@ func TestListenersFireInOrder(t *testing.T) {
 	for _, e := range events {
 		counts[e]++
 	}
-	if counts["mf"] != 4 || counts["rs"] != 2 || counts["jd"] != 1 {
+	if counts["ms"] != 4 || counts["rs"] != 2 || counts["jd"] != 1 {
 		t.Fatalf("event counts: %v", counts)
 	}
 	if events[len(events)-1] != "jd" {
@@ -339,8 +339,8 @@ func TestListenersFireInOrder(t *testing.T) {
 func TestMapFinishedPartitionsAreCopies(t *testing.T) {
 	eng, _, cl := rig(Config{})
 	spec := uniformSpec(2, 2, 1, 1e6)
-	cl.OnMapFinished(func(j *Job, m *MapTask, parts []float64) {
-		parts[0] = -999 // mutation must not corrupt the spec
+	cl.OnMapSpilled(func(j *Job, m *MapTask, sp Spill) {
+		sp.Partitions[0] = -999 // mutation must not corrupt the spec
 	})
 	j, _ := cl.Submit(spec)
 	eng.Run()
@@ -414,7 +414,7 @@ func TestConstructorPanics(t *testing.T) {
 				t.Error("empty hosts did not panic")
 			}
 		}()
-		NewCluster(eng, net, nil, ecmp.New(g, 2, 1), Config{})
+		NewCluster(eng, net, nil, ecmp.New(g, 1), Config{})
 	}()
 	func() {
 		defer func() {

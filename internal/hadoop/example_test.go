@@ -16,7 +16,7 @@ func ExampleCluster_Submit() {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cluster := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), hadoop.Config{})
+	cluster := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), hadoop.Config{})
 	job, err := cluster.Submit(workload.ToySort())
 	if err != nil {
 		panic(err)
@@ -30,15 +30,15 @@ func ExampleCluster_Submit() {
 
 // The instrumentation hooks expose exactly the events Pythia's middleware
 // consumes: spills with per-reducer partition sizes.
-func ExampleCluster_OnMapFinished() {
+func ExampleCluster_OnMapSpilled() {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cluster := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), hadoop.Config{})
-	cluster.OnMapFinished(func(j *hadoop.Job, m *hadoop.MapTask, partitions []float64) {
+	cluster := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), hadoop.Config{})
+	cluster.OnMapSpilled(func(j *hadoop.Job, m *hadoop.MapTask, sp hadoop.Spill) {
 		if m.ID == 0 {
 			fmt.Printf("map-0 spilled %.0f MB for reducer-0, %.0f MB for reducer-1\n",
-				partitions[0]/1e6, partitions[1]/1e6)
+				sp.Partitions[0]/1e6, sp.Partitions[1]/1e6)
 		}
 	})
 	cluster.Submit(workload.ToySort())

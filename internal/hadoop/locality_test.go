@@ -19,7 +19,7 @@ func localityRig(t *testing.T, blocks int) (*sim.Engine, *netsim.Network, *Clust
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	res := ecmp.New(g, 2, 1)
+	res := ecmp.New(g, 1)
 	fs := hdfs.New(eng, net, hosts, res, hdfs.Config{}, 1)
 	written := false
 	fs.Write(hosts[0], "/input", float64(blocks)*64e6, func(*hdfs.File) { written = true })
@@ -63,7 +63,7 @@ func TestRemoteMapsStreamInput(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	res := ecmp.New(g, 2, 1)
+	res := ecmp.New(g, 1)
 	fs := hdfs.New(eng, net, hosts[:5], res, hdfs.Config{}, 1)
 	fs.Write(hosts[0], "/input", 12*64e6, nil)
 	eng.Run()
@@ -91,7 +91,7 @@ func TestRemoteMapsSlowerThanLocal(t *testing.T) {
 		eng := sim.NewEngine()
 		g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 		net := netsim.New(eng, g)
-		res := ecmp.New(g, 2, 1)
+		res := ecmp.New(g, 1)
 		fs := hdfs.New(eng, net, hosts[:5], res, hdfs.Config{}, 1)
 		fs.Write(hosts[0], "/input", 20*64e6, nil)
 		eng.Run()

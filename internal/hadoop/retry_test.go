@@ -17,7 +17,7 @@ func TestFetchRetriesAcrossPartition(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, trunks := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), Config{})
+	cl := NewCluster(eng, net, hosts, ecmp.New(g, 1), Config{})
 	j, _ := cl.Submit(uniformSpec(8, 4, 1, 5e6))
 	// Partition both trunks from t=2 (before fetches can finish) to t=20.
 	setAll := func(up bool) {
@@ -49,7 +49,7 @@ func TestEventPollIntervalBoundsFetchLag(t *testing.T) {
 		eng := sim.NewEngine()
 		g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 		net := netsim.New(eng, g)
-		cl := NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), Config{EventPollInterval: poll})
+		cl := NewCluster(eng, net, hosts, ecmp.New(g, 1), Config{EventPollInterval: poll})
 		spec := uniformSpec(10, 2, 2, 1e6)
 		// Stagger maps so late completions land between polls.
 		for m := range spec.MapDurations {
@@ -77,7 +77,7 @@ func TestTwoJobsShareSlots(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), Config{})
+	cl := NewCluster(eng, net, hosts, ecmp.New(g, 1), Config{})
 	j1, _ := cl.Submit(uniformSpec(40, 2, 2, 1e6))
 	j2, _ := cl.Submit(uniformSpec(40, 2, 2, 1e6))
 	eng.Run()
@@ -94,7 +94,7 @@ func TestFetchSetupDelayVisible(t *testing.T) {
 		eng := sim.NewEngine()
 		g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 		net := netsim.New(eng, g)
-		cl := NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), Config{FetchSetupDelay: d})
+		cl := NewCluster(eng, net, hosts, ecmp.New(g, 1), Config{FetchSetupDelay: d})
 		j, _ := cl.Submit(uniformSpec(10, 2, 1, 1e6))
 		eng.Run()
 		return float64(j.Duration())
@@ -114,7 +114,7 @@ func TestPropertyJobsAlwaysComplete(t *testing.T) {
 		eng := sim.NewEngine()
 		g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 		net := netsim.New(eng, g)
-		cl := NewCluster(eng, net, hosts, ecmp.New(g, 2, seed), Config{})
+		cl := NewCluster(eng, net, hosts, ecmp.New(g, seed), Config{})
 		d := make([]float64, maps)
 		o := make([][]float64, maps)
 		for m := range d {

@@ -20,7 +20,7 @@ func specRig(cfg Config) (*sim.Engine, *Cluster) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), cfg)
+	cl := NewCluster(eng, net, hosts, ecmp.New(g, 1), cfg)
 	return eng, cl
 }
 
@@ -69,7 +69,7 @@ func TestSpeculationWinnerSourcesFetches(t *testing.T) {
 	spec := stragglerSpec(12, 2)
 	j, _ := cl.Submit(spec)
 	var winnerTracker int = -1
-	cl.OnMapFinished(func(job *Job, m *MapTask, _ []float64) {
+	cl.OnMapSpilled(func(job *Job, m *MapTask, _ Spill) {
 		if m.ID == spec.NumMaps-1 && m.State == Completed && winnerTracker == -1 {
 			winnerTracker = m.Tracker
 		}
@@ -120,7 +120,7 @@ func TestNearTieProducesDuplicateSpill(t *testing.T) {
 	spec.MapDurations[11] = 6
 	j, _ := cl.Submit(spec)
 	finishes := map[int]int{}
-	cl.OnMapFinished(func(job *Job, m *MapTask, _ []float64) { finishes[m.ID]++ })
+	cl.OnMapSpilled(func(job *Job, m *MapTask, _ Spill) { finishes[m.ID]++ })
 	eng.Run()
 	if !j.Done {
 		t.Fatal("job did not finish")
@@ -148,7 +148,7 @@ func TestNearTieProducesDuplicateSpill(t *testing.T) {
 // carries the 1-based attempt that produced it and that attempt's own
 // tracker — a speculative loser's duplicate spill must not be attributed to
 // the winner's host (the bug the prediction plane inherited from routing
-// spill events through OnMapFinished's task.Tracker).
+// spill events through the map's task.Tracker).
 func TestSpillAttributionPerAttempt(t *testing.T) {
 	eng, cl := specRig(Config{Speculative: true, SpeculativeLagFactor: 1.1})
 	spec := uniformSpec(12, 2, 2, 2e6)
@@ -209,7 +209,7 @@ func TestDuplicateIntentsHandledByPythia(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), Config{Speculative: true, SpeculativeLagFactor: 1.1})
+	cl := NewCluster(eng, net, hosts, ecmp.New(g, 1), Config{Speculative: true, SpeculativeLagFactor: 1.1})
 	j, _ := cl.Submit(stragglerSpec(12, 3))
 	eng.Run()
 	if !j.Done {

@@ -18,7 +18,7 @@ func writebackRig() (*sim.Engine, *netsim.Network, *Cluster, *hdfs.FileSystem) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	res := ecmp.New(g, 2, 1)
+	res := ecmp.New(g, 1)
 	cl := NewCluster(eng, net, hosts, res, Config{})
 	fs := hdfs.New(eng, net, hosts, res, hdfs.Config{}, 1)
 	cl.SetOutputSink(fs)
@@ -68,7 +68,7 @@ func TestWritebackIgnoredWithoutSink(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), Config{})
+	cl := NewCluster(eng, net, hosts, ecmp.New(g, 1), Config{})
 	spec := uniformSpec(4, 2, 1, 5e6)
 	spec.ReduceOutputRatio = 1.0
 	j, _ := cl.Submit(spec)
@@ -84,7 +84,7 @@ func TestWritebackSlotHeldDuringWrite(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(2, 1, topology.Gbps)
 	net := netsim.New(eng, g)
-	res := ecmp.New(g, 2, 1)
+	res := ecmp.New(g, 1)
 	cl := NewCluster(eng, net, hosts, res, Config{ReduceSlots: 1})
 	fs := hdfs.New(eng, net, hosts, res, hdfs.Config{}, 1)
 	cl.SetOutputSink(fs)

@@ -23,7 +23,7 @@ import (
 // PathResolver chooses network paths for block transfers (usually plain
 // ECMP; mirrors hadoop.PathResolver).
 type PathResolver interface {
-	ResolveShuffle(t netsim.FiveTuple) (topology.Path, error)
+	Resolve(t netsim.FiveTuple) (topology.Path, error)
 }
 
 // DataPort is the datanode streaming port (50010 in Hadoop 1.x).
@@ -300,7 +300,7 @@ func (fs *FileSystem) transfer(src, dst topology.NodeID, bytes float64, done fun
 	if src == dst {
 		path = topology.Path{Src: src, Dst: dst}
 	} else {
-		p, err := fs.resolver.ResolveShuffle(tuple)
+		p, err := fs.resolver.Resolve(tuple)
 		if err != nil {
 			// Unroutable (partition): retry like the DFSClient does.
 			fs.eng.After(5*sim.Second, func() { fs.transfer(src, dst, bytes, done) })

@@ -16,7 +16,7 @@ func rig() (*sim.Engine, *netsim.Network, *FileSystem, []topology.NodeID) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	fs := New(eng, net, hosts, ecmp.New(g, 2, 1), Config{}, 1)
+	fs := New(eng, net, hosts, ecmp.New(g, 1), Config{}, 1)
 	return eng, net, fs, hosts
 }
 
@@ -182,7 +182,7 @@ func TestSingleRackFallback(t *testing.T) {
 	net := netsim.New(eng, g)
 	// Use only rack-0 hosts as datanodes: remote-rack placement must fall
 	// back to same-rack nodes.
-	fs := New(eng, net, hosts[:5], ecmp.New(g, 2, 1), Config{}, 1)
+	fs := New(eng, net, hosts[:5], ecmp.New(g, 1), Config{}, 1)
 	var file *File
 	fs.Write(hosts[0], "/single", 64e6, func(f *File) { file = f })
 	eng.Run()
@@ -205,7 +205,7 @@ func TestReplicationCappedByClusterSize(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(1, 1, topology.Gbps)
 	net := netsim.New(eng, g)
-	fs := New(eng, net, hosts, ecmp.New(g, 2, 1), Config{Replication: 5}, 1)
+	fs := New(eng, net, hosts, ecmp.New(g, 1), Config{Replication: 5}, 1)
 	var file *File
 	fs.Write(hosts[0], "/c", 1e6, func(f *File) { file = f })
 	eng.Run()
@@ -224,7 +224,7 @@ func TestConstructorPanics(t *testing.T) {
 				t.Error("empty hosts did not panic")
 			}
 		}()
-		New(eng, net, nil, ecmp.New(g, 2, 1), Config{}, 1)
+		New(eng, net, nil, ecmp.New(g, 1), Config{}, 1)
 	}()
 	func() {
 		defer func() {
@@ -314,7 +314,7 @@ func TestFailDataNodeDataLoss(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(2, 1, topology.Gbps)
 	net := netsim.New(eng, g)
-	fs := New(eng, net, hosts, ecmp.New(g, 2, 1), Config{Replication: 1}, 1)
+	fs := New(eng, net, hosts, ecmp.New(g, 1), Config{Replication: 1}, 1)
 	fs.Write(hosts[0], "/solo", 64e6, nil)
 	eng.Run()
 	var lost int
@@ -349,7 +349,7 @@ func TestPropertyPlacementPolicy(t *testing.T) {
 		eng := sim.NewEngine()
 		g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 		net := netsim.New(eng, g)
-		fs := New(eng, net, hosts, ecmp.New(g, 2, 1), Config{}, seed)
+		fs := New(eng, net, hosts, ecmp.New(g, 1), Config{}, seed)
 		writer := hosts[int(writerIdx)%len(hosts)]
 		size := (float64(sizeMB%512) + 1) * 1e6
 		var file *File

@@ -30,7 +30,9 @@ type Config struct {
 	// rate exceeds this fraction of its bottleneck link capacity
 	// (Hedera used 10% of NIC rate).
 	ElephantFraction float64
-	// K is the number of candidate paths per pair.
+	// K is the number of candidate paths per pair maybeMove considers
+	// (the first K equal-cost paths); first placement is the ECMP walk
+	// over every equal-cost path.
 	K int
 	// MoveMarginBps: only move an elephant if the best alternative path
 	// offers at least this much more spare bandwidth (hysteresis).
@@ -65,10 +67,11 @@ func (c Config) Defaults() Config {
 type Scheduler struct {
 	*ecmp.Allocator // initial placement: plain ECMP
 
-	eng *sim.Engine
-	net *netsim.Network
-	g   *topology.Graph
-	cfg Config
+	eng   *sim.Engine
+	net   *netsim.Network
+	g     *topology.Graph
+	paths *topology.PathCache // maybeMove's candidates
+	cfg   Config
 
 	// planned holds flows with a pending (latency-delayed) move so the
 	// sweep does not schedule the same move twice.
@@ -84,10 +87,11 @@ type Scheduler struct {
 func New(eng *sim.Engine, net *netsim.Network, seed uint64, cfg Config) *Scheduler {
 	cfg = cfg.Defaults()
 	s := &Scheduler{
-		Allocator: ecmp.New(net.Graph(), cfg.K, seed),
+		Allocator: ecmp.New(net.Graph(), seed),
 		eng:       eng,
 		net:       net,
 		g:         net.Graph(),
+		paths:     topology.NewPathCache(net.Graph(), cfg.K),
 		cfg:       cfg,
 		planned:   make(map[netsim.FlowID]bool),
 	}
@@ -172,7 +176,7 @@ func (s *Scheduler) bottleneckCap(p topology.Path) float64 {
 
 // maybeMove re-places one elephant if a strictly better path exists.
 func (s *Scheduler) maybeMove(f *netsim.Flow) {
-	paths := s.Paths(f.Tuple.SrcHost, f.Tuple.DstHost)
+	paths := s.paths.Paths(f.Tuple.SrcHost, f.Tuple.DstHost)
 	if len(paths) < 2 {
 		return
 	}

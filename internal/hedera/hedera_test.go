@@ -92,7 +92,7 @@ func TestHysteresisPreventsFlapping(t *testing.T) {
 
 func TestSchedulerActsAsECMPResolver(t *testing.T) {
 	_, _, s, hosts, _ := rig(Config{})
-	p, err := s.ResolveShuffle(tup(hosts[0], hosts[5], 3, 4))
+	p, err := s.Resolve(tup(hosts[0], hosts[5], 3, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestHederaBetweenECMPAndOptimal(t *testing.T) {
 		if useHedera {
 			resolver = New(eng, net, 1, Config{})
 		} else {
-			resolver = ecmp.New(g, 2, 1)
+			resolver = ecmp.New(g, 1)
 		}
 		cl := hadoop.NewCluster(eng, net, hosts, resolver, hadoop.Config{})
 		j, err := cl.Submit(workload.Sort(4*workload.GB, 8, 42))
@@ -218,7 +218,7 @@ func TestHederaOnLeafSpine(t *testing.T) {
 	// An elephant initially ECMP-placed lands somewhere; wherever it is,
 	// Hedera must ensure it completes near the clean spine's rate.
 	var done sim.Time
-	p, err := s.ResolveShuffle(tup(hosts[0], hosts[7], 1, 1))
+	p, err := s.Resolve(tup(hosts[0], hosts[7], 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

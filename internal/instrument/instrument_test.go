@@ -133,7 +133,7 @@ func rig() (*sim.Engine, *hadoop.Cluster, *recordingSink, *Middleware) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), hadoop.Config{})
+	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), hadoop.Config{})
 	sink := &recordingSink{}
 	mw := Attach(eng, cl, sink, Config{})
 	return eng, cl, sink, mw
@@ -254,7 +254,7 @@ func TestOverheadZeroElapsed(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(2, 1, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), hadoop.Config{})
+	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), hadoop.Config{})
 	mw := Attach(eng, cl, &recordingSink{}, Config{})
 	rep := mw.Overhead()
 	if rep.MeanCPUFraction != 0 || rep.Spills != 0 {
@@ -266,7 +266,7 @@ func TestAttachNilSinkPanics(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(2, 1, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), hadoop.Config{})
+	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), hadoop.Config{})
 	defer func() {
 		if recover() == nil {
 			t.Error("nil sink did not panic")
@@ -325,7 +325,7 @@ func TestExplicitManagementNetwork(t *testing.T) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), hadoop.Config{})
+	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), hadoop.Config{})
 	mn := mgmtnet.New(eng, mgmtnet.Config{})
 	sink := &recordingSink{}
 	mw := Attach(eng, cl, sink, Config{Mgmt: mn})

@@ -19,7 +19,7 @@ func faultRig(cfg Config) (*sim.Engine, *hadoop.Cluster, *recordingSink, *Middle
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), hadoop.Config{})
+	cl := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), hadoop.Config{})
 	sink := &recordingSink{}
 	mw := Attach(eng, cl, sink, cfg)
 	return eng, cl, sink, mw, hosts

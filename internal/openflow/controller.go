@@ -1,14 +1,12 @@
 package openflow
 
 import (
-	"fmt"
-
+	"pythia/internal/ecmp"
 	"pythia/internal/flight"
 	"pythia/internal/mgmtnet"
 	"pythia/internal/netsim"
 	"pythia/internal/ofp10"
 	"pythia/internal/sim"
-	"pythia/internal/stats"
 	"pythia/internal/topology"
 )
 
@@ -475,56 +473,21 @@ func (c *Controller) RemovePath(cookie uint64) int {
 	return removed
 }
 
-// Resolve walks a tuple through the fabric hop by hop: hosts forward on
-// their single uplink; switches consult their flow table and, on a miss,
-// fall back to local ECMP hashing over the shortest-path next hops (the
-// default datacenter pipeline in the paper). It fails when the fabric has
-// no route or a rule loop is detected.
+// Resolve walks a tuple through the fabric hop by hop (ecmp.Walk): hosts
+// forward on their single uplink; switches consult their flow table and, on
+// a miss, fall back to the default pipeline's ECMP hash over the
+// shortest-path next hops. It fails when the fabric has no route or a rule
+// loop is detected.
 func (c *Controller) Resolve(t netsim.FiveTuple) (topology.Path, error) {
-	if t.SrcHost == t.DstHost {
-		return topology.Path{Src: t.SrcHost, Dst: t.DstHost}, nil
-	}
-	var links []topology.LinkID
-	at := t.SrcHost
-	maxHops := 4 * c.g.NumNodes()
-	for at != t.DstHost {
-		if len(links) >= maxHops {
-			return topology.Path{}, fmt.Errorf("openflow: forwarding loop resolving %v after %d hops", t, len(links))
+	return ecmp.Walk(c.g, t, 0, func(at topology.NodeID) (topology.LinkID, bool) {
+		sw, ok := c.switches[at]
+		if !ok {
+			return -1, false
 		}
-		var next topology.LinkID = -1
-		if sw, ok := c.switches[at]; ok {
-			if rule, ok := sw.Lookup(t); ok && c.g.LinkUp(rule.Out) && c.g.Link(rule.Out).From == at {
-				next = rule.Out
-			}
+		rule, ok := sw.Lookup(t)
+		if !ok || !c.g.LinkUp(rule.Out) || c.g.Link(rule.Out).From != at {
+			return -1, false
 		}
-		if next == -1 {
-			// Default pipeline: ECMP local hash over shortest-path
-			// next hops.
-			c.hops = c.g.NextHops(at, t.DstHost, c.hops)
-			if len(c.hops) == 0 {
-				return topology.Path{}, fmt.Errorf("openflow: no route from node %d to %d", at, t.DstHost)
-			}
-			next = c.hops[localHash(t, at)%uint64(len(c.hops))]
-		}
-		links = append(links, next)
-		at = c.g.Link(next).To
-	}
-	p := topology.Path{Links: links, Src: t.SrcHost, Dst: t.DstHost}
-	if err := p.Valid(c.g); err != nil {
-		return topology.Path{}, fmt.Errorf("openflow: resolved invalid path: %w", err)
-	}
-	return p, nil
-}
-
-// ResolveShuffle adapts Resolve to the hadoop.PathResolver interface: under
-// Pythia, shuffle flows are routed by whatever rules the controller has
-// installed, falling back to the default ECMP pipeline on a table miss.
-func (c *Controller) ResolveShuffle(t netsim.FiveTuple) (topology.Path, error) {
-	return c.Resolve(t)
-}
-
-func localHash(t netsim.FiveTuple, at topology.NodeID) uint64 {
-	z := uint64(t.SrcHost)<<48 ^ uint64(t.DstHost)<<32 ^
-		uint64(t.SrcPort)<<16 ^ uint64(t.DstPort) ^ uint64(t.Protocol)<<56 ^ uint64(at)<<24
-	return stats.Mix64(z)
+		return rule.Out, true
+	}, &c.hops)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pythia/internal/ecmp"
 	"pythia/internal/netsim"
 	"pythia/internal/sim"
 	"pythia/internal/topology"
@@ -450,6 +451,56 @@ func TestPropertyResolveValid(t *testing.T) {
 				if n == 0 {
 					t.Fatalf("%d tuples never took equal-cost path %d: %v", tc.tuples, j, hit)
 				}
+			}
+		})
+	}
+}
+
+// TestECMPIsTheTableMissWalk: the ECMP baseline is the controller's
+// forwarding walk on empty tables — with salt 0 both resolve every tuple to
+// the same path on every builder fabric — and a non-zero salt is a
+// different hash draw.
+func TestECMPIsTheTableMissWalk(t *testing.T) {
+	twoRack := func() (*topology.Graph, []topology.NodeID) {
+		g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
+		return g, hosts
+	}
+	for _, tc := range []struct {
+		name  string
+		build func() (*topology.Graph, []topology.NodeID)
+	}{
+		{"two-rack", twoRack},
+		{"leaf-spine 4x4", func() (*topology.Graph, []topology.NodeID) { return topology.LeafSpine(4, 4, 4, topology.Gbps) }},
+		{"fat-tree k=4", func() (*topology.Graph, []topology.NodeID) { return topology.FatTree(4, 2, topology.Gbps) }},
+		{"fat-tree k=8", func() (*topology.Graph, []topology.NodeID) { return topology.FatTree(8, 4, topology.Gbps) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			g, hosts := tc.build()
+			c := NewController(eng, netsim.New(eng, g), 0)
+			base, salted := ecmp.New(g, 0), ecmp.New(g, 1)
+			rng := rand.New(rand.NewSource(29))
+			moved := 0
+			for i := 0; i < 4096; i++ {
+				ft := tup(hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))],
+					uint16(rng.Intn(1<<16)), uint16(rng.Intn(1<<16)))
+				want, err := c.Resolve(ft)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := base.Resolve(ft)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%v: ecmp %v, table miss %v", ft, got.Links, want.Links)
+				}
+				if s, _ := salted.Resolve(ft); !s.Equal(want) {
+					moved++
+				}
+			}
+			if moved == 0 {
+				t.Fatal("salt 1 resolved all 4096 tuples exactly as salt 0")
 			}
 		})
 	}

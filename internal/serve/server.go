@@ -51,7 +51,8 @@ type Config struct {
 	// sweep). Zero disables.
 	BookingTTLSec float64
 
-	// K is the k-shortest-paths fan-out per pair. FatTreeK/HostsPerEdge
+	// K is Pythia's candidate count per pair (the first K equal-cost
+	// paths; the fabric's table miss hashes over all). FatTreeK/HostsPerEdge
 	// size the fat-tree fabric standing in for the datacenter network.
 	K            int
 	FatTreeK     int

@@ -54,9 +54,9 @@ type Config struct {
 	Scheduler Scheduler
 	// Seed salts the ECMP hash (and HDFS placement).
 	Seed uint64
-	// K is the run's path diversity (default 4), handed to every scheduler:
-	// the first K equal-cost paths of a pair are Pythia's and Hedera's
-	// candidate set and ECMP's hash set.
+	// K is Pythia's and Hedera's candidate count (default 4): the first K
+	// equal-cost paths of a pair. ECMP and table misses are the forwarding
+	// walk over every equal-cost next hop and ignore it.
 	K int
 
 	// Fabric shape. Spines > 0 builds a leaf-spine with Leaves racks
@@ -205,7 +205,7 @@ func Build(cfg Config) (*Testbed, error) {
 	var sink instrument.Sink = nullSink{}
 	switch cfg.Scheduler {
 	case ECMP:
-		tb.ECMP = ecmp.New(g, cfg.K, cfg.Seed)
+		tb.ECMP = ecmp.New(g, cfg.Seed)
 		// Fault plane: re-hash in-flight shuffle flows off dead paths.
 		tb.ECMP.AttachNetwork(net, netsim.Shuffle)
 		resolver = tb.ECMP
@@ -244,7 +244,7 @@ func Build(cfg Config) (*Testbed, error) {
 		// HDFS traffic always rides the default pipeline (distinct hash
 		// salt so it does not mirror the shuffle's ECMP draws); its own
 		// allocator rescues stranded storage flows on topology events.
-		hal := ecmp.New(g, cfg.K, cfg.Seed^0xD47A)
+		hal := ecmp.New(g, cfg.Seed^0xD47A)
 		hal.AttachNetwork(net, netsim.Storage)
 		tb.HDFS = hdfs.New(eng, net, hosts, hal, hdfs.Config{}, cfg.Seed)
 		tb.Cluster.SetOutputSink(tb.HDFS)

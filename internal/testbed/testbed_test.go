@@ -1,7 +1,6 @@
 package testbed
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -24,9 +23,9 @@ func mustBuild(t *testing.T, cfg Config) *Testbed {
 }
 
 // TestECMPHashesOverEveryEqualCostPath: the baseline hashes over the whole
-// equal-cost set the default path diversity exposes on each fabric — not a
-// fixed two of them — and a seeded stream of five-tuples reaches every
-// member.
+// equal-cost set of each fabric — not a fixed two of them, and not the run's
+// K — so a seeded stream of five-tuples takes only members of the set and
+// reaches every one.
 func TestECMPHashesOverEveryEqualCostPath(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -39,29 +38,41 @@ func TestECMPHashesOverEveryEqualCostPath(t *testing.T) {
 		{"two-rack 4 trunks", Config{Trunks: 4}, 5, 200, 4},
 		{"leaf-spine 4 spines", Config{Leaves: 4, Spines: 4}, 5, 200, 4},
 		{"fat-tree k=4 inter-pod", Config{FatTreeK: 4}, 4, 200, 4},
-		{"fat-tree k=8 inter-pod, K=16", Config{FatTreeK: 8, K: 16}, 16, 800, 16},
+		{"fat-tree k=8 inter-pod", Config{FatTreeK: 8}, 16, 800, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.cfg.Seed = 1
 			tb := mustBuild(t, tc.cfg)
 			src, dst := tb.Hosts[0], tb.Hosts[tc.dst]
-			if got := len(tb.ECMP.Paths(src, dst)); got != tc.wantEqCo {
-				t.Fatalf("equal-cost set has %d paths, want %d", got, tc.wantEqCo)
+			set := tb.Graph.EqualCostPaths(src, dst, 1<<20)
+			if len(set) != tc.wantEqCo {
+				t.Fatalf("equal-cost set has %d paths, want %d", len(set), tc.wantEqCo)
 			}
 			rng := stats.NewRNG(7)
-			hit := map[string]int{}
+			hit := make([]int, len(set))
 			for i := 0; i < tc.tuples; i++ {
-				p, err := tb.ECMP.ResolveShuffle(netsim.FiveTuple{
+				p, err := tb.ECMP.Resolve(netsim.FiveTuple{
 					SrcHost: src, DstHost: dst, Protocol: 6,
 					SrcPort: hadoop.ShufflePort, DstPort: uint16(1024 + rng.Intn(60000)),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				hit[fmt.Sprint(p.Links)]++
+				member := -1
+				for j, q := range set {
+					if p.Equal(q) {
+						member = j
+					}
+				}
+				if member < 0 {
+					t.Fatalf("resolved %v, not one of the %d equal-cost paths", p.Links, len(set))
+				}
+				hit[member]++
 			}
-			if len(hit) != tc.wantEqCo {
-				t.Fatalf("%d five-tuples hit %d of %d paths: %v", tc.tuples, len(hit), tc.wantEqCo, hit)
+			for j, n := range hit {
+				if n == 0 {
+					t.Fatalf("%d five-tuples never took equal-cost path %d: %v", tc.tuples, j, hit)
+				}
 			}
 		})
 	}

@@ -20,7 +20,7 @@ func rig(cfg hadoop.Config) (*sim.Engine, *netsim.Network, *hadoop.Cluster) {
 	eng := sim.NewEngine()
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
-	return eng, net, hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 2, 1), cfg)
+	return eng, net, hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), cfg)
 }
 
 func runToy() *Sequence {
