@@ -17,7 +17,8 @@
 // SIGINT/SIGTERM. -metrics (default on) serves the Prometheus exposition at
 // GET /metrics; -pprof mounts /debug/pprof; -log-level enables structured
 // JSON request logs on stderr; -flight-events keeps a bounded in-memory
-// flight recorder of the batch lifecycle. With -wal-dir every batch is
+// flight recorder of the batch lifecycle and the collector's events in each
+// batch. With -wal-dir every batch is
 // journaled before it is acknowledged and -recover restarts from the
 // journal (last snapshot plus tail replay).
 package main
@@ -55,7 +56,7 @@ func main() {
 	metrics := flag.Bool("metrics", true, "serve the Prometheus exposition at GET /metrics")
 	doPprof := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	logLevel := flag.String("log-level", "", "structured JSON request logs on stderr at this level (debug|info|warn|error; empty = off)")
-	flightEvents := flag.Int("flight-events", 0, "keep the newest N serve-plane flight events in memory (0 = off)")
+	flightEvents := flag.Int("flight-events", 0, "keep the newest N serve- and collector-plane flight events in memory (0 = off)")
 	flag.Parse()
 
 	runServe(serve.Config{

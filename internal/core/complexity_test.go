@@ -184,9 +184,10 @@ func TestResolvedIntentPathAllocs(t *testing.T) {
 		next++
 	})
 	t.Logf("%.1f allocs per %d-intent batch", allocs, batch)
-	// Measured 21: 16 booking rows, the results slice, the escaping delta log
-	// and the amortized growth. The single-shard phase no longer builds an
-	// index of the batch (23 with it).
+	// Measured 18: 16 booking rows, the results slice and the list of shard
+	// streams; the delta log's backing array is reused across batches. (21
+	// while the shard phase built a closure and the merge a head index, 23
+	// while the single-shard phase built an index of the batch.)
 	limit := float64(batch + 6)
 	if raceBuild {
 		limit = 2*batch + 6 // 37 measured: each intent escapes once more

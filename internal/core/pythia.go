@@ -21,12 +21,14 @@
 // over shared links and is inherently serial.
 //
 // Sharding is invisible to results. Every operation touches only its own
-// job's shard, and the two places where state from several shards meets —
-// the booking-TTL sweep and ApplyBatch's placement-plane commit — merge the
-// per-shard (already sorted) streams with a deterministic min-key merge
-// that reproduces the exact single-shard order. Same-seed runs are
-// therefore bit-identical at any shard count, the same discipline the
-// sharded network allocator follows (see netsim).
+// job's shard, and the two places where state from several shards meets fix
+// one global order: the booking-TTL sweep sorts every expired booking by
+// (job, map, reduce), and ApplyBatch's commit min-key merges the per-shard
+// (op, sub)-stamped delta streams back into batch order. Same-seed runs are
+// therefore bit-identical at any shard count.
+//
+// ApplyBatch is the only ingestion path: the instrumentation-sink methods
+// (ShuffleIntent, ReducerUp, JobDone) are batches of one.
 package core
 
 import (
@@ -345,8 +347,8 @@ func (sh *shard) release(js *jobState, m, r int) (booking, bool) {
 	return b, true
 }
 
-// Pythia is the controller. It implements Collector (and therefore
-// instrument.Sink and instrument.JobDoneSink).
+// Pythia is the controller. It implements instrument.Sink and
+// instrument.JobDoneSink.
 type Pythia struct {
 	eng *sim.Engine
 	net *netsim.Network
@@ -464,6 +466,14 @@ func (p *Pythia) Shards() int { return len(p.shards) }
 // leave the field nil to disable recording.
 func (p *Pythia) SetFlightRecorder(s flight.Sink) { p.fl = s }
 
+// record stamps a collector flight event with the engine's clock and hands it
+// to the sink, so a sink that stamps nothing still gets simulated time.
+// Callers check p.fl before building the event.
+func (p *Pythia) record(ev flight.Event) {
+	ev.T = p.eng.Now()
+	p.fl.Record(ev)
+}
+
 // SetPlacementHook registers fn to observe every placement decision (rule
 // install, re-install or re-affirmation) in decision order. Observation is
 // pure: it must not mutate collector or fabric state. The serving surface
@@ -550,42 +560,27 @@ func (p *Pythia) kPaths(src, dst topology.NodeID) []topology.Path {
 	return p.paths.Paths(src, dst)
 }
 
-// ShuffleIntent ingests one prediction message (instrument.Sink).
-// Ingestion is idempotent on (job, map, attempt): a duplicated
+// ShuffleIntent ingests one prediction message (instrument.Sink) as a batch
+// of one. Ingestion is idempotent on (job, map, attempt): a duplicated
 // management-network delivery or a restart re-scan re-emission of an
 // already-received intent is dropped outright. A *different* attempt of the
 // same map (speculative backup) still flows through — the per-(job, map,
 // reducer) booking replace keeps it from double-counting.
 func (p *Pythia) ShuffleIntent(in instrument.Intent) {
-	if p.ingestIntent(p.shardOf(in.Job), in, p.nextSeq, p.fl, p) == OpDuplicate {
-		return
-	}
-	p.nextSeq++
-	p.allocate()
-}
-
-// plane receives the placement-plane half of booking operations, in a
-// deterministic order: the Pythia itself in single-op mode, a deltaLog in
-// ApplyBatch's shard phase (where the global aggregates must not be touched
-// concurrently and the deltas replay later in merged order).
-type plane interface {
-	bookGlobal(fk flowKey, b booking)
-	unbookGlobal(fk flowKey, b booking)
+	p.ApplyBatch([]Op{{Kind: OpIntent, Intent: in}}, 1)
 }
 
 // ingestIntent is the shard-local half of one intent: the idempotence check,
 // then every per-reducer demand either booked (reducer placed) or deferred,
 // in reducer-ID order — PredictedWireBytes is indexed by reducer, so the walk
-// is already the order the flight log and the delta stream need. seq is the
-// intent's arrival ordinal. fl is the flight sink to use: nil in batch mode,
-// where the shard phase runs concurrently and collector-plane events for
-// batched operations are not recorded.
-func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, fl flight.Sink, pl plane) OpResult {
+// is already the order the delta log needs. seq is the intent's arrival
+// ordinal.
+func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, log *deltaLog) OpResult {
 	k := [2]int{in.Map, in.Attempt}
 	js := sh.jobs[in.Job]
 	if js != nil && js.seen[k] {
 		sh.dedupHits++
-		recordIntent(fl, in, flight.DispDup)
+		log.recordIntent(&in, flight.DispDup)
 		return OpDuplicate
 	}
 	if js == nil {
@@ -595,9 +590,9 @@ func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, fl fl
 	js.lastSeen = p.eng.Now()
 	sh.intentsReceived++
 	if in.Late {
-		recordIntent(fl, in, flight.DispLate)
+		log.recordIntent(&in, flight.DispLate)
 	} else {
-		recordIntent(fl, in, flight.DispOK)
+		log.recordIntent(&in, flight.DispOK)
 	}
 	var row []booking
 	var pi *pendingIntent
@@ -616,7 +611,7 @@ func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, fl fl
 		if row == nil {
 			row = js.row(in.Map, len(in.PredictedWireBytes))
 		}
-		p.book(sh, js, row, &in, r, bytes, dst, fl, pl)
+		p.book(sh, js, row, &in, r, bytes, dst, log)
 	}
 	if pi == nil {
 		return OpAccepted
@@ -628,22 +623,21 @@ func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, fl fl
 }
 
 // ReducerUp records a reducer's server placement and drains any deferred
-// demand now resolvable (instrument.Sink).
+// demand now resolvable (instrument.Sink), as a batch of one.
 func (p *Pythia) ReducerUp(up instrument.ReducerUp) {
-	if p.fl != nil {
-		ev := flight.Ev(flight.ReducerUpSeen, flight.PlaneCollector)
-		ev.Job, ev.Reduce, ev.Dst = up.Job, up.Reduce, up.Host
-		p.fl.Record(ev)
-	}
-	p.reducerUpLocal(p.shardOf(up.Job), up, p.fl, p)
-	p.allocate()
+	p.ApplyBatch([]Op{{Kind: OpReducerUp, Reducer: up}}, 1)
 }
 
 // reducerUpLocal is the shard-local half of ReducerUp. Only the job's own
 // deferred intents are visited, and of each only the demand for this
 // reducer: an unresolved demand is by construction one whose reducer has no
 // recorded host, so nothing else can resolve on this event.
-func (p *Pythia) reducerUpLocal(sh *shard, up instrument.ReducerUp, fl flight.Sink, pl plane) {
+func (p *Pythia) reducerUpLocal(sh *shard, up instrument.ReducerUp, log *deltaLog) {
+	if log.events {
+		ev := flight.Ev(flight.ReducerUpSeen, flight.PlaneCollector)
+		ev.Job, ev.Reduce, ev.Dst = up.Job, up.Reduce, up.Host
+		log.record(ev)
+	}
 	js := sh.job(up.Job)
 	js.lastSeen = p.eng.Now()
 	js.reducerLoc[up.Reduce] = up.Host
@@ -652,7 +646,7 @@ func (p *Pythia) reducerUpLocal(sh *shard, up instrument.ReducerUp, fl flight.Si
 		if bytes, ok := pi.unresolved[up.Reduce]; ok {
 			delete(pi.unresolved, up.Reduce)
 			row := js.row(pi.intent.Map, len(pi.intent.PredictedWireBytes))
-			p.book(sh, js, row, &pi.intent, up.Reduce, bytes, up.Host, fl, pl)
+			p.book(sh, js, row, &pi.intent, up.Reduce, bytes, up.Host, log)
 		}
 		if len(pi.unresolved) > 0 {
 			keep = append(keep, pi)
@@ -662,8 +656,8 @@ func (p *Pythia) reducerUpLocal(sh *shard, up instrument.ReducerUp, fl flight.Si
 }
 
 // book reserves one resolved (map, reducer) demand: the shard-local half
-// (slot in row, backlog, gauges) here, the placement-plane half handed to pl.
-func (p *Pythia) book(sh *shard, js *jobState, row []booking, in *instrument.Intent, r int, bytes float64, dst topology.NodeID, fl flight.Sink, pl plane) {
+// (slot in row, backlog, gauges) here, the placement-plane half logged.
+func (p *Pythia) book(sh *shard, js *jobState, row []booking, in *instrument.Intent, r int, bytes float64, dst topology.NodeID, log *deltaLog) {
 	if !p.steerable(in.SrcHost, dst) {
 		return // local or intra-rack fetch; nothing to steer
 	}
@@ -677,23 +671,23 @@ func (p *Pythia) book(sh *shard, js *jobState, row []booking, in *instrument.Int
 		// single booking (replace, don't add).
 		sh.duplicateIntents++
 		js.drainBacklog(r, prev.bits)
-		pl.unbookGlobal(fk, prev)
+		log.unbookGlobal(fk, prev)
 		disp = flight.DispReplaced
 	} else {
 		js.nBooked++
 		sh.booked++
 	}
 	row[r] = b
-	if fl != nil {
+	if log.events {
 		ev := flight.Ev(flight.BookingMade, flight.PlaneCollector)
 		ev.Job, ev.Map, ev.Attempt, ev.Reduce = in.Job, in.Map, in.Attempt, r
 		ev.Src, ev.Dst = in.SrcHost, dst
 		ev.Bytes = bytes
 		ev.Disposition = disp
-		fl.Record(ev)
+		log.record(ev)
 	}
 	js.backlog[r] += b.bits
-	pl.bookGlobal(fk, b)
+	log.bookGlobal(fk, b)
 }
 
 // steerable reports whether a resolved (src, dst) transfer touches fabric
@@ -743,17 +737,16 @@ func (p *Pythia) PendingUnknownDestinations() int {
 // state for jobs silent past the TTL — the backstop that keeps collector
 // state bounded when JobDone itself is lost on the management network.
 //
-// Expiry order must be bit-identical at any shard count: booked keys are
-// collected sorted per shard and min-key merged into the global
-// (job, map, reduce) order; expired deferred intents merge by arrival seq.
+// Expiry order must be bit-identical at any shard count: expired bookings
+// release in one global (job, map, reduce) sort, expired deferred intents in
+// arrival-seq order.
 func (p *Pythia) sweepExpired() {
 	now := p.eng.Now()
 	ttl := p.cfg.BookingTTL
 
-	keyLists := make([][]flowKey, len(p.shards))
+	var keys []flowKey
 	var expired []*pendingIntent
-	for i, sh := range p.shards {
-		var keys []flowKey
+	for _, sh := range p.shards {
 		for job, js := range sh.jobs {
 			for m, row := range js.booked {
 				for r := range row {
@@ -772,28 +765,13 @@ func (p *Pythia) sweepExpired() {
 			}
 			sh.expiredIntents += sh.trimPending(js, keep)
 		}
-		sort.Slice(keys, func(a, b int) bool { return flowKeyLess(keys[a], keys[b]) })
-		keyLists[i] = keys
 	}
 
-	// Expired bookings: per-shard sorted lists, merged globally.
-	heads := make([]int, len(keyLists))
-	for {
-		best := -1
-		for i, l := range keyLists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if best < 0 || flowKeyLess(l[heads[i]], keyLists[best][heads[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		fk := keyLists[best][heads[best]]
-		heads[best]++
-		sh := p.shards[best]
+	// Expired bookings, in global key order. Keys are unique, so the sort
+	// fixes the order whatever the shard count.
+	sort.Slice(keys, func(a, b int) bool { return flowKeyLess(keys[a], keys[b]) })
+	for _, fk := range keys {
+		sh := p.shardOf(fk.job)
 		b, _ := sh.release(sh.jobs[fk.job], fk.mapID, fk.reduce)
 		p.unbookGlobal(fk, b)
 		sh.expiredBookings++
@@ -802,7 +780,7 @@ func (p *Pythia) sweepExpired() {
 			ev.Job, ev.Map, ev.Reduce = fk.job, fk.mapID, fk.reduce
 			ev.Src, ev.Dst = b.src, b.dst
 			ev.Bytes = b.bits / 8
-			p.fl.Record(ev)
+			p.record(ev)
 		}
 	}
 
@@ -814,7 +792,7 @@ func (p *Pythia) sweepExpired() {
 			ev.Job, ev.Map, ev.Attempt = pi.intent.Job, pi.intent.Map, pi.intent.Attempt
 			ev.Src = pi.intent.SrcHost
 			ev.Count = len(pi.unresolved)
-			p.fl.Record(ev)
+			p.record(ev)
 		}
 	}
 
@@ -981,7 +959,7 @@ func (p *Pythia) allocate() (candidates int) {
 			ev.Count = len(paths)
 			ev.Path = pathString(best)
 			ev.Detail = placementDetail(scores, chosen, c.crit, p.cfg.UseCriticality)
-			p.fl.Record(ev)
+			p.record(ev)
 		}
 		p.place(a, best)
 	}
@@ -1141,7 +1119,7 @@ func (p *Pythia) degrade(a *aggregate) {
 		ev := flight.Ev(flight.Degraded, flight.PlaneCollector)
 		ev.Src, ev.Dst = a.key.src, a.key.dst
 		ev.Bytes = a.demandBits / 8
-		p.fl.Record(ev)
+		p.record(ev)
 	}
 }
 
@@ -1166,15 +1144,15 @@ func (p *Pythia) onControllerUp() {
 		// per-aggregate events here would be order-nondeterministic.
 		ev := flight.Ev(flight.Reconciled, flight.PlaneCollector)
 		ev.Count = n
-		p.fl.Record(ev)
+		p.record(ev)
 	}
 	p.allocate()
 }
 
-// recordIntent emits the intent-received flight event; a no-op when the
+// recordIntent logs the intent-received flight event; a no-op when the
 // recorder is disabled.
-func recordIntent(fl flight.Sink, in instrument.Intent, disp string) {
-	if fl == nil {
+func (l *deltaLog) recordIntent(in *instrument.Intent, disp string) {
+	if !l.events {
 		return
 	}
 	ev := flight.Ev(flight.IntentReceived, flight.PlaneCollector)
@@ -1182,7 +1160,7 @@ func recordIntent(fl flight.Sink, in instrument.Intent, disp string) {
 	ev.Count = len(in.PredictedWireBytes)
 	ev.DelaySec = float64(in.EmittedAt.Sub(in.MapFinishedAt))
 	ev.Disposition = disp
-	fl.Record(ev)
+	l.record(ev)
 }
 
 // onFlowComplete drains delivered demand and releases rules for pairs whose
@@ -1223,16 +1201,16 @@ func (p *Pythia) unbookGlobal(key flowKey, b booking) {
 // JobDone purges all controller state for a finished (or abandoned) job:
 // pending intents, bookings, reducer placements, and barrier backlog. Booked
 // demand whose flows never ran — e.g. reducers that never started — would
-// otherwise pin aggregates, rules, and backlog entries forever.
+// otherwise pin aggregates, rules, and backlog entries forever. It is a batch
+// of one.
 func (p *Pythia) JobDone(job int) {
-	p.jobDoneLocal(p.shardOf(job), job, p)
+	p.ApplyBatch([]Op{{Kind: OpJobDone, Job: job}}, 1)
 }
 
 // jobDoneLocal performs the shard-local half of JobDone — dropping the
-// job's state and handing the placement-plane half of each reservation it
-// still held to pl in ascending (map, reduce) order (applied immediately in
-// direct mode, deferred to the batch commit in ApplyBatch).
-func (p *Pythia) jobDoneLocal(sh *shard, job int, pl plane) {
+// job's state and logging the placement-plane half of each reservation it
+// still held in ascending (map, reduce) order.
+func (p *Pythia) jobDoneLocal(sh *shard, job int, log *deltaLog) {
 	js := sh.jobs[job]
 	if js == nil {
 		return
@@ -1245,7 +1223,7 @@ func (p *Pythia) jobDoneLocal(sh *shard, job int, pl plane) {
 	for _, m := range maps {
 		for r, b := range js.booked[m] {
 			if b.bits != 0 {
-				pl.unbookGlobal(flowKey{job, m, r}, b)
+				log.unbookGlobal(flowKey{job, m, r}, b)
 			}
 		}
 	}

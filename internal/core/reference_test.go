@@ -373,20 +373,22 @@ func (c *refCollector) novelOps(ops []Op) int {
 	return novel
 }
 
-// recordingPlane forwards to the real placement plane and logs the stream.
-type recordingPlane struct {
-	p   *Pythia
-	log []refDelta
-}
-
-func (r *recordingPlane) bookGlobal(fk flowKey, b booking) {
-	r.log = append(r.log, refDelta{fk: fk, b: b})
-	r.p.bookGlobal(fk, b)
-}
-
-func (r *recordingPlane) unbookGlobal(fk flowKey, b booking) {
-	r.log = append(r.log, refDelta{unbook: true, fk: fk, b: b})
-	r.p.unbookGlobal(fk, b)
+// mergedLog merges the shard phase's per-shard streams itself — concatenated
+// and sorted by (op, sub) — and keeps the placement-plane mutations: the
+// stream refCollector emits.
+func mergedLog(deltas [][]delta) []refDelta {
+	var all []delta
+	for _, ds := range deltas {
+		all = append(all, ds...)
+	}
+	sort.Slice(all, func(i, j int) bool { return deltaLess(&all[i], &all[j]) })
+	var log []refDelta
+	for _, d := range all {
+		if d.ev == nil {
+			log = append(log, refDelta{unbook: d.unbook, fk: d.fk, b: d.b})
+		}
+	}
+	return log
 }
 
 // expiryLog renders the sweep's flight events the way refCollector.sweep
@@ -408,7 +410,7 @@ type diffCase struct {
 	seed            uint64
 	shards, workers int
 	ttl             sim.Duration
-	direct          bool // per-message API instead of ApplyBatch
+	direct          bool // per-message API (batches of one) instead of ApplyBatch
 }
 
 func (c diffCase) String() string {
@@ -477,7 +479,6 @@ func runDiff(t *testing.T, c diffCase, n int, cov *ShardStat) error {
 	if c.ttl > 0 {
 		s.eng.Every(c.ttl/2, func() { ref.sweep(s.eng.Now()) })
 	}
-	rec := &recordingPlane{p: s.py}
 	at := 0
 	for _, end := range cuts {
 		if end > n {
@@ -495,12 +496,9 @@ func runDiff(t *testing.T, c diffCase, n int, cov *ShardStat) error {
 		s.eng.RunUntil(sim.Time(s.virtual))
 		now := s.eng.Now()
 
-		var res, refRes []OpResult
-		var refLog []refDelta
-		rec.log = rec.log[:0]
 		if c.direct {
-			// The per-message API mutates the plane inline, so only state is
-			// compared; arrival ordinals advance per non-duplicate intent.
+			// The per-message API is a batch of one with no results to
+			// return, so only state is compared.
 			switch op := batch[0]; op.Kind {
 			case OpIntent:
 				s.py.ShuffleIntent(op.Intent)
@@ -509,23 +507,21 @@ func runDiff(t *testing.T, c diffCase, n int, cov *ShardStat) error {
 			case OpJobDone:
 				s.py.JobDone(op.Job)
 			}
-			if r := ref.apply(batch[0], ref.nextSeq, now, &refLog); batch[0].Kind == OpIntent && r != OpDuplicate {
-				ref.nextSeq++
-			}
+			ref.applyBatch(batch, now)
 		} else {
-			var deltas [][]delta
-			res, deltas = s.py.shardPhase(batch, c.workers)
-			mergeDeltas(deltas, rec)
+			res, deltas := s.py.shardPhase(batch, c.workers)
+			log := mergedLog(deltas)
+			s.py.mergeDeltas(deltas)
 			checkWorklist(t, s.py)
 			if want, got := len(refUnplaced(s.py)), s.py.allocate(); got != want {
 				return fmt.Errorf("ops[%d:%d]: placement pass took %d candidates, full scan finds %d", at, end, got, want)
 			}
-			refRes, refLog = ref.applyBatch(batch, now)
+			refRes, refLog := ref.applyBatch(batch, now)
 			if !reflect.DeepEqual(res, refRes) {
 				return fmt.Errorf("ops[%d:%d]: results %v, reference %v", at, end, res, refRes)
 			}
-			if len(rec.log)+len(refLog) > 0 && !reflect.DeepEqual(rec.log, refLog) {
-				return fmt.Errorf("ops[%d:%d]: delta stream\n got %+v\nwant %+v", at, end, rec.log, refLog)
+			if len(log)+len(refLog) > 0 && !reflect.DeepEqual(log, refLog) {
+				return fmt.Errorf("ops[%d:%d]: delta stream\n got %+v\nwant %+v", at, end, log, refLog)
 			}
 		}
 		checkWorklist(t, s.py)

@@ -1,12 +1,16 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
+
+	"pythia/internal/flight"
+	"pythia/internal/sim"
 )
 
 // TestShardCountsReplayToOneDigest replays one trace sequentially over HTTP
@@ -33,6 +37,114 @@ func TestShardCountsReplayToOneDigest(t *testing.T) {
 			t.Errorf("shards=%d: leaked state: bookings=%d pending=%d", shards, st.OutstandingBookings, st.PendingIntents)
 		}
 	}
+}
+
+// TestServeFlightLogIsShardInvariant: the collector's ingest events ride
+// ApplyBatch's delta merge and every collector event carries the collector's
+// own engine time, so one request sequence on a ClockHz server records the
+// same collector-plane log, byte for byte, at 1, 2, 4 and 8 shards (default
+// workers: the shard phase runs concurrently), and each event sits inside
+// its batch's BatchIngested … BatchCommitted span at that batch's virtual
+// time.
+func TestServeFlightLogIsShardInvariant(t *testing.T) {
+	trace := flightTrace()
+	var want []byte
+	for _, shards := range []int{1, 2, 4, 8} {
+		got := collectorFlightLog(t, Config{Shards: shards, ClockHz: 50, FlightEvents: 1 << 12}, trace)
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("shards=%d: collector flight log differs from 1 shard's\n got:\n%s\nwant:\n%s", shards, got, want)
+		}
+	}
+}
+
+// flightTrace reaches every collector ingest event: intents deferred until
+// their reducers come up, exact duplicates, a speculative attempt replacing
+// bookings, and retirement. Every request spans eight jobs, so each batch
+// touches every shard.
+func flightTrace() []*IngestRequest {
+	const jobs = 8
+	intents := func(m, attempt int) *IngestRequest {
+		req := &IngestRequest{}
+		for j := 0; j < jobs; j++ {
+			req.Intents = append(req.Intents, WireIntent{Job: j, Map: m, Attempt: attempt,
+				SrcHost: (j + m) % 16, PredictedWireBytes: []float64{1e6 * float64(1+(j+m)%5), 2e6}})
+		}
+		return req
+	}
+	ups, done := &IngestRequest{}, &IngestRequest{}
+	for j := 0; j < jobs; j++ {
+		for r := 0; r < 2; r++ {
+			ups.Reducers = append(ups.Reducers, WireReducerUp{Job: j, Reduce: r, Host: (3*j + 5*r + 7) % 16})
+		}
+		done.DoneJobs = append(done.DoneJobs, j)
+	}
+	return []*IngestRequest{intents(0, 0), ups, intents(1, 0), intents(1, 0), intents(1, 1), intents(2, 0), done}
+}
+
+// collectorFlightLog posts trace one request at a time — one request, one
+// batch — and returns the ring's collector-plane events as JSON Lines,
+// failing the test for an event outside its batch's span or time.
+func collectorFlightLog(t *testing.T, cfg Config, trace []*IngestRequest) []byte {
+	t.Helper()
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	ts := httptest.NewServer(srv.Handler())
+	for i, req := range trace {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp, out := postJSON(t, ts.Client(), ts.URL, string(body)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("shards=%d: request %d: HTTP %d: %s", cfg.Shards, i, resp.StatusCode, out)
+		}
+	}
+	ts.Close()
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	var log bytes.Buffer
+	seen := map[string]bool{}
+	inBatch, batchT := false, sim.Time(0)
+	for _, ev := range srv.FlightEvents() {
+		switch {
+		case ev.Kind == flight.BatchIngested:
+			inBatch, batchT = true, ev.T
+		case ev.Kind == flight.BatchCommitted:
+			inBatch = false
+		case ev.Plane == flight.PlaneCollector:
+			if !inBatch || ev.T != batchT {
+				t.Errorf("shards=%d: %s event at t=%v is outside its batch (in a batch: %v, batch t=%v)",
+					cfg.Shards, ev.Kind, ev.T, inBatch, batchT)
+			}
+			seen[string(ev.Kind)] = true
+			seen[string(ev.Kind)+"/"+ev.Disposition] = true
+			line, err := json.Marshal(ev)
+			if err != nil {
+				t.Fatal(err)
+			}
+			log.Write(line)
+			log.WriteByte('\n')
+		}
+	}
+	for _, k := range []string{
+		string(flight.IntentReceived) + "/" + flight.DispOK,
+		string(flight.IntentReceived) + "/" + flight.DispDup,
+		string(flight.ReducerUpSeen),
+		string(flight.BookingMade) + "/" + flight.DispNew,
+		string(flight.BookingMade) + "/" + flight.DispReplaced,
+		string(flight.Placement),
+	} {
+		if !seen[k] {
+			t.Errorf("shards=%d: no %s event in the ring", cfg.Shards, k)
+		}
+	}
+	return log.Bytes()
 }
 
 // TestSnapshotBoundsReplayedTail journals a whole trace one request per

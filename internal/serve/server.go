@@ -96,8 +96,9 @@ type Config struct {
 	// logs at Debug, failed snapshots at Warn, a failed journal at Error.
 	Logger *slog.Logger
 	// FlightEvents, when positive, enables a bounded in-memory flight
-	// recorder holding the newest FlightEvents serve-plane events
-	// (ingest → journal → commit → placement), exported via
+	// recorder holding the newest FlightEvents events — the serve plane's
+	// batch lifecycle (ingest → journal → commit) and, inside each batch,
+	// the collector's events at the batch's virtual time — exported via
 	// Server.FlightEvents / Server.ChromeTrace.
 	FlightEvents int
 }
