@@ -1056,7 +1056,7 @@ func (p *Pythia) place(a *aggregate, path topology.Path) {
 	// (placed may have been cleared by a re-placement pass already).
 	samePath := a.cookie != 0 && a.path.Equal(path)
 	if a.cookie != 0 && !samePath {
-		p.ofc.RemovePath(a.cookie)
+		p.ofc.RemovePath(a.path, a.cookie)
 		a.cookie = 0
 		p.Reallocations++
 	}
@@ -1107,7 +1107,7 @@ func (p *Pythia) place(a *aggregate, path topology.Path) {
 // flows — table misses fall back to local ECMP hashing in Resolve.
 func (p *Pythia) degrade(a *aggregate) {
 	if a.cookie != 0 {
-		p.ofc.RemovePath(a.cookie)
+		p.ofc.RemovePath(a.path, a.cookie)
 		a.cookie = 0
 	}
 	a.placed = false
@@ -1191,7 +1191,7 @@ func (p *Pythia) unbookGlobal(key flowKey, b booking) {
 	if agg.demandBits <= 1 { // float dust
 		agg.demandBits = 0
 		if agg.cookie != 0 {
-			p.ofc.RemovePath(agg.cookie)
+			p.ofc.RemovePath(agg.path, agg.cookie)
 		}
 		p.unindexAgg(agg)
 		delete(p.aggregates, agg.key)

@@ -136,6 +136,11 @@ type Network struct {
 	// revisit a node without looping forever, which Resolve rejects).
 	linkFlows [][]*Flow
 	terminal  []int
+	// busy lists, in no particular order, the links whose linkFlows entry
+	// is non-empty, and busyAt[l] is l's slot in it (dense by LinkID), so
+	// a pass starts from the busy links without sweeping every link.
+	busy   []topology.LinkID
+	busyAt []int
 
 	// background CBR load per link, bps (dense by LinkID).
 	background []float64
@@ -175,11 +180,27 @@ type Network struct {
 	// only allocation left on the steady-state pass.
 	completeFn func()
 
-	// Allocator scratch, dense by LinkID and reused across passes so the
-	// steady-state pass allocates nothing (BenchmarkAllocPass guards it).
+	// base caches linkResidual(l, 0) — capacity minus background, zero when
+	// down — for every link, as of graph version baseVer. A version change
+	// (link or switch failure and recovery) refreshes it whole at the next
+	// pass; SetBackground refreshes its one link, and ensureLink the links it
+	// adds. The incast term is not part of it: with incast on, a pass reads
+	// linkResidual with the live convergence count instead.
+	base    []float64
+	baseVer uint64
+	// Allocator scratch, reused across passes so the steady-state pass
+	// allocates nothing (BenchmarkAllocPass guards it). residual, counts,
+	// pos and stamp are dense by LinkID; workLinks and wShare are parallel
+	// slices over the busy links, pos[l] being l's slot in both, and
+	// stamp[l] == round puts l on dirty once for the running round.
 	residual  []float64
 	counts    []int
+	pos       []int
+	stamp     []uint64
+	round     uint64
 	workLinks []topology.LinkID
+	wShare    []float64
+	dirty     []topology.LinkID
 	doneBuf   []*Flow
 }
 
@@ -221,44 +242,61 @@ func New(eng *sim.Engine, g *topology.Graph) *Network {
 		g:          g,
 		linkFlows:  make([][]*Flow, nl),
 		terminal:   make([]int, nl),
+		busyAt:     make([]int, nl),
 		background: make([]float64, nl),
 		linkBits:   make([]float64, nl),
 		hostTxBits: make([]float64, g.NumNodes()),
+		base:       make([]float64, nl),
+		baseVer:    g.Version(),
 		residual:   make([]float64, nl),
 		counts:     make([]int, nl),
+		pos:        make([]int, nl),
+		stamp:      make([]uint64, nl),
 		localBps:   DefaultLocalBps,
 	}
+	n.refreshBase(0, nl)
 	n.completeFn = n.completeDue
 	return n
 }
 
+// refreshBase recomputes the cached base residual of links lo..hi-1.
+func (n *Network) refreshBase(lo, hi int) {
+	for l := lo; l < hi; l++ {
+		n.base[l] = n.linkResidual(topology.LinkID(l), 0)
+	}
+}
+
 // ensureLink grows the dense per-link state to cover link id (links added to
-// the graph after New).
+// the graph after New), and fills in the new links' base residuals: a pass
+// may already have seen the version the additions bumped, and then no later
+// pass would refresh them.
 func (n *Network) ensureLink(id topology.LinkID) {
 	need := int(id) + 1
-	if need <= len(n.linkFlows) {
+	old := len(n.linkFlows)
+	if need <= old {
 		return
 	}
 	if nl := n.g.NumLinks(); nl > need {
 		need = nl
 	}
-	grow := func(s []float64) []float64 {
-		out := make([]float64, need)
-		copy(out, s)
-		return out
-	}
-	lf := make([][]*Flow, need)
-	copy(lf, n.linkFlows)
-	n.linkFlows = lf
-	ti := make([]int, need)
-	copy(ti, n.terminal)
-	n.terminal = ti
-	ci := make([]int, need)
-	copy(ci, n.counts)
-	n.counts = ci
-	n.background = grow(n.background)
-	n.linkBits = grow(n.linkBits)
-	n.residual = grow(n.residual)
+	n.linkFlows = grown(n.linkFlows, need)
+	n.terminal = grown(n.terminal, need)
+	n.busyAt = grown(n.busyAt, need)
+	n.background = grown(n.background, need)
+	n.linkBits = grown(n.linkBits, need)
+	n.base = grown(n.base, need)
+	n.residual = grown(n.residual, need)
+	n.counts = grown(n.counts, need)
+	n.pos = grown(n.pos, need)
+	n.stamp = grown(n.stamp, need)
+	n.refreshBase(old, need)
+}
+
+// grown returns a copy of s extended with zero values to length need.
+func grown[T any](s []T, need int) []T {
+	out := make([]T, need)
+	copy(out, s)
+	return out
 }
 
 // ensureHost grows the per-host accounting to cover host id.
@@ -295,6 +333,7 @@ func (n *Network) SetBackground(link topology.LinkID, bps float64) {
 	n.advance()
 	n.ensureLink(link)
 	n.background[link] = bps
+	n.refreshBase(int(link), int(link)+1)
 	n.recompute()
 }
 
@@ -385,6 +424,10 @@ func (n *Network) indexFlow(f *Flow) {
 			fs[i], fs[i-1] = fs[i-1], fs[i]
 		}
 		n.linkFlows[l] = fs
+		if len(fs) == 1 {
+			n.busyAt[l] = len(n.busy)
+			n.busy = append(n.busy, l)
+		}
 	}
 	if k := len(f.Path.Links); k > 0 {
 		n.terminal[f.Path.Links[k-1]]++
@@ -400,6 +443,12 @@ func (n *Network) unindexFlow(f *Flow) {
 			copy(fs[i:], fs[i+1:])
 			fs[len(fs)-1] = nil
 			n.linkFlows[l] = fs[:len(fs)-1]
+			if len(fs) == 1 {
+				at, last := n.busyAt[l], len(n.busy)-1
+				n.busy[at] = n.busy[last]
+				n.busyAt[n.busy[at]] = at
+				n.busy = n.busy[:last]
+			}
 		}
 	}
 	if k := len(f.Path.Links); k > 0 {
@@ -486,17 +535,36 @@ func (n *Network) linkResidual(l topology.LinkID, terminalCount int) float64 {
 // next-completion event. Every mutation of the flow set, a path, a link's
 // background or the topology calls it once: progressive filling over the
 // links that carry flows, with occupancy and the incast convergence count
-// read from the per-link index and all scratch reused, so a pass costs
-// O(rounds × busy links + Σ path lengths) and allocates nothing.
+// read from the per-link index and all scratch reused.
+//
+// The busy links, copied from the busy-link set, form a worklist with a
+// parallel dense array of fair shares (residual/count). A round is one
+// linear scan of the shares for the bottleneck; fixing its flows re-divides
+// each link they cross once, and a link left with no unfixed flow is
+// swap-removed, so the worklist shrinks as the pass goes. A pass costs
+// O(busy links + Σ_rounds still-busy links + Σ path lengths), plus O(links)
+// when the graph version moved, allocates nothing, and produces exactly the
+// floats of a full rescan: each division reads the residual and count the
+// rescan would, and the bottleneck is the argmin of (share, LinkID), which
+// no visit order can change.
 func (n *Network) recompute() {
-	n.workLinks = n.workLinks[:0]
-	for l, fs := range n.linkFlows {
-		if len(fs) > 0 {
-			lid := topology.LinkID(l)
-			n.counts[lid] = len(fs)
-			n.residual[lid] = n.linkResidual(lid, n.terminal[lid])
-			n.workLinks = append(n.workLinks, lid)
+	if v := n.g.Version(); v != n.baseVer {
+		n.refreshBase(0, len(n.base))
+		n.baseVer = v
+	}
+	wl := append(n.workLinks[:0], n.busy...)
+	shares := n.wShare[:0]
+	for i, lid := range wl {
+		c := len(n.linkFlows[lid])
+		r := n.base[lid]
+		if n.incastThreshold > 0 {
+			// The convergence count moves with every flow: no cache.
+			r = n.linkResidual(lid, n.terminal[lid])
 		}
+		n.counts[lid] = c
+		n.residual[lid] = r
+		n.pos[lid] = i
+		shares = append(shares, r/float64(c))
 	}
 
 	unfixedCount := 0
@@ -515,30 +583,26 @@ func (n *Network) recompute() {
 
 	for unfixedCount > 0 {
 		// Find the bottleneck link: minimal fair share among links
-		// carrying unfixed flows, smallest LinkID on exact ties. The
-		// worklist is compacted in the same sweep.
+		// carrying unfixed flows, smallest LinkID on exact ties. Shares
+		// are never NaN, so this is a total order and the worklist's
+		// order (scrambled by swap-removal) cannot change the pick.
 		bestShare := math.Inf(1)
 		var bottleneck topology.LinkID = -1
-		w := n.workLinks[:0]
-		for _, l := range n.workLinks {
-			c := n.counts[l]
-			if c <= 0 {
-				continue
-			}
-			w = append(w, l)
-			share := n.residual[l] / float64(c)
-			if share < bestShare || (share == bestShare && (bottleneck == -1 || l < bottleneck)) {
+		for i, share := range shares {
+			if share < bestShare || (share == bestShare && wl[i] < bottleneck) {
 				bestShare = share
-				bottleneck = l
+				bottleneck = wl[i]
 			}
 		}
-		n.workLinks = w
-		if bottleneck == -1 || math.IsInf(bestShare, 1) {
+		if bottleneck == -1 {
 			break
 		}
 		// Fix every unfixed flow crossing the bottleneck at bestShare.
 		// Every fixed flow subtracts the identical share, so the order the
 		// candidates are visited in cannot change the resulting residuals.
+		// Each link they cross is stamped dirty once for this round.
+		n.round++
+		dirty := n.dirty[:0]
 		for _, f := range n.linkFlows[bottleneck] {
 			if !f.unfixed {
 				continue
@@ -552,9 +616,28 @@ func (n *Network) recompute() {
 					n.residual[l] = 0
 				}
 				n.counts[l]--
+				if n.stamp[l] != n.round {
+					n.stamp[l] = n.round
+					dirty = append(dirty, l)
+				}
 			}
 		}
+		// Re-divide the dirty links, or swap-remove those with no unfixed
+		// flow left (the bottleneck always among them).
+		for _, l := range dirty {
+			i := n.pos[l]
+			if c := n.counts[l]; c > 0 {
+				shares[i] = n.residual[l] / float64(c)
+				continue
+			}
+			last := len(wl) - 1
+			wl[i], shares[i] = wl[last], shares[last]
+			n.pos[wl[i]] = i
+			wl, shares = wl[:last], shares[:last]
+		}
+		n.dirty = dirty
 	}
+	n.workLinks, n.wShare = wl, shares
 	n.scheduleNextCompletion()
 }
 

@@ -144,11 +144,18 @@ func checkReference(n *Network) error {
 		}
 		byFlow[f] = rates[i]
 	}
+	busy := 0
 	for _, l := range n.g.Links() {
 		want := refFlowsOn(n, l.ID)
 		got := n.FlowsOn(l.ID)
 		if len(got) != len(want) {
 			return fmt.Errorf("link %d: FlowsOn has %d flows, full scan %d", l.ID, len(got), len(want))
+		}
+		if len(want) > 0 {
+			busy++
+			if i := n.busyAt[l.ID]; i >= len(n.busy) || n.busy[i] != l.ID {
+				return fmt.Errorf("link %d carries %d flows but is not in the busy-link set", l.ID, len(want))
+			}
 		}
 		for i := range got {
 			if got[i] != want[i] {
@@ -161,6 +168,9 @@ func checkReference(n *Network) error {
 			math.Float64bits(s) != math.Float64bits(rs) {
 			return fmt.Errorf("link %d: LinkStats (%v,%v,%v), full scan (%v,%v,%v)", l.ID, u, a, s, ru, ra, rs)
 		}
+	}
+	if busy != len(n.busy) {
+		return fmt.Errorf("busy-link set holds %d links, %d carry flows", len(n.busy), busy)
 	}
 	return nil
 }
@@ -450,11 +460,13 @@ const (
 	opBackground
 	opIncast
 	opAdvance
+	opRawFlip
+	opSwitch
 	numOps
 )
 
 func (o refOp) String() string {
-	name := [...]string{"start", "reroute", "complete", "linkDown", "linkUp", "background", "incast", "advance"}[o.kind]
+	name := [...]string{"start", "reroute", "complete", "linkDown", "linkUp", "background", "incast", "advance", "rawFlip", "switch"}[o.kind]
 	return fmt.Sprintf("%s(%d,%d,%d,%g)", name, o.a, o.b, o.c, o.x)
 }
 
@@ -518,6 +530,27 @@ func applyOp(eng *sim.Engine, n *Network, hosts []topology.NodeID, o refOp) {
 		}
 	case opAdvance:
 		eng.RunUntil(eng.Now().Add(sim.Duration(o.x * 0.05)))
+	case opRawFlip:
+		// Flip one link direction or one switch in the graph alone, with no
+		// NotifyTopology: the zero-hop start after it runs the first pass
+		// to see the new Version().
+		if o.b%2 == 0 {
+			l := topology.LinkID(o.a % g.NumLinks())
+			g.SetLinkUp(l, !g.LinkAdminUp(l))
+		} else {
+			sw := g.Switches()
+			s := sw[o.a%len(sw)]
+			g.SetNodeUp(s, !g.NodeUp(s))
+		}
+		h := hosts[o.c%len(hosts)]
+		n.StartFlow(tup(h, h, uint16(o.a), uint16(o.b)), Shuffle, topology.Path{Src: h, Dst: h}, 1e6+o.x*5e8, 0, o.a, o.b, nil)
+	case opSwitch:
+		sw := g.Switches()
+		if s := sw[o.a%len(sw)]; g.NodeUp(s) {
+			n.FailSwitch(s)
+		} else {
+			n.RecoverSwitch(s)
+		}
 	}
 }
 
@@ -550,6 +583,70 @@ func TestRandomOpsMatchFullScanReference(t *testing.T) {
 			}
 			t.Fatalf("seed %d diverges after step %d: %v\nshortest failing prefix:\n  %s",
 				seed, step, err, strings.Join(prefix, "\n  "))
+		}
+	}
+}
+
+// TestBaseResidualFollowsEveryInvalidation warms the cached base residuals,
+// then applies one at a time every event that can move a link's capacity
+// minus background, and after each checks every rate against refRates, which
+// calls linkResidual afresh. Dropping either refresh — the whole one on a
+// graph Version() change, or SetBackground's own link — fails it.
+func TestBaseResidualFollowsEveryInvalidation(t *testing.T) {
+	eng := sim.NewEngine()
+	g, hosts := topology.LeafSpine(2, 2, 4, topology.Gbps)
+	n := New(eng, g)
+	port := uint16(0)
+	start := func(src, dst topology.NodeID, pathIdx int) {
+		port++
+		path := topology.Path{Src: src, Dst: dst}
+		if src != dst {
+			ps := g.EqualCostPaths(src, dst, 4)
+			path = ps[pathIdx%len(ps)]
+		}
+		n.StartFlow(tup(src, dst, port, 1), Shuffle, path, 1e12, 0, int(src), int(dst), nil)
+	}
+	for i := 0; i < 4; i++ {
+		for j := 4; j < 8; j++ {
+			start(hosts[i], hosts[j], i+j)
+		}
+	}
+	uplink := n.active[0].Path.Links[1] // leaf 0 → a spine
+	leaf, spine := g.Link(uplink).From, g.Link(uplink).To
+	var late topology.NodeID
+	steps := []struct {
+		name string
+		do   func()
+	}{
+		{"warm-up", func() {}},
+		{"SetBackground", func() { n.SetBackground(uplink, 0.6e9) }},
+		{"FailLink", func() { n.FailLink(uplink) }},
+		{"RecoverLink", func() { n.RecoverLink(uplink) }},
+		{"raw SetLinkUp(false), then a start", func() { g.SetLinkUp(uplink, false); start(hosts[0], hosts[0], 0) }},
+		{"raw SetLinkUp(true), then a start", func() { g.SetLinkUp(uplink, true); start(hosts[1], hosts[1], 0) }},
+		{"SetNodeUp(false)", func() { g.SetNodeUp(spine, false); n.NotifyTopology() }},
+		{"SetNodeUp(true)", func() { g.SetNodeUp(spine, true); n.NotifyTopology() }},
+		{"EnableIncast on", func() { n.EnableIncast(1, 0.2, 0.3) }},
+		{"SetBackground under incast", func() { n.SetBackground(uplink, 0.2e9) }},
+		{"EnableIncast off", func() { n.EnableIncast(0, 0, 1) }},
+		{"link added after New", func() {
+			late = g.AddNode(topology.Host, "late", g.Node(hosts[0]).Rack)
+			g.AddDuplex(late, leaf, 0.5*topology.Gbps, "edge-late")
+			start(late, hosts[5], 0)
+		}},
+		{"SetBackground on the added link", func() { n.SetBackground(g.Out(late)[0], 0.1e9) }},
+		{"link added after New, seen by a pass before its first flow", func() {
+			idle := g.AddNode(topology.Host, "idle", g.Node(hosts[1]).Rack)
+			g.AddDuplex(idle, leaf, 0.5*topology.Gbps, "edge-idle")
+			n.NotifyTopology()
+			start(idle, hosts[6], 0)
+			start(hosts[6], idle, 0)
+		}},
+	}
+	for _, s := range steps {
+		s.do()
+		if err := checkReference(n); err != nil {
+			t.Fatalf("after %s: %v", s.name, err)
 		}
 	}
 }

@@ -463,12 +463,19 @@ func (c *Controller) encodeFlowMod(m Match, out topology.LinkID, priority int, c
 	return fm.Encode()
 }
 
-// RemovePath deletes every rule carrying cookie across all switches,
-// immediately (rule deletion is cheap and not on the critical path).
-func (c *Controller) RemovePath(cookie uint64) int {
+// RemovePath deletes every rule carrying cookie from the switches along path,
+// immediately (rule deletion is cheap and not on the critical path), and
+// returns how many it deleted. Path must be the one the cookie was installed
+// with: InstallPath and InstallSteering put a cookie's rules only on that
+// path's switches, so no other table is visited, and a rule with the cookie
+// placed anywhere else is left alone. A FLOW_MOD still in flight lands
+// afterwards and goes with the next RemovePath of the same path and cookie.
+func (c *Controller) RemovePath(path topology.Path, cookie uint64) int {
 	removed := 0
-	for _, sw := range c.switches {
-		removed += sw.RemoveByCookie(cookie)
+	for _, lid := range path.Links {
+		if sw, ok := c.switches[c.g.Link(lid).From]; ok {
+			removed += sw.RemoveByCookie(cookie)
+		}
 	}
 	return removed
 }

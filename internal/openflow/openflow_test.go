@@ -284,10 +284,10 @@ func TestRemovePathRestoresECMP(t *testing.T) {
 	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	c.InstallPath(HostPair(hosts[0], hosts[5]), p, 100, 77, nil)
 	eng.Run()
-	if n := c.RemovePath(77); n != 2 {
+	if n := c.RemovePath(p, 77); n != 2 {
 		t.Fatalf("removed %d rules, want 2", n)
 	}
-	if n := c.RemovePath(77); n != 0 {
+	if n := c.RemovePath(p, 77); n != 0 {
 		t.Fatalf("second remove = %d, want 0", n)
 	}
 }

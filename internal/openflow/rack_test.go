@@ -262,7 +262,7 @@ func TestPropertyInstalledPathAuthority(t *testing.T) {
 		if err != nil || !got.Equal(want) {
 			return false
 		}
-		c.RemovePath(1)
+		c.RemovePath(want, 1)
 		after, err := c.Resolve(tup(src, dst, sp, dp))
 		return err == nil && after.Valid(g) == nil
 	}
