@@ -64,12 +64,16 @@ profile:
 		-cpuprofile out/cpu.pprof -memprofile out/mem.pprof > out/profile.txt
 	@echo wrote out/cpu.pprof out/mem.pprof "(log: out/profile.txt)"
 
-# Quick fuzz pass over the binary index-file codec.
+# Quick fuzz pass over the binary index-file codec, the wire decoder
+# (differential against encoding/json) and the journal frame reader.
 fuzz:
 	$(GO) test ./internal/instrument/ -fuzz FuzzDecodeIndex -fuzztime 10s
 	$(GO) test ./internal/instrument/ -fuzz FuzzBuildIndex -fuzztime 10s
 	$(GO) test ./internal/instrument/ -fuzz FuzzDecodeIFile -fuzztime 10s
 	$(GO) test ./internal/ofp10/ -fuzz FuzzParse -fuzztime 10s
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s -fuzzminimizetime 0
+	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s -fuzzminimizetime 0
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 0
 
 # Regenerate every table/figure (quick scale) and the SVG charts.
 figures:

@@ -210,18 +210,11 @@ func (b *WireBatch) ToOps(hosts []topology.NodeID) ([]core.Op, error) {
 	return ops, nil
 }
 
-// encodeBatch/decodeBatch are the journal payload codec. JSON round-trips
-// float64 exactly (shortest representation), so VirtualSec survives with the
-// bit pattern the original commit used — a requirement for digest-exact
-// replay.
+// encodeBatch is the journal payload encoder; decodeBatch (decode.go) reads
+// it back. JSON round-trips float64 exactly (shortest representation), so
+// VirtualSec survives with the bit pattern the original commit used — a
+// requirement for digest-exact replay.
 func encodeBatch(b *WireBatch) ([]byte, error) { return json.Marshal(b) }
-func decodeBatch(p []byte) (*WireBatch, error) {
-	b := new(WireBatch)
-	if err := json.Unmarshal(p, b); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
 
 // maxBodyBytes bounds request bodies before decoding.
 const maxBodyBytes = 8 << 20
@@ -231,51 +224,54 @@ const maxBodyBytes = 8 << 20
 // caller (the HTTP handler wraps bodies in http.MaxBytesReader so oversized
 // requests surface as 413, not a truncated-JSON 400).
 func decodeIngest(r io.Reader, numHosts, maxOps int) (*IngestRequest, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	var req IngestRequest
-	if err := dec.Decode(&req); err != nil {
+	req, err := readIngest(r)
+	if err != nil {
 		return nil, fmt.Errorf("malformed request: %w", err)
 	}
-	if dec.More() {
-		return nil, fmt.Errorf("malformed request: trailing data after JSON object")
+	if err := req.validate(numHosts, maxOps); err != nil {
+		return nil, err
 	}
+	return req, nil
+}
+
+// validate checks a decoded request's IDs, hosts and byte predictions.
+func (req *IngestRequest) validate(numHosts, maxOps int) error {
 	if req.ops() == 0 {
-		return nil, fmt.Errorf("empty request: no reducers, intents, or done_jobs")
+		return fmt.Errorf("empty request: no reducers, intents, or done_jobs")
 	}
 	if maxOps > 0 && req.ops() > maxOps {
-		return nil, fmt.Errorf("request exceeds %d operations (%d)", maxOps, req.ops())
+		return fmt.Errorf("request exceeds %d operations (%d)", maxOps, req.ops())
 	}
 	for i, up := range req.Reducers {
 		if up.Job < 0 || up.Reduce < 0 {
-			return nil, fmt.Errorf("reducers[%d]: negative job or reduce ID", i)
+			return fmt.Errorf("reducers[%d]: negative job or reduce ID", i)
 		}
 		if up.Host < 0 || up.Host >= numHosts {
-			return nil, fmt.Errorf("reducers[%d]: host %d outside [0,%d)", i, up.Host, numHosts)
+			return fmt.Errorf("reducers[%d]: host %d outside [0,%d)", i, up.Host, numHosts)
 		}
 	}
 	for i, in := range req.Intents {
 		if in.Job < 0 || in.Map < 0 || in.Attempt < 0 {
-			return nil, fmt.Errorf("intents[%d]: negative job, map, or attempt ID", i)
+			return fmt.Errorf("intents[%d]: negative job, map, or attempt ID", i)
 		}
 		if in.SrcHost < 0 || in.SrcHost >= numHosts {
-			return nil, fmt.Errorf("intents[%d]: src_host %d outside [0,%d)", i, in.SrcHost, numHosts)
+			return fmt.Errorf("intents[%d]: src_host %d outside [0,%d)", i, in.SrcHost, numHosts)
 		}
 		if len(in.PredictedWireBytes) == 0 {
-			return nil, fmt.Errorf("intents[%d]: empty predicted_wire_bytes", i)
+			return fmt.Errorf("intents[%d]: empty predicted_wire_bytes", i)
 		}
 		for r, b := range in.PredictedWireBytes {
 			if math.IsNaN(b) || math.IsInf(b, 0) || b < 0 {
-				return nil, fmt.Errorf("intents[%d]: predicted_wire_bytes[%d] = %v is not a finite non-negative byte count", i, r, b)
+				return fmt.Errorf("intents[%d]: predicted_wire_bytes[%d] = %v is not a finite non-negative byte count", i, r, b)
 			}
 		}
 	}
 	for i, job := range req.DoneJobs {
 		if job < 0 {
-			return nil, fmt.Errorf("done_jobs[%d]: negative job ID", i)
+			return fmt.Errorf("done_jobs[%d]: negative job ID", i)
 		}
 	}
-	return &req, nil
+	return nil
 }
 
 // ToOps lowers a validated request into collector operations in protocol

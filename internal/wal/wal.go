@@ -28,12 +28,14 @@
 package wal
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -99,6 +101,13 @@ const (
 	// maxRecordBytes rejects insane frame lengths produced by corruption
 	// before they can drive a huge allocation.
 	maxRecordBytes = 64 << 20
+	// frameChunk is the least a payload buffer grows by while it is read;
+	// it grows by at most max(frameChunk, bytes read so far), so a corrupt
+	// length cannot size a buffer far beyond what the file holds.
+	frameChunk = 64 << 10
+	// readBuffer sizes the buffered reader a segment is read through: one
+	// read system call serves several records.
+	readBuffer = 64 << 10
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -205,10 +214,13 @@ func (l *Log) scanSegment(name string, first uint64, last bool) (segment, error)
 		return segment{}, fmt.Errorf("wal: %w", err)
 	}
 	defer f.Close()
+	r := bufio.NewReaderSize(f, readBuffer)
 	seg := segment{firstSeq: first}
 	var good int64
+	var buf []byte
 	for {
-		n, err := readFrame(f, nil)
+		var n int
+		buf, n, err = readFrame(r, buf)
 		if err == io.EOF {
 			break
 		}
@@ -229,34 +241,39 @@ func (l *Log) scanSegment(name string, first uint64, last bool) (segment, error)
 	return seg, nil
 }
 
-// readFrame reads one frame, returning its total byte length. When dst is
-// non-nil the payload is appended to *dst; otherwise it is verified and
-// discarded. Any short read or CRC mismatch is an error (io.EOF alone means
-// a clean end).
-func readFrame(r io.Reader, dst *[]byte) (int, error) {
+// readFrame reads one frame into buf, reusing its capacity, and returns the
+// payload and the frame's total byte length. The payload buffer grows as it
+// is filled (see frameChunk), so the length header alone never sizes an
+// allocation. Any short read or CRC mismatch is an error (io.EOF alone
+// means a clean end); the returned slice is then still buf's storage, for
+// reuse.
+func readFrame(r io.Reader, buf []byte) ([]byte, int, error) {
 	var hdr [frameHeader]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
-			return 0, io.EOF
+			return buf[:0], 0, io.EOF
 		}
-		return 0, fmt.Errorf("short frame header: %w", err)
+		return buf[:0], 0, fmt.Errorf("short frame header: %w", err)
 	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
+	length32 := binary.LittleEndian.Uint32(hdr[0:4])
 	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length > maxRecordBytes {
-		return 0, fmt.Errorf("frame length %d exceeds %d", length, maxRecordBytes)
+	if length32 > maxRecordBytes {
+		return buf[:0], 0, fmt.Errorf("frame length %d exceeds %d", length32, maxRecordBytes)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, fmt.Errorf("short frame payload: %w", err)
+	length := int(length32)
+	p := buf[:0]
+	for len(p) < length {
+		k := len(p)
+		step := min(length-k, max(frameChunk, k))
+		p = slices.Grow(p, step)[:k+step]
+		if _, err := io.ReadFull(r, p[k:]); err != nil {
+			return p[:0], 0, fmt.Errorf("short frame payload: %w", err)
+		}
 	}
-	if got := crc32.Checksum(payload, crcTable); got != want {
-		return 0, fmt.Errorf("crc mismatch: %08x != %08x", got, want)
+	if got := crc32.Checksum(p, crcTable); got != want {
+		return p[:0], 0, fmt.Errorf("crc mismatch: %08x != %08x", got, want)
 	}
-	if dst != nil {
-		*dst = payload
-	}
-	return frameHeader + int(length), nil
+	return p, frameHeader + length, nil
 }
 
 // appendFrame writes one framed payload to w.
@@ -370,10 +387,12 @@ func (l *Log) Sync() error {
 }
 
 // Replay invokes fn for every record with seq >= from, in order. The
-// payload slice is owned by fn. Replay reads through separate handles, so
-// it is valid on a log positioned for append (the recovery path replays,
-// then keeps appending).
+// payload slice is valid only until fn returns: Replay reads every record
+// into one buffer. Replay reads through separate handles, so it is valid on
+// a log positioned for append (the recovery path replays, then keeps
+// appending).
 func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) error {
+	var buf []byte
 	for _, seg := range l.segs {
 		if seg.firstSeq+uint64(seg.records) <= from {
 			continue
@@ -382,15 +401,16 @@ func (l *Log) Replay(from uint64, fn func(seq uint64, payload []byte) error) err
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
+		r := bufio.NewReaderSize(f, readBuffer)
 		seq := seg.firstSeq
 		for i := 0; i < seg.records; i++ {
-			var payload []byte
-			if _, err := readFrame(f, &payload); err != nil {
+			buf, _, err = readFrame(r, buf)
+			if err != nil {
 				f.Close()
 				return fmt.Errorf("wal: replaying %s record %d: %w", seg.name(), seq, err)
 			}
 			if seq >= from {
-				if err := fn(seq, payload); err != nil {
+				if err := fn(seq, buf); err != nil {
 					f.Close()
 					return err
 				}
@@ -496,8 +516,7 @@ func (l *Log) LatestSnapshot() (seq uint64, payload []byte, ok bool, err error) 
 		if oerr != nil {
 			continue
 		}
-		var p []byte
-		_, rerr := readFrame(f, &p)
+		p, _, rerr := readFrame(f, nil)
 		f.Close()
 		if rerr != nil {
 			continue // corrupt snapshot: fall back to an older one
