@@ -16,7 +16,6 @@ package ecmp
 
 import (
 	"fmt"
-	"slices"
 
 	"pythia/internal/netsim"
 	"pythia/internal/stats"
@@ -97,27 +96,26 @@ func (a *Allocator) Resolve(t netsim.FiveTuple) (topology.Path, error) {
 }
 
 // AttachNetwork subscribes the allocator to the network's fault plane:
-// every link/switch failure or recovery re-hashes the in-flight flows of
-// the given kinds whose paths died. ECMP has no controller, so this models
-// each switch's local hash simply re-spreading over the surviving
-// equal-cost next hops. Attach one allocator per flow kind it owns (the
-// shuffle allocator must not move another allocator's storage flows).
-func (a *Allocator) AttachNetwork(net *netsim.Network, kinds ...netsim.FlowKind) {
+// every link/switch failure or recovery re-hashes the in-flight shuffle
+// flows whose paths died. ECMP has no controller, so this models each
+// switch's local hash simply re-spreading over the surviving equal-cost
+// next hops.
+func (a *Allocator) AttachNetwork(net *netsim.Network) {
 	net.SubscribeTopology(func(netsim.TopoEvent) {
-		a.RescueStranded(net, kinds...)
+		a.RescueStranded(net)
 	})
 }
 
-// RescueStranded walks the active flows of the given kinds and re-resolves
-// any whose path crosses a dead link, returning how many moved. Flows whose
-// pair is fully disconnected stay put and starve until connectivity
-// returns (there is nowhere to move them). Recovery events matter too:
+// RescueStranded walks the active shuffle flows and re-resolves any whose
+// path crosses a dead link, returning how many moved. Flows whose pair is
+// fully disconnected stay put and starve until connectivity returns (there
+// is nowhere to move them). Recovery events matter too:
 // re-hashing on recovery is what puts traffic back onto restored trunks.
-func (a *Allocator) RescueStranded(net *netsim.Network, kinds ...netsim.FlowKind) int {
+func (a *Allocator) RescueStranded(net *netsim.Network) int {
 	moved := 0
 	net.ForEachActive(func(f *netsim.Flow) {
-		if len(f.Path.Links) == 0 || !slices.Contains(kinds, f.Kind) {
-			return // zero-hop local flow, or another allocator's kind
+		if len(f.Path.Links) == 0 || f.Kind != netsim.Shuffle {
+			return // zero-hop local flow, or not a shuffle flow
 		}
 		if f.Path.Valid(a.g) == nil {
 			return // still routable

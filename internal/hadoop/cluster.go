@@ -15,20 +15,6 @@ type PathResolver interface {
 	Resolve(t netsim.FiveTuple) (topology.Path, error)
 }
 
-// OutputSink persists reducer output; hdfs.FileSystem implements it. done
-// must be invoked exactly once when the data is durable.
-type OutputSink interface {
-	WriteOutput(client topology.NodeID, name string, bytes float64, done func())
-}
-
-// InputSource provides map-input block locations; hdfs.FileSystem implements
-// it. BlockReplicas returns the hosts holding block idx of the named file,
-// and ReadBlock streams that block to a non-local reader.
-type InputSource interface {
-	BlockReplicas(name string, idx int) ([]topology.NodeID, bool)
-	ReadBlock(client topology.NodeID, name string, idx int, done func()) error
-}
-
 // ShufflePort is the well-known tasktracker HTTP port that sources shuffle
 // data in Hadoop 1.x (the paper post-processed NetFlow traces filtering on
 // it). The data flows mapper-server → reducer-server; the reducer side's
@@ -161,13 +147,6 @@ type Cluster struct {
 	SpeculativeWins     int
 	SpeculativeKilled   int
 
-	// sink receives reducer output write-backs (nil: outputs are dropped,
-	// as when jobs chain through in-memory stores).
-	sink OutputSink
-	// input provides map-input block locations for locality-aware
-	// scheduling (nil: inputs are assumed local, the paper's setup).
-	input InputSource
-
 	// attempts tracks in-flight map attempt completion events per
 	// (job, map), so losers can be killed when a winner finishes.
 	attempts map[[2]int][]*mapAttempt
@@ -185,6 +164,15 @@ func NewCluster(eng *sim.Engine, net *netsim.Network, hosts []topology.NodeID, r
 	}
 	if resolver == nil {
 		panic("hadoop: nil path resolver")
+	}
+	// Out-of-range knobs would otherwise never start a fetch (negative
+	// copies) or never launch a reducer (threshold above NumMaps) while
+	// the heartbeats keep the engine alive forever. Zero means default.
+	if cfg.ParallelCopies < 0 {
+		panic(fmt.Sprintf("hadoop: ParallelCopies %d is negative", cfg.ParallelCopies))
+	}
+	if !(cfg.SlowstartFraction >= 0 && cfg.SlowstartFraction <= 1) {
+		panic(fmt.Sprintf("hadoop: SlowstartFraction %v is outside [0, 1]", cfg.SlowstartFraction))
 	}
 	cfg = cfg.Defaults()
 	c := &Cluster{eng: eng, net: net, resolver: resolver, cfg: cfg,
@@ -232,16 +220,6 @@ func (c *Cluster) OnReduceScheduled(fn func(*Job, *ReduceTask)) {
 
 // OnJobDone registers a completion listener.
 func (c *Cluster) OnJobDone(fn func(*Job)) { c.onJobDone = append(c.onJobDone, fn) }
-
-// SetOutputSink attaches the distributed filesystem reducers write back to.
-// Jobs whose specs set ReduceOutputRatio > 0 then include the write-back
-// phase in their completion time.
-func (c *Cluster) SetOutputSink(sink OutputSink) { c.sink = sink }
-
-// SetInputSource attaches the filesystem map inputs are read from. Jobs
-// whose specs name an InputFile then get data-local scheduling, with
-// non-local maps streaming their block across the fabric first.
-func (c *Cluster) SetInputSource(src InputSource) { c.input = src }
 
 // Submit enqueues a job for execution and starts the heartbeat machinery.
 // It returns the runtime job handle.
@@ -299,18 +277,16 @@ func (c *Cluster) schedule() {
 		if j.Done {
 			continue
 		}
-		// Maps first: each free slot pulls a task, preferring one whose
-		// input block lives on the tracker's host (Hadoop's data-local
-		// pick on heartbeat).
+		// Maps first: each free slot pulls the FIFO head. Map inputs are
+		// local (the paper's setup), so there is no locality pick.
 		for len(j.pendingMaps) > 0 {
 			tr := c.freestMapTracker()
 			if tr == nil {
 				break
 			}
-			idx, local := c.pickMap(j, tr)
-			mapID := j.pendingMaps[idx]
-			j.pendingMaps = append(j.pendingMaps[:idx], j.pendingMaps[idx+1:]...)
-			c.startMap(j, j.Maps[mapID], tr, local)
+			mapID := j.pendingMaps[0]
+			j.pendingMaps = j.pendingMaps[1:]
+			c.startMap(j, j.Maps[mapID], tr)
 		}
 		if c.cfg.Speculative {
 			c.maybeSpeculate(j)
@@ -361,55 +337,16 @@ func (c *Cluster) freestReduceTracker() *taskTracker {
 	return best
 }
 
-// pickMap chooses which pending map a tracker should run: the first one
-// with an input replica on this host, else FIFO head. It returns the index
-// into j.pendingMaps and whether the choice is data-local. Without an input
-// source (or input file) everything is treated as local, matching the
-// paper's setup.
-func (c *Cluster) pickMap(j *Job, tr *taskTracker) (idx int, local bool) {
-	if c.input == nil || j.Spec.InputFile == "" {
-		return 0, true
-	}
-	for i, mapID := range j.pendingMaps {
-		replicas, ok := c.input.BlockReplicas(j.Spec.InputFile, mapID)
-		if !ok {
-			continue
-		}
-		for _, r := range replicas {
-			if r == tr.host {
-				return i, true
-			}
-		}
-	}
-	return 0, false
-}
-
-func (c *Cluster) startMap(j *Job, m *MapTask, tr *taskTracker, local bool) {
+func (c *Cluster) startMap(j *Job, m *MapTask, tr *taskTracker) {
 	m.State = Running
 	m.Tracker = tr.index
 	m.Scheduled = c.eng.Now()
 	m.Attempts = 1
 	tr.freeMap--
-	compute := func() {
-		d := sim.Duration(j.Spec.MapDurations[m.ID])
-		ev := c.eng.After(d, func() { c.finishMap(j, m, tr, 1) })
-		c.attempts[[2]int{j.ID, m.ID}] = append(c.attempts[[2]int{j.ID, m.ID}],
-			&mapAttempt{ev: ev, tr: tr, at: c.eng.Now().Add(d), id: 1})
-	}
-	if local || c.input == nil || j.Spec.InputFile == "" {
-		if c.input != nil && j.Spec.InputFile != "" {
-			j.LocalMaps++
-		}
-		compute()
-		return
-	}
-	// Non-local: stream the input block from a replica before computing.
-	j.RemoteMaps++
-	if err := c.input.ReadBlock(tr.host, j.Spec.InputFile, m.ID, compute); err != nil {
-		// Block index out of range (spec larger than file): degrade to
-		// local, as with generated inputs.
-		compute()
-	}
+	d := sim.Duration(j.Spec.MapDurations[m.ID])
+	ev := c.eng.After(d, func() { c.finishMap(j, m, tr, 1) })
+	c.attempts[[2]int{j.ID, m.ID}] = append(c.attempts[[2]int{j.ID, m.ID}],
+		&mapAttempt{ev: ev, tr: tr, at: c.eng.Now().Add(d), id: 1})
 }
 
 // maybeSpeculate launches backup attempts for straggling maps when slots
@@ -598,20 +535,10 @@ func (c *Cluster) maybeFinishShuffle(j *Job, r *ReduceTask) {
 	}
 	r.State = Reducing
 	r.ShuffleDone = c.eng.Now()
+	// The reducer's output is not written back over the fabric: no figure
+	// run carries HDFS traffic.
 	compute := j.Spec.ReduceBaseSec + j.Spec.ReduceSecPerMB*(r.FetchedBytes/1e6)
-	c.eng.After(sim.Duration(compute), func() {
-		out := j.Spec.ReduceOutputRatio * r.FetchedBytes
-		if c.sink == nil || out <= 0 {
-			c.finishReduce(j, r)
-			return
-		}
-		// Write-back: the reduce task holds its slot until the output is
-		// durable in the distributed filesystem.
-		name := fmt.Sprintf("/job-%d/part-%05d", j.ID, r.ID)
-		c.sink.WriteOutput(c.trackers[r.Tracker].host, name, out, func() {
-			c.finishReduce(j, r)
-		})
-	})
+	c.eng.After(sim.Duration(compute), func() { c.finishReduce(j, r) })
 }
 
 func (c *Cluster) finishReduce(j *Job, r *ReduceTask) {

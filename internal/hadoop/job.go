@@ -75,17 +75,6 @@ type JobSpec struct {
 	// fetched; ReduceBaseSec is the fixed per-reducer overhead.
 	ReduceSecPerMB float64
 	ReduceBaseSec  float64
-	// ReduceOutputRatio sizes each reducer's final output as a fraction
-	// of its fetched bytes. When positive and the cluster has an output
-	// sink (HDFS), reducers write back through the replication pipeline
-	// before completing — the "writes back the reduction result to the
-	// distributed file system" phase.
-	ReduceOutputRatio float64
-	// InputFile names the HDFS input whose block i feeds map i. When set
-	// and the cluster has an input source, the scheduler prefers
-	// data-local placement and non-local maps stream their block over
-	// the fabric before computing.
-	InputFile string
 }
 
 // Validate checks internal consistency.
@@ -189,12 +178,8 @@ type Job struct {
 
 	mapsCompleted    int
 	reducesCompleted int
-	pendingMaps      []int // map IDs awaiting a slot, FIFO with locality pick
+	pendingMaps      []int // map IDs awaiting a slot, FIFO
 	nextReduce       int
-	// LocalMaps and RemoteMaps count data-local vs streamed placements
-	// (both zero when locality is not modeled).
-	LocalMaps  int
-	RemoteMaps int
 	// completedMapSec collects winning-attempt durations, feeding the
 	// speculation straggler threshold.
 	completedMapSec []float64

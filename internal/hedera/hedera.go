@@ -101,9 +101,7 @@ func New(eng *sim.Engine, net *netsim.Network, seed uint64, cfg Config) *Schedul
 	// its reactive poll before *optimizing* placement, but basic
 	// connectivity recovery is the fabric's ECMP behavior, not the
 	// scheduler's.
-	net.SubscribeTopology(func(netsim.TopoEvent) {
-		s.RescueStranded(net, netsim.Shuffle)
-	})
+	s.AttachNetwork(net)
 	return s
 }
 

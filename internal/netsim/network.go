@@ -36,9 +36,6 @@ const (
 	// Control is Pythia/OpenFlow control-plane traffic (carried on the
 	// management network in the paper; modeled for overhead accounting).
 	Control
-	// Storage is HDFS block movement (replication pipelines, remote
-	// reads) — data traffic that Pythia does not schedule.
-	Storage
 )
 
 func (k FlowKind) String() string {
@@ -49,8 +46,6 @@ func (k FlowKind) String() string {
 		return "background"
 	case Control:
 		return "control"
-	case Storage:
-		return "storage"
 	}
 	return fmt.Sprintf("FlowKind(%d)", int(k))
 }
@@ -126,16 +121,14 @@ type Network struct {
 	history []*Flow
 
 	// linkFlows indexes the active flows by every link they traverse
-	// (ascending flow-ID order per link) and terminal counts the active
-	// flows whose final hop lands on each link (the incast convergence
-	// count). Both are dense slices keyed by LinkID and maintained
-	// incrementally on StartFlow/Reroute/completion so that per-link
-	// telemetry and the max-min bottleneck pass cost O(flows-on-link)
-	// instead of scanning every active flow per link. Invariant: a path
-	// never crosses the same link twice (deterministic forwarding cannot
-	// revisit a node without looping forever, which Resolve rejects).
+	// (ascending flow-ID order per link). It is a dense slice keyed by
+	// LinkID and maintained incrementally on StartFlow/Reroute/completion
+	// so that per-link telemetry and the max-min bottleneck pass cost
+	// O(flows-on-link) instead of scanning every active flow per link.
+	// Invariant: a path never crosses the same link twice (deterministic
+	// forwarding cannot revisit a node without looping forever, which
+	// Resolve rejects).
 	linkFlows [][]*Flow
-	terminal  []int
 	// busy lists, in no particular order, the links whose linkFlows entry
 	// is non-empty, and busyAt[l] is l's slot in it (dense by LinkID), so
 	// a pass starts from the busy links without sweeping every link.
@@ -165,27 +158,17 @@ type Network struct {
 	// loopback/local disk, not the fabric).
 	localBps float64
 
-	// Incast models TCP throughput collapse at many-to-one convergence
-	// points (Chen et al., the paper's TCP-incast citation): when more
-	// than incastThreshold flows terminate at one receiving edge link,
-	// that link's usable capacity degrades by incastFactor per extra
-	// flow, floored at incastFloor of nominal. Disabled by default.
-	incastThreshold int
-	incastFactor    float64
-	incastFloor     float64
-
 	completeEvent *sim.Event
 	// completeFn is completeDue bound once at construction: scheduling a
 	// method value allocates a fresh closure per call, which would be the
 	// only allocation left on the steady-state pass.
 	completeFn func()
 
-	// base caches linkResidual(l, 0) — capacity minus background, zero when
+	// base caches linkResidual(l) — capacity minus background, zero when
 	// down — for every link, as of graph version baseVer. A version change
 	// (link or switch failure and recovery) refreshes it whole at the next
 	// pass; SetBackground refreshes its one link, and ensureLink the links it
-	// adds. The incast term is not part of it: with incast on, a pass reads
-	// linkResidual with the live convergence count instead.
+	// adds. Every pass starts from it.
 	base    []float64
 	baseVer uint64
 	// Allocator scratch, reused across passes so the steady-state pass
@@ -202,21 +185,6 @@ type Network struct {
 	wShare    []float64
 	dirty     []topology.LinkID
 	doneBuf   []*Flow
-}
-
-// EnableIncast turns on the many-to-one goodput-collapse model: beyond
-// threshold concurrent flows into one receiver link, capacity shrinks by
-// factor per additional flow (e.g. 0.05 = 5%), floored at floorFrac of
-// nominal. Pass threshold <= 0 to disable.
-func (n *Network) EnableIncast(threshold int, factor, floorFrac float64) {
-	if factor < 0 || factor >= 1 || floorFrac <= 0 || floorFrac > 1 {
-		panic("netsim: bad incast parameters")
-	}
-	n.advance()
-	n.incastThreshold = threshold
-	n.incastFactor = factor
-	n.incastFloor = floorFrac
-	n.recompute()
 }
 
 // DefaultLocalBps is the default loopback/local-fetch rate (8 Gbps —
@@ -241,7 +209,6 @@ func New(eng *sim.Engine, g *topology.Graph) *Network {
 		eng:        eng,
 		g:          g,
 		linkFlows:  make([][]*Flow, nl),
-		terminal:   make([]int, nl),
 		busyAt:     make([]int, nl),
 		background: make([]float64, nl),
 		linkBits:   make([]float64, nl),
@@ -262,7 +229,7 @@ func New(eng *sim.Engine, g *topology.Graph) *Network {
 // refreshBase recomputes the cached base residual of links lo..hi-1.
 func (n *Network) refreshBase(lo, hi int) {
 	for l := lo; l < hi; l++ {
-		n.base[l] = n.linkResidual(topology.LinkID(l), 0)
+		n.base[l] = n.linkResidual(topology.LinkID(l))
 	}
 }
 
@@ -280,7 +247,6 @@ func (n *Network) ensureLink(id topology.LinkID) {
 		need = nl
 	}
 	n.linkFlows = grown(n.linkFlows, need)
-	n.terminal = grown(n.terminal, need)
 	n.busyAt = grown(n.busyAt, need)
 	n.background = grown(n.background, need)
 	n.linkBits = grown(n.linkBits, need)
@@ -398,8 +364,8 @@ func (n *Network) recordFlow(kind flight.Kind, f *Flow) {
 		return
 	}
 	if f.Kind != Shuffle || len(f.Path.Links) == 0 {
-		// Local fetches never touch the fabric; background/storage/control
-		// flows are not predictions.
+		// Local fetches never touch the fabric; background/control flows
+		// are not predictions.
 		return
 	}
 	ev := flight.Ev(kind, flight.PlaneFabric)
@@ -429,9 +395,6 @@ func (n *Network) indexFlow(f *Flow) {
 			n.busy = append(n.busy, l)
 		}
 	}
-	if k := len(f.Path.Links); k > 0 {
-		n.terminal[f.Path.Links[k-1]]++
-	}
 }
 
 // unindexFlow removes a flow from the per-link occupancy index.
@@ -450,9 +413,6 @@ func (n *Network) unindexFlow(f *Flow) {
 				n.busy = n.busy[:last]
 			}
 		}
-	}
-	if k := len(f.Path.Links); k > 0 {
-		n.terminal[f.Path.Links[k-1]]--
 	}
 }
 
@@ -505,26 +465,16 @@ func (n *Network) advance() {
 }
 
 // linkResidual returns the capacity left for TCP flows on a link: zero when
-// the link is down, else capacity (degraded by the incast model when the
-// link is a convergence point) minus background, floored at zero. The float
-// operation sequence is pinned by the flow-history digests; do not reorder it.
-func (n *Network) linkResidual(l topology.LinkID, terminalCount int) float64 {
+// the link is down, else capacity minus background, floored at zero. Only
+// refreshBase calls it; a pass reads the cached base. The float operation
+// sequence is pinned by the flow-history digests; do not reorder it.
+func (n *Network) linkResidual(l topology.LinkID) float64 {
 	if !n.g.LinkUp(l) {
 		// A failed link carries nothing: flows routed across it starve
 		// until rerouted or the link recovers.
 		return 0
 	}
-	capBps := n.g.Link(l).CapacityBps
-	if n.incastThreshold > 0 {
-		if extra := terminalCount - n.incastThreshold; extra > 0 {
-			eff := 1 - n.incastFactor*float64(extra)
-			if eff < n.incastFloor {
-				eff = n.incastFloor
-			}
-			capBps *= eff
-		}
-	}
-	r := capBps - n.background[l]
+	r := n.g.Link(l).CapacityBps - n.background[l]
 	if r < 0 {
 		r = 0
 	}
@@ -534,11 +484,11 @@ func (n *Network) linkResidual(l topology.LinkID, terminalCount int) float64 {
 // recompute performs a full max-min fair allocation pass and reschedules the
 // next-completion event. Every mutation of the flow set, a path, a link's
 // background or the topology calls it once: progressive filling over the
-// links that carry flows, with occupancy and the incast convergence count
-// read from the per-link index and all scratch reused.
+// links that carry flows, with occupancy read from the per-link index,
+// residuals from the cached base, and all scratch reused.
 //
 // The busy links, copied from the busy-link set, form a worklist with a
-// parallel dense array of fair shares (residual/count). A round is one
+// parallel dense array of fair shares (base residual/count). A round is one
 // linear scan of the shares for the bottleneck; fixing its flows re-divides
 // each link they cross once, and a link left with no unfixed flow is
 // swap-removed, so the worklist shrinks as the pass goes. A pass costs
@@ -557,10 +507,6 @@ func (n *Network) recompute() {
 	for i, lid := range wl {
 		c := len(n.linkFlows[lid])
 		r := n.base[lid]
-		if n.incastThreshold > 0 {
-			// The convergence count moves with every flow: no cache.
-			r = n.linkResidual(lid, n.terminal[lid])
-		}
 		n.counts[lid] = c
 		n.residual[lid] = r
 		n.pos[lid] = i

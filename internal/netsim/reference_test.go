@@ -14,7 +14,7 @@ import (
 )
 
 // The full-scan reference. The production allocator and telemetry read link
-// occupancy and convergence counts from the per-link index that
+// occupancy from the per-link index that
 // StartFlow/Reroute/completion maintain incrementally; everything below
 // derives the same quantities from nothing but n.active and the graph, the
 // way the simulator did before the index existed. It is the oracle the
@@ -26,7 +26,6 @@ import (
 func refRates(n *Network) []float64 {
 	nl := n.g.NumLinks()
 	counts := make([]int, nl)
-	terminal := make([]int, nl)
 	residual := make([]float64, nl)
 	seen := make([]bool, nl)
 	var work []topology.LinkID
@@ -38,12 +37,9 @@ func refRates(n *Network) []float64 {
 			}
 			counts[l]++
 		}
-		if k := len(f.Path.Links); k > 0 {
-			terminal[f.Path.Links[k-1]]++
-		}
 	}
 	for _, l := range work {
-		residual[l] = n.linkResidual(l, terminal[l])
+		residual[l] = n.linkResidual(l)
 	}
 
 	rates := make([]float64, len(n.active))
@@ -458,7 +454,6 @@ const (
 	opLinkDown
 	opLinkUp
 	opBackground
-	opIncast
 	opAdvance
 	opRawFlip
 	opSwitch
@@ -466,7 +461,7 @@ const (
 )
 
 func (o refOp) String() string {
-	name := [...]string{"start", "reroute", "complete", "linkDown", "linkUp", "background", "incast", "advance", "rawFlip", "switch"}[o.kind]
+	name := [...]string{"start", "reroute", "complete", "linkDown", "linkUp", "background", "advance", "rawFlip", "switch"}[o.kind]
 	return fmt.Sprintf("%s(%d,%d,%d,%g)", name, o.a, o.b, o.c, o.x)
 }
 
@@ -522,12 +517,6 @@ func applyOp(eng *sim.Engine, n *Network, hosts []topology.NodeID, o refOp) {
 	case opBackground:
 		l := topology.LinkID(o.a % g.NumLinks())
 		n.SetBackground(l, o.x*1.2*g.Link(l).CapacityBps) // sometimes above capacity: clamps
-	case opIncast:
-		if o.a%2 == 0 {
-			n.EnableIncast(0, 0, 1)
-		} else {
-			n.EnableIncast(1+o.b%3, 0.05+o.x*0.3, 0.2)
-		}
 	case opAdvance:
 		eng.RunUntil(eng.Now().Add(sim.Duration(o.x * 0.05)))
 	case opRawFlip:
@@ -626,9 +615,6 @@ func TestBaseResidualFollowsEveryInvalidation(t *testing.T) {
 		{"raw SetLinkUp(true), then a start", func() { g.SetLinkUp(uplink, true); start(hosts[1], hosts[1], 0) }},
 		{"SetNodeUp(false)", func() { g.SetNodeUp(spine, false); n.NotifyTopology() }},
 		{"SetNodeUp(true)", func() { g.SetNodeUp(spine, true); n.NotifyTopology() }},
-		{"EnableIncast on", func() { n.EnableIncast(1, 0.2, 0.3) }},
-		{"SetBackground under incast", func() { n.SetBackground(uplink, 0.2e9) }},
-		{"EnableIncast off", func() { n.EnableIncast(0, 0, 1) }},
 		{"link added after New", func() {
 			late = g.AddNode(topology.Host, "late", g.Node(hosts[0]).Rack)
 			g.AddDuplex(late, leaf, 0.5*topology.Gbps, "edge-late")

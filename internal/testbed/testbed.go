@@ -13,7 +13,6 @@ import (
 	"pythia/internal/ecmp"
 	"pythia/internal/flight"
 	"pythia/internal/hadoop"
-	"pythia/internal/hdfs"
 	"pythia/internal/hedera"
 	"pythia/internal/instrument"
 	"pythia/internal/mgmtnet"
@@ -52,7 +51,7 @@ func (s Scheduler) String() string {
 // two racks of five hosts joined by two 1 Gbps trunks, no background load.
 type Config struct {
 	Scheduler Scheduler
-	// Seed salts the ECMP hash (and HDFS placement).
+	// Seed salts the ECMP hash.
 	Seed uint64
 	// K is Pythia's and Hedera's candidate count (default 4): the first K
 	// equal-cost paths of a pair. ECMP and table misses are the forwarding
@@ -88,10 +87,8 @@ type Config struct {
 	ExplicitControlPlane bool
 	MgmtFaults           *mgmtnet.FaultConfig
 
-	// Flight attaches the cross-plane flight recorder, HDFS a replicated
-	// output filesystem.
+	// Flight attaches the cross-plane flight recorder.
 	Flight bool
-	HDFS   bool
 
 	// WrapSink, when non-nil, wraps the intent sink the middleware reports
 	// to (the collector, or a null sink under ECMP/Hedera) — the hook
@@ -115,7 +112,6 @@ type Testbed struct {
 	ECMP       *ecmp.Allocator // plain-ECMP scheduler only
 	Hedera     *hedera.Scheduler
 	Flight     *flight.Recorder
-	HDFS       *hdfs.FileSystem
 }
 
 // Defaults fills unset fields with the paper's testbed shape.
@@ -207,7 +203,7 @@ func Build(cfg Config) (*Testbed, error) {
 	case ECMP:
 		tb.ECMP = ecmp.New(g, cfg.Seed)
 		// Fault plane: re-hash in-flight shuffle flows off dead paths.
-		tb.ECMP.AttachNetwork(net, netsim.Shuffle)
+		tb.ECMP.AttachNetwork(net)
 		resolver = tb.ECMP
 	case Pythia:
 		ofc := openflow.NewController(eng, net, 0)
@@ -240,15 +236,6 @@ func Build(cfg Config) (*Testbed, error) {
 
 	tb.Cluster = hadoop.NewCluster(eng, net, hosts, resolver, cfg.Hadoop)
 	tb.Middleware = instrument.Attach(eng, tb.Cluster, sink, icfg)
-	if cfg.HDFS {
-		// HDFS traffic always rides the default pipeline (distinct hash
-		// salt so it does not mirror the shuffle's ECMP draws); its own
-		// allocator rescues stranded storage flows on topology events.
-		hal := ecmp.New(g, cfg.Seed^0xD47A)
-		hal.AttachNetwork(net, netsim.Storage)
-		tb.HDFS = hdfs.New(eng, net, hosts, hal, hdfs.Config{}, cfg.Seed)
-		tb.Cluster.SetOutputSink(tb.HDFS)
-	}
 	return tb, nil
 }
 

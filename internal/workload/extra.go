@@ -31,7 +31,7 @@ func TeraSort(inputBytes float64, numReduces int, seed uint64) *hadoop.JobSpec {
 // high-degree vertices. Chain iterations by feeding each one's output size
 // into the next.
 func PageRankIteration(graphBytes float64, numReduces int, iteration int, seed uint64) *hadoop.JobSpec {
-	spec := Generate(Config{
+	return Generate(Config{
 		Name:         fmt.Sprintf("pagerank-iter%d", iteration),
 		InputBytes:   graphBytes,
 		BlockBytes:   HDFSBlock,
@@ -43,12 +43,10 @@ func PageRankIteration(graphBytes float64, numReduces int, iteration int, seed u
 		ReduceSecPerMB:     0.006,
 		Seed:               seed + uint64(iteration)*7919,
 	})
-	spec.ReduceOutputRatio = 1.0 // the next iteration consumes the ranks
-	return spec
 }
 
 // PageRank returns a full n-iteration PageRank pipeline; run the specs in
-// order on one cluster (each writes back what the next reads).
+// order on one cluster (each consumes the ranks the previous one produced).
 func PageRank(graphBytes float64, numReduces, iterations int, seed uint64) []*hadoop.JobSpec {
 	if iterations <= 0 {
 		panic("workload: PageRank needs positive iterations")

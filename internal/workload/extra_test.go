@@ -31,9 +31,6 @@ func TestPageRankPipeline(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}
-		if s.ReduceOutputRatio != 1.0 {
-			t.Fatalf("iter %d has no write-back", i)
-		}
 		if names[s.Name] {
 			t.Fatalf("duplicate iteration name %q", s.Name)
 		}

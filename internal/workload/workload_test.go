@@ -258,7 +258,6 @@ func BenchmarkGenerateSort24GB(b *testing.B) {
 
 func TestSpecRoundTrip(t *testing.T) {
 	orig := Sort(2*GB, 6, 7)
-	orig.ReduceOutputRatio = 0.5
 	data, err := MarshalSpec(orig)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +266,8 @@ func TestSpecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != orig.Name || got.NumMaps != orig.NumMaps || got.ReduceOutputRatio != 0.5 {
+	if got.Name != orig.Name || got.NumMaps != orig.NumMaps ||
+		got.ReduceSecPerMB != orig.ReduceSecPerMB || got.ReduceBaseSec != orig.ReduceBaseSec {
 		t.Fatalf("round trip lost fields: %+v", got)
 	}
 	for m := range orig.MapOutputs {

@@ -34,7 +34,7 @@
 //     WithFlightRecorder. The sequence views (SequenceDiagram,
 //     ChromeTrace) need no option.
 //   - Workload — Hadoop-side behavior: WithReduceSlowstart,
-//     WithParallelCopies, WithHDFS, WithIncast.
+//     WithParallelCopies.
 //
 // # Panicking and Try entry points
 //
@@ -59,7 +59,6 @@ import (
 	"pythia/internal/ecmp"
 	"pythia/internal/flight"
 	"pythia/internal/hadoop"
-	"pythia/internal/hdfs"
 	"pythia/internal/hedera"
 	"pythia/internal/instrument"
 	"pythia/internal/mgmtnet"
@@ -117,12 +116,7 @@ type config struct {
 	hadoopCfg    hadoop.Config
 	pythiaCfg    core.Config
 	flight       bool
-	hdfs         bool
 	explicitCP   bool
-
-	incastThreshold int
-	incastFactor    float64
-	incastFloor     float64
 
 	topo     *TopologySpec
 	cpFaults *ControlPlaneFaults
@@ -155,7 +149,6 @@ type Cluster struct {
 	al       *ecmp.Allocator // plain-ECMP scheduler only
 	hed      *hedera.Scheduler
 	fr       *flight.Recorder
-	fs       *hdfs.FileSystem
 	kind     SchedulerKind
 	deadline float64
 
@@ -200,7 +193,6 @@ func New(opts ...Option) *Cluster {
 		},
 		ExplicitControlPlane: cfg.explicitCP,
 		Flight:               cfg.flight,
-		HDFS:                 cfg.hdfs,
 	}
 	if t := cfg.topo; t != nil {
 		tcfg.HostsPerRack, tcfg.Trunks = t.hostsPerRack, t.trunks
@@ -223,14 +215,10 @@ func New(opts ...Option) *Cluster {
 	if err != nil {
 		panic(fmt.Sprintf("pythia: %v", err))
 	}
-	if cfg.incastThreshold > 0 {
-		tb.Net.EnableIncast(cfg.incastThreshold, cfg.incastFactor, cfg.incastFloor)
-	}
 	c := &Cluster{
 		eng: tb.Eng, net: tb.Net, g: tb.Graph, hosts: tb.Hosts, trunks: tb.Trunks,
 		cluster: tb.Cluster, mw: tb.Middleware, mn: tb.Mgmt, ofc: tb.Controller,
-		py: tb.Pythia, al: tb.ECMP, hed: tb.Hedera,
-		fr: tb.Flight, fs: tb.HDFS,
+		py: tb.Pythia, al: tb.ECMP, hed: tb.Hedera, fr: tb.Flight,
 		kind: cfg.scheduler, deadline: cfg.deadline,
 		jobRules: make(map[int]uint64),
 	}
@@ -243,15 +231,6 @@ func New(opts ...Option) *Cluster {
 		c.rulesSeen = c.ofc.RulesInstalled
 	})
 	return c
-}
-
-// HDFSBytesWritten reports total bytes landed on datanodes (all replicas),
-// or 0 without WithHDFS.
-func (c *Cluster) HDFSBytesWritten() float64 {
-	if c.fs == nil {
-		return 0
-	}
-	return c.fs.BytesWritten
 }
 
 // JobResult summarizes one completed job.

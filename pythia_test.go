@@ -1,6 +1,7 @@
 package pythia
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -169,25 +170,51 @@ func TestCriticalityOption(t *testing.T) {
 	}
 }
 
-func TestHDFSWritebackOption(t *testing.T) {
-	spec := CustomJob(WorkloadConfig{Name: "wb", InputBytes: 1 * GB, NumReduces: 4, Seed: 2})
-	spec.ReduceOutputRatio = 1.0
+// archivedSpec is a job spec as MarshalSpec wrote it before the HDFS
+// substrate was deleted: it still carries ReduceOutputRatio and InputFile.
+const archivedSpec = `{
+ "Name": "archived",
+ "NumMaps": 2,
+ "NumReduces": 2,
+ "MapDurations": [
+  1.5,
+  2.25
+ ],
+ "MapOutputs": [
+  [
+   1000000,
+   2000000
+  ],
+  [
+   3000000,
+   0
+  ]
+ ],
+ "ReduceSecPerMB": 0.01,
+ "ReduceBaseSec": 0.5,
+ "ReduceOutputRatio": 0.5,
+ "InputFile": "/input"
+}`
 
-	with := New(WithScheduler(SchedulerPythia), WithHDFS(), WithSeed(2))
-	resWith := with.RunJob(spec)
-	if got := with.HDFSBytesWritten(); got < 2.9*GB || got > 3.1*GB {
-		t.Fatalf("HDFS bytes = %v, want ~3 GB (1 GB output x 3 replicas)", got)
+// TestLoadArchivedJobSpec: archived specs that name the deleted HDFS fields
+// still load and validate, with every surviving field intact.
+func TestLoadArchivedJobSpec(t *testing.T) {
+	got, err := LoadJobSpec([]byte(archivedSpec))
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	spec2 := CustomJob(WorkloadConfig{Name: "wb", InputBytes: 1 * GB, NumReduces: 4, Seed: 2})
-	spec2.ReduceOutputRatio = 1.0
-	without := New(WithScheduler(SchedulerPythia), WithSeed(2))
-	resWithout := without.RunJob(spec2)
-	if without.HDFSBytesWritten() != 0 {
-		t.Fatal("bytes written without HDFS")
+	want := &JobSpec{
+		Name: "archived", NumMaps: 2, NumReduces: 2,
+		MapDurations:   []float64{1.5, 2.25},
+		MapOutputs:     [][]float64{{1e6, 2e6}, {3e6, 0}},
+		ReduceSecPerMB: 0.01,
+		ReduceBaseSec:  0.5,
 	}
-	if resWith.DurationSec <= resWithout.DurationSec {
-		t.Fatalf("write-back free: %v vs %v", resWith.DurationSec, resWithout.DurationSec)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("loaded %+v, want %+v", got, want)
+	}
+	if _, err := New().TryRunJob(got); err != nil {
+		t.Fatalf("archived spec does not run: %v", err)
 	}
 }
 

@@ -2,6 +2,8 @@ package pythia
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -74,6 +76,48 @@ func TestTryCompareMatchesCompare(t *testing.T) {
 	}
 	if ta != ta2 || tb != tb2 || sp != sp2 {
 		t.Fatalf("TryCompare (%v,%v,%v) != Compare (%v,%v,%v)", ta2, tb2, sp2, ta, tb, sp)
+	}
+}
+
+// TestOutOfRangeHadoopKnobsPanic: a negative ParallelCopies never starts a
+// fetch and a slow-start fraction above 1 never launches a reducer, so a
+// run would spin on heartbeats forever. New rejects both, naming the knob;
+// in-range values (0 meaning "default") still run.
+func TestOutOfRangeHadoopKnobsPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Option
+		knob string // "" when New must not panic
+	}{
+		{"copies=-1", WithParallelCopies(-1), "ParallelCopies"},
+		{"slowstart=1.5", WithReduceSlowstart(1.5), "SlowstartFraction"},
+		{"slowstart=-0.1", WithReduceSlowstart(-0.1), "SlowstartFraction"},
+		{"slowstart=NaN", WithReduceSlowstart(math.NaN()), "SlowstartFraction"},
+		{"copies=0", WithParallelCopies(0), ""},
+		{"copies=2", WithParallelCopies(2), ""},
+		{"copies=10", WithParallelCopies(10), ""},
+		{"slowstart=0", WithReduceSlowstart(0), ""},
+		{"slowstart=0.5", WithReduceSlowstart(0.5), ""},
+		{"slowstart=0.9", WithReduceSlowstart(0.9), ""},
+		{"slowstart=1", WithReduceSlowstart(1), ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				r := recover()
+				switch {
+				case tc.knob == "" && r != nil:
+					t.Fatalf("in-range value panicked: %v", r)
+				case tc.knob != "" && r == nil:
+					t.Fatalf("New did not panic")
+				case tc.knob != "" && !strings.Contains(fmt.Sprint(r), tc.knob):
+					t.Fatalf("panic %q does not name %s", r, tc.knob)
+				}
+			}()
+			cl := New(tc.opt)
+			if _, err := cl.TryRunJob(ToySortJob()); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -11,23 +11,3 @@ func WithReduceSlowstart(f float64) Option {
 
 // WithParallelCopies bounds each reducer's concurrent fetches (default 5).
 func WithParallelCopies(n int) Option { return func(c *config) { c.hadoopCfg.ParallelCopies = n } }
-
-// WithHDFS attaches a simulated HDFS (64 MB blocks, 3-way replication,
-// default placement policy). Jobs whose specs set ReduceOutputRatio > 0
-// then write their reducer output back through the replication pipeline
-// before completing; HDFS traffic rides the default ECMP pipeline, not
-// Pythia's rules, as in the paper.
-func WithHDFS() Option { return func(c *config) { c.hdfs = true } }
-
-// WithIncast enables the TCP many-to-one goodput-collapse model at receiver
-// edge links: beyond threshold concurrent incoming flows, capacity degrades
-// by factor per extra flow, floored at floorFrac of nominal. Models the
-// incast pathology the paper cites (Chen et al.); interacts with Hadoop's
-// ParallelCopies setting.
-func WithIncast(threshold int, factor, floorFrac float64) Option {
-	return func(c *config) {
-		c.incastThreshold = threshold
-		c.incastFactor = factor
-		c.incastFloor = floorFrac
-	}
-}
