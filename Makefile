@@ -70,7 +70,6 @@ fuzz:
 	$(GO) test ./internal/instrument/ -fuzz FuzzDecodeIndex -fuzztime 10s
 	$(GO) test ./internal/instrument/ -fuzz FuzzBuildIndex -fuzztime 10s
 	$(GO) test ./internal/instrument/ -fuzz FuzzDecodeIFile -fuzztime 10s
-	$(GO) test ./internal/ofp10/ -fuzz FuzzParse -fuzztime 10s
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s -fuzzminimizetime 0
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s -fuzzminimizetime 0
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 0

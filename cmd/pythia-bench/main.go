@@ -42,7 +42,6 @@ func main() {
 	svgPath := flag.String("svg", "", "also write the fig1a diagram as SVG to this path")
 	svgDir := flag.String("svgdir", "", "write figure SVGs (fig3/fig4/fig5) into this directory")
 	jsonPath := flag.String("json", "", "also write all executed experiments' results as JSON to this path")
-	reportPath := flag.String("report", "", "run the complete suite and write a markdown report to this path")
 	parallel := flag.Int("parallel", 0, "max concurrent trials (0 = GOMAXPROCS, 1 = serial)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile covering the selected experiments to this path")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (after the experiments) to this path")
@@ -81,20 +80,6 @@ func main() {
 			}
 			fmt.Printf("wrote %s\n", *memProfile)
 		}()
-	}
-
-	if *reportPath != "" {
-		scale := bench.QuickScale()
-		if *full {
-			scale = bench.PaperScale()
-		}
-		rep := bench.RunAll(scale)
-		if err := os.WriteFile(*reportPath, []byte(rep.Markdown()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "writing report: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s\n", *reportPath)
-		return
 	}
 
 	scale := bench.QuickScale()
@@ -234,9 +219,11 @@ func main() {
 			a4 := bench.RunAblationInstallLatency(scale)
 			a5 := bench.RunAblationScope(scale)
 			a6 := bench.RunAblationCriticality(scale)
+			a7 := bench.RunAblationTimeliness(scale)
 			results["ablations"] = map[string]any{
 				"kpaths": a1, "aggregation": a2, "prediction_delay": a3,
 				"install_latency": a4, "scope": a5, "criticality": a6,
+				"timeliness": a7,
 			}
 			fmt.Print(bench.FormatAblationTable("=== A1: k-shortest paths (4 trunks, sort, 1:10) ===", a1))
 			fmt.Println()
@@ -249,6 +236,8 @@ func main() {
 			fmt.Print(bench.FormatScopeTable("=== A5: aggregation scope — TCAM occupancy (sort, 1:10) ===", a5))
 			fmt.Println()
 			fmt.Print(bench.FormatAblationTable("=== A6: flow criticality (skewed sort, 1:10) ===", a6))
+			fmt.Println()
+			fmt.Print(bench.FormatTimelinessTable("=== A7: timeliness insensitivity (integer sort, 1:5) ===", a7))
 		},
 	}
 

@@ -52,9 +52,9 @@ type IndexFile struct {
 
 // IFileFramingFactor is the on-disk expansion from raw key/value bytes to
 // IFile segment bytes (record length prefixes, EOF markers, checksums).
-// 1.5% matches the measured overhead of the record codec in ifile.go for
-// typical ~200-byte shuffle records (two to three VInt prefix bytes per
-// record) — see TestFramingOverheadJustifiesFactor.
+// 1.5% matches the measured overhead of the record codec (a test oracle in
+// ifile_codec_test.go) for typical ~200-byte shuffle records (two to three
+// VInt prefix bytes per record) — see TestFramingOverheadJustifiesFactor.
 const IFileFramingFactor = 1.015
 
 // BuildIndex constructs the index a finished map with the given per-reducer

@@ -5,7 +5,6 @@ import (
 	"pythia/internal/flight"
 	"pythia/internal/mgmtnet"
 	"pythia/internal/netsim"
-	"pythia/internal/ofp10"
 	"pythia/internal/sim"
 	"pythia/internal/topology"
 )
@@ -17,6 +16,15 @@ const DefaultInstallLatency = 4 * sim.Millisecond
 
 // DefaultPollInterval is the link-load update service period.
 const DefaultPollInterval = 1 * sim.Second
+
+// Control-message sizes, the bytes the management network serializes per
+// transmission. flowModBytes is an OpenFlow 1.0 ofp_flow_mod with one output
+// action: 8 B header, 40 B match, 24 B body, one 8 B action. echoBytes is a
+// header-only ECHO_REQUEST.
+const (
+	flowModBytes = 80
+	echoBytes    = 8
+)
 
 // Controller is the centralized SDN control plane: it owns a Switch per
 // topology switch node, serializes rule installation with per-rule latency,
@@ -38,27 +46,22 @@ type Controller struct {
 	burstStart     sim.Time
 	burstLen       int
 
-	linkLoad  map[topology.LinkID]LoadSample
-	pollEvery sim.Duration
-	topoLs    []func()
-	lastVer   uint64
+	linkLoad map[topology.LinkID]LoadSample
+	topoLs   []func()
+	lastVer  uint64
 
 	// hops is Resolve's reusable next-hop buffer.
 	hops []topology.LinkID
 
 	// RulesInstalled counts successful installs, for overhead reporting.
 	RulesInstalled uint64
-	// FlowModsSent counts OpenFlow FLOW_MOD messages emitted and
-	// ControlBytes their total wire size (ofp10 encoding) — the §III
-	// control-plane traffic the management network carries.
+	// FlowModsSent counts OpenFlow FLOW_MOD messages put on the wire.
 	FlowModsSent uint64
-	ControlBytes float64
 
 	// mgmt, when set, carries control messages with per-sender
 	// serialization instead of the fixed install pipeline delay.
 	mgmt     *mgmtnet.Network
 	ctrlNode topology.NodeID
-	nextXID  uint32
 
 	// Control-plane fault model (see faults.go).
 	faults   FaultConfig
@@ -86,7 +89,6 @@ type LoadSample struct {
 	// application-aware consumers (Pythia) can subtract to estimate
 	// background traffic.
 	ShuffleBps float64
-	SampledAt  sim.Time
 }
 
 // NewController builds a controller over every switch in the graph and
@@ -100,7 +102,6 @@ func NewController(eng *sim.Engine, net *netsim.Network, tableCapacity int) *Con
 		switches:       make(map[topology.NodeID]*Switch),
 		InstallLatency: DefaultInstallLatency,
 		linkLoad:       make(map[topology.LinkID]LoadSample),
-		pollEvery:      DefaultPollInterval,
 		lastVer:        g.Version(),
 	}
 	rackOf := func(n topology.NodeID) int { return g.Node(n).Rack }
@@ -108,9 +109,6 @@ func NewController(eng *sim.Engine, net *netsim.Network, tableCapacity int) *Con
 		sw := NewSwitch(s, tableCapacity)
 		sw.SetRackResolver(rackOf)
 		c.switches[s] = sw
-		// Session setup per switch: HELLO exchange + feature discovery.
-		c.ControlBytes += float64(len(ofp10.Hello(0))) * 2
-		c.ControlBytes += float64(len(ofp10.PortStatsRequest(0)))
 	}
 	// Fault-plane events (netsim.FailLink/FailSwitch and recoveries) reach
 	// the controller immediately — they model the switch's asynchronous
@@ -166,15 +164,6 @@ func matchEndpoints(m Match) (src, dst topology.NodeID) {
 // unknown nodes.
 func (c *Controller) Switch(n topology.NodeID) *Switch { return c.switches[n] }
 
-// SetPollInterval changes the link-load service period (takes effect after
-// the next poll).
-func (c *Controller) SetPollInterval(d sim.Duration) {
-	if d <= 0 {
-		panic("openflow: non-positive poll interval")
-	}
-	c.pollEvery = d
-}
-
 func (c *Controller) poll() {
 	// One pass over each link's occupancy-index entry yields all three
 	// quantities, so a poll costs O(links + flows-on-links) instead of the
@@ -185,18 +174,7 @@ func (c *Controller) poll() {
 			Utilization:  u,
 			AvailableBps: avail,
 			ShuffleBps:   shuffle,
-			SampledAt:    c.eng.Now(),
 		}
-	}
-	// The link-load update service is OFPST_PORT polling under the hood:
-	// one request/reply per switch per period, the reply sized by the
-	// switch's port count. This dominates Pythia's control traffic.
-	for node, sw := range c.switches {
-		ports := len(c.g.Out(node))
-		c.nextXID++
-		c.ControlBytes += float64(len(ofp10.PortStatsRequest(c.nextXID)))
-		c.ControlBytes += float64(8 + 4 + ports*104) // reply header + entries
-		_ = sw
 	}
 	if c.g.Version() != c.lastVer {
 		c.lastVer = c.g.Version()
@@ -206,7 +184,7 @@ func (c *Controller) poll() {
 	}
 	// Daemon: the recurring poll must not keep the simulation alive after
 	// the workload drains.
-	c.eng.AfterDaemon(c.pollEvery, c.poll)
+	c.eng.AfterDaemon(DefaultPollInterval, c.poll)
 }
 
 // LinkLoad returns the last polled sample for a link. The staleness is
@@ -314,29 +292,25 @@ func (c *Controller) install(m Match, path topology.Path, priority int, cookie u
 // it arrives. Under a fault model (InstallTimeout > 0) an unacknowledged
 // message is retransmitted with bounded exponential backoff and resolves with
 // ErrControlPlaneUnreachable once the budget is spent; a late arrival after a
-// timeout is discarded (stale XID), so a retransmitted rule is never
-// double-installed. Without one, a lost message never resolves.
+// timeout is discarded, so a retransmitted rule is never double-installed.
+// Without one, a lost message never resolves.
 func (c *Controller) transmit(m Match, st installStep, priority int, cookie uint64, attempt int, resolve func(error)) {
 	c.txSeq++
-	var wire []byte
+	bytes := float64(echoBytes)
 	if st.sw != nil {
-		wire = c.encodeFlowMod(m, st.out, priority, cookie)
-	} else {
-		c.nextXID++
-		wire = ofp10.EchoRequest(c.nextXID, nil)
+		bytes = flowModBytes
 	}
 
 	lost := c.ctrlDown || (c.faults.Drop != nil && c.faults.Drop(c.txSeq))
 	if c.ctrlDown {
-		// The controller cannot put the message on the wire at all: no
-		// bytes are accounted, the transmission is simply lost.
+		// The controller cannot put the message on the wire at all: the
+		// transmission is simply lost.
 		c.DroppedFlowMods++
 		c.recordFlowModLost(cookie, attempt, flight.DispOutage)
 	} else {
 		if st.sw != nil {
 			c.FlowModsSent++
 		}
-		c.ControlBytes += float64(len(wire))
 		if lost {
 			c.DroppedFlowMods++
 			c.recordFlowModLost(cookie, attempt, flight.DispDrop)
@@ -353,7 +327,7 @@ func (c *Controller) transmit(m Match, st installStep, priority int, cookie uint
 	state := inFlight
 	onWire := c.eng.Now()
 	if !lost {
-		onWire = c.channel(float64(len(wire)), func() {
+		onWire = c.channel(bytes, func() {
 			if state == abandoned {
 				return
 			}
@@ -397,16 +371,17 @@ func (c *Controller) transmit(m Match, st installStep, priority int, cookie uint
 	})
 }
 
-// channel puts one encoded message on the controller's control channel,
-// runs arrive once the switch has acted on it, and returns when the message
-// went on the wire (where its ack timer starts). It is the only place a
-// timing model lives, and there are two. The management network: FIFO
-// serialization out the controller's port plus propagation (mgmt.Send),
-// then the switch's programming latency — switches program in parallel. The
-// built-in pipeline: one strictly ordered server, one InstallLatency slot per
-// message (the paper's 3–5 ms/flow budget), the ack timer starting with the
-// slot so queue depth alone never causes a retransmission. Neither models a
-// per-switch install rate (DESIGN.md §5).
+// channel puts one message of the given size on the controller's control
+// channel, runs arrive once the switch has acted on it, and returns when the
+// message went on the wire (where its ack timer starts). It is the only place
+// a timing model lives, and there are two. The management network: FIFO
+// serialization of the message's bytes out the controller's port plus
+// propagation (mgmt.Send), then the switch's programming latency — switches
+// program in parallel. The built-in pipeline: one strictly ordered server,
+// one InstallLatency slot per message whatever its size (the paper's 3–5
+// ms/flow budget), the ack timer starting with the slot so queue depth alone
+// never causes a retransmission. Neither models a per-switch install rate
+// (DESIGN.md §5).
 func (c *Controller) channel(bytes float64, arrive func()) (onWire sim.Time) {
 	if c.mgmt != nil {
 		c.mgmt.Send(c.ctrlNode, bytes, func() {
@@ -432,35 +407,6 @@ func (c *Controller) anchorPipeline() {
 		c.burstStart = now
 	}
 	c.queueBusyUntil = c.burstStart
-}
-
-// encodeFlowMod produces the authentic OpenFlow 1.0 wire message for a rule
-// (host-pair or rack-prefix match, one output action); its size feeds the
-// control-traffic accounting.
-func (c *Controller) encodeFlowMod(m Match, out topology.LinkID, priority int, cookie uint64) []byte {
-	c.nextXID++
-	var src, dst uint32
-	switch {
-	case m.SrcHost != Wildcard:
-		src = uint32(m.SrcHost)
-	case m.SrcRack != Wildcard:
-		src = uint32(m.SrcRack)
-	}
-	switch {
-	case m.DstHost != Wildcard:
-		dst = uint32(m.DstHost)
-	case m.DstRack != Wildcard:
-		dst = uint32(m.DstRack)
-	}
-	fm := &ofp10.FlowMod{
-		XID:      c.nextXID,
-		Match:    ofp10.HostPairMatch(src, dst),
-		Cookie:   cookie,
-		Command:  ofp10.FCAdd,
-		Priority: uint16(priority),
-		Actions:  []ofp10.ActionOutput{{Port: uint16(out)}},
-	}
-	return fm.Encode()
 }
 
 // RemovePath deletes every rule carrying cookie from the switches along path,
