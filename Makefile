@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short cover bench bench-paper bench-steady benchmark bench-guard profile fuzz figures examples api api-check loc clean
+.PHONY: all build vet test test-short cover bench bench-paper benchmark bench-guard profile fuzz figures examples api api-check loc clean
 
 all: build vet test
 
@@ -29,13 +29,6 @@ bench:
 # The same benchmarks at the paper's published input sizes.
 bench-paper:
 	$(GO) test -bench=. -benchmem -paperscale .
-
-# Machine-readable open-loop steady-state frontier (E14): arrival-rate ×
-# scheduler sweep with windowed tails and SLO attainment. CI uploads this
-# as BENCH_steady.json.
-bench-steady:
-	$(GO) run ./cmd/pythia-bench -experiment steady -json BENCH_steady.json
-	@echo wrote BENCH_steady.json
 
 # The repository benchmark (BENCHMARK.json): five time-boxed workloads,
 # end-to-end metrics, correctness gates. serve_mem/serve_wal/serve_fabric

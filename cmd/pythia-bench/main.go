@@ -3,8 +3,8 @@
 // Usage:
 //
 //	pythia-bench [-experiment all|fig1a|fig1b|fig3|fig4|fig5|overhead|hedera|
-//	              scaleout|flowcomb|partitioner|trace|bounds|steady|ablations]
-//	             [-full] [-steady] [-steady-horizon SEC] [-parallel N]
+//	              scaleout|flowcomb|partitioner|trace|bounds|ablations]
+//	             [-full] [-parallel N]
 //	             [-svg fig1a.svg] [-svgdir DIR] [-json results.json]
 //	             [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -35,10 +35,8 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "which experiment to run: all, fig1a, fig1b, fig3, fig4, fig5, overhead, hedera, scaleout, flowcomb, partitioner, trace, bounds, steady, ablations")
+	experiment := flag.String("experiment", "all", "which experiment to run: all, fig1a, fig1b, fig3, fig4, fig5, overhead, hedera, scaleout, flowcomb, partitioner, trace, bounds, ablations")
 	full := flag.Bool("full", false, "run at the paper's full input sizes")
-	steady := flag.Bool("steady", false, "shorthand for -experiment steady (open-loop steady-state frontier)")
-	steadyHorizon := flag.Float64("steady-horizon", 1800, "steady-state run horizon in simulated seconds")
 	svgPath := flag.String("svg", "", "also write the fig1a diagram as SVG to this path")
 	svgDir := flag.String("svgdir", "", "write figure SVGs (fig3/fig4/fig5) into this directory")
 	jsonPath := flag.String("json", "", "also write all executed experiments' results as JSON to this path")
@@ -197,21 +195,6 @@ func main() {
 			fmt.Println("(the bound ignores phase sequencing, so gaps at low contention are loose;")
 			fmt.Println(" the signal is the trend: Pythia converges toward the bound as the network binds)")
 		},
-		"steady": func() {
-			base := bench.SteadyConfig{
-				Oversub:       bench.Oversub{Label: "1:10", Ratio: 10},
-				HorizonSec:    *steadyHorizon,
-				Seed:          7,
-				CollectFlight: true,
-			}
-			rows, err := bench.RunSteadyFrontier(base, bench.DefaultSteadyRates())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "steady frontier: %v\n", err)
-				os.Exit(1)
-			}
-			results["steady"] = rows
-			fmt.Print(bench.FormatSteadyFrontier(rows))
-		},
 		"ablations": func() {
 			a1 := bench.RunAblationKPaths(scale)
 			a2 := bench.RunAblationAggregation(scale)
@@ -241,10 +224,7 @@ func main() {
 		},
 	}
 
-	order := []string{"fig1a", "fig1b", "fig3", "fig4", "fig5", "overhead", "hedera", "scaleout", "flowcomb", "partitioner", "trace", "bounds", "steady", "ablations"}
-	if *steady {
-		*experiment = "steady"
-	}
+	order := []string{"fig1a", "fig1b", "fig3", "fig4", "fig5", "overhead", "hedera", "scaleout", "flowcomb", "partitioner", "trace", "bounds", "ablations"}
 	if *experiment == "all" {
 		for _, name := range order {
 			run[name]()

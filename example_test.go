@@ -46,6 +46,21 @@ func ExampleCluster_SequenceDiagram() {
 	// reducer-1 fetched 104.5 MB
 }
 
+// Open-loop arrivals enter at their own times, whether or not earlier jobs
+// have finished; TryRunUntil reports every timed submission.
+func ExampleCluster_SubmitAt() {
+	jobs := pythia.OpenLoopJobs(pythia.OpenLoopConfig{Seed: 7, BaseRateJobsPerSec: 0.05}, 600)
+	cl := pythia.New(pythia.WithScheduler(pythia.SchedulerPythia),
+		pythia.WithOversubscription(10))
+	for _, j := range jobs {
+		cl.SubmitAt(j.SubmitAtSec, j.Spec) // timed submission in virtual time
+	}
+	res, err := cl.TryRunUntil(3600) // errors list any unfinished jobs
+	fmt.Println(len(res), err)
+	// Output:
+	// 29 <nil>
+}
+
 // Workload generators produce the paper's benchmark shapes at any scale.
 func ExampleSortJob() {
 	spec := pythia.SortJob(24*pythia.GB, 10, 42)

@@ -27,8 +27,8 @@ func TestConservationAcrossSchedulers(t *testing.T) {
 }
 
 // TestKitchenSink: every optional subsystem at once — Pythia with rack
-// aggregation and criticality, speculative-capable runtime, sequence
-// views — on an oversubscribed fabric.
+// aggregation and criticality, sequence views — on an oversubscribed
+// fabric.
 func TestKitchenSink(t *testing.T) {
 	spec := CustomJob(WorkloadConfig{
 		Name:         "kitchen-sink",

@@ -229,7 +229,7 @@ func RunFig1b() Fig1bResult {
 		}
 		var done sim.Time
 		tb.Net.StartFlow(netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: hadoop.ShufflePort, DstPort: 20000, Protocol: 6},
-			netsim.Shuffle, path, flowBytes*8, 0, 0, 0, func(f *netsim.Flow) { done = f.Finished() })
+			path, flowBytes*8, 0, 0, 0, func(f *netsim.Flow) { done = f.Finished() })
 		tb.Eng.Run()
 		return float64(done)
 	}

@@ -137,7 +137,7 @@ func TestFormatTraceComparison(t *testing.T) {
 }
 
 // TestSuiteRunnersReturnResults smokes the sweep's figure, comparison and
-// ablation runners (A7 and E14 have tests of their own): each must return a
+// ablation runners (A7 has tests of its own): each must return a
 // non-empty result at tinyScale.
 func TestSuiteRunnersReturnResults(t *testing.T) {
 	if testing.Short() {

@@ -145,25 +145,6 @@ func TestCriticalityEndToEndNoRegression(t *testing.T) {
 	}
 }
 
-func TestSpeculativeDuplicateIntentsDeduped(t *testing.T) {
-	// A speculative near-tie spills twice; Pythia must book once and
-	// drain fully.
-	s := newStack(Config{Aggregate: true}, hadoop.Config{Speculative: true, SpeculativeLagFactor: 1.1})
-	spec := uniformSpec(12, 3, 2, 5e6)
-	spec.MapDurations[11] = 6 // near-tie straggler
-	j, _ := s.clus.Submit(spec)
-	s.eng.Run()
-	if !j.Done {
-		t.Fatal("job did not finish")
-	}
-	if s.py.OutstandingDemandBits() != 0 {
-		t.Fatalf("demand not drained after duplicates: %v", s.py.OutstandingDemandBits())
-	}
-	if s.py.DuplicateIntents() > 0 {
-		t.Logf("deduplicated %d duplicate intents", s.py.DuplicateIntents())
-	}
-}
-
 func TestDirectDuplicateIntentReplaced(t *testing.T) {
 	// Inject a cross-attempt duplicate by hand: same (job, map, reducer)
 	// from two different attempts on two different source hosts — the
@@ -197,8 +178,7 @@ func TestDirectDuplicateIntentReplaced(t *testing.T) {
 // TestExactDuplicateIntentDropped pins the idempotence key: an identical
 // (job, map, attempt) message — a management-network duplication or a
 // restart re-scan re-emission — is dropped before any bookkeeping, while a
-// different attempt goes through the replace path. This is the collector
-// half of the speculative-execution audit.
+// different attempt goes through the replace path.
 func TestExactDuplicateIntentDropped(t *testing.T) {
 	s := newStack(Config{Aggregate: true}, hadoop.Config{})
 	s.py.ReducerUp(up(0, 0, s.hosts[5]))

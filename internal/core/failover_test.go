@@ -158,7 +158,7 @@ func TestDisconnectedPairStaysStarvedUntilRepair(t *testing.T) {
 	var done bool
 	p := g.EqualCostPaths(s.hosts[0], s.hosts[5], 2)[0]
 	f := s.net.StartFlow(netsim.FiveTuple{SrcHost: s.hosts[0], DstHost: s.hosts[5], SrcPort: 1, DstPort: 1, Protocol: 6},
-		netsim.Shuffle, p, 1e9, 0, 0, 0, func(*netsim.Flow) { done = true })
+		p, 1e9, 0, 0, 0, func(*netsim.Flow) { done = true })
 	s.eng.At(0.5, func() {
 		for _, tr := range s.trunks {
 			g.SetLinkUp(tr, false)

@@ -1166,9 +1166,6 @@ func (l *deltaLog) recordIntent(in *instrument.Intent, disp string) {
 // onFlowComplete drains delivered demand and releases rules for pairs whose
 // demand has emptied (keeping TCAM occupancy proportional to active work).
 func (p *Pythia) onFlowComplete(f *netsim.Flow) {
-	if f.Kind != netsim.Shuffle {
-		return
-	}
 	sh := p.shardOf(f.Job)
 	js := sh.jobs[f.Job]
 	if js == nil {
@@ -1257,7 +1254,7 @@ func (p *Pythia) onTopologyChange() {
 	// ForEachActive avoids copying the active set; Reroute during the walk
 	// is safe because it does not change active-set membership.
 	p.net.ForEachActive(func(f *netsim.Flow) {
-		if f.Kind != netsim.Shuffle || len(f.Path.Links) == 0 {
+		if len(f.Path.Links) == 0 {
 			return
 		}
 		if f.Path.Valid(p.g) == nil {

@@ -304,7 +304,7 @@ func TestPredictionLeadIsPositive(t *testing.T) {
 	lat := sim.Duration(0.020 + 0.005 + 0.0002*float64(spec.NumReduces) + 0.001 + 0.002)
 	minLead := math.Inf(1)
 	for _, f := range s.net.History() {
-		if f.Kind != netsim.Shuffle || len(f.Path.Links) == 0 {
+		if len(f.Path.Links) == 0 {
 			continue
 		}
 		if lead := float64(f.Started().Sub(j.Maps[f.Map].Finished.Add(lat))); lead < minLead {

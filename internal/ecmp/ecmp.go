@@ -114,8 +114,8 @@ func (a *Allocator) AttachNetwork(net *netsim.Network) {
 func (a *Allocator) RescueStranded(net *netsim.Network) int {
 	moved := 0
 	net.ForEachActive(func(f *netsim.Flow) {
-		if len(f.Path.Links) == 0 || f.Kind != netsim.Shuffle {
-			return // zero-hop local flow, or not a shuffle flow
+		if len(f.Path.Links) == 0 {
+			return // zero-hop local flow
 		}
 		if f.Path.Valid(a.g) == nil {
 			return // still routable

@@ -136,9 +136,7 @@ type FlowRace struct {
 }
 
 // FlowRaces extracts the per-flow race outcomes in admission order — the
-// covered-flow classification ComputeQuality counts. The steady-state
-// harness bins these by measurement window to correlate prediction
-// lateness with tail-latency windows.
+// covered-flow classification ComputeQuality counts.
 func FlowRaces(events []Event) []FlowRace { return collectSamples(events).races }
 
 func qualityFromSamples(s qualitySamples) Quality {

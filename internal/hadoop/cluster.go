@@ -50,17 +50,6 @@ type Config struct {
 	// WireOverheadFactor scales payload bytes to on-the-wire bytes
 	// (TCP/IP/Ethernet headers ≈ 4.5% at 1448-byte MSS).
 	WireOverheadFactor float64
-	// Speculative enables speculative map execution
-	// (mapred.map.tasks.speculative.execution): when slots idle and a
-	// running map lags well beyond the typical duration, a second attempt
-	// launches on another tracker; the first finisher wins. The losing
-	// attempt may still spill before it is killed, which is how duplicate
-	// shuffle-intent predictions reach Pythia.
-	Speculative bool
-	// SpeculativeLagFactor: a map is a straggler candidate once its
-	// elapsed time exceeds this multiple of the median completed-map
-	// duration (default 1.5).
-	SpeculativeLagFactor float64
 }
 
 // Defaults fills unset fields with Hadoop-1.1-like values.
@@ -89,35 +78,10 @@ func (c Config) Defaults() Config {
 	if c.FetchRetryDelay == 0 {
 		c.FetchRetryDelay = 5 * sim.Second
 	}
-	if c.SpeculativeLagFactor == 0 {
-		c.SpeculativeLagFactor = 1.5
-	}
 	if c.WireOverheadFactor == 0 {
 		c.WireOverheadFactor = 1.045
 	}
 	return c
-}
-
-// mapAttempt is one in-flight map attempt's completion event.
-type mapAttempt struct {
-	ev *sim.Event
-	tr *taskTracker
-	at sim.Time
-	id int // 1-based attempt number
-}
-
-// Spill describes one map attempt's on-disk output at the instant it lands.
-// Unlike MapTask.Tracker — which always points at the winning attempt — it
-// names the attempt and tracker that actually produced this spill, so
-// instrumentation can attribute a losing speculative attempt's output to the
-// server it really lives on.
-type Spill struct {
-	// Attempt is the 1-based attempt number that spilled.
-	Attempt int
-	// Tracker is the tasktracker index that ran the spilling attempt.
-	Tracker int
-	// Partitions is the per-reducer payload byte vector of the spill.
-	Partitions []float64
 }
 
 // taskTracker is the per-server agent controlling local task slots.
@@ -142,17 +106,8 @@ type Cluster struct {
 	nextJob   int
 	hbRunning bool
 
-	// Speculation metrics.
-	SpeculativeLaunched int
-	SpeculativeWins     int
-	SpeculativeKilled   int
-
-	// attempts tracks in-flight map attempt completion events per
-	// (job, map), so losers can be killed when a winner finishes.
-	attempts map[[2]int][]*mapAttempt
-
 	// listeners (instrumentation middleware, the facade, tests)
-	onMapSpilled      []func(*Job, *MapTask, Spill)
+	onMapSpilled      []func(*Job, *MapTask, []float64)
 	onReduceScheduled []func(*Job, *ReduceTask)
 	onJobDone         []func(*Job)
 }
@@ -175,8 +130,7 @@ func NewCluster(eng *sim.Engine, net *netsim.Network, hosts []topology.NodeID, r
 		panic(fmt.Sprintf("hadoop: SlowstartFraction %v is outside [0, 1]", cfg.SlowstartFraction))
 	}
 	cfg = cfg.Defaults()
-	c := &Cluster{eng: eng, net: net, resolver: resolver, cfg: cfg,
-		attempts: make(map[[2]int][]*mapAttempt)}
+	c := &Cluster{eng: eng, net: net, resolver: resolver, cfg: cfg}
 	for i, h := range hosts {
 		c.trackers = append(c.trackers, &taskTracker{
 			index:    i,
@@ -204,11 +158,10 @@ func (c *Cluster) Hosts() []topology.NodeID {
 // HostOf maps a tracker index to its topology node.
 func (c *Cluster) HostOf(tracker int) topology.NodeID { return c.trackers[tracker].host }
 
-// OnMapSpilled registers a listener for spill events, carrying the attempt
-// identity (the dedup key Pythia's collector relies on) and the tracker the
-// spill actually landed on. It fires once per spill, so the losing attempt
-// of a speculated map that escapes the kill fires it a second time.
-func (c *Cluster) OnMapSpilled(fn func(*Job, *MapTask, Spill)) {
+// OnMapSpilled registers a listener for spill events. It fires once per
+// map, on the map's tracker, with a copy of the per-reducer payload byte
+// vector of the spill.
+func (c *Cluster) OnMapSpilled(fn func(*Job, *MapTask, []float64)) {
 	c.onMapSpilled = append(c.onMapSpilled, fn)
 }
 
@@ -288,9 +241,6 @@ func (c *Cluster) schedule() {
 			j.pendingMaps = j.pendingMaps[1:]
 			c.startMap(j, j.Maps[mapID], tr)
 		}
-		if c.cfg.Speculative {
-			c.maybeSpeculate(j)
-		}
 		// Reducers after slow-start.
 		threshold := int(c.cfg.SlowstartFraction * float64(j.Spec.NumMaps))
 		if threshold < 1 {
@@ -341,96 +291,15 @@ func (c *Cluster) startMap(j *Job, m *MapTask, tr *taskTracker) {
 	m.State = Running
 	m.Tracker = tr.index
 	m.Scheduled = c.eng.Now()
-	m.Attempts = 1
 	tr.freeMap--
-	d := sim.Duration(j.Spec.MapDurations[m.ID])
-	ev := c.eng.After(d, func() { c.finishMap(j, m, tr, 1) })
-	c.attempts[[2]int{j.ID, m.ID}] = append(c.attempts[[2]int{j.ID, m.ID}],
-		&mapAttempt{ev: ev, tr: tr, at: c.eng.Now().Add(d), id: 1})
+	c.eng.After(sim.Duration(j.Spec.MapDurations[m.ID]), func() { c.finishMap(j, m, tr) })
 }
 
-// maybeSpeculate launches backup attempts for straggling maps when slots
-// idle, on a tracker other than the original's (otherwise the backup would
-// share the straggler's cause).
-func (c *Cluster) maybeSpeculate(j *Job) {
-	median := j.medianCompletedMapSec()
-	if median <= 0 {
-		return
-	}
-	threshold := sim.Duration(c.cfg.SpeculativeLagFactor * median)
-	now := c.eng.Now()
-	for _, m := range j.Maps {
-		if m.State != Running || m.speculating {
-			continue
-		}
-		if now.Sub(m.Scheduled) <= threshold {
-			continue
-		}
-		var backup *taskTracker
-		for _, t := range c.trackers {
-			if t.index == m.Tracker || t.freeMap <= 0 {
-				continue
-			}
-			if backup == nil || t.freeMap > backup.freeMap {
-				backup = t
-			}
-		}
-		if backup == nil {
-			return // no foreign slot free; try next heartbeat
-		}
-		m.speculating = true
-		m.Attempts++
-		attempt := m.Attempts
-		backup.freeMap--
-		c.SpeculativeLaunched++
-		// A healthy rerun takes about the median duration.
-		ev := c.eng.After(sim.Duration(median), func() { c.finishMap(j, m, backup, attempt) })
-		c.attempts[[2]int{j.ID, m.ID}] = append(c.attempts[[2]int{j.ID, m.ID}],
-			&mapAttempt{ev: ev, tr: backup, at: now.Add(sim.Duration(median)), id: attempt})
-	}
-}
-
-func (c *Cluster) finishMap(j *Job, m *MapTask, tr *taskTracker, attempt int) {
-	if m.State == Completed {
-		// The losing attempt of a speculated map: it still spilled its
-		// output before the kill reached it, so the spill listeners
-		// (and therefore Pythia's instrumentation) see a duplicate.
-		tr.freeMap++
-		partitions := append([]float64(nil), j.Spec.MapOutputs[m.ID]...)
-		for _, fn := range c.onMapSpilled {
-			fn(j, m, Spill{Attempt: attempt, Tracker: tr.index, Partitions: partitions})
-		}
-		c.schedule()
-		return
-	}
-	if m.speculating {
-		m.speculating = false
-		if tr.index != m.Tracker {
-			c.SpeculativeWins++
-		}
-	}
-	// Kill losing attempts whose completion lies beyond the kill latency
-	// (one heartbeat): they free their slot and never spill. Losers that
-	// finish sooner escape the kill and produce a duplicate spill.
-	key := [2]int{j.ID, m.ID}
-	killBy := c.eng.Now().Add(c.cfg.HeartbeatInterval)
-	for _, at := range c.attempts[key] {
-		if at.ev.Cancelled() || at.at <= c.eng.Now() || at.tr == tr {
-			continue
-		}
-		if at.at > killBy {
-			c.eng.Cancel(at.ev)
-			at.tr.freeMap++
-			c.SpeculativeKilled++
-		}
-	}
-	delete(c.attempts, key)
+func (c *Cluster) finishMap(j *Job, m *MapTask, tr *taskTracker) {
 	m.State = Completed
-	m.Tracker = tr.index // winner sources the shuffle fetches
 	m.Finished = c.eng.Now()
 	tr.freeMap++
 	j.mapsCompleted++
-	j.completedMapSec = append(j.completedMapSec, float64(c.eng.Now().Sub(m.Scheduled)))
 	if j.mapsCompleted == j.Spec.NumMaps {
 		j.MapPhaseEnd = c.eng.Now()
 	}
@@ -438,7 +307,7 @@ func (c *Cluster) finishMap(j *Job, m *MapTask, tr *taskTracker, attempt int) {
 	// This is the instant Pythia's filesystem notification fires.
 	partitions := append([]float64(nil), j.Spec.MapOutputs[m.ID]...)
 	for _, fn := range c.onMapSpilled {
-		fn(j, m, Spill{Attempt: attempt, Tracker: tr.index, Partitions: partitions})
+		fn(j, m, partitions)
 	}
 	// Out-of-band heartbeat: freed slot is reusable immediately.
 	c.schedule()
@@ -519,7 +388,7 @@ func (c *Cluster) startFetch(j *Job, r *ReduceTask, m int) {
 			return
 		}
 		wire := payload * c.cfg.WireOverheadFactor
-		c.net.StartFlow(tuple, netsim.Shuffle, path, wire*8, j.ID, m, r.ID, func(*netsim.Flow) {
+		c.net.StartFlow(tuple, path, wire*8, j.ID, m, r.ID, func(*netsim.Flow) {
 			r.active--
 			r.fetchedDone++
 			r.FetchedBytes += payload

@@ -171,7 +171,7 @@ func TestSlowstartDelaysReducers(t *testing.T) {
 	cl.OnReduceScheduled(func(j *Job, r *ReduceTask) {
 		reduceSched = append(reduceSched, r.Scheduled)
 	})
-	cl.OnMapSpilled(func(j *Job, m *MapTask, _ Spill) {
+	cl.OnMapSpilled(func(j *Job, m *MapTask, _ []float64) {
 		if j.mapsCompleted == 5 {
 			fifthMapDone = m.Finished
 		}
@@ -319,7 +319,7 @@ func TestListenersFireInOrder(t *testing.T) {
 	eng, _, cl := rig(Config{})
 	spec := uniformSpec(4, 2, 1, 1e6)
 	var events []string
-	cl.OnMapSpilled(func(j *Job, m *MapTask, _ Spill) { events = append(events, "ms") })
+	cl.OnMapSpilled(func(j *Job, m *MapTask, _ []float64) { events = append(events, "ms") })
 	cl.OnReduceScheduled(func(j *Job, r *ReduceTask) { events = append(events, "rs") })
 	cl.OnJobDone(func(j *Job) { events = append(events, "jd") })
 	cl.Submit(spec)
@@ -339,8 +339,8 @@ func TestListenersFireInOrder(t *testing.T) {
 func TestMapFinishedPartitionsAreCopies(t *testing.T) {
 	eng, _, cl := rig(Config{})
 	spec := uniformSpec(2, 2, 1, 1e6)
-	cl.OnMapSpilled(func(j *Job, m *MapTask, sp Spill) {
-		sp.Partitions[0] = -999 // mutation must not corrupt the spec
+	cl.OnMapSpilled(func(j *Job, m *MapTask, partitions []float64) {
+		partitions[0] = -999 // mutation must not corrupt the spec
 	})
 	j, _ := cl.Submit(spec)
 	eng.Run()

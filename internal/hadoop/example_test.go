@@ -35,10 +35,10 @@ func ExampleCluster_OnMapSpilled() {
 	g, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	net := netsim.New(eng, g)
 	cluster := hadoop.NewCluster(eng, net, hosts, ecmp.New(g, 1), hadoop.Config{})
-	cluster.OnMapSpilled(func(j *hadoop.Job, m *hadoop.MapTask, sp hadoop.Spill) {
+	cluster.OnMapSpilled(func(j *hadoop.Job, m *hadoop.MapTask, partitions []float64) {
 		if m.ID == 0 {
 			fmt.Printf("map-0 spilled %.0f MB for reducer-0, %.0f MB for reducer-1\n",
-				sp.Partitions[0]/1e6, sp.Partitions[1]/1e6)
+				partitions[0]/1e6, partitions[1]/1e6)
 		}
 	})
 	cluster.Submit(workload.ToySort())

@@ -126,21 +126,15 @@ func (s *JobSpec) ReducerBytes() []float64 {
 	return out
 }
 
-// MapTask is one map task. With speculative execution, a second attempt may
-// run concurrently; the fields reflect the winning attempt once Completed.
+// MapTask is one map task.
 type MapTask struct {
 	ID    int
 	State TaskState
 	// Tracker is the index of the tasktracker running (or, once
-	// completed, that ran the winning attempt of) the task; -1 while
-	// pending.
+	// completed, that ran) the task; -1 while pending.
 	Tracker   int
 	Scheduled sim.Time
 	Finished  sim.Time
-	// Attempts counts launched attempts (1 without speculation).
-	Attempts int
-	// speculating marks that a backup attempt is in flight.
-	speculating bool
 }
 
 // ReduceTask is one reduce attempt, with shuffle bookkeeping.
@@ -180,26 +174,6 @@ type Job struct {
 	reducesCompleted int
 	pendingMaps      []int // map IDs awaiting a slot, FIFO
 	nextReduce       int
-	// completedMapSec collects winning-attempt durations, feeding the
-	// speculation straggler threshold.
-	completedMapSec []float64
-}
-
-// medianCompletedMapSec returns the median duration of completed maps, or 0
-// when fewer than three have finished (not enough signal to speculate).
-func (j *Job) medianCompletedMapSec() float64 {
-	if len(j.completedMapSec) < 3 {
-		return 0
-	}
-	sorted := append([]float64(nil), j.completedMapSec...)
-	for i := 0; i < len(sorted); i++ {
-		for k := i + 1; k < len(sorted); k++ {
-			if sorted[k] < sorted[i] {
-				sorted[i], sorted[k] = sorted[k], sorted[i]
-			}
-		}
-	}
-	return sorted[len(sorted)/2]
 }
 
 // Duration returns total job time (valid once Done).

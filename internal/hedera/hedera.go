@@ -134,7 +134,7 @@ func (s *Scheduler) collectElephants() []*netsim.Flow {
 	seen := map[netsim.FlowID]*netsim.Flow{}
 	for _, l := range s.g.Links() {
 		s.net.ForEachOn(l.ID, func(f *netsim.Flow) {
-			if f.Kind != netsim.Shuffle || s.planned[f.ID] {
+			if s.planned[f.ID] {
 				return
 			}
 			seen[f.ID] = f

@@ -51,7 +51,7 @@ func TestMovesElephantOffCongestedTrunk(t *testing.T) {
 		t.Fatal("no path over trunk0")
 	}
 	var done sim.Time
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, badPath, 2e9, 0, 0, 0,
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), badPath, 2e9, 0, 0, 0,
 		func(f *netsim.Flow) { done = f.Finished() })
 	eng.Run()
 	// On the congested trunk alone: 2e9 bits at 50 Mbps = 40 s. Hedera
@@ -71,7 +71,7 @@ func TestLeavesMiceAlone(t *testing.T) {
 	g := net.Graph()
 	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	// A mouse: 1 Mbit — gone long before the first sweep.
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, paths[0], 1e6, 0, 0, 0, nil)
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), paths[0], 1e6, 0, 0, 0, nil)
 	eng.Run()
 	if s.Moves != 0 {
 		t.Fatalf("moved %d mice", s.Moves)
@@ -83,7 +83,7 @@ func TestHysteresisPreventsFlapping(t *testing.T) {
 	g := net.Graph()
 	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	// Margin impossible to satisfy: no move should ever fire.
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, paths[0], 5e9, 0, 0, 0, nil)
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), paths[0], 5e9, 0, 0, 0, nil)
 	eng.Run()
 	if s.Moves != 0 {
 		t.Fatalf("moved despite impossible margin: %d", s.Moves)
@@ -105,7 +105,7 @@ func TestSweepsCount(t *testing.T) {
 	eng, net, s, hosts, _ := rig(Config{PollInterval: 1})
 	g := net.Graph()
 	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, paths[0], 5e9, 0, 0, 0, nil)
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), paths[0], 5e9, 0, 0, 0, nil)
 	eng.Run()
 	if s.Sweeps == 0 {
 		t.Fatal("control loop never ran")
@@ -170,7 +170,7 @@ func TestMoveSkipsDoneFlows(t *testing.T) {
 	}
 	// Elephant-classified but finishes at ~1.25s, within install latency
 	// of the first sweep at 1s.
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, badPath, 0.5e9, 0, 0, 0, nil)
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), badPath, 0.5e9, 0, 0, 0, nil)
 	eng.Run() // must not panic
 }
 
@@ -182,7 +182,7 @@ func TestSpareAccountsOwnUsage(t *testing.T) {
 	g := net.Graph()
 	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	var done sim.Time
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, paths[0], 8e9, 0, 0, 0,
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), paths[0], 8e9, 0, 0, 0,
 		func(f *netsim.Flow) { done = f.Finished() })
 	eng.Run()
 	if s.Moves != 0 {
@@ -222,7 +222,7 @@ func TestHederaOnLeafSpine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.StartFlow(tup(hosts[0], hosts[7], 1, 1), netsim.Shuffle, p, 4e9, 0, 0, 0,
+	net.StartFlow(tup(hosts[0], hosts[7], 1, 1), p, 4e9, 0, 0, 0,
 		func(f *netsim.Flow) { done = f.Finished() })
 	eng.Run()
 	// Clean spine: 4 Gbit at 1 Gbps = 4 s; allow detection+move slack.

@@ -156,7 +156,7 @@ func spec(maps, reduces int, bytesPer float64) *hadoop.JobSpec {
 
 func TestMiddlewareEmitsOneIntentPerMap(t *testing.T) {
 	eng, cl, sink, mw := rig()
-	cl.Submit(spec(8, 3, 5e6))
+	j, _ := cl.Submit(spec(8, 3, 5e6))
 	eng.Run()
 	if len(sink.intents) != 8 {
 		t.Fatalf("intents = %d, want 8", len(sink.intents))
@@ -172,6 +172,13 @@ func TestMiddlewareEmitsOneIntentPerMap(t *testing.T) {
 		seen[in.Map] = true
 		if len(in.PredictedWireBytes) != 3 {
 			t.Fatalf("intent has %d reducers", len(in.PredictedWireBytes))
+		}
+		// Each map runs once: attempt 1, from the tracker that ran it.
+		if in.Attempt != 1 {
+			t.Fatalf("map %d intent has attempt %d, want 1", in.Map, in.Attempt)
+		}
+		if want := cl.HostOf(j.Maps[in.Map].Tracker); in.SrcHost != want {
+			t.Fatalf("map %d intent from %v, want its tracker's host %v", in.Map, in.SrcHost, want)
 		}
 	}
 }

@@ -21,8 +21,9 @@ type Intent struct {
 	Map int
 	// Attempt is the 1-based map attempt that spilled. Together with
 	// (Job, Map) it is the collector's idempotence key: a duplicated
-	// message carries the same attempt, a speculative re-execution a new
-	// one.
+	// message carries the same attempt, a re-execution a new one. The
+	// simulated runtime runs each map once, so the middleware always
+	// stamps spillAttempt.
 	Attempt int
 	SrcHost topology.NodeID
 	// PredictedWireBytes is indexed by reducer ID.
@@ -150,13 +151,17 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// spillAttempt is the attempt number the middleware stamps on every intent
+// and monitor flight event.
+const spillAttempt = 1
+
 // missedSpill is one spill that landed while its host's monitor was down —
 // the on-disk state a restarted monitor recovers by re-scanning the spill
 // directory.
 type missedSpill struct {
-	job, mapID, attempt int
-	partitions          []float64
-	finished            sim.Time
+	job, mapID int
+	partitions []float64
+	finished   sim.Time
 }
 
 // missedUp is a reducer start the crashed monitor's tasktracker watch never
@@ -235,8 +240,8 @@ func Attach(eng *sim.Engine, cluster *hadoop.Cluster, sink Sink, cfg Config) *Mi
 	if cfg.PredictionErrorFactor > 0 {
 		m.predErr = stats.NewRNG(cfg.PredictionErrorSeed)
 	}
-	cluster.OnMapSpilled(func(j *hadoop.Job, task *hadoop.MapTask, sp hadoop.Spill) {
-		m.onSpill(cluster, j, task, sp)
+	cluster.OnMapSpilled(func(j *hadoop.Job, task *hadoop.MapTask, partitions []float64) {
+		m.onSpill(cluster, j, task, partitions)
 	})
 	cluster.OnReduceScheduled(func(j *hadoop.Job, r *hadoop.ReduceTask) {
 		host := cluster.HostOf(r.Tracker)
@@ -325,22 +330,19 @@ func (m *Middleware) send(from topology.NodeID, bytes float64, deliver func()) {
 	m.eng.After(m.cfg.MgmtLatency, deliver)
 }
 
-// onSpill models the full prediction pipeline for one finished map attempt:
-// FS notification → index decode → predict → send. The spill carries the
-// attempt that actually produced it, so speculative losers are attributed to
-// their own host, not the winner's.
-func (m *Middleware) onSpill(cluster *hadoop.Cluster, j *hadoop.Job, task *hadoop.MapTask, sp hadoop.Spill) {
-	host := cluster.HostOf(sp.Tracker)
+// onSpill models the full prediction pipeline for one finished map:
+// FS notification → index decode → predict → send.
+func (m *Middleware) onSpill(cluster *hadoop.Cluster, j *hadoop.Job, task *hadoop.MapTask, partitions []float64) {
+	host := cluster.HostOf(task.Tracker)
 	finished := m.eng.Now()
 
 	if m.down[host] {
 		// The spill file hit the disk, but nobody is watching the
 		// directory: the notification is lost until a restart re-scan.
-		m.recordSpill(host, j.ID, task.ID, sp.Attempt, flight.DispMissed)
+		m.recordSpill(host, j.ID, task.ID, flight.DispMissed)
 		m.MissedSpills++
 		m.missedSpills[host] = append(m.missedSpills[host], missedSpill{
-			job: j.ID, mapID: task.ID, attempt: sp.Attempt,
-			partitions: sp.Partitions, finished: finished,
+			job: j.ID, mapID: task.ID, partitions: partitions, finished: finished,
 		})
 		return
 	}
@@ -349,25 +351,24 @@ func (m *Middleware) onSpill(cluster *hadoop.Cluster, j *hadoop.Job, task *hadoo
 		// the backlog its successor will recover, and a supervisor restarts
 		// the process after the configured downtime.
 		m.crash(host)
-		m.recordSpill(host, j.ID, task.ID, sp.Attempt, flight.DispCrash)
+		m.recordSpill(host, j.ID, task.ID, flight.DispCrash)
 		m.MissedSpills++
 		m.missedSpills[host] = append(m.missedSpills[host], missedSpill{
-			job: j.ID, mapID: task.ID, attempt: sp.Attempt,
-			partitions: sp.Partitions, finished: finished,
+			job: j.ID, mapID: task.ID, partitions: partitions, finished: finished,
 		})
 		return
 	}
-	m.recordSpill(host, j.ID, task.ID, sp.Attempt, flight.DispOK)
+	m.recordSpill(host, j.ID, task.ID, flight.DispOK)
 
 	delay := m.cfg.FSNotifyDelay +
 		m.cfg.DecodeBase +
-		sim.Duration(float64(m.cfg.DecodePerPartition)*float64(len(sp.Partitions)))
-	m.emitIntent(host, j.ID, task.ID, sp.Attempt, sp.Partitions, finished, delay, false)
+		sim.Duration(float64(m.cfg.DecodePerPartition)*float64(len(partitions)))
+	m.emitIntent(host, j.ID, task.ID, partitions, finished, delay, false)
 }
 
 // emitIntent runs the decode→predict→send tail of the pipeline after delay.
 // Late intents are the ones recovered by a restart re-scan.
-func (m *Middleware) emitIntent(host topology.NodeID, job, mapID, attempt int, partitions []float64, finished sim.Time, delay sim.Duration, late bool) {
+func (m *Middleware) emitIntent(host topology.NodeID, job, mapID int, partitions []float64, finished sim.Time, delay sim.Duration, late bool) {
 	m.spills[host]++
 
 	// The Hadoop runtime wrote the spill and its index; encode the real
@@ -402,7 +403,7 @@ func (m *Middleware) emitIntent(host topology.NodeID, job, mapID, attempt int, p
 		intent := Intent{
 			Job:                job,
 			Map:                mapID,
-			Attempt:            attempt,
+			Attempt:            spillAttempt,
 			SrcHost:            host,
 			PredictedWireBytes: pred,
 			MapFinishedAt:      finished,
@@ -414,7 +415,7 @@ func (m *Middleware) emitIntent(host topology.NodeID, job, mapID, attempt int, p
 		}
 		if m.fl != nil {
 			ev := flight.Ev(flight.IndexDecoded, flight.PlaneMonitor)
-			ev.Job, ev.Map, ev.Attempt, ev.Src = job, mapID, attempt, host
+			ev.Job, ev.Map, ev.Attempt, ev.Src = job, mapID, spillAttempt, host
 			ev.Count = len(idx.Segments)
 			m.fl.Record(ev)
 			var total float64
@@ -422,7 +423,7 @@ func (m *Middleware) emitIntent(host topology.NodeID, job, mapID, attempt int, p
 				total += p
 			}
 			ev = flight.Ev(flight.IntentEnqueued, flight.PlaneMonitor)
-			ev.Job, ev.Map, ev.Attempt, ev.Src = job, mapID, attempt, host
+			ev.Job, ev.Map, ev.Attempt, ev.Src = job, mapID, spillAttempt, host
 			ev.Count = len(pred)
 			ev.Bytes = total
 			if late {
@@ -435,7 +436,7 @@ func (m *Middleware) emitIntent(host topology.NodeID, job, mapID, attempt int, p
 				m.InFlightDropped++
 				if m.fl != nil {
 					ev := flight.Ev(flight.IntentDropped, flight.PlaneMonitor)
-					ev.Job, ev.Map, ev.Attempt, ev.Src = job, mapID, attempt, host
+					ev.Job, ev.Map, ev.Attempt, ev.Src = job, mapID, spillAttempt, host
 					ev.Disposition = flight.DispJobDone
 					m.fl.Record(ev)
 				}
@@ -449,12 +450,12 @@ func (m *Middleware) emitIntent(host topology.NodeID, job, mapID, attempt int, p
 
 // recordSpill emits the spill-detected flight event; a no-op when the
 // recorder is disabled.
-func (m *Middleware) recordSpill(host topology.NodeID, job, mapID, attempt int, disp string) {
+func (m *Middleware) recordSpill(host topology.NodeID, job, mapID int, disp string) {
 	if m.fl == nil {
 		return
 	}
 	ev := flight.Ev(flight.SpillDetected, flight.PlaneMonitor)
-	ev.Job, ev.Map, ev.Attempt, ev.Src = job, mapID, attempt, host
+	ev.Job, ev.Map, ev.Attempt, ev.Src = job, mapID, spillAttempt, host
 	ev.Disposition = disp
 	m.fl.Record(ev)
 }
@@ -500,7 +501,7 @@ func (m *Middleware) RestartMonitor(host topology.NodeID) {
 		}
 		delay += m.cfg.DecodeBase +
 			sim.Duration(float64(m.cfg.DecodePerPartition)*float64(len(sp.partitions)))
-		m.emitIntent(host, sp.job, sp.mapID, sp.attempt, sp.partitions, sp.finished, delay, true)
+		m.emitIntent(host, sp.job, sp.mapID, sp.partitions, sp.finished, delay, true)
 	}
 
 	ups := m.missedUps[host]

@@ -25,8 +25,8 @@ func TestCollectorSamplesCumulativeCurve(t *testing.T) {
 	eng, net, hosts, coll := rig()
 	g := net.Graph()
 	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil) // 100 MB, ~0.8s
-	eng.At(2, func() {})                                                               // keep sim alive past flow end
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 8e8, 0, 0, 0, nil) // 100 MB, ~0.8s
+	eng.At(2, func() {})                                               // keep sim alive past flow end
 	eng.Run()
 	s := coll.Series(hosts[0])
 	if len(s) < 5 {
@@ -48,7 +48,7 @@ func TestBytesAtStepInterpolation(t *testing.T) {
 	eng, net, hosts, coll := rig()
 	g := net.Graph()
 	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil)
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 8e8, 0, 0, 0, nil)
 	eng.At(2, func() {})
 	eng.Run()
 	if got := coll.BytesAt(hosts[0], -1); got != 0 {
@@ -67,7 +67,7 @@ func TestTimeToReach(t *testing.T) {
 	eng, net, hosts, coll := rig()
 	g := net.Graph()
 	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil)
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 8e8, 0, 0, 0, nil)
 	eng.At(2, func() {})
 	eng.Run()
 	at, ok := coll.TimeToReach(hosts[0], 5e7)
@@ -133,7 +133,7 @@ func TestLeadStatsPredictionEarlyAndOverestimating(t *testing.T) {
 	pc.Add(0.5, 1.05e8)
 	// Actual: flow starts at t=3, 100 MB.
 	eng.At(3, func() {
-		net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil)
+		net.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 8e8, 0, 0, 0, nil)
 	})
 	eng.At(6, func() {})
 	eng.Run()
@@ -169,7 +169,7 @@ func TestLinkProbeSamples(t *testing.T) {
 	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
 	trunk := p.Links[1]
 	probe := NewLinkProbe(eng, net, []topology.LinkID{trunk}, 0)
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 8e8, 0, 0, 0, nil)
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 8e8, 0, 0, 0, nil)
 	eng.At(2, func() {})
 	eng.Run()
 	s := probe.Series(trunk)

@@ -31,7 +31,7 @@ func BenchmarkAllocPassFatTree(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		n.StartFlow(tuple, netsim.Shuffle, p, 1e15, 0, n.ActiveFlows(), 0, nil)
+		n.StartFlow(tuple, p, 1e15, 0, n.ActiveFlows(), 0, nil)
 	}
 	n.NotifyTopology() // warm scratch capacity
 	b.ReportAllocs()

@@ -21,9 +21,9 @@ func TestStaggeredFlowsAnalytic(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
 	var tA, tB sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 2e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 2e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
 	eng.At(1, func() {
-		n.StartFlow(tup(hosts[0], hosts[5], 2, 2), Shuffle, p, 1e9, 0, 1, 0, func(f *Flow) { tB = f.Finished() })
+		n.StartFlow(tup(hosts[0], hosts[5], 2, 2), p, 1e9, 0, 1, 0, func(f *Flow) { tB = f.Finished() })
 	})
 	eng.Run()
 	if math.Abs(float64(tA)-3) > 1e-6 || math.Abs(float64(tB)-3) > 1e-6 {
@@ -38,8 +38,8 @@ func TestShortFlowDepartureSpeedsUpSurvivor(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
 	var tA sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 3e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
-	n.StartFlow(tup(hosts[0], hosts[5], 2, 2), Shuffle, p, 0.5e9, 0, 1, 0, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 3e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
+	n.StartFlow(tup(hosts[0], hosts[5], 2, 2), p, 0.5e9, 0, 1, 0, nil)
 	eng.Run()
 	if math.Abs(float64(tA)-3.5) > 1e-6 {
 		t.Fatalf("survivor finished at %v, want 3.5s", tA)
@@ -53,9 +53,9 @@ func TestMultiBottleneckMaxMin(t *testing.T) {
 	pA := pathOf(t, n, hosts[0], hosts[5], 0)
 	pB := pathOf(t, n, hosts[0], hosts[6], 0)
 	pC := pathOf(t, n, hosts[1], hosts[7], 0) // same trunk (index 0)
-	f1 := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, pA, 1e12, 0, 0, 0, nil)
-	f2 := n.StartFlow(tup(hosts[0], hosts[6], 2, 2), Shuffle, pB, 1e12, 0, 1, 0, nil)
-	f3 := n.StartFlow(tup(hosts[1], hosts[7], 3, 3), Shuffle, pC, 1e12, 0, 2, 0, nil)
+	f1 := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), pA, 1e12, 0, 0, 0, nil)
+	f2 := n.StartFlow(tup(hosts[0], hosts[6], 2, 2), pB, 1e12, 0, 1, 0, nil)
+	f3 := n.StartFlow(tup(hosts[1], hosts[7], 3, 3), pC, 1e12, 0, 2, 0, nil)
 	eng.RunUntil(0.001)
 	third := 1e9 / 3
 	for i, f := range []*Flow{f1, f2, f3} {
@@ -98,7 +98,7 @@ func TestPropertySingleFlowDuration(t *testing.T) {
 		}
 		n.SetBackground(crosses, bg)
 		var done sim.Time
-		n.StartFlow(tup(hosts[0], hosts[2], 1, 1), Shuffle, p, size, 0, 0, 0,
+		n.StartFlow(tup(hosts[0], hosts[2], 1, 1), p, size, 0, 0, 0,
 			func(fl *Flow) { done = fl.Finished() })
 		eng.Run()
 		want := size / (1e9 - bg)
@@ -114,7 +114,7 @@ func TestMaxMinIsJainFair(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
 	for i := 0; i < 6; i++ {
-		n.StartFlow(tup(hosts[0], hosts[5], uint16(i), 1), Shuffle, p, 1e12, 0, i, 0, nil)
+		n.StartFlow(tup(hosts[0], hosts[5], uint16(i), 1), p, 1e12, 0, i, 0, nil)
 	}
 	eng.RunUntil(0.001)
 	var rates []float64

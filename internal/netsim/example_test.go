@@ -15,7 +15,7 @@ func ExampleNetwork_StartFlow() {
 	net := netsim.New(eng, g)
 	path := g.EqualCostPaths(hosts[0], hosts[5], 1)[0]
 	tuple := netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 50060, DstPort: 20000, Protocol: 6}
-	net.StartFlow(tuple, netsim.Shuffle, path, 1e9, 0, 0, 0, func(f *netsim.Flow) {
+	net.StartFlow(tuple, path, 1e9, 0, 0, 0, func(f *netsim.Flow) {
 		fmt.Printf("1 Gbit delivered in %s\n", f.Duration())
 	})
 	eng.Run()
@@ -40,7 +40,7 @@ func ExampleNetwork_SetBackground() {
 		}
 	}
 	tuple := netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 50060, DstPort: 20000, Protocol: 6}
-	net.StartFlow(tuple, netsim.Shuffle, overTrunk0, 1e9, 0, 0, 0, func(f *netsim.Flow) {
+	net.StartFlow(tuple, overTrunk0, 1e9, 0, 0, 0, func(f *netsim.Flow) {
 		fmt.Printf("through the 75%%-loaded trunk: %s\n", f.Duration())
 	})
 	eng.Run()

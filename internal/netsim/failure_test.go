@@ -15,7 +15,7 @@ func TestFlowStarvesOnLinkFailure(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
 	var done sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 2e9, 0, 0, 0,
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 2e9, 0, 0, 0,
 		func(f *Flow) { done = f.Finished() })
 	// Fail the trunk at t=1 (half transferred), restore at t=5.
 	trunk := p.Links[1]
@@ -39,8 +39,8 @@ func TestFailureOnlyAffectsCrossingFlows(t *testing.T) {
 	pA := pathOf(t, n, hosts[0], hosts[5], 0)
 	pB := pathOf(t, n, hosts[1], hosts[6], 1) // other trunk
 	var tA, tB sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, pA, 2e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
-	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), Shuffle, pB, 2e9, 0, 1, 1, func(f *Flow) { tB = f.Finished() })
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), pA, 2e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
+	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), pB, 2e9, 0, 1, 1, func(f *Flow) { tB = f.Finished() })
 	eng.At(0.5, func() {
 		n.Graph().SetLinkUp(pA.Links[1], false)
 		n.NotifyTopology()
@@ -63,7 +63,7 @@ func TestRerouteRescuesStarvedFlow(t *testing.T) {
 	p0 := pathOf(t, n, hosts[0], hosts[5], 0)
 	p1 := pathOf(t, n, hosts[0], hosts[5], 1)
 	var done sim.Time
-	f := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p0, 2e9, 0, 0, 0,
+	f := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p0, 2e9, 0, 0, 0,
 		func(fl *Flow) { done = fl.Finished() })
 	eng.At(1, func() {
 		n.Graph().SetLinkUp(p0.Links[1], false)
@@ -80,8 +80,8 @@ func TestRerouteRescuesStarvedFlow(t *testing.T) {
 func TestActiveList(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 1e12, 0, 0, 0, nil)
-	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), Shuffle, pathOf(t, n, hosts[1], hosts[6], 1), 1e12, 0, 1, 1, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 1e12, 0, 0, 0, nil)
+	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), pathOf(t, n, hosts[1], hosts[6], 1), 1e12, 0, 1, 1, nil)
 	eng.RunUntil(0.01)
 	fs := n.ActiveList()
 	if len(fs) != 2 {
@@ -95,7 +95,7 @@ func TestActiveList(t *testing.T) {
 func TestNotifyTopologyPreservesProgress(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
-	f := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 4e9, 0, 0, 0, nil)
+	f := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 4e9, 0, 0, 0, nil)
 	eng.At(1, func() {
 		n.NotifyTopology() // no actual change: must be a harmless no-op
 		if math.Abs(f.Transferred()-1e9) > 1e3 {

@@ -20,7 +20,7 @@ func BenchmarkRecorderDisabled(b *testing.B) {
 	p := g.EqualCostPaths(hosts[0], hosts[5], 4)[0]
 	f := &Flow{
 		Tuple: FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 1, DstPort: 2, Protocol: 6},
-		Kind:  Shuffle, Path: p, SizeBits: 1e9,
+		Path:  p, SizeBits: 1e9,
 		Job: 0, Map: 1, Reduce: 2,
 		started: eng.Now(),
 	}
@@ -51,7 +51,7 @@ func BenchmarkRecorderEnabled(b *testing.B) {
 	p := g.EqualCostPaths(hosts[0], hosts[5], 4)[0]
 	f := &Flow{
 		Tuple: FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 1, DstPort: 2, Protocol: 6},
-		Kind:  Shuffle, Path: p, SizeBits: 1e9,
+		Path:  p, SizeBits: 1e9,
 		Job: 0, Map: 1, Reduce: 2,
 		started: eng.Now(),
 	}

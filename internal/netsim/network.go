@@ -23,33 +23,6 @@ import (
 // FlowID identifies a flow within one Network.
 type FlowID int
 
-// FlowKind tags what a flow carries, for accounting and for the NetFlow
-// measurement substrate.
-type FlowKind int
-
-const (
-	// Shuffle is Hadoop intermediate-data movement (the flows Pythia
-	// schedules).
-	Shuffle FlowKind = iota
-	// Background is other datacenter traffic.
-	Background
-	// Control is Pythia/OpenFlow control-plane traffic (carried on the
-	// management network in the paper; modeled for overhead accounting).
-	Control
-)
-
-func (k FlowKind) String() string {
-	switch k {
-	case Shuffle:
-		return "shuffle"
-	case Background:
-		return "background"
-	case Control:
-		return "control"
-	}
-	return fmt.Sprintf("FlowKind(%d)", int(k))
-}
-
 // FiveTuple is the classical flow identity. Pythia cannot know DstPort at
 // prediction time (assigned at socket bind), which is why its rules match on
 // host pairs; the ECMP baseline hashes the full tuple.
@@ -65,7 +38,6 @@ type FiveTuple struct {
 type Flow struct {
 	ID    FlowID
 	Tuple FiveTuple
-	Kind  FlowKind
 	Path  topology.Path
 	// SizeBits is the total volume to move.
 	SizeBits float64
@@ -320,7 +292,7 @@ func (n *Network) OnFlowComplete(fn func(*Flow)) {
 // StartFlow injects a flow on the given path. sizeBits must be positive and
 // the path valid for the tuple endpoints. onComplete (may be nil) fires at
 // completion time. The returned flow is live immediately.
-func (n *Network) StartFlow(tuple FiveTuple, kind FlowKind, path topology.Path, sizeBits float64, job, mapID, reduce int, onComplete func(*Flow)) *Flow {
+func (n *Network) StartFlow(tuple FiveTuple, path topology.Path, sizeBits float64, job, mapID, reduce int, onComplete func(*Flow)) *Flow {
 	if sizeBits <= 0 {
 		panic("netsim: StartFlow with non-positive size")
 	}
@@ -334,7 +306,6 @@ func (n *Network) StartFlow(tuple FiveTuple, kind FlowKind, path topology.Path, 
 	f := &Flow{
 		ID:        n.nextID,
 		Tuple:     tuple,
-		Kind:      kind,
 		Path:      path,
 		SizeBits:  sizeBits,
 		remaining: sizeBits,
@@ -363,9 +334,8 @@ func (n *Network) recordFlow(kind flight.Kind, f *Flow) {
 	if n.fl == nil {
 		return
 	}
-	if f.Kind != Shuffle || len(f.Path.Links) == 0 {
-		// Local fetches never touch the fabric; background/control flows
-		// are not predictions.
+	if len(f.Path.Links) == 0 {
+		// Local fetches never touch the fabric.
 		return
 	}
 	ev := flight.Ev(kind, flight.PlaneFabric)
@@ -454,7 +424,7 @@ func (n *Network) advance() {
 		}
 		f.remaining -= moved
 		f.transferred += moved
-		if f.Kind == Shuffle && len(f.Path.Links) > 0 {
+		if len(f.Path.Links) > 0 {
 			n.hostTxBits[f.Tuple.SrcHost] += moved
 		}
 		for _, l := range f.Path.Links {
@@ -646,16 +616,16 @@ func (n *Network) completeDue() {
 }
 
 // LinkStats returns a link's instantaneous utilization fraction, spare
-// capacity in bps, and summed shuffle-flow rate in one pass over the flows
-// crossing it — the controller's poll reads all three per link per period.
+// capacity in bps, and summed flow rate in one pass over the flows crossing
+// it — the controller's poll reads all three per link per period. Every
+// flow is a shuffle flow, so shuffleBps is the flow part of used, summed on
+// its own from zero: pathScore's used - shuffle depends on that order.
 func (n *Network) LinkStats(link topology.LinkID) (utilization, availableBps, shuffleBps float64) {
 	capBps := n.g.Link(link).CapacityBps
 	used := n.BackgroundOn(link)
 	for _, f := range n.FlowsOn(link) {
 		used += f.rate
-		if f.Kind == Shuffle {
-			shuffleBps += f.rate
-		}
+		shuffleBps += f.rate
 	}
 	utilization = used / capBps
 	if utilization > 1 {
@@ -682,8 +652,8 @@ func (n *Network) AvailableBps(link topology.LinkID) float64 {
 	return a
 }
 
-// ShuffleRateOn returns the summed instantaneous rate of shuffle-kind flows
-// crossing a link. Pythia uses this to differentiate shuffle load from
+// ShuffleRateOn returns the summed instantaneous rate of the (shuffle)
+// flows crossing a link. Pythia uses this to differentiate shuffle load from
 // background traffic when estimating available bandwidth.
 func (n *Network) ShuffleRateOn(link topology.LinkID) float64 {
 	_, _, s := n.LinkStats(link)

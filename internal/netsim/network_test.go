@@ -34,7 +34,7 @@ func TestSingleFlowFullRate(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
 	var done *Flow
-	n.StartFlow(tup(hosts[0], hosts[5], 1000, 2000), Shuffle, p, 1e9, 0, 0, 0, func(f *Flow) { done = f })
+	n.StartFlow(tup(hosts[0], hosts[5], 1000, 2000), p, 1e9, 0, 0, 0, func(f *Flow) { done = f })
 	eng.Run()
 	if done == nil {
 		t.Fatal("flow did not complete")
@@ -55,8 +55,8 @@ func TestTwoFlowsShareBottleneck(t *testing.T) {
 	// Both use trunk0? Ensure same trunk: path index 0 for both should pick
 	// lowest link IDs; they share the host5 edge link anyway (dst edge).
 	var t1, t2 sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 1e9, 0, 0, 0, func(f *Flow) { t1 = f.Finished() })
-	n.StartFlow(tup(hosts[1], hosts[5], 2, 2), Shuffle, p2, 1e9, 0, 1, 0, func(f *Flow) { t2 = f.Finished() })
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 1e9, 0, 0, 0, func(f *Flow) { t1 = f.Finished() })
+	n.StartFlow(tup(hosts[1], hosts[5], 2, 2), p2, 1e9, 0, 1, 0, func(f *Flow) { t2 = f.Finished() })
 	eng.Run()
 	// Shared destination edge link: each gets 500 Mbps, so 2 s each.
 	if math.Abs(float64(t1)-2) > 1e-6 || math.Abs(float64(t2)-2) > 1e-6 {
@@ -69,8 +69,8 @@ func TestDisjointPathsNoInterference(t *testing.T) {
 	pA := pathOf(t, n, hosts[0], hosts[5], 0) // trunk 0
 	pB := pathOf(t, n, hosts[1], hosts[6], 1) // trunk 1
 	var tA, tB sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, pA, 1e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
-	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), Shuffle, pB, 1e9, 0, 1, 1, func(f *Flow) { tB = f.Finished() })
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), pA, 1e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
+	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), pB, 1e9, 0, 1, 1, func(f *Flow) { tB = f.Finished() })
 	eng.Run()
 	if math.Abs(float64(tA)-1) > 1e-6 || math.Abs(float64(tB)-1) > 1e-6 {
 		t.Fatalf("disjoint flows = %v, %v, want 1s both", tA, tB)
@@ -82,8 +82,8 @@ func TestCollidingTrunkHalvesRate(t *testing.T) {
 	pA := pathOf(t, n, hosts[0], hosts[5], 0)
 	pB := pathOf(t, n, hosts[1], hosts[6], 0) // same trunk as pA
 	var tA, tB sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, pA, 1e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
-	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), Shuffle, pB, 1e9, 0, 1, 1, func(f *Flow) { tB = f.Finished() })
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), pA, 1e9, 0, 0, 0, func(f *Flow) { tA = f.Finished() })
+	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), pB, 1e9, 0, 1, 1, func(f *Flow) { tB = f.Finished() })
 	eng.Run()
 	if math.Abs(float64(tA)-2) > 1e-6 || math.Abs(float64(tB)-2) > 1e-6 {
 		t.Fatalf("colliding flows = %v, %v, want 2s both", tA, tB)
@@ -107,7 +107,7 @@ func TestBackgroundReducesRate(t *testing.T) {
 	}
 	n.SetBackground(used, 0.5*topology.Gbps)
 	var done sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 1e9, 0, 0, 0, func(f *Flow) { done = f.Finished() })
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 1e9, 0, 0, 0, func(f *Flow) { done = f.Finished() })
 	eng.Run()
 	if math.Abs(float64(done)-2) > 1e-6 {
 		t.Fatalf("flow with 50%% background = %v, want 2s", done)
@@ -139,7 +139,7 @@ func TestStarvedFlowResumesWhenBackgroundDrops(t *testing.T) {
 	}
 	n.SetBackground(used, topology.Gbps) // fully saturated: flow starves
 	var done sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 1e9, 0, 0, 0, func(f *Flow) { done = f.Finished() })
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 1e9, 0, 0, 0, func(f *Flow) { done = f.Finished() })
 	eng.At(10, func() { n.SetBackground(used, 0) })
 	eng.Run()
 	// Starved for 10 s, then 1 s at full rate.
@@ -152,7 +152,7 @@ func TestLocalZeroHopFlow(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	local := topology.Path{Src: hosts[0], Dst: hosts[0]}
 	var done *Flow
-	n.StartFlow(tup(hosts[0], hosts[0], 1, 1), Shuffle, local, 8e9, 0, 0, 0, func(f *Flow) { done = f })
+	n.StartFlow(tup(hosts[0], hosts[0], 1, 1), local, 8e9, 0, 0, 0, func(f *Flow) { done = f })
 	eng.Run()
 	if done == nil {
 		t.Fatal("local flow did not complete")
@@ -170,7 +170,7 @@ func TestSetLocalBps(t *testing.T) {
 	n.SetLocalBps(1e9)
 	local := topology.Path{Src: hosts[0], Dst: hosts[0]}
 	var done *Flow
-	n.StartFlow(tup(hosts[0], hosts[0], 1, 1), Shuffle, local, 1e9, 0, 0, 0, func(f *Flow) { done = f })
+	n.StartFlow(tup(hosts[0], hosts[0], 1, 1), local, 1e9, 0, 0, 0, func(f *Flow) { done = f })
 	eng.Run()
 	if d := float64(done.Duration()); math.Abs(d-1) > 1e-6 {
 		t.Fatalf("duration = %v, want 1s", d)
@@ -181,8 +181,8 @@ func TestStartFlowValidation(t *testing.T) {
 	_, n, hosts, _ := testbed()
 	p := topology.Path{Src: hosts[0], Dst: hosts[0]}
 	for _, fn := range []func(){
-		func() { n.StartFlow(tup(hosts[0], hosts[0], 1, 1), Shuffle, p, 0, 0, 0, 0, nil) },
-		func() { n.StartFlow(tup(hosts[1], hosts[0], 1, 1), Shuffle, p, 1, 0, 0, 0, nil) },
+		func() { n.StartFlow(tup(hosts[0], hosts[0], 1, 1), p, 0, 0, 0, 0, nil) },
+		func() { n.StartFlow(tup(hosts[1], hosts[0], 1, 1), p, 1, 0, 0, 0, nil) },
 		func() { n.SetLocalBps(0) },
 	} {
 		func() {
@@ -199,7 +199,7 @@ func TestStartFlowValidation(t *testing.T) {
 func TestUtilizationAndAvailable(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 1e12, 0, 0, 0, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 1e12, 0, 0, 0, nil)
 	eng.RunUntil(0.1)
 	for _, l := range p.Links {
 		if u := n.Utilization(l); math.Abs(u-1.0) > 1e-9 {
@@ -223,7 +223,7 @@ func TestUtilizationAndAvailable(t *testing.T) {
 func TestHostTxAccounting(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 1e9, 0, 0, 0, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 1e9, 0, 0, 0, nil)
 	eng.RunUntil(0.5)
 	got := n.HostTxBits(hosts[0])
 	if math.Abs(got-0.5e9) > 1e3 {
@@ -238,7 +238,7 @@ func TestHostTxAccounting(t *testing.T) {
 func TestLinkBitsAccounting(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 2e9, 0, 0, 0, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 2e9, 0, 0, 0, nil)
 	eng.Run()
 	for _, l := range p.Links {
 		if got := n.LinkBits(l); math.Abs(got-2e9) > 1e3 {
@@ -260,8 +260,8 @@ func TestFlowsOn(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	pA := pathOf(t, n, hosts[0], hosts[5], 0)
 	pB := pathOf(t, n, hosts[1], hosts[6], 0)
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, pA, 1e12, 0, 0, 0, nil)
-	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), Shuffle, pB, 1e12, 0, 1, 1, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), pA, 1e12, 0, 0, 0, nil)
+	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), pB, 1e12, 0, 1, 1, nil)
 	eng.RunUntil(0.01)
 	trunk := pA.Links[1]
 	fs := n.FlowsOn(trunk)
@@ -292,7 +292,7 @@ func TestReroute(t *testing.T) {
 	}
 	n.SetBackground(onP0, topology.Gbps)
 	var done sim.Time
-	f := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p0, 1e9, 0, 0, 0, func(f *Flow) { done = f.Finished() })
+	f := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p0, 1e9, 0, 0, 0, func(f *Flow) { done = f.Finished() })
 	eng.At(5, func() { n.Reroute(f, p1) })
 	eng.Run()
 	// Starved 5 s on trunk0, then 1 s on trunk1.
@@ -304,7 +304,7 @@ func TestReroute(t *testing.T) {
 func TestRerouteValidation(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
-	f := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 1e6, 0, 0, 0, nil)
+	f := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 1e6, 0, 0, 0, nil)
 	wrong := pathOf(t, n, hosts[1], hosts[6], 0)
 	func() {
 		defer func() {
@@ -328,8 +328,8 @@ func TestRerouteValidation(t *testing.T) {
 func TestHistoryOrder(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 2e9, 0, 0, 0, nil)
-	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), Shuffle, pathOf(t, n, hosts[1], hosts[6], 1), 1e9, 0, 1, 1, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 2e9, 0, 0, 0, nil)
+	n.StartFlow(tup(hosts[1], hosts[6], 2, 2), pathOf(t, n, hosts[1], hosts[6], 1), 1e9, 0, 1, 1, nil)
 	eng.Run()
 	h := n.History()
 	if len(h) != 2 {
@@ -345,20 +345,11 @@ func TestOnFlowCompleteGlobalHook(t *testing.T) {
 	count := 0
 	n.OnFlowComplete(func(f *Flow) { count++ })
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 1e6, 0, 0, 0, nil)
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 2), Shuffle, p, 1e6, 0, 0, 1, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 1e6, 0, 0, 0, nil)
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 2), p, 1e6, 0, 0, 1, nil)
 	eng.Run()
 	if count != 2 {
 		t.Fatalf("global hook fired %d times, want 2", count)
-	}
-}
-
-func TestFlowKindString(t *testing.T) {
-	if Shuffle.String() != "shuffle" || Background.String() != "background" || Control.String() != "control" {
-		t.Fatal("FlowKind strings wrong")
-	}
-	if FlowKind(42).String() == "" {
-		t.Fatal("unknown kind empty")
 	}
 }
 
@@ -387,7 +378,7 @@ func TestPropertyConservationAndCapacity(t *testing.T) {
 			}
 			paths := g.EqualCostPaths(src, dst, 2)
 			p := paths[sel%len(paths)]
-			fl := n.StartFlow(tup(src, dst, uint16(i), uint16(i+1)), Shuffle, p, size, 0, i, 0, nil)
+			fl := n.StartFlow(tup(src, dst, uint16(i), uint16(i+1)), p, size, 0, i, 0, nil)
 			wants = append(wants, want{fl, size})
 		}
 		// Capacity check mid-flight.
@@ -424,7 +415,7 @@ func TestPropertyEqualShares(t *testing.T) {
 		eng, n, hosts, _ := testbed()
 		p := pathOf(t, n, hosts[0], hosts[5], 0)
 		for i := 0; i < count; i++ {
-			n.StartFlow(tup(hosts[0], hosts[5], uint16(i), 1), Shuffle, p, 1e12, 0, i, 0, nil)
+			n.StartFlow(tup(hosts[0], hosts[5], uint16(i), 1), p, 1e12, 0, i, 0, nil)
 		}
 		eng.RunUntil(0.001)
 		wantRate := topology.Gbps / float64(count)
@@ -441,8 +432,7 @@ func BenchmarkRecompute100Flows(b *testing.B) {
 	g := n.Graph()
 	paths := g.EqualCostPaths(hosts[0], hosts[5], 2)
 	for i := 0; i < 100; i++ {
-		n.StartFlow(tup(hosts[i%5], hosts[5+i%5], uint16(i), 1), Shuffle,
-			g.EqualCostPaths(hosts[i%5], hosts[5+i%5], 2)[i%2], 1e15, 0, i, 0, nil)
+		n.StartFlow(tup(hosts[i%5], hosts[5+i%5], uint16(i), 1), g.EqualCostPaths(hosts[i%5], hosts[5+i%5], 2)[i%2], 1e15, 0, i, 0, nil)
 	}
 	_ = paths
 	eng.RunUntil(0.001)

@@ -115,9 +115,7 @@ func refLinkStats(n *Network, link topology.LinkID, rate map[*Flow]float64) (uti
 	used := n.BackgroundOn(link)
 	for _, f := range refFlowsOn(n, link) {
 		used += rate[f]
-		if f.Kind == Shuffle {
-			shuffleBps += rate[f]
-		}
+		shuffleBps += rate[f]
 	}
 	utilization = used / capBps
 	if utilization > 1 {
@@ -224,7 +222,7 @@ func meshScript(t *testing.T, eng *sim.Engine, n *Network, hosts []topology.Node
 			eng.At(sim.Time(float64(k%7)*0.05), func() {
 				p := pathOf(t, n, hosts[i], hosts[j], k%2)
 				f := n.StartFlow(tup(hosts[i], hosts[j], uint16(k), uint16(k)),
-					Shuffle, p, float64(1+k%3)*3e8, 0, i, j, nil)
+					p, float64(1+k%3)*3e8, 0, i, j, nil)
 				if tracked == nil {
 					tracked = f
 				}
@@ -251,7 +249,7 @@ func sequentialScript(t *testing.T, eng *sim.Engine, n *Network, hosts []topolog
 			eng.At(sim.Time(float64(k)*0.05), func() {
 				p := pathOf(t, n, hosts[i], hosts[j], k%2)
 				n.StartFlow(tup(hosts[i], hosts[j], uint16(k), uint16(k)),
-					Shuffle, p, float64(1+k%3)*3e8, 0, i, j, nil)
+					p, float64(1+k%3)*3e8, 0, i, j, nil)
 			})
 		}
 	}
@@ -268,7 +266,7 @@ func multiComponentScript(eng *sim.Engine, n *Network, hosts []topology.NodeID) 
 		eng.At(at, func() {
 			ps := g.EqualCostPaths(src, dst, 4)
 			started++
-			n.StartFlow(tup(src, dst, uint16(started), 9), Shuffle, ps[pathIdx%len(ps)], bits, 0, int(src), int(dst), nil)
+			n.StartFlow(tup(src, dst, uint16(started), 9), ps[pathIdx%len(ps)], bits, 0, int(src), int(dst), nil)
 		})
 	}
 	for r := 0; r < 4; r++ {
@@ -344,7 +342,7 @@ func TestAllocModesIdenticalUnderFailure(t *testing.T) {
 	p := pathOf(t, n, hosts[0], hosts[5], 0)
 	trunk := p.Links[1]
 	var done sim.Time
-	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, p, 2e9, 0, 0, 0,
+	n.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 2e9, 0, 0, 0,
 		func(f *Flow) { done = f.Finished() })
 	eng.At(1, func() {
 		n.Graph().SetLinkUp(trunk, false)
@@ -379,7 +377,7 @@ func TestIndexMatchesScanAcrossLifecycle(t *testing.T) {
 			k++
 			p := pathOf(t, n, hosts[i], hosts[j], k%2)
 			f := n.StartFlow(tup(hosts[i], hosts[j], uint16(k), uint16(k)),
-				Shuffle, p, float64(k)*2e8, 0, i, j, nil)
+				p, float64(k)*2e8, 0, i, j, nil)
 			if tracked == nil {
 				tracked = f
 			}
@@ -406,8 +404,8 @@ func TestIncrementalComponentScope(t *testing.T) {
 	eng, n, hosts, trunks := testbed()
 	pA := pathOf(t, n, hosts[0], hosts[5], 0) // trunk 0
 	pB := pathOf(t, n, hosts[1], hosts[6], 1) // trunk 1
-	fA := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), Shuffle, pA, 4e9, 0, 0, 0, nil)
-	fB := n.StartFlow(tup(hosts[1], hosts[6], 2, 2), Shuffle, pB, 4e9, 0, 1, 1, nil)
+	fA := n.StartFlow(tup(hosts[0], hosts[5], 1, 1), pA, 4e9, 0, 0, 0, nil)
+	fB := n.StartFlow(tup(hosts[1], hosts[6], 2, 2), pB, 4e9, 0, 1, 1, nil)
 	eng.RunUntil(0.5)
 	if fA.Rate() != 1e9 || fB.Rate() != 1e9 {
 		t.Fatalf("initial rates %v, %v, want 1 Gbps each", fA.Rate(), fB.Rate())
@@ -427,7 +425,7 @@ func TestCoalescedLocalFlows(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := topology.Path{Src: hosts[0], Dst: hosts[0]}
 	var done sim.Time
-	n.StartFlow(tup(hosts[0], hosts[0], 1, 1), Shuffle, p, DefaultLocalBps, 0, 0, 0,
+	n.StartFlow(tup(hosts[0], hosts[0], 1, 1), p, DefaultLocalBps, 0, 0, 0,
 		func(f *Flow) { done = f.Finished() })
 	eng.Run()
 	if float64(done) != 1 {
@@ -492,11 +490,7 @@ func applyOp(eng *sim.Engine, n *Network, hosts []topology.NodeID, o refOp) {
 			}
 			path = ps[o.c%len(ps)]
 		}
-		kind := Shuffle
-		if o.c%5 == 0 {
-			kind = Background
-		}
-		n.StartFlow(tup(src, dst, uint16(o.a), uint16(o.b)), kind, path, 1e6+o.x*5e8, 0, o.a, o.b, nil)
+		n.StartFlow(tup(src, dst, uint16(o.a), uint16(o.b)), path, 1e6+o.x*5e8, 0, o.a, o.b, nil)
 	case opReroute:
 		if len(n.active) == 0 {
 			return
@@ -532,7 +526,7 @@ func applyOp(eng *sim.Engine, n *Network, hosts []topology.NodeID, o refOp) {
 			g.SetNodeUp(s, !g.NodeUp(s))
 		}
 		h := hosts[o.c%len(hosts)]
-		n.StartFlow(tup(h, h, uint16(o.a), uint16(o.b)), Shuffle, topology.Path{Src: h, Dst: h}, 1e6+o.x*5e8, 0, o.a, o.b, nil)
+		n.StartFlow(tup(h, h, uint16(o.a), uint16(o.b)), topology.Path{Src: h, Dst: h}, 1e6+o.x*5e8, 0, o.a, o.b, nil)
 	case opSwitch:
 		sw := g.Switches()
 		if s := sw[o.a%len(sw)]; g.NodeUp(s) {
@@ -593,7 +587,7 @@ func TestBaseResidualFollowsEveryInvalidation(t *testing.T) {
 			ps := g.EqualCostPaths(src, dst, 4)
 			path = ps[pathIdx%len(ps)]
 		}
-		n.StartFlow(tup(src, dst, port, 1), Shuffle, path, 1e12, 0, int(src), int(dst), nil)
+		n.StartFlow(tup(src, dst, port, 1), path, 1e12, 0, int(src), int(dst), nil)
 	}
 	for i := 0; i < 4; i++ {
 		for j := 4; j < 8; j++ {
@@ -645,7 +639,7 @@ func BenchmarkAllocPass(b *testing.B) {
 	for i := 0; i < 40; i++ {
 		src, dst := hosts[i%5], hosts[5+i%5]
 		ps := g.EqualCostPaths(src, dst, 2)
-		n.StartFlow(tup(src, dst, uint16(i), 1), Shuffle, ps[i%len(ps)], 1e15, 0, i, 0, nil)
+		n.StartFlow(tup(src, dst, uint16(i), 1), ps[i%len(ps)], 1e15, 0, i, 0, nil)
 	}
 	eng.RunUntil(0.001)
 	n.recompute() // warm scratch capacity

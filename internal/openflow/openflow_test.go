@@ -296,7 +296,7 @@ func TestLinkLoadPolling(t *testing.T) {
 	eng, net, c, hosts, _ := tb()
 	g := c.g
 	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), netsim.Shuffle, p, 10e9, 0, 0, 0, nil)
+	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 10e9, 0, 0, 0, nil)
 	// At t=0 the poller ran before the flow existed.
 	if s := c.LinkLoad(p.Links[0]); s.Utilization != 0 {
 		t.Fatalf("pre-poll utilization = %v, want 0 (stale)", s.Utilization)

@@ -69,7 +69,7 @@ type Sequence struct {
 
 // Of builds the timeline of a finished job from its task records and the
 // fabric's completed flows (netsim.Network.History, in completion order);
-// flows of other jobs and other kinds are skipped. It returns nil while the
+// flows of other jobs are skipped. It returns nil while the
 // job is unfinished, and every renderer of a nil Sequence returns empty
 // output.
 func Of(job *hadoop.Job, flows []*netsim.Flow) *Sequence {
@@ -102,7 +102,7 @@ func Of(job *hadoop.Job, flows []*netsim.Flow) *Sequence {
 		return a.Start < b.Start
 	})
 	for _, f := range flows {
-		if f.Kind != netsim.Shuffle || f.Job != job.ID {
+		if f.Job != job.ID {
 			continue
 		}
 		s.fetches = append(s.fetches, FetchRecord{

@@ -188,35 +188,6 @@ func TestRendersTheJobItIsGiven(t *testing.T) {
 	}
 }
 
-// TestOneSpanPerMapUnderSpeculation: a losing speculative attempt that
-// still finishes adds no second span; each map is drawn once, ending when
-// its winning attempt finished.
-func TestOneSpanPerMapUnderSpeculation(t *testing.T) {
-	eng, net, cl := rig(hadoop.Config{Speculative: true, SpeculativeLagFactor: 1.1})
-	j, _ := cl.Submit(workload.Sort(2e9, 6, 1))
-	eng.Run()
-	if cl.SpeculativeLaunched == 0 {
-		t.Fatal("no speculative attempt launched; the test exercises nothing")
-	}
-	finished := map[string]sim.Time{}
-	for _, m := range j.Maps {
-		finished[fmt.Sprintf("map-%d", m.ID)] = m.Finished
-	}
-	n := 0
-	for _, sp := range Of(j, net.History()).spans {
-		if sp.Kind != MapSpan {
-			continue
-		}
-		n++
-		if sp.End != finished[sp.Label] {
-			t.Fatalf("%s ends at %v, the map finished at %v", sp.Label, sp.End, finished[sp.Label])
-		}
-	}
-	if n != len(j.Maps) {
-		t.Fatalf("%d map spans for %d maps", n, len(j.Maps))
-	}
-}
-
 func TestShuffleSpanPrecedesReduceSpan(t *testing.T) {
 	shufEnd := map[string]sim.Time{}
 	redStart := map[string]sim.Time{}

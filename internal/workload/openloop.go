@@ -13,24 +13,17 @@ import (
 // Stream draws an unbounded sequence of jobs from a seeded RNG — a
 // non-homogeneous Poisson arrival process (base rate with sinusoidal
 // diurnal modulation, generated by thinning), heavy-tailed lognormal job
-// sizes, and a multi-tenant mix where each tenant carries its own
-// priority, completion-time SLO, size distribution and job-class mix. The
-// steady-state harness in internal/bench consumes the stream to measure
-// tail-latency SLOs under sustained load.
+// sizes, and a multi-tenant mix where each tenant carries its own size
+// distribution and job-class mix. The facade's OpenLoopJobs feeds it to
+// SubmitAt.
 
 // Tenant is one slice of the open-loop mix. Each arrival is attributed to
-// a tenant drawn by Weight; the tenant then shapes the job's size, class
-// and scheduling metadata.
+// a tenant drawn by Weight; the tenant then shapes the job's size and
+// class.
 type Tenant struct {
 	Name string
 	// Weight is the tenant's share of arrivals (normalized over the mix).
 	Weight float64
-	// Priority orders admission when the harness's in-flight cap binds
-	// (higher admits first).
-	Priority int
-	// SLOSec is the tenant's per-job completion-time objective, measured
-	// arrival-to-completion (queueing included).
-	SLOSec float64
 	// MedianInputBytes and InputSigma parameterize the tenant's lognormal
 	// job-size distribution; sizes clamp to [64 MB, MaxInputBytes].
 	MedianInputBytes float64
@@ -43,19 +36,18 @@ type Tenant struct {
 	ShuffleHeavyFrac float64
 }
 
-// DefaultTenants is the three-way production mix the steady-state scenario
-// uses: latency-sensitive interactive queries, medium analytics, and big
+// DefaultTenants is the three-way production mix: latency-sensitive interactive queries, medium analytics, and big
 // low-priority batch jobs — the shape BigDataSDNSim-style big-data-cloud
 // studies model.
 func DefaultTenants() []Tenant {
 	return []Tenant{
-		{Name: "interactive", Weight: 0.5, Priority: 2, SLOSec: 120,
+		{Name: "interactive", Weight: 0.5,
 			MedianInputBytes: 256 * MB, InputSigma: 0.7, MaxInputBytes: 2 * GB,
 			MapHeavyFrac: 0.7, TransformFrac: 0.3},
-		{Name: "analytics", Weight: 0.3, Priority: 1, SLOSec: 300,
+		{Name: "analytics", Weight: 0.3,
 			MedianInputBytes: 1 * GB, InputSigma: 1.0, MaxInputBytes: 8 * GB,
 			MapHeavyFrac: 0.2, TransformFrac: 0.5, ShuffleHeavyFrac: 0.3},
-		{Name: "batch", Weight: 0.2, Priority: 0, SLOSec: 600,
+		{Name: "batch", Weight: 0.2,
 			MedianInputBytes: 3 * GB, InputSigma: 1.2, MaxInputBytes: 16 * GB,
 			MapHeavyFrac: 0.2, TransformFrac: 0.3, ShuffleHeavyFrac: 0.5},
 	}
@@ -98,14 +90,12 @@ func (c OpenLoopConfig) Defaults() OpenLoopConfig {
 }
 
 // OpenJob is one arrival of the open-loop stream: the job spec plus the
-// tenant metadata the steady-state harness schedules and scores by.
+// tenant and class it was drawn for.
 type OpenJob struct {
 	Spec        *hadoop.JobSpec
 	SubmitAtSec float64
 	Tenant      string
 	Class       string
-	Priority    int
-	SLOSec      float64
 	// Seq is the arrival's index in the stream (0-based).
 	Seq int
 }
@@ -127,9 +117,15 @@ type Stream struct {
 }
 
 // OpenLoop starts a stream. The RNG substreams are split up front so the
-// draw order of one dimension never perturbs another.
+// draw order of one dimension never perturbs another. It panics on a
+// negative, NaN or infinite base rate: thinning never accepts a candidate
+// at a rate that is not positive, and an infinite one draws zero gaps, so
+// Next or Until would never return.
 func OpenLoop(cfg OpenLoopConfig) *Stream {
 	cfg = cfg.Defaults()
+	if r := cfg.BaseRateJobsPerSec; !(r > 0) || math.IsInf(r, 1) {
+		panic(fmt.Sprintf("workload: BaseRateJobsPerSec %v is not a positive finite rate", r))
+	}
 	rng := stats.NewRNG(cfg.Seed ^ 0x0BE17007)
 	s := &Stream{
 		cfg:       cfg,
@@ -234,8 +230,6 @@ func (s *Stream) Next() OpenJob {
 		SubmitAtSec: s.at,
 		Tenant:      tn.Name,
 		Class:       class,
-		Priority:    tn.Priority,
-		SLOSec:      tn.SLOSec,
 		Seq:         s.n,
 	}
 	s.n++

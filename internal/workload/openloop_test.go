@@ -101,9 +101,6 @@ func TestOpenLoopTenantMixAndMetadata(t *testing.T) {
 		if j.Spec == nil || j.Spec.Validate() != nil {
 			t.Fatalf("arrival %d has invalid spec", j.Seq)
 		}
-		if j.SLOSec <= 0 {
-			t.Fatalf("arrival %d missing SLO", j.Seq)
-		}
 		switch j.Class {
 		case "map-heavy", "transform", "shuffle-heavy":
 		default:
@@ -142,11 +139,26 @@ func TestOpenLoopSizesRespectTenantBounds(t *testing.T) {
 	}
 }
 
+// Each config would otherwise hang: a non-positive weight has no share to
+// draw, thinning never accepts at a negative or NaN rate, and an infinite
+// rate draws zero gaps, so Until never reaches its horizon.
 func TestOpenLoopRejectsNonPositiveWeight(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("zero tenant weight did not panic")
-		}
-	}()
-	OpenLoop(OpenLoopConfig{Tenants: []Tenant{{Name: "bad", Weight: 0}}})
+	for _, tc := range []struct {
+		name string
+		cfg  OpenLoopConfig
+	}{
+		{"zero tenant weight", OpenLoopConfig{Tenants: []Tenant{{Name: "bad", Weight: 0}}}},
+		{"negative rate", OpenLoopConfig{BaseRateJobsPerSec: -0.05}},
+		{"NaN rate", OpenLoopConfig{BaseRateJobsPerSec: math.NaN()}},
+		{"infinite rate", OpenLoopConfig{BaseRateJobsPerSec: math.Inf(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", tc.name)
+				}
+			}()
+			OpenLoop(tc.cfg)
+		})
+	}
 }

@@ -11,12 +11,10 @@ import (
 // Open-loop facade: timed submissions and the continuous workload plane.
 // Closed-loop entry points (RunJobs, TryRunJobs) submit everything at t=0
 // and wait; here jobs enter at their arrival times whether or not earlier
-// ones have finished, which is how production clusters actually load up —
-// and the regime where tail latency and SLO attainment are defined.
+// ones have finished, which is how production clusters actually load up.
 
-// Tenant re-exports one slice of the open-loop mix: arrival share,
-// admission priority, completion-time SLO, size distribution and job-class
-// fractions.
+// Tenant re-exports one slice of the open-loop mix: arrival share, size
+// distribution and job-class fractions.
 type Tenant = workload.Tenant
 
 // OpenLoopConfig re-exports the continuous arrival process's knobs:
@@ -24,7 +22,7 @@ type Tenant = workload.Tenant
 type OpenLoopConfig = workload.OpenLoopConfig
 
 // OpenJob re-exports one open-loop arrival: the job spec plus submission
-// time and tenant metadata.
+// time, tenant and job class.
 type OpenJob = workload.OpenJob
 
 // DefaultTenants is the standard three-way interactive/analytics/batch mix.
