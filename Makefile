@@ -45,7 +45,7 @@ benchmark:
 # with 256.
 bench-guard:
 	$(GO) test -run 'TestJobDoneCostIndependentOfLiveJobs|TestCommitCostIndependentOfLiveAggregates|TestResolvedIntentPathAllocs' -count=1 -v ./internal/core
-	$(GO) test -bench='ApplyBatch(JobDone|ReducerUp|LiveAggregates)' -benchtime=200x -run='^$$' ./internal/core
+	$(GO) test -bench='ApplyBatch(JobDone|ReducerUp|LiveAggregates|Stationary)' -benchtime=200x -run='^$$' ./internal/core
 
 # Capture CPU + allocation profiles of the full experiment sweep (serial, so
 # the call tree attributes to one trial at a time). Inspect with

@@ -18,7 +18,7 @@ import (
 // index existed.
 func refBookedDemandOn(p *Pythia, l topology.LinkID, self *aggregate) float64 {
 	var others []*aggregate
-	for _, other := range p.aggregates {
+	for _, other := range p.sortedAggregates() {
 		if other == self || !other.placed || other.demandBits <= 0 {
 			continue
 		}
@@ -41,7 +41,7 @@ func refBookedDemandOn(p *Pythia, l topology.LinkID, self *aggregate) float64 {
 // from the point of view of no aggregate and of every aggregate.
 func checkBookedDemand(p *Pythia) error {
 	selves := []*aggregate{nil}
-	for _, a := range p.aggregates {
+	for _, a := range p.sortedAggregates() {
 		selves = append(selves, a)
 	}
 	for _, l := range p.g.Links() {

@@ -9,7 +9,9 @@ import (
 	"pythia/internal/netsim"
 	"pythia/internal/openflow"
 	"pythia/internal/sim"
+	"pythia/internal/stats"
 	"pythia/internal/topology"
+	"pythia/internal/workload"
 )
 
 // Complexity guard for the per-job table: a collector operation must cost
@@ -252,7 +254,7 @@ func newCommitFixture(maps, reducers int) *commitFixture {
 	}
 	py.ApplyBatch(ops, 1)
 	eng.RunUntil(1) // the rule installs land
-	f.live = len(py.aggregates)
+	f.live = py.liveAggregates()
 	return f
 }
 
@@ -294,7 +296,7 @@ func commitCost(f *commitFixture) time.Duration {
 
 // TestCommitCostIndependentOfLiveAggregates: with 60x the live placed
 // aggregates, booking and retiring the same 16-intent job may cost at most 3x
-// as much (cache and map-size effects). When the placement pass found its
+// as much (cache effects). When the placement pass found its
 // candidates by scanning every aggregate, the two scans of a cycle cost
 // several times the rest of it.
 func TestCommitCostIndependentOfLiveAggregates(t *testing.T) {
@@ -305,10 +307,10 @@ func TestCommitCostIndependentOfLiveAggregates(t *testing.T) {
 	for _, f := range []*commitFixture{small, large} {
 		placed, demand := f.py.AggregatesPlaced, f.py.OutstandingDemandBits()
 		f.victimCycle()
-		if f.py.AggregatesPlaced != placed || len(f.py.aggregates) != f.live || len(f.py.unplaced) != 0 ||
+		if f.py.AggregatesPlaced != placed || f.py.liveAggregates() != f.live || len(f.py.unplaced) != 0 ||
 			f.py.OutstandingDemandBits() != demand || f.py.OutstandingBookings(commitVictimJob) != 0 {
 			t.Fatalf("live=%d: a victim cycle must charge and release placed aggregates only: %d placements, %d aggregates, %d unplaced",
-				f.live, f.py.AggregatesPlaced-placed, len(f.py.aggregates), len(f.py.unplaced))
+				f.live, f.py.AggregatesPlaced-placed, f.py.liveAggregates(), len(f.py.unplaced))
 		}
 	}
 	lo, hi := commitCost(small), commitCost(large)
@@ -331,4 +333,113 @@ func BenchmarkApplyBatchLiveAggregates(b *testing.B) {
 			b.ReportMetric(float64(total.Nanoseconds())/float64(b.N), "guarded-ns/op")
 		})
 	}
+}
+
+// stationaryStream is the op stream of a serving collector in steady state,
+// shaped like the serving benchmark's generator: a sliding window of
+// stationaryLive jobs from the open-loop population is always live, each
+// placing its reducers, then booking its maps' intents, then retiring with
+// JobDone, and a retired job is replaced by the next one. Live jobs take
+// turns in runs of stationaryRun ops, so a batch mixes jobs the way
+// concurrent clients do. Job sizes are heavy-tailed, so the window holds
+// jobs in every phase. The first stationaryJobs jobs are drawn once; later
+// jobs repeat them under new IDs.
+type stationaryStream struct {
+	tmpl [stationaryJobs][]Op // job j's ops, by j mod stationaryJobs
+	jobs [stationaryLive][]Op // each slot's current job's remaining ops
+	next int                  // next job ID
+	turn int                  // slot whose run is next
+}
+
+const (
+	stationaryLive  = 256 // live jobs, as in the serving benchmark's generator
+	stationaryJobs  = 1024
+	stationaryRun   = 8 // ops one job contributes per turn
+	stationaryBatch = 16
+)
+
+func newStationaryStream(hosts []topology.NodeID, seed uint64) *stationaryStream {
+	s := &stationaryStream{}
+	pop := workload.OpenLoop(workload.OpenLoopConfig{BaseRateJobsPerSec: 0.2, Seed: 1})
+	rng := stats.NewRNG(seed)
+	for j := range s.tmpl {
+		spec := pop.Next().Spec
+		ops := make([]Op, 0, spec.NumReduces+spec.NumMaps+1)
+		for r := 0; r < spec.NumReduces; r++ {
+			ops = append(ops, Op{Kind: OpReducerUp, Reducer: instrument.ReducerUp{Reduce: r, Host: hosts[rng.Intn(len(hosts))]}})
+		}
+		for m := 0; m < spec.NumMaps; m++ {
+			ops = append(ops, Op{Kind: OpIntent, Intent: instrument.Intent{Map: m,
+				SrcHost: hosts[rng.Intn(len(hosts))], PredictedWireBytes: spec.MapOutputs[m]}})
+		}
+		s.tmpl[j] = append(ops, Op{Kind: OpJobDone})
+	}
+	for slot := range s.jobs {
+		s.admit(slot)
+	}
+	return s
+}
+
+// admit starts the next job in slot.
+func (s *stationaryStream) admit(slot int) {
+	job := s.next
+	s.next++
+	ops := append(s.jobs[slot][:0:0], s.tmpl[job%stationaryJobs]...)
+	for i := range ops {
+		ops[i].Intent.Job, ops[i].Reducer.Job, ops[i].Job = job, job, job
+	}
+	s.jobs[slot] = ops
+}
+
+// batch fills dst with the next stationaryBatch ops of the stream.
+func (s *stationaryStream) batch(dst []Op) []Op {
+	dst = dst[:0]
+	for len(dst) < stationaryBatch {
+		slot := s.turn
+		n := min(stationaryRun, len(s.jobs[slot]), stationaryBatch-len(dst))
+		dst = append(dst, s.jobs[slot][:n]...)
+		s.jobs[slot] = s.jobs[slot][n:]
+		if len(s.jobs[slot]) == 0 {
+			s.admit(slot)
+			s.turn = (s.turn + 1) % stationaryLive
+		} else if n == stationaryRun {
+			s.turn = (s.turn + 1) % stationaryLive
+		}
+	}
+	return dst
+}
+
+// BenchmarkApplyBatchStationary is one 16-op batch of a steady-state serving
+// collector on a k=8 fat-tree with 4 shards: the stationary stream above,
+// the engine advanced by a 1000 Hz logical clock as the server drives it.
+// The stream retires three windows' worth of jobs before timing, so
+// the live state is the steady state's. Besides ns/op it reports the mean
+// wall time of the commit's delta merge (CommitStats.Merge), the leg that
+// charges the pair aggregates.
+func BenchmarkApplyBatchStationary(b *testing.B) {
+	eng := sim.NewEngine()
+	g, hosts := topology.FatTree(8, 4, topology.Gbps)
+	net := netsim.New(eng, g)
+	py := New(eng, net, openflow.NewController(eng, net, 0), Config{Aggregate: true, UseCriticality: true,
+		BookingTTL: 30, Shards: 4})
+	s := newStationaryStream(hosts, 1)
+	ops := make([]Op, 0, stationaryBatch)
+	step := func() time.Duration {
+		ops = s.batch(ops)
+		eng.RunUntil(eng.Now() + sim.Time(len(ops))/1000)
+		py.ApplyBatch(ops, 4)
+		return py.LastCommit().Merge
+	}
+	for s.next < 4*stationaryLive {
+		step()
+	}
+	if py.liveAggregates() < 1000 {
+		b.Fatalf("only %d live aggregates at steady state", py.liveAggregates())
+	}
+	var merge time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		merge += step()
+	}
+	b.ReportMetric(float64(merge.Nanoseconds())/float64(b.N), "merge-ns/op")
 }

@@ -63,8 +63,8 @@ func injectScenario(s *stack) (critical, casual *aggregate) {
 	py.ShuffleIntent(intent(0, 1, s.hosts[0], []float64{0, 50e6}))
 	py.ShuffleIntent(intent(0, 2, s.hosts[1], []float64{50e6, 0}))
 
-	casual = py.aggregates[pairKey{s.hosts[0], s.hosts[6]}]
-	critical = py.aggregates[pairKey{s.hosts[1], s.hosts[5]}]
+	casual = py.aggregateOf(s.hosts[0], s.hosts[6])
+	critical = py.aggregateOf(s.hosts[1], s.hosts[5])
 	return critical, casual
 }
 
@@ -120,8 +120,8 @@ func TestBacklogDrainsOnFlowCompletion(t *testing.T) {
 	if s.py.totalBacklog() != 0 {
 		t.Fatalf("reducer backlog not drained: %v", s.py.backlogSnapshot())
 	}
-	if len(s.py.aggregates) != 0 {
-		t.Fatalf("aggregates not drained: %d", len(s.py.aggregates))
+	if s.py.liveAggregates() != 0 {
+		t.Fatalf("aggregates not drained: %d", s.py.liveAggregates())
 	}
 }
 
@@ -167,10 +167,10 @@ func TestDirectDuplicateIntentReplaced(t *testing.T) {
 		t.Fatalf("DuplicateIntents = %d, want 1", s.py.DuplicateIntents())
 	}
 	// The booking must now live on the host1 aggregate.
-	if agg := s.py.aggregates[pairKey{s.hosts[1], s.hosts[5]}]; agg == nil || agg.demandBits != 100e6*8 {
+	if agg := s.py.aggregateOf(s.hosts[1], s.hosts[5]); agg == nil || agg.demandBits != 100e6*8 {
 		t.Fatal("booking did not move to the new attempt's host")
 	}
-	if agg := s.py.aggregates[pairKey{s.hosts[0], s.hosts[5]}]; agg != nil {
+	if agg := s.py.aggregateOf(s.hosts[0], s.hosts[5]); agg != nil {
 		t.Fatal("stale booking left on the old attempt's host")
 	}
 }
@@ -199,7 +199,7 @@ func TestExactDuplicateIntentDropped(t *testing.T) {
 		t.Fatalf("demand after exact duplicate = %v bits, want single booking", got)
 	}
 	// The booking stays on the original attempt's host.
-	if agg := s.py.aggregates[pairKey{s.hosts[0], s.hosts[5]}]; agg == nil || agg.demandBits != 100e6*8 {
+	if agg := s.py.aggregateOf(s.hosts[0], s.hosts[5]); agg == nil || agg.demandBits != 100e6*8 {
 		t.Fatal("original booking disturbed by the duplicate")
 	}
 }
@@ -216,7 +216,7 @@ func TestBookkeepingInvariant(t *testing.T) {
 		for _, b := range s.py.bookedSnapshot() {
 			booked += b.bits
 		}
-		for _, a := range s.py.aggregates {
+		for _, a := range s.py.sortedAggregates() {
 			agg += a.demandBits
 		}
 		for _, b := range s.py.backlogSnapshot() {

@@ -1,5 +1,7 @@
 package core
 
+import "pythia/internal/topology"
+
 // Views over the shards' job tables, for tests that assert on collector
 // state as a whole.
 
@@ -42,4 +44,26 @@ func (p *Pythia) backlogSnapshot() map[[2]int]float64 {
 		}
 	}
 	return m
+}
+
+// Views over the placement plane's two indexes.
+
+// aggregateOf returns the host-pair aggregate keyed (src, dst), or nil.
+func (p *Pythia) aggregateOf(src, dst topology.NodeID) *aggregate {
+	return p.pairs.get(pairKey{src, dst})
+}
+
+// liveAggregates counts the live pair aggregates.
+func (p *Pythia) liveAggregates() int { return p.pairs.n }
+
+// usedLinkSlots counts the links the per-link placement index holds an
+// aggregate on.
+func (p *Pythia) usedLinkSlots() int {
+	n := 0
+	for _, set := range p.placedOn {
+		if len(set) > 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -204,7 +204,7 @@ func TestControlPlaneOutageDegradesAndReconciles(t *testing.T) {
 		}
 		s.ofc.RecoverController()
 		checkWorklist(t, s.py)
-		for _, a := range s.py.aggregates {
+		for _, a := range s.py.sortedAggregates() {
 			if a.degraded || !a.placed {
 				t.Errorf("pair %d->%d not re-placed by reconciliation: %+v", a.key.src, a.key.dst, a)
 			}

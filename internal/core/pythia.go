@@ -364,7 +364,8 @@ type Pythia struct {
 	shards  []*shard
 	nextSeq uint64 // next pendingIntent arrival ordinal
 
-	aggregates map[pairKey]*aggregate
+	// pairs holds the live pair aggregates, dense by key (see pairIndex).
+	pairs pairIndex
 	// unplaced is allocate's worklist: every live aggregate with !placed is
 	// on it exactly once (aggregate.queued), put there by whoever cleared or
 	// first left placed false — creation, the A2 ablation, degrade, a
@@ -374,13 +375,14 @@ type Pythia struct {
 	// queued stays as a dead entry until the next pass drops it.
 	unplaced []*aggregate
 	// placedOn indexes the placed aggregates by every link of their
-	// installed path, so pathScore shares spare capacity in
+	// installed path, dense by LinkID, so pathScore shares spare capacity in
 	// O(aggregates-on-link) instead of scanning every aggregate per
 	// candidate link. Kept in lockstep with aggregate.placed. Each slice
 	// is ordered by ascending pair key (keys are unique — one aggregate
 	// per pair), so demand sums read in deterministic order without
-	// sorting per query.
-	placedOn   map[topology.LinkID][]*aggregate
+	// sorting per query. It grows on demand to cover the links placed on
+	// (see placedAt and indexAgg).
+	placedOn   [][]*aggregate
 	nextCookie uint64
 
 	// fl, when non-nil, receives collector-plane flight events. Recording is
@@ -427,8 +429,7 @@ func New(eng *sim.Engine, net *netsim.Network, ofc *openflow.Controller, cfg Con
 		g:          net.Graph(),
 		cfg:        cfg,
 		shards:     make([]*shard, cfg.Shards),
-		aggregates: make(map[pairKey]*aggregate),
-		placedOn:   make(map[topology.LinkID][]*aggregate),
+		pairs:      pairIndex{width: net.Graph().NumNodes()},
 		nextCookie: 1,
 	}
 	for i := range p.shards {
@@ -493,14 +494,29 @@ func (p *Pythia) enqueue(a *aggregate) {
 
 // live reports whether a is still its pair's aggregate (not drained and
 // deleted, possibly with a successor under the same key).
-func (p *Pythia) live(a *aggregate) bool { return p.aggregates[a.key] == a }
+func (p *Pythia) live(a *aggregate) bool { return p.pairs.get(a.key) == a }
 
-// indexAgg adds a placed aggregate to the per-link placement index.
+// placedAt returns the placed aggregates crossing link l, in ascending pair-key
+// order.
+func (p *Pythia) placedAt(l topology.LinkID) []*aggregate {
+	if uint(l) < uint(len(p.placedOn)) {
+		return p.placedOn[l]
+	}
+	return nil
+}
+
+// indexAgg adds a placed aggregate to the per-link placement index, growing
+// the index — to the fabric's link count at least — to cover its path.
 func (p *Pythia) indexAgg(a *aggregate) {
 	if a.indexed {
 		return
 	}
 	for _, l := range a.path.Links {
+		if need := int(l) + 1; need > len(p.placedOn) {
+			grown := make([][]*aggregate, max(need, p.g.NumLinks()))
+			copy(grown, p.placedOn)
+			p.placedOn = grown
+		}
 		set := p.placedOn[l]
 		i := sort.Search(len(set), func(i int) bool { return !aggKeyLess(set[i], a) })
 		set = append(set, nil)
@@ -529,17 +545,12 @@ func (p *Pythia) unindexAgg(a *aggregate) {
 		return
 	}
 	for _, l := range a.path.Links {
-		set := p.placedOn[l]
+		set := p.placedAt(l)
 		i := sort.Search(len(set), func(i int) bool { return !aggKeyLess(set[i], a) })
 		if i < len(set) && set[i] == a {
 			copy(set[i:], set[i+1:])
 			set[len(set)-1] = nil
-			set = set[:len(set)-1]
-			if len(set) == 0 {
-				delete(p.placedOn, l)
-			} else {
-				p.placedOn[l] = set
-			}
+			p.placedOn[l] = set[:len(set)-1]
 		}
 	}
 	a.indexed = false
@@ -708,10 +719,10 @@ func (p *Pythia) steerable(src, dst topology.NodeID) bool {
 // force a fresh placement decision.
 func (p *Pythia) bookGlobal(fk flowKey, b booking) {
 	key := p.aggKey(b.src, b.dst)
-	agg := p.aggregates[key]
+	agg := p.pairs.get(key)
 	if agg == nil {
 		agg = &aggregate{key: key, repSrc: b.src, repDst: b.dst}
-		p.aggregates[key] = agg
+		p.pairs.put(agg)
 		p.enqueue(agg)
 	}
 	agg.demandBits += b.bits
@@ -826,13 +837,18 @@ func (p *Pythia) OutstandingTotal() int {
 	return p.sumShards(func(s *shard) int { return s.booked + s.pending })
 }
 
-// sortedAggregates lists the pair aggregates in ascending pair-key order.
+// sortedAggregates lists the pair aggregates in ascending pair-key order: the
+// pair index's rows by source, each row by destination. It is the one walk
+// over every live aggregate.
 func (p *Pythia) sortedAggregates() []*aggregate {
-	aggs := make([]*aggregate, 0, len(p.aggregates))
-	for _, a := range p.aggregates {
-		aggs = append(aggs, a)
+	aggs := make([]*aggregate, 0, p.pairs.n)
+	for _, row := range p.pairs.rows {
+		for _, a := range row.dst {
+			if a != nil {
+				aggs = append(aggs, a)
+			}
+		}
 	}
-	sort.Slice(aggs, func(i, j int) bool { return aggKeyLess(aggs[i], aggs[j]) })
 	return aggs
 }
 
@@ -1034,11 +1050,11 @@ func (p *Pythia) pathScore(path topology.Path, self *aggregate) float64 {
 
 // bookedDemandOn sums the predicted demand of the other placed aggregates
 // crossing link l. placedOn[l] is maintained in ascending pair-key order, so
-// the float sum — and hence every placement decision — does not depend on map
-// iteration order.
+// the float sum — and hence every placement decision — is fixed by the state
+// alone.
 func (p *Pythia) bookedDemandOn(l topology.LinkID, self *aggregate) float64 {
 	sum := 0.0
-	for _, other := range p.placedOn[l] {
+	for _, other := range p.placedAt(l) {
 		if other == self || other.demandBits <= 0 {
 			continue
 		}
@@ -1083,7 +1099,7 @@ func (p *Pythia) place(a *aggregate, path topology.Path) {
 					// Guard against stale acks: only degrade if this
 					// install still backs the aggregate's current
 					// placement.
-					if p.aggregates[a.key] == a && a.cookie == cookie {
+					if p.live(a) && a.cookie == cookie {
 						p.degrade(a)
 					}
 				}
@@ -1179,7 +1195,7 @@ func (p *Pythia) onFlowComplete(f *netsim.Flow) {
 // unbookGlobal reverses the placement-plane half of one booking: draining
 // the owning aggregate and releasing its rules when its demand empties.
 func (p *Pythia) unbookGlobal(key flowKey, b booking) {
-	agg := p.aggregates[p.aggKey(b.src, b.dst)]
+	agg := p.pairs.get(p.aggKey(b.src, b.dst))
 	if agg == nil {
 		return
 	}
@@ -1191,7 +1207,7 @@ func (p *Pythia) unbookGlobal(key flowKey, b booking) {
 			p.ofc.RemovePath(agg.path, agg.cookie)
 		}
 		p.unindexAgg(agg)
-		delete(p.aggregates, agg.key)
+		p.pairs.del(agg)
 	}
 }
 
@@ -1235,7 +1251,7 @@ func (p *Pythia) jobDoneLocal(sh *shard, job int, log *deltaLog) {
 func (p *Pythia) onTopologyChange() {
 	// The path cache keys its memo by the graph's Version() and drops it on
 	// the first query after a change; no flush needed here.
-	for _, a := range p.aggregates {
+	for _, a := range p.sortedAggregates() {
 		if a.demandBits <= 0 {
 			continue
 		}
@@ -1261,7 +1277,7 @@ func (p *Pythia) onTopologyChange() {
 			return // still routable
 		}
 		var target topology.Path
-		agg := p.aggregates[p.aggKey(f.Tuple.SrcHost, f.Tuple.DstHost)]
+		agg := p.pairs.get(p.aggKey(f.Tuple.SrcHost, f.Tuple.DstHost))
 		if agg != nil && agg.placed && p.cfg.Scope == ScopeHostPair {
 			target = agg.path
 		} else if ps := p.kPaths(f.Tuple.SrcHost, f.Tuple.DstHost); len(ps) > 0 {

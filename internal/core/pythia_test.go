@@ -256,8 +256,8 @@ func TestLocalFetchesNeverBooked(t *testing.T) {
 	spec := uniformSpec(6, 2, 1, 1e6)
 	s.clus.Submit(spec)
 	s.eng.Run()
-	for key := range s.py.aggregates {
-		if key.src == key.dst {
+	for _, a := range s.py.sortedAggregates() {
+		if key := a.key; key.src == key.dst {
 			t.Fatal("same-host pair was booked")
 		}
 	}

@@ -72,9 +72,9 @@ func TestJobDonePurgesDeadJobState(t *testing.T) {
 		s.py.ReducerUp(instrument.ReducerUp{Job: 3, Reduce: 0, Host: s.hosts[5]})
 	})
 	s.eng.At(2, func() {
-		if s.py.totalPending() != 1 || s.py.totalBooked() != 1 || len(s.py.aggregates) != 1 {
+		if s.py.totalPending() != 1 || s.py.totalBooked() != 1 || s.py.liveAggregates() != 1 {
 			t.Fatalf("setup: pending=%d booked=%d aggregates=%d, want 1 each",
-				s.py.totalPending(), s.py.totalBooked(), len(s.py.aggregates))
+				s.py.totalPending(), s.py.totalBooked(), s.py.liveAggregates())
 		}
 		s.py.JobDone(3)
 		if n := s.py.totalPending(); n != 0 {
@@ -86,13 +86,13 @@ func TestJobDonePurgesDeadJobState(t *testing.T) {
 		if n := s.py.totalBacklog(); n != 0 {
 			t.Errorf("reducer backlog leaked: %d", n)
 		}
-		if n := len(s.py.aggregates); n != 0 {
+		if n := s.py.liveAggregates(); n != 0 {
 			t.Errorf("aggregates leaked: %d", n)
 		}
 		if n := s.py.totalReducerLoc(); n != 0 {
 			t.Errorf("reducer locations leaked: %d", n)
 		}
-		if n := len(s.py.placedOn); n != 0 {
+		if n := s.py.usedLinkSlots(); n != 0 {
 			t.Errorf("placement index leaked: %d links", n)
 		}
 	})
@@ -143,7 +143,7 @@ func TestOutstandingDemandBitsReproducible(t *testing.T) {
 			SrcHost: hosts[(m+5)%len(hosts)], PredictedWireBytes: bytes}})
 	}
 	py.ApplyBatch(ops, 1)
-	if n := len(py.aggregates); n < 500 {
+	if n := py.liveAggregates(); n < 500 {
 		t.Fatalf("only %d aggregates; the test needs 500", n)
 	}
 	want := math.Float64bits(py.OutstandingDemandBits())

@@ -115,8 +115,8 @@ func TestRackScopeIntraRackNotBooked(t *testing.T) {
 	if !j.Done {
 		t.Fatal("job did not finish")
 	}
-	for key := range s.py.aggregates {
-		if key.src == key.dst {
+	for _, a := range s.py.sortedAggregates() {
+		if key := a.key; key.src == key.dst {
 			t.Fatalf("intra-rack pair booked under rack scope: %v", key)
 		}
 	}

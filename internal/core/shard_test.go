@@ -325,7 +325,7 @@ func TestNoStateLeaksOnceEveryJobRetires(t *testing.T) {
 					shards, i, len(sh.jobs), sh.booked, sh.pending)
 			}
 		}
-		if n := len(py.aggregates); n != 0 {
+		if n := py.liveAggregates(); n != 0 {
 			t.Errorf("shards=%d: %d aggregates outlive their jobs", shards, n)
 		}
 	}

@@ -265,7 +265,7 @@ func (p *Pythia) AppendSnapshot(dst []byte) []byte {
 			dst = js.appendTo(dst)
 		}
 	}
-	dst = appendCount(dst, len(p.aggregates))
+	dst = appendCount(dst, p.pairs.n)
 	for _, a := range p.sortedAggregates() {
 		for _, n := range [...]topology.NodeID{a.key.src, a.key.dst, a.repSrc, a.repDst, a.path.Src, a.path.Dst} {
 			dst = appendInt(dst, int(n))
@@ -617,13 +617,8 @@ func (p *Pythia) Restore(s *Snapshot) error {
 			return fmt.Errorf("core: Restore on a non-fresh collector (shard %d has state)", i)
 		}
 	}
-	for _, as := range s.Aggregates {
-		for _, l := range as.Path.Links {
-			if l < 0 || int(l) >= p.g.NumLinks() {
-				return fmt.Errorf("core: snapshot places pair %d->%d on link %d, fabric has %d links (fabric must match across restart)",
-					as.KeySrc, as.KeyDst, l, p.g.NumLinks())
-			}
-		}
+	if err := p.checkFabric(s); err != nil {
+		return err
 	}
 	p.nextSeq = s.NextSeq
 	p.nextCookie = s.NextCookie
@@ -695,7 +690,7 @@ func (p *Pythia) Restore(s *Snapshot) error {
 		sort.Slice(a.perReducer, func(i, j int) bool {
 			return a.perReducer[i].before(a.perReducer[j].job, a.perReducer[j].reduce)
 		})
-		p.aggregates[a.key] = a
+		p.pairs.put(a)
 		if a.placed {
 			p.indexAgg(a)
 		} else {
@@ -711,6 +706,77 @@ func (p *Pythia) Restore(s *Snapshot) error {
 			} else {
 				p.ofc.InstallPath(openflow.HostPair(a.key.src, a.key.dst),
 					a.path, p.cfg.RulePriority, a.cookie, nil)
+			}
+		}
+	}
+	return nil
+}
+
+// checkFabric rejects a snapshot that names a node or link this collector's
+// fabric does not have — a snapshot of some other fabric, which would index
+// past the fabric's tables on the first batch — or that files two aggregates
+// under one pair. Every node it names is checked: aggregate keys (hosts, or
+// racks under ScopeRackPair), representative and path endpoints, path links,
+// booking endpoints, reducer hosts and deferred intents' source hosts.
+func (p *Pythia) checkFabric(s *Snapshot) error {
+	mismatch := func(what string, n topology.NodeID) error {
+		return fmt.Errorf("core: snapshot names %s %d, not in the fabric's %d nodes (fabric must match across restart)",
+			what, n, p.g.NumNodes())
+	}
+	isNode := func(n topology.NodeID) bool { return uint(n) < uint(p.g.NumNodes()) }
+	isHost := func(n topology.NodeID) bool { return isNode(n) && p.g.Node(n).Kind == topology.Host }
+	isKey, keyKind := isHost, "host"
+	if p.cfg.Scope == ScopeRackPair {
+		racks := make(map[topology.NodeID]bool)
+		for _, n := range p.g.Nodes() {
+			if n.Kind == topology.Host {
+				racks[topology.NodeID(n.Rack)] = true
+			}
+		}
+		isKey, keyKind = func(n topology.NodeID) bool { return racks[n] }, "rack"
+	}
+	for i, as := range s.Aggregates {
+		for _, n := range [...]topology.NodeID{as.KeySrc, as.KeyDst} {
+			if !isKey(n) {
+				return mismatch("aggregate key "+keyKind, n)
+			}
+		}
+		for _, n := range [...]topology.NodeID{as.RepSrc, as.RepDst} {
+			if !isHost(n) {
+				return mismatch("aggregate endpoint host", n)
+			}
+		}
+		for _, n := range [...]topology.NodeID{as.Path.Src, as.Path.Dst} {
+			if !isNode(n) {
+				return mismatch("path endpoint", n)
+			}
+		}
+		for _, l := range as.Path.Links {
+			if l < 0 || int(l) >= p.g.NumLinks() {
+				return fmt.Errorf("core: snapshot places pair %d->%d on link %d, fabric has %d links (fabric must match across restart)",
+					as.KeySrc, as.KeyDst, l, p.g.NumLinks())
+			}
+		}
+		if i > 0 && !(pairKey{s.Aggregates[i-1].KeySrc, s.Aggregates[i-1].KeyDst}).less(pairKey{as.KeySrc, as.KeyDst}) {
+			return fmt.Errorf("core: snapshot aggregates not in ascending pair-key order at pair %d->%d", as.KeySrc, as.KeyDst)
+		}
+	}
+	for _, ss := range s.Shards {
+		for _, b := range ss.Booked {
+			for _, n := range [...]topology.NodeID{b.Src, b.Dst} {
+				if !isHost(n) {
+					return mismatch("booking endpoint host", n)
+				}
+			}
+		}
+		for _, n := range ss.ReducerLoc {
+			if !isHost(n) {
+				return mismatch("reducer host", n)
+			}
+		}
+		for _, ps := range ss.Pending {
+			if !isHost(ps.Intent.SrcHost) {
+				return mismatch("deferred intent source host", ps.Intent.SrcHost)
 			}
 		}
 	}

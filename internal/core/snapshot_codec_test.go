@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -124,13 +125,18 @@ func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 // than a small multiple of its input (counts are bounded by the bytes that
 // remain before anything is sized from them); and whatever it accepts is a
 // state the collector can hold — Restore it, capture again, and the bytes
-// decode to the same Snapshot.
+// decode to the same Snapshot. Whatever Restore admits must also survive a
+// batch: retiring every restored job runs the release and placement paths on
+// the restored state, after which the capture still round-trips. The
+// foreign-node seed is a snapshot of a larger fabric, which Restore must
+// refuse rather than leave to panic in that batch.
 func FuzzDecodeSnapshot(f *testing.F) {
 	for _, s := range realSnapshots(f) {
 		f.Add(s)
 		f.Add(s[:len(s)/2])
 		f.Add(s[:len(s)-1])
 	}
+	f.Add(foreignNodeSnapshot(f))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -163,7 +169,52 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		if !reflect.DeepEqual(again, snap) {
 			t.Fatalf("snapshot changed across Restore and re-encode:\n got %+v\nwant %+v", again, snap)
 		}
+
+		s.apply(jobDones(snap))
+		done, err := DecodeSnapshot(s.py.AppendSnapshot(nil))
+		if err != nil {
+			t.Fatalf("snapshot after a batch does not decode: %v", err)
+		}
+		if want := s.py.Snapshot(); !reflect.DeepEqual(done, want) {
+			t.Fatalf("binary capture after a batch differs from Snapshot():\n got %+v\nwant %+v", done, want)
+		}
+		fresh := newSnapStack(t, len(snap.Shards), ttl, 1)
+		if err := fresh.py.Restore(done); err != nil {
+			t.Fatalf("restoring the collector's own capture: %v", err)
+		}
+		if again, err := DecodeSnapshot(fresh.py.AppendSnapshot(nil)); err != nil || !reflect.DeepEqual(again, done) {
+			t.Fatalf("snapshot after a batch changed across Restore and re-encode (err %v):\n got %+v\nwant %+v", err, again, done)
+		}
 	})
+}
+
+// jobDones retires every job a snapshot holds state for, in ascending job
+// order.
+func jobDones(s *Snapshot) []Op {
+	seen := make(map[int]bool)
+	for _, ss := range s.Shards {
+		for k := range ss.ReducerLoc {
+			seen[k[0]] = true
+		}
+		for k := range ss.Booked {
+			seen[k.Job] = true
+		}
+		for k := range ss.Seen {
+			seen[k[0]] = true
+		}
+		for _, ps := range ss.Pending {
+			seen[ps.Intent.Job] = true
+		}
+		for job := range ss.JobLastSeen {
+			seen[job] = true
+		}
+	}
+	ops := make([]Op, 0, len(seen))
+	for job := range seen {
+		ops = append(ops, Op{Kind: OpJobDone, Job: job})
+	}
+	sort.Slice(ops, func(i, j int) bool { return ops[i].Job < ops[j].Job })
+	return ops
 }
 
 // BenchmarkSnapshotCapture compares the two captures at a state shaped like

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pythia/internal/instrument"
@@ -212,6 +213,68 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err := dirty.py.Restore(snap); err == nil {
 		t.Error("restore onto a non-fresh collector succeeded")
 	}
+
+	// A snapshot naming a node the fabric does not have — a larger fabric's
+	// — is refused; admitted, the first batch would index past the fabric.
+	foreign, err := DecodeSnapshot(foreignNodeSnapshot(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := newSnapStack(t, 2, 40, 4).py.Restore(foreign); err == nil || !strings.Contains(err.Error(), "fabric must match") {
+		t.Errorf("restore of a snapshot naming node 500: err = %v", err)
+	}
+	// Each other place a snapshot names a node, one at a time.
+	live := newSnapStack(t, 2, 40, 4)
+	live.apply([]Op{{Kind: OpReducerUp, Reducer: up(1, 0, hosts[5])},
+		{Kind: OpIntent, Intent: intent(1, 0, hosts[0], []float64{1e6, 2e6})}})
+	for _, c := range []struct {
+		name string
+		edit func(*Snapshot)
+	}{
+		{"aggregate key dst", func(s *Snapshot) { s.Aggregates[0].KeyDst = 500 }},
+		{"aggregate key is a switch", func(s *Snapshot) { s.Aggregates[0].KeySrc = 0 }},
+		{"representative dst", func(s *Snapshot) { s.Aggregates[0].RepDst = -1 }},
+		{"path endpoint", func(s *Snapshot) { s.Aggregates[0].Path.Dst = 500 }},
+		{"booking dst", func(s *Snapshot) {
+			for k, b := range s.Shards[1].Booked {
+				b.Dst = 500
+				s.Shards[1].Booked[k] = b
+			}
+		}},
+		{"reducer host", func(s *Snapshot) { s.Shards[1].ReducerLoc[[2]int{1, 0}] = 500 }},
+		{"deferred intent source", func(s *Snapshot) { s.Shards[1].Pending[0].Intent.SrcHost = 500 }},
+		{"duplicate pair", func(s *Snapshot) { s.Aggregates = append(s.Aggregates, s.Aggregates[0]) }},
+	} {
+		snap := live.py.Snapshot()
+		if len(snap.Aggregates) != 1 || len(snap.Shards[1].Booked) != 1 || len(snap.Shards[1].Pending) != 1 {
+			t.Fatalf("fixture: %d aggregates, %d bookings, %d deferred intents; want 1 each",
+				len(snap.Aggregates), len(snap.Shards[1].Booked), len(snap.Shards[1].Pending))
+		}
+		c.edit(snap)
+		if err := newSnapStack(t, 2, 40, 4).py.Restore(snap); err == nil {
+			t.Errorf("%s: restore of a snapshot of another fabric succeeded", c.name)
+		}
+	}
+}
+
+// foreignNodeSnapshot is a binary snapshot of a TwoRack collector rewritten
+// to name node 500, which the 12-node fabric does not have: one unplaced
+// aggregate's key and representative source, and its booking's source.
+// Restored, the aggregate is a placement candidate of the next batch, and it
+// owes more demand than its booking, so it outlives a batch that retires the
+// booking's job.
+func foreignNodeSnapshot(t testing.TB) []byte {
+	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
+	s := newSnapStack(t, 2, 40, 4)
+	s.apply([]Op{{Kind: OpReducerUp, Reducer: up(1, 0, hosts[5])},
+		{Kind: OpIntent, Intent: intent(1, 0, hosts[0], []float64{1e6})}})
+	a := s.py.aggregateOf(hosts[0], hosts[5])
+	s.py.degrade(a)    // unplaced and rule-free ...
+	a.degraded = false // ... but still a candidate
+	a.key.src, a.repSrc = 500, 500
+	a.demandBits *= 2
+	s.py.shardOf(1).jobs[1].booked[0][0].src = 500
+	return s.py.AppendSnapshot(nil)
 }
 
 // TestNovelOps pins the duplicate-exemption rules of the logical clock: a

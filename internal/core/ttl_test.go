@@ -32,8 +32,8 @@ func TestBookingTTLExpiresOrphanedBooking(t *testing.T) {
 	if s.py.OutstandingBookings(0) != 0 {
 		t.Fatal("booking leaked past the TTL sweep")
 	}
-	if len(s.py.aggregates) != 0 {
-		t.Fatalf("aggregates not released: %d", len(s.py.aggregates))
+	if s.py.liveAggregates() != 0 {
+		t.Fatalf("aggregates not released: %d", s.py.liveAggregates())
 	}
 	// The dead-job purge follows once the job goes silent: reducer
 	// placements and idempotence entries are dropped too.
@@ -102,8 +102,8 @@ func TestBookingTTLExpiresQueuedAggregate(t *testing.T) {
 		t.Fatalf("worklist holds %d entries, want the stranded pair", len(s.py.unplaced))
 	}
 	s.eng.RunUntil(100)
-	if s.py.ExpiredBookings() != 1 || len(s.py.aggregates) != 0 {
-		t.Fatalf("expired=%d aggregates=%d", s.py.ExpiredBookings(), len(s.py.aggregates))
+	if s.py.ExpiredBookings() != 1 || s.py.liveAggregates() != 0 {
+		t.Fatalf("expired=%d aggregates=%d", s.py.ExpiredBookings(), s.py.liveAggregates())
 	}
 	checkWorklist(t, s.py)
 	s.py.onControllerUp()

@@ -12,7 +12,7 @@ import (
 // oracle for takeCandidates.
 func refUnplaced(p *Pythia) []*aggregate {
 	var todo []*aggregate
-	for _, a := range p.aggregates {
+	for _, a := range p.sortedAggregates() {
 		if !a.placed && a.demandBits > 0 && !a.degraded {
 			todo = append(todo, a)
 		}
@@ -41,7 +41,7 @@ func worklistError(p *Pythia) error {
 			return fmt.Errorf("pair %d->%d is placed and still queued", a.key.src, a.key.dst)
 		}
 	}
-	for _, a := range p.aggregates {
+	for _, a := range p.sortedAggregates() {
 		if a.queued == a.placed {
 			return fmt.Errorf("pair %d->%d: placed=%v queued=%v", a.key.src, a.key.dst, a.placed, a.queued)
 		}
@@ -108,7 +108,7 @@ func TestUnroutablePairStaysQueued(t *testing.T) {
 	s.py.ReducerUp(up(0, 0, s.hosts[5]))
 	s.py.ShuffleIntent(intent(0, 0, s.hosts[0], []float64{100e6}))
 	checkWorklist(t, s.py)
-	agg := s.py.aggregates[pairKey{s.hosts[0], s.hosts[5]}]
+	agg := s.py.aggregateOf(s.hosts[0], s.hosts[5])
 	if agg == nil || agg.placed || !agg.queued {
 		t.Fatalf("unroutable aggregate: %+v", agg)
 	}
