@@ -37,7 +37,7 @@ var (
 	ingestFields  = []string{"reducers", "intents", "done_jobs"}
 	intentFields  = []string{"job", "map", "attempt", "src_host", "predicted_wire_bytes"}
 	reducerFields = []string{"job", "reduce", "host"}
-	batchFields   = []string{"virtual_sec", "ops"}
+	batchFields   = []string{"virtual_sec", "ops", "requests"}
 	opFields      = []string{"kind", "intent", "reducer", "job"}
 )
 
@@ -56,6 +56,7 @@ type decoder struct {
 	ups     []WireReducerUp
 	intents []WireIntent
 	ops     []scanOp
+	reqs    []IngestRequest
 }
 
 // scanOp is a journaled op before its payloads have a final home: intent
@@ -85,10 +86,8 @@ func (d *decoder) release() {
 	}
 }
 
-// readIngest reads a whole body and decodes it.
-func readIngest(r io.Reader) (*IngestRequest, error) {
-	d := getDecoder(nil)
-	defer d.release()
+// readIngest reads a whole body into d.buf and decodes it.
+func (d *decoder) readIngest(r io.Reader) (*IngestRequest, error) {
 	d.body.Reset()
 	_, err := d.body.ReadFrom(r)
 	d.buf = d.body.Bytes()
@@ -610,10 +609,24 @@ func (d *decoder) batch(b *WireBatch) {
 		switch {
 		case f == 1:
 			b.Ops = d.opList()
+		case f == 2:
+			b.Requests = d.requestList()
 		case !d.null():
 			b.VirtualSec = d.float()
 		}
 	}
+}
+
+// requestList consumes a request-form record's requests array.
+func (d *decoder) requestList() []IngestRequest {
+	if d.null() || !d.open('[') {
+		return nil
+	}
+	for more := d.elem(true); more; more = d.elem(false) {
+		d.reqs = append(d.reqs, IngestRequest{})
+		d.ingest(&d.reqs[len(d.reqs)-1])
+	}
+	return take(&d.reqs)
 }
 
 // opList consumes the ops array. Its intents and reducer placements share

@@ -194,7 +194,7 @@ func TestWireTightenings(t *testing.T) {
 				var b WireBatch
 				oerr = json.Unmarshal([]byte(tc.body), &b)
 			} else {
-				_, err = decodeIngest(strings.NewReader(tc.body), 8, 0)
+				_, _, err = decodeIngest(strings.NewReader(tc.body), 8, 0, false)
 				_, oerr = oracleIngest([]byte(tc.body), 8, 0)
 			}
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -236,7 +236,9 @@ func TestDecoderFieldTablesMatchTags(t *testing.T) {
 
 // TestDecodeAllocs pins the decoder's allocations on a 64-op body and
 // record: one byte-prediction slice per intent, plus the request (batch),
-// and one exact-length array per list.
+// and one exact-length array per list — the ops form's ops, intents and
+// reducer placements, the request form's requests array and its one
+// request's three lists.
 func TestDecodeAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's sync.Pool drops decoders at random")
@@ -246,7 +248,7 @@ func TestDecodeAllocs(t *testing.T) {
 	r := bytes.NewReader(body)
 	got := testing.AllocsPerRun(100, func() {
 		r.Reset(body)
-		if _, err := decodeIngest(r, 8, 0); err != nil {
+		if _, _, err := decodeIngest(r, 8, 0, false); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -261,6 +263,15 @@ func TestDecodeAllocs(t *testing.T) {
 	if want := len(req.Intents) + 4; got != float64(want) {
 		t.Errorf("decodeBatch: %v allocs per %d-intent record, want %d", got, len(req.Intents), want)
 	}
+	record = bodyRecord(t, 1234.5678901234567, body)
+	got = testing.AllocsPerRun(100, func() {
+		if _, err := decodeBatch(record); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if want := len(req.Intents) + 5; got != float64(want) {
+		t.Errorf("decodeBatch: %v allocs per %d-intent request-form record, want %d", got, len(req.Intents), want)
+	}
 }
 
 // TestDecodedValuesShareNoBacking: every intent's byte predictions are a
@@ -268,11 +279,16 @@ func TestDecodeAllocs(t *testing.T) {
 // sibling's.
 func TestDecodedValuesShareNoBacking(t *testing.T) {
 	req, record := sampleRecord(t, 64)
-	got, err := decodeIngest(bytes.NewReader(mustMarshal(t, req)), 8, 0)
+	got, _, err := decodeIngest(bytes.NewReader(mustMarshal(t, req)), 8, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b, err := decodeBatch(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := mustMarshal(t, req)
+	rb, err := decodeBatch(bodyRecord(t, 1, body, body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,6 +299,11 @@ func TestDecodedValuesShareNoBacking(t *testing.T) {
 	for _, op := range b.Ops {
 		if op.Intent != nil {
 			all = append(all, op.Intent.PredictedWireBytes)
+		}
+	}
+	for _, r := range rb.Requests {
+		for _, in := range r.Intents {
+			all = append(all, in.PredictedWireBytes)
 		}
 	}
 	for i, s := range all {
@@ -332,7 +353,7 @@ func FuzzDecodeIngest(f *testing.F) {
 	req, _ := sampleRecord(f, 64)
 	f.Add(mustMarshal(f, req))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := decodeIngest(bytes.NewReader(data), 8, 0)
+		got, _, err := decodeIngest(bytes.NewReader(data), 8, 0, false)
 		want, oerr := oracleIngest(data, 8, 0)
 		switch {
 		case err == nil && oerr != nil:
@@ -348,8 +369,31 @@ func FuzzDecodeIngest(f *testing.F) {
 }
 
 func FuzzDecodeBatch(f *testing.F) {
-	_, record := sampleRecord(f, 64)
+	req, record := sampleRecord(f, 64)
 	f.Add(record)
+	// Request-form records as the batch loop frames them: the sample body,
+	// and bodies the handler accepts verbatim — whitespace-padded, with
+	// escaped and case-folded keys, an explicit null list — then
+	// hand-written records, among them one holding both forms (it decodes;
+	// ToOps refuses it).
+	f.Add(bodyRecord(f, 1234.5678901234567, mustMarshal(f, req)))
+	f.Add(bodyRecord(f, 0.25, []byte(goldenIngest), []byte("\t{\"done_jobs\" : [ 1 , 2 ] }\r\n")))
+	f.Add(bodyRecord(f, 3e-7,
+		[]byte(`{"\u0069ntents":[{"jo\u0062":1,"MAP":0,"ſrc_host":3,"predicted_wire_bytes":[1e3,2.5]}],"dOne_jobs":[7]}`),
+		[]byte(`{"reducers":[{"job":1,"reduce":0,"host":2}],"intents":null}`)))
+	f.Add(bodyRecord(f, 1e21, []byte(`{"done_jobs":[1]}`)))
+	for _, s := range []string{
+		`{"virtual_sec":1,"ops":[{"kind":"job_done","job":1}],"requests":[{"done_jobs":[2]}]}`,
+		`{"virtual_sec":1,"requests":[{"done_jobs":[1]},null]}`,
+		`{"virtual_sec":1,"requests":[{"done_jobs":[1],"bogus":1}]}`,
+		`{"virtual_sec":1,"requests":[{"done_jobs":[1]}],"Requests":[]}`,
+		`{"virtual_sec":1,"requests":[]}`,
+		`{"virtual_sec":1,"requests":null,"ops":null}`,
+		`{"virtual_sec":1,"requests":[{}, {"intents":[{"job":0,"map":0,"src_host":0,"predicted_wire_bytes":[null]}]}]}`,
+		`{"virtual_sec":1,"requests":{"done_jobs":[1]}}`,
+	} {
+		f.Add([]byte(s))
+	}
 	for _, s := range []string{
 		`{"virtual_sec":0.5,"ops":[{"kind":"intent","intent":{"job":1,"map":2,"attempt":1,"src_host":3,"predicted_wire_bytes":[1,2.5e6]}}]}`,
 		`{"virtual_sec":1,"ops":[{"kind":"reducer_up","reducer":{"job":1,"reduce":0,"host":2}},{"kind":"job_done","job":1}]}`,
@@ -392,7 +436,7 @@ func BenchmarkDecodeIngest(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Reset(body)
-		if _, err := decodeIngest(r, 8, 0); err != nil {
+		if _, _, err := decodeIngest(r, 8, 0, false); err != nil {
 			b.Fatal(err)
 		}
 	}

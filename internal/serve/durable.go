@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"pythia/internal/core"
@@ -22,12 +23,16 @@ import (
 // point and restarted with Recover reaches a placement digest bit-identical
 // to an uninterrupted run fed the same requests. Three properties carry it:
 //
-//  1. Journal-before-ack. A batch's ops are framed (WireBatch) and appended
-//     before ApplyBatch runs; a response is only released after commit. A
-//     crash before append loses nothing acked; a crash after append is
-//     replayed on restart; in both windows the client saw no reply and
-//     retries, where the collector's (job, map, attempt) idempotence set
-//     makes the resubmission a no-op — exactly-once by construction.
+//  1. Journal-before-ack. A batch's request bodies, byte for byte as the
+//     handlers validated them, are framed with the batch's clock target into
+//     one record (journalRecord; WireBatch's request form) and appended
+//     before ApplyBatch runs — nothing is re-encoded on the batch loop, and
+//     replay lowers each request exactly as its handler did. A response is
+//     only released after commit. A crash before append loses nothing
+//     acked; a crash after append is replayed on restart; in both windows
+//     the client saw no reply and retries, where the collector's (job, map,
+//     attempt) idempotence set makes the resubmission a no-op —
+//     exactly-once by construction.
 //  2. The journal is the clock authority. Each record carries the engine
 //     instant its batch committed at; replay runs the engine to exactly
 //     that instant, so TTL sweeps fire at the same virtual times in the
@@ -115,6 +120,34 @@ func (s *Server) crashed() bool {
 	default:
 		return false
 	}
+}
+
+// journalRecord frames a batch as one journal record in the reused record
+// buffer: {"virtual_sec":<target>,"requests":[<body>,…]}, the bodies in
+// queue order and verbatim, so the record decodes to the WireBatch whose
+// ToOps is the batch's concatenated operations. target is formatted
+// shortest round trip, a JSON number that parses back to the bit-identical
+// instant, so replay runs the engine exactly there. A buffer grown past
+// maxPooledInput by a rare huge batch is not kept.
+func (s *Server) journalRecord(target float64, batch []*ingestJob) ([]byte, error) {
+	if math.IsInf(target, 0) || math.IsNaN(target) {
+		return nil, fmt.Errorf("serve: clock target %v is not a finite JSON number", target)
+	}
+	b := append(s.recBuf[:0], `{"virtual_sec":`...)
+	b = strconv.AppendFloat(b, target, 'g', -1, 64)
+	b = append(b, `,"requests":[`...)
+	for i, j := range batch {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, j.body...)
+	}
+	b = append(b, "]}"...)
+	s.recBuf = nil
+	if cap(b) <= maxPooledInput {
+		s.recBuf = b
+	}
+	return b, nil
 }
 
 // walSnapshot is the decoded snapshot-file payload: the collector's complete

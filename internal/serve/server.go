@@ -143,10 +143,12 @@ func (c Config) Defaults() Config {
 	return c
 }
 
-// ingestJob is one queued request: its lowered operations, and the slot the
-// batch loop fills before signaling done.
+// ingestJob is one queued request: its lowered operations, its body as
+// validated (kept only when journaling: the journal appends it verbatim),
+// and the slot the batch loop fills before signaling done.
 type ingestJob struct {
 	ops     []core.Op
+	body    []byte
 	results []core.OpResult
 	enq     time.Time
 	done    chan struct{}
@@ -156,9 +158,8 @@ type ingestJob struct {
 // queue, and a single batch loop that owns the collector and its simulated
 // SDN substrate.
 type Server struct {
-	cfg     Config
-	hosts   []topology.NodeID
-	hostIdx map[topology.NodeID]int // reverse host table for journal encoding
+	cfg   Config
+	hosts []topology.NodeID
 
 	// colMu serializes collector + engine access between the batch loop
 	// and the stats handler.
@@ -175,6 +176,7 @@ type Server struct {
 	appliedSeq uint64 // last journal seq committed into the collector
 	snapSeq    uint64 // journal seq the latest adopted (durable) snapshot covers through
 	snapshots  int
+	recBuf     []byte // the journal record under construction, reused
 
 	// Snapshot hand-off (durable.go). snapInFlight and snapBuf are under
 	// colMu; snapDone carries the one in-flight snapshot's result from its
@@ -262,7 +264,6 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		hosts:    hosts,
-		hostIdx:  make(map[topology.NodeID]int, len(hosts)),
 		eng:      eng,
 		col:      py,
 		queue:    make(chan *ingestJob, cfg.QueueCap),
@@ -273,9 +274,6 @@ func New(cfg Config) (*Server, error) {
 		failedC:  make(chan struct{}),
 		log:      cfg.Logger,
 		met:      newServeMetrics(),
-	}
-	for i, h := range hosts {
-		s.hostIdx[h] = i
 	}
 	s.digest = 14695981039346656037 // FNV-1a offset basis
 	py.SetPlacementHook(s.observePlacement)
@@ -528,16 +526,24 @@ func (s *Server) loop() {
 	}
 }
 
+// maxBatchBodyBytes bounds the request bytes one journaled batch folds in:
+// coalescing stops once a batch holds this many, so a record — these bytes,
+// one more request of at most maxBodyBytes and a byte of framing per
+// request — always fits in the journal's record cap.
+const maxBatchBodyBytes = wal.MaxRecordBytes / 2
+
 // coalesce greedily folds already-queued requests after j into one batch,
-// up to BatchMax operations.
+// up to BatchMax operations and maxBatchBodyBytes of kept request bodies
+// (without a journal no body is kept and only BatchMax binds).
 func (s *Server) coalesce(j *ingestJob) []*ingestJob {
 	batch := []*ingestJob{j}
-	n := len(j.ops)
-	for n < s.cfg.BatchMax {
+	n, size := len(j.ops), len(j.body)
+	for n < s.cfg.BatchMax && size < maxBatchBodyBytes {
 		select {
 		case j2 := <-s.queue:
 			batch = append(batch, j2)
 			n += len(j2.ops)
+			size += len(j2.body)
 		default:
 			return batch
 		}
@@ -588,7 +594,7 @@ func (s *Server) runBatch(batch []*ingestJob) bool {
 	}
 	commitT0 := time.Now()
 	if s.wal != nil {
-		payload, err := encodeBatch(&WireBatch{VirtualSec: target, Ops: opsToWire(ops, s.hostIdx)})
+		payload, err := s.journalRecord(target, batch)
 		if err == nil {
 			_, err = s.wal.Append(payload)
 		}
@@ -709,7 +715,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.met.bodyBytes.Observe(float64(cl))
 	}
 	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	req, err := decodeIngest(r.Body, len(s.hosts), s.cfg.MaxOpsPerRequest)
+	req, body, err := decodeIngest(r.Body, len(s.hosts), s.cfg.MaxOpsPerRequest, s.wal != nil)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -721,7 +727,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	j := &ingestJob{ops: req.ToOps(s.hosts), enq: time.Now(), done: make(chan struct{})}
+	j := &ingestJob{ops: req.ToOps(s.hosts), body: body, enq: time.Now(), done: make(chan struct{})}
 	select {
 	case s.queue <- j:
 	default:

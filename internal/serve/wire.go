@@ -18,6 +18,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -122,10 +123,10 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// WireOp is one collector operation in journal encoding. Exactly one of the
-// payload fields is set, selected by Kind ("intent", "reducer_up",
-// "job_done"). The journal reuses the ingest wire types so a record is
-// readable with the same tooling as the protocol itself.
+// WireOp is one collector operation in the journal's ops form, which
+// servers wrote until records became request bodies; replay still reads it.
+// Exactly one of the payload fields is set, selected by Kind ("intent",
+// "reducer_up", "job_done").
 type WireOp struct {
 	Kind    string         `json:"kind"`
 	Intent  *WireIntent    `json:"intent,omitempty"`
@@ -137,10 +138,14 @@ type WireOp struct {
 // engine instant the batch committed at (the logical-clock target, so replay
 // never re-derives clock advances) and the batch's operations in their exact
 // commit order — order is semantic, because reducer placements resolve
-// deferred intents positionally.
+// deferred intents positionally. A record carries the operations in one of
+// two forms: Requests, the batch's ingest requests in queue order (what the
+// batch loop writes: the request bodies, verbatim), or Ops, one lowered
+// operation each (what servers wrote before).
 type WireBatch struct {
-	VirtualSec float64  `json:"virtual_sec"`
-	Ops        []WireOp `json:"ops"`
+	VirtualSec float64         `json:"virtual_sec"`
+	Ops        []WireOp        `json:"ops"`
+	Requests   []IngestRequest `json:"requests,omitempty"`
 }
 
 const (
@@ -149,34 +154,30 @@ const (
 	wireKindJobDone   = "job_done"
 )
 
-// opsToWire raises lowered collector operations back to wire form for
-// journaling, mapping concrete hosts through the reverse host table.
-func opsToWire(ops []core.Op, hostIdx map[topology.NodeID]int) []WireOp {
-	out := make([]WireOp, len(ops))
-	for i, op := range ops {
-		switch op.Kind {
-		case core.OpIntent:
-			out[i] = WireOp{Kind: wireKindIntent, Intent: &WireIntent{
-				Job: op.Intent.Job, Map: op.Intent.Map, Attempt: op.Intent.Attempt,
-				SrcHost:            hostIdx[op.Intent.SrcHost],
-				PredictedWireBytes: op.Intent.PredictedWireBytes,
-			}}
-		case core.OpReducerUp:
-			out[i] = WireOp{Kind: wireKindReducerUp, Reducer: &WireReducerUp{
-				Job: op.Reducer.Job, Reduce: op.Reducer.Reduce,
-				Host: hostIdx[op.Reducer.Host],
-			}}
-		case core.OpJobDone:
-			out[i] = WireOp{Kind: wireKindJobDone, Job: op.Job}
-		}
-	}
-	return out
-}
-
 // ToOps lowers a journaled batch back into collector operations, preserving
-// commit order. Host indexes outside the fabric's table (a journal from a
-// different topology) fail loudly rather than replaying garbage.
+// commit order. A request-form record is checked and lowered request by
+// request exactly as the handler did, so it yields the operation sequence
+// the batch loop concatenated. Host indexes outside the fabric's table (a
+// journal from a different topology) fail loudly rather than replaying
+// garbage, and so does a record holding both forms.
 func (b *WireBatch) ToOps(hosts []topology.NodeID) ([]core.Op, error) {
+	if len(b.Requests) > 0 {
+		if len(b.Ops) > 0 {
+			return nil, fmt.Errorf("record holds both ops and requests")
+		}
+		n := 0
+		for i := range b.Requests {
+			if err := b.Requests[i].validate(len(hosts), 0); err != nil {
+				return nil, fmt.Errorf("request %d: %w", i, err)
+			}
+			n += b.Requests[i].ops()
+		}
+		ops := make([]core.Op, 0, n)
+		for i := range b.Requests {
+			ops = b.Requests[i].appendOps(ops, hosts)
+		}
+		return ops, nil
+	}
 	ops := make([]core.Op, len(b.Ops))
 	for i, w := range b.Ops {
 		switch w.Kind {
@@ -210,28 +211,30 @@ func (b *WireBatch) ToOps(hosts []topology.NodeID) ([]core.Op, error) {
 	return ops, nil
 }
 
-// encodeBatch is the journal payload encoder; decodeBatch (decode.go) reads
-// it back. JSON round-trips float64 exactly (shortest representation), so
-// VirtualSec survives with the bit pattern the original commit used — a
-// requirement for digest-exact replay.
-func encodeBatch(b *WireBatch) ([]byte, error) { return json.Marshal(b) }
-
 // maxBodyBytes bounds request bodies before decoding.
 const maxBodyBytes = 8 << 20
 
 // decodeIngest parses and validates an ingest request body against the
-// server's host table and per-request op budget. Body size is bounded by the
-// caller (the HTTP handler wraps bodies in http.MaxBytesReader so oversized
-// requests surface as 413, not a truncated-JSON 400).
-func decodeIngest(r io.Reader, numHosts, maxOps int) (*IngestRequest, error) {
-	req, err := readIngest(r)
+// server's host table and per-request op budget. With keepBody it also
+// returns a copy of the body it validated, for the journal to append
+// verbatim. Body size is bounded by the caller (the HTTP handler wraps
+// bodies in http.MaxBytesReader so oversized requests surface as 413, not a
+// truncated-JSON 400).
+func decodeIngest(r io.Reader, numHosts, maxOps int, keepBody bool) (*IngestRequest, []byte, error) {
+	d := getDecoder(nil)
+	defer d.release()
+	req, err := d.readIngest(r)
 	if err != nil {
-		return nil, fmt.Errorf("malformed request: %w", err)
+		return nil, nil, fmt.Errorf("malformed request: %w", err)
 	}
 	if err := req.validate(numHosts, maxOps); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return req, nil
+	var body []byte
+	if keepBody {
+		body = bytes.Clone(d.buf)
+	}
+	return req, body, nil
 }
 
 // validate checks a decoded request's IDs, hosts and byte predictions.
@@ -279,7 +282,11 @@ func (req *IngestRequest) validate(numHosts, maxOps int) error {
 // fabric's host table. Exported for the benchmark's in-process oracle,
 // which replays the same requests on a bare collector.
 func (req *IngestRequest) ToOps(hosts []topology.NodeID) []core.Op {
-	ops := make([]core.Op, 0, req.ops())
+	return req.appendOps(make([]core.Op, 0, req.ops()), hosts)
+}
+
+// appendOps appends the request's lowered operations to ops.
+func (req *IngestRequest) appendOps(ops []core.Op, hosts []topology.NodeID) []core.Op {
 	for _, up := range req.Reducers {
 		ops = append(ops, core.Op{Kind: core.OpReducerUp, Reducer: instrument.ReducerUp{
 			Job: up.Job, Reduce: up.Reduce, Host: hosts[up.Host]}})

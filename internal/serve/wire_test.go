@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
@@ -26,7 +27,7 @@ const goldenIngest = `{
 // structure, survives an encode/decode round trip, and omits empty optional
 // fields on re-encode.
 func TestWireGoldenRoundTrip(t *testing.T) {
-	req, err := decodeIngest(strings.NewReader(goldenIngest), 8, 0)
+	req, _, err := decodeIngest(strings.NewReader(goldenIngest), 8, 0, false)
 	if err != nil {
 		t.Fatalf("decode golden vector: %v", err)
 	}
@@ -49,7 +50,7 @@ func TestWireGoldenRoundTrip(t *testing.T) {
 	if strings.Contains(string(b), "attempt") && !strings.Contains(string(b), `"attempt":1`) {
 		t.Errorf("attempt=0 not omitted on re-encode: %s", b)
 	}
-	again, err := decodeIngest(strings.NewReader(string(b)), 8, 0)
+	again, _, err := decodeIngest(strings.NewReader(string(b)), 8, 0, false)
 	if err != nil {
 		t.Fatalf("decode re-encoded request: %v", err)
 	}
@@ -62,7 +63,7 @@ func TestWireGoldenRoundTrip(t *testing.T) {
 // indexes mapped through the fabric table.
 func TestWireToOps(t *testing.T) {
 	hosts := []topology.NodeID{100, 101, 102, 103, 104, 105, 106, 107}
-	req, err := decodeIngest(strings.NewReader(goldenIngest), len(hosts), 0)
+	req, _, err := decodeIngest(strings.NewReader(goldenIngest), len(hosts), 0, false)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -84,6 +85,52 @@ func TestWireToOps(t *testing.T) {
 	}
 	if ops[3].Job != 2 {
 		t.Errorf("done job = %d, want 2", ops[3].Job)
+	}
+}
+
+// TestWireBatchToOps: a request-form record lowers to its requests'
+// operations concatenated in order — the sequence the batch loop applied —
+// and a record holding both forms, or a request the handler would have
+// refused, fails replay with the request's index.
+func TestWireBatchToOps(t *testing.T) {
+	hosts := []topology.NodeID{100, 101, 102, 103, 104, 105, 106, 107}
+	bodies := [][]byte{[]byte(goldenIngest), []byte(`{"done_jobs":[5],"reducers":[{"job":5,"reduce":1,"host":7}]}`)}
+	var want []core.Op
+	for _, body := range bodies {
+		req, _, err := decodeIngest(bytes.NewReader(body), len(hosts), 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, req.ToOps(hosts)...)
+	}
+	b, err := decodeBatch(bodyRecord(t, 2.5, bodies...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.ToOps(hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("request-form record lowered to\n%+v\nwant\n%+v", got, want)
+	}
+
+	for _, tc := range []struct{ name, record, wantErr string }{
+		{"both forms", `{"virtual_sec":1,"ops":[{"kind":"job_done","job":1}],"requests":[{"done_jobs":[2]}]}`,
+			"both ops and requests"},
+		{"host outside the fabric", `{"virtual_sec":1,"requests":[{"done_jobs":[1]},{"reducers":[{"job":0,"reduce":0,"host":8}]}]}`,
+			"request 1: reducers[0]: host 8 outside [0,8)"},
+		{"empty request", `{"virtual_sec":1,"requests":[{}]}`, "request 0: empty request"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, err := decodeBatch([]byte(tc.record))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if _, err := b.ToOps(hosts); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
+			}
+		})
 	}
 }
 
@@ -112,7 +159,7 @@ func TestWireRejections(t *testing.T) {
 			if tc.name == "over op budget" {
 				maxOps = 2
 			}
-			_, err := decodeIngest(strings.NewReader(tc.body), 8, maxOps)
+			_, _, err := decodeIngest(strings.NewReader(tc.body), 8, maxOps, false)
 			if err == nil {
 				t.Fatalf("body %q was accepted", tc.body)
 			}

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzReadFrame: on arbitrary bytes readFrame never panics, never sizes a
-// buffer above maxRecordBytes or far beyond the bytes it was given, and
+// buffer above MaxRecordBytes or far beyond the bytes it was given, and
 // returns only a payload the input holds under a matching CRC; and
 // appendFrame's output of the same bytes reads back whole.
 func FuzzReadFrame(f *testing.F) {
@@ -20,16 +20,16 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3})
 	hdr := make([]byte, frameHeader)
-	binary.LittleEndian.PutUint32(hdr, maxRecordBytes)
+	binary.LittleEndian.PutUint32(hdr, MaxRecordBytes)
 	f.Add(append(hdr, "short"...))
-	binary.LittleEndian.PutUint32(hdr, maxRecordBytes+1)
+	binary.LittleEndian.PutUint32(hdr, MaxRecordBytes+1)
 	f.Add(hdr)
 	torn := append([]byte(nil), framed.Bytes()...)
 	torn[len(torn)-1] ^= 0xff
 	f.Add(torn)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, n, err := readFrame(bytes.NewReader(data), nil)
-		if c := cap(p); c > maxRecordBytes || c > 2*(len(data)+frameChunk) {
+		if c := cap(p); c > MaxRecordBytes || c > 2*(len(data)+frameChunk) {
 			t.Fatalf("buffer of cap %d for %d input bytes", c, len(data))
 		}
 		if err == nil {

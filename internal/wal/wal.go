@@ -98,9 +98,6 @@ const (
 	snapSuffix = ".snap"
 
 	frameHeader = 8 // u32 length + u32 crc
-	// maxRecordBytes rejects insane frame lengths produced by corruption
-	// before they can drive a huge allocation.
-	maxRecordBytes = 64 << 20
 	// frameChunk is the least a payload buffer grows by while it is read;
 	// it grows by at most max(frameChunk, bytes read so far), so a corrupt
 	// length cannot size a buffer far beyond what the file holds.
@@ -109,6 +106,11 @@ const (
 	// read system call serves several records.
 	readBuffer = 64 << 10
 )
+
+// MaxRecordBytes is the largest payload Append accepts and Replay reads; a
+// longer frame length is taken for corruption before it can drive a huge
+// allocation. Writers size what they batch into one record under it.
+const MaxRecordBytes = 64 << 20
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -257,8 +259,8 @@ func readFrame(r io.Reader, buf []byte) ([]byte, int, error) {
 	}
 	length32 := binary.LittleEndian.Uint32(hdr[0:4])
 	want := binary.LittleEndian.Uint32(hdr[4:8])
-	if length32 > maxRecordBytes {
-		return buf[:0], 0, fmt.Errorf("frame length %d exceeds %d", length32, maxRecordBytes)
+	if length32 > MaxRecordBytes {
+		return buf[:0], 0, fmt.Errorf("frame length %d exceeds %d", length32, MaxRecordBytes)
 	}
 	length := int(length32)
 	p := buf[:0]
@@ -341,8 +343,8 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if l.closed {
 		return 0, fmt.Errorf("wal: append on closed log")
 	}
-	if len(payload) > maxRecordBytes {
-		return 0, fmt.Errorf("wal: record %d bytes exceeds %d", len(payload), maxRecordBytes)
+	if len(payload) > MaxRecordBytes {
+		return 0, fmt.Errorf("wal: record %d bytes exceeds %d", len(payload), MaxRecordBytes)
 	}
 	tail := &l.segs[len(l.segs)-1]
 	if tail.size > 0 && tail.size+frameHeader+int64(len(payload)) > l.opts.SegmentBytes {
