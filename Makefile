@@ -58,7 +58,8 @@ profile:
 	@echo wrote out/cpu.pprof out/mem.pprof "(log: out/profile.txt)"
 
 # Quick fuzz pass over the binary index-file codec, the wire decoder
-# (differential against encoding/json) and the journal frame reader.
+# (differential against encoding/json), the journal frame reader and
+# segment repair, and the exposition parser.
 fuzz:
 	$(GO) test ./internal/instrument/ -fuzz FuzzDecodeIndex -fuzztime 10s
 	$(GO) test ./internal/instrument/ -fuzz FuzzBuildIndex -fuzztime 10s
@@ -66,6 +67,8 @@ fuzz:
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeIngest -fuzztime 10s -fuzzminimizetime 0
 	$(GO) test ./internal/serve/ -run '^$$' -fuzz FuzzDecodeBatch -fuzztime 10s -fuzzminimizetime 0
 	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzReadFrame -fuzztime 10s -fuzzminimizetime 0
+	$(GO) test ./internal/wal/ -run '^$$' -fuzz FuzzOpenSegment -fuzztime 10s -fuzzminimizetime 0
+	$(GO) test ./internal/flight/ -run '^$$' -fuzz FuzzParseExposition -fuzztime 10s -fuzzminimizetime 0
 
 # Regenerate every table/figure (quick scale) and the SVG charts.
 figures:

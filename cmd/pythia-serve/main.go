@@ -44,7 +44,7 @@ func main() {
 	queue := flag.Int("queue", 256, "bounded ingest queue capacity (requests)")
 	batch := flag.Int("batch", 512, "max operations coalesced per collector batch")
 	maxOps := flag.Int("maxops", 4096, "max operations per ingest request")
-	ttl := flag.Float64("ttl", 30, "booking TTL in seconds")
+	ttl := flag.Float64("ttl", 30, "booking TTL in seconds (0 = default 30 s, negative = off)")
 	k := flag.Int("k", 4, "flow-placement path candidates (paper's K)")
 	fatTreeK := flag.Int("fattree-k", 4, "fat-tree arity of the simulated fabric")
 	clockHz := flag.Float64("clockhz", 0, "logical clock rate in ops/sec (0 = wall clock)")

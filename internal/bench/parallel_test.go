@@ -68,13 +68,17 @@ func TestSpeedupSweepParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// The trace comparison (multi-job Poisson churn) through RunTrace's fan-out
-// path must also be width-independent.
+// A trace replay (multi-job Poisson churn), the unit RunTrace fans out,
+// must also be width-independent.
 func TestTraceComparisonParallelMatchesSerial(t *testing.T) {
 	lvl := Oversub{Label: "1:10", Ratio: 10}
-	var serial, wide TraceComparison
-	withParallelism(t, 1, func() { serial = RunTraceComparison(lvl, 3) })
-	withParallelism(t, 6, func() { wide = RunTraceComparison(lvl, 3) })
+	tcfg := workload.TraceConfig{Seed: 3}
+	both := func() [2]TraceResult {
+		return [2]TraceResult{RunTraceReplay(ECMP, lvl, tcfg), RunTraceReplay(Pythia, lvl, tcfg)}
+	}
+	var serial, wide [2]TraceResult
+	withParallelism(t, 1, func() { serial = both() })
+	withParallelism(t, 6, func() { wide = both() })
 	if !reflect.DeepEqual(serial, wide) {
 		t.Fatalf("trace comparison diverged:\nserial %+v\nwide   %+v", serial, wide)
 	}

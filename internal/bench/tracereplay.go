@@ -22,8 +22,8 @@ type TraceResult struct {
 	// motivating "33% of the execution time ... spent at the shuffle
 	// phase" Facebook measurement.
 	ShuffleFraction float64
-	// Starved counts jobs that had not completed when the replay stopped
-	// (deadline hit or drained without progress); zero on a healthy run.
+	// Starved counts jobs that had not completed when the event queue
+	// drained; zero on a healthy run.
 	Starved int
 	// Durations holds the completed jobs' completion times so cross-seed
 	// aggregation can pool samples before taking percentiles. Excluded
@@ -31,22 +31,13 @@ type TraceResult struct {
 	Durations []float64 `json:"-"`
 }
 
-// TraceReplayOptions are the optional knobs of TryRunTraceReplay.
-type TraceReplayOptions struct {
-	// DeadlineSec bounds the replay in simulated seconds; 0 runs until the
-	// event queue drains. With a deadline, jobs still running when it hits
-	// are reported as starved instead of looping in virtual time.
-	DeadlineSec float64
-}
-
 // RunTraceReplay (E13) replays a synthesized Facebook/SWIM-shaped job
 // stream — Poisson arrivals, heavy-tailed inputs, a mixed map-heavy /
 // transform / shuffle-heavy class distribution — under the given scheduler
 // and oversubscription level on the paper testbed. It panics if any job
-// fails to complete; deadline-bounded and saturation-tolerant callers use
-// TryRunTraceReplay.
+// fails to complete; saturation-tolerant callers use TryRunTraceReplay.
 func RunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConfig) TraceResult {
-	res, err := TryRunTraceReplay(scheduler, lvl, tcfg, TraceReplayOptions{})
+	res, err := TryRunTraceReplay(scheduler, lvl, tcfg)
 	if err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}
@@ -56,9 +47,8 @@ func RunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConfig)
 // TryRunTraceReplay replays the trace and reports failures as errors the
 // way pythia.TryRunJobs does: submission errors and starved jobs yield a
 // non-nil error alongside the statistics of whatever did complete, so
-// deadline-bounded and saturated runs stay measurable instead of
-// panicking.
-func TryRunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConfig, opts TraceReplayOptions) (TraceResult, error) {
+// saturated runs stay measurable instead of panicking.
+func TryRunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConfig) (TraceResult, error) {
 	tb, err := testbed.Build(TrialConfig{Scheduler: scheduler, Oversub: lvl, Seed: 1}.toTestbed())
 	if err != nil {
 		return TraceResult{}, err
@@ -83,11 +73,7 @@ func TryRunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConf
 			specs = append(specs, tj.Spec)
 		})
 	}
-	if opts.DeadlineSec > 0 {
-		eng.RunUntil(sim.Time(opts.DeadlineSec))
-	} else {
-		eng.Run()
-	}
+	eng.Run()
 	if submitErr != nil {
 		return TraceResult{}, submitErr
 	}
@@ -119,7 +105,7 @@ func TryRunTraceReplay(scheduler Scheduler, lvl Oversub, tcfg workload.TraceConf
 		res.ShuffleFraction = totalShuffle / totalTime
 	}
 	if len(starved) > 0 {
-		return res, fmt.Errorf("%d of %d trace jobs did not complete (starved network or deadline hit): %v",
+		return res, fmt.Errorf("%d of %d trace jobs did not complete (starved network): %v",
 			len(starved), len(jobs), starved)
 	}
 	return res, nil
@@ -132,19 +118,6 @@ type TraceComparison struct {
 	// MeanJobSpeedup is the paper-style relative improvement on mean job
 	// completion time.
 	MeanJobSpeedup float64
-}
-
-// RunTraceComparison (E13) replays the same trace under both schedulers at
-// the given level.
-func RunTraceComparison(lvl Oversub, seed uint64) TraceComparison {
-	tcfg := workload.TraceConfig{Seed: seed}
-	e := RunTraceReplay(ECMP, lvl, tcfg)
-	p := RunTraceReplay(Pythia, lvl, tcfg)
-	return TraceComparison{
-		ECMP:           e,
-		Pythia:         p,
-		MeanJobSpeedup: stats.Speedup(e.MeanJobSec, p.MeanJobSec),
-	}
 }
 
 // poolTraceResults aggregates per-seed replays of one scheduler by pooling

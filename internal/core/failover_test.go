@@ -131,14 +131,14 @@ func TestRescuedFlowPathsValid(t *testing.T) {
 	s.eng.At(8, func() { failTrunk(s, 1) })
 	var bad []netsim.FlowID
 	s.eng.At(15, func() {
-		for _, f := range s.net.ActiveList() {
+		s.net.ForEachActive(func(f *netsim.Flow) {
 			if len(f.Path.Links) == 0 {
-				continue
+				return
 			}
 			if err := f.Path.Valid(s.net.Graph()); err != nil {
 				bad = append(bad, f.ID)
 			}
-		}
+		})
 	})
 	s.eng.Run()
 	if !j.Done {

@@ -97,10 +97,8 @@ func TestJobDonePurgesDeadJobState(t *testing.T) {
 		}
 	})
 	s.eng.Run()
-	for _, sw := range s.net.Graph().Switches() {
-		if n := s.ofc.Switch(sw).RuleCount(); n != 0 {
-			t.Fatalf("switch %d still holds %d rules after JobDone", sw, n)
-		}
+	if n := tableRules(s.ofc); n != 0 {
+		t.Fatalf("flow tables still hold %d rules after JobDone", n)
 	}
 }
 

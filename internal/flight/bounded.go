@@ -14,11 +14,10 @@ import (
 // memory growth. Timestamps come from the now callback (the service's
 // virtual clock); events recorded with a nonzero T keep it.
 type LiveRecorder struct {
-	mu      sync.Mutex
-	now     func() sim.Time
-	events  []Event
-	start   int // ring read position, valid when len(events) == cap(events)
-	dropped uint64
+	mu     sync.Mutex
+	now    func() sim.Time
+	events []Event
+	start  int // ring read position, valid when len(events) == cap(events)
 }
 
 // NewLiveRecorder returns a recorder retaining the last capEvents events.
@@ -45,7 +44,6 @@ func (r *LiveRecorder) Record(ev Event) {
 	} else {
 		r.events[r.start] = ev
 		r.start = (r.start + 1) % len(r.events)
-		r.dropped++
 	}
 	r.mu.Unlock()
 }
@@ -71,16 +69,6 @@ func (r *LiveRecorder) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.events)
-}
-
-// Dropped reports how many events were evicted to stay within capacity.
-func (r *LiveRecorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // JSONL serializes the retained events as JSON Lines, oldest first.

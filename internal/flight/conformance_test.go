@@ -1,4 +1,4 @@
-package flight
+package flight_test
 
 import (
 	"hash/fnv"
@@ -6,9 +6,11 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"testing"
+
+	"pythia/internal/flight"
+	"pythia/internal/flight/flighttest"
 )
 
 // TestPrometheusTextFamilyGrouping: families whose names share a prefix must
@@ -17,7 +19,7 @@ import (
 // exposition format requires every family's series contiguous under one
 // HELP/TYPE header. Golden output locks the grouped rendering.
 func TestPrometheusTextFamilyGrouping(t *testing.T) {
-	r := NewRegistry()
+	r := flight.NewRegistry()
 	r.Counter(`h{a="1"}`, "family h").Inc()
 	r.Counter("h2", "family h2").Add(2)
 	r.Counter("h", "family h").Add(3)
@@ -33,16 +35,16 @@ h2 2
 	if got != want {
 		t.Fatalf("grouped rendering mismatch:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	if err := LintExposition(got); err != nil {
+	if err := flighttest.LintExposition(got); err != nil {
 		t.Fatalf("own output fails lint: %v", err)
 	}
 }
 
-// TestPrometheusTextEscaping: label values built via SeriesName escape
+// TestPrometheusTextEscaping: label values built via flight.SeriesName escape
 // backslash, quote, and newline; HELP escapes backslash and newline.
 func TestPrometheusTextEscaping(t *testing.T) {
-	r := NewRegistry()
-	name := SeriesName("paths", "route", "/v1/ingest", "note", "a\\b\"c\nd")
+	r := flight.NewRegistry()
+	name := flight.SeriesName("paths", "route", "/v1/ingest", "note", "a\\b\"c\nd")
 	r.Counter(name, "routes with \\ and\nnewline").Inc()
 	want := `# HELP paths routes with \\ and\nnewline
 # TYPE paths counter
@@ -52,7 +54,7 @@ paths{route="/v1/ingest",note="a\\b\"c\nd"} 1
 	if got != want {
 		t.Fatalf("escaped rendering mismatch:\n got:\n%q\nwant:\n%q", got, want)
 	}
-	exp, err := ParseExposition(got)
+	exp, err := flight.ParseExposition(got)
 	if err != nil {
 		t.Fatalf("own output fails parse: %v", err)
 	}
@@ -68,12 +70,12 @@ paths{route="/v1/ingest",note="a\\b\"c\nd"} 1
 // TestConformanceGolden is the full conformance golden: counters, gauges,
 // and a labeled histogram render grouped, escaped, with cumulative buckets
 // ending in +Inf and _count equal to the terminal bucket — and the output
-// passes the package's own exposition lint. The FNV-1a 64 digest of the text
+// passes the exposition lint (flighttest). The FNV-1a 64 digest of the text
 // is pinned to what the pre-unification Registry rendered at 0a14f30
 // (captured there by adding the three digest lines below and running
 // `go test -run TestConformanceGolden -count=1 ./internal/flight`).
 func TestConformanceGolden(t *testing.T) {
-	r := NewRegistry()
+	r := flight.NewRegistry()
 	h := r.Histogram(`req_seconds{route="/v1/ingest"}`, "request latency", []float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
 	h.Observe(0.05)
@@ -106,7 +108,7 @@ req_seconds_total_ops 4
 	if got != want {
 		t.Fatalf("conformance golden mismatch:\n got:\n%s\nwant:\n%s", got, want)
 	}
-	if err := LintExposition(got); err != nil {
+	if err := flighttest.LintExposition(got); err != nil {
 		t.Fatalf("golden output fails lint: %v", err)
 	}
 	digest := fnv.New64a()
@@ -116,66 +118,10 @@ req_seconds_total_ops 4
 	}
 }
 
-// TestLintExpositionCatchesViolations: the linter rejects the defects it
-// exists to catch.
-func TestLintExpositionCatchesViolations(t *testing.T) {
-	cases := []struct {
-		name, text, wantErr string
-	}{
-		{"non-cumulative buckets", `# TYPE h histogram
-h_bucket{le="1"} 5
-h_bucket{le="2"} 3
-h_bucket{le="+Inf"} 5
-h_sum 1
-h_count 5
-`, "not cumulative"},
-		{"missing +Inf", `# TYPE h histogram
-h_bucket{le="1"} 5
-h_sum 1
-h_count 5
-`, `missing le="+Inf"`},
-		{"count mismatch", `# TYPE h histogram
-h_bucket{le="+Inf"} 5
-h_sum 1
-h_count 4
-`, "_count 4 != +Inf bucket 5"},
-		{"interleaved family", `# TYPE a counter
-a 1
-# TYPE b counter
-b 1
-a{x="1"} 2
-`, "interleaved"},
-		{"negative counter", `# TYPE c counter
-c -1
-`, "negative"},
-		{"bad label escape", `c{x="a\q"} 1
-`, "bad escape"},
-		{"bad value", `c one
-`, "bad value"},
-	}
-	for _, tc := range cases {
-		err := LintExposition(tc.text)
-		if err == nil {
-			t.Errorf("%s: lint accepted bad exposition", tc.name)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantErr)
-		}
-	}
-	if err := LintExposition(`# HELP ok fine
-# TYPE ok counter
-ok 1
-ok{a="b"} 2
-`); err != nil {
-		t.Errorf("lint rejected good exposition: %v", err)
-	}
-}
-
 // TestLiveRegistryParallel hammers every metric type from many goroutines
 // (run under -race) and checks the totals are exact.
 func TestLiveRegistryParallel(t *testing.T) {
-	r := NewRegistry()
+	r := flight.NewRegistry()
 	c := r.Counter("ops_total", "ops")
 	g := r.Gauge("depth", "depth")
 	h := r.Histogram("lat_seconds", "latency", []float64{0.5, 1.5, 2.5})
@@ -206,7 +152,7 @@ func TestLiveRegistryParallel(t *testing.T) {
 	if got := g.Value(); got != perWorker-1 {
 		t.Fatalf("gauge %v, want %d", got, perWorker-1)
 	}
-	if got := h.Count(); got != total {
+	if got := flighttest.HistogramCount(h); got != total {
 		t.Fatalf("histogram count %d, want %d", got, total)
 	}
 	_, counts := h.Buckets()
@@ -219,7 +165,7 @@ func TestLiveRegistryParallel(t *testing.T) {
 	if sum := h.Sum(); sum != float64(total/4*(0+1+2+3)) {
 		t.Fatalf("sum %v", sum)
 	}
-	if err := LintExposition(r.PrometheusText()); err != nil {
+	if err := flighttest.LintExposition(r.PrometheusText()); err != nil {
 		t.Fatalf("exposition fails lint: %v", err)
 	}
 }
@@ -229,7 +175,7 @@ func TestLiveRegistryParallel(t *testing.T) {
 // every scrape lints clean — in particular each histogram's _count equals
 // its +Inf bucket — and no counter renders lower than in an earlier scrape.
 func TestRegistryRenderWhileObserving(t *testing.T) {
-	r := NewRegistry()
+	r := flight.NewRegistry()
 	c := r.Counter("ops_total", "ops")
 	g := r.Gauge("depth", "depth")
 	h := r.Histogram(`lat_seconds{route="a"}`, "latency", []float64{0.5, 1.5, 2.5})
@@ -248,21 +194,21 @@ func TestRegistryRenderWhileObserving(t *testing.T) {
 				c.Inc()
 				g.Set(float64(i))
 				h.Observe(float64(i % 4))
-				r.Histogram(SeriesName("lat_seconds", "route", strconv.Itoa(i%16)), "latency", []float64{1}).Observe(float64(w))
+				r.Histogram(flight.SeriesName("lat_seconds", "route", strconv.Itoa(i%16)), "latency", []float64{1}).Observe(float64(w))
 			}
 		}(w)
 	}
 	var lastOps float64
 	for scrape := 0; scrape < 200; scrape++ {
 		text := r.PrometheusText()
-		if err := LintExposition(text); err != nil {
+		if err := flighttest.LintExposition(text); err != nil {
 			t.Fatalf("scrape %d fails lint: %v\n%s", scrape, err, text)
 		}
-		exp, err := ParseExposition(text)
+		exp, err := flight.ParseExposition(text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range exp.Family("lat_seconds").Samples {
+		for _, s := range flighttest.Family(exp, "lat_seconds").Samples {
 			if s.Name != "lat_seconds_count" {
 				continue
 			}
@@ -284,7 +230,7 @@ func TestRegistryRenderWhileObserving(t *testing.T) {
 // TestLiveObservationsAllocationFree: the hot-path observation methods must
 // not allocate — the serving plane calls them per request.
 func TestLiveObservationsAllocationFree(t *testing.T) {
-	r := NewRegistry()
+	r := flight.NewRegistry()
 	c := r.Counter("c", "c")
 	g := r.Gauge("g", "g")
 	h := r.Histogram("h", "h", []float64{1, 2, 4, 8})
@@ -302,8 +248,8 @@ func TestLiveObservationsAllocationFree(t *testing.T) {
 // latency fields are read through.
 func TestHistogramQuantile(t *testing.T) {
 	edges := []float64{1, 2, 4, 8}
-	fill := func(vs ...float64) *Histogram {
-		h := NewRegistry().Histogram("h", "h", edges)
+	fill := func(vs ...float64) *flight.Histogram {
+		h := flight.NewRegistry().Histogram("h", "h", edges)
 		for _, v := range vs {
 			h.Observe(v)
 		}
@@ -311,7 +257,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		h    *Histogram
+		h    *flight.Histogram
 		q    float64
 		want float64
 	}{
@@ -334,7 +280,7 @@ func TestHistogramQuantile(t *testing.T) {
 	// value falls in.
 	latency := []float64{0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005,
 		0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
-	h := NewRegistry().Histogram("lat", "lat", latency)
+	h := flight.NewRegistry().Histogram("lat", "lat", latency)
 	rng := rand.New(rand.NewSource(18))
 	samples := make([]float64, 10000)
 	for i := range samples {
@@ -355,12 +301,12 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
-// TestLiveRecorderRing: the bounded recorder retains the newest events,
-// reports evictions, and returns them oldest-first.
+// TestLiveRecorderRing: the bounded recorder retains the newest events and
+// returns them oldest-first.
 func TestLiveRecorderRing(t *testing.T) {
-	r := NewLiveRecorder(3, nil)
+	r := flight.NewLiveRecorder(3, nil)
 	for i := 1; i <= 5; i++ {
-		ev := Ev(BatchIngested, PlaneServe)
+		ev := flight.Ev(flight.BatchIngested, flight.PlaneServe)
 		ev.T = 1
 		ev.Count = i
 		r.Record(ev)
@@ -368,25 +314,22 @@ func TestLiveRecorderRing(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("ring holds %d, want 3", r.Len())
 	}
-	if r.Dropped() != 2 {
-		t.Fatalf("dropped %d, want 2", r.Dropped())
-	}
 	evs := r.Events()
 	for i, want := range []int{3, 4, 5} {
 		if evs[i].Count != want {
 			t.Fatalf("event %d has Count %d, want %d", i, evs[i].Count, want)
 		}
 	}
-	var nilRec *LiveRecorder
-	nilRec.Record(Ev(BatchIngested, PlaneServe)) // nil-safe like Recorder
-	if nilRec.Len() != 0 || nilRec.Events() != nil || nilRec.Dropped() != 0 {
+	var nilRec *flight.LiveRecorder
+	nilRec.Record(flight.Ev(flight.BatchIngested, flight.PlaneServe)) // nil-safe like Recorder
+	if nilRec.Len() != 0 || nilRec.Events() != nil {
 		t.Fatal("nil LiveRecorder must be inert")
 	}
 }
 
 // TestParseExpositionValues: +Inf/-Inf/NaN literals and le lookup.
 func TestParseExpositionValues(t *testing.T) {
-	exp, err := ParseExposition(`up +Inf
+	exp, err := flight.ParseExposition(`up +Inf
 down -Inf
 odd NaN
 `)

@@ -101,15 +101,6 @@ func (h *Histogram) Observe(v float64) {
 	h.sum.add(v)
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	var n uint64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
-
 // Sum returns the running sum of observations.
 func (h *Histogram) Sum() float64 { return h.sum.load() }
 

@@ -46,14 +46,12 @@ type Quality struct {
 
 type qualitySamples struct {
 	q        Quality
-	leads    []float64  // seconds, event order
-	byteErrs []float64  // signed fractions, event order
-	races    []FlowRace // covered flows, admission order
+	leads    []float64 // seconds, event order
+	byteErrs []float64 // signed fractions, event order
 }
 
-// collectSamples gathers the raw lead-time and byte-error samples, the
-// per-flow race outcomes and the volume counters shared by ComputeQuality,
-// FlowRaces and BuildMetrics. Two passes:
+// collectSamples gathers the raw lead-time and byte-error samples and the
+// volume counters shared by ComputeQuality and BuildMetrics. Two passes:
 // the first learns which flows were ever booked (covered by a prediction),
 // the second classifies admissions against the install timeline.
 func collectSamples(events []Event) qualitySamples {
@@ -91,7 +89,6 @@ func collectSamples(events []Event) qualitySamples {
 			}
 			s.q.CoveredFlows++
 			t, won := lastInstall[pair{ev.Src, ev.Dst}]
-			s.races = append(s.races, FlowRace{T: ev.T, Late: !won})
 			if won {
 				s.leads = append(s.leads, float64(ev.T.Sub(t)))
 			}
@@ -126,18 +123,6 @@ func percentile(sorted []float64, p float64) float64 {
 func ComputeQuality(events []Event) Quality {
 	return qualityFromSamples(collectSamples(events))
 }
-
-// FlowRace is one covered flow's admission against the rule-install race:
-// T is the fabric admission time, Late reports whether the flow's
-// aggregate had no successful install by then (the prediction lost).
-type FlowRace struct {
-	T    sim.Time
-	Late bool
-}
-
-// FlowRaces extracts the per-flow race outcomes in admission order — the
-// covered-flow classification ComputeQuality counts.
-func FlowRaces(events []Event) []FlowRace { return collectSamples(events).races }
 
 func qualityFromSamples(s qualitySamples) Quality {
 	q := s.q

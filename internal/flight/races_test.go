@@ -7,9 +7,9 @@ import (
 	"pythia/internal/topology"
 )
 
-// FlowRaces must classify exactly the covered flows, in admission order,
-// with the same install-race semantics as ComputeQuality: an admission with
-// no prior successful install for its (src,dst) aggregate is late.
+// The install race ComputeQuality scores classifies exactly the covered
+// flows: an admission with no prior successful install for its (src,dst)
+// aggregate is late, and a failed install covers nothing.
 func TestFlowRaces(t *testing.T) {
 	mk := func(kind Kind, at float64, job, mapID, reduce int, src, dst topology.NodeID, disp string) Event {
 		ev := Ev(kind, PlaneFabric)
@@ -37,52 +37,17 @@ func TestFlowRaces(t *testing.T) {
 		mk(InstallDone, 8, 1, 0, 0, 5, 6, "error"),
 		mk(FlowAdmitted, 9, 1, 0, 0, 5, 6, ""),
 	}
-	races := FlowRaces(events)
-	if len(races) != 3 {
-		t.Fatalf("got %d races, want 3 (uncovered flows excluded): %+v", len(races), races)
-	}
-	want := []FlowRace{
-		{T: 3, Late: true},  // admitted before install
-		{T: 6, Late: false}, // admitted after successful install
-		{T: 9, Late: true},  // only a failed install on its pair
-	}
-	for i, w := range want {
-		if races[i] != w {
-			t.Fatalf("race %d = %+v, want %+v", i, races[i], w)
-		}
-	}
-}
-
-// FlowRaces and ComputeQuality must agree on the covered-flow count and
-// late fraction — they implement the same classification.
-func TestFlowRacesMatchesQuality(t *testing.T) {
-	mk := func(kind Kind, at float64, job, mapID, reduce int, disp string) Event {
-		ev := Ev(kind, PlaneFabric)
-		ev.T = sim.Time(at)
-		ev.Job, ev.Map, ev.Reduce = job, mapID, reduce
-		ev.Src, ev.Dst = 1, 2
-		ev.Disposition = disp
-		return ev
-	}
-	events := []Event{
-		mk(BookingMade, 1, 0, 0, 0, "new"),
-		mk(BookingMade, 1, 0, 1, 0, "new"),
-		mk(FlowAdmitted, 2, 0, 0, 0, ""),
-		mk(InstallDone, 3, 0, 0, 0, DispOK),
-		mk(FlowAdmitted, 4, 0, 1, 0, ""),
-	}
-	races := FlowRaces(events)
 	q := ComputeQuality(events)
-	if len(races) != q.CoveredFlows {
-		t.Fatalf("races %d != quality covered flows %d", len(races), q.CoveredFlows)
+	if q.FabricFlows != 4 || q.CoveredFlows != 3 {
+		t.Fatalf("fabric/covered flows = %d/%d, want 4/3 (uncovered flow excluded)", q.FabricFlows, q.CoveredFlows)
 	}
-	late := 0
-	for _, r := range races {
-		if r.Late {
-			late++
-		}
+	// Late: the flow admitted at 3, before the install, and the one at 9,
+	// whose pair saw only a failed install.
+	if q.LateFraction != 2.0/3 {
+		t.Fatalf("late fraction = %v, want 2/3", q.LateFraction)
 	}
-	if got := float64(late) / float64(len(races)); got != q.LateFraction {
-		t.Fatalf("late fraction %v != quality %v", got, q.LateFraction)
+	// Won: the flow admitted at 6, 2 s after its aggregate's install.
+	if q.LeadSamples != 1 || q.LeadP50Sec != 2 {
+		t.Fatalf("lead samples = %d, p50 = %v; want 1 sample of 2 s", q.LeadSamples, q.LeadP50Sec)
 	}
 }

@@ -176,16 +176,6 @@ func dispCount(events []Event, idx []int, kind Kind, disp string) int {
 	return n
 }
 
-func okCount(events []Event, idx []int) int {
-	n := 0
-	for _, i := range idx {
-		if events[i].Kind == InstallDone && events[i].Disposition == DispOK {
-			n++
-		}
-	}
-	return n
-}
-
 // renderChain prints the lifecycle of the largest completed flow on the
 // (src,dst) aggregate: spill → intent → receipt → booking → placement →
 // install → admit → completion, with absolute sim time and deltas.

@@ -143,9 +143,6 @@ func NewCluster(eng *sim.Engine, net *netsim.Network, hosts []topology.NodeID, r
 	return c
 }
 
-// Config returns the effective (default-filled) configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Hosts returns the tasktracker hosts in index order.
 func (c *Cluster) Hosts() []topology.NodeID {
 	hs := make([]topology.NodeID, len(c.trackers))

@@ -178,6 +178,3 @@ type Job struct {
 
 // Duration returns total job time (valid once Done).
 func (j *Job) Duration() sim.Duration { return j.Finished.Sub(j.Submitted) }
-
-// MapHost returns the tasktracker host index of a map (-1 if unscheduled).
-func (j *Job) MapHost(m int) int { return j.Maps[m].Tracker }

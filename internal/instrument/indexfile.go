@@ -125,12 +125,3 @@ func DecodeIndex(b []byte) (*IndexFile, error) {
 	}
 	return f, nil
 }
-
-// TotalRaw sums the raw partition bytes.
-func (f *IndexFile) TotalRaw() uint64 {
-	var t uint64
-	for _, s := range f.Segments {
-		t += s.RawLength
-	}
-	return t
-}

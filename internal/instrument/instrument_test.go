@@ -51,9 +51,6 @@ func TestIndexEmptyPartitions(t *testing.T) {
 	if len(got.Segments) != 0 {
 		t.Fatal("empty index grew segments")
 	}
-	if got.TotalRaw() != 0 {
-		t.Fatal("empty index nonzero raw")
-	}
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {

@@ -514,9 +514,6 @@ func (m *Middleware) RestartMonitor(host topology.NodeID) {
 	}
 }
 
-// MonitorDown reports whether a host's monitor is currently crashed.
-func (m *Middleware) MonitorDown(host topology.NodeID) bool { return m.down[host] }
-
 // OverheadReport summarizes the §V-C instrumentation cost model.
 type OverheadReport struct {
 	// MeanCPUFraction is the average per-server CPU fraction consumed

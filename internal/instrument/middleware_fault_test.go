@@ -34,7 +34,7 @@ func TestMonitorCrashRecoversLateIntents(t *testing.T) {
 	for _, h := range hosts {
 		mw.CrashMonitor(h)
 	}
-	if !mw.MonitorDown(hosts[0]) {
+	if !mw.down[hosts[0]] {
 		t.Fatal("monitor not down after CrashMonitor")
 	}
 	eng.At(3, func() {

@@ -110,8 +110,8 @@ func TestOutageDropPolicy(t *testing.T) {
 	n := New(eng, Config{})
 	delivered := 0
 	n.Fail()
-	if !n.Down() {
-		t.Fatal("Down() false after Fail")
+	if !n.down {
+		t.Fatal("not down after Fail")
 	}
 	n.Send(1, 1250, func() { delivered++ })
 	n.Recover()
@@ -164,7 +164,8 @@ func TestExtraDelayAndJitterDeterministic(t *testing.T) {
 		return at
 	}
 	a := run()
-	base := New(sim.NewEngine(), Config{}).Latency(1250)
+	cfg := New(sim.NewEngine(), Config{}).cfg
+	base := sim.Duration(1250*8/cfg.LinkBps) + cfg.PropagationDelay // no-queue delivery
 	for _, at := range a {
 		d := at.Sub(0)
 		if d < base+10*sim.Millisecond || d >= base+15*sim.Millisecond {

@@ -161,9 +161,6 @@ func (n *Network) Recover() {
 	}
 }
 
-// Down reports whether the star is failed.
-func (n *Network) Down() bool { return n.down }
-
 // Send transmits a control message of the given size from the sender's
 // management port, invoking deliver when it arrives at the collector /
 // controller. Messages from one sender serialize FIFO; bytes must be
@@ -232,10 +229,4 @@ func (n *Network) deliveryDelay() sim.Duration {
 		d += sim.Duration(n.rng.Float64() * float64(n.faults.JitterMax))
 	}
 	return d
-}
-
-// Latency reports the no-queue delivery latency for a message size — handy
-// for tests and capacity planning.
-func (n *Network) Latency(bytes float64) sim.Duration {
-	return sim.Duration(bytes*8/n.cfg.LinkBps) + n.cfg.PropagationDelay
 }

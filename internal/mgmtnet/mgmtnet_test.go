@@ -29,9 +29,6 @@ func TestSingleMessageLatency(t *testing.T) {
 	if math.Abs(float64(at)-want) > 1e-9 {
 		t.Fatalf("delivered at %v, want %v", at, want)
 	}
-	if math.Abs(float64(n.Latency(1250))-want) > 1e-12 {
-		t.Fatalf("Latency = %v", n.Latency(1250))
-	}
 }
 
 func TestSameSenderSerializes(t *testing.T) {

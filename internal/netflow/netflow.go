@@ -8,8 +8,6 @@
 package netflow
 
 import (
-	"sort"
-
 	"pythia/internal/netsim"
 	"pythia/internal/sim"
 	"pythia/internal/topology"
@@ -29,7 +27,6 @@ type Collector struct {
 	hosts    []topology.NodeID
 	interval sim.Duration
 	series   map[topology.NodeID][]Point
-	stopped  bool
 }
 
 // DefaultInterval matches the paper's 100 ms clock-synchronization accuracy.
@@ -53,9 +50,6 @@ func NewCollector(eng *sim.Engine, net *netsim.Network, hosts []topology.NodeID,
 }
 
 func (c *Collector) sample() {
-	if c.stopped {
-		return
-	}
 	now := c.eng.Now()
 	for _, h := range c.hosts {
 		bits := c.net.HostTxBits(h)
@@ -64,24 +58,9 @@ func (c *Collector) sample() {
 	c.eng.AfterDaemon(c.interval, c.sample)
 }
 
-// Stop halts sampling.
-func (c *Collector) Stop() { c.stopped = true }
-
 // Series returns the sampled cumulative curve for a host.
 func (c *Collector) Series(host topology.NodeID) []Point {
 	return append([]Point(nil), c.series[host]...)
-}
-
-// BytesAt returns the measured cumulative bytes at time t (step
-// interpolation over samples; 0 before the first sample, last value after
-// the final one).
-func (c *Collector) BytesAt(host topology.NodeID, t sim.Time) float64 {
-	s := c.series[host]
-	if len(s) == 0 || t < s[0].T {
-		return 0
-	}
-	i := sort.Search(len(s), func(i int) bool { return s[i].T > t })
-	return s[i-1].Bytes
 }
 
 // FinalBytes returns the last measured cumulative value for a host.
@@ -125,7 +104,6 @@ type LinkProbe struct {
 	links    []topology.LinkID
 	interval sim.Duration
 	series   map[topology.LinkID][]UtilizationSample
-	stopped  bool
 }
 
 // NewLinkProbe starts sampling the given links. interval ≤ 0 takes the
@@ -146,9 +124,6 @@ func NewLinkProbe(eng *sim.Engine, net *netsim.Network, links []topology.LinkID,
 }
 
 func (p *LinkProbe) sample() {
-	if p.stopped {
-		return
-	}
 	now := p.eng.Now()
 	for _, l := range p.links {
 		p.series[l] = append(p.series[l], UtilizationSample{
@@ -159,9 +134,6 @@ func (p *LinkProbe) sample() {
 	}
 	p.eng.AfterDaemon(p.interval, p.sample)
 }
-
-// Stop halts sampling.
-func (p *LinkProbe) Stop() { p.stopped = true }
 
 // Series returns the samples for a link.
 func (p *LinkProbe) Series(l topology.LinkID) []UtilizationSample {

@@ -44,25 +44,6 @@ func TestCollectorSamplesCumulativeCurve(t *testing.T) {
 	}
 }
 
-func TestBytesAtStepInterpolation(t *testing.T) {
-	eng, net, hosts, coll := rig()
-	g := net.Graph()
-	p := g.EqualCostPaths(hosts[0], hosts[5], 2)[0]
-	net.StartFlow(tup(hosts[0], hosts[5], 1, 1), p, 8e8, 0, 0, 0, nil)
-	eng.At(2, func() {})
-	eng.Run()
-	if got := coll.BytesAt(hosts[0], -1); got != 0 {
-		t.Fatalf("BytesAt before start = %v", got)
-	}
-	half := coll.BytesAt(hosts[0], 0.4)
-	if half <= 0 || half >= 1e8 {
-		t.Fatalf("mid-flow bytes = %v", half)
-	}
-	if got := coll.BytesAt(hosts[0], 100); math.Abs(got-1e8) > 1e3 {
-		t.Fatalf("BytesAt after end = %v", got)
-	}
-}
-
 func TestTimeToReach(t *testing.T) {
 	eng, net, hosts, coll := rig()
 	g := net.Graph()
@@ -89,17 +70,6 @@ func TestIdleHostFlatCurve(t *testing.T) {
 	eng.Run()
 	if coll.FinalBytes(hosts[3]) != 0 {
 		t.Fatal("idle host shows traffic")
-	}
-}
-
-func TestStopHaltsSampling(t *testing.T) {
-	eng, _, hosts, coll := rig()
-	eng.At(0.5, coll.Stop)
-	eng.At(5, func() {})
-	eng.Run()
-	n := len(coll.Series(hosts[0]))
-	if n > 8 {
-		t.Fatalf("sampling continued after Stop: %d samples", n)
 	}
 }
 
@@ -182,24 +152,5 @@ func TestLinkProbeSamples(t *testing.T) {
 	}
 	if peak := probe.PeakShuffleBps(trunk); peak < 0.99e9 {
 		t.Fatalf("peak shuffle rate = %v", peak)
-	}
-}
-
-func TestLinkProbeStop(t *testing.T) {
-	eng, net, _, _ := rig()
-	g := net.Graph()
-	links := []topology.LinkID{g.Links()[0].ID}
-	probe := NewLinkProbe(eng, net, links, 0)
-	eng.At(0.25, probe.Stop)
-	eng.At(3, func() {})
-	eng.Run()
-	if n := len(probe.Series(links[0])); n > 5 {
-		t.Fatalf("probe kept sampling after Stop: %d", n)
-	}
-	if probe.MeanUtilization(links[0]) != 0 {
-		t.Fatal("idle link nonzero utilization")
-	}
-	if probe.PeakShuffleBps(links[0]) != 0 {
-		t.Fatal("idle link nonzero shuffle rate")
 	}
 }

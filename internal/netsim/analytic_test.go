@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"pythia/internal/sim"
-	"pythia/internal/stats"
 	"pythia/internal/topology"
 )
 
@@ -118,10 +117,21 @@ func TestMaxMinIsJainFair(t *testing.T) {
 	}
 	eng.RunUntil(0.001)
 	var rates []float64
-	for _, f := range n.ActiveList() {
+	for _, f := range n.active {
 		rates = append(rates, f.Rate())
 	}
-	if f := stats.JainFairness(rates); math.Abs(f-1) > 1e-9 {
+	if f := jainFairness(rates); math.Abs(f-1) > 1e-9 {
 		t.Fatalf("max-min fairness index = %v, want 1.0", f)
 	}
+}
+
+// jainFairness is Jain's index (Σx)²/(n·Σx²): 1 when every share is equal,
+// 1/n when one flow takes everything.
+func jainFairness(xs []float64) float64 {
+	var sum, sumsq float64
+	for _, x := range xs {
+		sum += x
+		sumsq += x * x
+	}
+	return sum * sum / (float64(len(xs)) * sumsq)
 }

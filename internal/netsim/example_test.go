@@ -16,7 +16,7 @@ func ExampleNetwork_StartFlow() {
 	path := g.EqualCostPaths(hosts[0], hosts[5], 1)[0]
 	tuple := netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 50060, DstPort: 20000, Protocol: 6}
 	net.StartFlow(tuple, path, 1e9, 0, 0, 0, func(f *netsim.Flow) {
-		fmt.Printf("1 Gbit delivered in %s\n", f.Duration())
+		fmt.Printf("1 Gbit delivered in %s\n", f.Finished().Sub(f.Started()))
 	})
 	eng.Run()
 	// Output:
@@ -41,7 +41,7 @@ func ExampleNetwork_SetBackground() {
 	}
 	tuple := netsim.FiveTuple{SrcHost: hosts[0], DstHost: hosts[5], SrcPort: 50060, DstPort: 20000, Protocol: 6}
 	net.StartFlow(tuple, overTrunk0, 1e9, 0, 0, 0, func(f *netsim.Flow) {
-		fmt.Printf("through the 75%%-loaded trunk: %s\n", f.Duration())
+		fmt.Printf("through the 75%%-loaded trunk: %s\n", f.Finished().Sub(f.Started()))
 	})
 	eng.Run()
 	// Output:

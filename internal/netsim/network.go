@@ -44,13 +44,12 @@ type Flow struct {
 	// Labels let upper layers (Hadoop, Pythia) attach identity.
 	Job, Map, Reduce int
 
-	rate        float64 // current allocated bps
-	remaining   float64
-	transferred float64
-	started     sim.Time
-	finished    sim.Time
-	done        bool
-	onComplete  func(*Flow)
+	rate       float64 // current allocated bps
+	remaining  float64
+	started    sim.Time
+	finished   sim.Time
+	done       bool
+	onComplete func(*Flow)
 
 	// unfixed is allocator scratch: the flow has no rate yet in the running
 	// progressive-filling pass.
@@ -64,9 +63,6 @@ func (f *Flow) Rate() float64 { return f.rate }
 // Remaining returns the bits still to transfer.
 func (f *Flow) Remaining() float64 { return f.remaining }
 
-// Transferred returns bits moved so far.
-func (f *Flow) Transferred() float64 { return f.transferred }
-
 // Started returns the flow start time.
 func (f *Flow) Started() sim.Time { return f.started }
 
@@ -75,10 +71,6 @@ func (f *Flow) Finished() sim.Time { return f.finished }
 
 // Done reports completion.
 func (f *Flow) Done() bool { return f.done }
-
-// Duration returns the flow completion time minus start time; valid only
-// when Done.
-func (f *Flow) Duration() sim.Duration { return f.finished.Sub(f.started) }
 
 // Network simulates the data network over a topology graph.
 type Network struct {
@@ -125,11 +117,6 @@ type Network struct {
 	// completion remain allocation-free without the recorder.
 	fl flight.Sink
 
-	// localBps is the rate for zero-hop flows (source and sink on the
-	// same server: a reducer fetching from a co-located mapper goes over
-	// loopback/local disk, not the fabric).
-	localBps float64
-
 	completeEvent *sim.Event
 	// completeFn is completeDue bound once at construction: scheduling a
 	// method value allocates a fresh closure per call, which would be the
@@ -159,20 +146,12 @@ type Network struct {
 	doneBuf   []*Flow
 }
 
-// DefaultLocalBps is the default loopback/local-fetch rate (8 Gbps —
-// comfortably above the 1 Gbps NICs so local fetches are never the
-// bottleneck, matching the paper's in-memory intermediate data setup).
+// DefaultLocalBps is the rate of a zero-hop flow (source and sink on the
+// same server: a reducer fetching from a co-located mapper goes over
+// loopback/local disk, not the fabric). 8 Gbps is comfortably above the
+// 1 Gbps NICs, so local fetches are never the bottleneck, matching the
+// paper's in-memory intermediate data setup.
 const DefaultLocalBps = 8e9
-
-// SetLocalBps overrides the loopback transfer rate for zero-hop flows.
-func (n *Network) SetLocalBps(bps float64) {
-	if bps <= 0 {
-		panic("netsim: non-positive local rate")
-	}
-	n.advance()
-	n.localBps = bps
-	n.recompute()
-}
 
 // New creates a network simulator bound to an engine and a topology.
 func New(eng *sim.Engine, g *topology.Graph) *Network {
@@ -191,7 +170,6 @@ func New(eng *sim.Engine, g *topology.Graph) *Network {
 		counts:     make([]int, nl),
 		pos:        make([]int, nl),
 		stamp:      make([]uint64, nl),
-		localBps:   DefaultLocalBps,
 	}
 	n.refreshBase(0, nl)
 	n.completeFn = n.completeDue
@@ -253,9 +231,6 @@ func (n *Network) ensureHost(id topology.NodeID) {
 
 // Graph returns the underlying topology.
 func (n *Network) Graph() *topology.Graph { return n.g }
-
-// Engine returns the simulation engine.
-func (n *Network) Engine() *sim.Engine { return n.eng }
 
 // SetBackground sets the CBR background load on a link in bps, clamped to
 // [0, capacity]. Changing background reshapes the fair shares of all active
@@ -386,9 +361,6 @@ func (n *Network) unindexFlow(f *Flow) {
 	}
 }
 
-// ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return len(n.active) }
-
 // History returns a copy of all completed flows in completion order. Use
 // ForEachCompleted to iterate without the copy.
 func (n *Network) History() []*Flow { return append([]*Flow(nil), n.history...) }
@@ -423,7 +395,6 @@ func (n *Network) advance() {
 			moved = f.remaining
 		}
 		f.remaining -= moved
-		f.transferred += moved
 		if len(f.Path.Links) > 0 {
 			n.hostTxBits[f.Tuple.SrcHost] += moved
 		}
@@ -490,7 +461,7 @@ func (n *Network) recompute() {
 		if len(f.Path.Links) == 0 {
 			// Local (same-host) transfer: fixed loopback rate, no fabric
 			// contention.
-			f.rate = n.localBps
+			f.rate = DefaultLocalBps
 			continue
 		}
 		f.unfixed = true
@@ -688,12 +659,6 @@ func (n *Network) LinkBits(link topology.LinkID) float64 {
 func (n *Network) NotifyTopology() {
 	n.advance()
 	n.recompute()
-}
-
-// ActiveList returns a copy of the in-flight flows ordered by ID. Use
-// ForEachActive to iterate without the copy.
-func (n *Network) ActiveList() []*Flow {
-	return append([]*Flow(nil), n.active...)
 }
 
 // ForEachActive calls fn for every in-flight flow in ascending ID order

@@ -47,7 +47,7 @@ func refRates(n *Network) []float64 {
 	unfixedCount := 0
 	for i, f := range n.active {
 		if len(f.Path.Links) == 0 {
-			rates[i] = n.localBps
+			rates[i] = DefaultLocalBps
 			continue
 		}
 		unfixed[i] = true
@@ -394,7 +394,7 @@ func TestIndexMatchesScanAcrossLifecycle(t *testing.T) {
 	eng.At(3.0, check)
 	eng.Run()
 	check()
-	if len(n.ActiveList()) != 0 {
+	if len(n.active) != 0 {
 		t.Fatal("flows still active after run")
 	}
 }
@@ -420,7 +420,7 @@ func TestIncrementalComponentScope(t *testing.T) {
 	}
 }
 
-// Zero-hop (loopback) flows run at localBps from the instant they start.
+// Zero-hop (loopback) flows run at DefaultLocalBps from the instant they start.
 func TestCoalescedLocalFlows(t *testing.T) {
 	eng, n, hosts, _ := testbed()
 	p := topology.Path{Src: hosts[0], Dst: hosts[0]}
@@ -596,7 +596,7 @@ func TestBaseResidualFollowsEveryInvalidation(t *testing.T) {
 	}
 	uplink := n.active[0].Path.Links[1] // leaf 0 → a spine
 	leaf, spine := g.Link(uplink).From, g.Link(uplink).To
-	var late topology.NodeID
+	var lateUp topology.LinkID
 	steps := []struct {
 		name string
 		do   func()
@@ -610,11 +610,11 @@ func TestBaseResidualFollowsEveryInvalidation(t *testing.T) {
 		{"SetNodeUp(false)", func() { g.SetNodeUp(spine, false); n.NotifyTopology() }},
 		{"SetNodeUp(true)", func() { g.SetNodeUp(spine, true); n.NotifyTopology() }},
 		{"link added after New", func() {
-			late = g.AddNode(topology.Host, "late", g.Node(hosts[0]).Rack)
-			g.AddDuplex(late, leaf, 0.5*topology.Gbps, "edge-late")
+			late := g.AddNode(topology.Host, "late", g.Node(hosts[0]).Rack)
+			lateUp, _ = g.AddDuplex(late, leaf, 0.5*topology.Gbps, "edge-late")
 			start(late, hosts[5], 0)
 		}},
-		{"SetBackground on the added link", func() { n.SetBackground(g.Out(late)[0], 0.1e9) }},
+		{"SetBackground on the added link", func() { n.SetBackground(lateUp, 0.1e9) }},
 		{"link added after New, seen by a pass before its first flow", func() {
 			idle := g.AddNode(topology.Host, "idle", g.Node(hosts[1]).Rack)
 			g.AddDuplex(idle, leaf, 0.5*topology.Gbps, "edge-idle")

@@ -160,10 +160,6 @@ func matchEndpoints(m Match) (src, dst topology.NodeID) {
 	return src, dst
 }
 
-// Switch returns the flow-table model for a switch node; nil for hosts or
-// unknown nodes.
-func (c *Controller) Switch(n topology.NodeID) *Switch { return c.switches[n] }
-
 func (c *Controller) poll() {
 	// One pass over each link's occupancy-index entry yields all three
 	// quantities, so a poll costs O(links + flows-on-links) instead of the

@@ -40,9 +40,6 @@ type FaultConfig struct {
 // starts; changing it mid-run only affects future installs.
 func (c *Controller) SetFaults(cfg FaultConfig) { c.faults = cfg }
 
-// Faults returns the active fault model.
-func (c *Controller) Faults() FaultConfig { return c.faults }
-
 // FailController takes the controller's management connectivity down: every
 // subsequent FLOW_MOD transmission is lost (the retry machinery keeps
 // trying until its budget runs out). Requires a FaultConfig with
@@ -62,9 +59,6 @@ func (c *Controller) RecoverController() {
 		fn()
 	}
 }
-
-// ControllerUp reports management connectivity.
-func (c *Controller) ControllerUp() bool { return !c.ctrlDown }
 
 // OnControllerUp registers a callback fired by RecoverController.
 func (c *Controller) OnControllerUp(fn func()) { c.ctrlUpLs = append(c.ctrlUpLs, fn) }

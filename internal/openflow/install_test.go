@@ -60,7 +60,7 @@ func TestDoneFiresAfterEveryRuleLands(t *testing.T) {
 
 	t.Run("first hop's error survives reordering", func(t *testing.T) {
 		eng, c, p := setup()
-		first := c.Switch(c.g.Link(p.Links[1]).From)
+		first := c.switches[c.g.Link(p.Links[1]).From]
 		first.Capacity = 1
 		if err := first.Install(FlowRule{Match: HostPair(p.Dst, p.Src), Out: p.Links[1], Priority: 1, Cookie: 999}); err != nil {
 			t.Fatal(err)
@@ -178,7 +178,7 @@ func TestInstallPipelineTiming(t *testing.T) {
 				c.InstallPath(HostPair(p.Src, p.Dst), p, 100, uint64(k+1), ack(tc.hostOnly+k))
 			}
 			var landedAt []sim.Time
-			for eng.NextEventTime() < 1 && eng.Step() {
+			for eng.Now() < 1 && eng.Step() {
 				for uint64(len(landedAt)) < c.RulesInstalled {
 					landedAt = append(landedAt, eng.Now())
 				}

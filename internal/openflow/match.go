@@ -49,20 +49,6 @@ func RackPair(srcRack, dstRack int) Match {
 		Protocol: Wildcard, SrcRack: srcRack, DstRack: dstRack}
 }
 
-// Exact returns a five-tuple exact match (what classical fine-grained
-// OpenFlow rules would use, were ports knowable).
-func Exact(t netsim.FiveTuple) Match {
-	return Match{
-		SrcHost:  t.SrcHost,
-		DstHost:  t.DstHost,
-		SrcPort:  int32(t.SrcPort),
-		DstPort:  int32(t.DstPort),
-		Protocol: int16(t.Protocol),
-		SrcRack:  Wildcard,
-		DstRack:  Wildcard,
-	}
-}
-
 // MatchesWithRacks reports whether the tuple satisfies every non-wildcard
 // field, resolving rack fields through rackOf (may be nil when no rack
 // fields are set).

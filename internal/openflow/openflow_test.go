@@ -32,6 +32,13 @@ func tup(src, dst topology.NodeID, sp, dp uint16) netsim.FiveTuple {
 	return netsim.FiveTuple{SrcHost: src, DstHost: dst, SrcPort: sp, DstPort: dp, Protocol: 6}
 }
 
+// exact is a five-tuple exact match: what classical fine-grained OpenFlow
+// rules would use, were ports knowable.
+func exact(t netsim.FiveTuple) Match {
+	return Match{SrcHost: t.SrcHost, DstHost: t.DstHost, SrcPort: int32(t.SrcPort), DstPort: int32(t.DstPort),
+		Protocol: int16(t.Protocol), SrcRack: Wildcard, DstRack: Wildcard}
+}
+
 func TestMatchWildcards(t *testing.T) {
 	m := HostPair(1, 2)
 	if !m.Matches(tup(1, 2, 123, 456)) {
@@ -47,7 +54,7 @@ func TestMatchWildcards(t *testing.T) {
 
 func TestMatchExact(t *testing.T) {
 	ft := tup(3, 4, 10, 20)
-	m := Exact(ft)
+	m := exact(ft)
 	if !m.Matches(ft) {
 		t.Fatal("exact match failed")
 	}
@@ -57,7 +64,7 @@ func TestMatchExact(t *testing.T) {
 		t.Fatal("exact matched different port")
 	}
 	if m.Specificity() != 10 {
-		t.Fatalf("Exact specificity = %d, want 10", m.Specificity())
+		t.Fatalf("exact specificity = %d, want 10", m.Specificity())
 	}
 	if m.String() == "" || HostPair(1, 2).String() == "" {
 		t.Fatal("empty Match.String")
@@ -76,8 +83,8 @@ func TestSwitchInstallLookup(t *testing.T) {
 	if _, ok := s.Lookup(tup(9, 9, 1, 1)); ok {
 		t.Fatal("lookup matched nothing-rule")
 	}
-	if s.Misses != 1 || s.Lookups != 2 || s.Installs != 1 {
-		t.Fatalf("counters: %+v", *s)
+	if len(s.rules) != 1 {
+		t.Fatalf("table holds %d rules, want 1", len(s.rules))
 	}
 }
 
@@ -85,7 +92,7 @@ func TestSwitchPriorityAndSpecificity(t *testing.T) {
 	s := NewSwitch(0, 0)
 	ft := tup(1, 2, 10, 20)
 	s.Install(FlowRule{Match: HostPair(1, 2), Out: 1, Priority: 5})
-	s.Install(FlowRule{Match: Exact(ft), Out: 2, Priority: 5})
+	s.Install(FlowRule{Match: exact(ft), Out: 2, Priority: 5})
 	if r, _ := s.Lookup(ft); r.Out != 2 {
 		t.Fatalf("more specific rule lost: out=%d", r.Out)
 	}
@@ -121,22 +128,19 @@ func TestSwitchRemoveByCookie(t *testing.T) {
 	if n := s.RemoveByCookie(42); n != 2 {
 		t.Fatalf("removed %d, want 2", n)
 	}
-	if s.RuleCount() != 1 {
-		t.Fatalf("rules left = %d, want 1", s.RuleCount())
-	}
-	if rs := s.Rules(); len(rs) != 1 || rs[0].Cookie != 7 {
-		t.Fatalf("wrong survivor: %+v", rs)
+	if len(s.rules) != 1 || s.rules[0].Cookie != 7 {
+		t.Fatalf("wrong survivors: %+v", s.rules)
 	}
 }
 
 func TestControllerHasSwitchPerSwitchNode(t *testing.T) {
 	_, _, c, hosts, _ := tb()
-	if c.Switch(hosts[0]) != nil {
+	if c.switches[hosts[0]] != nil {
 		t.Fatal("controller created a switch for a host")
 	}
 	g := 0
 	for _, n := range []topology.NodeID{0, 1} { // tor0, tor1 are first two nodes
-		if c.Switch(n) != nil {
+		if c.switches[n] != nil {
 			g++
 		}
 	}
@@ -342,9 +346,6 @@ func TestTopologyChangeNotification(t *testing.T) {
 func TestResolveAfterLinkFailure(t *testing.T) {
 	eng, net, c, hosts, trunks := tb()
 	setLinkUp(net, trunks[0], false)
-	// Also fail the reverse direction to fully remove the trunk.
-	rev := c.g.FindLinks(c.g.Link(trunks[0]).To, c.g.Link(trunks[0]).From)
-	_ = rev
 	eng.RunUntil(0.1)
 	for sp := uint16(0); sp < 16; sp++ {
 		p, err := c.Resolve(tup(hosts[0], hosts[5], sp, 50060))

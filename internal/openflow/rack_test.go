@@ -60,12 +60,11 @@ func TestInstallSteeringSkipsLastHop(t *testing.T) {
 	// Only the source-side ToR gets a rule (its out-link leads to the
 	// other switch); the destination ToR's hop to the host is left to
 	// the default pipeline.
-	tor0, tor1 := c.Switch(0), c.Switch(1)
-	if tor0.RuleCount() != 1 {
-		t.Fatalf("tor0 rules = %d, want 1", tor0.RuleCount())
+	if n := len(c.switches[0].rules); n != 1 {
+		t.Fatalf("tor0 rules = %d, want 1", n)
 	}
-	if tor1.RuleCount() != 0 {
-		t.Fatalf("tor1 rules = %d, want 0 (delivery hop is default)", tor1.RuleCount())
+	if n := len(c.switches[1].rules); n != 0 {
+		t.Fatalf("tor1 rules = %d, want 0 (delivery hop is default)", n)
 	}
 	// Every rack0→rack1 host pair must now ride trunk1, and be delivered
 	// to its own destination.
@@ -190,45 +189,16 @@ func TestInstallOverManagementNetwork(t *testing.T) {
 	}
 }
 
-func TestEvictOldestPolicy(t *testing.T) {
-	s := NewSwitch(0, 2)
-	s.Eviction = EvictOldest
-	s.Install(FlowRule{Match: HostPair(1, 2), Out: 1, Priority: 5, Cookie: 1})
-	s.Install(FlowRule{Match: HostPair(1, 3), Out: 1, Priority: 9, Cookie: 2})
-	// Table full: the priority-5 rule is evicted, not the install failed.
-	if err := s.Install(FlowRule{Match: HostPair(1, 4), Out: 1, Priority: 7, Cookie: 3}); err != nil {
-		t.Fatalf("eviction policy failed install: %v", err)
-	}
-	if s.RuleCount() != 2 || s.Evictions != 1 {
-		t.Fatalf("rules=%d evictions=%d", s.RuleCount(), s.Evictions)
-	}
-	// The survivor set is cookies {2, 3}.
-	seen := map[uint64]bool{}
-	for _, r := range s.Rules() {
-		seen[r.Cookie] = true
-	}
-	if !seen[2] || !seen[3] || seen[1] {
-		t.Fatalf("wrong survivors: %v", seen)
-	}
-	// Ties evict the oldest.
-	s.Install(FlowRule{Match: HostPair(1, 5), Out: 1, Priority: 7, Cookie: 4})
-	seen = map[uint64]bool{}
-	for _, r := range s.Rules() {
-		seen[r.Cookie] = true
-	}
-	if seen[3] && !seen[4] {
-		t.Fatalf("tie eviction kept the older rule: %v", seen)
-	}
-}
-
+// A full table rejects the install and keeps the rule it holds: nothing is
+// evicted to make room.
 func TestRejectRemainsDefault(t *testing.T) {
 	s := NewSwitch(0, 1)
-	s.Install(FlowRule{Match: HostPair(1, 2), Out: 1})
-	if err := s.Install(FlowRule{Match: HostPair(1, 3), Out: 1}); err != ErrTableFull {
-		t.Fatalf("default policy err = %v", err)
+	s.Install(FlowRule{Match: HostPair(1, 2), Out: 1, Cookie: 1})
+	if err := s.Install(FlowRule{Match: HostPair(1, 3), Out: 1, Cookie: 2}); err != ErrTableFull {
+		t.Fatalf("full table err = %v", err)
 	}
-	if s.Evictions != 0 {
-		t.Fatal("default policy evicted")
+	if len(s.rules) != 1 || s.rules[0].Cookie != 1 {
+		t.Fatalf("full table holds %+v, want only cookie 1", s.rules)
 	}
 }
 

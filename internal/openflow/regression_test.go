@@ -22,10 +22,10 @@ func TestResolveLoopGuardDetectsRuleLoop(t *testing.T) {
 	}
 	s0, s1 := g.Link(trunks[0]).From, g.Link(trunks[0]).To
 	m := HostPair(hosts[0], hosts[5])
-	if err := c.Switch(s0).Install(FlowRule{Match: m, Out: trunks[0], Priority: 10, Cookie: 1}); err != nil {
+	if err := c.switches[s0].Install(FlowRule{Match: m, Out: trunks[0], Priority: 10, Cookie: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Switch(s1).Install(FlowRule{Match: m, Out: rev, Priority: 10, Cookie: 1}); err != nil {
+	if err := c.switches[s1].Install(FlowRule{Match: m, Out: rev, Priority: 10, Cookie: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := c.Resolve(tup(hosts[0], hosts[5], 7, 7))

@@ -1,6 +1,7 @@
 package openflow
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -16,13 +17,14 @@ import (
 // cookie is installed on one path only, and that path is what RemovePath is
 // handed. Before each removal the walk counts the cookie's rules, RemovePath
 // must return that count, and afterwards no switch may hold the cookie. One
-// leaf runs a three-rule EvictOldest table, and the clock moves in steps
-// shorter than the install pipeline, so FLOW_MODs are still in flight when
-// their cookie is removed and land afterwards. Every other seed carries the
+// leaf runs a three-rule table that rejects installs when full, leaving
+// partial paths behind, and the clock moves in steps shorter than the
+// install pipeline, so FLOW_MODs are still in flight when their cookie is
+// removed and land afterwards. Every other seed carries the
 // FLOW_MODs over a management network that duplicates and reorders them.
 func TestRemovePathMatchesFullWalk(t *testing.T) {
 	const cookies = 6
-	var evictions uint64
+	rejected := 0
 	lateLandings := 0
 	for seed := int64(1); seed <= 20; seed++ {
 		eng := sim.NewEngine()
@@ -33,8 +35,12 @@ func TestRemovePathMatchesFullWalk(t *testing.T) {
 			mn.SetFaults(mgmtnet.FaultConfig{DupProb: 0.3, JitterMax: 20 * sim.Millisecond, Seed: uint64(seed)})
 			c.SetManagementNetwork(mn, topology.NodeID(-1))
 		}
-		leaf := c.Switch(g.Link(g.Out(hosts[0])[0]).To)
-		leaf.Capacity, leaf.Eviction = 3, EvictOldest
+		c.switches[g.Link(g.NextHops(hosts[0], hosts[len(hosts)-1], nil)[0]).To].Capacity = 3
+		done := func(err error) {
+			if errors.Is(err, ErrTableFull) {
+				rejected++
+			}
+		}
 
 		rng := rand.New(rand.NewSource(seed))
 		var paths [cookies + 1]topology.Path
@@ -71,9 +77,9 @@ func TestRemovePathMatchesFullWalk(t *testing.T) {
 			case 0, 1:
 				p := paths[cookie]
 				if rng.Intn(2) == 0 {
-					c.InstallPath(HostPair(p.Src, p.Dst), p, 1+rng.Intn(9), cookie, nil)
+					c.InstallPath(HostPair(p.Src, p.Dst), p, 1+rng.Intn(9), cookie, done)
 				} else {
-					c.InstallSteering(RackPair(g.Node(p.Src).Rack, g.Node(p.Dst).Rack), p, 1+rng.Intn(9), cookie, nil)
+					c.InstallSteering(RackPair(g.Node(p.Src).Rack, g.Node(p.Dst).Rack), p, 1+rng.Intn(9), cookie, done)
 				}
 				issued[cookie] = true
 			case 2:
@@ -87,13 +93,12 @@ func TestRemovePathMatchesFullWalk(t *testing.T) {
 			remove(-1, cookie)
 		}
 		for _, sw := range c.switches {
-			if sw.RuleCount() != 0 {
+			if len(sw.rules) != 0 {
 				t.Fatalf("seed %d: %v still holds rules after every cookie was removed", seed, sw)
 			}
 		}
-		evictions += leaf.Evictions
 	}
-	if evictions == 0 || lateLandings == 0 {
-		t.Fatalf("the seeded mix exercised %d evictions and %d late landings; want both", evictions, lateLandings)
+	if rejected == 0 || lateLandings == 0 {
+		t.Fatalf("the seeded mix exercised %d full-table rejections and %d late landings; want both", rejected, lateLandings)
 	}
 }

@@ -28,37 +28,17 @@ type FlowRule struct {
 	seq uint64
 }
 
-// EvictionPolicy selects the behaviour of Install at a full table.
-type EvictionPolicy int
-
-const (
-	// RejectWhenFull fails installs at capacity (ErrTableFull) — the
-	// conservative default; the controller is expected to manage state.
-	RejectWhenFull EvictionPolicy = iota
-	// EvictOldest drops the lowest-priority (oldest among ties) rule to
-	// make room, approximating idle-timeout churn on real TCAMs.
-	EvictOldest
-)
-
 // Switch is a flow-table-bearing network element.
 type Switch struct {
 	Node topology.NodeID
 	// Capacity limits the number of rules (0 = unlimited).
 	Capacity int
-	// Eviction selects the full-table behaviour.
-	Eviction EvictionPolicy
 
 	rules   []*FlowRule
 	nextSeq uint64
 	// rackOf resolves a host's rack for prefix (rack-pair) rules; nil
 	// disables rack matching.
 	rackOf func(topology.NodeID) int
-	// Counters, for the stats service and tests.
-	Installs  uint64
-	Removals  uint64
-	Lookups   uint64
-	Misses    uint64
-	Evictions uint64
 }
 
 // NewSwitch returns a switch with an empty table.
@@ -69,35 +49,22 @@ func NewSwitch(node topology.NodeID, capacity int) *Switch {
 // SetRackResolver enables rack-pair (prefix) rule matching.
 func (s *Switch) SetRackResolver(fn func(topology.NodeID) int) { s.rackOf = fn }
 
-// Install adds a rule. At capacity it fails with ErrTableFull
-// (RejectWhenFull) or evicts the lowest-priority, oldest rule (EvictOldest).
+// Install adds a rule. At capacity it fails with ErrTableFull: the
+// controller is expected to manage table state.
 func (s *Switch) Install(r FlowRule) error {
 	if s.Capacity > 0 && len(s.rules) >= s.Capacity {
-		if s.Eviction != EvictOldest {
-			return ErrTableFull
-		}
-		victim := 0
-		for i, c := range s.rules {
-			v := s.rules[victim]
-			if c.Priority < v.Priority || (c.Priority == v.Priority && c.seq < v.seq) {
-				victim = i
-			}
-		}
-		s.rules = append(s.rules[:victim], s.rules[victim+1:]...)
-		s.Evictions++
+		return ErrTableFull
 	}
 	rc := r
 	rc.seq = s.nextSeq
 	s.nextSeq++
 	s.rules = append(s.rules, &rc)
-	s.Installs++
 	return nil
 }
 
 // Lookup returns the best matching rule: highest priority, then highest
 // specificity, then most recently installed.
 func (s *Switch) Lookup(t netsim.FiveTuple) (FlowRule, bool) {
-	s.Lookups++
 	var best *FlowRule
 	for _, r := range s.rules {
 		if !r.Match.MatchesWithRacks(t, s.rackOf) {
@@ -125,7 +92,6 @@ func (s *Switch) Lookup(t netsim.FiveTuple) (FlowRule, bool) {
 		}
 	}
 	if best == nil {
-		s.Misses++
 		return FlowRule{}, false
 	}
 	return *best, true
@@ -147,20 +113,7 @@ func (s *Switch) RemoveByCookie(cookie uint64) int {
 		s.rules[i] = nil
 	}
 	s.rules = kept
-	s.Removals += uint64(removed)
 	return removed
-}
-
-// RuleCount reports current table occupancy.
-func (s *Switch) RuleCount() int { return len(s.rules) }
-
-// Rules returns a copy of the table for inspection.
-func (s *Switch) Rules() []FlowRule {
-	out := make([]FlowRule, len(s.rules))
-	for i, r := range s.rules {
-		out[i] = *r
-	}
-	return out
 }
 
 func (s *Switch) String() string {

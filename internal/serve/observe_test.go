@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"pythia/internal/flight"
+	"pythia/internal/flight/flighttest"
 )
 
 func scrape(t *testing.T, client *http.Client, url string) *flight.Exposition {
@@ -74,7 +75,7 @@ func tryScrape(client *http.Client, url string) (*flight.Exposition, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := flight.LintExposition(string(raw)); err != nil {
+	if err := flighttest.LintExposition(string(raw)); err != nil {
 		return nil, fmt.Errorf("exposition fails lint: %v\n%s", err, raw)
 	}
 	return flight.ParseExposition(string(raw))
@@ -353,7 +354,7 @@ func TestStatsSnapshotConsistencyHammer(t *testing.T) {
 	var lastVirtual float64
 	for {
 		v := srv.view()
-		req, committed := srv.met.ingestRequests.Value(), float64(srv.met.enqueueCommit.Count())
+		req, committed := srv.met.ingestRequests.Value(), float64(flighttest.HistogramCount(srv.met.enqueueCommit))
 		if req < lastReq || committed < lastCommitted || v.virtual < lastVirtual {
 			t.Fatalf("book went backwards: requests %v→%v committed %v→%v virtual %v→%v",
 				lastReq, req, lastCommitted, committed, lastVirtual, v.virtual)
@@ -366,7 +367,7 @@ func TestStatsSnapshotConsistencyHammer(t *testing.T) {
 			if req := srv.met.ingestRequests.Value(); req != writers*perWriter {
 				t.Fatalf("final requests %v, want %d", req, writers*perWriter)
 			}
-			if n := srv.met.enqueueCommit.Count(); n != writers*perWriter {
+			if n := flighttest.HistogramCount(srv.met.enqueueCommit); n != writers*perWriter {
 				t.Fatalf("final enqueue→commit samples %d, want %d", n, writers*perWriter)
 			}
 			if st := getStats(t, ts.Client(), ts.URL); st.RequestsTotal != writers*perWriter || st.LatencyP99Micros <= 0 {
@@ -621,7 +622,7 @@ func TestStatsAndMetricsAgree(t *testing.T) {
 			t.Errorf("commit phase %q observed %+v times, batches_total %+v", phase, n, batches)
 		}
 	}
-	if exp.Family("pythia_serve_latency_p50_seconds") != nil || exp.Family("pythia_serve_latency_p99_seconds") != nil {
+	if flighttest.Family(exp, "pythia_serve_latency_p50_seconds") != nil || flighttest.Family(exp, "pythia_serve_latency_p99_seconds") != nil {
 		t.Error("quantile gauges still published next to the histogram")
 	}
 }

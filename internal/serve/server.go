@@ -48,7 +48,8 @@ type Config struct {
 	ClockHz float64
 	// BookingTTLSec garbage-collects bookings whose flows never settle
 	// (in serving mode nothing drains bookings except done_jobs and this
-	// sweep). Zero disables.
+	// sweep). Zero takes the default, 30 s; a negative value turns the
+	// sweep off.
 	BookingTTLSec float64
 
 	// K is Pythia's candidate count per pair (the first K equal-cost

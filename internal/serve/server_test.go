@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -101,6 +102,53 @@ func TestServerEndToEnd(t *testing.T) {
 
 	if err := srv.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestBookingTTLZeroDefaultsNegativeDisables pins what BookingTTLSec's
+// settings mean: zero takes the 30 s default, and only a negative value turns
+// the sweep off. Under the logical clock (one virtual second per novel op)
+// a booking outlives 100 virtual seconds only when the sweep is off.
+func TestBookingTTLZeroDefaultsNegativeDisables(t *testing.T) {
+	if got := (Config{}).Defaults().BookingTTLSec; got != 30 {
+		t.Fatalf("zero BookingTTLSec defaults to %v, want 30", got)
+	}
+	run := func(ttl float64) StatsResponse {
+		srv, err := New(Config{Shards: 1, ClockHz: 1, BookingTTLSec: ttl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.Start()
+		defer srv.Shutdown(context.Background())
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		client := ts.Client()
+		ingest := func(body string) {
+			t.Helper()
+			if resp, out := postJSON(t, client, ts.URL, body); resp.StatusCode != http.StatusOK {
+				t.Fatalf("ingest: HTTP %d: %s", resp.StatusCode, out)
+			}
+		}
+		ingest(`{"reducers":[{"job":0,"reduce":0,"host":0}],
+			"intents":[{"job":0,"map":0,"src_host":3,"predicted_wire_bytes":[1e7]}]}`)
+		// 100 novel reducer placements of other jobs advance the clock by
+		// 100 virtual seconds without touching job 0's booking.
+		for r := 0; r < 4; r++ {
+			var ups []string
+			for j := 1; j <= 25; j++ {
+				ups = append(ups, fmt.Sprintf(`{"job":%d,"reduce":0,"host":1}`, 25*r+j))
+			}
+			ingest(`{"reducers":[` + strings.Join(ups, ",") + `]}`)
+		}
+		return getStats(t, client, ts.URL)
+	}
+	if st := run(-1); st.VirtualSec < 100 || st.OutstandingBookings == 0 || st.ExpiredBookings != 0 {
+		t.Fatalf("negative TTL: at %v virtual s, %d bookings live and %d expired; want the booking kept",
+			st.VirtualSec, st.OutstandingBookings, st.ExpiredBookings)
+	}
+	if st := run(0); st.VirtualSec < 100 || st.ExpiredBookings == 0 {
+		t.Fatalf("zero TTL: at %v virtual s, %d bookings expired; want the 30 s default to sweep",
+			st.VirtualSec, st.ExpiredBookings)
 	}
 }
 

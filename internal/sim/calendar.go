@@ -110,8 +110,6 @@ func (c *calendarQueue) dayOf(t float64) int64 {
 // bucketIdx maps a time to its bucket: its day, modulo the year length.
 func (c *calendarQueue) bucketIdx(t float64) int { return int(c.dayOf(t)) & c.mask }
 
-func (c *calendarQueue) size() int { return c.count }
-
 // searchLive binary-searches b's live region for the insertion point of ev
 // in (time, seq) order.
 func searchLive(live []*Event, ev *Event) int {

@@ -57,7 +57,7 @@ func driveScript(eng *Engine, seed uint64) []firing {
 	}
 	// A ticker and a daemon that spans part of the run.
 	ticks := 0
-	tk := eng.Every(0.7, func() {
+	eng.Every(0.7, func() {
 		ticks++
 		log = append(log, firing{eng.Now(), -1})
 		if ticks == 5 {
@@ -72,7 +72,6 @@ func driveScript(eng *Engine, seed uint64) []firing {
 		}
 	})
 	eng.Run()
-	tk.Stop()
 	return log
 }
 

@@ -125,39 +125,6 @@ func TestEveryTicks(t *testing.T) {
 	}
 }
 
-func TestTickerStop(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	var tk *Ticker
-	tk = e.Every(1, func() {
-		fired++
-		if fired == 2 {
-			tk.Stop()
-		}
-	})
-	e.At(10, func() {})
-	e.Run()
-	if fired != 2 {
-		t.Fatalf("ticker fired %d times after Stop, want 2", fired)
-	}
-}
-
-func TestTickerSetPeriod(t *testing.T) {
-	e := NewEngine()
-	var at []Time
-	var tk *Ticker
-	tk = e.Every(1, func() {
-		at = append(at, e.Now())
-		tk.SetPeriod(2)
-	})
-	e.At(6.5, func() {})
-	e.Run()
-	// Fires at 1, 3, 5.
-	if len(at) != 3 || at[0] != 1 || at[1] != 3 || at[2] != 5 {
-		t.Fatalf("firings: %v", at)
-	}
-}
-
 func TestEveryValidation(t *testing.T) {
 	e := NewEngine()
 	defer func() {

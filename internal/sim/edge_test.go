@@ -28,25 +28,3 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 		})
 	}
 }
-
-// TestTickerSetPeriodOutsideCallback changes the period from a foreground
-// event between firings: the already-scheduled next tick keeps its old time,
-// and the new period applies from the firing after it.
-func TestTickerSetPeriodOutsideCallback(t *testing.T) {
-	e := NewEngine()
-	var at []Time
-	tk := e.Every(1, func() { at = append(at, e.Now()) })
-	e.At(1.5, func() { tk.SetPeriod(3) })
-	e.At(9, func() {})
-	e.Run()
-	// Ticks at 1, 2 (already armed before the change), then 5, 8.
-	want := []Time{1, 2, 5, 8}
-	if len(at) != len(want) {
-		t.Fatalf("firings: %v, want %v", at, want)
-	}
-	for i := range want {
-		if at[i] != want[i] {
-			t.Fatalf("firings: %v, want %v", at, want)
-		}
-	}
-}

@@ -19,8 +19,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
-	"time"
 )
 
 // Time is a point in virtual time, measured in seconds from simulation
@@ -35,7 +33,6 @@ type Duration float64
 const (
 	Millisecond Duration = 1e-3
 	Second      Duration = 1
-	Minute      Duration = 60
 )
 
 // Add returns the time d after t.
@@ -43,9 +40,6 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 
 // Sub returns the duration between t and u (t - u).
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
-
-// Std converts a virtual duration to a time.Duration for display.
-func (d Duration) Std() time.Duration { return time.Duration(float64(d) * float64(time.Second)) }
 
 // String formats a virtual time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", float64(t)) }
@@ -70,12 +64,6 @@ type Event struct {
 	daemon bool
 }
 
-// Time reports when the event is (or was) scheduled to fire.
-func (e *Event) Time() Time { return e.at }
-
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e.cancel }
-
 // before reports strict (time, seq) priority order.
 func (e *Event) before(o *Event) bool {
 	if e.at != o.at {
@@ -97,7 +85,6 @@ type scheduler interface {
 	peekMin() *Event
 	// remove deletes a queued event (Cancel).
 	remove(*Event)
-	size() int
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -106,7 +93,6 @@ type Engine struct {
 	now       Time
 	sched     scheduler
 	seq       uint64
-	stopped   bool
 	nonDaemon int
 	// free recycles fired/cancelled Event structs so steady-state
 	// scheduling allocates nothing.
@@ -123,9 +109,6 @@ func NewEngine() *Engine { return &Engine{sched: newCalendarQueue()} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
-
-// Pending returns the number of events currently queued.
-func (e *Engine) Pending() int { return e.sched.size() }
 
 // alloc takes an Event from the free list (or the heap allocator) and
 // initializes it.
@@ -238,11 +221,10 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// Run processes events until no non-daemon events remain or Stop is called.
-// Daemon events earlier than the last non-daemon event still fire.
+// Run processes events until no non-daemon events remain. Daemon events
+// earlier than the last non-daemon event still fire.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.nonDaemon > 0 && e.Step() {
+	for e.nonDaemon > 0 && e.Step() {
 	}
 }
 
@@ -250,8 +232,7 @@ func (e *Engine) Run() {
 // deadline remain queued; the clock is advanced to the deadline if the
 // simulation ran dry earlier.
 func (e *Engine) RunUntil(deadline Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		head := e.sched.peekMin()
 		if head == nil || head.at > deadline {
 			break
@@ -263,57 +244,17 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
-// Stop halts Run/RunUntil after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Ticker is a recurring daemon callback created by Every.
-type Ticker struct {
-	eng     *Engine
-	period  Duration
-	fn      func()
-	stopped bool
-}
-
 // Every schedules fn as a recurring daemon: it fires every period while
 // foreground work keeps the simulation alive, and never prevents Run from
-// returning. The first firing is one period from now. Stop the ticker to
-// cease firing.
-func (e *Engine) Every(period Duration, fn func()) *Ticker {
+// returning. The first firing is one period from now.
+func (e *Engine) Every(period Duration, fn func()) {
 	if period <= 0 {
 		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
 	}
-	t := &Ticker{eng: e, period: period, fn: fn}
-	e.AfterDaemon(period, t.tick)
-	return t
-}
-
-func (t *Ticker) tick() {
-	if t.stopped {
-		return
+	var tick func()
+	tick = func() {
+		fn()
+		e.AfterDaemon(period, tick)
 	}
-	t.fn()
-	if !t.stopped {
-		t.eng.AfterDaemon(t.period, t.tick)
-	}
-}
-
-// Stop halts the ticker; pending firings are suppressed.
-func (t *Ticker) Stop() { t.stopped = true }
-
-// SetPeriod changes the interval from the next firing onward.
-func (t *Ticker) SetPeriod(period Duration) {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive ticker period %v", period))
-	}
-	t.period = period
-}
-
-// NextEventTime returns the time of the earliest pending event, or +Inf when
-// the queue is empty.
-func (e *Engine) NextEventTime() Time {
-	head := e.sched.peekMin()
-	if head == nil {
-		return Time(math.Inf(1))
-	}
-	return head.at
+	e.AfterDaemon(period, tick)
 }

@@ -50,7 +50,6 @@ func (h *heapQueue) peekMin() *Event {
 func (h *heapQueue) remove(e *Event) {
 	heap.Remove(&h.q, e.index)
 }
-func (h *heapQueue) size() int { return len(h.q) }
 
 func newHeapEngine() *Engine { return &Engine{sched: &heapQueue{}} }
 
@@ -62,4 +61,15 @@ var kernels = []struct {
 }{
 	{"calendar", NewEngine},
 	{"heap", newHeapEngine},
+}
+
+// pending is the number of events queued in e's scheduler.
+func pending(e *Engine) int {
+	switch s := e.sched.(type) {
+	case *calendarQueue:
+		return s.count
+	case *heapQueue:
+		return len(s.q)
+	}
+	panic("sim: unknown scheduler")
 }

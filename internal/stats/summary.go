@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -123,56 +122,4 @@ func Speedup(oldTime, newTime float64) float64 {
 		return 0
 	}
 	return (oldTime - newTime) / newTime
-}
-
-// HumanBytes renders a byte count in binary units (KiB/MiB/GiB) for tables.
-func HumanBytes(b float64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.2fGiB", b/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.2fMiB", b/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.2fKiB", b/(1<<10))
-	}
-	return fmt.Sprintf("%.0fB", b)
-}
-
-// Histogram builds a fixed-width histogram over [min, max) with n bins.
-// Values outside the range are clamped into the edge bins.
-func Histogram(xs []float64, min, max float64, n int) []int {
-	if n <= 0 || max <= min {
-		panic("stats: bad histogram parameters")
-	}
-	bins := make([]int, n)
-	width := (max - min) / float64(n)
-	for _, x := range xs {
-		i := int((x - min) / width)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		bins[i]++
-	}
-	return bins
-}
-
-// JainFairness computes Jain's fairness index (Σx)²/(n·Σx²) over a set of
-// allocations: 1.0 = perfectly fair, 1/n = one flow takes everything. Used
-// to validate the max-min allocator and to report shuffle-share balance.
-func JainFairness(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, sumsq float64
-	for _, x := range xs {
-		sum += x
-		sumsq += x * x
-	}
-	if sumsq == 0 {
-		return 1 // all-zero allocations are (vacuously) fair
-	}
-	return sum * sum / (float64(len(xs)) * sumsq)
 }

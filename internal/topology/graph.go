@@ -7,7 +7,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 )
 
 // NodeID identifies a node (host or switch) in the graph.
@@ -65,12 +64,9 @@ type Graph struct {
 	links []Link
 	// out[n] lists link IDs leaving node n, in[n] those entering it; both
 	// ascending, since link IDs are handed out in AddLink order.
-	out [][]LinkID
-	in  [][]LinkID
-	// linkIndex maps (from,to) to the link ID; parallel links get distinct
-	// entries in parallel[].
-	parallel map[[2]NodeID][]LinkID
-	reverse  map[LinkID]LinkID // duplex pairing
+	out     [][]LinkID
+	in      [][]LinkID
+	reverse map[LinkID]LinkID // duplex pairing
 	// down is the *effective* link state consulted by every routing query:
 	// a link is down when it was administratively failed (adminDown) or when
 	// either endpoint node is down (nodeDown). The split keeps the common
@@ -89,8 +85,7 @@ type Graph struct {
 // NewGraph returns an empty topology.
 func NewGraph() *Graph {
 	return &Graph{
-		parallel: make(map[[2]NodeID][]LinkID),
-		reverse:  make(map[LinkID]LinkID),
+		reverse: make(map[LinkID]LinkID),
 	}
 }
 
@@ -120,8 +115,6 @@ func (g *Graph) AddLink(from, to NodeID, capacityBps float64, name string) LinkI
 	g.adminDown = append(g.adminDown, false)
 	g.out[from] = append(g.out[from], id)
 	g.in[to] = append(g.in[to], id)
-	key := [2]NodeID{from, to}
-	g.parallel[key] = append(g.parallel[key], id)
 	g.version++
 	return id
 }
@@ -176,17 +169,6 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumLinks reports the number of directed links.
 func (g *Graph) NumLinks() int { return len(g.links) }
 
-// Hosts returns the IDs of all host nodes in ID order.
-func (g *Graph) Hosts() []NodeID {
-	var hs []NodeID
-	for _, n := range g.nodes {
-		if n.Kind == Host {
-			hs = append(hs, n.ID)
-		}
-	}
-	return hs
-}
-
 // Switches returns the IDs of all switch nodes in ID order.
 func (g *Graph) Switches() []NodeID {
 	var ss []NodeID
@@ -196,17 +178,6 @@ func (g *Graph) Switches() []NodeID {
 		}
 	}
 	return ss
-}
-
-// Out returns the usable (up) links leaving node n.
-func (g *Graph) Out(n NodeID) []LinkID {
-	var ls []LinkID
-	for _, l := range g.out[n] {
-		if !g.down[l] {
-			ls = append(ls, l)
-		}
-	}
-	return ls
 }
 
 // SetLinkUp marks a link administratively up (true) or down (false). Downed
@@ -281,16 +252,3 @@ func (g *Graph) LinkAdminUp(id LinkID) bool {
 // Version is a counter bumped on every topology mutation; routing caches key
 // off it.
 func (g *Graph) Version() uint64 { return g.version }
-
-// FindLinks returns the IDs of up links from a to b (parallel links give
-// multiple results), in ID order.
-func (g *Graph) FindLinks(a, b NodeID) []LinkID {
-	var ls []LinkID
-	for _, l := range g.parallel[[2]NodeID{a, b}] {
-		if !g.down[l] {
-			ls = append(ls, l)
-		}
-	}
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
-	return ls
-}

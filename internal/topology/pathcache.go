@@ -21,9 +21,6 @@ func NewPathCache(g *Graph, k int) *PathCache {
 	return &PathCache{g: g, k: k}
 }
 
-// K reports the cache's path count per pair.
-func (c *PathCache) K() int { return c.k }
-
 // Paths returns the first k equal-cost paths for the pair, computing and
 // caching on miss. The returned slice is shared: callers must not mutate it.
 func (c *PathCache) Paths(src, dst NodeID) []Path {

@@ -26,7 +26,7 @@ func checkCacheFresh(t *testing.T, g *Graph, cache *PathCache, nodes []NodeID, w
 	for _, s := range nodes {
 		for _, d := range nodes {
 			got := cache.Paths(s, d)
-			if want := g.EqualCostPaths(s, d, cache.K()); !pathsEqual(got, want) {
+			if want := g.EqualCostPaths(s, d, cache.k); !pathsEqual(got, want) {
 				t.Fatalf("%s: cached paths %d->%d = %v, fresh %v", when, s, d, got, want)
 			}
 			if again := cache.Paths(s, d); len(got) > 0 && &again[0] != &got[0] {

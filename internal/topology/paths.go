@@ -19,15 +19,6 @@ type Path struct {
 // metric).
 func (p Path) Hops() int { return len(p.Links) }
 
-// Nodes returns the node sequence Src..Dst implied by the links.
-func (p Path) Nodes(g *Graph) []NodeID {
-	ns := []NodeID{p.Src}
-	for _, l := range p.Links {
-		ns = append(ns, g.Link(l).To)
-	}
-	return ns
-}
-
 // Equal reports whether two paths use the identical link sequence.
 func (p Path) Equal(q Path) bool {
 	if p.Src != q.Src || p.Dst != q.Dst || len(p.Links) != len(q.Links) {

@@ -15,7 +15,10 @@ func bfsDist(g *Graph, src NodeID) map[NodeID]int {
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]
-		for _, lid := range g.Out(n) {
+		for _, lid := range g.out[n] {
+			if g.down[lid] {
+				continue
+			}
 			to := g.Link(lid).To
 			if _, seen := dist[to]; !seen {
 				dist[to] = dist[n] + 1

@@ -24,8 +24,8 @@ func TestAddNodeAndLink(t *testing.T) {
 	if g.Node(a).Kind != Host || g.Node(s).Kind != Switch {
 		t.Fatal("node kinds wrong")
 	}
-	if got := g.Hosts(); len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("Hosts = %v", got)
+	if got := hostsOf(g); len(got) != 2 || got[0] != a || got[1] != b {
+		t.Fatalf("hosts = %v", got)
 	}
 	if got := g.Switches(); len(got) != 1 || got[0] != s {
 		t.Fatalf("Switches = %v", got)
@@ -227,29 +227,15 @@ func TestKShortestZeroOrNegative(t *testing.T) {
 	}
 }
 
-func TestFindLinks(t *testing.T) {
-	g, _, trunks := TwoRack(2, 2, Gbps)
-	tor0 := g.Link(trunks[0]).From
-	tor1 := g.Link(trunks[0]).To
-	ls := g.FindLinks(tor0, tor1)
-	if len(ls) != 2 {
-		t.Fatalf("FindLinks = %d, want 2 parallel trunks", len(ls))
-	}
-	g.SetLinkUp(trunks[0], false)
-	if ls = g.FindLinks(tor0, tor1); len(ls) != 1 {
-		t.Fatalf("FindLinks after down = %d, want 1", len(ls))
-	}
-}
-
 func TestPathNodesAndFormat(t *testing.T) {
 	g, a, s, b := line3()
 	p, _ := g.ShortestPath(a, b, nil, nil)
-	ns := p.Nodes(g)
+	ns := pathNodes(g, p)
 	if len(ns) != 3 || ns[0] != a || ns[1] != s || ns[2] != b {
-		t.Fatalf("Nodes = %v", ns)
+		t.Fatalf("nodes = %v", ns)
 	}
-	if p.Format(g) == "" {
-		t.Fatal("empty Format")
+	if got, want := p.Format(g), "a -[as]-> s -[sb]-> b"; got != want {
+		t.Fatalf("Format = %q, want %q", got, want)
 	}
 }
 
@@ -331,4 +317,15 @@ func TestPropertyKShortestValidity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(17))}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// hostsOf returns the IDs of g's host nodes in ID order.
+func hostsOf(g *Graph) []NodeID {
+	var hs []NodeID
+	for _, n := range g.nodes {
+		if n.Kind == Host {
+			hs = append(hs, n.ID)
+		}
+	}
+	return hs
 }

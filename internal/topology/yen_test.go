@@ -145,7 +145,7 @@ func (g *Graph) KShortestPaths(src, dst NodeID, k int) []Path {
 		// For each node along the previous path, branch: ban the links
 		// that previous paths used at this divergence point and the
 		// root-path nodes, then reroute the tail.
-		prevNodes := prevPath.Nodes(g)
+		prevNodes := pathNodes(g, prevPath)
 		for i := 0; i < len(prevPath.Links); i++ {
 			spurNode := prevNodes[i]
 			rootLinks := prevPath.Links[:i]
@@ -232,4 +232,13 @@ func pathLess(a, b Path) bool {
 		}
 	}
 	return false
+}
+
+// pathNodes returns the node sequence Src..Dst implied by p's links.
+func pathNodes(g *Graph, p Path) []NodeID {
+	ns := []NodeID{p.Src}
+	for _, l := range p.Links {
+		ns = append(ns, g.Link(l).To)
+	}
+	return ns
 }

@@ -142,9 +142,8 @@ type Log struct {
 	segs []segment // ascending firstSeq; last is the append target
 	cur  *os.File  // append handle for the last segment
 
-	nextSeq     uint64 // seq the next Append returns
-	unsynced    int    // appends since the last fsync
-	appendedCRC uint32 // last appended record's CRC (introspection/tests)
+	nextSeq  uint64 // seq the next Append returns
+	unsynced int    // appends since the last fsync
 
 	closeMu sync.Mutex
 	closed  bool
@@ -357,7 +356,6 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("wal: %w", err)
 	}
-	l.appendedCRC = crc32.Checksum(payload, crcTable)
 	tail.size += int64(n)
 	tail.records++
 	seq := l.nextSeq

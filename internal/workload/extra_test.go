@@ -7,8 +7,19 @@ import (
 	"testing"
 )
 
+// A TeraSort-style sampled range partitioner (RebalancePartitions over a
+// skewed sort) leaves the reducers near-uniform without moving a byte.
 func TestTeraSortNearUniformDespiteSkew(t *testing.T) {
-	spec := TeraSort(8*GB, 10, 3)
+	spec := Generate(Config{
+		Name:         "terasort",
+		InputBytes:   8 * GB,
+		BlockBytes:   256 * MB,
+		NumReduces:   10,
+		OutputRatio:  1.0,
+		SkewExponent: 1.0,
+		Seed:         3,
+	})
+	RebalancePartitions(spec, 0.95)
 	if err := spec.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -19,55 +30,6 @@ func TestTeraSortNearUniformDespiteSkew(t *testing.T) {
 	if math.Abs(spec.TotalShuffleBytes()-8*GB)/GB > 1e-6 {
 		t.Fatalf("volume changed: %v", spec.TotalShuffleBytes())
 	}
-}
-
-func TestPageRankPipeline(t *testing.T) {
-	specs := PageRank(4*GB, 8, 3, 5)
-	if len(specs) != 3 {
-		t.Fatalf("iterations = %d", len(specs))
-	}
-	names := map[string]bool{}
-	for i, s := range specs {
-		if err := s.Validate(); err != nil {
-			t.Fatalf("iter %d: %v", i, err)
-		}
-		if names[s.Name] {
-			t.Fatalf("duplicate iteration name %q", s.Name)
-		}
-		names[s.Name] = true
-	}
-	// Iterations differ (fresh jitter per round).
-	if specs[0].MapDurations[0] == specs[1].MapDurations[0] {
-		t.Fatal("iterations identical")
-	}
-}
-
-func TestPageRankPanicsOnZeroIterations(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("zero iterations did not panic")
-		}
-	}()
-	PageRank(1*GB, 4, 0, 1)
-}
-
-func TestJoinShufflesBothSides(t *testing.T) {
-	spec := Join(4*GB, 2*GB, 8, 7)
-	if err := spec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(spec.TotalShuffleBytes()-6*GB)/GB > 1e-6 {
-		t.Fatalf("join shuffle = %v, want both sides (6 GB)", spec.TotalShuffleBytes())
-	}
-}
-
-func TestJoinPanicsOnEmptySide(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty side did not panic")
-		}
-	}()
-	Join(1*GB, 0, 4, 1)
 }
 
 func TestSyntheticTraceShape(t *testing.T) {
