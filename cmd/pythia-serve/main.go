@@ -1,10 +1,10 @@
-// Command pythia-serve runs the sharded Pythia collector as an online
+// Command pythia-serve runs the Pythia collector as an online
 // HTTP/JSON service. (Its throughput and crash-recovery benchmarks are the
 // serve_* and recover_tail workloads of benchmark/; see benchmark/README.md.)
 //
 // Usage:
 //
-//	pythia-serve [-addr :8080] [-shards N] [-workers N]   # serve until SIGINT
+//	pythia-serve [-addr :8080] [-shards N]   # serve until SIGINT
 //	             [-queue N] [-batch N] [-maxops N]
 //	             [-ttl SEC] [-k N] [-fattree-k N] [-clockhz HZ]
 //	             [-wal-dir DIR] [-recover] [-fsync-every N]
@@ -20,7 +20,9 @@
 // flight recorder of the batch lifecycle and the collector's events in each
 // batch. With -wal-dir every batch is
 // journaled before it is acknowledged and -recover restarts from the
-// journal (last snapshot plus tail replay).
+// journal (last snapshot plus tail replay). The collector applies each batch
+// serially; -shards only partitions its job state, changes no result, and
+// may differ across a restart.
 package main
 
 import (
@@ -39,8 +41,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	shards := flag.Int("shards", 4, "collector shard count")
-	workers := flag.Int("workers", 0, "batch workers (0 = shard count)")
+	shards := flag.Int("shards", 4, "collector job-state shard count (changes no result)")
 	queue := flag.Int("queue", 256, "bounded ingest queue capacity (requests)")
 	batch := flag.Int("batch", 512, "max operations coalesced per collector batch")
 	maxOps := flag.Int("maxops", 4096, "max operations per ingest request")
@@ -61,7 +62,6 @@ func main() {
 
 	runServe(serve.Config{
 		Shards:           *shards,
-		Workers:          *workers,
 		QueueCap:         *queue,
 		BatchMax:         *batch,
 		MaxOpsPerRequest: *maxOps,

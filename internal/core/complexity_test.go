@@ -162,8 +162,8 @@ func TestJobDoneCostIndependentOfLiveJobs(t *testing.T) {
 
 // TestResolvedIntentPathAllocs pins the hot path of a serving batch: intents
 // whose reducers are all placed. Each may allocate its booking row and its
-// share of amortized map and delta-log growth — no per-intent pending record,
-// unresolved map, key sort or closure.
+// share of amortized map growth — no per-intent pending record, unresolved
+// map, key sort or closure.
 func TestResolvedIntentPathAllocs(t *testing.T) {
 	const batch, runs = 16, 50
 	f := newGuardFixture(16)
@@ -186,13 +186,13 @@ func TestResolvedIntentPathAllocs(t *testing.T) {
 		next++
 	})
 	t.Logf("%.1f allocs per %d-intent batch", allocs, batch)
-	// Measured 18: 16 booking rows, the results slice and the list of shard
-	// streams; the delta log's backing array is reused across batches. (21
-	// while the shard phase built a closure and the merge a head index, 23
-	// while the single-shard phase built an index of the batch.)
-	limit := float64(batch + 6)
+	// Measured 17: 16 booking rows and the results slice. (18 while the
+	// batch built a list of per-shard delta streams, 21 while the shard phase
+	// built a closure and the merge a head index, 23 while the single-shard
+	// phase built an index of the batch.)
+	limit := float64(batch + 1)
 	if raceBuild {
-		limit = 2*batch + 6 // 37 measured: each intent escapes once more
+		limit = 2*batch + 1 // 33 measured: each intent escapes once more
 	}
 	if allocs > limit {
 		t.Errorf("%.1f allocs per %d-intent batch, want at most %.0f", allocs, batch, limit)
@@ -206,8 +206,8 @@ func TestResolvedIntentPathAllocs(t *testing.T) {
 // hosts, 16 256 host pairs) holding a varying number of live, placed
 // bystander aggregates. The victim's 128 pairs are among them at every size,
 // so its bookings charge and release placed aggregates and the placement
-// pass has nothing to place: what is timed is the shard phase, the delta
-// merge and the pass finding that out. (Scoring a new pair legitimately costs
+// pass has nothing to place: what is timed is the ingest leg, which charges
+// the aggregates, and the pass finding that out. (Scoring a new pair legitimately costs
 // O(aggregates on its links), DESIGN.md §12.2, and would drown the signal.)
 
 const (
@@ -259,7 +259,8 @@ func newCommitFixture(maps, reducers int) *commitFixture {
 }
 
 // victimCycle places the victim's reducers (untimed), then returns how long
-// booking its 16 intents and retiring it took.
+// the commits that book its 16 intents and retire it took: their ingest and
+// placement legs.
 func (f *commitFixture) victimCycle() time.Duration {
 	f.py.ApplyBatch(f.reducerUps(commitVictimJob, commitVictimReducers), 1)
 	book := make([]Op, commitVictimMaps)
@@ -271,11 +272,13 @@ func (f *commitFixture) victimCycle() time.Duration {
 		book[m] = Op{Kind: OpIntent, Intent: instrument.Intent{Job: commitVictimJob, Map: m,
 			SrcHost: f.hosts[m], PredictedWireBytes: bytes}}
 	}
-	done := []Op{{Kind: OpJobDone, Job: commitVictimJob}}
-	t0 := time.Now()
-	f.py.ApplyBatch(book, 1)
-	f.py.ApplyBatch(done, 1)
-	return time.Since(t0)
+	var total time.Duration
+	for _, batch := range [][]Op{book, {{Kind: OpJobDone, Job: commitVictimJob}}} {
+		f.py.ApplyBatch(batch, 1)
+		cs := f.py.LastCommit()
+		total += cs.Ingest + cs.Place
+	}
+	return total
 }
 
 // commitCost is the best mean of a few rounds of victim cycles.
@@ -414,8 +417,8 @@ func (s *stationaryStream) batch(dst []Op) []Op {
 // the engine advanced by a 1000 Hz logical clock as the server drives it.
 // The stream retires three windows' worth of jobs before timing, so
 // the live state is the steady state's. Besides ns/op it reports the mean
-// wall time of the commit's delta merge (CommitStats.Merge), the leg that
-// charges the pair aggregates.
+// wall time of the commit's ingest leg (CommitStats.Ingest), which charges
+// the pair aggregates.
 func BenchmarkApplyBatchStationary(b *testing.B) {
 	eng := sim.NewEngine()
 	g, hosts := topology.FatTree(8, 4, topology.Gbps)
@@ -427,8 +430,8 @@ func BenchmarkApplyBatchStationary(b *testing.B) {
 	step := func() time.Duration {
 		ops = s.batch(ops)
 		eng.RunUntil(eng.Now() + sim.Time(len(ops))/1000)
-		py.ApplyBatch(ops, 4)
-		return py.LastCommit().Merge
+		py.ApplyBatch(ops, 1)
+		return py.LastCommit().Ingest
 	}
 	for s.next < 4*stationaryLive {
 		step()
@@ -436,10 +439,10 @@ func BenchmarkApplyBatchStationary(b *testing.B) {
 	if py.liveAggregates() < 1000 {
 		b.Fatalf("only %d live aggregates at steady state", py.liveAggregates())
 	}
-	var merge time.Duration
+	var ingest time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		merge += step()
+		ingest += step()
 	}
-	b.ReportMetric(float64(merge.Nanoseconds())/float64(b.N), "merge-ns/op")
+	b.ReportMetric(float64(ingest.Nanoseconds())/float64(b.N), "ingest-ns/op")
 }

@@ -175,7 +175,7 @@ func testPairIndexInvariants(t *testing.T, seed uint64, shards int, scope Scope)
 				oldest++
 			}
 		}
-		py.ApplyBatch(ops, 2)
+		py.ApplyBatch(ops, 1)
 		if err := indexError(py); err != nil {
 			t.Fatalf("batch %d, after ApplyBatch: %v", b, err)
 		}

@@ -21,11 +21,12 @@
 // over shared links and is inherently serial.
 //
 // Sharding is invisible to results. Every operation touches only its own
-// job's shard, and the two places where state from several shards meets fix
-// one global order: the booking-TTL sweep sorts every expired booking by
-// (job, map, reduce), and ApplyBatch's commit min-key merges the per-shard
-// (op, sub)-stamped delta streams back into batch order. Same-seed runs are
-// therefore bit-identical at any shard count.
+// job's shard and ApplyBatch runs the operations serially in batch order, so
+// the one place where state from several shards meets fixes its own global
+// order: the booking-TTL sweep sorts every expired booking by (job, map,
+// reduce). Same-seed runs are therefore bit-identical at any shard count.
+// The partition buys no concurrency; it stays until ROADMAP item 12
+// frees the benchmark from reading it.
 //
 // ApplyBatch is the only ingestion path: the instrumentation-sink methods
 // (ShuffleIntent, ReducerUp, JobDone) are batches of one.
@@ -98,10 +99,10 @@ type Config struct {
 	BookingTTL sim.Duration
 	// Shards partitions per-job collector state (bookings, deferred
 	// intents, dedup tables, trackers) across this many job-keyed shards.
-	// Placement decisions are merged deterministically, so any shard
-	// count produces bit-identical results; shards > 1 additionally lets
-	// ApplyBatch run the shard-local ingest phase concurrently. Zero or
-	// one means the classic single-shard collector.
+	// ApplyBatch runs every operation serially whatever the count, so any
+	// shard count produces bit-identical results, and Restore folds a
+	// snapshot taken at one count into another. Zero or one means a single
+	// shard.
 	Shards int
 }
 
@@ -287,19 +288,14 @@ func (js *jobState) drainBacklog(r int, bits float64) {
 }
 
 // shard holds one partition of the collector's per-job state: the jobs with
-// shardOf(job) == this shard. Two shards never hold state for the same job,
-// so shard-local phases of different shards may run concurrently.
+// shardOf(job) == this shard. Two shards never hold state for the same job.
 type shard struct {
 	jobs map[int]*jobState
 	// Live reservations and deferred intents summed over jobs, maintained on
 	// every change so the service gauges never scan.
 	booked, pending int
-	// deltaBuf is the backing array of the shard's ApplyBatch delta log,
-	// kept between batches: a batch's deltas are consumed before it returns.
-	deltaBuf []delta
 
-	// Shard-local metrics, summed by the Pythia accessors. Kept here so
-	// ApplyBatch's concurrent shard phase mutates only its own shard.
+	// Shard-local metrics, summed by the Pythia accessors.
 	intentsReceived  int
 	intentsDeferred  int
 	dedupHits        int
@@ -581,17 +577,16 @@ func (p *Pythia) ShuffleIntent(in instrument.Intent) {
 	p.ApplyBatch([]Op{{Kind: OpIntent, Intent: in}}, 1)
 }
 
-// ingestIntent is the shard-local half of one intent: the idempotence check,
-// then every per-reducer demand either booked (reducer placed) or deferred,
-// in reducer-ID order — PredictedWireBytes is indexed by reducer, so the walk
-// is already the order the delta log needs. seq is the intent's arrival
-// ordinal.
-func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, log *deltaLog) OpResult {
+// ingestIntent applies one intent: the idempotence check, then every
+// per-reducer demand either booked (reducer placed) or deferred, in
+// reducer-ID order — PredictedWireBytes is indexed by reducer, so the walk
+// is already ascending. seq is the intent's arrival ordinal.
+func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64) OpResult {
 	k := [2]int{in.Map, in.Attempt}
 	js := sh.jobs[in.Job]
 	if js != nil && js.seen[k] {
 		sh.dedupHits++
-		log.recordIntent(&in, flight.DispDup)
+		p.recordIntent(&in, flight.DispDup)
 		return OpDuplicate
 	}
 	if js == nil {
@@ -601,9 +596,9 @@ func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, log *
 	js.lastSeen = p.eng.Now()
 	sh.intentsReceived++
 	if in.Late {
-		log.recordIntent(&in, flight.DispLate)
+		p.recordIntent(&in, flight.DispLate)
 	} else {
-		log.recordIntent(&in, flight.DispOK)
+		p.recordIntent(&in, flight.DispOK)
 	}
 	var row []booking
 	var pi *pendingIntent
@@ -622,7 +617,7 @@ func (p *Pythia) ingestIntent(sh *shard, in instrument.Intent, seq uint64, log *
 		if row == nil {
 			row = js.row(in.Map, len(in.PredictedWireBytes))
 		}
-		p.book(sh, js, row, &in, r, bytes, dst, log)
+		p.book(sh, js, row, &in, r, bytes, dst)
 	}
 	if pi == nil {
 		return OpAccepted
@@ -639,15 +634,15 @@ func (p *Pythia) ReducerUp(up instrument.ReducerUp) {
 	p.ApplyBatch([]Op{{Kind: OpReducerUp, Reducer: up}}, 1)
 }
 
-// reducerUpLocal is the shard-local half of ReducerUp. Only the job's own
+// ingestReducerUp applies one reducer placement. Only the job's own
 // deferred intents are visited, and of each only the demand for this
 // reducer: an unresolved demand is by construction one whose reducer has no
 // recorded host, so nothing else can resolve on this event.
-func (p *Pythia) reducerUpLocal(sh *shard, up instrument.ReducerUp, log *deltaLog) {
-	if log.events {
+func (p *Pythia) ingestReducerUp(sh *shard, up instrument.ReducerUp) {
+	if p.fl != nil {
 		ev := flight.Ev(flight.ReducerUpSeen, flight.PlaneCollector)
 		ev.Job, ev.Reduce, ev.Dst = up.Job, up.Reduce, up.Host
-		log.record(ev)
+		p.record(ev)
 	}
 	js := sh.job(up.Job)
 	js.lastSeen = p.eng.Now()
@@ -657,7 +652,7 @@ func (p *Pythia) reducerUpLocal(sh *shard, up instrument.ReducerUp, log *deltaLo
 		if bytes, ok := pi.unresolved[up.Reduce]; ok {
 			delete(pi.unresolved, up.Reduce)
 			row := js.row(pi.intent.Map, len(pi.intent.PredictedWireBytes))
-			p.book(sh, js, row, &pi.intent, up.Reduce, bytes, up.Host, log)
+			p.book(sh, js, row, &pi.intent, up.Reduce, bytes, up.Host)
 		}
 		if len(pi.unresolved) > 0 {
 			keep = append(keep, pi)
@@ -666,9 +661,9 @@ func (p *Pythia) reducerUpLocal(sh *shard, up instrument.ReducerUp, log *deltaLo
 	sh.trimPending(js, keep)
 }
 
-// book reserves one resolved (map, reducer) demand: the shard-local half
-// (slot in row, backlog, gauges) here, the placement-plane half logged.
-func (p *Pythia) book(sh *shard, js *jobState, row []booking, in *instrument.Intent, r int, bytes float64, dst topology.NodeID, log *deltaLog) {
+// book reserves one resolved (map, reducer) demand: the job-local half (slot
+// in row, backlog, gauges), then the placement-plane half (bookGlobal).
+func (p *Pythia) book(sh *shard, js *jobState, row []booking, in *instrument.Intent, r int, bytes float64, dst topology.NodeID) {
 	if !p.steerable(in.SrcHost, dst) {
 		return // local or intra-rack fetch; nothing to steer
 	}
@@ -682,23 +677,23 @@ func (p *Pythia) book(sh *shard, js *jobState, row []booking, in *instrument.Int
 		// single booking (replace, don't add).
 		sh.duplicateIntents++
 		js.drainBacklog(r, prev.bits)
-		log.unbookGlobal(fk, prev)
+		p.unbookGlobal(fk, prev)
 		disp = flight.DispReplaced
 	} else {
 		js.nBooked++
 		sh.booked++
 	}
 	row[r] = b
-	if log.events {
+	if p.fl != nil {
 		ev := flight.Ev(flight.BookingMade, flight.PlaneCollector)
 		ev.Job, ev.Map, ev.Attempt, ev.Reduce = in.Job, in.Map, in.Attempt, r
 		ev.Src, ev.Dst = in.SrcHost, dst
 		ev.Bytes = bytes
 		ev.Disposition = disp
-		log.record(ev)
+		p.record(ev)
 	}
 	js.backlog[r] += b.bits
-	log.bookGlobal(fk, b)
+	p.bookGlobal(fk, b)
 }
 
 // steerable reports whether a resolved (src, dst) transfer touches fabric
@@ -1167,8 +1162,8 @@ func (p *Pythia) onControllerUp() {
 
 // recordIntent logs the intent-received flight event; a no-op when the
 // recorder is disabled.
-func (l *deltaLog) recordIntent(in *instrument.Intent, disp string) {
-	if !l.events {
+func (p *Pythia) recordIntent(in *instrument.Intent, disp string) {
+	if p.fl == nil {
 		return
 	}
 	ev := flight.Ev(flight.IntentReceived, flight.PlaneCollector)
@@ -1176,7 +1171,7 @@ func (l *deltaLog) recordIntent(in *instrument.Intent, disp string) {
 	ev.Count = len(in.PredictedWireBytes)
 	ev.DelaySec = float64(in.EmittedAt.Sub(in.MapFinishedAt))
 	ev.Disposition = disp
-	l.record(ev)
+	p.record(ev)
 }
 
 // onFlowComplete drains delivered demand and releases rules for pairs whose
@@ -1220,10 +1215,10 @@ func (p *Pythia) JobDone(job int) {
 	p.ApplyBatch([]Op{{Kind: OpJobDone, Job: job}}, 1)
 }
 
-// jobDoneLocal performs the shard-local half of JobDone — dropping the
-// job's state and logging the placement-plane half of each reservation it
-// still held in ascending (map, reduce) order.
-func (p *Pythia) jobDoneLocal(sh *shard, job int, log *deltaLog) {
+// ingestJobDone retires one job: it drops the job's state and releases the
+// placement-plane half of each reservation it still held, in ascending
+// (map, reduce) order.
+func (p *Pythia) ingestJobDone(sh *shard, job int) {
 	js := sh.jobs[job]
 	if js == nil {
 		return
@@ -1236,7 +1231,7 @@ func (p *Pythia) jobDoneLocal(sh *shard, job int, log *deltaLog) {
 	for _, m := range maps {
 		for r, b := range js.booked[m] {
 			if b.bits != 0 {
-				log.unbookGlobal(flowKey{job, m, r}, b)
+				p.unbookGlobal(flowKey{job, m, r}, b)
 			}
 		}
 	}

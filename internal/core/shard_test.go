@@ -152,7 +152,7 @@ func batchTrace(hosts []topology.NodeID, jobs, mapsPer, reducesPer int, seed uin
 // batchRun replays the trace through ApplyBatch in fixed-size chunks on a
 // collector with no attached Hadoop cluster (the online-service shape) and
 // returns (per-op results digest, stats, placement digest, leak gauge).
-func batchRun(t *testing.T, ops []Op, shards, workers, chunk int) (uint64, CollectorStats, uint64, int) {
+func batchRun(t *testing.T, ops []Op, shards, chunk int) (uint64, CollectorStats, uint64, int) {
 	t.Helper()
 	eng := sim.NewEngine()
 	g, _, _ := topology.TwoRack(5, 2, topology.Gbps)
@@ -167,21 +167,20 @@ func batchRun(t *testing.T, ops []Op, shards, workers, chunk int) (uint64, Colle
 		if end > len(ops) {
 			end = len(ops)
 		}
-		for _, r := range py.ApplyBatch(ops[at:end], workers) {
+		for _, r := range py.ApplyBatch(ops[at:end], 1) {
 			fmt.Fprintf(resH, "%d,", r)
 		}
 	}
 	return resH.Sum64(), py.Stats(), dig.h, py.OutstandingTotal()
 }
 
-// TestApplyBatchShardAndWorkerInvariance proves the batch executor's
-// determinism contract: identical results, stats, and placement streams at
-// shard counts 1/2/8 and worker counts 1/2/4, with zero leaked bookings
-// once every job is retired.
-func TestApplyBatchShardAndWorkerInvariance(t *testing.T) {
+// TestApplyBatchShardInvariance proves the batch executor's determinism
+// contract: identical results, stats, and placement streams at shard counts
+// 1/2/8, with zero leaked bookings once every job is retired.
+func TestApplyBatchShardInvariance(t *testing.T) {
 	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	ops := batchTrace(hosts, 9, 6, 4, 42)
-	refRes, refStats, refDig, refLeaks := batchRun(t, ops, 1, 1, 17)
+	refRes, refStats, refDig, refLeaks := batchRun(t, ops, 1, 17)
 	if refLeaks != 0 {
 		t.Fatalf("reference run leaked %d bookings", refLeaks)
 	}
@@ -189,23 +188,19 @@ func TestApplyBatchShardAndWorkerInvariance(t *testing.T) {
 		t.Fatalf("trace does not exercise dedup/duplicate/deferred paths: %+v", refStats)
 	}
 	for _, shards := range []int{2, 8} {
-		for _, workers := range []int{1, 2, 4} {
-			res, st, dig, leaks := batchRun(t, ops, shards, workers, 17)
-			st.Shards = refStats.Shards // the one field that legitimately differs
-			if res != refRes {
-				t.Errorf("shards=%d workers=%d: op results diverged", shards, workers)
-			}
-			if st != refStats {
-				t.Errorf("shards=%d workers=%d: stats diverged:\n got %+v\nwant %+v",
-					shards, workers, st, refStats)
-			}
-			if dig != refDig {
-				t.Errorf("shards=%d workers=%d: placement digest %x != %x",
-					shards, workers, dig, refDig)
-			}
-			if leaks != 0 {
-				t.Errorf("shards=%d workers=%d: %d leaked bookings", shards, workers, leaks)
-			}
+		res, st, dig, leaks := batchRun(t, ops, shards, 17)
+		st.Shards = refStats.Shards // the one field that legitimately differs
+		if res != refRes {
+			t.Errorf("shards=%d: op results diverged", shards)
+		}
+		if st != refStats {
+			t.Errorf("shards=%d: stats diverged:\n got %+v\nwant %+v", shards, st, refStats)
+		}
+		if dig != refDig {
+			t.Errorf("shards=%d: placement digest %x != %x", shards, dig, refDig)
+		}
+		if leaks != 0 {
+			t.Errorf("shards=%d: %d leaked bookings", shards, leaks)
 		}
 	}
 }
@@ -225,7 +220,7 @@ func TestApplyBatchDispositions(t *testing.T) {
 		{Kind: OpReducerUp, Reducer: instrument.ReducerUp{Job: 1, Reduce: 0, Host: hosts[5]}},
 		{Kind: OpReducerUp, Reducer: instrument.ReducerUp{Job: 1, Reduce: 1, Host: hosts[6]}},
 		{Kind: OpJobDone, Job: 1},
-	}, 2)
+	}, 1)
 	want := []OpResult{OpDeferred, OpDuplicate, OpAccepted, OpAccepted, OpAccepted}
 	for i, r := range res {
 		if r != want[i] {
@@ -256,7 +251,7 @@ func TestShardStats(t *testing.T) {
 		{Kind: OpReducerUp, Reducer: instrument.ReducerUp{Job: 1, Reduce: 0, Host: hosts[5]}},
 		{Kind: OpIntent, Intent: instrument.Intent{Job: 2, Map: 0, SrcHost: hosts[1],
 			PredictedWireBytes: []float64{3e6}}}, // stays pending: reducer unknown
-	}, 2)
+	}, 1)
 	per := py.ShardStats()
 	if len(per) != 4 {
 		t.Fatalf("ShardStats returned %d shards, want 4", len(per))
@@ -291,7 +286,7 @@ func TestShardStats(t *testing.T) {
 	if per[1%4].IntentsReceived == 0 || per[2%4].PendingIntents == 0 {
 		t.Fatalf("per-shard attribution wrong: %+v", per)
 	}
-	py.ApplyBatch([]Op{{Kind: OpJobDone, Job: 1}, {Kind: OpJobDone, Job: 2}}, 2)
+	py.ApplyBatch([]Op{{Kind: OpJobDone, Job: 1}, {Kind: OpJobDone, Job: 2}}, 1)
 	for i, s := range py.ShardStats() {
 		if s.PendingIntents != 0 || s.BookedFlows != 0 {
 			t.Fatalf("shard %d retains state after JobDone: %+v", i, s)
@@ -313,7 +308,7 @@ func TestNoStateLeaksOnceEveryJobRetires(t *testing.T) {
 		py := New(eng, net, openflow.NewController(eng, net, 0), Config{Aggregate: true, Shards: shards})
 		peak := 0
 		for at := 0; at < len(ops); at += 23 {
-			py.ApplyBatch(ops[at:min(at+23, len(ops))], 4)
+			py.ApplyBatch(ops[at:min(at+23, len(ops))], 1)
 			peak = max(peak, py.totalJobs())
 		}
 		if peak != 200 {

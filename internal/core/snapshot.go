@@ -601,23 +601,26 @@ func (r *snapReader) job(ss *ShardSnap, job int) {
 }
 
 // Restore rebuilds collector state from a snapshot. It must run
-// on a freshly constructed Pythia (same Config.Shards, same fabric) before
-// any ingest; rules held by snapshotted aggregates are re-programmed into
-// the fresh controller under their original cookies — the restart-time
-// switch re-sync a physical deployment would perform. After Restore the
-// caller advances the engine to the snapshot instant and replays the
-// journal tail.
+// on a freshly constructed Pythia (same fabric) before any ingest; rules held
+// by snapshotted aggregates are re-programmed into the fresh controller under
+// their original cookies — the restart-time switch re-sync a physical
+// deployment would perform. After Restore the caller advances the engine to
+// the snapshot instant and replays the journal tail.
+//
+// The snapshot's shard count need not be the collector's: each job goes to
+// its home shard here, the booked and pending gauges follow their jobs, and
+// the snapshot's per-shard counters are added into the collector's shards,
+// so every Stats() total is the snapshot's.
 func (p *Pythia) Restore(s *Snapshot) error {
-	if len(s.Shards) != len(p.shards) {
-		return fmt.Errorf("core: snapshot has %d shards, collector %d (shard count must match across restart)",
-			len(s.Shards), len(p.shards))
-	}
 	for i, sh := range p.shards {
 		if len(sh.jobs) != 0 {
 			return fmt.Errorf("core: Restore on a non-fresh collector (shard %d has state)", i)
 		}
 	}
 	if err := p.checkFabric(s); err != nil {
+		return err
+	}
+	if err := checkIDs(s); err != nil {
 		return err
 	}
 	p.nextSeq = s.NextSeq
@@ -630,46 +633,53 @@ func (p *Pythia) Restore(s *Snapshot) error {
 	p.AggregatesDegraded = s.AggregatesDegraded
 	p.Reconciliations = s.Reconciliations
 
+	job := func(id int) (*shard, *jobState) {
+		sh := p.shardOf(id)
+		return sh, sh.job(id)
+	}
 	for i, ss := range s.Shards {
-		sh := p.shards[i]
-		sh.intentsReceived = ss.IntentsReceived
-		sh.intentsDeferred = ss.IntentsDeferred
-		sh.dedupHits = ss.DedupHits
-		sh.duplicateIntents = ss.DuplicateIntents
-		sh.expiredBookings = ss.ExpiredBookings
-		sh.expiredIntents = ss.ExpiredIntents
+		sh := p.shards[i%len(p.shards)]
+		sh.intentsReceived += ss.IntentsReceived
+		sh.intentsDeferred += ss.IntentsDeferred
+		sh.dedupHits += ss.DedupHits
+		sh.duplicateIntents += ss.DuplicateIntents
+		sh.expiredBookings += ss.ExpiredBookings
+		sh.expiredIntents += ss.ExpiredIntents
 		for k, host := range ss.ReducerLoc {
-			sh.job(k[0]).reducerLoc[k[1]] = host
+			_, js := job(k[0])
+			js.reducerLoc[k[1]] = host
 		}
 		for fk, b := range ss.Booked {
-			js := sh.job(fk.Job)
+			sh, js := job(fk.Job)
 			js.row(fk.Map, fk.Reduce+1)[fk.Reduce] = booking{bits: b.Bits, src: b.Src, dst: b.Dst, at: b.At}
 			js.nBooked++
+			sh.booked++
 		}
-		sh.booked = len(ss.Booked)
 		for k, bits := range ss.RedBacklog {
-			js := sh.job(k[0])
+			_, js := job(k[0])
 			js.reach(k[1] + 1)
 			js.backlog[k[1]] = bits
 		}
 		for k := range ss.Seen {
-			sh.job(k[0]).seen[[2]int{k[1], k[2]}] = true
+			_, js := job(k[0])
+			js.seen[[2]int{k[1], k[2]}] = true
 		}
-		for job, at := range ss.JobLastSeen {
-			sh.job(job).lastSeen = at
+		for id, at := range ss.JobLastSeen {
+			_, js := job(id)
+			js.lastSeen = at
 		}
-		// Snapshot pending lists are seq-ascending across the shard, so each
-		// job's sublist comes out seq-ascending too.
+		// A snapshot shard's pending list is seq-ascending and holds all of
+		// each of its jobs, so every job's list comes out seq-ascending.
 		for _, ps := range ss.Pending {
 			pi := &pendingIntent{intent: ps.Intent, unresolved: make(map[int]float64, len(ps.Unresolved)),
 				at: ps.At, seq: ps.Seq}
 			for r, b := range ps.Unresolved {
 				pi.unresolved[r] = b
 			}
-			js := sh.job(ps.Intent.Job)
+			sh, js := job(ps.Intent.Job)
 			js.pending = append(js.pending, pi)
+			sh.pending++
 		}
-		sh.pending = len(ss.Pending)
 	}
 
 	for _, as := range s.Aggregates {
@@ -779,6 +789,51 @@ func (p *Pythia) checkFabric(s *Snapshot) error {
 				return mismatch("deferred intent source host", ps.Intent.SrcHost)
 			}
 		}
+	}
+	return nil
+}
+
+// checkIDs rejects entries no collector holds and Restore could not place: a
+// negative job ID (it has no home shard), a reducer ID outside [0, MaxInt)
+// (the job tables index by it and size a row to ID+1), a booking of zero or
+// NaN bits (zero marks an empty slot), and a deferred demand for a reducer
+// outside its intent's PredictedWireBytes. The binary decoder cannot produce
+// most of these; the legacy gob encoding can.
+func checkIDs(s *Snapshot) error {
+	ok := true
+	ids := func(job, reduce int) { ok = ok && job >= 0 && reduce >= 0 && reduce < math.MaxInt }
+	for _, ss := range s.Shards {
+		for k := range ss.ReducerLoc {
+			ids(k[0], 0)
+		}
+		for fk, b := range ss.Booked {
+			ids(fk.Job, fk.Reduce)
+			ok = ok && b.Bits != 0 && !math.IsNaN(b.Bits)
+		}
+		for k := range ss.RedBacklog {
+			ids(k[0], k[1])
+		}
+		for k := range ss.Seen {
+			ids(k[0], 0)
+		}
+		for job := range ss.JobLastSeen {
+			ids(job, 0)
+		}
+		for _, ps := range ss.Pending {
+			ids(ps.Intent.Job, 0)
+			for r := range ps.Unresolved {
+				ids(0, r)
+				ok = ok && r < len(ps.Intent.PredictedWireBytes)
+			}
+		}
+	}
+	for _, as := range s.Aggregates {
+		for k := range as.PerReducer {
+			ids(k[0], k[1])
+		}
+	}
+	if !ok {
+		return fmt.Errorf("core: snapshot holds a job or reducer ID out of range or an empty booking")
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"os"
 	"reflect"
 	"strings"
@@ -45,7 +46,7 @@ func newSnapStack(t testing.TB, shards int, ttl sim.Duration, clockHz float64) *
 func (s *snapStack) apply(ops []Op) {
 	s.virtual += float64(s.py.NovelOps(ops)) / s.clockHz
 	s.eng.RunUntil(sim.Time(s.virtual))
-	s.py.ApplyBatch(ops, 2)
+	s.py.ApplyBatch(ops, 1)
 }
 
 // gobRoundTrip pushes a snapshot through the codec the serving plane used
@@ -180,6 +181,88 @@ func testRestoreContinuesIdentically(t *testing.T, capture func(*testing.T, *Pyt
 	}
 }
 
+// TestRestoreAcrossShardCounts: a restart may change the shard count. A
+// snapshot cut at 4 shards restores at 1 and at 8 through either codec, with
+// every job on its home shard, the gauges recomputed from the jobs and the
+// counters summed, and the common tail then reaches the uninterrupted 4-shard
+// run's placement digest and Stats() totals with nothing leaked.
+func TestRestoreAcrossShardCounts(t *testing.T) {
+	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
+	ops := batchTrace(hosts, 9, 6, 4, 42)
+	const chunk, cut = 17, 5 * 17
+	const clockHz = 1.0
+
+	oracle := newSnapStack(t, 4, 40, clockHz)
+	snaps := make([]*Snapshot, len(snapshotCodecs))
+	var cutStats CollectorStats
+	var cutVirtual float64
+	var cutDig placementDigest
+	for at := 0; at < len(ops); at += chunk {
+		oracle.apply(ops[at:min(at+chunk, len(ops))])
+		if at+chunk == cut {
+			for i, codec := range snapshotCodecs {
+				snaps[i] = codec.capture(t, oracle.py)
+			}
+			cutStats, cutVirtual, cutDig = oracle.py.Stats(), oracle.virtual, *oracle.dig
+		}
+	}
+	if cutStats.OutstandingBookings == 0 || cutStats.PendingIntents == 0 || cutStats.DedupHits == 0 {
+		t.Fatalf("the cut holds too little state to fold: %+v", cutStats)
+	}
+	final := oracle.py.Stats()
+	if final.ExpiredBookings == 0 {
+		t.Fatal("trace never exercised the TTL sweep; the test is too weak")
+	}
+
+	for _, shards := range []int{1, 8} {
+		for i, codec := range snapshotCodecs {
+			name := fmt.Sprintf("shards=%d %s", shards, codec.name)
+			s := newSnapStack(t, shards, 40, clockHz)
+			if err := s.py.Restore(snaps[i]); err != nil {
+				t.Fatalf("%s: restoring a 4-shard snapshot: %v", name, err)
+			}
+			for si, sh := range s.py.shards {
+				booked, pending := 0, 0
+				for job, js := range sh.jobs {
+					if job%shards != si {
+						t.Fatalf("%s: job %d restored into shard %d", name, job, si)
+					}
+					booked += js.nBooked
+					pending += len(js.pending)
+				}
+				if sh.booked != booked || sh.pending != pending {
+					t.Fatalf("%s: shard %d gauges booked=%d pending=%d, its jobs hold %d/%d",
+						name, si, sh.booked, sh.pending, booked, pending)
+				}
+			}
+			if st := s.py.Stats(); st.Shards != shards {
+				t.Fatalf("%s: Stats().Shards = %d", name, st.Shards)
+			} else if st.Shards = cutStats.Shards; st != cutStats {
+				t.Fatalf("%s: Stats() after restore\n got %+v\nwant %+v", name, st, cutStats)
+			}
+			checkWorklist(t, s.py)
+
+			s.virtual, *s.dig = cutVirtual, cutDig
+			s.eng.RunUntil(sim.Time(cutVirtual))
+			for at := cut; at < len(ops); at += chunk {
+				s.apply(ops[at:min(at+chunk, len(ops))])
+			}
+			if s.dig.h != oracle.dig.h || s.dig.n != oracle.dig.n {
+				t.Errorf("%s: placement digest %x/%d, uninterrupted 4-shard run %x/%d",
+					name, s.dig.h, s.dig.n, oracle.dig.h, oracle.dig.n)
+			}
+			st := s.py.Stats()
+			st.Shards = final.Shards
+			if st != final {
+				t.Errorf("%s: stats\n got %+v\nwant %+v", name, st, final)
+			}
+			if n := s.py.OutstandingTotal(); n != 0 {
+				t.Errorf("%s: %d leaked bookings", name, n)
+			}
+		}
+	}
+}
+
 // TestSnapshotGobLossless proves the snapshot of a collector with live state
 // survives the gob codec structurally intact.
 func TestSnapshotGobLossless(t *testing.T) {
@@ -200,11 +283,6 @@ func TestSnapshotGobLossless(t *testing.T) {
 func TestRestoreRejectsMismatch(t *testing.T) {
 	a := newSnapStack(t, 2, 40, 4)
 	snap := a.py.Snapshot()
-
-	wrongShards := newSnapStack(t, 4, 40, 4)
-	if err := wrongShards.py.Restore(snap); err == nil {
-		t.Error("restore with mismatched shard count succeeded")
-	}
 
 	_, hosts, _ := topology.TwoRack(5, 2, topology.Gbps)
 	dirty := newSnapStack(t, 2, 40, 4)
@@ -398,21 +476,27 @@ func TestRestoreParentCommitSnapshot(t *testing.T) {
 			s.apply(ops[at:min(at+chunk, len(ops))])
 		}
 		if s.dig.h != finalDigest || s.dig.n != finalPlacements {
-			t.Errorf("placement digest %#x/%d, parent commit produced %#x/%d", s.dig.h, s.dig.n, uint64(finalDigest), finalPlacements)
+			t.Errorf("shards=%d: placement digest %#x/%d, parent commit produced %#x/%d",
+				s.py.Shards(), s.dig.h, s.dig.n, uint64(finalDigest), finalPlacements)
 		}
-		if st := s.py.Stats(); st != wantStats {
-			t.Errorf("stats diverged from the parent commit:\n got %+v\nwant %+v", st, wantStats)
+		want := wantStats
+		want.Shards = s.py.Shards()
+		if st := s.py.Stats(); st != want {
+			t.Errorf("shards=%d: stats diverged from the parent commit:\n got %+v\nwant %+v", s.py.Shards(), st, want)
 		}
 	}
 
-	restored := newSnapStack(t, 2, 40, 1)
-	if err := restored.py.Restore(snap); err != nil {
-		t.Fatalf("restoring the parent commit's snapshot: %v", err)
+	// The fixture holds two shards; a restart may fold them into any count.
+	for _, shards := range []int{2, 1, 8} {
+		restored := newSnapStack(t, shards, 40, 1)
+		if err := restored.py.Restore(snap); err != nil {
+			t.Fatalf("shards=%d: restoring the parent commit's snapshot: %v", shards, err)
+		}
+		restored.virtual = cutVirtual
+		*restored.dig = placementDigest{h: cutDigest, n: cutPlacements}
+		restored.eng.RunUntil(sim.Time(cutVirtual))
+		replay(restored, (cutChunk+1)*chunk)
 	}
-	restored.virtual = cutVirtual
-	*restored.dig = placementDigest{h: cutDigest, n: cutPlacements}
-	restored.eng.RunUntil(sim.Time(cutVirtual))
-	replay(restored, (cutChunk+1)*chunk)
 
 	replay(newSnapStack(t, 2, 40, 1), 0)
 }

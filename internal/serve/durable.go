@@ -174,12 +174,23 @@ const snapshotHeaderLen = len(snapshotMagic) + 3*8
 // a journal directory carried across the upgrade still restores.
 func decodeSnapshot(p []byte) (*walSnapshot, error) {
 	if !bytes.HasPrefix(p, snapshotMagic[:]) {
+		// encoding/gob sizes a map from its encoded count before it reads
+		// the entries. Decoding first into a type that keeps none of the
+		// collector's state makes gob skip every map entry by entry, which
+		// fails on a count the bytes behind it cannot hold.
+		var header struct{ VirtualSec float64 }
+		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&header); err != nil {
+			return nil, err
+		}
 		s := new(walSnapshot)
 		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(s); err != nil {
 			return nil, err
 		}
 		if s.Core == nil {
 			return nil, fmt.Errorf("gob snapshot carries no collector state")
+		}
+		if denseSlotsOver(s.Core, legacySlotsPerByte*len(p)) {
+			return nil, fmt.Errorf("gob snapshot of %d bytes restores into more than %d table slots", len(p), legacySlotsPerByte*len(p))
 		}
 		return s, nil
 	}
@@ -195,6 +206,53 @@ func decodeSnapshot(p []byte) (*walSnapshot, error) {
 	var err error
 	s.Core, err = core.DecodeSnapshot(p[snapshotHeaderLen:])
 	return s, err
+}
+
+// legacySlotsPerByte bounds what restoring a gob snapshot may allocate. The
+// collector's booking rows and backlog tables are dense by reducer ID, so one
+// booking at reducer r restores into a row of r+1 slots. The binary format
+// spends a byte per slot and cannot name more slots than it has bytes; gob
+// spends a few dozen bytes per live entry whatever its ID. A snapshot a
+// server wrote would need thousands of released slots per live booking to
+// reach this ratio; a corrupt one that does is refused, not restored into
+// exhausted memory.
+const legacySlotsPerByte = 64
+
+// denseSlotsOver reports whether Restore would allocate more than limit
+// slots for the snapshot's booking rows (per job and map) and backlog tables
+// (per job): each as wide as the largest reducer ID it holds, plus one.
+// Negative IDs count nothing; Restore refuses them.
+func denseSlotsOver(s *core.Snapshot, limit int) bool {
+	rows := make(map[[2]int]int) // (job, map) -> width
+	backlog := make(map[int]int) // job -> width
+	widen := func(w, r int) int {
+		if r < 0 {
+			return w
+		}
+		return max(w, min(r, limit)+1)
+	}
+	for _, ss := range s.Shards {
+		for fk := range ss.Booked {
+			row := [2]int{fk.Job, fk.Map}
+			rows[row] = widen(rows[row], fk.Reduce)
+			backlog[fk.Job] = widen(backlog[fk.Job], fk.Reduce)
+		}
+		for k := range ss.RedBacklog {
+			backlog[k[0]] = widen(backlog[k[0]], k[1])
+		}
+	}
+	n := 0
+	for _, w := range rows {
+		if n += w; n > limit {
+			return true
+		}
+	}
+	for _, w := range backlog {
+		if n += w; n > limit {
+			return true
+		}
+	}
+	return false
 }
 
 // Snapshots run as capture -> write -> adopt (DESIGN.md §13.4), so the batch
@@ -214,6 +272,16 @@ func decodeSnapshot(p []byte) (*walSnapshot, error) {
 // either the old snapshot and a longer tail or the new snapshot and an
 // uncompacted tail, and both recover to the same state.
 
+// appendSnapshotFile appends a snapshot file's payload for the current
+// serving and collector state to buf. Caller holds colMu.
+func (s *Server) appendSnapshotFile(buf []byte) []byte {
+	buf = append(buf, snapshotMagic[:]...)
+	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.virtual))
+	buf = binary.LittleEndian.AppendUint64(buf, s.digest)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.placements))
+	return s.col.AppendSnapshot(buf)
+}
+
 // snapResult is the writer goroutine's report to the batch loop.
 type snapResult struct {
 	seq     uint64
@@ -227,11 +295,7 @@ type snapResult struct {
 func (s *Server) captureSnapshot() {
 	t0 := time.Now()
 	seq := s.appliedSeq
-	buf := append(s.snapBuf[:0], snapshotMagic[:]...)
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.virtual))
-	buf = binary.LittleEndian.AppendUint64(buf, s.digest)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.placements))
-	buf = s.col.AppendSnapshot(buf)
+	buf := s.appendSnapshotFile(s.snapBuf[:0])
 	s.snapBuf = nil
 	s.snapInFlight = true
 	s.met.walSnapPause.Observe(time.Since(t0).Seconds())
@@ -377,7 +441,7 @@ func (s *Server) recover() error {
 		if t := sim.Time(b.VirtualSec); t > s.eng.Now() {
 			s.eng.RunUntil(t)
 		}
-		s.col.ApplyBatch(ops, s.cfg.Workers)
+		s.col.ApplyBatch(ops, 1)
 		s.virtual = b.VirtualSec
 		s.appliedSeq = recSeq
 		s.colMu.Unlock()

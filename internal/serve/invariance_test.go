@@ -16,7 +16,7 @@ import (
 // TestShardCountsReplayToOneDigest replays one trace sequentially over HTTP
 // at 1, 2, 4 and 8 collector shards: every layout must reach the 1-shard
 // placement digest, placement count and logical clock, and drain to zero
-// bookings. (core's TestApplyBatchShardAndWorkerInvariance proves the same
+// bookings. (core's TestApplyBatchShardInvariance proves the same
 // below the wire; this is the guarantee as a client of the service sees it.)
 func TestShardCountsReplayToOneDigest(t *testing.T) {
 	trace := stormTrace(6, 3, 2, 16)
@@ -39,13 +39,12 @@ func TestShardCountsReplayToOneDigest(t *testing.T) {
 	}
 }
 
-// TestServeFlightLogIsShardInvariant: the collector's ingest events ride
-// ApplyBatch's delta merge and every collector event carries the collector's
-// own engine time, so one request sequence on a ClockHz server records the
-// same collector-plane log, byte for byte, at 1, 2, 4 and 8 shards (default
-// workers: the shard phase runs concurrently), and each event sits inside
-// its batch's BatchIngested … BatchCommitted span at that batch's virtual
-// time.
+// TestServeFlightLogIsShardInvariant: ApplyBatch records the collector's
+// ingest events in batch order and every collector event carries the
+// collector's own engine time, so one request sequence on a ClockHz server
+// records the same collector-plane log, byte for byte, at 1, 2, 4 and 8
+// shards, and each event sits inside its batch's BatchIngested …
+// BatchCommitted span at that batch's virtual time.
 func TestServeFlightLogIsShardInvariant(t *testing.T) {
 	trace := flightTrace()
 	var want []byte

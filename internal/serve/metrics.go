@@ -28,7 +28,7 @@ var (
 	// batchEdges spans singleton batches through BatchMax-scale coalescing.
 	batchEdges = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 	// phaseEdges spans one leg of a collector commit: microseconds for a
-	// placement pass with nothing to place through a stalled shard phase.
+	// placement pass with nothing to place through a large batch's ingest.
 	phaseEdges = []float64{0.000005, 0.00001, 0.000025, 0.00005, 0.0001, 0.00025,
 		0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.1}
 	// fsyncEdges spans page-cache syncs through slow-disk stalls.
@@ -67,8 +67,8 @@ type serveMetrics struct {
 	opsTotal       *flight.Counter
 	// The collector's share of commitSeconds, leg by leg, and what the
 	// placement pass left without a path (core.CommitStats).
-	phaseShard, phaseMerge, phasePlace *flight.Histogram
-	unplaced                           *flight.Gauge
+	phaseIngest, phasePlace *flight.Histogram
+	unplaced                *flight.Gauge
 
 	walAppends     *flight.Counter
 	walAppendBytes *flight.Counter
@@ -143,9 +143,9 @@ func newServeMetrics() *serveMetrics {
 	m.queueFull = m.reject(rejectQueueFull)
 	phase := func(name string) *flight.Histogram {
 		return reg.Histogram(flight.SeriesName("pythia_collector_commit_phase_seconds", "phase", name),
-			"Wall seconds per collector batch, by commit leg: shard-local ingest, delta merge into the pair aggregates, placement pass.", phaseEdges)
+			"Wall seconds per collector batch, by commit leg: ingest of every operation into job state and the pair aggregates, placement pass.", phaseEdges)
 	}
-	m.phaseShard, m.phaseMerge, m.phasePlace = phase("shard"), phase("merge"), phase("place")
+	m.phaseIngest, m.phasePlace = phase("ingest"), phase("place")
 	return m
 }
 
@@ -188,14 +188,13 @@ func (m *serveMetrics) reject(reason string) *flight.Counter {
 }
 
 // batch records one committed batch: size, commit wall time, op throughput,
-// and the collector's account of its own three legs.
+// and the collector's account of its own two legs.
 func (m *serveMetrics) batch(ops int, commitSeconds float64, cs core.CommitStats) {
 	m.batchesTotal.Inc()
 	m.opsTotal.Add(float64(ops))
 	m.batchOps.Observe(float64(ops))
 	m.commitSeconds.Observe(commitSeconds)
-	m.phaseShard.Observe(cs.Shard.Seconds())
-	m.phaseMerge.Observe(cs.Merge.Seconds())
+	m.phaseIngest.Observe(cs.Ingest.Seconds())
 	m.phasePlace.Observe(cs.Place.Seconds())
 	m.unplaced.Set(float64(cs.Unplaced))
 }

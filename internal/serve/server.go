@@ -24,8 +24,10 @@ import (
 
 // Config tunes the serving surface and the collector behind it.
 type Config struct {
-	// Shards is the collector shard count (core.Config.Shards); Workers
-	// bounds ApplyBatch's concurrent shard phase.
+	// Shards is the collector shard count (core.Config.Shards): it
+	// partitions job state and changes no result, and a restart may change
+	// it. Workers is ignored — ApplyBatch runs serially — and stays only
+	// until the benchmark stops setting it (ROADMAP item 12).
 	Shards  int
 	Workers int
 
@@ -104,15 +106,12 @@ type Config struct {
 	FlightEvents int
 }
 
-// Defaults fills unset fields: 4 shards, 4 workers, 256-request queue,
+// Defaults fills unset fields: 4 shards, 256-request queue,
 // 512-op batches, 4096-op requests, 30 s booking TTL, and a k=4 fat-tree
 // (16 hosts).
 func (c Config) Defaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 4
-	}
-	if c.Workers <= 0 {
-		c.Workers = c.Shards
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 256
@@ -620,7 +619,7 @@ func (s *Server) runBatch(batch []*ingestJob) bool {
 	if deadline := sim.Time(target); deadline > s.eng.Now() {
 		s.eng.RunUntil(deadline)
 	}
-	results := s.col.ApplyBatch(ops, s.cfg.Workers)
+	results := s.col.ApplyBatch(ops, 1)
 	commitSec := time.Since(commitT0).Seconds()
 	s.met.batch(nops, commitSec, s.col.LastCommit())
 	if s.fr != nil {
@@ -783,8 +782,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LatencyP50Micros: s.met.enqueueCommit.Quantile(0.50) * 1e6,
 		LatencyP99Micros: s.met.enqueueCommit.Quantile(0.99) * 1e6,
 
-		CommitShardSec:     s.met.phaseShard.Sum(),
-		CommitMergeSec:     s.met.phaseMerge.Sum(),
+		CommitIngestSec:    s.met.phaseIngest.Sum(),
 		CommitPlaceSec:     s.met.phasePlace.Sum(),
 		UnplacedAggregates: int(s.met.unplaced.Value()),
 

@@ -88,12 +88,11 @@ type StatsResponse struct {
 	LatencyP50Micros float64 `json:"latency_p50_micros"`
 	LatencyP99Micros float64 `json:"latency_p99_micros"`
 
-	// The collector's own account of its commits: total wall seconds in the
-	// shard phase, the delta merge and the placement pass, and how many pair
+	// The collector's own account of its commits: total wall seconds
+	// ingesting operations and in the placement pass, and how many pair
 	// aggregates the latest pass left without a path (degraded or
 	// unroutable).
-	CommitShardSec     float64 `json:"commit_shard_sec"`
-	CommitMergeSec     float64 `json:"commit_merge_sec"`
+	CommitIngestSec    float64 `json:"commit_ingest_sec"`
 	CommitPlaceSec     float64 `json:"commit_place_sec"`
 	UnplacedAggregates int     `json:"unplaced_aggregates"`
 

@@ -2,12 +2,12 @@ package pythia
 
 import "pythia/internal/serve"
 
-// Online serving facade: the sharded collector behind an HTTP/JSON service
+// Online serving facade: the collector behind an HTTP/JSON service
 // instead of an in-process Cluster. See internal/serve for the wire
 // protocol and cmd/pythia-serve for the ready-made binary.
 
-// ServeConfig shapes the online serving stack: collector shard and worker
-// counts, queue/batch bounds, booking TTL, the simulated fabric standing in
+// ServeConfig shapes the online serving stack: the collector's shard count,
+// queue/batch bounds, booking TTL, the simulated fabric standing in
 // for the datacenter, and the operations plane (Metrics for GET /metrics,
 // Pprof, Logger for structured request logs, FlightEvents for the live
 // flight recorder). The zero value is usable; unset fields take the same
