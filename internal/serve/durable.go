@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -399,6 +400,12 @@ func (s *Server) seal() error {
 // readiness gate, concurrent with stats and metrics scrapes, so it holds
 // colMu around the restore and around each replayed record — a scrape
 // interleaving mid-replay sees a consistent prefix of the recovered state.
+//
+// Replay is two stages on two goroutines (DESIGN.md §13.4): readJournal
+// reads and decodes the tail, starting as soon as the snapshot's sequence
+// is known, while this goroutine restores the snapshot and then applies
+// the records in the order they arrive. recover returns only after the
+// reader has exited, whatever the outcome.
 func (s *Server) recover() error {
 	t0 := time.Now()
 	seq, payload, ok, err := s.wal.LatestSnapshot()
@@ -406,6 +413,17 @@ func (s *Server) recover() error {
 		return fmt.Errorf("serve: reading snapshot: %w", err)
 	}
 	from := uint64(1)
+	if ok {
+		from = seq + 1
+	}
+	records := make(chan replayRecord, replayDepth)
+	quit := make(chan struct{})
+	go s.readJournal(from, records, quit)
+	defer func() {
+		close(quit)
+		for range records { // join: the reader closes records as it exits
+		}
+	}()
 	if ok {
 		snap, err := decodeSnapshot(payload)
 		if err != nil {
@@ -421,35 +439,35 @@ func (s *Server) recover() error {
 		s.placements = snap.Placements
 		s.appliedSeq = seq
 		s.snapSeq = seq
-		from = seq + 1
 		if t := sim.Time(s.virtual); t > s.eng.Now() {
 			s.eng.RunUntil(t)
 		}
 		s.colMu.Unlock()
 	}
 	n := 0
-	err = s.wal.Replay(from, func(recSeq uint64, p []byte) error {
-		b, err := decodeBatch(p)
-		if err != nil {
-			return fmt.Errorf("serve: journal record %d: %w", recSeq, err)
-		}
-		ops, err := b.ToOps(s.hosts)
-		if err != nil {
-			return fmt.Errorf("serve: journal record %d: %w", recSeq, err)
+	for r := range records {
+		if r.err != nil {
+			return r.err
 		}
 		s.colMu.Lock()
-		if t := sim.Time(b.VirtualSec); t > s.eng.Now() {
+		// A server commits every record at or after the instant of the one
+		// before it (and of the snapshot). A record behind that would
+		// rewind s.virtual while the engine stays ahead, so the next
+		// snapshot header and the wall-clock re-anchor would record the
+		// wrong instant.
+		if r.virtualSec < 0 || r.virtualSec < s.virtual {
+			v := s.virtual
+			s.colMu.Unlock()
+			return fmt.Errorf("serve: journal record %d: virtual_sec %v is negative or behind the clock %v already reached", r.seq, r.virtualSec, v)
+		}
+		if t := sim.Time(r.virtualSec); t > s.eng.Now() {
 			s.eng.RunUntil(t)
 		}
-		s.col.ApplyBatch(ops, 1)
-		s.virtual = b.VirtualSec
-		s.appliedSeq = recSeq
+		s.col.ApplyBatch(r.ops, 1)
+		s.virtual = r.virtualSec
+		s.appliedSeq = r.seq
 		s.colMu.Unlock()
 		n++
-		return nil
-	})
-	if err != nil {
-		return err
 	}
 	sec := time.Since(t0).Seconds()
 	s.colMu.Lock()
@@ -470,4 +488,66 @@ func (s *Server) recover() error {
 			"replayed_records", n, "virtual_sec", virtual, "wall_sec", sec)
 	}
 	return nil
+}
+
+// replayDepth is how many decoded records the journal reader may run ahead
+// of the applier. Decoding and applying a record take about the same time,
+// so on a uniform journal any depth does as well as one (recover_tail reads
+// the same at 1, 8 and 32); the slack lets a record that is slow on one side
+// — a TTL sweep inside RunUntil, a garbage-collection pause — not stall the
+// other. Eight 64-op records in flight are about a hundred kilobytes.
+const replayDepth = 8
+
+// replayRecord is one journal record on its way from the reader to the
+// applier: decoded and lowered, or the error that stopped the reader there.
+// Nothing in it aliases wal.Replay's reused payload buffer or the next
+// record's decode: the decoder copies every value out of its input and its
+// pooled scratch.
+type replayRecord struct {
+	seq        uint64
+	virtualSec float64
+	ops        []core.Op
+	err        error
+}
+
+// errReplayQuit ends a replay the applier abandoned.
+var errReplayQuit = errors.New("serve: replay abandoned")
+
+// readJournal is recovery's reader stage: it replays the journal from seq
+// from, decodes and lowers each record, and sends the records down out in
+// journal order. A read, decode or validation error is sent last, after
+// every record before it, so the applier meets it in order. It stops early
+// when quit closes, and closes out as it exits.
+func (s *Server) readJournal(from uint64, out chan<- replayRecord, quit <-chan struct{}) {
+	defer close(out)
+	send := func(r replayRecord) bool {
+		select {
+		case out <- r:
+			return true
+		case <-quit:
+			return false
+		}
+	}
+	err := s.wal.Replay(from, func(seq uint64, p []byte) error {
+		select {
+		case <-quit: // while the applier drains, decode nothing more
+			return errReplayQuit
+		default:
+		}
+		b, err := decodeBatch(p)
+		if err != nil {
+			return fmt.Errorf("serve: journal record %d: %w", seq, err)
+		}
+		ops, err := b.ToOps(s.hosts)
+		if err != nil {
+			return fmt.Errorf("serve: journal record %d: %w", seq, err)
+		}
+		if !send(replayRecord{seq: seq, virtualSec: b.VirtualSec, ops: ops}) {
+			return errReplayQuit
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errReplayQuit) {
+		send(replayRecord{err: err})
+	}
 }

@@ -305,6 +305,21 @@ func TestRecoverFromGobSnapshot(t *testing.T) {
 	}
 }
 
+// settledGoroutines reports the goroutine count once exiting goroutines
+// have gone.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		time.Sleep(2 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			break
+		} else {
+			n = m
+		}
+	}
+	return n
+}
+
 // TestSnapshotLifecycle is ROADMAP item 6e's slice for the snapshot writer:
 // twenty New -> Start -> ingest past two snapshot triggers -> Shutdown cycles
 // over one journal directory. Every restart restores from the previous
@@ -315,18 +330,6 @@ func TestRecoverFromGobSnapshot(t *testing.T) {
 func TestSnapshotLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	cfg := Config{Shards: 2, ClockHz: 50, WALDir: dir, SnapshotEvery: 2, Recover: true}
-	settle := func() int { // goroutine count once exiting goroutines have gone
-		n := runtime.NumGoroutine()
-		for i := 0; i < 50; i++ {
-			time.Sleep(2 * time.Millisecond)
-			if m := runtime.NumGoroutine(); m == n {
-				break
-			} else {
-				n = m
-			}
-		}
-		return n
-	}
 	var before int
 	var digest string
 	for cycle := 0; cycle < 20; cycle++ {
@@ -376,10 +379,10 @@ func TestSnapshotLifecycle(t *testing.T) {
 		ts.Close()
 		client.CloseIdleConnections()
 		if cycle == 0 {
-			before = settle() // after one full cycle: lazily started runtime goroutines are in
+			before = settledGoroutines() // after one full cycle: lazily started runtime goroutines are in
 		}
 	}
-	if after := settle(); after > before {
+	if after := settledGoroutines(); after > before {
 		t.Errorf("goroutines: %d after the first cycle, %d after twenty", before, after)
 	}
 	if tmps := dirNames(t, dir, ".tmp"); len(tmps) != 0 {
