@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,11 +27,17 @@ import (
 //
 // Keys match a field name exactly or, after unescaping, under Unicode
 // case folding (bytes.EqualFold), as in encoding/json. A null field value
-// means the field is absent. Numbers
-// are validated against the JSON grammar; integer fields reject fractions,
-// exponents and values outside int, and float fields take
-// strconv.ParseFloat of the literal. The differential fuzz targets in
-// decode_test.go hold the decoder to encoding/json.
+// means the field is absent. The scan that checks a number against the
+// JSON grammar also folds its digits into a significand w (up to 19
+// significant digits) and a decimal exponent q. Integer fields read w and
+// reject fractions, exponents and values outside int. Float fields take
+// the float64 nearest the literal, ties to even, which is
+// strconv.ParseFloat's value bit for bit: exactFloat converts w×10^q
+// itself when the literal has at most 19 significant digits and |q| ≤ 19,
+// and any other literal goes to strconv.ParseFloat.
+// The differential fuzz targets in decode_test.go hold the decoder to
+// encoding/json, and TestNumberConversionMatchesStrconv the converter to
+// strconv.
 
 // Field names per object, in struct order; decode_test.go checks them
 // against the json tags.
@@ -383,99 +391,200 @@ func (d *decoder) hex4() rune {
 	return r
 }
 
-// number consumes a JSON number and returns its literal, reporting whether
-// it has neither fraction nor exponent.
-func (d *decoder) number() (lit []byte, integer bool) {
+// num is a scanned JSON number: ±w×10^q when nd ≤ 19. A longer literal
+// keeps only its first 19 significant digits in w.
+type num struct {
+	lit     []byte
+	w       uint64
+	nd      int // significant digits, leading zeros not counted
+	q       int // 1e4 for an exponent of 1e4 or more, whatever the fraction
+	neg     bool
+	integer bool // neither fraction nor exponent
+}
+
+// fold folds up to limit digits of b from i into w, returning the index
+// of the first byte it did not fold and the new w.
+func fold(b []byte, i int, w uint64, limit int) (int, uint64) {
+	for end := min(len(b), i+limit); i < end && b[i]-'0' <= 9; i++ {
+		w = w*10 + uint64(b[i]-'0')
+	}
+	return i, w
+}
+
+// skipDigits returns the index of the first non-digit of b from i.
+func skipDigits(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// number consumes a JSON number into *n, which is zero, folding its
+// digits as it validates them.
+func (d *decoder) number(n *num) {
 	if d.err != nil {
-		return nil, false
+		return
 	}
 	d.ws()
 	b, start, i := d.buf, d.pos, d.pos
 	if i < len(b) && b[i] == '-' {
+		n.neg = true
 		i++
 	}
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		for i++; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		}
+		j, w := fold(b, i, 0, 19)
+		end := skipDigits(b, j)
+		n.w, n.nd, i = w, end-i, end
 	default:
 		d.fail("expected number")
-		return nil, false
+		return
 	}
-	integer = true
+	n.integer = true
 	if i < len(b) && b[i] == '.' {
-		integer = false
+		n.integer = false
 		i++
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
+		sig := i
+		if n.w == 0 {
+			for sig < len(b) && b[sig] == '0' {
+				sig++
+			}
+		}
+		j, w := fold(b, sig, n.w, 19-n.nd)
+		end := skipDigits(b, j)
+		if end == i {
 			d.pos = i
 			d.fail("invalid number")
-			return nil, false
+			return
 		}
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
-		}
+		n.w, n.nd, n.q, i = w, n.nd+end-sig, i-end, end
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		integer = false
+		n.integer = false
 		i++
+		neg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			neg = b[i] == '-'
 			i++
 		}
-		if i >= len(b) || b[i] < '0' || b[i] > '9' {
+		e, j := 0, i
+		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+			if e < 1e4 {
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == j {
 			d.pos = i
 			d.fail("invalid number")
-			return nil, false
+			return
 		}
-		for ; i < len(b) && '0' <= b[i] && b[i] <= '9'; i++ {
+		switch {
+		case e >= 1e4:
+			// strconv stops reading exponent digits here, so such a
+			// literal must reach it: any q past ±19 sends it there.
+			n.q = 1e4
+		case neg:
+			n.q -= e
+		default:
+			n.q += e
 		}
 	}
 	d.pos = i
-	return b[start:i], integer
+	n.lit = b[start:i]
 }
 
 // int consumes an integer that fits int.
 func (d *decoder) int() int {
-	lit, integer := d.number()
-	if d.err != nil {
+	var n num
+	d.number(&n)
+	switch {
+	case d.err != nil:
 		return 0
-	}
-	if !integer {
-		d.fail("number %s is not an integer", lit)
+	case !n.integer:
+		d.fail("number %s is not an integer", n.lit)
 		return 0
+	case n.nd > 19 || n.w > math.MaxInt && !(n.neg && n.w == math.MaxInt+1):
+		d.fail("number %s overflows int", n.lit)
+		return 0
+	case n.neg:
+		return -int(n.w) // w = MaxInt+1 wraps to math.MinInt
 	}
-	digits := lit
-	if digits[0] == '-' {
-		digits = digits[1:]
-	}
-	if len(digits) <= 18 && strconv.IntSize == 64 {
-		v := 0
-		for _, c := range digits {
-			v = v*10 + int(c-'0')
-		}
-		if lit[0] == '-' {
-			v = -v
-		}
-		return v
-	}
-	v, err := strconv.ParseInt(string(lit), 10, strconv.IntSize)
-	if err != nil {
-		d.fail("number %s overflows int", lit)
-	}
-	return int(v)
+	return int(n.w)
 }
 
-// float consumes a number as a float64.
+// float consumes a number as a float64: the value nearest the literal,
+// ties to even, as strconv.ParseFloat rounds it.
 func (d *decoder) float() float64 {
-	lit, _ := d.number()
+	var n num
+	d.number(&n)
 	if d.err != nil {
 		return 0
 	}
-	v, err := strconv.ParseFloat(string(lit), 64)
-	if err != nil {
-		d.fail("number %s out of float64 range", lit)
+	var v float64
+	switch {
+	case n.w == 0: // ±0, whatever the exponent
+	case n.nd <= 19 && -19 <= n.q && n.q <= 19:
+		v = exactFloat(n.w, n.q)
+	default:
+		f, err := strconv.ParseFloat(string(n.lit), 64)
+		if err != nil {
+			d.fail("number %s out of float64 range", n.lit)
+		}
+		return f
+	}
+	if n.neg {
+		v = -v
 	}
 	return v
+}
+
+// pow10 holds every power of ten a uint64 holds.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// exactFloat returns the float64 nearest w×10^q, ties to even, for w > 0
+// and |q| ≤ 19. It takes the top 64 bits m of the exact value and a sticky
+// bit for any below them — from the 128-bit product w×10^q, or from the
+// quotient and remainder of w over 10^-q with both normalised — and rounds
+// m to 53 bits. Every such value lies in [1e-19, 1e38], so the result is a
+// normal float64.
+func exactFloat(w uint64, q int) float64 {
+	var m uint64 // the value is (m + a fraction) × 2^e, m's top bit set
+	var e int
+	var sticky bool // the fraction is not zero
+	if q >= 0 {
+		hi, lo := bits.Mul64(w, pow10[q])
+		if hi == 0 {
+			s := bits.LeadingZeros64(lo)
+			m, e = lo<<s, -s
+		} else {
+			s := bits.LeadingZeros64(hi)
+			m, e = hi<<s|lo>>(64-s), 64-s
+			sticky = lo<<s != 0
+		}
+	} else {
+		ds := bits.LeadingZeros64(pow10[-q])
+		ws := bits.LeadingZeros64(w)
+		div, n := pow10[-q]<<ds, w<<ws
+		// Divide n×2^64 (n×2^63 if n ≥ div): Div64 needs hi < div, and the
+		// quotient then lands in [2^63, 2^64).
+		hi, lo, s := n, uint64(0), 64
+		if n >= div {
+			hi, lo, s = n>>1, n<<63, 63
+		}
+		quo, rem := bits.Div64(hi, lo, div)
+		m, e, sticky = quo, ds-ws-s, rem != 0
+	}
+	mant, rest := m>>11, m&(1<<11-1)
+	if rest > 1<<10 || rest == 1<<10 && (sticky || mant&1 != 0) {
+		mant++
+	}
+	// The value is mant × 2^(e+11) with mant in [2^52, 2^53], so its biased
+	// exponent is e+11+52+1023. Adding mant whole puts its top bit into the
+	// exponent field as one, and a carry to 2^53 as two.
+	return math.Float64frombits(uint64(e+1085)<<52 + mant)
 }
 
 // floatList consumes an array of numbers (or null) into an exact-length

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand/v2"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -319,8 +323,9 @@ func TestDecodedValuesShareNoBacking(t *testing.T) {
 }
 
 // ingestSeeds are the golden vector, TestWireRejections' bodies, the
-// tightenings and escaped or case-folded keys.
-var ingestSeeds = []string{
+// tightenings, escaped or case-folded keys, and the number converter's
+// edges.
+var ingestSeeds = append([]string{
 	goldenIngest,
 	`{"intents": [`,
 	`{"done_jobs":[1]} {"done_jobs":[2]}`,
@@ -344,7 +349,7 @@ var ingestSeeds = []string{
 	`{"reducers":[{"job":1.0,"reduce":0,"host":1}]}`,
 	`null`,
 	"\t{\"done_jobs\" : [ 1 , 2 ] }\r\n",
-}
+}, numberSeeds(false)...)
 
 func FuzzDecodeIngest(f *testing.F) {
 	for _, s := range ingestSeeds {
@@ -409,7 +414,7 @@ func FuzzDecodeBatch(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
-	for _, s := range ingestSeeds {
+	for _, s := range slices.Concat(ingestSeeds, numberSeeds(true)) {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -449,6 +454,214 @@ func BenchmarkDecodeBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := decodeBatch(record); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// exactEdges are literals at the edges of the exact converter's domain
+// that it converts itself: ties to even, carries into the next binade, 19
+// significant digits and decimal exponents of ±19.
+var exactEdges = []string{
+	// 2^53 ± 1 and its halfway neighbours, also as quotients.
+	"9007199254740991", "9007199254740992", "9007199254740993", "9007199254740994", "9007199254740995",
+	"-9007199254740993", "9007199254740993e0", "900719925474099.3e1", "90071992547409930e-1",
+	"9007199254740993000e-3", "9007199254740995000e-3", "9007199254740993001e-3",
+	// …5 tails: exact ties below 2^53, and a hair either side.
+	"4503599627370496.5", "4503599627370497.5", "4503599627370496.51", "4503599627370496.49",
+	"0.5", "2.5", "1.5e-1", "-2251799813685248.25", "2251799813685248.75",
+	// Ties that carry into the next binade: 2^63 − 512 and 2^53 − 0.5.
+	"9223372036854775296", "9223372036854775295", "9223372036854775297", "9223372036854775807",
+	"9007199254740991.5", "-9007199254740991.5", "9007199254740991.49",
+	// 19 significant digits, leading zeros not counted.
+	"9999999999999999999", "1234567890123456789", "0.1234567890123456789", "0.0000001234567890123456789e7",
+	"1.000000000000000000", "0.5e0", "0.00000000000000000001e1",
+	// Decimal exponents at ±19.
+	"1e19", "1e-19", "-1E+19", "9999999999999999999e19", "9999999999999999999e-19", "1.5e-18", "15e-19",
+	"0.0000000000000000001", "1000000000000000000e-1", "3.0e-18", "123456789e11", "1e0000000000000000000000000001",
+	// Zero, signed, with any exponent.
+	"0", "-0", "0e5", "-0.0", "0e-999", "0E+99999", "-0.000000000000000000000000e-1",
+	// Shortest forms of common values.
+	"0.1", "0.2", "0.3", "1e-7", "11043103.731461802", "1234.5678901234567", "2.5e6",
+}
+
+// fallbackEdges are literals the converter leaves to strconv.ParseFloat
+// (more than 19 significant digits, a decimal exponent past ±19, an
+// exponent strconv stops reading, an overflow), and strings that are not
+// JSON numbers.
+var fallbackEdges = []string{
+	"12345678901234567890", "18446744073709551615", "18446744073709551616", "10000000000000000000",
+	"1.0000000000000000000", "0.12345678901234567891", "9007199254740993.0000",
+	"1e20", "1e-20", "-1E+20", "99999999999999999999e-20", "0.000000000000000000123", "123456789e20",
+	"15e-20", "3.0e-19", "10000000000000000000e-1", "4503599627370496.4999999",
+	"1844674407370955161.5e1", "18446744073709550.592e3",
+	"0.0000000000000000000000000001", "100000000000000000000000000000", "1000000000000000000.0000000000",
+	"4.9406564584124654e-324", "5e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+	"2.2250738585072011e-308", "2.2250738585072012e-308", "1e-320",
+	"1.7976931348623157e308", "1.7976931348623159e308", "1e999", "-1e999", "1e-999", "1e10000", "1e-10000",
+	"0." + strings.Repeat("0", 20000) + "1e20005",
+	"01", "-01", "1.", ".5", "+1", "1e", "1e+", "-", "", "0x10", "Inf", "NaN", "1_000", "--1", "1.e5", "1e5.0",
+}
+
+// intEdges are integer-field literals around int's range and the 19 digits
+// the scan folds, and numbers an integer field refuses.
+var intEdges = []string{
+	"0", "-0", "7", "-7", "999999999999999999", "1000000000000000000", "-1000000000000000000",
+	"9223372036854775807", "9223372036854775808", "-9223372036854775808", "-9223372036854775809",
+	"9999999999999999999", "10000000000000000000", "18446744073709551615", "18446744073709551616",
+	"99999999999999999999", "-99999999999999999999", "123456789012345678901234567890",
+	"1.0", "1e3", "-0.0", "01", "1.", "",
+}
+
+// numberSeeds are fuzz seeds carrying the edge literals: ingest bodies
+// with them as byte predictions and integer fields, or journal records
+// with them as the clock target too.
+func numberSeeds(record bool) []string {
+	var out []string
+	for _, lit := range slices.Concat(exactEdges, fallbackEdges) {
+		if record {
+			out = append(out, `{"virtual_sec":`+lit+`,"ops":[{"kind":"intent","intent":{"job":0,"map":0,"src_host":0,"predicted_wire_bytes":[1,`+lit+`]}}]}`)
+		} else {
+			out = append(out, `{"intents":[{"job":0,"map":0,"src_host":0,"predicted_wire_bytes":[`+lit+`,1]}]}`)
+		}
+	}
+	for _, lit := range intEdges {
+		if record {
+			out = append(out, `{"virtual_sec":1,"ops":[{"kind":"job_done","job":`+lit+`},{"kind":"reducer_up","reducer":{"job":`+lit+`,"reduce":0,"host":1}}]}`)
+		} else {
+			out = append(out, `{"reducers":[{"job":`+lit+`,"reduce":0,"host":1}],"done_jobs":[`+lit+`]}`)
+		}
+	}
+	return out
+}
+
+// convertFloat runs one literal through the decoder's float field path.
+func convertFloat(lit []byte) (float64, error) {
+	d := decoder{buf: lit}
+	v := d.float()
+	d.end()
+	return v, d.err
+}
+
+// exactDomain reports whether the decoder converts lit itself rather than
+// through strconv.
+func exactDomain(lit []byte) bool {
+	d := decoder{buf: lit}
+	var n num
+	d.number(&n)
+	d.end()
+	return d.err == nil && (n.w == 0 || n.nd <= 19 && -19 <= n.q && n.q <= 19)
+}
+
+// checkFloat compares the decoder's value for lit with strconv.ParseFloat
+// bit for bit, and its accept/reject with strconv's when lit is valid
+// JSON.
+func checkFloat(t *testing.T, lit []byte, valid bool) {
+	got, err := convertFloat(lit)
+	want, werr := strconv.ParseFloat(string(lit), 64)
+	switch {
+	case (werr == nil && valid) != (err == nil):
+		t.Errorf("%.60q: decoder error %v, strconv error %v, valid JSON %v", lit, err, werr, valid)
+	case err == nil && math.Float64bits(got) != math.Float64bits(want):
+		t.Errorf("%.60q: decoder %v (%#x), strconv %v (%#x)", lit, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestNumberConversionMatchesStrconv holds the exact converter behind
+// float fields to strconv.ParseFloat bit for bit: the edges of its domain,
+// then a seeded sweep of a million literals; and integer fields to
+// strconv.ParseInt, overflow included.
+func TestNumberConversionMatchesStrconv(t *testing.T) {
+	for _, lit := range exactEdges {
+		if !exactDomain([]byte(lit)) {
+			t.Errorf("%.60q: left to strconv, want the exact converter", lit)
+		}
+		checkFloat(t, []byte(lit), json.Valid([]byte(lit)))
+		var v float64
+		if err := json.Unmarshal([]byte(lit), &v); err != nil {
+			t.Errorf("%q: encoding/json: %v", lit, err)
+		} else if got, _ := convertFloat([]byte(lit)); math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("%q: decoder %v, encoding/json %v", lit, got, v)
+		}
+	}
+	for _, lit := range fallbackEdges {
+		if exactDomain([]byte(lit)) {
+			t.Errorf("%.60q: taken by the exact converter, want strconv", lit)
+		}
+		checkFloat(t, []byte(lit), json.Valid([]byte(lit)))
+	}
+
+	// The sweep: shortest forms (of any float64 too), 21 and 26+
+	// significant digits, and random 1–20 digit decimals with a point and
+	// an exponent, both signs.
+	rng := rand.New(rand.NewPCG(1, 41))
+	const n = 1_000_000
+	var lit []byte
+	exact := 0
+	for i := 0; i < n; i++ {
+		x := rng.Float64() * math.Pow10(rng.IntN(45)-22)
+		if rng.IntN(2) == 0 {
+			x = float64(rng.Uint64() >> rng.IntN(64))
+		}
+		lit = lit[:0]
+		if rng.IntN(2) == 0 {
+			lit = append(lit, '-')
+		}
+		switch i % 5 {
+		case 0:
+			lit = strconv.AppendFloat(lit, x, 'g', -1, 64)
+		case 1:
+			x = math.Float64frombits(rng.Uint64() &^ (1 << 63))
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				x = math.MaxFloat64
+			}
+			lit = strconv.AppendFloat(lit, x, 'g', -1, 64)
+		case 2:
+			lit = strconv.AppendFloat(lit, x, 'e', 20, 64)
+		case 3:
+			lit = strconv.AppendFloat(lit, x, 'f', 25, 64)
+		default:
+			digits := strconv.FormatUint(rng.Uint64()>>rng.IntN(64), 10)
+			if p := rng.IntN(len(digits) + 1); p < len(digits) {
+				digits = digits[:p] + "." + digits[p:]
+				if p == 0 {
+					digits = "0" + digits
+				}
+			}
+			lit = append(lit, digits...)
+			lit = append(lit, 'e')
+			lit = strconv.AppendInt(lit, int64(rng.IntN(47)-23), 10)
+		}
+		if exactDomain(lit) {
+			exact++
+		}
+		checkFloat(t, lit, true) // every form above is a JSON number
+		if t.Failed() {
+			return
+		}
+	}
+	if exact < n/4 {
+		t.Errorf("the exact converter took %d of %d sweep literals, want at least a quarter", exact, n)
+	}
+
+	for _, lit := range intEdges {
+		d := decoder{buf: []byte(lit)}
+		got := d.int()
+		d.end()
+		want, werr := strconv.ParseInt(lit, 10, strconv.IntSize)
+		var wantErr string
+		switch {
+		case !json.Valid([]byte(lit)):
+			wantErr = "at offset"
+		case strings.ContainsAny(lit, ".eE"):
+			wantErr = "is not an integer"
+		case werr != nil:
+			wantErr = "overflows int"
+		}
+		switch {
+		case wantErr == "" && (d.err != nil || got != int(want)):
+			t.Errorf("int %q: %d, %v; strconv %d", lit, got, d.err, want)
+		case wantErr != "" && (d.err == nil || !strings.Contains(d.err.Error(), wantErr)):
+			t.Errorf("int %q: error %v, want one mentioning %q", lit, d.err, wantErr)
 		}
 	}
 }
