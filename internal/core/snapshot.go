@@ -78,9 +78,10 @@ type AggSnap struct {
 }
 
 // Snapshot is a complete, self-contained capture of collector state. It is
-// plain exported data (gob- and JSON-encodable); the float64 fields carry
-// exact bit patterns, which Restore preserves — reconstructing demand sums
-// from bookings instead would re-associate float additions and perturb
+// plain exported data, written and read as the binary snapshot format
+// (AppendSnapshot, DecodeSnapshot); the float64 fields carry exact bit
+// patterns, which Restore preserves — reconstructing demand sums from
+// bookings instead would re-associate float additions and perturb
 // placement scores.
 type Snapshot struct {
 	Shards     []ShardSnap
@@ -201,7 +202,7 @@ func (p *Pythia) snapShard(sh *shard) ShardSnap {
 
 // snapshotVersion is the first byte of the binary snapshot encoding. Version
 // 1 was the gob encoding of Snapshot, which carried no version byte of its
-// own (the serving plane tells the two apart by its magic prefix).
+// own and which the serving plane no longer reads.
 const snapshotVersion = 2
 
 // Binary snapshot format (DESIGN.md §13.3). Integers that can be negative in
@@ -798,7 +799,7 @@ func (p *Pythia) checkFabric(s *Snapshot) error {
 // (the job tables index by it and size a row to ID+1), a booking of zero or
 // NaN bits (zero marks an empty slot), and a deferred demand for a reducer
 // outside its intent's PredictedWireBytes. The binary decoder cannot produce
-// most of these; the legacy gob encoding can.
+// most of these; a Snapshot built or decoded by a caller can.
 func checkIDs(s *Snapshot) error {
 	ok := true
 	ids := func(job, reduce int) { ok = ok && job >= 0 && reduce >= 0 && reduce < math.MaxInt }

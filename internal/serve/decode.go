@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -22,8 +23,10 @@ import (
 //   - bytes after the top-level value other than whitespace (the ingest
 //     decoder's Decoder.More check let a trailing ']' or '}' through),
 //   - a key that repeats within one object (keys that fold to the same field
-//     are the same key; encoding/json merged them), and
-//   - a null array element (encoding/json stored a zero value).
+//     are the same key; encoding/json merged them),
+//   - a null array element (encoding/json stored a zero value), and
+//   - a journal record whose "ops" is present and not null: the retired
+//     ops form, refused whole with errOpsForm rather than decoded.
 //
 // Keys match a field name exactly or, after unescaping, under Unicode
 // case folding (bytes.EqualFold), as in encoding/json. A null field value
@@ -46,7 +49,6 @@ var (
 	intentFields  = []string{"job", "map", "attempt", "src_host", "predicted_wire_bytes"}
 	reducerFields = []string{"job", "reduce", "host"}
 	batchFields   = []string{"virtual_sec", "ops", "requests"}
-	opFields      = []string{"kind", "intent", "reducer", "job"}
 )
 
 // decoder is one decode call's state. Lists are parsed into the scratch
@@ -63,16 +65,7 @@ type decoder struct {
 	ints    []int
 	ups     []WireReducerUp
 	intents []WireIntent
-	ops     []scanOp
 	reqs    []IngestRequest
-}
-
-// scanOp is a journaled op before its payloads have a final home: intent
-// and reducer index the decoder's scratch lists (-1 when absent).
-type scanOp struct {
-	kind            string
-	intent, reducer int
-	job             int
 }
 
 // maxPooledInput keeps the buffers a rare huge input grew out of the pool.
@@ -708,7 +701,8 @@ func (d *decoder) intent(in *WireIntent) {
 	}
 }
 
-// batch consumes a WireBatch (or null, which leaves b empty).
+// batch consumes a WireBatch (or null, which leaves b empty). A record
+// whose ops is present and not null is refused with errOpsForm.
 func (d *decoder) batch(b *WireBatch) {
 	if d.null() || !d.open('{') {
 		return
@@ -717,7 +711,9 @@ func (d *decoder) batch(b *WireBatch) {
 	for f := d.member(batchFields, &seen, true); f >= 0; f = d.member(batchFields, &seen, false) {
 		switch {
 		case f == 1:
-			b.Ops = d.opList()
+			if !d.null() && d.err == nil {
+				d.err = errOpsForm
+			}
 		case f == 2:
 			b.Requests = d.requestList()
 		case !d.null():
@@ -726,7 +722,12 @@ func (d *decoder) batch(b *WireBatch) {
 	}
 }
 
-// requestList consumes a request-form record's requests array.
+// errOpsForm refuses a record in the ops form (one lowered operation per
+// element of "ops"), which servers wrote before records became request
+// bodies.
+var errOpsForm = errors.New("ops-form journal record (\"ops\" is not null), a retired format; " + upgradePath)
+
+// requestList consumes a record's requests array.
 func (d *decoder) requestList() []IngestRequest {
 	if d.null() || !d.open('[') {
 		return nil
@@ -736,68 +737,4 @@ func (d *decoder) requestList() []IngestRequest {
 		d.ingest(&d.reqs[len(d.reqs)-1])
 	}
 	return take(&d.reqs)
-}
-
-// opList consumes the ops array. Its intents and reducer placements share
-// one exact-length backing array each; only an intent's byte predictions
-// are allocated per op.
-func (d *decoder) opList() []WireOp {
-	if d.null() || !d.open('[') {
-		return nil
-	}
-	for more := d.elem(true); more; more = d.elem(false) {
-		d.ops = append(d.ops, scanOp{intent: -1, reducer: -1})
-		d.op(&d.ops[len(d.ops)-1])
-	}
-	intents, ups := take(&d.intents), take(&d.ups)
-	out := make([]WireOp, len(d.ops))
-	for i, o := range d.ops {
-		out[i] = WireOp{Kind: o.kind, Job: o.job}
-		if o.intent >= 0 {
-			out[i].Intent = &intents[o.intent]
-		}
-		if o.reducer >= 0 {
-			out[i].Reducer = &ups[o.reducer]
-		}
-	}
-	clear(d.ops)
-	d.ops = d.ops[:0]
-	return out
-}
-
-// op consumes one journaled op object.
-func (d *decoder) op(o *scanOp) {
-	if !d.open('{') {
-		return
-	}
-	var seen uint32
-	for f := d.member(opFields, &seen, true); f >= 0; f = d.member(opFields, &seen, false) {
-		if d.null() {
-			continue
-		}
-		switch f {
-		case 0:
-			o.kind = internKind(d.str())
-		case 1:
-			o.intent = len(d.intents)
-			d.intents = append(d.intents, WireIntent{})
-			d.intent(&d.intents[o.intent])
-		case 2:
-			o.reducer = len(d.ups)
-			d.ups = append(d.ups, WireReducerUp{})
-			d.reducer(&d.ups[o.reducer])
-		case 3:
-			o.job = d.int()
-		}
-	}
-}
-
-// internKind returns the op kind constant equal to s, or a copy of s.
-func internKind(s []byte) string {
-	for _, k := range [...]string{wireKindIntent, wireKindReducerUp, wireKindJobDone} {
-		if string(s) == k {
-			return k
-		}
-	}
-	return string(s)
 }

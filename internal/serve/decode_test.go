@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"pythia/internal/topology"
 	"pythia/internal/workload"
 )
 
@@ -36,7 +35,8 @@ func oracleIngest(body []byte, numHosts, maxOps int) (*IngestRequest, error) {
 }
 
 // oracleBatch is the encoding/json journal decoder (json.Unmarshal) with
-// unknown fields disallowed, as they now are.
+// unknown fields disallowed, as they now are, and one stated exception: a
+// record whose ops is not null, the retired ops form, is refused.
 func oracleBatch(p []byte) (*WireBatch, error) {
 	dec := json.NewDecoder(bytes.NewReader(p))
 	dec.DisallowUnknownFields()
@@ -46,6 +46,9 @@ func oracleBatch(p []byte) (*WireBatch, error) {
 	}
 	if len(bytes.TrimLeft(p[dec.InputOffset():], " \t\r\n")) > 0 {
 		return nil, fmt.Errorf("trailing data")
+	}
+	if b.Ops != nil {
+		return nil, fmt.Errorf("ops-form record")
 	}
 	return b, nil
 }
@@ -142,21 +145,11 @@ func sampleRequest(n int) *IngestRequest {
 	return req
 }
 
-// sampleRecord journals sampleRequest(n) as the server does: lowered to
-// collector ops on an 8-host table and raised back to wire form.
+// sampleRecord journals sampleRequest(n) as the batch loop does: its body,
+// framed alone as a request-form record.
 func sampleRecord(t testing.TB, n int) (*IngestRequest, []byte) {
 	req := sampleRequest(n)
-	hosts := make([]topology.NodeID, 8)
-	hostIdx := make(map[topology.NodeID]int)
-	for i := range hosts {
-		hosts[i] = topology.NodeID(100 + i)
-		hostIdx[hosts[i]] = i
-	}
-	p, err := encodeBatch(&WireBatch{VirtualSec: 1234.5678901234567, Ops: opsToWire(req.ToOps(hosts), hostIdx)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return req, p
+	return req, bodyRecord(t, 1234.5678901234567, mustMarshal(t, req))
 }
 
 func mustMarshal(t testing.TB, v any) []byte {
@@ -186,7 +179,7 @@ func TestWireTightenings(t *testing.T) {
 		{"null byte prediction", `{"intents":[{"job":0,"map":0,"src_host":0,"predicted_wire_bytes":[null]}]}`,
 			false, "null array element", "null element"},
 		{"null done job", `{"done_jobs":[null]}`, false, "null array element", "null element"},
-		{"journal record with an unknown key", `{"virtual_sec":1,"ops":[{"kind":"job_done","job":4}],"bogus":1}`,
+		{"journal record with an unknown key", `{"virtual_sec":1,"requests":[{"done_jobs":[4]}],"bogus":1}`,
 			true, "unknown field", ""},
 	}
 	for _, tc := range cases {
@@ -225,7 +218,6 @@ func TestDecoderFieldTablesMatchTags(t *testing.T) {
 		{WireIntent{}, intentFields},
 		{WireReducerUp{}, reducerFields},
 		{WireBatch{}, batchFields},
-		{WireOp{}, opFields},
 	} {
 		rt := reflect.TypeOf(tc.v)
 		var tags []string
@@ -238,11 +230,11 @@ func TestDecoderFieldTablesMatchTags(t *testing.T) {
 	}
 }
 
-// TestDecodeAllocs pins the decoder's allocations on a 64-op body and
-// record: one byte-prediction slice per intent, plus the request (batch),
-// and one exact-length array per list — the ops form's ops, intents and
-// reducer placements, the request form's requests array and its one
-// request's three lists.
+// TestDecodeAllocs pins the decoder's allocations on a 64-op body and on
+// the same body journaled as a request-form record: one byte-prediction
+// slice per intent, plus the request (batch), and one exact-length array
+// per list — the body's three lists, and for the record its requests array
+// too.
 func TestDecodeAllocs(t *testing.T) {
 	if raceBuild {
 		t.Skip("the race detector's sync.Pool drops decoders at random")
@@ -264,15 +256,6 @@ func TestDecodeAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if want := len(req.Intents) + 4; got != float64(want) {
-		t.Errorf("decodeBatch: %v allocs per %d-intent record, want %d", got, len(req.Intents), want)
-	}
-	record = bodyRecord(t, 1234.5678901234567, body)
-	got = testing.AllocsPerRun(100, func() {
-		if _, err := decodeBatch(record); err != nil {
-			t.Fatal(err)
-		}
-	})
 	if want := len(req.Intents) + 5; got != float64(want) {
 		t.Errorf("decodeBatch: %v allocs per %d-intent request-form record, want %d", got, len(req.Intents), want)
 	}
@@ -282,16 +265,12 @@ func TestDecodeAllocs(t *testing.T) {
 // slice of their own, so a deferred intent the collector keeps pins no
 // sibling's.
 func TestDecodedValuesShareNoBacking(t *testing.T) {
-	req, record := sampleRecord(t, 64)
-	got, _, err := decodeIngest(bytes.NewReader(mustMarshal(t, req)), 8, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := decodeBatch(record)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := sampleRequest(64)
 	body := mustMarshal(t, req)
+	got, _, err := decodeIngest(bytes.NewReader(body), 8, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rb, err := decodeBatch(bodyRecord(t, 1, body, body))
 	if err != nil {
 		t.Fatal(err)
@@ -299,11 +278,6 @@ func TestDecodedValuesShareNoBacking(t *testing.T) {
 	var all [][]float64
 	for _, in := range got.Intents {
 		all = append(all, in.PredictedWireBytes)
-	}
-	for _, op := range b.Ops {
-		if op.Intent != nil {
-			all = append(all, op.Intent.PredictedWireBytes)
-		}
 	}
 	for _, r := range rb.Requests {
 		for _, in := range r.Intents {
@@ -355,8 +329,7 @@ func FuzzDecodeIngest(f *testing.F) {
 	for _, s := range ingestSeeds {
 		f.Add([]byte(s))
 	}
-	req, _ := sampleRecord(f, 64)
-	f.Add(mustMarshal(f, req))
+	f.Add(mustMarshal(f, sampleRequest(64)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, _, err := decodeIngest(bytes.NewReader(data), 8, 0, false)
 		want, oerr := oracleIngest(data, 8, 0)
@@ -374,14 +347,14 @@ func FuzzDecodeIngest(f *testing.F) {
 }
 
 func FuzzDecodeBatch(f *testing.F) {
+	// Request-form records as the batch loop frames them: the sample body
+	// (at the sample clock and at 1e21), and bodies the handler accepts
+	// verbatim — whitespace-padded, with escaped and case-folded keys, an
+	// explicit null list — then hand-written records, among them one
+	// holding both forms, and ops-form records, which the decoder refuses.
 	req, record := sampleRecord(f, 64)
 	f.Add(record)
-	// Request-form records as the batch loop frames them: the sample body,
-	// and bodies the handler accepts verbatim — whitespace-padded, with
-	// escaped and case-folded keys, an explicit null list — then
-	// hand-written records, among them one holding both forms (it decodes;
-	// ToOps refuses it).
-	f.Add(bodyRecord(f, 1234.5678901234567, mustMarshal(f, req)))
+	f.Add(bodyRecord(f, 1e21, mustMarshal(f, req)))
 	f.Add(bodyRecord(f, 0.25, []byte(goldenIngest), []byte("\t{\"done_jobs\" : [ 1 , 2 ] }\r\n")))
 	f.Add(bodyRecord(f, 3e-7,
 		[]byte(`{"\u0069ntents":[{"jo\u0062":1,"MAP":0,"ſrc_host":3,"predicted_wire_bytes":[1e3,2.5]}],"dOne_jobs":[7]}`),
@@ -434,8 +407,7 @@ func FuzzDecodeBatch(f *testing.F) {
 }
 
 func BenchmarkDecodeIngest(b *testing.B) {
-	req, _ := sampleRecord(b, 64)
-	body := mustMarshal(b, req)
+	body := mustMarshal(b, sampleRequest(64))
 	r := bytes.NewReader(body)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
@@ -513,20 +485,20 @@ var intEdges = []string{
 }
 
 // numberSeeds are fuzz seeds carrying the edge literals: ingest bodies
-// with them as byte predictions and integer fields, or journal records
-// with them as the clock target too.
+// with them as byte predictions and integer fields, or request-form
+// journal records with them as the clock target too.
 func numberSeeds(record bool) []string {
 	var out []string
 	for _, lit := range slices.Concat(exactEdges, fallbackEdges) {
 		if record {
-			out = append(out, `{"virtual_sec":`+lit+`,"ops":[{"kind":"intent","intent":{"job":0,"map":0,"src_host":0,"predicted_wire_bytes":[1,`+lit+`]}}]}`)
+			out = append(out, `{"virtual_sec":`+lit+`,"requests":[{"intents":[{"job":0,"map":0,"src_host":0,"predicted_wire_bytes":[1,`+lit+`]}]}]}`)
 		} else {
 			out = append(out, `{"intents":[{"job":0,"map":0,"src_host":0,"predicted_wire_bytes":[`+lit+`,1]}]}`)
 		}
 	}
 	for _, lit := range intEdges {
 		if record {
-			out = append(out, `{"virtual_sec":1,"ops":[{"kind":"job_done","job":`+lit+`},{"kind":"reducer_up","reducer":{"job":`+lit+`,"reduce":0,"host":1}}]}`)
+			out = append(out, `{"virtual_sec":1,"requests":[{"done_jobs":[`+lit+`]},{"reducers":[{"job":`+lit+`,"reduce":0,"host":1}]}]}`)
 		} else {
 			out = append(out, `{"reducers":[{"job":`+lit+`,"reduce":0,"host":1}],"done_jobs":[`+lit+`]}`)
 		}

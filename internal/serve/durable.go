@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -163,37 +162,30 @@ type walSnapshot struct {
 
 // Snapshot files (DESIGN.md §13.3) are snapshotMagic, then VirtualSec's
 // float64 bits, Digest and Placements as three little-endian uint64s, then the
-// collector's binary snapshot (core.AppendSnapshot). Through PR 21 they were
-// the gob encoding of walSnapshot; a gob stream never starts with a byte in
-// 0x80..0xF7, so the magic's first byte tells the two apart.
+// collector's binary snapshot (core.AppendSnapshot). Older servers wrote the
+// gob encoding of walSnapshot, which never starts with a byte in 0x80..0xF7,
+// so the magic's first byte tells a retired snapshot from a current one.
 var snapshotMagic = [4]byte{0x89, 'P', 'Y', 'S'}
 
 const snapshotHeaderLen = len(snapshotMagic) + 3*8
 
-// decodeSnapshot reads a snapshot file's payload: the current format by its
-// magic, anything else as the gob format older servers wrote — read-only, so
-// a journal directory carried across the upgrade still restores.
+// upgradePath is how a journal directory holding a retired format — a gob
+// snapshot or ops-form records — reaches this server: a build that still
+// reads the format replays it and writes a binary snapshot past every old
+// byte. The request matters: a server that restores a snapshot and replays
+// nothing writes no final snapshot. A done_jobs entry for a job the
+// collector does not hold changes no state and no clock, but is journaled.
+const upgradePath = "to upgrade, start a pythia-serve built before the format was retired " +
+	"with -recover on this directory, send it one ingest request " +
+	"(for example {\"done_jobs\":[9223372036854775807]}, which changes nothing), " +
+	"then shut it down gracefully: its final snapshot is binary and covers every older record"
+
+// decodeSnapshot reads a snapshot file's payload. A payload without the
+// magic is refused: it is a gob snapshot, which servers no longer read, or
+// not a snapshot at all.
 func decodeSnapshot(p []byte) (*walSnapshot, error) {
 	if !bytes.HasPrefix(p, snapshotMagic[:]) {
-		// encoding/gob sizes a map from its encoded count before it reads
-		// the entries. Decoding first into a type that keeps none of the
-		// collector's state makes gob skip every map entry by entry, which
-		// fails on a count the bytes behind it cannot hold.
-		var header struct{ VirtualSec float64 }
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(&header); err != nil {
-			return nil, err
-		}
-		s := new(walSnapshot)
-		if err := gob.NewDecoder(bytes.NewReader(p)).Decode(s); err != nil {
-			return nil, err
-		}
-		if s.Core == nil {
-			return nil, fmt.Errorf("gob snapshot carries no collector state")
-		}
-		if denseSlotsOver(s.Core, legacySlotsPerByte*len(p)) {
-			return nil, fmt.Errorf("gob snapshot of %d bytes restores into more than %d table slots", len(p), legacySlotsPerByte*len(p))
-		}
-		return s, nil
+		return nil, fmt.Errorf("not a binary snapshot: no magic, so a gob snapshot (a retired format) or a corrupt file; %s", upgradePath)
 	}
 	if len(p) < snapshotHeaderLen {
 		return nil, fmt.Errorf("snapshot header truncated at %d bytes", len(p))
@@ -207,53 +199,6 @@ func decodeSnapshot(p []byte) (*walSnapshot, error) {
 	var err error
 	s.Core, err = core.DecodeSnapshot(p[snapshotHeaderLen:])
 	return s, err
-}
-
-// legacySlotsPerByte bounds what restoring a gob snapshot may allocate. The
-// collector's booking rows and backlog tables are dense by reducer ID, so one
-// booking at reducer r restores into a row of r+1 slots. The binary format
-// spends a byte per slot and cannot name more slots than it has bytes; gob
-// spends a few dozen bytes per live entry whatever its ID. A snapshot a
-// server wrote would need thousands of released slots per live booking to
-// reach this ratio; a corrupt one that does is refused, not restored into
-// exhausted memory.
-const legacySlotsPerByte = 64
-
-// denseSlotsOver reports whether Restore would allocate more than limit
-// slots for the snapshot's booking rows (per job and map) and backlog tables
-// (per job): each as wide as the largest reducer ID it holds, plus one.
-// Negative IDs count nothing; Restore refuses them.
-func denseSlotsOver(s *core.Snapshot, limit int) bool {
-	rows := make(map[[2]int]int) // (job, map) -> width
-	backlog := make(map[int]int) // job -> width
-	widen := func(w, r int) int {
-		if r < 0 {
-			return w
-		}
-		return max(w, min(r, limit)+1)
-	}
-	for _, ss := range s.Shards {
-		for fk := range ss.Booked {
-			row := [2]int{fk.Job, fk.Map}
-			rows[row] = widen(rows[row], fk.Reduce)
-			backlog[fk.Job] = widen(backlog[fk.Job], fk.Reduce)
-		}
-		for k := range ss.RedBacklog {
-			backlog[k[0]] = widen(backlog[k[0]], k[1])
-		}
-	}
-	n := 0
-	for _, w := range rows {
-		if n += w; n > limit {
-			return true
-		}
-	}
-	for _, w := range backlog {
-		if n += w; n > limit {
-			return true
-		}
-	}
-	return false
 }
 
 // Snapshots run as capture -> write -> adopt (DESIGN.md §13.4), so the batch

@@ -23,10 +23,17 @@ import (
 	"pythia/internal/wal"
 )
 
+// The op kinds of the retired ops-form journal record.
+const (
+	wireKindIntent    = "intent"
+	wireKindReducerUp = "reducer_up"
+	wireKindJobDone   = "job_done"
+)
+
 // opsToWire and encodeBatch are the journal encoder the batch loop ran
 // before records became request bodies: lowered operations raised back to
-// wire form through the reverse host table, then json.Marshal. Tests keep
-// them to write ops-form records, which replay still reads.
+// wire form through the reverse host table, then json.Marshal.
+// BenchmarkJournalRecord keeps them as the cost the framing replaced.
 func opsToWire(ops []core.Op, hostIdx map[topology.NodeID]int) []WireOp {
 	out := make([]WireOp, len(ops))
 	for i, op := range ops {
@@ -290,7 +297,7 @@ func TestCoalesceBoundsRecordBytes(t *testing.T) {
 // killed before appending a sentinel, leaving one record per body and no
 // snapshot. The clock is slow and the TTL short, so the journaled instants
 // fire booking sweeps. That server reported the pinned digest, placement
-// count and clock below.
+// count and clock in TestUpgradeFromOpsFormJournal.
 var opsFormBodies = []string{
 	`{"reducers":[{"job":0,"reduce":0,"host":1},{"job":0,"reduce":1,"host":5}]}`,
 	`{"intents":[{"job":0,"map":0,"src_host":2,"predicted_wire_bytes":[4e6,1.5e6]},{"job":0,"map":1,"attempt":1,"src_host":9,"predicted_wire_bytes":[2500000,0]}]}`,
@@ -308,17 +315,11 @@ var opsFormBodies = []string{
 
 var opsFormConfig = Config{Shards: 2, ClockHz: 2, BookingTTLSec: 4, SnapshotEvery: -1}
 
-// TestRecoverOpsFormJournal: a journal written before records became
-// request bodies still recovers, to the digest, clock and counters of a
-// fresh server fed the same requests — and to what the server that wrote
-// it reported. The fixture stays as a pin.
-func TestRecoverOpsFormJournal(t *testing.T) {
-	const (
-		wantDigest     = "b33161aed2a48894"
-		wantPlacements = 10
-		wantVirtual    = 13.5
-	)
-	dir := t.TempDir()
+// opsFormFixture copies testdata/ops_journal into a fresh directory and
+// checks that it is what it claims: one ops-form record per body.
+func opsFormFixture(t *testing.T) (dir string, records int) {
+	t.Helper()
+	dir = t.TempDir()
 	src := filepath.Join("testdata", "ops_journal")
 	ents, err := os.ReadDir(src)
 	if err != nil {
@@ -333,37 +334,60 @@ func TestRecoverOpsFormJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	records := 0
 	eachRecord(t, dir, func(seq uint64, p []byte) {
 		records++
-		if b, err := decodeBatch(p); err != nil || len(b.Ops) == 0 || b.Requests != nil {
+		var b WireBatch
+		if err := json.Unmarshal(p, &b); err != nil || len(b.Ops) == 0 || b.Requests != nil {
 			t.Fatalf("fixture record %d is not an ops-form record (%v): %s", seq, err, p)
 		}
 	})
 	if records != len(opsFormBodies) {
 		t.Fatalf("fixture holds %d records, want %d", records, len(opsFormBodies))
 	}
+	return dir, records
+}
 
-	fresh, err := New(opsFormConfig)
-	if err != nil {
-		t.Fatal(err)
+// TestOpsFormJournalRefused: a journal of ops-form records, the format
+// servers wrote before records became request bodies, fails recovery at
+// its first record with an error that names the format and gives the
+// upgrade path; the readiness probe reports it, and no goroutine outlives
+// Shutdown.
+func TestOpsFormJournalRefused(t *testing.T) {
+	dir, _ := opsFormFixture(t)
+	if msg := errOpsForm.Error(); !strings.Contains(msg, "ops-form") || !strings.Contains(msg, upgradePath) {
+		t.Fatalf("refusal %q names neither the ops form nor the upgrade path", msg)
 	}
-	fresh.Start()
-	defer fresh.Shutdown(context.Background())
-	ts := httptest.NewServer(fresh.Handler())
-	defer ts.Close()
-	for i, body := range opsFormBodies {
-		if resp, out := postJSON(t, ts.Client(), ts.URL, body); resp.StatusCode != http.StatusOK {
-			t.Fatalf("body %d: HTTP %d: %s", i, resp.StatusCode, out)
-		}
-	}
-	want := getStats(t, ts.Client(), ts.URL)
+	recoverMustFail(t, dir, "serve: journal record 1: "+errOpsForm.Error(), 0)
+}
 
+// TestUpgradeFromOpsFormJournal: the upgrade path carries an ops-form
+// journal across. A build that still reads the ops form recovers the
+// fixture and, shut down gracefully, cuts a binary snapshot through its last
+// record. A fresh server fed the same bodies stands in for that build: it
+// holds the state the replay rebuilds, and its graceful shutdown cuts that
+// snapshot. Next to the fixture, the snapshot recovers without decoding a
+// single ops-form record, to the digest, placement count and clock the
+// server that wrote the fixture reported.
+func TestUpgradeFromOpsFormJournal(t *testing.T) {
+	const (
+		wantDigest     = "b33161aed2a48894"
+		wantPlacements = 10
+		wantVirtual    = 13.5
+	)
+	dir, records := opsFormFixture(t)
 	cfg := opsFormConfig
+	cfg.WALDir = t.TempDir()
+	want := restartAndIngest(t, cfg, opsFormBodies...)
+	seq, payload := latestSnapshot(t, cfg.WALDir)
+	if seq != uint64(records) {
+		t.Fatalf("the fresh server's final snapshot is through record %d, want %d", seq, records)
+	}
+	writeSnapshot(t, dir, seq, payload)
+
 	cfg.WALDir = dir
 	got := recoveredStats(t, cfg)
-	if got.RecoveredRecords != records {
-		t.Errorf("replayed %d records, want %d", got.RecoveredRecords, records)
+	if got.RecoveredRecords != 0 {
+		t.Errorf("replayed %d records; the snapshot covers all %d", got.RecoveredRecords, records)
 	}
 	for _, st := range []StatsResponse{want, got} {
 		if st.PlacementDigest != wantDigest || st.Placements != wantPlacements || st.VirtualSec != wantVirtual {
@@ -374,7 +398,7 @@ func TestRecoverOpsFormJournal(t *testing.T) {
 	da, db := got.OutstandingDemandBits, want.OutstandingDemandBits
 	got.OutstandingDemandBits, want.OutstandingDemandBits = 0, 0
 	if got.CollectorStats != want.CollectorStats || math.Abs(da-db) > 1e-9*math.Max(math.Abs(da), math.Abs(db)) {
-		t.Errorf("recovered counters %+v (demand %v), fresh replay %+v (demand %v)",
+		t.Errorf("recovered counters %+v (demand %v), fresh server %+v (demand %v)",
 			got.CollectorStats, da, want.CollectorStats, db)
 	}
 	if got.ExpiredBookings == 0 {
@@ -442,32 +466,22 @@ func BenchmarkJournalRecord(b *testing.B) {
 
 // BenchmarkReplayRecord prices what recovery does per record before
 // ApplyBatch — decode and lower to collector operations — for one 64-op
-// request journaled in the ops form and in the request form.
+// request journaled as the batch loop journals it.
 func BenchmarkReplayRecord(b *testing.B) {
-	req, opsRecord := sampleRecord(b, 64)
+	_, record := sampleRecord(b, 64)
 	hosts := make([]topology.NodeID, 8)
 	for i := range hosts {
 		hosts[i] = topology.NodeID(100 + i)
 	}
-	for _, tc := range []struct {
-		name   string
-		record []byte
-	}{
-		{"ops", opsRecord},
-		{"requests", bodyRecord(b, 1234.5678901234567, mustMarshal(b, req))},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(tc.record)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w, err := decodeBatch(tc.record)
-				if err == nil {
-					_, err = w.ToOps(hosts)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.SetBytes(int64(len(record)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := decodeBatch(record)
+		if err == nil {
+			_, err = w.ToOps(hosts)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

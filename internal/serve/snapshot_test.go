@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -17,8 +18,9 @@ import (
 	"pythia/internal/wal"
 )
 
-// encodeSnapshot is the gob snapshot encoder servers used through PR 21,
-// kept so tests can plant a legacy snapshot; production only decodes gob.
+// encodeSnapshot is the gob snapshot encoder servers used before the binary
+// format, kept so tests can plant a retired snapshot for the server to
+// refuse.
 func encodeSnapshot(s *walSnapshot) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
@@ -213,11 +215,123 @@ func TestCrashMidBackgroundSnapshot(t *testing.T) {
 	}
 }
 
-// TestRecoverFromGobSnapshot: a journal directory written by a server of PR
-// 21 or earlier holds a gob snapshot. The current server restores it — at
-// every shard count — and finishes the trace on the oracle's digest; its own
-// next snapshot is in the current format.
-func TestRecoverFromGobSnapshot(t *testing.T) {
+// restartAndIngest starts a server over cfg.WALDir with Recover, posts
+// bodies one request at a time, and shuts it down gracefully. It returns the
+// stats the server reported before the shutdown.
+func restartAndIngest(t *testing.T, cfg Config, bodies ...string) StatsResponse {
+	t.Helper()
+	cfg.Recover = true
+	srv, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Start()
+	ctx := context.Background()
+	if err := srv.AwaitReady(ctx); err != nil {
+		t.Fatalf("recovering: %v", err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for i, body := range bodies {
+		if resp, out := postJSON(t, ts.Client(), ts.URL, body); resp.StatusCode != http.StatusOK {
+			t.Fatalf("body %d: HTTP %d: %s", i, resp.StatusCode, out)
+		}
+	}
+	st := getStats(t, ts.Client(), ts.URL)
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// latestSnapshot returns the journal directory's newest snapshot.
+func latestSnapshot(t *testing.T, dir string) (uint64, []byte) {
+	t.Helper()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Abort()
+	seq, payload, ok, err := l.LatestSnapshot()
+	if err != nil || !ok {
+		t.Fatalf("LatestSnapshot: ok=%v err=%v", ok, err)
+	}
+	return seq, payload
+}
+
+// writeSnapshot writes payload into dir as the snapshot through seq.
+func writeSnapshot(t *testing.T, dir string, seq uint64, payload []byte) {
+	t.Helper()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Abort()
+	if err := l.WriteSnapshot(seq, payload); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// gobSnapshot re-encodes a binary snapshot file's payload the way servers
+// wrote snapshots before the binary format.
+func gobSnapshot(t *testing.T, binary []byte) []byte {
+	t.Helper()
+	snap, err := decodeSnapshot(binary)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := encodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.HasPrefix(legacy, snapshotMagic[:]) {
+		t.Fatal("gob payload carries the magic; the two formats cannot be told apart")
+	}
+	return legacy
+}
+
+// noopBody is the request the upgrade path sends the older build: a
+// retirement of a job no collector holds, journaled like any batch but
+// changing no state and, on a logical clock, no instant.
+const noopBody = `{"done_jobs":[9223372036854775807]}`
+
+// TestGobSnapshotRefused: a journal directory whose newest snapshot is a
+// gob snapshot, the format servers wrote before the binary one, fails
+// recovery with an error that names the format and gives the upgrade path;
+// the readiness probe reports it, and no goroutine outlives Shutdown.
+func TestGobSnapshotRefused(t *testing.T) {
+	const cut = 10
+	dir := t.TempDir()
+	runStorm(t, Config{Shards: 2, ClockHz: 50, QueueCap: 64, SnapshotEvery: -1}, dir, nil, stormTrace(4, 3, 2, 16)[:cut])
+	seq, payload := latestSnapshot(t, dir)
+	if seq != cut {
+		t.Fatalf("final snapshot through %d, want %d", seq, cut)
+	}
+	legacy := gobSnapshot(t, payload)
+	writeSnapshot(t, dir, seq, legacy)
+	_, err := decodeSnapshot(legacy)
+	if err == nil || !strings.Contains(err.Error(), "gob snapshot") || !strings.Contains(err.Error(), upgradePath) {
+		t.Fatalf("decodeSnapshot = %v, want a refusal naming the gob format and the upgrade path", err)
+	}
+	recoverMustFail(t, dir, fmt.Sprintf("serve: decoding snapshot %d: %v", cut, err), 0)
+}
+
+// TestUpgradeFromGobSnapshot: the upgrade path carries a gob snapshot
+// across. Its directory holds a gob snapshot through record n and no tail,
+// the usual state after a graceful shutdown. A build that still reads gob
+// restores it, but shut down at once it cuts no new snapshot — seal cuts one
+// only past the restored seq — so the gob snapshot would stay the newest.
+// Sent one no-op request first, it journals record n+1 and cuts a binary
+// snapshot through it. This build stands in for the older one from the
+// binary twin of the gob snapshot (both decode to the same core.Snapshot;
+// seal is unchanged). With the gob snapshot through n left beside record
+// n+1 and the binary snapshot through n+1, the current server recovers
+// without replaying a record and finishes the trace on the oracle's digest,
+// at every shard count.
+func TestUpgradeFromGobSnapshot(t *testing.T) {
+	if !strings.Contains(upgradePath, noopBody) {
+		t.Fatalf("the upgrade path does not suggest %s", noopBody)
+	}
 	trace := stormTrace(4, 3, 2, 16)
 	const cut = 10 // mid-trace: job 2 has its reducers and one of its three intents in
 	for _, shards := range []int{1, 2, 8} {
@@ -229,63 +343,38 @@ func TestRecoverFromGobSnapshot(t *testing.T) {
 			if _, gens := runStorm(t, base, dir, nil, trace[:cut]); gens != 1 {
 				t.Fatalf("first half ran %d generations", gens)
 			}
-			// Rewrite the final snapshot the way the old server would have.
-			l, err := wal.Open(dir, wal.Options{})
-			if err != nil {
-				t.Fatal(err)
+			seq, payload := latestSnapshot(t, dir)
+			if seq != cut || !bytes.HasPrefix(payload, snapshotMagic[:]) {
+				t.Fatalf("final snapshot through %d (magic %v), want a binary one through %d",
+					seq, bytes.HasPrefix(payload, snapshotMagic[:]), cut)
 			}
-			seq, payload, ok, err := l.LatestSnapshot()
-			if err != nil || !ok || seq != cut {
-				t.Fatalf("LatestSnapshot = %d %v %v, want the final snapshot through %d", seq, ok, err, cut)
-			}
-			if !bytes.HasPrefix(payload, snapshotMagic[:]) {
-				t.Fatal("the current server did not write the current format")
-			}
-			snap, err := decodeSnapshot(payload)
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy, err := encodeSnapshot(snap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bytes.HasPrefix(legacy, snapshotMagic[:]) {
-				t.Fatal("gob payload carries the magic; the sniff cannot tell them apart")
-			}
-			if err := l.WriteSnapshot(seq, legacy); err != nil {
-				t.Fatal(err)
-			}
-			l.Abort()
+			legacy := gobSnapshot(t, payload)
 
 			cfg := base
 			cfg.WALDir = dir
-			cfg.Recover = true
-			srv, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
+			idle := restartAndIngest(t, cfg)
+			if seq, _ := latestSnapshot(t, dir); seq != cut {
+				t.Fatalf("a restart with no request cut a snapshot through %d; the upgrade path needs no request", seq)
 			}
-			srv.Start()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			cl := NewClient(ts.URL, ClientConfig{HTTP: ts.Client()})
-			ctx := context.Background()
-			if err := srv.AwaitReady(ctx); err != nil {
-				t.Fatalf("restoring the gob snapshot: %v", err)
+			st := restartAndIngest(t, cfg, noopBody)
+			if st.RecoveredRecords != 0 || st.PlacementDigest != idle.PlacementDigest ||
+				st.VirtualSec != idle.VirtualSec || st.CollectorStats != idle.CollectorStats {
+				t.Fatalf("the no-op request moved the state: replayed %d, digest %s -> %s, clock %v -> %v, counters %+v -> %+v",
+					st.RecoveredRecords, idle.PlacementDigest, st.PlacementDigest, idle.VirtualSec, st.VirtualSec,
+					idle.CollectorStats, st.CollectorStats)
 			}
-			for i, req := range trace[cut:] {
-				if _, err := cl.Ingest(ctx, req); err != nil {
-					t.Fatalf("request %d: %v", cut+i, err)
-				}
+			if seq, _ := latestSnapshot(t, dir); seq != cut+1 {
+				t.Fatalf("the upgrade run's final snapshot is through %d, want %d", seq, cut+1)
 			}
-			st, err := cl.ServerStats(ctx)
-			if err != nil {
-				t.Fatal(err)
+			writeSnapshot(t, dir, cut, legacy)
+
+			rest := make([]string, 0, len(trace)-cut)
+			for _, req := range trace[cut:] {
+				rest = append(rest, string(mustMarshal(t, req)))
 			}
-			if err := srv.Shutdown(ctx); err != nil {
-				t.Fatal(err)
-			}
+			st = restartAndIngest(t, cfg, rest...)
 			if st.RecoveredRecords != 0 {
-				t.Errorf("replayed %d records; the gob snapshot was not used", st.RecoveredRecords)
+				t.Errorf("replayed %d records; the binary snapshot covers the no-op record", st.RecoveredRecords)
 			}
 			if st.PlacementDigest != oracle.PlacementDigest || st.VirtualSec != oracle.VirtualSec {
 				t.Errorf("digest %s clock %v != oracle %s %v", st.PlacementDigest, st.VirtualSec, oracle.PlacementDigest, oracle.VirtualSec)
@@ -293,12 +382,7 @@ func TestRecoverFromGobSnapshot(t *testing.T) {
 			if st.OutstandingBookings != 0 {
 				t.Errorf("%d leaked bookings", st.OutstandingBookings)
 			}
-			l, err = wal.Open(dir, wal.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer l.Abort()
-			if _, payload, ok, _ := l.LatestSnapshot(); !ok || !bytes.HasPrefix(payload, snapshotMagic[:]) {
+			if _, payload := latestSnapshot(t, dir); !bytes.HasPrefix(payload, snapshotMagic[:]) {
 				t.Error("the final snapshot after the upgrade is not in the current format")
 			}
 		})

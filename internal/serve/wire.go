@@ -122,10 +122,10 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// WireOp is one collector operation in the journal's ops form, which
-// servers wrote until records became request bodies; replay still reads it.
-// Exactly one of the payload fields is set, selected by Kind ("intent",
-// "reducer_up", "job_done").
+// WireOp is one lowered collector operation of the retired ops-form
+// journal record, which servers no longer read (the decoder refuses a
+// record whose ops is not null). It stays declared only because
+// benchmark/probes.go's wireBatch marshals it for its wal.append probe.
 type WireOp struct {
 	Kind    string         `json:"kind"`
 	Intent  *WireIntent    `json:"intent,omitempty"`
@@ -135,77 +135,34 @@ type WireOp struct {
 
 // WireBatch is one committed batch as journaled by the write-ahead log: the
 // engine instant the batch committed at (the logical-clock target, so replay
-// never re-derives clock advances) and the batch's operations in their exact
-// commit order — order is semantic, because reducer placements resolve
-// deferred intents positionally. A record carries the operations in one of
-// two forms: Requests, the batch's ingest requests in queue order (what the
-// batch loop writes: the request bodies, verbatim), or Ops, one lowered
-// operation each (what servers wrote before).
+// never re-derives clock advances) and the batch's ingest requests in queue
+// order — the request bodies, verbatim. Order is semantic, because reducer
+// placements resolve deferred intents positionally. Ops is the retired ops
+// form; it stays declared only because benchmark/probes.go's wireBatch
+// marshals it for its wal.append probe, and the decoder refuses a record
+// that sets it.
 type WireBatch struct {
 	VirtualSec float64         `json:"virtual_sec"`
 	Ops        []WireOp        `json:"ops"`
 	Requests   []IngestRequest `json:"requests,omitempty"`
 }
 
-const (
-	wireKindIntent    = "intent"
-	wireKindReducerUp = "reducer_up"
-	wireKindJobDone   = "job_done"
-)
-
 // ToOps lowers a journaled batch back into collector operations, preserving
-// commit order. A request-form record is checked and lowered request by
-// request exactly as the handler did, so it yields the operation sequence
-// the batch loop concatenated. Host indexes outside the fabric's table (a
-// journal from a different topology) fail loudly rather than replaying
-// garbage, and so does a record holding both forms.
+// commit order: each request is checked and lowered exactly as the handler
+// did, so it yields the operation sequence the batch loop concatenated.
+// Host indexes outside the fabric's table (a journal from a different
+// topology) fail loudly rather than replaying garbage.
 func (b *WireBatch) ToOps(hosts []topology.NodeID) ([]core.Op, error) {
-	if len(b.Requests) > 0 {
-		if len(b.Ops) > 0 {
-			return nil, fmt.Errorf("record holds both ops and requests")
+	n := 0
+	for i := range b.Requests {
+		if err := b.Requests[i].validate(len(hosts), 0); err != nil {
+			return nil, fmt.Errorf("request %d: %w", i, err)
 		}
-		n := 0
-		for i := range b.Requests {
-			if err := b.Requests[i].validate(len(hosts), 0); err != nil {
-				return nil, fmt.Errorf("request %d: %w", i, err)
-			}
-			n += b.Requests[i].ops()
-		}
-		ops := make([]core.Op, 0, n)
-		for i := range b.Requests {
-			ops = b.Requests[i].appendOps(ops, hosts)
-		}
-		return ops, nil
+		n += b.Requests[i].ops()
 	}
-	ops := make([]core.Op, len(b.Ops))
-	for i, w := range b.Ops {
-		switch w.Kind {
-		case wireKindIntent:
-			if w.Intent == nil {
-				return nil, fmt.Errorf("op %d: intent record without payload", i)
-			}
-			if w.Intent.SrcHost < 0 || w.Intent.SrcHost >= len(hosts) {
-				return nil, fmt.Errorf("op %d: src_host %d outside [0,%d) — journal from a different fabric?",
-					i, w.Intent.SrcHost, len(hosts))
-			}
-			ops[i] = core.Op{Kind: core.OpIntent, Intent: instrument.Intent{
-				Job: w.Intent.Job, Map: w.Intent.Map, Attempt: w.Intent.Attempt,
-				SrcHost: hosts[w.Intent.SrcHost], PredictedWireBytes: w.Intent.PredictedWireBytes}}
-		case wireKindReducerUp:
-			if w.Reducer == nil {
-				return nil, fmt.Errorf("op %d: reducer_up record without payload", i)
-			}
-			if w.Reducer.Host < 0 || w.Reducer.Host >= len(hosts) {
-				return nil, fmt.Errorf("op %d: host %d outside [0,%d) — journal from a different fabric?",
-					i, w.Reducer.Host, len(hosts))
-			}
-			ops[i] = core.Op{Kind: core.OpReducerUp, Reducer: instrument.ReducerUp{
-				Job: w.Reducer.Job, Reduce: w.Reducer.Reduce, Host: hosts[w.Reducer.Host]}}
-		case wireKindJobDone:
-			ops[i] = core.Op{Kind: core.OpJobDone, Job: w.Job}
-		default:
-			return nil, fmt.Errorf("op %d: unknown kind %q", i, w.Kind)
-		}
+	ops := make([]core.Op, 0, n)
+	for i := range b.Requests {
+		ops = b.Requests[i].appendOps(ops, hosts)
 	}
 	return ops, nil
 }

@@ -89,9 +89,10 @@ func TestWireToOps(t *testing.T) {
 }
 
 // TestWireBatchToOps: a request-form record lowers to its requests'
-// operations concatenated in order — the sequence the batch loop applied —
-// and a record holding both forms, or a request the handler would have
-// refused, fails replay with the request's index.
+// operations concatenated in order — the sequence the batch loop applied.
+// A record that also holds the retired ops form is refused by the decoder,
+// and a request the handler would have refused fails replay with the
+// request's index.
 func TestWireBatchToOps(t *testing.T) {
 	hosts := []topology.NodeID{100, 101, 102, 103, 104, 105, 106, 107}
 	bodies := [][]byte{[]byte(goldenIngest), []byte(`{"done_jobs":[5],"reducers":[{"job":5,"reduce":1,"host":7}]}`)}
@@ -117,17 +118,17 @@ func TestWireBatchToOps(t *testing.T) {
 
 	for _, tc := range []struct{ name, record, wantErr string }{
 		{"both forms", `{"virtual_sec":1,"ops":[{"kind":"job_done","job":1}],"requests":[{"done_jobs":[2]}]}`,
-			"both ops and requests"},
+			errOpsForm.Error()},
 		{"host outside the fabric", `{"virtual_sec":1,"requests":[{"done_jobs":[1]},{"reducers":[{"job":0,"reduce":0,"host":8}]}]}`,
 			"request 1: reducers[0]: host 8 outside [0,8)"},
 		{"empty request", `{"virtual_sec":1,"requests":[{}]}`, "request 0: empty request"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, err := decodeBatch([]byte(tc.record))
-			if err != nil {
-				t.Fatalf("decode: %v", err)
+			if err == nil {
+				_, err = b.ToOps(hosts)
 			}
-			if _, err := b.ToOps(hosts); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 				t.Fatalf("error %v, want one mentioning %q", err, tc.wantErr)
 			}
 		})

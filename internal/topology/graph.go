@@ -7,6 +7,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 )
 
 // NodeID identifies a node (host or switch) in the graph.
@@ -101,13 +102,15 @@ func (g *Graph) AddNode(kind NodeKind, name string, rack int) NodeID {
 }
 
 // AddLink adds a single directed link and returns its ID. It panics on
-// unknown endpoints or non-positive capacity.
+// unknown endpoints or a capacity that is not finite and positive: NaN or
+// +Inf would leave the allocator's shares undefined and a run that never
+// finishes.
 func (g *Graph) AddLink(from, to NodeID, capacityBps float64, name string) LinkID {
 	if !g.valid(from) || !g.valid(to) {
 		panic(fmt.Sprintf("topology: AddLink with unknown node %d->%d", from, to))
 	}
-	if capacityBps <= 0 {
-		panic("topology: AddLink with non-positive capacity")
+	if !(capacityBps > 0) || math.IsInf(capacityBps, 1) {
+		panic(fmt.Sprintf("topology: AddLink with capacity %v, want finite and positive", capacityBps))
 	}
 	id := LinkID(len(g.links))
 	g.links = append(g.links, Link{ID: id, From: from, To: to, CapacityBps: capacityBps, Name: name})

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,10 @@ func TestAddLinkValidation(t *testing.T) {
 		func() { g.AddLink(a, NodeID(99), Gbps, "x") },
 		func() { g.AddLink(NodeID(99), a, Gbps, "x") },
 		func() { g.AddLink(a, a, 0, "x") },
+		func() { g.AddLink(a, a, -Gbps, "x") },
+		func() { g.AddLink(a, a, math.NaN(), "x") },
+		func() { g.AddLink(a, a, math.Inf(1), "x") },
+		func() { g.AddLink(a, a, math.Inf(-1), "x") },
 	} {
 		func() {
 			defer func() {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 )
 
 // The panicking runners' error-contract audit: every panicking entry point
@@ -118,6 +119,33 @@ func TestOutOfRangeHadoopKnobsPanic(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestNonFiniteLinkRatePanics: a NaN or infinite link rate once reached the
+// allocator, where a 2 GB sort never finished under any scheduler. New now
+// panics with AddLink's message, as it does for a negative rate, and each
+// case must settle within a wall-time bound rather than hang.
+func TestNonFiniteLinkRatePanics(t *testing.T) {
+	const bound = 20 * time.Second
+	for _, sched := range []SchedulerKind{SchedulerECMP, SchedulerPythia, SchedulerHedera} {
+		for _, gbps := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			t.Run(fmt.Sprintf("%v_%v", sched, gbps), func(t *testing.T) {
+				done := make(chan any, 1)
+				go func() {
+					defer func() { done <- recover() }()
+					New(WithScheduler(sched), WithLinkRateGbps(gbps)).TryRunJob(SortJob(2*GB, 5, 1))
+				}()
+				select {
+				case r := <-done:
+					if r == nil || !strings.Contains(fmt.Sprint(r), "topology: AddLink with capacity") {
+						t.Fatalf("recovered %v, want AddLink's capacity panic", r)
+					}
+				case <-time.After(bound):
+					t.Fatalf("still running after %v", bound)
+				}
+			})
+		}
 	}
 }
 
